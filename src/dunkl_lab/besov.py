@@ -27,7 +27,7 @@ from .funcalg import GaussPolyFunction, dunkl_power, dilate
 from .quad import LpContext, lp_norm, jacobi_rule
 from .dunklcore import translate_many
 from .taylor import (b_coeff, remainder_profile, symmetric_remainder_profile,
-                     _theta_terms, _theta_weighted_integral)
+                     _theta_terms)
 
 __all__ = [
     "BesovParams",
@@ -140,19 +140,36 @@ def k_functional_upper(params: BesovParams, f: GaussPolyFunction,
     terms0 = _theta_terms(al.alpha, 0, x)
     consts = [(b_coeff(al, p, 1.0), dunkl_power(al, f, p)) for p in range(k)]
 
+    def theta0_rem(u, rules):
+        # per row of u: sum over rules (z, w, sgn) of w (R_k(z,f)(u) +
+        # sgn R_k(-z,f)(u)), with R_k(y,f)(u) = tau_u f(y) - sum b_p(y) L^p f(u)
+        ys = np.concatenate([v for z, _, _ in rules for v in (z, -z)], axis=1)
+        ws = np.concatenate([v for _, w, sg in rules for v in (w, sg * w)],
+                            axis=1)
+        rem = translate_many(al, f, u, ys)
+        for p, (bp1, lpf) in enumerate(consts):
+            rem -= bp1 * ys ** p * lpf(u)
+        return np.sum(ws * rem, axis=1)
+
     def lkm1_f0(us):
+        # the rules of _theta_weighted_integral(split=|u|, n=32) for all u at
+        # once, one row per u: Jacobi on (0, |u|) and Legendre on (|u|, x)
+        # where the kink |u| lies inside (0, x), Jacobi on (0, x) elsewhere
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            def rem(ys, _u=float(u)):
-                ys = np.asarray(ys, dtype=float)
-                val = translate_many(al, f, _u, ys)
-                for p, (bp1, lpf) in enumerate(consts):
-                    val = val - bp1 * ys ** p * lpf(np.full(1, _u))[()]
-                return val
-            out[i] = _theta_weighted_integral(al, terms0, x, rem,
-                                              split=abs(u), n=32)
-        return -out / bk
+        u = us.reshape(-1, 1)
+        kink = (u[:, 0] != 0.0) & (np.abs(u[:, 0]) < x)
+        split = np.where(kink[:, None], np.abs(u), x)
+        head, tail = [], []
+        for c, sp, e in terms0:
+            ee = e + al.weight_exp
+            z1, w1 = jacobi_rule(32, ee, 0.0, 0.0, split)
+            z2, w2 = jacobi_rule(32, 0.0, 0.0, split[kink], x)
+            head.append((z1, c * w1, (-1.0) ** sp))
+            tail.append((z2, c * w2 * z2 ** ee, (-1.0) ** sp))
+        out = theta0_rem(u, head)
+        if kink.any():
+            out[kink] += theta0_rem(u[kink], tail)
+        return (-out / bk).reshape(us.shape)
 
     bound_iii = lp_norm(ctx, lkm1_f0) + part_f1
     return min(bound_i, bound_ii, bound_iii)
@@ -172,14 +189,18 @@ def conv_profile(params: BesovParams, f: GaussPolyFunction,
     T = phi_t.support_hint or 10.0 * t
     xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, T)
     coef = ws * phi_t(xs) / al.norm_const
-    profs = [symmetric_remainder_profile(al, k, f, float(xv)) for xv in xs]
+    # R_k(x,f) + R_k(-x,f) = tau_x f + tau_{-x} f - 2 sum b_{2i}(x) L^{2i} f
+    xpm = np.concatenate([xs, -xs]).reshape(-1, 1)
+    consts = [(2.0 * b_coeff(al, 2 * i, xs).reshape(-1, 1),
+               dunkl_power(al, f, 2 * i)) for i in range((k - 1) // 2 + 1)]
 
     def prof(us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.zeros_like(us)
-        for c, pr in zip(coef, profs):
-            out += c * pr(us)
-        return out
+        tau = translate_many(al, f, xpm, us.reshape(1, -1))
+        val = tau[:n_outer] + tau[n_outer:]
+        for c, lpf in consts:
+            val -= c * lpf(us.reshape(1, -1))
+        return (coef @ val).reshape(us.shape)
 
     return prof
 

@@ -10,11 +10,9 @@
 Configuration is a single JSON document; command-line flags override its
 fields.  `--paper-defaults` pins the canonical reproduction matrix.  CSV
 floats are printed with 17 significant digits so they round-trip exactly.
-The environment variable DUNKL_LAB_THREADS caps suite-level parallelism
-(default 1; the report content is identical either way).
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
-or I/O error.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration,
+input or I/O error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -94,6 +92,10 @@ class RunConfig:
             raise ConfigError(f"unknown suite(s): {', '.join(bad)}")
         if self.function_record is None and self.function not in CATALOG:
             raise ConfigError(f"unknown catalog function {self.function!r}")
+        if self.command in ("besov", "sweep") \
+                and not self.resolve_function().is_normable:
+            raise ConfigError("the function is not in L^p(mu_alpha): "
+                              "a function_record needs gauss_scale > 0")
 
     def resolve_function(self) -> GaussPolyFunction:
         if self.function_record is not None:
@@ -238,8 +240,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    threads = int(os.environ.get("DUNKL_LAB_THREADS", "1"))
-    results = V.run_suites(cfg.suites, threads=threads)
+    results = V.run_suites(cfg.suites)
     checks = [c for name in cfg.suites for c in results[name]]
     counts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
     for c in checks:
@@ -313,17 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError,
+            KeyError) as exc:
+        print(f"configuration error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return COMMANDS[cfg.command](cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, KeyError) as exc:
+        print(f"input error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -2,22 +2,35 @@
 
 The translation tau_x f(y) integrates f against the signed measure with
 density W_a(x, y, .) supported on S u (-S), S = [||x|-|y||, |x|+|y|].
-Under u = z^2 the integrand becomes an analytic function of u times the
-exact Jacobi weight ((b^2-u)(u-a^2))^(a-1/2), so a single cached Gauss-Jacobi
-rule gives uniform spectral accuracy, including the degenerate |x| = |y|
-case (the endpoint exponents never change).
+`translate_many` picks one of two evaluations from its input:
+
+- f = P e^{-s.^2} with s > 0 (a GaussPolyFunction): the exact closed form
+  e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)], with bivariate
+  polynomials A, B built once per (a, P, s) and the kernel evaluated from
+  exponentially scaled Bessel functions, so nothing overflows.
+- any other callable (profiles, kernels, complex values, pure polynomials):
+  under u = z^2 the integrand becomes an analytic function of u times the
+  exact Jacobi weight ((b^2-u)(u-a^2))^(a-1/2), so a single cached
+  Gauss-Jacobi rule gives uniform spectral accuracy, including the
+  degenerate |x| = |y| case (the endpoint exponents never change).
+
+Both broadcast x against y; x = 0 or y = 0 is the point mass f(x + y).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate as sint
+from scipy.special import ive
 
 from .special import AlphaParam, dunkl_kernel_it
+from .funcalg import GaussPolyFunction, dunkl_apply
 from .quad import QuadSpec, DEFAULT_SPEC, jacobi_rule, _jacobi_ref
 
 __all__ = [
@@ -33,6 +46,8 @@ __all__ = [
 ]
 
 TRANSLATE_NODES = 48
+#: points (closed form) or point-node pairs (quadrature) per evaluation block
+_BLOCK = 16384
 
 
 def _w_const(a: float) -> float:
@@ -95,71 +110,151 @@ def w_kernel(alpha: AlphaParam, x: float, y: float, z):
     return out if np.ndim(z) else float(out[0])
 
 
-def _u_rule(alpha: AlphaParam, x: float, y: float, n: int):
-    """Jacobi nodes/weights in u = z^2 over [a^2, b^2] plus the prefactor."""
-    a = alpha.alpha
-    ax, ay = abs(x), abs(y)
-    lo, hi = (ax - ay) ** 2, (ax + ay) ** 2
-    u, w = jacobi_rule(n, a - 0.5, a - 0.5, lo, hi)
-    pref = _w_const(a) / (2.0 * alpha.norm_const * (ax * ay) ** (2.0 * a))
-    return u, w, pref
-
-
-def _smooth_factor(f, x: float, y: float, u):
-    """[f(z)+f(-z)] B0(u) + [(f(z)-f(-z))/z] Q(u), an analytic function of u."""
-    z = np.sqrt(u)
-    fz = np.asarray(f(z))
-    fmz = np.asarray(f(-z))
-    b0 = 1.0 - (x * x + y * y - u) / (2.0 * x * y)
-    q = (u + x * x - y * y) / (2.0 * x) + (u + y * y - x * x) / (2.0 * y)
-    return (fz + fmz) * b0 + (fz - fmz) / z * q
-
-
 def translate(alpha: AlphaParam, f: Callable, x: float, y: float,
-              spec: QuadSpec = None, n: int = TRANSLATE_NODES):
-    """Dunkl translation tau_x(f)(y).  f must accept numpy arrays."""
-    if x == 0.0:
-        v = f(np.asarray(y, dtype=float))
-        return complex(v) if np.iscomplexobj(v) else float(v)
-    if y == 0.0:
-        v = f(np.asarray(x, dtype=float))
-        return complex(v) if np.iscomplexobj(v) else float(v)
-    u, w, pref = _u_rule(alpha, x, y, n)
-    s = _smooth_factor(f, x, y, u)
-    val = pref * np.dot(w, s)
-    return complex(val) if np.iscomplexobj(s) else float(val)
+              n: int = TRANSLATE_NODES):
+    """Dunkl translation tau_x(f)(y) at one point."""
+    v = translate_many(alpha, f, x, y, n=n)[()]
+    return complex(v) if np.iscomplexobj(v) else float(v)
 
 
-def translate_many(alpha: AlphaParam, f: Callable, x: float, ys,
+def translate_many(alpha: AlphaParam, f: Callable, x, ys,
                    n: int = TRANSLATE_NODES):
-    """Vectorized tau_x(f)(y) over an array of y values."""
-    ys_in = np.asarray(ys, dtype=float)
-    if x == 0.0:
-        return np.asarray(f(ys_in))
-    ys = np.atleast_1d(ys_in).ravel()
+    """Vectorized tau_x(f)(y); x is a scalar or an array that broadcasts
+    against ys, and the result has the broadcast shape.
+
+    A GaussPolyFunction with gauss_scale > 0 is translated in closed form;
+    any other callable goes through the n-node Gauss-Jacobi rule.  Points
+    with x = 0 or y = 0 take the point-mass value f(x + y).
+    """
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(ys, dtype=float))
+    xv, yv = xb.ravel(), yb.ravel()
+    mass = (xv == 0.0) | (yv == 0.0)
+    if not mass.any():
+        return _translate_moving(alpha, f, xv, yv, n).reshape(xb.shape)
+    vals = _translate_moving(alpha, f, xv[~mass], yv[~mass], n)
+    fm = np.asarray(f(xv[mass] + yv[mass])).ravel()
+    out = np.empty(xv.size, dtype=np.result_type(vals, fm))
+    out[~mass] = vals
+    out[mass] = fm
+    return out.reshape(xb.shape)
+
+
+def _translate_moving(alpha: AlphaParam, f: Callable, x, y, n: int):
+    """tau_x(f)(y) for x, y != 0 (1-d arrays), in blocks of bounded size."""
+    if isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0:
+        step = _BLOCK
+        core = lambda xs, ys: _translate_closed(alpha, f, xs, ys)
+    else:
+        step = max(1, _BLOCK // n)
+        core = lambda xs, ys: _translate_quadrature(alpha, f, xs, ys, n)
+    if x.size <= step:
+        return core(x, y)
+    return np.concatenate([core(x[i:i + step], y[i:i + step])
+                           for i in range(0, x.size, step)])
+
+
+def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y, n: int):
+    """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u."""
     a = alpha.alpha
     xj, wj = _jacobi_ref(n, a - 0.5, a - 0.5)
-    ax, ay = abs(x), np.abs(ys)
+    ax, ay = np.abs(x), np.abs(y)
     lo, hi = (ax - ay) ** 2, (ax + ay) ** 2
-    nz = ys != 0.0
-    r = np.where(nz, 0.5 * (hi - lo), 1.0)
+    r = 0.5 * (hi - lo)
     u = 0.5 * (lo + hi)[:, None] + r[:, None] * xj[None, :]
-    # clamp degenerate rows; they are overwritten below
-    u[~nz, :] = 1.0
     z = np.sqrt(u)
-    fz = np.asarray(f(z))
-    fmz = np.asarray(f(-z))
-    yv = np.where(nz, ys, 1.0)[:, None]
-    b0 = 1.0 - (x * x + yv * yv - u) / (2.0 * x * yv)
-    q = (u + x * x - yv * yv) / (2.0 * x) + (u + yv * yv - x * x) / (2.0 * yv)
+    fz = np.asarray(f(z.ravel())).reshape(z.shape)
+    fmz = np.asarray(f(-z.ravel())).reshape(z.shape)
+    xc, yc = x[:, None], y[:, None]
+    b0 = 1.0 - (xc * xc + yc * yc - u) / (2.0 * xc * yc)
+    q = (u + xc * xc - yc * yc) / (2.0 * xc) + (u + yc * yc - xc * xc) / (2.0 * yc)
     s = (fz + fmz) * b0 + (fz - fmz) / z * q
-    pref = _w_const(a) / (2.0 * alpha.norm_const * (ax * np.where(nz, np.abs(ys), 1.0)) ** (2.0 * a))
-    out = pref * (r ** (2.0 * a)) * (s @ wj)
-    if np.any(~nz):
-        fx = f(np.full(int((~nz).sum()), float(x)))
-        out = out.astype(np.result_type(out, fx))
-        out[~nz] = fx
-    return out.reshape(ys_in.shape) if ys_in.ndim != 1 else out
+    pref = _w_const(a) / (2.0 * alpha.norm_const * (ax * ay) ** (2.0 * a))
+    return pref * (r ** (2.0 * a)) * (s @ wj)
+
+
+def _dunkl_step(P, Q, sx: float, s: float, c: float):
+    """Coefficients of dP/dy + sx x P - 2s y P + c odd_y(Q)/y, where entry
+    [i, j] multiplies x^i y^j (the last row and column of P must be zero)."""
+    out = P[:, 1:] * np.arange(1, P.shape[1])
+    out = np.pad(out, ((0, 0), (0, 1)))
+    out[1:, :] += sx * P[:-1, :]
+    out[:, 1:] -= 2.0 * s * P[:, :-1]
+    out[:, 0:-1:2] += c * Q[:, 1::2]
+    return out
+
+
+@lru_cache(maxsize=256)
+def _closed_form_polys(a: float, coeffs: tuple, s: float):
+    """Coefficients C[i, j] = ((A + B)[i, j], (B - A)[i, j]) of x^i y^j in
+    the closed form for f = P e^{-s.^2}, s > 0:
+
+        tau_x f(y) = e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)].
+
+    P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}) is triangular in j (L^j of the
+    Gaussian has degree j and leading coefficient (-2s)^j).  tau_x commutes
+    with L, tau_x(e^{-s.^2})(y) = e^{-s(x^2+y^2)} E_a(-2sxy) (Roesler 1998),
+    and L(e^{-sy^2} h) = e^{-sy^2}(L - 2sy)h.  On h = A K + B sigma(K) with
+    K(y) = E_a(-2sxy), [L, y] = 1 + (2a+1) sigma gives
+    L(y^m K) = m y^(m-1) K - 2sx y^m K + [m odd] (2a+1) y^(m-1) sigma(K),
+    hence one step of L - 2sy maps (A, B) to
+    (dA/dy - 2s(x+y)A + (2a+1) odd(B)/y, dB/dy + 2s(x-y)B + (2a+1) odd(A)/y).
+    """
+    m = len(coeffs)
+    basis, g = [], GaussPolyFunction((1.0,), s)
+    for _ in range(m):
+        basis.append(np.pad(g.coeffs, (0, m - len(g.coeffs))))
+        g = dunkl_apply(a, g)
+    rest, c = np.array(coeffs), np.zeros(m)
+    for j in range(m - 1, -1, -1):
+        c[j] = rest[j] / basis[j][j]
+        rest = rest - c[j] * basis[j]
+    A, B = np.zeros((m, m)), np.zeros((m, m))
+    A[0, 0] = 1.0
+    sa, sb = c[0] * A, c[0] * B
+    for j in range(1, m):
+        A, B = (_dunkl_step(A, B, -2.0 * s, s, 2.0 * a + 1.0),
+                _dunkl_step(B, A, 2.0 * s, s, 2.0 * a + 1.0))
+        sa, sb = sa + c[j] * A, sb + c[j] * B
+    out = np.stack([sa + sb, sb - sa], axis=-1)
+    out.flags.writeable = False     # shared by every caller of the cache
+    return out
+
+
+def _scaled_j(nu: float, w):
+    """e^{-w} j_nu(iw) = Gamma(nu+1) (2/w)^nu ive(nu, w) for w >= 0; below
+    w = 1e-4, where ive underflows for large nu, the series 1 + w^2/(4(nu+1))
+    (next term below 1e-17 relative)."""
+    small = w < 1e-4
+    wb = np.where(small, 1.0, w)
+    out = math.gamma(nu + 1.0) * (2.0 / wb) ** nu * ive(nu, wb)
+    if small.any():
+        ws = w[small]
+        out[small] = np.exp(-ws) * (1.0 + 0.25 * ws * ws / (nu + 1.0))
+    return out
+
+
+def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
+    """tau_x(f)(y) for x, y != 0 (1-d arrays), f = P e^{-s.^2} with s > 0.
+
+    With w = 2s|xy|, G = e^{-s(|x|-|y|)^2} and n_nu = e^{-w} j_nu(iw),
+    j_a(iw) = j_{a+1}(iw) + w^2 j_{a+2}(iw) / (4(a+1)(a+2)) gives
+
+        e^{-s(x^2+y^2)} E_a(+-w)
+            = G [n_{a+1} + w^2 n_{a+2} / (4(a+1)(a+2)) +- w n_{a+1} / (2(a+1))],
+
+    so only positive orders and scaled Bessel values occur.
+    """
+    a, s = alpha.alpha, f.gauss_scale
+    S, D = polyval(y, polyval(x, _closed_form_polys(a, f.coeffs, s)),
+                   tensor=False)
+    xy = x * y
+    w = 2.0 * s * np.abs(xy)
+    n1, n2 = _scaled_j(a + 1.0, w), _scaled_j(a + 2.0, w)
+    even = n1 + 0.25 * w * w / ((a + 1.0) * (a + 2.0)) * n2
+    odd = 0.5 * w / (a + 1.0) * n1
+    g = np.exp(-s * (np.abs(x) - np.abs(y)) ** 2)
+    return g * (S * even + np.sign(xy) * D * odd)
 
 
 def w_total_variation(alpha: AlphaParam, x: float, y: float,

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as sint
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from .special import AlphaParam
@@ -98,8 +99,34 @@ def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC,
 @lru_cache(maxsize=256)
 def _jacobi_ref(n: int, exp_a: float, exp_b: float):
     # reference rule on [-1, 1] for weight (1+x)^exp_a (1-x)^exp_b
+    if exp_a == exp_b:
+        return _symmetric_jacobi_ref(n, exp_a)
     x, w = roots_jacobi(n, exp_b, exp_a)
     return x, w
+
+
+def _symmetric_jacobi_ref(n: int, e: float):
+    """Gauss rule for (1-x^2)^e on [-1, 1] by Golub-Welsch.
+
+    roots_jacobi sends equal exponents to roots_gegenbauer, whose first
+    recurrence coefficient sqrt(2l / (4 l (1+l))), l = e + 1/2, cancels as
+    e -> -1/2: at e = -1/2 + 1e-15 its nodes leave [-1, 1].  Here that
+    coefficient is sqrt(1 / (2(1+l))), and the weights are the Christoffel
+    numbers 1 / sum_k p_k(x)^2 of the orthonormal recurrence.
+    """
+    lam = e + 0.5
+    k = np.arange(2.0, n)
+    b = np.concatenate([[math.sqrt(0.5 / (1.0 + lam))],
+                        np.sqrt(k * (k + 2.0 * lam - 1.0)
+                                / (4.0 * (k + lam) * (k + lam - 1.0)))])[:n - 1]
+    x = eigh_tridiagonal(np.zeros(n), b, eigvals_only=True)
+    mu0 = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
+    p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
+    total = p * p
+    for j in range(n - 1):
+        p_prev, p = p, (x * p - (b[j - 1] * p_prev if j else 0.0)) / b[j]
+        total += p * p
+    return x, 1.0 / total
 
 
 def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):

@@ -409,13 +409,8 @@ SUITES = {
 }
 
 
-def run_suites(names, threads: int = 1) -> Dict[str, List[Dict]]:
+def run_suites(names) -> Dict[str, List[Dict]]:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [(n, ex.submit(SUITES[n])) for n in names]
-            return {n: f.result() for n, f in futs}
     return {n: SUITES[n]() for n in names}

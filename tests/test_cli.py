@@ -129,3 +129,38 @@ def test_verify_unknown_suite_exits_2():
 def test_catalog_functions_are_normable():
     for name, f in CATALOG.items():
         assert f.is_normable, name
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_taylor_at_x_zero_exits_2(capsys):
+    assert run(["taylor", "--alpha", "0.5", "--k", "2", "--x", "0"]) \
+        == EXIT_CONFIG
+    assert "nonzero" in _one_error_line(capsys)
+
+
+def test_function_record_without_gauss_scale_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"function_record": {"coeffs": [1.0]}}))
+    assert run(["taylor", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "gauss_scale" in _one_error_line(capsys)
+
+
+def test_resonant_alpha_exits_2(capsys):
+    assert run(["taylor", "--alpha", "0", "--k", "2"]) == EXIT_CONFIG
+    assert "exponent" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["besov", "sweep"])
+def test_non_normable_function_record_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"function_record": {"coeffs": [1.0, 2.0],
+                                                   "gauss_scale": 0.0}}))
+    assert run([command, "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "gauss_scale" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()

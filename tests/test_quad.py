@@ -53,6 +53,19 @@ def test_jacobi_rule_beta_oracle():
         assert w.sum() == pytest.approx(beta_fn(p + 1.0, q + 1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("e", [-0.5 + 1e-15, -0.5 + 1e-9, -0.95, 0.0, 1.0])
+def test_symmetric_jacobi_rule_moments(e):
+    # int_{-1}^{1} x^(2m) (1-x^2)^e dx = B(m + 1/2, e + 1); equal exponents
+    # near -1/2 (translation at alpha ~ 0) broke the Gegenbauer route
+    z, w = jacobi_rule(48, e, e, -1.0, 1.0)
+    assert np.all(np.abs(z) < 1.0) and np.all(np.diff(z) > 0.0)
+    for m in (0, 1, 5, 20, 47):
+        assert np.dot(w, z ** (2 * m)) == pytest.approx(
+            beta_fn(m + 0.5, e + 1.0), rel=1e-13)
+    assert jacobi_rule(1, e, e, -1.0, 1.0)[1][0] == pytest.approx(
+        beta_fn(0.5, e + 1.0), rel=1e-14)
+
+
 def test_jacobi_rule_affine_scaling():
     # int_1^3 (z-1)^0.5 (3-z)^0.5 z dz against adaptive quadrature
     ref, _ = integrate(lambda z: (z - 1.0) ** 0.5 * (3.0 - z) ** 0.5 * z,

@@ -1,0 +1,236 @@
+"""The closed-form translation of the polynomial x Gaussian algebra against
+the Gauss-Jacobi quadrature path, and the batched Besov loops against their
+former per-node loop forms (kept here as reference implementations)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dunkl_lab import besov as B
+from dunkl_lab import dunklcore
+from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
+from dunkl_lab.dunklcore import translate, translate_many
+from dunkl_lab.funcalg import GaussPolyFunction, dilate, dunkl_power, hermite_phi
+from dunkl_lab.quad import jacobi_rule
+from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
+from dunkl_lab.taylor import (b_coeff, symmetric_remainder_profile,
+                              _theta_terms, _theta_weighted_integral)
+
+CUBIC = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+WIDE = GaussPolyFunction((1.0,), 0.25)
+
+
+def _quadrature(f):
+    """The same function as a plain callable, which forces the 48-node rule."""
+    return lambda z: f(z)
+
+
+# -- (a) heat-kernel formula ---------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("s", [0.25, 1.0])
+def test_gaussian_matches_heat_kernel(alpha, s):
+    al = AlphaParam(alpha)
+    g = GaussPolyFunction((1.0,), s)
+    pts = (-3.0, -1.1, -0.2, 0.0, 0.05, 0.7, 2.4)
+    for x in pts:
+        for y in pts:
+            ref = math.exp(-s * (x * x + y * y)) * dunkl_kernel(al, -2.0 * s * x, y).real
+            assert abs(translate(al, g, x, y) - ref) <= 1e-13, (x, y)
+
+
+# -- (b) closed form against the quadrature path -------------------------------
+
+_coord = st.one_of(st.just(0.0),
+                   st.builds(lambda m, sg: sg * m, st.floats(1e-3, 4.0),
+                             st.sampled_from((-1.0, 1.0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+       s=st.floats(0.25, 2.0),
+       alpha=st.floats(-0.45, 2.0, exclude_min=True),
+       xs=st.lists(_coord, min_size=1, max_size=6),
+       ys=st.lists(_coord, min_size=1, max_size=6))
+def test_closed_form_matches_quadrature(coeffs, s, alpha, xs, ys):
+    al = AlphaParam(alpha)
+    f = GaussPolyFunction(tuple(coeffs), s)
+    x = np.array(xs + [0.0]).reshape(-1, 1)
+    y = np.array(ys + [0.0]).reshape(1, -1)
+    closed = translate_many(al, f, x, y)
+    quad = translate_many(al, _quadrature(f), x, y)
+    assert closed.shape == (x.size, y.size)
+    assert np.max(np.abs(closed - quad)) <= 1e-10
+
+
+# -- (c) batched Besov loops against their loop forms --------------------------
+
+def _lkm1_f0_loop(params, f, x):
+    """Former per-node form of ||L^(k-1) f0|| 's integrand in
+    k_functional_upper: one Theta_0-weighted integral per u."""
+    al, k = params.alpha, params.k
+    bk = b_coeff(al, k, x)
+    terms0 = _theta_terms(al.alpha, 0, x)
+    consts = [(b_coeff(al, p, 1.0), dunkl_power(al, f, p)) for p in range(k)]
+
+    def lkm1_f0(us):
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        out = np.empty_like(us)
+        for i, u in enumerate(us):
+            def rem(ys, _u=float(u)):
+                ys = np.asarray(ys, dtype=float)
+                val = translate_many(al, f, _u, ys)
+                for p, (bp1, lpf) in enumerate(consts):
+                    val = val - bp1 * ys ** p * lpf(np.full(1, _u))[()]
+                return val
+            out[i] = _theta_weighted_integral(al, terms0, x, rem,
+                                              split=abs(u), n=32)
+        return -out / bk
+
+    return lkm1_f0
+
+
+def _conv_profile_loop(params, f, phi, t, n_outer=80):
+    """Former per-node form of conv_profile: one closure per outer node."""
+    al, k = params.alpha, params.k
+    phi_t = dilate(al, phi, t)
+    T = phi_t.support_hint or 10.0 * t
+    xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, T)
+    coef = ws * phi_t(xs) / al.norm_const
+    profs = [symmetric_remainder_profile(al, k, f, float(xv)) for xv in xs]
+
+    def prof(us):
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        out = np.zeros_like(us)
+        for c, pr in zip(coef, profs):
+            out += c * pr(us)
+        return out
+
+    return prof
+
+
+def _params(alpha, k, p=2.0):
+    g = default_grid(per_decade=4)
+    return BesovParams(AlphaParam(alpha), k, p, 1.0, 0.5, x_grid=g, t_grid=g,
+                       norm_T=16.0)
+
+
+def _captured_lkm1_f0(monkeypatch, params, f, x):
+    """k_functional_upper's last lp_norm argument: the batched lkm1_f0."""
+    seen = []
+    orig = B.lp_norm
+
+    def record(ctx, g):
+        seen.append(g)
+        return orig(ctx, g)
+
+    monkeypatch.setattr(B, "lp_norm", record)
+    B.k_functional_upper(params, f, x)
+    monkeypatch.setattr(B, "lp_norm", orig)
+    return seen[-1]
+
+
+def _close(batched, loop, rel):
+    scale = np.max(np.abs(loop))
+    assert scale > 0.0
+    assert np.max(np.abs(batched - loop)) <= rel * scale
+
+
+@pytest.mark.parametrize("alpha,k,f", [(-0.25, 2, CUBIC), (1.5, 3, WIDE),
+                                       (0.5, 1, CUBIC)])
+def test_batched_lkm1_f0_matches_loop(monkeypatch, alpha, k, f):
+    params = _params(alpha, k)
+    for x in (1e-2, 0.3, 2.0):
+        us = np.concatenate([np.linspace(-6.0, 6.0, 25), [x, -x, 0.5 * x]])
+        batched = _captured_lkm1_f0(monkeypatch, params, f, x)(us)
+        _close(batched, _lkm1_f0_loop(params, f, x)(us), 1e-10)
+
+
+@pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])
+def test_batched_conv_profile_matches_loop(alpha, k):
+    params = _params(alpha, k)
+    phi = hermite_phi(params.alpha, (k - 1) // 2 + 1, k)
+    us = np.linspace(-6.0, 6.0, 31)
+    for t in (1e-2, 0.2, 2.0):
+        _close(conv_profile(params, CUBIC, phi, t)(us),
+               _conv_profile_loop(params, CUBIC, phi, t)(us), 1e-10)
+
+
+# -- (d) shapes and path selection ---------------------------------------------
+
+def test_broadcast_shapes_and_point_masses():
+    al = AlphaParam(0.5)
+    x = np.array([-1.2, 0.0, 0.4]).reshape(3, 1)
+    ys = np.array([-0.7, 0.0, 0.9, 2.5]).reshape(1, 4)
+    out = translate_many(al, CUBIC, x, ys)
+    assert out.shape == (3, 4)
+    for i, xv in enumerate(x[:, 0]):
+        for j, yv in enumerate(ys[0]):
+            assert out[i, j] == translate(al, CUBIC, float(xv), float(yv))
+    # point masses: tau_0 f = f and tau_x f(0) = f(x)
+    np.testing.assert_array_equal(out[1], CUBIC(ys[0]))
+    np.testing.assert_array_equal(out[:, 1], CUBIC(x[:, 0]))
+    # 2-d ys with one x per row
+    y2 = np.array([[0.3, -1.0], [2.0, 0.1], [-0.5, 0.0]])
+    out2 = translate_many(al, CUBIC, x, y2)
+    assert out2.shape == (3, 2)
+    assert out2[2, 0] == translate(al, CUBIC, 0.4, -0.5)
+    # scalar in, 0-d out
+    assert translate_many(al, CUBIC, 0.4, 0.3).shape == ()
+
+
+def test_tiny_arguments_use_the_kernel_series():
+    al = AlphaParam(1.5)
+    # 2s|xy| = 1e-5: series branch, still checked against the quadrature
+    x, ys = 1e-3, np.array([-1e-2, 1e-2])
+    np.testing.assert_allclose(translate_many(al, CUBIC, x, ys),
+                               translate_many(al, _quadrature(CUBIC), x, ys),
+                               rtol=0.0, atol=1e-13)
+    # ive(a+2, 2s|xy|) underflows here; tau_x f(y) = f(y) + O(|x|)
+    ys = np.array([1e-200, 0.5, -2.0])
+    np.testing.assert_allclose(translate_many(al, CUBIC, 1e-200, ys),
+                               CUBIC(np.array([0.0, 0.5, -2.0])), rtol=1e-14)
+
+
+def test_path_follows_input_type(monkeypatch):
+    al = AlphaParam(0.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrong translation path")
+
+    ys = np.array([-1.0, 0.0, 0.6])
+    monkeypatch.setattr(dunklcore, "_translate_closed", refuse)
+    # complex callables and pure polynomials (s = 0) use the quadrature rule
+    kern = lambda z: dunkl_kernel_it(al, 0.8, z)
+    out = translate_many(al, kern, 0.7, ys)
+    assert np.iscomplexobj(out)
+    ref = dunkl_kernel_it(al, 0.8, 0.7) * dunkl_kernel_it(al, 0.8, ys)
+    np.testing.assert_allclose(out, ref, atol=1e-12)
+    one = translate_many(al, GaussPolyFunction((1.0,), 0.0), 0.7, ys)
+    np.testing.assert_allclose(one, 1.0, atol=1e-12)
+    monkeypatch.undo()
+    monkeypatch.setattr(dunklcore, "_translate_quadrature", refuse)
+    translate_many(al, CUBIC, 0.7, ys)
+
+
+# -- small-x accuracy ------------------------------------------------------------
+
+def test_small_t_conv_norm_keeps_bump_decay():
+    """||f * phi_t|| ~ t^(2 n0) with 2 n0 = 4: the symmetric remainder
+    tau_x f + tau_{-x} f - 2 sum b_2i L^2i f cancels to ~x^4 at small x, so
+    any absolute translation error shows up directly in the ratio."""
+    params = _params(1.5, 3)
+    phi = hermite_phi(params.alpha, 2, 3)
+    ratio = conv_norm(params, CUBIC, phi, 1e-3) / conv_norm(params, CUBIC, phi, 1e-2)
+    assert ratio == pytest.approx(1e-4, rel=2e-3)
+
+
+def test_small_x_k_bound_term_is_linear(monkeypatch):
+    """The constructive K-bound term ||L^(k-1) f0|| = O(x) as x -> 0."""
+    params = _params(1.5, 3)
+    ctx = params.norm_ctx()
+    n_small = B.lp_norm(ctx, _captured_lkm1_f0(monkeypatch, params, WIDE, 1e-3))
+    n_ref = B.lp_norm(ctx, _captured_lkm1_f0(monkeypatch, params, WIDE, 5e-2))
+    assert n_small / n_ref == pytest.approx(1e-3 / 5e-2, rel=2e-3)
