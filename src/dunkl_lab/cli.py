@@ -48,6 +48,13 @@ class ConfigError(ValueError):
     pass
 
 
+#: flags that verify would ignore, because it runs the fixed matrix of
+#: verify.DEFAULT_* on verify's own test functions
+_VERIFY_IGNORED_FLAGS = ("--alpha", "--k", "--p", "--q", "--beta", "--function",
+                        "--t", "--x", "--a", "--x-min", "--x-max",
+                        "--points-per-decade", "--format")
+
+
 @dataclass
 class RunConfig:
     command: str = "verify"
@@ -107,6 +114,11 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
+    if args.command == "verify":
+        given = [flag for flag in _VERIFY_IGNORED_FLAGS
+                 if getattr(args, _dest(flag)) is not None]
+        if given:
+            raise ConfigError(f"verify does not take {', '.join(given)}")
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -138,6 +150,10 @@ def _load_config(args) -> RunConfig:
         cfg.suites = list(V.SUITES)
     cfg.validate()
     return cfg
+
+
+def _dest(flag: str) -> str:
+    return "fmt" if flag == "--format" else flag[2:].replace("-", "_")
 
 
 def _fmt(v: float) -> str:

@@ -7,12 +7,16 @@ density W_a(x, y, .) supported on S u (-S), S = [||x|-|y||, |x|+|y|].
 - f = P e^{-s.^2} with s > 0 (a GaussPolyFunction): the exact closed form
   e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)], with bivariate
   polynomials A, B built once per (a, P, s) and the kernel evaluated from
-  exponentially scaled Bessel functions, so nothing overflows.
+  exponentially scaled Bessel functions, so nothing overflows.  The Bessel
+  pair depends only on 2s|xy|, so one call evaluates it once per distinct
+  value: the points (+-x, +-y) of a symmetric family share it.
 - any other callable (profiles, kernels, complex values, pure polynomials):
   under u = z^2 the integrand becomes an analytic function of u times the
   exact Jacobi weight ((b^2-u)(u-a^2))^(a-1/2), so a single cached
   Gauss-Jacobi rule gives uniform spectral accuracy, including the
-  degenerate |x| = |y| case (the endpoint exponents never change).
+  degenerate |x| = |y| case (the endpoint exponents never change).  The
+  integrand is written in x, y and the node directly, without the support
+  endpoints, so it does not cancel as |xy| -> 0.
 
 Both broadcast x against y; x = 0 or y = 0 is the point mass f(x + y).
 """
@@ -143,34 +147,38 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys,
 def _translate_moving(alpha: AlphaParam, f: Callable, x, y, n: int):
     """tau_x(f)(y) for x, y != 0 (1-d arrays), in blocks of bounded size."""
     if isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0:
-        step = _BLOCK
-        core = lambda xs, ys: _translate_closed(alpha, f, xs, ys)
-    else:
-        step = max(1, _BLOCK // n)
-        core = lambda xs, ys: _translate_quadrature(alpha, f, xs, ys, n)
+        return _translate_closed(alpha, f, x, y)
+    step = max(1, _BLOCK // n)
     if x.size <= step:
-        return core(x, y)
-    return np.concatenate([core(x[i:i + step], y[i:i + step])
+        return _translate_quadrature(alpha, f, x, y, n)
+    return np.concatenate([_translate_quadrature(alpha, f, x[i:i + step],
+                                                 y[i:i + step], n)
                            for i in range(0, x.size, step)])
 
 
 def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y, n: int):
-    """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u."""
+    """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u.
+
+    With t the Jacobi node, u = z^2 = x^2 + y^2 + 2|x||y|t and every term is
+    written without the cancelling differences of the support endpoints:
+    b0 = 1 + sgn(xy) t, q = x + y + t(sgn(x)|y| + sgn(y)|x|), and the
+    half-width r = 2|x||y| cancels the density's (|x||y|)^(-2a) exactly.
+    z and q are scaled by m = max(|x|, |y|), so q / z is free of underflow.
+    """
     a = alpha.alpha
     xj, wj = _jacobi_ref(n, a - 0.5, a - 0.5)
-    ax, ay = np.abs(x), np.abs(y)
-    lo, hi = (ax - ay) ** 2, (ax + ay) ** 2
-    r = 0.5 * (hi - lo)
-    u = 0.5 * (lo + hi)[:, None] + r[:, None] * xj[None, :]
-    z = np.sqrt(u)
+    m = np.maximum(np.abs(x), np.abs(y))[:, None]
+    xs, ys = x[:, None] / m, y[:, None] / m
+    axs, ays = np.abs(xs), np.abs(ys)
+    zs = np.sqrt(xs * xs + ys * ys + 2.0 * axs * ays * xj[None, :])
+    z = m * zs
     fz = np.asarray(f(z.ravel())).reshape(z.shape)
     fmz = np.asarray(f(-z.ravel())).reshape(z.shape)
-    xc, yc = x[:, None], y[:, None]
-    b0 = 1.0 - (xc * xc + yc * yc - u) / (2.0 * xc * yc)
-    q = (u + xc * xc - yc * yc) / (2.0 * xc) + (u + yc * yc - xc * xc) / (2.0 * yc)
-    s = (fz + fmz) * b0 + (fz - fmz) / z * q
-    pref = _w_const(a) / (2.0 * alpha.norm_const * (ax * ay) ** (2.0 * a))
-    return pref * (r ** (2.0 * a)) * (s @ wj)
+    b0 = 1.0 + np.sign(xs * ys) * xj[None, :]
+    q = xs + ys + xj[None, :] * (np.sign(xs) * ays + np.sign(ys) * axs)
+    s = (fz + fmz) * b0 + (fz - fmz) * (q / zs)
+    pref = _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const)
+    return pref * (s @ wj)
 
 
 def _dunkl_step(P, Q, sx: float, s: float, c: float):
@@ -243,18 +251,33 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
         e^{-s(x^2+y^2)} E_a(+-w)
             = G [n_{a+1} + w^2 n_{a+2} / (4(a+1)(a+2)) +- w n_{a+1} / (2(a+1))],
 
-    so only positive orders and scaled Bessel values occur.
+    so only positive orders and scaled Bessel values occur.  The Bessel pair
+    depends on w alone, which the points (+-x, +-y) share, so it is evaluated
+    once per distinct w of the call; the polynomials, G and the combination
+    run in blocks of _BLOCK points.
     """
     a, s = alpha.alpha, f.gauss_scale
-    S, D = polyval(y, polyval(x, _closed_form_polys(a, f.coeffs, s)),
-                   tensor=False)
-    xy = x * y
-    w = 2.0 * s * np.abs(xy)
-    n1, n2 = _scaled_j(a + 1.0, w), _scaled_j(a + 2.0, w)
-    even = n1 + 0.25 * w * w / ((a + 1.0) * (a + 2.0)) * n2
-    odd = 0.5 * w / (a + 1.0) * n1
-    g = np.exp(-s * (np.abs(x) - np.abs(y)) ** 2)
-    return g * (S * even + np.sign(xy) * D * odd)
+    w = 2.0 * s * np.abs(x * y)
+    # distinct values of w and the index of each point's value among them
+    # (np.unique does the same at several times the per-call cost)
+    order = np.argsort(w)
+    ws = w[order]
+    first = np.ones(ws.size, dtype=bool)
+    first[1:] = ws[1:] != ws[:-1]
+    wu = ws[first]
+    inv = np.empty(w.size, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    n1, n2 = _scaled_j(a + 1.0, wu), _scaled_j(a + 2.0, wu)
+    even = n1 + 0.25 * wu * wu / ((a + 1.0) * (a + 2.0)) * n2
+    odd = 0.5 * wu / (a + 1.0) * n1
+    C = _closed_form_polys(a, f.coeffs, s)
+    out = np.empty(w.size)
+    for i in range(0, w.size, _BLOCK):
+        xb, yb, ib = x[i:i + _BLOCK], y[i:i + _BLOCK], inv[i:i + _BLOCK]
+        S, D = polyval(yb, polyval(xb, C), tensor=False)
+        g = np.exp(-s * (np.abs(xb) - np.abs(yb)) ** 2)
+        out[i:i + _BLOCK] = g * (S * even[ib] + np.sign(xb * yb) * D * odd[ib])
+    return out
 
 
 def w_total_variation(alpha: AlphaParam, x: float, y: float,

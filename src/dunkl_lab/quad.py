@@ -173,10 +173,10 @@ class NormEstimate:
 
 
 def _norm_integrand(ctx: LpContext, g: Callable):
+    """u |-> |g(u)|^p + |g(-u)|^p for 1-d u, with g called once on both."""
     def h(u):
-        gu = np.abs(np.asarray(g(u))) ** ctx.p
-        gmu = np.abs(np.asarray(g(-u))) ** ctx.p
-        return gu + gmu
+        gpm = np.abs(np.asarray(g(np.concatenate([u, -u])))) ** ctx.p
+        return gpm[:u.size] + gpm[u.size:]
     return h
 
 

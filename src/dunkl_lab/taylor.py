@@ -246,8 +246,8 @@ def _theta_weighted_integral(alpha: AlphaParam, terms, x: float,
             else:
                 z, w = jacobi_rule(n, 0.0, 0.0, lo, hi)
                 fac = z ** ee
-            hp = np.asarray(h_many(z))
-            hm = np.asarray(h_many(-z))
+            hpm = np.asarray(h_many(np.concatenate([z, -z])))
+            hp, hm = hpm[:n], hpm[n:]
             total += c * float(np.dot(w, fac * (hp + sgn_fac * hm)))
     return total
 
@@ -421,7 +421,9 @@ def symmetric_remainder_profile(alpha: AlphaParam, k: int,
 
     def prof(us):
         us = np.asarray(us, dtype=float)
-        val = translate_many(alpha, f, x, us) + translate_many(alpha, f, -x, us)
+        xpm = np.reshape([x, -x], (2,) + (1,) * us.ndim)
+        tau = translate_many(alpha, f, xpm, us)
+        val = tau[0] + tau[1]
         for c, lpf in consts:
             val = val - c * lpf(us)
         return val

@@ -164,3 +164,24 @@ def test_non_normable_function_record_exits_2(tmp_path, capsys, command):
                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "gauss_scale" in _one_error_line(capsys)
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_the_flags_it_ignores(tmp_path, capsys):
+    # verify runs its fixed matrix; a matrix or table flag would be ignored
+    out = tmp_path / "out"
+    assert run(["verify", "--alpha", "7", "--suite", "kernel",
+                "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "--alpha" in _one_error_line(capsys)
+    assert not out.exists()
+    flags = [("--alpha", "0.5"), ("--k", "2"), ("--p", "2"), ("--q", "inf"),
+             ("--beta", "0.5"), ("--function", "gaussian"), ("--t", "1"),
+             ("--x", "1"), ("--a", "0.5"), ("--x-min", "0.01"),
+             ("--x-max", "10"), ("--points-per-decade", "3"),
+             ("--format", "json")]
+    argv = ["verify", "--suite", "kernel", "--out-dir", str(out)]
+    for flag, val in flags:
+        argv += [flag, val]
+    assert run(argv) == EXIT_CONFIG
+    err = _one_error_line(capsys)
+    assert all(flag in err for flag, _ in flags)
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-the Gauss-Jacobi quadrature path, and the batched Besov loops against their
-former per-node loop forms (kept here as reference implementations)."""
+the Gauss-Jacobi quadrature path, the batched Besov loops against their
+former per-node loop forms (kept here as reference implementations), and
+the sharing of one Bessel pair among the points (+-x, +-y)."""
 
 import math
 
@@ -13,10 +14,11 @@ from dunkl_lab import dunklcore
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, dunkl_power, hermite_phi
-from dunkl_lab.quad import jacobi_rule
+from dunkl_lab.quad import LpContext, jacobi_rule, lp_norm
 from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
-from dunkl_lab.taylor import (b_coeff, symmetric_remainder_profile,
-                              _theta_terms, _theta_weighted_integral)
+from dunkl_lab.taylor import (b_coeff, remainder_profile,
+                              symmetric_remainder_profile, _theta_terms,
+                              _theta_weighted_integral)
 
 CUBIC = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
 WIDE = GaussPolyFunction((1.0,), 0.25)
@@ -194,6 +196,19 @@ def test_tiny_arguments_use_the_kernel_series():
                                CUBIC(np.array([0.0, 0.5, -2.0])), rtol=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("f", [CUBIC, GaussPolyFunction((1.0, 1.0), 1.0)])
+@pytest.mark.parametrize("x", [1e-3, 1e-8, 1e-20, 1e-200, -1e-200])
+def test_quadrature_is_exact_at_tiny_arguments(alpha, f, x):
+    """The quadrature path has no cancelling support endpoints: it gave 0,
+    inf or nan here when it formed ((|x|+|y|)^2 - (|x|-|y|)^2) / 2."""
+    al = AlphaParam(alpha)
+    ys = np.array([0.5, -0.7, x])
+    np.testing.assert_allclose(translate_many(al, _quadrature(f), x, ys),
+                               translate_many(al, f, x, ys),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_path_follows_input_type(monkeypatch):
     al = AlphaParam(0.5)
 
@@ -213,6 +228,84 @@ def test_path_follows_input_type(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(dunklcore, "_translate_quadrature", refuse)
     translate_many(al, CUBIC, 0.7, ys)
+
+
+# -- (e) one Bessel pair per distinct 2s|xy| -----------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_one_call_equals_separate_calls_bitwise(alpha):
+    al = AlphaParam(alpha)
+    # (2, 0.5), (1, 1) and (-1, -1) share w = 2s|xy| but not G; 0 is a mass
+    mags = np.array([2.0, 1.0, 0.5, 0.0, 1e-3, 3.7])
+    pm = np.concatenate([mags, -mags])
+    one = translate_many(al, CUBIC, pm.reshape(-1, 1), pm.reshape(1, -1))
+    m = mags.size
+    for i, sx in enumerate((1.0, -1.0)):
+        for j, sy in enumerate((1.0, -1.0)):
+            sep = translate_many(al, CUBIC, sx * mags.reshape(-1, 1),
+                                 sy * mags.reshape(1, -1))
+            assert np.array_equal(one[i * m:(i + 1) * m, j * m:(j + 1) * m],
+                                  sep)
+    # more points than one block, with values of w repeated across blocks
+    rng = np.random.default_rng(7)
+    x = rng.choice(pm, 40000)
+    y = rng.choice(np.concatenate([pm, [0.3, -2.2]]), 40000)
+    whole = translate_many(al, CUBIC, x, y)
+    parts = [translate_many(al, CUBIC, x[i:i + 7001], y[i:i + 7001])
+             for i in range(0, x.size, 7001)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def _count_closed_form_work(monkeypatch, nu):
+    """Points reaching the closed form, and Bessel values of order nu."""
+    work = {"points": 0, "bessel": 0}
+    closed, scaled_j = dunklcore._translate_closed, dunklcore._scaled_j
+
+    def count_points(alpha, f, x, y):
+        work["points"] += x.size
+        return closed(alpha, f, x, y)
+
+    def count_bessel(order, w):
+        if nu == order:
+            work["bessel"] += w.size
+        return scaled_j(order, w)
+
+    monkeypatch.setattr(dunklcore, "_translate_closed", count_points)
+    monkeypatch.setattr(dunklcore, "_scaled_j", count_bessel)
+    return work
+
+
+def test_bessel_pair_shared_by_the_signs(monkeypatch):
+    params = _params(1.5, 3)
+    phi = hermite_phi(params.alpha, 2, 3)
+    work = _count_closed_form_work(monkeypatch, 2.5)    # a + 1
+    # conv_profile stacks +-x; a symmetric us adds +-u: four points per w
+    u = np.linspace(0.1, 6.0, 37)
+    conv_profile(params, CUBIC, phi, 0.2)(np.concatenate([u, -u]))
+    assert work["points"] == 4 * 80 * u.size
+    assert work["bessel"] <= work["points"] / 4 + 8
+    # lp_norm stacks +-u, remainder_profile has one x: two points per w
+    work.update(points=0, bessel=0)
+    lp_norm(params.norm_ctx(), remainder_profile(params.alpha, 3, CUBIC, 0.7))
+    assert work["points"] > 0
+    assert work["bessel"] <= work["points"] / 2 + 8
+
+
+def test_each_sign_pair_is_one_call():
+    al = AlphaParam(0.5)
+    calls = []
+
+    def g(u):
+        calls.append(u.size)
+        return CUBIC(u)
+
+    ctx = LpContext(al, 2.0, 8.0)
+    lp_norm(ctx, g)
+    assert calls == [2 * ctx.n_nodes, 2 * 32]    # head, tail
+    calls.clear()
+    terms = _theta_terms(0.5, 1, 0.9)
+    _theta_weighted_integral(al, terms, 0.9, g, split=0.4, n=40)
+    assert calls == [2 * 40] * (2 * len(terms))  # one per (term, piece)
 
 
 # -- small-x accuracy ------------------------------------------------------------
