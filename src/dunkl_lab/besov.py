@@ -27,7 +27,7 @@ from .funcalg import GaussPolyFunction, dunkl_power, dilate
 from .quad import LpContext, lp_norm, jacobi_rule
 from .dunklcore import translate_many
 from .taylor import (b_coeff, remainder_profile, symmetric_remainder_profile,
-                     _theta_terms)
+                     _theta_weighted_integral)
 
 __all__ = [
     "BesovParams",
@@ -137,38 +137,22 @@ def k_functional_upper(params: BesovParams, f: GaussPolyFunction,
     bk = b_coeff(al, k, x)
     rk_norm = lp_norm(ctx, remainder_profile(al, k, f, x))
     part_f1 = x * rk_norm / abs(bk)
-    terms0 = _theta_terms(al.alpha, 0, x)
     consts = [(b_coeff(al, p, 1.0), dunkl_power(al, f, p)) for p in range(k)]
 
-    def theta0_rem(u, rules):
-        # per row of u: sum over rules (z, w, sgn) of w (R_k(z,f)(u) +
-        # sgn R_k(-z,f)(u)), with R_k(y,f)(u) = tau_u f(y) - sum b_p(y) L^p f(u)
-        ys = np.concatenate([v for z, _, _ in rules for v in (z, -z)], axis=1)
-        ws = np.concatenate([v for _, w, sg in rules for v in (w, sg * w)],
-                            axis=1)
-        rem = translate_many(al, f, u, ys)
-        for p, (bp1, lpf) in enumerate(consts):
-            rem -= bp1 * ys ** p * lpf(u)
-        return np.sum(ws * rem, axis=1)
-
     def lkm1_f0(us):
-        # the rules of _theta_weighted_integral(split=|u|, n=32) for all u at
-        # once, one row per u: Jacobi on (0, |u|) and Legendre on (|u|, x)
-        # where the kink |u| lies inside (0, x), Jacobi on (0, x) elsewhere
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        u = us.reshape(-1, 1)
-        kink = (u[:, 0] != 0.0) & (np.abs(u[:, 0]) < x)
-        split = np.where(kink[:, None], np.abs(u), x)
-        head, tail = [], []
-        for c, sp, e in terms0:
-            ee = e + al.weight_exp
-            z1, w1 = jacobi_rule(32, ee, 0.0, 0.0, split)
-            z2, w2 = jacobi_rule(32, 0.0, 0.0, split[kink], x)
-            head.append((z1, c * w1, (-1.0) ** sp))
-            tail.append((z2, c * w2 * z2 ** ee, (-1.0) ** sp))
-        out = theta0_rem(u, head)
-        if kink.any():
-            out[kink] += theta0_rem(u[kink], tail)
+        # one Theta_0-weighted integral per u, all u as rows, kinked at |u|
+        us = np.asarray(us, dtype=float)
+        u = us.ravel()
+
+        def rem(ys, rows):
+            # R_k(y,f)(u) = tau_u f(y) - sum_p b_p(y) L^p f(u), u of each row
+            ur = u[rows].reshape(-1, 1, 1)
+            val = translate_many(al, f, ur, ys)
+            for p, (bp1, lpf) in enumerate(consts):
+                val -= bp1 * ys ** p * lpf(ur)
+            return val
+
+        out = _theta_weighted_integral(al, 0, x, rem, np.abs(u), n=32)
         return (-out / bk).reshape(us.shape)
 
     bound_iii = lp_norm(ctx, lkm1_f0) + part_f1

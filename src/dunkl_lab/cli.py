@@ -48,8 +48,8 @@ class ConfigError(ValueError):
     pass
 
 
-#: flags that verify would ignore, because it runs the fixed matrix of
-#: verify.DEFAULT_* on verify's own test functions
+#: flags and config-file fields that verify would ignore, because it runs
+#: the fixed matrix of verify.DEFAULT_* on verify's own test functions
 _VERIFY_IGNORED_FLAGS = ("--alpha", "--k", "--p", "--q", "--beta", "--function",
                         "--t", "--x", "--a", "--x-min", "--x-max",
                         "--points-per-decade", "--format")
@@ -114,21 +114,27 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    if args.command == "verify":
-        given = [flag for flag in _VERIFY_IGNORED_FLAGS
-                 if getattr(args, _dest(flag)) is not None]
-        if given:
-            raise ConfigError(f"verify does not take {', '.join(given)}")
-    cfg = RunConfig(command=args.command)
+    doc = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        for key, val in doc.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config field {key!r}")
-            if key == "q" and val == "inf":
-                val = math.inf
-            setattr(cfg, key, val)
+        if not isinstance(doc, dict):
+            raise ConfigError("a config file holds one JSON object")
+    if args.command == "verify":
+        ignored = [_dest(flag) for flag in _VERIFY_IGNORED_FLAGS]
+        given = [flag for flag, key in zip(_VERIFY_IGNORED_FLAGS, ignored)
+                 if getattr(args, key) is not None]
+        given += [f"config field {key!r}" for key in doc
+                  if key in ignored + ["function_record"]]
+        if given:
+            raise ConfigError(f"verify does not take {', '.join(given)}")
+    cfg = RunConfig(command=args.command)
+    for key, val in doc.items():
+        if not hasattr(cfg, key):
+            raise ConfigError(f"unknown config field {key!r}")
+        if key == "q" and val == "inf":
+            val = math.inf
+        setattr(cfg, key, val)
     overrides = {
         "alpha": "alpha", "k": "k", "p": "p", "beta": "beta",
         "function": "function", "t": "t", "x": "x", "a": "a",

@@ -35,7 +35,7 @@ from scipy.special import ive
 
 from .special import AlphaParam, dunkl_kernel_it
 from .funcalg import GaussPolyFunction, dunkl_apply
-from .quad import QuadSpec, DEFAULT_SPEC, jacobi_rule, _jacobi_ref
+from .quad import QuadSpec, DEFAULT_SPEC, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
     "TranslationMeasure",
@@ -282,42 +282,51 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
 
 def w_total_variation(alpha: AlphaParam, x: float, y: float,
                       spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """int |W_a(x,y,.)| dmu_a over the full support (both sign branches)."""
+    """int |W_a(x,y,.)| dmu_a over the full support (both sign branches), in
+    the node t and the terms of _translate_quadrature, so exact at |xy| -> 0."""
     if x == 0.0 or y == 0.0:
         return 1.0
     a = alpha.alpha
-    ax, ay = abs(x), abs(y)
-    lo, hi = (ax - ay) ** 2, (ax + ay) ** 2
-    pref = _w_const(a) / (2.0 * alpha.norm_const * (ax * ay) ** (2.0 * a))
+    m = max(abs(x), abs(y))
+    xs, ys = x / m, y / m
+    sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
 
-    def g(u):
-        z = math.sqrt(max(u, 1e-300))
-        b0 = 1.0 - (x * x + y * y - u) / (2.0 * x * y)
-        q = ((u + x * x - y * y) / (2.0 * x)
-             + (u + y * y - x * x) / (2.0 * y)) / z
+    def g(t):
+        zs = math.sqrt(max(xs * xs + ys * ys + 2.0 * abs(xs * ys) * t, 1e-300))
+        b0 = 1.0 + sx * sy * t
+        q = (xs + ys + t * (sx * abs(ys) + sy * abs(xs))) / zs
         return abs(b0 + q) + abs(b0 - q)
 
-    res = sint.quad(g, lo, hi, weight="alg", wvar=(a - 0.5, a - 0.5),
+    res = sint.quad(g, -1.0, 1.0, weight="alg", wvar=(a - 0.5, a - 0.5),
                     epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                     limit=spec.max_subdivisions, full_output=True)
-    return pref * res[0]
+    return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * res[0]
 
 
-def convolve(alpha: AlphaParam, f: Callable, g: Callable, x: float,
+def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
              T: float = None, n_outer: int = 120,
              n_translate: int = TRANSLATE_NODES):
-    """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y).
+    """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
+    a scalar x or an array of x (the result has its shape).
 
     g must decay; T truncates the outer integral (default from g's
-    support_hint when available)."""
+    support_hint when available).  One translate_many call takes the nodes
+    -y and y for a block of x values, at most _BLOCK points in all; when f
+    is translated in closed form, each value equals a scalar call's bit for
+    bit."""
     if T is None:
         T = getattr(g, "support_hint", None) or 10.0
     y, w = jacobi_rule(n_outer, alpha.weight_exp, 0.0, 0.0, T)
-    tp = translate_many(alpha, f, x, -y, n=n_translate)
-    tm = translate_many(alpha, f, x, y, n=n_translate)
+    ypm = np.concatenate([-y, y])
     gy = np.asarray(g(y))
     gmy = np.asarray(g(-y))
-    return np.dot(w, tp * gy + tm * gmy) / alpha.norm_const
+    xv = np.reshape(x, (-1, 1)).astype(float)
+    step = max(1, _BLOCK // ypm.size)
+    out = []
+    for i in range(0, xv.shape[0], step):
+        tau = translate_many(alpha, f, xv[i:i + step], ypm, n=n_translate)
+        out.append(rowdot(w, tau[:, :n_outer] * gy + tau[:, n_outer:] * gmy))
+    return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
 
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi: float,
@@ -342,8 +351,7 @@ def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
         Tf = getattr(f, "support_hint", None) or 10.0
         Th = getattr(h, "support_hint", None) or 10.0
         T = max(Tf, Th) + abs(t)
-    conv_fh = lambda ys: np.array([convolve(alpha, f, h, float(v), T=T,
-                                            n_outer=n_outer) for v in np.atleast_1d(ys)])
+    conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T, n_outer=n_outer)
     v1 = translate(alpha, conv_fh, t, x)
     tf = lambda ys: translate_many(alpha, f, t, ys)
     v2 = convolve(alpha, tf, h, x, T=T, n_outer=n_outer)

@@ -131,13 +131,26 @@ def _symmetric_jacobi_ref(n: int, e: float):
 
 def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):
     """Nodes and weights integrating f(z) (z-a)^exp_a (b-z)^exp_b exactly
-    for polynomial f up to degree 2n-1, as sum(w * f(z))."""
+    for polynomial f up to degree 2n-1, as sum(w * f(z)).  For arrays a, b
+    of shape (..., 1) each row scales by a scalar power (numpy's array power
+    can differ in the last bit), so it is its own interval's rule bit for bit.
+    """
     if exp_a <= -1.0 or exp_b <= -1.0:
         raise ValueError("Jacobi exponents must be > -1")
     x, w = _jacobi_ref(n, float(exp_a), float(exp_b))
     r = 0.5 * (b - a)
     z = 0.5 * (a + b) + r * x
-    return z, w * r ** (exp_a + exp_b + 1.0)
+    e = exp_a + exp_b + 1.0
+    if np.ndim(r):
+        return z, w * np.reshape([v ** e for v in np.ravel(r).tolist()],
+                                 np.shape(r))
+    return z, w * r ** e
+
+
+def rowdot(w, v):
+    """Dot products along the last axis, each one np.dot of its two rows, so
+    unlike a matrix product a row's value does not depend on the others."""
+    return np.matmul(w[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def integrate_jacobi(f: Callable, a: float, b: float, exp_a: float,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .special import AlphaParam, pochhammer
 from .funcalg import GaussPolyFunction, dunkl_power
-from .quad import QuadSpec, DEFAULT_SPEC, integrate, jacobi_rule
+from .quad import QuadSpec, DEFAULT_SPEC, integrate, jacobi_rule, rowdot
 from .dunklcore import translate, translate_many
 
 __all__ = [
@@ -221,40 +221,61 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float,
 
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
 
-def _theta_weighted_integral(alpha: AlphaParam, terms, x: float,
-                             h_many: Callable, split: Optional[float] = None,
-                             n: int = 40) -> float:
-    """int_{-|x|}^{|x|} Theta(x,y) h(y) A(y) dy with the A-weight carried
+def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
+                             split, n: int = 40):
+    """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
     analytically (per power term, the |y| exponent goes into a Jacobi rule).
 
-    h_many maps a signed y-array to values; `split` marks an interior kink
-    (typically |a| for translation-based integrands).
+    x and split (an interior kink of h, typically |a|) broadcast to the
+    rows of the result; scalars give a float.  h(ys, rows) maps the nodes
+    ys[i, j] = [z, -z] of term j of row rows[i] to values; it is called once
+    for the rules on (0, min(split, |x|)) and once for those on (split, |x|),
+    and each row's sum equals its single-row value bit for bit.
     """
-    ax = abs(x)
-    pieces = [(0.0, ax)]
-    if split is not None and 0.0 < split < ax:
-        pieces = [(0.0, split), (split, ax)]
-    we = alpha.weight_exp
-    total = 0.0
-    for c, sp, e in terms:
-        ee = e + we          # exponent of the full weight Theta-term * A
-        sgn_fac = (-1.0) ** sp
-        for j, (lo, hi) in enumerate(pieces):
-            if lo == 0.0:
-                z, w = jacobi_rule(n, ee, 0.0, lo, hi)
-                fac = np.ones_like(z)
-            else:
-                z, w = jacobi_rule(n, 0.0, 0.0, lo, hi)
-                fac = z ** ee
-            hpm = np.asarray(h_many(np.concatenate([z, -z])))
-            hp, hm = hpm[:n], hpm[n:]
-            total += c * float(np.dot(w, fac * (hp + sgn_fac * hm)))
-    return total
+    xb, sb = np.broadcast_arrays(np.asarray(x, float), np.asarray(split, float))
+    xs, ss, ax = xb.ravel(), sb.ravel(), np.abs(xb.ravel())
+    kink = (0.0 < ss) & (ss < ax)
+    # the exponents depend on (alpha, order) only; a term that cancels
+    # exactly at some x has coefficient 0 there
+    ux, inv = np.unique(xs, return_inverse=True)
+    tables = [{(sp, e): c for c, sp, e in _theta_terms(alpha.alpha, order, v)}
+              for v in ux.tolist()]
+    keys = list(dict.fromkeys(key for t in tables for key in t))
+    coef = np.array([[t.get(key, 0.0) for key in keys] for t in tables])[inv]
+    sgn = np.array([(-1.0) ** sp for sp, _ in keys])[:, None]
+    ees = [e + alpha.weight_exp for _, e in keys]  # exponents of Theta-term * A
+
+    def piece(rows, lo, hi):
+        # Jacobi rules on (0, hi) when lo is None, else Legendre on (lo, hi)
+        # with the weight as a factor; returns c * sum(w (h(z) +- h(-z)))
+        if not rows.size:
+            return np.zeros((0, len(keys)))
+        if lo is None:
+            rules = [jacobi_rule(n, ee, 0.0, 0.0, hi[:, None]) for ee in ees]
+        else:
+            rules = [jacobi_rule(n, 0.0, 0.0, lo[:, None], hi[:, None])] * len(ees)
+        z = np.stack([z for z, _ in rules], axis=1)
+        hv = h(np.concatenate([z, -z], axis=-1), rows)
+        v = hv[..., :n] + sgn * hv[..., n:]
+        if lo is not None:
+            v = np.stack([z ** ee for (z, _), ee in zip(rules, ees)], axis=1) * v
+        return coef[rows] * rowdot(np.stack([w for _, w in rules], axis=1), v)
+
+    head = piece(np.arange(xs.size), None, np.where(kink, ss, ax))
+    tail = piece(np.flatnonzero(kink), ss[kink], ax[kink])
+    total = np.zeros(xs.size)
+    for j in range(len(keys)):       # per term: head, then tail, as one row
+        total += head[:, j]
+        total[kink] += tail[:, j]
+    return total.reshape(xb.shape) if xb.ndim else float(total[0])
 
 
-def _translate_profile(alpha: AlphaParam, f: Callable, a: float) -> Callable:
-    """y |-> tau_y(f)(a), batched via the symmetry tau_y f(a) = tau_a f(y)."""
-    return lambda ys: translate_many(alpha, f, a, ys)
+def _translate_profile(alpha: AlphaParam, f: Callable, a) -> Callable:
+    """(ys, rows) |-> tau_y(f)(a) for the integral above, batched via the
+    symmetry tau_y f(a) = tau_a f(y); a is a scalar or one value per row."""
+    a = np.asarray(a, dtype=float)
+    return lambda ys, rows: translate_many(
+        alpha, f, a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1), ys)
 
 
 # -- the remainder -------------------------------------------------------------
@@ -264,11 +285,12 @@ def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x: float,
     """Integral remainder R_k(x, f)(a) of the generalized Taylor formula.
 
     integral mode:   int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy
+                     (x and a may be arrays: one row per broadcast pair)
     recurrence mode: tau_x(f)(a) - sum_{p<k} b_p(x) L^p f(a)
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if x == 0.0:
+    if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
     if mode == "recurrence":
         val = translate(alpha, f, x, a)
@@ -278,10 +300,10 @@ def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x: float,
     if mode != "integral":
         raise ValueError(f"unknown mode {mode!r}")
     g = dunkl_power(alpha, f, k)
-    terms = _theta_terms(alpha.alpha, k - 1, float(x))
-    return _theta_weighted_integral(alpha, terms, x,
+    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
+    return _theta_weighted_integral(alpha, k - 1, x,
                                     _translate_profile(alpha, g, a),
-                                    split=abs(a), n=n)
+                                    np.abs(a), n=n)
 
 
 def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
@@ -300,13 +322,15 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
 
 
 def taylor_identity_residual(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                             x: float, a: float, n: int = 40) -> float:
+                             x: float, a: float, n: int = 40,
+                             rem: Optional[float] = None) -> float:
     """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)| with the
-    integral-mode remainder."""
+    integral-mode remainder; `rem` is that remainder when the caller has it
+    already (from one remainder call over many (x, a))."""
     lhs = translate(alpha, f, x, a)
     rhs = sum(b_coeff(alpha, p, x) * dunkl_power(alpha, f, p)(a)
               for p in range(k))
-    rhs += remainder(alpha, k, f, x, a, mode="integral", n=n)
+    rhs += remainder(alpha, k, f, x, a, n=n) if rem is None else rem
     return abs(lhs - rhs)
 
 
@@ -321,53 +345,50 @@ def remainder_recursion_residual(alpha: AlphaParam, k: int,
     consts = [(p, dunkl_power(alpha, lf, p)(a)) for p in range(k - 1)]
     tprof = _translate_profile(alpha, lf, a)
 
-    def inner_rem(ys):
-        val = np.asarray(tprof(ys), dtype=float).copy()
+    def inner_rem(ys, rows):
+        val = np.asarray(tprof(ys, rows), dtype=float).copy()
         for p, lpval in consts:
-            val -= b_coeff(alpha, p, np.asarray(ys)) * lpval
+            val -= b_coeff(alpha, p, ys) * lpval
         return val
 
-    terms = _theta_terms(alpha.alpha, 0, float(x))
-    rhs = _theta_weighted_integral(alpha, terms, x, inner_rem,
-                                   split=abs(a), n=n)
+    rhs = _theta_weighted_integral(alpha, 0, x, inner_rem, abs(a), n=n)
     return abs(lhs - rhs)
 
 
 def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                        x: float, a: float, n: int = 40,
-                        n_cheb: int = 48) -> float:
-    """I_k(x, f)(a): k-fold Theta_0-weighted iterate of the translation.
+                        x, a: float, n: int = 40, n_cheb: int = 48):
+    """I_k(x, f)(a): k-fold Theta_0-weighted iterate of the translation, for
+    a scalar x or an array of x (the result has its shape).
 
     Inner levels are memoized on Chebyshev grids in y (one interpolant per
-    sign) before the outer quadrature.  Numeric nesting refuses k > 4.
+    sign and row) before the outer quadrature; the grid values of all rows
+    are one batched call of the level below.  Numeric nesting refuses k > 4.
     """
     from .quad import cheb_nodes, cheb_interpolator
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > MAX_NESTED_ORDER:
         raise ValueError(f"nesting depth limited to k <= {MAX_NESTED_ORDER}")
-    if x == 0.0:
+    if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
-    terms0 = _theta_terms(alpha.alpha, 0, float(x))
     if k == 1:
-        return _theta_weighted_integral(alpha, terms0, x,
+        return _theta_weighted_integral(alpha, 0, x,
                                         _translate_profile(alpha, f, a),
-                                        split=abs(a), n=n)
-    nodes = cheb_nodes(n_cheb, 0.0, abs(x))
-    vals_p = np.array([iterated_integral_I(alpha, k - 1, f, float(yy), a,
-                                           n=n, n_cheb=n_cheb) for yy in nodes])
-    vals_m = np.array([iterated_integral_I(alpha, k - 1, f, float(-yy), a,
-                                           n=n, n_cheb=n_cheb) for yy in nodes])
-    ip = cheb_interpolator(nodes, vals_p)
-    im = cheb_interpolator(nodes, vals_m)
+                                        abs(a), n=n)
+    nodes = cheb_nodes(n_cheb, 0.0, np.abs(np.asarray(x, dtype=float))[..., None])
+    vals = iterated_integral_I(alpha, k - 1, f,
+                               np.concatenate([nodes, -nodes], axis=-1), a,
+                               n=n, n_cheb=n_cheb).reshape(-1, 2 * n_cheb)
+    interp = [(cheb_interpolator(nd, v[:n_cheb]), cheb_interpolator(nd, v[n_cheb:]))
+              for nd, v in zip(nodes.reshape(-1, n_cheb), vals)]
 
-    def h(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        out = np.where(ys >= 0.0, np.asarray(ip(np.abs(ys))),
-                       np.asarray(im(np.abs(ys))))
-        return out
+    def h(ys, rows):
+        # one term's nodes per call: the interpolant's product rounds by shape
+        return np.array([[np.where(y >= 0.0, ip(np.abs(y)), im(np.abs(y)))
+                          for y in yr]
+                         for yr, (ip, im) in zip(ys, (interp[r] for r in rows))])
 
-    return _theta_weighted_integral(alpha, terms0, x, h, split=abs(a), n=n)
+    return _theta_weighted_integral(alpha, 0, x, h, abs(a), n=n)
 
 
 def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:

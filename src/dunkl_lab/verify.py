@@ -132,9 +132,8 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
         f = TEST_FUNCTIONS[0][1]
         g = TEST_FUNCTIONS[2][1]
+        conv = lambda us: convolve(al, f, g, us, T=12.0)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
-            conv = lambda us: np.array([convolve(al, f, g, float(u), T=12.0)
-                                        for u in np.atleast_1d(us)])
             num = _numeric_lp(al, r, conv, T=16.0)
             den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
             checks.append(_ratio_check(
@@ -144,8 +143,6 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
         worst = 0.0
         for xi in (0.5, 1.7):
-            conv = lambda us: np.array([convolve(al, f, g, float(u), T=12.0)
-                                        for u in np.atleast_1d(us)])
             lhs = dunkl_transform(al, conv, xi, T=16.0)
             rhs = (dunkl_transform(al, f, xi, T=12.0)
                    * dunkl_transform(al, g, xi, T=12.0))
@@ -168,6 +165,7 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
 TAYLOR_XS = (0.2, -0.6, 0.9, -1.4, 2.1)
 TAYLOR_AS = (0.0, 0.45, -0.8, 1.5, -2.2)
+TAYLOR_PAIRS = [(x, pt) for x in TAYLOR_XS for pt in TAYLOR_AS]
 
 def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
     checks = []
@@ -175,12 +173,12 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         al = AlphaParam(a)
         for k in ks:
             for name, f in TEST_FUNCTIONS:
+                rems = T.remainder(al, k, f, *np.transpose(TAYLOR_PAIRS))
                 worst = 0.0
-                for x in TAYLOR_XS:
-                    for pt in TAYLOR_AS:
-                        scale = 1.0 + abs(translate(al, f, x, pt))
-                        worst = max(worst, T.taylor_identity_residual(
-                            al, k, f, x, pt) / scale)
+                for (x, pt), rem in zip(TAYLOR_PAIRS, rems):
+                    scale = 1.0 + abs(translate(al, f, x, pt))
+                    worst = max(worst, T.taylor_identity_residual(
+                        al, k, f, x, pt, rem=rem) / scale)
                 checks.append(_check(
                     f"taylor-identity[a={a},k={k},f={name}]",
                     "expansion plus integral remainder reproduces translation",

@@ -44,6 +44,13 @@ def test_bad_config_file_field(tmp_path):
         == EXIT_CONFIG
 
 
+def test_config_file_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1]")
+    assert run(["taylor", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "JSON object" in _one_error_line(capsys)
+
+
 def test_config_file_q_inf_and_flag_override(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q": "inf", "alpha": 1.5, "k": 3}))
@@ -185,3 +192,29 @@ def test_verify_rejects_the_flags_it_ignores(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert all(flag in err for flag, _ in flags)
     assert not out.exists()
+
+
+def test_verify_rejects_the_config_fields_it_ignores(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": 7, "suites": ["kernel"]}))
+    assert run(["verify", "--config", str(cfg),
+                "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "'alpha'" in _one_error_line(capsys)
+    assert not out.exists()
+    fields = {"alpha": 0.5, "k": 2, "p": 2.0, "q": "inf", "beta": 0.5,
+              "function": "gaussian", "t": 1.0, "x": 1.0, "a": 0.5,
+              "x_min": 0.01, "x_max": 10.0, "points_per_decade": 3,
+              "fmt": "json",
+              "function_record": {"coeffs": [1.0], "gauss_scale": 1.0}}
+    cfg.write_text(json.dumps(dict(fields, suites=["kernel"])))
+    assert run(["verify", "--config", str(cfg), "--alpha", "1",
+                "--out-dir", str(out)]) == EXIT_CONFIG
+    err = _one_error_line(capsys)
+    assert "--alpha" in err and all(f"'{key}'" in err for key in fields)
+    assert not out.exists()
+    # the fields verify does use still pass
+    cfg.write_text(json.dumps({"suites": ["kernel"], "out_dir": str(out),
+                               "report_path": "r.json"}))
+    assert run(["verify", "--config", str(cfg)]) == EXIT_OK
+    assert (out / "r.json").exists()

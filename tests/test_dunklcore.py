@@ -95,6 +95,18 @@ def test_total_variation_bounded_by_sqrt2(alpha):
         assert 1.0 - 1e-9 <= tv <= SQRT2 + 1e-9
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+@pytest.mark.parametrize("x", [1e-8, 1e-20, 1e-200, -1e-200])
+def test_total_variation_tends_to_one_linearly(alpha, x):
+    """TV(x, y) = 1 + c|x| + O(x^2) as x -> 0; the endpoint form of the
+    integrand cancelled there (off by 25-60% of c|x| at x = 1e-8, 0.0 at
+    1e-20, ZeroDivisionError at 1e-200 for alpha = 1.5)."""
+    al = AlphaParam(alpha)
+    c = (w_total_variation(al, math.copysign(1e-4, x), 0.5) - 1.0) / 1e-4
+    for tv in (w_total_variation(al, x, 0.5), w_total_variation(al, 0.5, x)):
+        assert abs(tv - 1.0 - c * abs(x)) <= 1e-3 * c * abs(x) + 1e-15
+
+
 def test_total_variation_exceeds_one_somewhere():
     # the measure is genuinely signed: TV > 1 at some pairs
     vals = [w_total_variation(AL, 1.0, y) for y in (0.5, 0.9, 1.0, 1.5)]

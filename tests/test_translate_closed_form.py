@@ -1,7 +1,8 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-the Gauss-Jacobi quadrature path, the batched Besov loops against their
-former per-node loop forms (kept here as reference implementations), and
-the sharing of one Bessel pair among the points (+-x, +-y)."""
+the Gauss-Jacobi quadrature path, the batched Besov, Taylor and convolution
+loops against their former per-node loop forms (kept here as reference
+implementations), and the sharing of one Bessel pair among the points
+(+-x, +-y)."""
 
 import math
 
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunkl_lab import besov as B
-from dunkl_lab import dunklcore
+from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
-from dunkl_lab.dunklcore import translate, translate_many
+from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, dunkl_power, hermite_phi
-from dunkl_lab.quad import LpContext, jacobi_rule, lp_norm
+from dunkl_lab.quad import (LpContext, cheb_interpolator, cheb_nodes,
+                            jacobi_rule, lp_norm)
 from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
-from dunkl_lab.taylor import (b_coeff, remainder_profile,
-                              symmetric_remainder_profile, _theta_terms,
-                              _theta_weighted_integral)
+from dunkl_lab.taylor import (b_coeff, iterated_integral_I, remainder,
+                              remainder_profile, symmetric_remainder_profile,
+                              _theta_terms, _theta_weighted_integral)
 
 CUBIC = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
 WIDE = GaussPolyFunction((1.0,), 0.25)
@@ -74,7 +76,6 @@ def _lkm1_f0_loop(params, f, x):
     k_functional_upper: one Theta_0-weighted integral per u."""
     al, k = params.alpha, params.k
     bk = b_coeff(al, k, x)
-    terms0 = _theta_terms(al.alpha, 0, x)
     consts = [(b_coeff(al, p, 1.0), dunkl_power(al, f, p)) for p in range(k)]
 
     def lkm1_f0(us):
@@ -87,8 +88,9 @@ def _lkm1_f0_loop(params, f, x):
                 for p, (bp1, lpf) in enumerate(consts):
                     val = val - bp1 * ys ** p * lpf(np.full(1, _u))[()]
                 return val
-            out[i] = _theta_weighted_integral(al, terms0, x, rem,
-                                              split=abs(u), n=32)
+            out[i] = _theta_weighted_integral(al, 0, x,
+                                              lambda ys, rows: rem(ys),
+                                              abs(u), n=32)
         return -out / bk
 
     return lkm1_f0
@@ -111,6 +113,25 @@ def _conv_profile_loop(params, f, phi, t, n_outer=80):
         return out
 
     return prof
+
+
+def _iterated_integral_loop(al, k, f, x, a, n=40, n_cheb=48):
+    """Former recursive form of iterated_integral_I: one scalar call of the
+    level below per Chebyshev node and sign."""
+    if k == 1:
+        return _theta_weighted_integral(
+            al, 0, x, lambda ys, rows: translate_many(al, f, a, ys), abs(a), n=n)
+    nodes = cheb_nodes(n_cheb, 0.0, abs(x))
+    ip, im = (cheb_interpolator(nodes, np.array(
+        [_iterated_integral_loop(al, k - 1, f, s * float(y), a, n, n_cheb)
+         for y in nodes])) for s in (1.0, -1.0))
+
+    def h(ys, rows):
+        ay = np.abs(ys).ravel()
+        return np.where(ys >= 0.0, ip(ay).reshape(ys.shape),
+                        im(ay).reshape(ys.shape))
+
+    return _theta_weighted_integral(al, 0, x, h, abs(a), n=n)
 
 
 def _params(alpha, k, p=2.0):
@@ -148,6 +169,83 @@ def test_batched_lkm1_f0_matches_loop(monkeypatch, alpha, k, f):
         us = np.concatenate([np.linspace(-6.0, 6.0, 25), [x, -x, 0.5 * x]])
         batched = _captured_lkm1_f0(monkeypatch, params, f, x)(us)
         _close(batched, _lkm1_f0_loop(params, f, x)(us), 1e-10)
+
+
+@pytest.mark.parametrize("alpha,k,n_cheb", [(0.5, 1, 48), (-0.25, 2, 32),
+                                            (1.5, 3, 10)])
+def test_batched_iterated_integral_matches_loop(alpha, k, n_cheb):
+    al = AlphaParam(alpha)
+    for x, a in ((0.9, 0.3), (-1.4, 0.0), (0.6, -2.0)):
+        loop = _iterated_integral_loop(al, k, CUBIC, x, a, n_cheb=n_cheb)
+        batched = iterated_integral_I(al, k, CUBIC, x, a, n_cheb=n_cheb)
+        assert isinstance(batched, float)
+        assert abs(batched - loop) <= 1e-14 * abs(loop)
+    # rows: one value per x, each the scalar call's bit for bit
+    xs = np.array([[0.9, -0.3], [1.7, -2.2]])
+    rows = iterated_integral_I(al, k, CUBIC, xs, 0.45, n_cheb=n_cheb)
+    assert rows.shape == xs.shape
+    for x, v in zip(xs.ravel(), rows.ravel()):
+        assert v == iterated_integral_I(al, k, CUBIC, float(x), 0.45,
+                                        n_cheb=n_cheb)
+
+
+@pytest.mark.parametrize("alpha,k", [(-0.25, 1), (0.5, 2), (1.5, 3)])
+def test_batched_remainder_equals_scalar_calls_bitwise(alpha, k):
+    al = AlphaParam(alpha)
+    xs = np.array([[0.2], [-0.6], [2.1]])
+    pts = np.array([0.0, 0.45, -0.8, -2.2])     # no kink, kink, |a| > |x|
+    rows = remainder(al, k, CUBIC, xs, pts)
+    assert rows.shape == (3, 4)
+    for (i, j), v in np.ndenumerate(rows):
+        assert v == remainder(al, k, CUBIC, float(xs[i, 0]), float(pts[j]))
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 1.5])
+def test_batched_convolve_equals_scalar_calls_bitwise(alpha):
+    al = AlphaParam(alpha)
+    us = np.linspace(-5.0, 5.0, 72).reshape(8, 9)   # two blocks of 68 rows
+    tf = lambda ys: translate_many(al, CUBIC, 0.6, ys)  # a callable f, g
+    for f, g in ((WIDE, CUBIC), (CUBIC, tf), (tf, WIDE)):
+        out = convolve(al, f, g, us, T=12.0)
+        assert out.shape == us.shape
+        scalar = [convolve(al, f, g, float(u), T=12.0) for u in us.ravel()]
+        if f is tf:
+            # the node rule's matrix-vector product rounds by block layout
+            np.testing.assert_allclose(out.ravel(), scalar, rtol=1e-14)
+        else:
+            assert np.array_equal(out.ravel(), scalar)
+
+
+def _count_translate_calls(monkeypatch):
+    """Points of each translate_many call made through dunklcore, taylor or
+    the reference implementations here."""
+    calls = []
+    orig = dunklcore.translate_many
+
+    def count(alpha, f, x, ys, *args, **kwargs):
+        calls.append(np.broadcast(np.asarray(x), np.asarray(ys)).size)
+        return orig(alpha, f, x, ys, *args, **kwargs)
+
+    monkeypatch.setattr(dunklcore, "translate_many", count)
+    monkeypatch.setattr(taylor, "translate_many", count)
+    monkeypatch.setitem(globals(), "translate_many", count)
+    return calls
+
+
+def test_batched_levels_make_few_translate_calls(monkeypatch):
+    al = AlphaParam(0.5)
+    calls = _count_translate_calls(monkeypatch)
+    _iterated_integral_loop(al, 2, CUBIC, 0.9, 0.3, n_cheb=32)
+    loop_points = sum(calls)
+    calls.clear()
+    iterated_integral_I(al, 2, CUBIC, 0.9, 0.3, n_cheb=32)
+    assert len(calls) <= 3
+    assert sum(calls) == loop_points          # the same translations
+    calls.clear()
+    convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384), n_outer=120)
+    assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
+    assert max(calls) <= dunklcore._BLOCK
+    assert sum(calls) == 384 * 240
 
 
 @pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])
@@ -304,8 +402,9 @@ def test_each_sign_pair_is_one_call():
     assert calls == [2 * ctx.n_nodes, 2 * 32]    # head, tail
     calls.clear()
     terms = _theta_terms(0.5, 1, 0.9)
-    _theta_weighted_integral(al, terms, 0.9, g, split=0.4, n=40)
-    assert calls == [2 * 40] * (2 * len(terms))  # one per (term, piece)
+    _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys), 0.4, n=40)
+    # one call per piece (head, tail), every term's +-z at once
+    assert calls == [len(terms) * 2 * 40] * 2
 
 
 # -- small-x accuracy ------------------------------------------------------------
