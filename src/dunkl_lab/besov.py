@@ -17,14 +17,15 @@ values (~ t^(2 n0)) carry no catastrophic cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate
-from .quad import LpContext, lp_norm, jacobi_rule
+from .quad import (LpContext, lp_norm, jacobi_rule, lp_norm_from_nodes,
+                   norm_node_values)
 from .dunklcore import translate_many
 from .taylor import (b_coeff, remainder_profile, symmetric_remainder_profile,
                      _theta_weighted_integral)
@@ -38,8 +39,8 @@ __all__ = [
     "conv_profile",
     "conv_norm",
     "conv_seminorm_integrand",
-    "seminorm",
-    "seminorm_samples",
+    "KINDS",
+    "BesovSamples",
     "seminorm_from_samples",
     "slope_estimate",
     "equivalence_report",
@@ -113,12 +114,15 @@ def omega(params: BesovParams, f: GaussPolyFunction, x: float) -> float:
     return best
 
 
-def omega_tilde(params: BesovParams, f: GaussPolyFunction, x: float) -> float:
-    """||R_k(x,f) + R_k(-x,f)||_{p,alpha} via the even-coefficient form."""
+def _omega_tilde_profile(params: BesovParams, f: GaussPolyFunction, x: float):
     if x <= 0.0:
         raise ValueError("x must be positive")
-    prof = symmetric_remainder_profile(params.alpha, params.k, f, x)
-    return lp_norm(params.norm_ctx(), prof)
+    return symmetric_remainder_profile(params.alpha, params.k, f, x)
+
+
+def omega_tilde(params: BesovParams, f: GaussPolyFunction, x: float) -> float:
+    """||R_k(x,f) + R_k(-x,f)||_{p,alpha} via the even-coefficient form."""
+    return lp_norm(params.norm_ctx(), _omega_tilde_profile(params, f, x))
 
 
 def k_functional_upper(params: BesovParams, f: GaussPolyFunction,
@@ -225,25 +229,50 @@ def _edge_slopes(grid, integrand):
     return hs, ts
 
 
-def seminorm_samples(params: BesovParams, f: GaussPolyFunction, kind: str,
-                     phi: Optional[GaussPolyFunction] = None):
-    """(grid, m) raw samples behind a seminorm: the modulus (B), symmetric
-    modulus (B_tilde), K-functional bound (K) on the x-grid, or the bump
-    convolution norm (C) on the t-grid.  The samples do not depend on q or
-    beta, so they can be aggregated for several scales."""
-    if kind == "C":
-        if phi is None:
-            raise ValueError("kind C requires a moment-vanishing phi")
-        grid = np.asarray(params.t_grid, dtype=float)
-        m = np.array([conv_norm(params, f, phi, float(t)) for t in grid])
-    else:
-        fn = {"B": omega, "B_tilde": omega_tilde,
-              "K": k_functional_upper}.get(kind)
-        if fn is None:
+KINDS = ("B", "B_tilde", "K", "C")
+
+
+class BesovSamples:
+    """The samples behind the four scales for one (alpha, k, grids, norm_T,
+    norm_nodes, f, phi), each computed once, on first use, at any x (t for
+    C): omega (B) and the K bound (K) at params.p; the omega_tilde profile
+    (B_tilde) and f * phi_t (C) on the nodes of the L^p rules, which give
+    their norms for every p.  None of them depends on q or beta."""
+
+    def __init__(self, params: BesovParams, f: GaussPolyFunction,
+                 phi: Optional[GaussPolyFunction] = None):
+        self.params, self.f, self.phi, self._memo = params, f, phi, {}
+
+    def _compute(self, kind: str, v: float):
+        pr, f = self.params, self.f
+        if kind in ("B", "K"):
+            return (omega if kind == "B" else k_functional_upper)(pr, f, v)
+        if kind not in KINDS:
             raise ValueError(f"unknown seminorm kind {kind!r}")
-        grid = np.asarray(params.x_grid, dtype=float)
-        m = np.array([fn(params, f, float(x)) for x in grid])
-    return grid, m
+        if kind == "C" and self.phi is None:
+            raise ValueError("kind C requires a moment-vanishing phi")
+        prof = (conv_profile(pr, f, self.phi, v) if kind == "C"
+                else _omega_tilde_profile(pr, f, v))
+        return norm_node_values(pr.norm_ctx(), prof)
+
+    def value(self, kind: str, v: float, p: Optional[float] = None) -> float:
+        """A kind's sample at v in L^p, p = params.p unless given (only
+        B_tilde and C take another p)."""
+        pr, key = self.params, (kind, float(v))
+        if kind in ("B", "K") and p not in (None, pr.p):
+            raise ValueError(f"{kind} is sampled at p = {pr.p:g} only")
+        if key not in self._memo:
+            self._memo[key] = self._compute(*key)
+        if kind in ("B", "K"):
+            return self._memo[key]
+        ctx = replace(pr.norm_ctx(), p=pr.p if p is None else p)
+        return lp_norm_from_nodes(ctx, self._memo[key]).value
+
+    def samples(self, kind: str, p: Optional[float] = None):
+        """(grid, m): a kind's samples on t_grid (C) or x_grid (the rest)."""
+        grid = np.asarray(self.params.t_grid if kind == "C"
+                          else self.params.x_grid, dtype=float)
+        return grid, np.array([self.value(kind, v, p) for v in grid])
 
 
 def seminorm_from_samples(params: BesovParams, kind: str, grid, m
@@ -261,14 +290,6 @@ def seminorm_from_samples(params: BesovParams, kind: str, grid, m
     diverging = (hs < 0.05) or (ts > -0.05)
     return SeminormEstimate(kind, _q_aggregate(grid, integrand, params.q),
                             diverging, grid, integrand)
-
-
-def seminorm(params: BesovParams, f: GaussPolyFunction, kind: str,
-             phi: Optional[GaussPolyFunction] = None) -> SeminormEstimate:
-    """Truncated-grid seminorm of the requested kind (B, B_tilde, K, C):
-    trapezoid in log x of (m(x)/x^(beta+k-1))^q, or the grid sup for q=inf."""
-    grid, m = seminorm_samples(params, f, kind, phi=phi)
-    return seminorm_from_samples(params, kind, grid, m)
 
 
 def slope_estimate(values, window=None) -> float:
@@ -300,21 +321,25 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction,
                        max_sandwich_ratio: float = 50.0) -> dict:
     """Numerical diagnostics for the four-way equivalence of the smoothness
     scales: the omega/K sandwich, the two one-sided convolution estimates,
-    and the four truncated seminorms.
+    and the four truncated seminorms, all read from one BesovSamples.
 
     PASS iff the sandwich ratio stays flat (|slope| small) and bounded and
     both one-sided estimates hold with finite recorded constants.  For p = 1
     only the direction controlled by the upper convolution estimate is
     asserted (the reverse estimate requires p > 1).  Any sub-computation
-    failure yields INCONCLUSIVE, never PASS.
+    failure yields INCONCLUSIVE, never PASS.  Once every kind's grid is
+    sampled, the BesovSamples is returned under "samples", for aggregating
+    at other q, beta and p.
     """
     al, k, out = params.alpha, params.k, {}
     try:
-        xs = np.asarray([x for x in params.x_grid
-                         if sandwich_window[0] <= x <= sandwich_window[1]])
-        om = np.array([omega(params, f, float(x)) for x in xs])
-        ku = np.array([k_functional_upper(params, f, float(x)) for x in xs])
-        ratio = om / (xs ** (k - 1) * ku)
+        s = BesovSamples(params, f, phi)
+        grids = {kind: s.samples(kind) for kind in KINDS}
+        out["samples"] = s
+        xg, omt = grids["B_tilde"]
+        win = (sandwich_window[0] <= xg) & (xg <= sandwich_window[1])
+        xs = xg[win]
+        ratio = grids["B"][1][win] / (xs ** (k - 1) * grids["K"][1][win])
         out["sandwich_ratio_min"] = float(ratio.min())
         out["sandwich_ratio_max"] = float(ratio.max())
         out["sandwich_slope"] = slope_estimate(list(zip(xs, ratio)))
@@ -324,14 +349,12 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction,
         # upper estimate: ||phi_t * f|| <= c int min{(x/t)^(2(a+1)), (t/x)^r}
         #                 omega_tilde(x) dx/x       (holds for all p >= 1)
         r = params.beta + k + 1.0
-        xg = np.asarray(params.x_grid)
-        omt = np.array([omega_tilde(params, f, float(x)) for x in xg])
         lx = np.log(xg)
         ratios_up = []
         for t in probe_ts:
             rhs = float(np.trapezoid(
                 _compare_kernel_upper(xg, t, al, r) * omt, lx))
-            lhs = conv_norm(params, f, phi, float(t))
+            lhs = s.value("C", t)
             if rhs > 0.0:
                 ratios_up.append(lhs / rhs)
         out["conv_upper_ratio_max"] = float(max(ratios_up))
@@ -341,20 +364,19 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction,
         if params.p > 1.0:
             # reverse estimate: omega_tilde(x) <= c int min{(x/t)^(k-1),
             #                   (x/t)^k} ||phi_t * f|| dt/t
-            tg = np.asarray(params.t_grid)
-            cn = np.array([conv_norm(params, f, phi, float(t)) for t in tg])
+            tg, cn = grids["C"]
             lt = np.log(tg)
             ratios_lo = []
             for x in probe_xs:
                 rhs = float(np.trapezoid(_compare_kernel_lower(x, tg, k) * cn, lt))
-                lhs = omega_tilde(params, f, float(x))
+                lhs = s.value("B_tilde", x)
                 if rhs > 0.0:
                     ratios_lo.append(lhs / rhs)
             out["conv_lower_ratio_max"] = float(max(ratios_lo))
             lower_ok = math.isfinite(out["conv_lower_ratio_max"])
 
-        for kind in ("B", "B_tilde", "K", "C"):
-            est = seminorm(params, f, kind, phi=phi)
+        for kind in KINDS:
+            est = seminorm_from_samples(params, kind, *grids[kind])
             out[f"seminorm_{kind}"] = est.value
             out[f"seminorm_{kind}_diverging"] = est.diverging
         out["status"] = ("PASS" if (sandwich_ok and upper_ok and lower_ok)

@@ -29,6 +29,8 @@ __all__ = [
     "jacobi_rule",
     "lp_norm",
     "lp_norm_full",
+    "lp_norm_from_nodes",
+    "norm_node_values",
     "NormEstimate",
 ]
 
@@ -185,32 +187,40 @@ class NormEstimate:
     T: float
 
 
-def _norm_integrand(ctx: LpContext, g: Callable):
-    """u |-> |g(u)|^p + |g(-u)|^p for 1-d u, with g called once on both."""
-    def h(u):
-        gpm = np.abs(np.asarray(g(np.concatenate([u, -u])))) ** ctx.p
-        return gpm[:u.size] + gpm[u.size:]
-    return h
+def _norm_rules(ctx: LpContext):
+    # the head rule on (0, T), weight u^(2a+1) extracted; the tail's on (T, 2T)
+    T = ctx.truncation_T
+    return (jacobi_rule(ctx.n_nodes, ctx.alpha.weight_exp, 0.0, 0.0, T),
+            jacobi_rule(32, 0.0, 0.0, T, 2.0 * T))
 
 
-def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
-    """(int_{-T}^{T} |g|^p dmu_a)^(1/p) with a crude tail estimate.
-
-    g must accept numpy arrays; reject non-normable algebra elements upstream.
-    """
+def norm_node_values(ctx: LpContext, g: Callable):
+    """|g| on [u, -u] for the nodes u of lp_norm_full's head and tail rules,
+    g called once per rule.  The rules do not depend on p, so these values
+    give the norm for every p (lp_norm_from_nodes).  g must accept numpy
+    arrays; reject non-normable algebra elements upstream."""
     from .funcalg import GaussPolyFunction
     if isinstance(g, GaussPolyFunction) and not g.is_normable:
         raise ValueError("pure polynomials are not in L^p(mu_alpha)")
-    a = ctx.alpha
-    T = ctx.truncation_T
-    h = _norm_integrand(ctx, g)
-    # weight u^(2a+1) extracted at the left endpoint
-    z, w = jacobi_rule(ctx.n_nodes, a.weight_exp, 0.0, 0.0, T)
-    head = float(np.dot(w, h(z))) / a.norm_const
-    zt, wt = jacobi_rule(32, 0.0, 0.0, T, 2.0 * T)
-    tail = float(np.dot(wt, h(zt) * zt ** a.weight_exp)) / a.norm_const
-    head = max(head, 0.0)
-    return NormEstimate(head ** (1.0 / ctx.p), head, max(tail, 0.0), T)
+    return [np.abs(np.asarray(g(np.concatenate([z, -z]))))
+            for z, _ in _norm_rules(ctx)]
+
+
+def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
+    """lp_norm_full at ctx.p from norm_node_values at any p, same rules."""
+    a, p = ctx.alpha, ctx.p
+    (z, w), (zt, wt) = _norm_rules(ctx)
+    hv, tv = (v ** p for v in values)
+    head = max(float(np.dot(w, hv[:z.size] + hv[z.size:])) / a.norm_const, 0.0)
+    tail = float(np.dot(wt, (tv[:zt.size] + tv[zt.size:])
+                        * zt ** a.weight_exp)) / a.norm_const
+    return NormEstimate(head ** (1.0 / p), head, max(tail, 0.0),
+                        ctx.truncation_T)
+
+
+def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
+    """(int_{-T}^{T} |g|^p dmu_a)^(1/p) with a crude tail estimate."""
+    return lp_norm_from_nodes(ctx, norm_node_values(ctx, g))
 
 
 def lp_norm(ctx: LpContext, g: Callable) -> float:

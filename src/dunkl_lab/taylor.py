@@ -229,7 +229,8 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     x and split (an interior kink of h, typically |a|) broadcast to the
     rows of the result; scalars give a float.  h(ys, rows) maps the nodes
     ys[i, j] = [z, -z] of term j of row rows[i] to values; it is called once
-    for the rules on (0, min(split, |x|)) and once for those on (split, |x|),
+    for the rules on (0, min(split, |x|)) and once for the rule on
+    (split, |x|), which all terms share (so there ys has one term, j = 0),
     and each row's sum equals its single-row value bit for bit.
     """
     xb, sb = np.broadcast_arrays(np.asarray(x, float), np.asarray(split, float))
@@ -255,7 +256,9 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
         else:
             rules = [jacobi_rule(n, 0.0, 0.0, lo[:, None], hi[:, None])] * len(ees)
         z = np.stack([z for z, _ in rules], axis=1)
-        hv = h(np.concatenate([z, -z], axis=-1), rows)
+        # the Legendre rule is every term's: h once per row, broadcast
+        zh = z if lo is None else z[:, :1]
+        hv = h(np.concatenate([zh, -zh], axis=-1), rows)
         v = hv[..., :n] + sgn * hv[..., n:]
         if lo is not None:
             v = np.stack([z ** ee for (z, _), ee in zip(rules, ees)], axis=1) * v
@@ -323,11 +326,13 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
 
 def taylor_identity_residual(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                              x: float, a: float, n: int = 40,
-                             rem: Optional[float] = None) -> float:
+                             rem: Optional[float] = None,
+                             tau: Optional[float] = None) -> float:
     """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)| with the
-    integral-mode remainder; `rem` is that remainder when the caller has it
-    already (from one remainder call over many (x, a))."""
-    lhs = translate(alpha, f, x, a)
+    integral-mode remainder; `rem` is that remainder and `tau` is
+    tau_x f(a) when the caller has them already (say, from one remainder
+    call over many (x, a))."""
+    lhs = translate(alpha, f, x, a) if tau is None else tau
     rhs = sum(b_coeff(alpha, p, x) * dunkl_power(alpha, f, p)(a)
               for p in range(k))
     rhs += remainder(alpha, k, f, x, a, n=n) if rem is None else rem

@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from dunkl_lab import besov as B
+from dunkl_lab import verify
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi, dilate, dunkl_power
 from dunkl_lab.quad import lp_norm
 from dunkl_lab.dunklcore import convolve
-from dunkl_lab.besov import (BesovParams, default_grid, omega, omega_tilde,
-                             k_functional_upper, conv_profile, conv_norm,
-                             conv_seminorm_integrand, seminorm,
-                             seminorm_samples, seminorm_from_samples,
-                             slope_estimate, equivalence_report)
+from dunkl_lab.taylor import _theta_terms, _theta_weighted_integral
+from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples, default_grid,
+                             omega, omega_tilde, k_functional_upper,
+                             conv_profile, conv_norm, conv_seminorm_integrand,
+                             seminorm_from_samples, slope_estimate,
+                             equivalence_report)
 
 AL = AlphaParam(0.5)
 GAUSS = GaussPolyFunction((1.0,), 1.0)
+CUBIC = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
 GRID = default_grid(1e-3, 1e2, 4)
 
 
@@ -139,15 +143,18 @@ def test_seminorm_divergence_flag():
 def test_seminorm_samples_validation():
     pr = make_params()
     with pytest.raises(ValueError):
-        seminorm_samples(pr, GAUSS, "C")       # needs phi
+        BesovSamples(pr, GAUSS).samples("C")       # needs phi
     with pytest.raises(ValueError):
-        seminorm_samples(pr, GAUSS, "bogus")
+        BesovSamples(pr, GAUSS).samples("bogus")
+    with pytest.raises(ValueError):                 # B and K only at params.p
+        BesovSamples(pr, GAUSS).value("B", 0.5, p=1.0)
 
 
 def test_seminorm_c_kind_finite():
     pr = make_params(k=2, q=1.0, beta=0.5)
     phi = hermite_phi(AL, 1, 2)
-    est = seminorm(pr, GAUSS, "C", phi=phi)
+    est = seminorm_from_samples(pr, "C",
+                                *BesovSamples(pr, GAUSS, phi).samples("C"))
     assert est.kind == "C"
     assert math.isfinite(est.value) and est.value > 0
     assert not est.diverging
@@ -171,3 +178,151 @@ def test_equivalence_report_passes_for_gaussian():
     assert math.isfinite(rep["conv_lower_ratio_max"])   # p = 2 > 1
     for kind in ("B", "B_tilde", "K", "C"):
         assert math.isfinite(rep[f"seminorm_{kind}"])
+
+
+# -- the sample set against the former per-kind loops ---------------------------
+
+def _seminorm_samples_loop(params, f, kind, phi=None):
+    """Reference: one module-function call per grid point, as seminorm
+    samples were computed before the sample set."""
+    if kind == "C":
+        grid = np.asarray(params.t_grid, dtype=float)
+        return grid, np.array([conv_norm(params, f, phi, float(t)) for t in grid])
+    fn = {"B": omega, "B_tilde": omega_tilde, "K": k_functional_upper}[kind]
+    grid = np.asarray(params.x_grid, dtype=float)
+    return grid, np.array([fn(params, f, float(x)) for x in grid])
+
+
+def _seminorm_loop(params, f, kind, phi=None):
+    return seminorm_from_samples(params, kind,
+                                 *_seminorm_samples_loop(params, f, kind, phi))
+
+
+def _equivalence_report_loop(params, f, phi, sandwich_window=(1e-2, 1.0),
+                             probe_ts=(0.05, 0.2, 1.0),
+                             probe_xs=(0.05, 0.2, 1.0),
+                             max_sandwich_ratio=50.0):
+    """Reference: equivalence_report with every sample recomputed where it
+    is used."""
+    al, k, out = params.alpha, params.k, {}
+    xs = np.asarray([x for x in params.x_grid
+                     if sandwich_window[0] <= x <= sandwich_window[1]])
+    om = np.array([omega(params, f, float(x)) for x in xs])
+    ku = np.array([k_functional_upper(params, f, float(x)) for x in xs])
+    ratio = om / (xs ** (k - 1) * ku)
+    out["sandwich_ratio_min"] = float(ratio.min())
+    out["sandwich_ratio_max"] = float(ratio.max())
+    out["sandwich_slope"] = slope_estimate(list(zip(xs, ratio)))
+    sandwich_ok = (ratio.max() / ratio.min() < max_sandwich_ratio
+                   and abs(out["sandwich_slope"]) <= 0.15)
+    r = params.beta + k + 1.0
+    xg = np.asarray(params.x_grid)
+    omt = np.array([omega_tilde(params, f, float(x)) for x in xg])
+    ratios_up = []
+    for t in probe_ts:
+        rhs = float(np.trapezoid(B._compare_kernel_upper(xg, t, al, r) * omt,
+                                 np.log(xg)))
+        if rhs > 0.0:
+            ratios_up.append(conv_norm(params, f, phi, float(t)) / rhs)
+    out["conv_upper_ratio_max"] = float(max(ratios_up))
+    lower_ok = True
+    if params.p > 1.0:
+        tg = np.asarray(params.t_grid)
+        cn = np.array([conv_norm(params, f, phi, float(t)) for t in tg])
+        ratios_lo = []
+        for x in probe_xs:
+            rhs = float(np.trapezoid(B._compare_kernel_lower(x, tg, k) * cn,
+                                     np.log(tg)))
+            if rhs > 0.0:
+                ratios_lo.append(omega_tilde(params, f, float(x)) / rhs)
+        out["conv_lower_ratio_max"] = float(max(ratios_lo))
+        lower_ok = math.isfinite(out["conv_lower_ratio_max"])
+    for kind in KINDS:
+        est = _seminorm_loop(params, f, kind, phi)
+        out[f"seminorm_{kind}"] = est.value
+        out[f"seminorm_{kind}_diverging"] = est.diverging
+    ok = sandwich_ok and math.isfinite(out["conv_upper_ratio_max"]) and lower_ok
+    out["status"] = "PASS" if ok else "FAIL"
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sample_set_matches_reference_loop(p):
+    pr = make_params(k=2, p=p)
+    phi = hermite_phi(AL, 1, 2)
+    s = BesovSamples(pr, CUBIC, phi)
+    for kind in KINDS:
+        grid, m = s.samples(kind)
+        ref_grid, ref = _seminorm_samples_loop(pr, CUBIC, kind, phi)
+        assert np.array_equal(grid, ref_grid)
+        assert m.tolist() == ref.tolist(), kind           # bit for bit
+    # one set serves the other p from the same profile values
+    other = make_params(k=2, p=3.0 - p)
+    s2 = BesovSamples(other, CUBIC, phi)
+    for kind in ("B_tilde", "C"):
+        assert s2.samples(kind, p=p)[1].tolist() == s.samples(kind)[1].tolist()
+
+
+def test_equivalence_report_matches_reference_form():
+    pr = make_params(k=2)
+    phi = hermite_phi(AL, 1, 2)
+    rep = equivalence_report(pr, GAUSS, phi)
+    assert isinstance(rep.pop("samples"), BesovSamples)
+    assert rep == _equivalence_report_loop(pr, GAUSS, phi)
+
+
+def _counting(monkeypatch, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        orig = getattr(B, name)
+
+        def wrapper(*args, _orig=orig, _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(B, name, wrapper)
+    return calls
+
+
+def test_besov_slice_computes_each_sample_once(monkeypatch):
+    calls = _counting(monkeypatch, ("omega", "k_functional_upper"))
+    checks = verify.suite_besov(alphas=(-0.25,), ks=(2,))
+    assert all(c["status"] == "PASS" for c in checks)
+    # omega: 21 grid points (2 shared with the omega-scaling window) + the
+    # other 6 of those 8 + 12 sandwich points of the wide Gaussian;
+    # K: 21 grid points + 12 sandwich points
+    assert calls == {"omega": 39, "k_functional_upper": 33}
+
+
+def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
+    def broken(*args, **kw):
+        raise RuntimeError("no omega_tilde profile")
+
+    monkeypatch.setattr(B, "symmetric_remainder_profile", broken)
+    checks = verify.suite_besov(alphas=(-0.25,), ks=(1,), qs=(1.0,),
+                                betas=(0.3,))
+    by_id = {c["id"]: c for c in checks}
+    for cid in ("equivalence-diagnostics[a=-0.25,k=2,p=2]",
+                "seminorms-finite[a=-0.25,k=2,q=1,beta=0.3]",
+                "p1-inclusion-direction[a=-0.25,k=2]"):
+        assert by_id[cid]["status"] == "INCONCLUSIVE", cid
+        assert "no omega_tilde profile" in by_id[cid]["detail"], cid
+    assert by_id["omega-scaling[a=-0.25,k=1]"]["status"] == "PASS"
+
+
+def test_kinked_legendre_piece_evaluates_h_once_per_row():
+    al, n = AL, 40
+    x = np.array([0.9, 1.3, 0.7])
+    split = np.array([0.4, 0.0, 0.2])        # rows 0 and 2 have a kink
+    shapes = []
+
+    def h(ys, rows):
+        shapes.append((ys.shape, rows.tolist()))
+        return np.cos(ys)
+
+    _theta_weighted_integral(al, 2, x, h, split, n=n)
+    terms = len({(sp, e) for v in x.tolist()
+                 for _, sp, e in _theta_terms(al.alpha, 2, v)})
+    assert terms > 1
+    assert shapes == [((3, terms, 2 * n), [0, 1, 2]),   # Jacobi, per term
+                      ((2, 1, 2 * n), [0, 2])]           # Legendre, shared

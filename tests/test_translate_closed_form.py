@@ -403,8 +403,9 @@ def test_each_sign_pair_is_one_call():
     calls.clear()
     terms = _theta_terms(0.5, 1, 0.9)
     _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys), 0.4, n=40)
-    # one call per piece (head, tail), every term's +-z at once
-    assert calls == [len(terms) * 2 * 40] * 2
+    # one call per piece: every term's +-z on the Jacobi rules, then the
+    # one Legendre rule above the kink that all terms share
+    assert calls == [len(terms) * 2 * 40, 2 * 40]
 
 
 # -- small-x accuracy ------------------------------------------------------------
