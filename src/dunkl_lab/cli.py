@@ -33,15 +33,9 @@ from .dunklcore import translate_many
 from . import taylor as T
 from . import besov as B
 from . import verify as V
+from .verify import CATALOG
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
-
-CATALOG = {
-    "gaussian": GaussPolyFunction((1.0,), 1.0),
-    "x_gaussian": GaussPolyFunction((0.0, 1.0), 1.0),
-    "cubic_gaussian": GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5),
-    "wide_gaussian": GaussPolyFunction((1.0,), 0.25),
-}
 
 
 class ConfigError(ValueError):
@@ -212,13 +206,13 @@ def cmd_translate(cfg: RunConfig) -> int:
 def cmd_taylor(cfg: RunConfig) -> int:
     al = AlphaParam(cfg.alpha)
     f = cfg.resolve_function()
+    rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a, mode="integral")
     out = {
-        "remainder_integral": T.remainder(al, cfg.k, f, cfg.x, cfg.a,
-                                          mode="integral"),
+        "remainder_integral": rem,
         "remainder_recurrence": T.remainder(al, cfg.k, f, cfg.x, cfg.a,
                                             mode="recurrence"),
-        "identity_residual": T.taylor_identity_residual(al, cfg.k, f,
-                                                        cfg.x, cfg.a),
+        "identity_residual": T.taylor_identity_residual(al, cfg.k, f, cfg.x,
+                                                        cfg.a, rem=rem),
         "theta_mass": T.theta_mass(al, cfg.k, cfg.x),
         "theta_mass_bound": (T.b_coeff(al, cfg.k, abs(cfg.x))
                              + abs(cfg.x) * T.b_coeff(al, cfg.k - 1,

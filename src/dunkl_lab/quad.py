@@ -57,11 +57,6 @@ class QuadSpec:
         if self.endpoint_exponent is not None and self.endpoint_exponent <= -1.0:
             raise ValueError("endpoint exponent must be > -1 (integrable)")
 
-    def inner(self) -> "QuadSpec":
-        """Spec for a nested level: one order tighter to control accumulation."""
-        return QuadSpec(self.abs_tol / 10.0, self.rel_tol / 10.0,
-                        self.max_subdivisions, None)
-
 
 DEFAULT_SPEC = QuadSpec()
 

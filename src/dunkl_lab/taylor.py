@@ -5,10 +5,10 @@ u/v recursion, the order-k remainder R_k in both its integral and recurrence
 forms, the iterated integrals I_k, and the symmetric remainder.
 
 For a fixed first argument x, each Theta_k(x, .) is a finite combination of
-power terms  c * sgn(y)^s * |y|^e  (the recursion integrates powers), so the
-default evaluation path is exact term algebra.  Resonant alpha values, where
-some antiderivative exponent hits -1, are detected and must use the numeric
-nested-quadrature mode instead.
+terms  c * sgn(y)^s * |y|^e * log^j |y|, a set the recursion's antiderivatives
+keep closed: an exponent -1 (resonant alpha: alpha = 0 from Theta_1 on,
+alpha = 1 from Theta_3 on) integrates to a log power, every other exponent
+exactly as a power.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .quad import QuadSpec, DEFAULT_SPEC, integrate, jacobi_rule, rowdot
 from .dunklcore import translate, translate_many
 
 __all__ = [
-    "ResonantAlphaError",
     "b_coeff",
     "b_poly",
     "ThetaKernel",
@@ -43,10 +42,6 @@ __all__ = [
 ]
 
 MAX_NESTED_ORDER = 4
-
-
-class ResonantAlphaError(ValueError):
-    """Symbolic kernel mode hit an exponent -1 antiderivative (log branch)."""
 
 
 def b_coeff(alpha, p: int, x) -> float:
@@ -71,42 +66,49 @@ def b_poly(alpha, p: int) -> GaussPolyFunction:
     return GaussPolyFunction((0.0,) * p + (c,), 0.0)
 
 
-# -- Theta kernels: symbolic power-term tables --------------------------------
+# -- Theta kernels: power-log term tables --------------------------------------
 
 def _integrate_terms_from(terms, ax: float):
     """Antiderivative step: terms(z) -> int_m^ax terms(z) dz as terms of m,
-    for z > 0 (so sgn factors are 1)."""
+    for z > 0 (so sgn factors are 1).  z^e log^j z integrates to
+    z^(e+1) sum_i (-1)^i j!/(j-i)! log^(j-i) z / (e+1)^(i+1), and for
+    e = -1 to log^(j+1) z / (j+1)."""
     out = []
-    for c, _sp, e in terms:
+    lax = math.log(ax)
+    for c, _sp, e, j in terms:
         if abs(e + 1.0) < 1e-9:
-            raise ResonantAlphaError(
-                f"antiderivative exponent hit -1 (term exponent {e}); "
-                "use numeric mode")
-        out.append((c * ax ** (e + 1.0) / (e + 1.0), 0, 0.0))
-        out.append((-c / (e + 1.0), 0, e + 1.0))
+            out.append((c * lax ** (j + 1) / (j + 1), 0, 0.0, 0))
+            out.append((-c / (j + 1), 0, 0.0, j + 1))
+            continue
+        for i in range(j + 1):
+            d = (-1) ** i * math.perm(j, i)
+            out.append((c * ax ** (e + 1.0) * (d * lax ** (j - i))
+                        / (e + 1.0) ** (i + 1), 0, 0.0, 0))
+            out.append((-c * d / (e + 1.0) ** (i + 1), 0, e + 1.0, j - i))
     return out
 
 
 def _merge(terms):
     acc = {}
-    for c, sp, e in terms:
-        key = (sp, round(e, 12))
+    for c, sp, e, j in terms:
+        key = (sp, round(e, 12), j)
         acc[key] = acc.get(key, 0.0) + c
-    return [(c, sp, e) for (sp, e), c in acc.items() if c != 0.0]
+    return [(c, sp, e, j) for (sp, e, j), c in acc.items() if c != 0.0]
 
 
 @lru_cache(maxsize=4096)
 def _theta_terms(a: float, k: int, x: float):
-    """Power-term table of Theta_k(x, .) for fixed x: [(c, sgn_pow, exp)]."""
+    """Term table of Theta_k(x, .) for fixed x: [(c, sgn_pow, exp, log_pow)]."""
     ax = abs(x)
     we = 2.0 * a + 1.0
-    u = [(math.copysign(0.5, x) / ax ** we, 0, 0.0)]
-    v = [(0.5, 1, -we)]
+    u = [(math.copysign(0.5, x) / ax ** we, 0, 0.0, 0)]
+    v = [(0.5, 1, -we, 0)]
     for _ in range(k):
         u_next = _integrate_terms_from(v, ax)
         # v-step: multiply u by A(z) = z^(2a+1), integrate, then sgn(y)/A(y)
-        shifted = [(c, sp, e + we) for c, sp, e in u]
-        v_next = [(c, 1, e - we) for c, _sp, e in _integrate_terms_from(shifted, ax)]
+        shifted = [(c, sp, e + we, j) for c, sp, e, j in u]
+        v_next = [(c, 1, e - we, j)
+                  for c, _sp, e, j in _integrate_terms_from(shifted, ax)]
         u, v = _merge(u_next), _merge(v_next)
     return tuple(_merge(u + v))
 
@@ -116,8 +118,10 @@ def _eval_terms(terms, y):
     ay = np.abs(y)
     sg = np.sign(y)
     out = np.zeros_like(ay)
-    for c, sp, e in terms:
+    for c, sp, e, j in terms:
         t = c * ay ** e if e != 0.0 else np.full_like(ay, c)
+        if j:
+            t = t * np.log(ay) ** j
         if sp:
             t = t * sg
         out = out + t
@@ -130,60 +134,23 @@ class ThetaKernel:
 
     alpha: AlphaParam
     order: int
-    eval_mode: str = "symbolic_power_terms"
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.eval_mode not in ("symbolic_power_terms", "numeric_nested"):
-            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
 
     def term_table(self, x: float):
-        """Symbolic power terms of Theta_order(x, .); raises on resonance."""
+        """Terms (c, sgn_pow, exp, log_pow) of Theta_order(x, .)."""
         return _theta_terms(self.alpha.alpha, self.order, float(x))
 
 
-def _theta_numeric(alpha: AlphaParam, k: int, x: float, y: float,
-                   spec: QuadSpec) -> float:
-    if k > MAX_NESTED_ORDER:
-        raise ValueError(f"numeric nesting is limited to order {MAX_NESTED_ORDER}")
-    a = alpha.alpha
-    ax = abs(x)
-    we = 2.0 * a + 1.0
-
-    def u(j, m):
-        if j == 0:
-            return math.copysign(0.5, x) / ax ** we
-        if m >= ax:
-            return 0.0
-        val, _ = integrate(lambda z: v(j - 1, z), m, ax, spec.inner())
-        return val
-
-    def v(j, m):
-        # value of v_j(x, z) at z = m > 0
-        if j == 0:
-            return 0.5 / m ** we
-        if m >= ax:
-            return 0.0
-        val, _ = integrate(lambda z: u(j - 1, z) * z ** we, m, ax, spec.inner())
-        return val / m ** we
-
-    ay = abs(y)
-    return u(k, ay) + math.copysign(1.0, y) * v(k, ay)
-
-
-def theta(kernel: ThetaKernel, x: float, y: float,
-          spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """Theta_k(x, y) for |y| <= |x|, x != 0."""
-    if x == 0.0:
-        raise ValueError("x must be nonzero")
+def theta(kernel: ThetaKernel, x: float, y: float) -> float:
+    """Theta_k(x, y) for 0 < |y| <= |x|."""
+    if x == 0.0 or y == 0.0:
+        raise ValueError("x and y must be nonzero")
     if abs(y) > abs(x) + 1e-15:
         raise ValueError("theta requires |y| <= |x|")
-    if kernel.eval_mode == "symbolic_power_terms":
-        return float(_eval_terms(kernel.term_table(x), y))
-    if y == 0.0:
-        raise ValueError("numeric mode requires y != 0")
-    return _theta_numeric(kernel.alpha, kernel.order, x, y, spec)
+    return float(_eval_terms(kernel.term_table(x), y))
 
 
 def theta_mass(alpha: AlphaParam, k: int, x: float,
@@ -202,21 +169,13 @@ def theta_mass(alpha: AlphaParam, k: int, x: float,
     return val
 
 
-def theta0_moment(alpha: AlphaParam, p: int, x: float,
-                  spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy  (equals b_{p+1}(x))."""
+def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
+    """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy  (equals b_{p+1}(x));
+    the Jacobi rules of the Theta-weighted integral are exact for b_p."""
     if x == 0.0:
         raise ValueError("x must be nonzero")
-    terms = _theta_terms(alpha.alpha, 0, float(x))
-    we = alpha.weight_exp
-    ax = abs(x)
-
-    def g(y):
-        return (_eval_terms(terms, y) * b_coeff(alpha, p, y)
-                + _eval_terms(terms, -y) * b_coeff(alpha, p, -y)) * y ** we
-
-    val, _ = integrate(g, 0.0, ax, spec)
-    return val
+    return _theta_weighted_integral(alpha, 0, x,
+                                    lambda ys, rows: b_coeff(alpha, p, ys), 0.0)
 
 
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
@@ -224,7 +183,9 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float,
 def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
                              split, n: int = 40):
     """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
-    analytically (per power term, the |y| exponent goes into a Jacobi rule).
+    analytically (per term, the |y| exponent goes into a Jacobi rule; a term
+    with log^j |y|, j > 0, takes its rule on (0, hi) after z = hi t^3, so the
+    log singularity sits under the weight t^(3 ee + 2)).
 
     x and split (an interior kink of h, typically |a|) broadcast to the
     rows of the result; scalars give a float.  h(ys, rows) maps the nodes
@@ -239,29 +200,41 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     # the exponents depend on (alpha, order) only; a term that cancels
     # exactly at some x has coefficient 0 there
     ux, inv = np.unique(xs, return_inverse=True)
-    tables = [{(sp, e): c for c, sp, e in _theta_terms(alpha.alpha, order, v)}
+    tables = [{(sp, e, j): c
+               for c, sp, e, j in _theta_terms(alpha.alpha, order, v)}
               for v in ux.tolist()]
     keys = list(dict.fromkeys(key for t in tables for key in t))
     coef = np.array([[t.get(key, 0.0) for key in keys] for t in tables])[inv]
-    sgn = np.array([(-1.0) ** sp for sp, _ in keys])[:, None]
-    ees = [e + alpha.weight_exp for _, e in keys]  # exponents of Theta-term * A
+    sgn = np.array([(-1.0) ** sp for sp, _, _ in keys])[:, None]
+    # per term: the exponent of Theta-term * A, and the log power
+    pows = [(e + alpha.weight_exp, j) for _, e, j in keys]
+
+    def head_rule(ee, j, hi):
+        # rule on (0, hi) for the weight z^ee log^j z
+        if not j:
+            return jacobi_rule(n, ee, 0.0, 0.0, hi)
+        t, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 0.0, 1.0)
+        scale = np.reshape([3.0 * v ** (ee + 1.0) for v in hi.ravel().tolist()],
+                           hi.shape)
+        return hi * t ** 3, scale * w * (np.log(hi) + 3.0 * np.log(t)) ** j
 
     def piece(rows, lo, hi):
-        # Jacobi rules on (0, hi) when lo is None, else Legendre on (lo, hi)
-        # with the weight as a factor; returns c * sum(w (h(z) +- h(-z)))
+        # rules on (0, hi) when lo is None, else Legendre on (lo, hi) with
+        # the weight as a factor; returns c * sum(w (h(z) +- h(-z)))
         if not rows.size:
             return np.zeros((0, len(keys)))
         if lo is None:
-            rules = [jacobi_rule(n, ee, 0.0, 0.0, hi[:, None]) for ee in ees]
+            rules = [head_rule(ee, j, hi[:, None]) for ee, j in pows]
         else:
-            rules = [jacobi_rule(n, 0.0, 0.0, lo[:, None], hi[:, None])] * len(ees)
+            rules = [jacobi_rule(n, 0.0, 0.0, lo[:, None], hi[:, None])] * len(pows)
         z = np.stack([z for z, _ in rules], axis=1)
         # the Legendre rule is every term's: h once per row, broadcast
         zh = z if lo is None else z[:, :1]
         hv = h(np.concatenate([zh, -zh], axis=-1), rows)
         v = hv[..., :n] + sgn * hv[..., n:]
         if lo is not None:
-            v = np.stack([z ** ee for (z, _), ee in zip(rules, ees)], axis=1) * v
+            v = np.stack([z ** ee * np.log(z) ** j if j else z ** ee
+                          for (z, _), (ee, j) in zip(rules, pows)], axis=1) * v
         return coef[rows] * rowdot(np.stack([w for _, w in rules], axis=1), v)
 
     head = piece(np.arange(xs.size), None, np.where(kink, ss, ax))

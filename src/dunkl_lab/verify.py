@@ -9,6 +9,7 @@ produces the identical report.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List
 
@@ -34,15 +35,18 @@ DEFAULT_PS = (1.0, 2.0)
 DEFAULT_QS = (1.0, math.inf)
 DEFAULT_BETAS = (0.3, 0.7)
 
+#: the function catalog, also the CLI's `--function` choices
+CATALOG = {
+    "gaussian": GaussPolyFunction((1.0,), 1.0),
+    "x_gaussian": GaussPolyFunction((0.0, 1.0), 1.0),
+    "cubic_gaussian": GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5),
+    "wide_gaussian": GaussPolyFunction((1.0,), 0.25),
+}
 #: test functions: a Gaussian, an odd one, and a non-symmetric cubic one
-TEST_FUNCTIONS = (
-    ("gaussian", GaussPolyFunction((1.0,), 1.0)),
-    ("x_gaussian", GaussPolyFunction((0.0, 1.0), 1.0)),
-    ("cubic_gaussian", GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)),
-)
+TEST_FUNCTIONS = tuple(CATALOG.items())[:3]
 #: slow-decay Gaussian used where the probe window must sit below the
 #: ||L^{k-1}f|| / ||L^k f|| crossover scale
-WIDE_GAUSSIAN = GaussPolyFunction((1.0,), 0.25)
+WIDE_GAUSSIAN = CATALOG["wide_gaussian"]
 
 
 def _check(check_id: str, anchor: str, residual: float, tol: float,
@@ -420,6 +424,10 @@ SUITES = {
     "taylor": suite_taylor,
     "norms": suite_norms,
     "besov": suite_besov,
+    # alpha where an antiderivative exponent of Theta_{k-1} reaches -1
+    # (alpha = 0 from k = 2, alpha = 1 from k = 4): the kernels carry log terms
+    "resonant": functools.partial(suite_taylor, alphas=(0.0, 1.0),
+                                  ks=(1, 2, 3, 4)),
 }
 
 

@@ -151,6 +151,19 @@ def test_criterion_12_determinism(report, tmp_path):
     assert ok
 
 
+def test_criterion_13_resonant_alpha(report):
+    # alpha in {0, 1}: Theta_k carries log terms; the Taylor-layer checks
+    # run there at the same tolerances (the resonant suite)
+    checks = [c for c in report["checks"]
+              if c["id"].endswith(("[a=0.0]", "[a=1.0]"))
+              or "[a=0.0," in c["id"] or "[a=1.0," in c["id"]]
+    assert len(checks) == 70
+    assert any(c["id"] == "taylor-identity[a=0.0,k=4,f=gaussian]"
+               for c in checks)
+    _gate(13, "Taylor-layer identities at resonant alpha in {0, 1}, k <= 4",
+          checks)
+
+
 def test_full_matrix_is_green(report):
     s = report["summary"]
     print(f"SUMMARY: {s['PASS']} passed, {s['FAIL']} failed, "

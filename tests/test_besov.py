@@ -321,8 +321,8 @@ def test_kinked_legendre_piece_evaluates_h_once_per_row():
         return np.cos(ys)
 
     _theta_weighted_integral(al, 2, x, h, split, n=n)
-    terms = len({(sp, e) for v in x.tolist()
-                 for _, sp, e in _theta_terms(al.alpha, 2, v)})
+    terms = len({(sp, e, j) for v in x.tolist()
+                 for _, sp, e, j in _theta_terms(al.alpha, 2, v)})
     assert terms > 1
     assert shapes == [((3, terms, 2 * n), [0, 1, 2]),   # Jacobi, per term
                       ((2, 1, 2 * n), [0, 2])]           # Legendre, shared

@@ -138,6 +138,13 @@ def test_catalog_functions_are_normable():
         assert f.is_normable, name
 
 
+def test_one_function_catalog():
+    from dunkl_lab import verify
+    assert CATALOG is verify.CATALOG
+    assert verify.TEST_FUNCTIONS == tuple(CATALOG.items())[:3]
+    assert verify.WIDE_GAUSSIAN is CATALOG["wide_gaussian"]
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -157,9 +164,14 @@ def test_function_record_without_gauss_scale_exits_2(tmp_path, capsys):
     assert "gauss_scale" in _one_error_line(capsys)
 
 
-def test_resonant_alpha_exits_2(capsys):
-    assert run(["taylor", "--alpha", "0", "--k", "2"]) == EXIT_CONFIG
-    assert "exponent" in _one_error_line(capsys)
+@pytest.mark.parametrize("alpha,k", [("0", "2"), ("1", "4")])
+def test_resonant_alpha_gives_the_remainder(capsys, alpha, k):
+    # an antiderivative exponent of Theta_{k-1} reaches -1 (a log term)
+    assert run(["taylor", "--alpha", alpha, "--k", k]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["identity_residual"] <= 1e-12
+    assert out["remainder_integral"] == pytest.approx(
+        out["remainder_recurrence"], rel=1e-10, abs=1e-13)
 
 
 @pytest.mark.parametrize("command", ["besov", "sweep"])

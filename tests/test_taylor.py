@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy import integrate as sint
+
+from dunkl_lab import taylor
 from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate
-from dunkl_lab.taylor import (ResonantAlphaError, b_coeff, b_poly,
+from dunkl_lab.quad import integrate, QuadSpec
+from dunkl_lab.taylor import (b_coeff, b_poly,
                               ThetaKernel, theta, theta_mass, theta0_moment,
                               remainder, remainder_profile,
                               taylor_identity_residual,
@@ -64,27 +68,80 @@ def test_theta_domain_checks():
         theta(kern, 0.5, 0.9)
     with pytest.raises(ValueError):
         ThetaKernel(AL, -1)
-    with pytest.raises(ValueError):
-        ThetaKernel(AL, 1, eval_mode="nope")
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_theta_symbolic_vs_numeric(k):
-    sym = ThetaKernel(AL, k)
-    num = ThetaKernel(AL, k, eval_mode="numeric_nested")
+@pytest.mark.parametrize("a", [0.5, 0.0])
+def test_theta_at_y_zero_raises(a):
+    # the sgn(y) |y|^(-2a-1) term is 0 * inf there
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match="nonzero"):
+            theta(ThetaKernel(AlphaParam(a), k), 1.2, 0.0)
+
+
+def _theta_nested(alpha, k, x, y):
+    """Theta_k(x, y), y != 0, by nesting adaptive quadrature through the
+    u/v recursion (reference for the term tables)."""
+    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
+    ax = abs(x)
+    we = alpha.weight_exp
+
+    def u(j, m):
+        if j == 0:
+            return math.copysign(0.5, x) / ax ** we
+        if m >= ax:
+            return 0.0
+        return integrate(lambda z: v(j - 1, z), m, ax, spec)[0]
+
+    def v(j, m):
+        # value of v_j(x, z) at z = m > 0
+        if j == 0:
+            return 0.5 / m ** we
+        if m >= ax:
+            return 0.0
+        return integrate(lambda z: u(j - 1, z) * z ** we, m, ax, spec)[0] / m ** we
+
+    return u(k, abs(y)) + math.copysign(1.0, y) * v(k, abs(y))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.5, 0.0, 1.0])
+def test_theta_terms_vs_nested_quadrature(a, k):
+    # alpha = 0 (every k here) and alpha = 1 (k = 3) carry log terms
+    al = AlphaParam(a)
+    kern = ThetaKernel(al, k)
     for x, y in [(1.4, 0.6), (1.4, -0.6), (-2.0, 1.1)]:
-        assert theta(sym, x, y) == pytest.approx(theta(num, x, y), rel=1e-8)
+        assert theta(kern, x, y) == pytest.approx(_theta_nested(al, k, x, y),
+                                                  rel=1e-12)
 
 
-def test_theta_resonant_alpha_refuses_symbolic():
-    # alpha = 0: the u-step integrates an exponent -1 power
-    al0 = AlphaParam(0.0)
-    kern = ThetaKernel(al0, 1)
-    with pytest.raises(ResonantAlphaError):
-        theta(kern, 1.0, 0.5)
-    # ... while the numeric path still works
-    num = ThetaKernel(al0, 1, eval_mode="numeric_nested")
-    assert np.isfinite(theta(num, 1.0, 0.5))
+@pytest.mark.parametrize("a,k", [(0.0, 2), (0.0, 3), (1.0, 4)])
+def test_theta_resonant_alpha_has_log_terms(a, k):
+    # an antiderivative exponent reaches -1: Theta_{k-1} gets a log term,
+    # and the Taylor identity holds as at any other alpha
+    al = AlphaParam(a)
+    assert any(j for _c, _sp, _e, j in ThetaKernel(al, k - 1).term_table(1.1))
+    for x, pt in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
+        scale = abs(translate(al, F, x, pt)) + 1.0
+        assert taylor_identity_residual(al, k, F, x, pt) / scale < 1e-12
+        assert remainder(al, k, F, x, pt) == pytest.approx(
+            remainder(al, k, F, x, pt, mode="recurrence"), rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("ee", [1.0, 3.0])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("x,split", [(1.3, 0.0), (-0.6, 0.0), (2.5, 1.7)])
+def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, split):
+    # one term |y|^e log^j |y| (e = ee - 2a - 1): the rule on (0, hi) after
+    # z = hi t^3, and z^ee log^j z as a factor on the Legendre piece
+    al = AlphaParam(0.0)
+    monkeypatch.setattr(taylor, "_theta_terms",
+                        lambda a, k, v: ((1.0, 0, ee - al.weight_exp, j),))
+    got = taylor._theta_weighted_integral(
+        al, 0, x, lambda ys, rows: np.cos(1.3 * ys) + 0.2 * ys, split)
+    ref, _ = sint.quad(lambda z: z ** ee * math.log(z) ** j * 2.0
+                       * math.cos(1.3 * z), 0.0, abs(x), epsabs=1e-14,
+                       epsrel=1e-13, points=[split] if split else None)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_theta_mass_against_coefficient_bound():
