@@ -1,15 +1,16 @@
 """Command-line interface.
 
-    dunkl-lab kernel    --alpha A --t T [--x-min .. --x-max .. --x-count ..]
-    dunkl-lab translate --alpha A --function NAME --x X [y-grid flags]
+    dunkl-lab kernel    --alpha A --t T [--x-max ..]
+    dunkl-lab translate --alpha A --function NAME --x X [--x-max ..]
     dunkl-lab taylor    --alpha A --k K --function NAME --x X --a A0
     dunkl-lab besov     --alpha A --k K --p P --q Q --beta B --function NAME
     dunkl-lab sweep     [--config FILE] [flags]      -> smoothness/convolution CSVs
     dunkl-lab verify    [--config FILE] [--paper-defaults] [--suite NAME ...]
 
 Configuration is a single JSON document; command-line flags override its
-fields.  `--paper-defaults` pins the canonical reproduction matrix.  CSV
-floats are printed with 17 significant digits so they round-trip exactly.
+fields, and a command takes only those it reads (COMMAND_FIELDS).
+`--paper-defaults` pins the canonical reproduction matrix.  CSV floats are
+printed with 17 significant digits so they round-trip exactly.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration,
 input or I/O error (one line on stderr, no traceback).
@@ -42,11 +43,22 @@ class ConfigError(ValueError):
     pass
 
 
-#: flags and config-file fields that verify would ignore, because it runs
-#: the fixed matrix of verify.DEFAULT_* on verify's own test functions
-_VERIFY_IGNORED_FLAGS = ("--alpha", "--k", "--p", "--q", "--beta", "--function",
-                        "--t", "--x", "--a", "--x-min", "--x-max",
-                        "--points-per-decade", "--format")
+_GRID_TABLE = ("alpha", "k", "p", "q", "beta", "function", "function_record",
+               "x_min", "x_max", "points_per_decade", "out_dir", "fmt")
+#: the RunConfig fields each command reads; a flag or config-file field
+#: that its command would ignore is a configuration error (verify runs the
+#: fixed matrix of verify.DEFAULT_* on verify's own test functions)
+COMMAND_FIELDS = {
+    "kernel": ("alpha", "t", "x_max", "out_dir", "fmt"),
+    "translate": ("alpha", "function", "function_record", "x", "x_max",
+                  "out_dir", "fmt"),
+    "taylor": ("alpha", "k", "function", "function_record", "x", "a"),
+    "besov": _GRID_TABLE,
+    "sweep": _GRID_TABLE,
+    "verify": ("suites", "paper_defaults", "out_dir", "report_path"),
+}
+#: flag spellings that differ from "--" + the field name with dashes
+_FLAG_NAMES = {"fmt": "--format", "suites": "--suite"}
 
 
 @dataclass
@@ -114,46 +126,23 @@ def _load_config(args) -> RunConfig:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError("a config file holds one JSON object")
-    if args.command == "verify":
-        ignored = [_dest(flag) for flag in _VERIFY_IGNORED_FLAGS]
-        given = [flag for flag, key in zip(_VERIFY_IGNORED_FLAGS, ignored)
-                 if getattr(args, key) is not None]
-        given += [f"config field {key!r}" for key in doc
-                  if key in ignored + ["function_record"]]
-        if given:
-            raise ConfigError(f"verify does not take {', '.join(given)}")
+    flags = {key: val for key, val in vars(args).items()
+             if key not in ("command", "config") and val is not None}
+    reads = COMMAND_FIELDS[args.command]
+    given = [_FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+             for key in flags if key not in reads]
+    given += [f"config field {key!r}" for key in doc if key not in reads]
+    if given:
+        raise ConfigError(f"{args.command} does not take {', '.join(given)}")
     cfg = RunConfig(command=args.command)
-    for key, val in doc.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        if key == "q" and val == "inf":
-            val = math.inf
+    for key, val in list(doc.items()) + list(flags.items()):
+        if key == "q":
+            val = math.inf if val == "inf" else float(val)
         setattr(cfg, key, val)
-    overrides = {
-        "alpha": "alpha", "k": "k", "p": "p", "beta": "beta",
-        "function": "function", "t": "t", "x": "x", "a": "a",
-        "x_min": "x_min", "x_max": "x_max",
-        "points_per_decade": "points_per_decade", "out_dir": "out_dir",
-        "fmt": "fmt", "report_path": "report_path",
-    }
-    for flag, fld in overrides.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, fld, val)
-    q = getattr(args, "q", None)
-    if q is not None:
-        cfg.q = math.inf if q == "inf" else float(q)
-    if getattr(args, "suite", None):
-        cfg.suites = list(args.suite)
-    if getattr(args, "paper_defaults", False):
-        cfg.paper_defaults = True
+    if cfg.paper_defaults:
         cfg.suites = list(V.SUITES)
     cfg.validate()
     return cfg
-
-
-def _dest(flag: str) -> str:
-    return "fmt" if flag == "--format" else flag[2:].replace("-", "_")
 
 
 def _fmt(v: float) -> str:
@@ -206,11 +195,11 @@ def cmd_translate(cfg: RunConfig) -> int:
 def cmd_taylor(cfg: RunConfig) -> int:
     al = AlphaParam(cfg.alpha)
     f = cfg.resolve_function()
-    rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a, mode="integral")
+    rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a)
     out = {
         "remainder_integral": rem,
-        "remainder_recurrence": T.remainder(al, cfg.k, f, cfg.x, cfg.a,
-                                            mode="recurrence"),
+        "remainder_recurrence": float(T.remainder_profile(al, cfg.k, f,
+                                                          cfg.x)(cfg.a)),
         "identity_residual": T.taylor_identity_residual(al, cfg.k, f, cfg.x,
                                                         cfg.a, rem=rem),
         "theta_mass": T.theta_mass(al, cfg.k, cfg.x),
@@ -322,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", dest="out_dir")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
         sp.add_argument("--report-path", dest="report_path")
-        sp.add_argument("--suite", action="append",
+        sp.add_argument("--suite", dest="suites", action="append",
                         help=f"restrict verify to a suite "
                              f"({', '.join(V.SUITES)}); repeatable")
-        sp.add_argument("--paper-defaults", action="store_true",
+        sp.add_argument("--paper-defaults", action="store_true", default=None,
                         help="run the canonical reproduction matrix")
     return ap
 

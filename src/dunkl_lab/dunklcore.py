@@ -35,7 +35,7 @@ from scipy.special import ive
 
 from .special import AlphaParam, dunkl_kernel_it
 from .funcalg import GaussPolyFunction, dunkl_apply
-from .quad import QuadSpec, DEFAULT_SPEC, jacobi_rule, rowdot, _jacobi_ref
+from .quad import DEFAULT_SPEC, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
     "TranslationMeasure",
@@ -114,20 +114,18 @@ def w_kernel(alpha: AlphaParam, x: float, y: float, z):
     return out if np.ndim(z) else float(out[0])
 
 
-def translate(alpha: AlphaParam, f: Callable, x: float, y: float,
-              n: int = TRANSLATE_NODES):
+def translate(alpha: AlphaParam, f: Callable, x: float, y: float):
     """Dunkl translation tau_x(f)(y) at one point."""
-    v = translate_many(alpha, f, x, y, n=n)[()]
+    v = translate_many(alpha, f, x, y)[()]
     return complex(v) if np.iscomplexobj(v) else float(v)
 
 
-def translate_many(alpha: AlphaParam, f: Callable, x, ys,
-                   n: int = TRANSLATE_NODES):
+def translate_many(alpha: AlphaParam, f: Callable, x, ys):
     """Vectorized tau_x(f)(y); x is a scalar or an array that broadcasts
     against ys, and the result has the broadcast shape.
 
     A GaussPolyFunction with gauss_scale > 0 is translated in closed form;
-    any other callable goes through the n-node Gauss-Jacobi rule.  Points
+    any other callable goes through the 48-node Gauss-Jacobi rule.  Points
     with x = 0 or y = 0 take the point-mass value f(x + y).
     """
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
@@ -135,8 +133,8 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys,
     xv, yv = xb.ravel(), yb.ravel()
     mass = (xv == 0.0) | (yv == 0.0)
     if not mass.any():
-        return _translate_moving(alpha, f, xv, yv, n).reshape(xb.shape)
-    vals = _translate_moving(alpha, f, xv[~mass], yv[~mass], n)
+        return _translate_moving(alpha, f, xv, yv).reshape(xb.shape)
+    vals = _translate_moving(alpha, f, xv[~mass], yv[~mass])
     fm = np.asarray(f(xv[mass] + yv[mass])).ravel()
     out = np.empty(xv.size, dtype=np.result_type(vals, fm))
     out[~mass] = vals
@@ -144,19 +142,19 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys,
     return out.reshape(xb.shape)
 
 
-def _translate_moving(alpha: AlphaParam, f: Callable, x, y, n: int):
+def _translate_moving(alpha: AlphaParam, f: Callable, x, y):
     """tau_x(f)(y) for x, y != 0 (1-d arrays), in blocks of bounded size."""
     if isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0:
         return _translate_closed(alpha, f, x, y)
-    step = max(1, _BLOCK // n)
+    step = max(1, _BLOCK // TRANSLATE_NODES)
     if x.size <= step:
-        return _translate_quadrature(alpha, f, x, y, n)
+        return _translate_quadrature(alpha, f, x, y)
     return np.concatenate([_translate_quadrature(alpha, f, x[i:i + step],
-                                                 y[i:i + step], n)
+                                                 y[i:i + step])
                            for i in range(0, x.size, step)])
 
 
-def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y, n: int):
+def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y):
     """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u.
 
     With t the Jacobi node, u = z^2 = x^2 + y^2 + 2|x||y|t and every term is
@@ -164,9 +162,10 @@ def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y, n: int):
     b0 = 1 + sgn(xy) t, q = x + y + t(sgn(x)|y| + sgn(y)|x|), and the
     half-width r = 2|x||y| cancels the density's (|x||y|)^(-2a) exactly.
     z and q are scaled by m = max(|x|, |y|), so q / z is free of underflow.
+    One dot product per point (rowdot): no value depends on the call.
     """
     a = alpha.alpha
-    xj, wj = _jacobi_ref(n, a - 0.5, a - 0.5)
+    xj, wj = _jacobi_ref(TRANSLATE_NODES, a - 0.5, a - 0.5)
     m = np.maximum(np.abs(x), np.abs(y))[:, None]
     xs, ys = x[:, None] / m, y[:, None] / m
     axs, ays = np.abs(xs), np.abs(ys)
@@ -178,7 +177,7 @@ def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y, n: int):
     q = xs + ys + xj[None, :] * (np.sign(xs) * ays + np.sign(ys) * axs)
     s = (fz + fmz) * b0 + (fz - fmz) * (q / zs)
     pref = _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const)
-    return pref * (s @ wj)
+    return pref * rowdot(s, wj)
 
 
 def _dunkl_step(P, Q, sx: float, s: float, c: float):
@@ -280,8 +279,7 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
     return out
 
 
-def w_total_variation(alpha: AlphaParam, x: float, y: float,
-                      spec: QuadSpec = DEFAULT_SPEC) -> float:
+def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
     """int |W_a(x,y,.)| dmu_a over the full support (both sign branches), in
     the node t and the terms of _translate_quadrature, so exact at |xy| -> 0."""
     if x == 0.0 or y == 0.0:
@@ -298,25 +296,24 @@ def w_total_variation(alpha: AlphaParam, x: float, y: float,
         return abs(b0 + q) + abs(b0 - q)
 
     res = sint.quad(g, -1.0, 1.0, weight="alg", wvar=(a - 0.5, a - 0.5),
-                    epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions, full_output=True)
+                    epsabs=DEFAULT_SPEC.abs_tol, epsrel=DEFAULT_SPEC.rel_tol,
+                    limit=DEFAULT_SPEC.max_subdivisions, full_output=True)
     return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * res[0]
 
 
 def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
-             T: float = None, n_outer: int = 120,
-             n_translate: int = TRANSLATE_NODES):
+             T: float = None):
     """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
     a scalar x or an array of x (the result has its shape).
 
-    g must decay; T truncates the outer integral (default from g's
+    g must decay; T truncates the 120-node outer rule (default from g's
     support_hint when available).  One translate_many call takes the nodes
     -y and y for a block of x values, at most _BLOCK points in all; when f
     is translated in closed form, each value equals a scalar call's bit for
     bit."""
     if T is None:
         T = getattr(g, "support_hint", None) or 10.0
-    y, w = jacobi_rule(n_outer, alpha.weight_exp, 0.0, 0.0, T)
+    y, w = jacobi_rule(120, alpha.weight_exp, 0.0, 0.0, T)
     ypm = np.concatenate([-y, y])
     gy = np.asarray(g(y))
     gmy = np.asarray(g(-y))
@@ -324,17 +321,17 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
     step = max(1, _BLOCK // ypm.size)
     out = []
     for i in range(0, xv.shape[0], step):
-        tau = translate_many(alpha, f, xv[i:i + step], ypm, n=n_translate)
-        out.append(rowdot(w, tau[:, :n_outer] * gy + tau[:, n_outer:] * gmy))
+        tau = translate_many(alpha, f, xv[i:i + step], ypm)
+        out.append(rowdot(w, tau[:, :y.size] * gy + tau[:, y.size:] * gmy))
     return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
 
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi: float,
-                    T: float = None, n: int = 200) -> complex:
+                    T: float = None) -> complex:
     """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y)."""
     if T is None:
         T = getattr(f, "support_hint", None) or 10.0
-    y, w = jacobi_rule(n, alpha.weight_exp, 0.0, 0.0, T)
+    y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
     ep = dunkl_kernel_it(alpha, -xi, y)
     em = dunkl_kernel_it(alpha, xi, y)
     fy = np.asarray(f(y))
@@ -343,20 +340,20 @@ def dunkl_transform(alpha: AlphaParam, f: Callable, xi: float,
 
 
 def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
-                                   t: float, x: float, T: float = None,
-                                   n_outer: int = 120) -> float:
+                                   t: float, x: float,
+                                   T: float = None) -> float:
     """Max pairwise discrepancy of tau_t(f *_a h), tau_t(f) *_a h and
     f *_a tau_t(h) at the point x."""
     if T is None:
         Tf = getattr(f, "support_hint", None) or 10.0
         Th = getattr(h, "support_hint", None) or 10.0
         T = max(Tf, Th) + abs(t)
-    conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T, n_outer=n_outer)
+    conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T)
     v1 = translate(alpha, conv_fh, t, x)
     tf = lambda ys: translate_many(alpha, f, t, ys)
-    v2 = convolve(alpha, tf, h, x, T=T, n_outer=n_outer)
+    v2 = convolve(alpha, tf, h, x, T=T)
     th = lambda ys: translate_many(alpha, h, t, ys)
-    v3 = convolve(alpha, f, th, x, T=T, n_outer=n_outer)
+    v3 = convolve(alpha, f, th, x, T=T)
     return max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .special import AlphaParam, pochhammer
 from .funcalg import GaussPolyFunction, dunkl_power
-from .quad import QuadSpec, DEFAULT_SPEC, integrate, jacobi_rule, rowdot
+from .quad import integrate, jacobi_rule, rowdot
 from .dunklcore import translate, translate_many
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "taylor_identity_residual",
     "remainder_recursion_residual",
     "iterated_integral_I",
-    "symmetric_remainder",
     "symmetric_remainder_residual",
 ]
 
@@ -55,8 +54,16 @@ def b_coeff(alpha, p: int, x) -> float:
     a = alpha.alpha if isinstance(alpha, AlphaParam) else float(alpha)
     m, odd = divmod(p, 2)
     den = pochhammer(a + 1.0, m + odd) * math.factorial(m)
-    x = np.asarray(x, dtype=float)
-    val = (x / 2.0) ** p / den
+    # layout-free b_p(x), as numpy's array power rounds unlike the scalar
+    # one: h * h is correctly rounded, higher powers go element by element
+    h = np.asarray(x, dtype=float) / 2.0
+    if p == 2:
+        hp = h * h
+    elif p > 2:
+        hp = np.reshape([v ** p for v in h.ravel().tolist()], h.shape)
+    else:
+        hp = h ** p
+    val = hp / den
     return val if val.ndim else float(val)
 
 
@@ -71,20 +78,24 @@ def b_poly(alpha, p: int) -> GaussPolyFunction:
 def _integrate_terms_from(terms, ax: float):
     """Antiderivative step: terms(z) -> int_m^ax terms(z) dz as terms of m,
     for z > 0 (so sgn factors are 1).  z^e log^j z integrates to
-    z^(e+1) sum_i (-1)^i j!/(j-i)! log^(j-i) z / (e+1)^(i+1), and for
-    e = -1 to log^(j+1) z / (j+1)."""
+    z^(e+1) sum_i (-1)^i j!/(j-i)! log^(j-i) z / (e+1)^(i+1).  Where those
+    cancel, |eps| < 1e-4 with eps = e + 1, z^e = z^-1 sum_i (eps log z)^i / i!
+    gives sum_i eps^i log^(i+j+1) z / (i! (i+j+1)) (one term at eps = 0)."""
     out = []
     lax = math.log(ax)
     for c, _sp, e, j in terms:
-        if abs(e + 1.0) < 1e-9:
-            out.append((c * lax ** (j + 1) / (j + 1), 0, 0.0, 0))
-            out.append((-c / (j + 1), 0, 0.0, j + 1))
+        eps = e + 1.0
+        if abs(eps) < 1e-4:
+            for i in range(8 if eps else 1):
+                d, lp = math.factorial(i), i + j + 1
+                out.append((c * eps ** i * lax ** lp / (d * lp), 0, 0.0, 0))
+                out.append((-c * eps ** i / (d * lp), 0, 0.0, lp))
             continue
         for i in range(j + 1):
             d = (-1) ** i * math.perm(j, i)
-            out.append((c * ax ** (e + 1.0) * (d * lax ** (j - i))
-                        / (e + 1.0) ** (i + 1), 0, 0.0, 0))
-            out.append((-c * d / (e + 1.0) ** (i + 1), 0, e + 1.0, j - i))
+            out.append((c * ax ** eps * (d * lax ** (j - i))
+                        / eps ** (i + 1), 0, 0.0, 0))
+            out.append((-c * d / eps ** (i + 1), 0, eps, j - i))
     return out
 
 
@@ -153,8 +164,7 @@ def theta(kernel: ThetaKernel, x: float, y: float) -> float:
     return float(_eval_terms(kernel.term_table(x), y))
 
 
-def theta_mass(alpha: AlphaParam, k: int, x: float,
-               spec: QuadSpec = DEFAULT_SPEC) -> float:
+def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy."""
     if x == 0.0:
         raise ValueError("x must be nonzero")
@@ -165,7 +175,7 @@ def theta_mass(alpha: AlphaParam, k: int, x: float,
     def g(y):
         return (abs(_eval_terms(terms, y)) + abs(_eval_terms(terms, -y))) * y ** we
 
-    val, _ = integrate(g, 0.0, ax, spec)
+    val, _ = integrate(g, 0.0, ax)
     return val
 
 
@@ -256,85 +266,75 @@ def _translate_profile(alpha: AlphaParam, f: Callable, a) -> Callable:
 
 # -- the remainder -------------------------------------------------------------
 
-def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x: float,
-              a: float, mode: str = "integral", n: int = 40) -> float:
-    """Integral remainder R_k(x, f)(a) of the generalized Taylor formula.
+def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
+    """Integral remainder R_k(x, f)(a) of the generalized Taylor formula,
 
-    integral mode:   int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy
-                     (x and a may be arrays: one row per broadcast pair)
-    recurrence mode: tau_x(f)(a) - sum_{p<k} b_p(x) L^p f(a)
-    """
+        int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy;
+
+    x and a may be arrays (one row per broadcast pair).  remainder_profile
+    gives the same remainder in its recurrence form."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
-    if mode == "recurrence":
-        val = translate(alpha, f, x, a)
-        for p in range(k):
-            val -= b_coeff(alpha, p, x) * dunkl_power(alpha, f, p)(a)
-        return float(val)
-    if mode != "integral":
-        raise ValueError(f"unknown mode {mode!r}")
     g = dunkl_power(alpha, f, k)
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
     return _theta_weighted_integral(alpha, k - 1, x,
-                                    _translate_profile(alpha, g, a),
-                                    np.abs(a), n=n)
+                                    _translate_profile(alpha, g, a), np.abs(a))
 
 
 def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                      x: float) -> Callable:
-    """u |-> R_k(x, f)(u), vectorized (recurrence form)."""
+                      x) -> Callable:
+    """u |-> R_k(x, f)(u) = tau_x f(u) - sum_{p<k} b_p(x) L^p f(u), vectorized
+    (the recurrence form; R_0 = tau_x f).  x is a scalar or an array that
+    broadcasts against u."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    x = np.asarray(x, dtype=float)
     consts = [(b_coeff(alpha, p, x), dunkl_power(alpha, f, p))
               for p in range(k)]
 
     def prof(us):
+        us = np.asarray(us, dtype=float)
         val = translate_many(alpha, f, x, us)
         for bp, lpf in consts:
-            val = val - bp * lpf(np.asarray(us, dtype=float))
+            val = val - bp * lpf(us)
         return val
 
     return prof
 
 
 def taylor_identity_residual(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                             x: float, a: float, n: int = 40,
+                             x: float, a: float,
                              rem: Optional[float] = None,
                              tau: Optional[float] = None) -> float:
     """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)| with the
-    integral-mode remainder; `rem` is that remainder and `tau` is
-    tau_x f(a) when the caller has them already (say, from one remainder
-    call over many (x, a))."""
+    integral remainder; `rem` is that remainder and `tau` is tau_x f(a)
+    when the caller has them already (say, from one remainder call over
+    many (x, a))."""
     lhs = translate(alpha, f, x, a) if tau is None else tau
     rhs = sum(b_coeff(alpha, p, x) * dunkl_power(alpha, f, p)(a)
               for p in range(k))
-    rhs += remainder(alpha, k, f, x, a, n=n) if rem is None else rem
+    rhs += remainder(alpha, k, f, x, a) if rem is None else rem
     return abs(lhs - rhs)
 
 
 def remainder_recursion_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x: float, a: float,
-                                 n: int = 40) -> float:
+                                 f: GaussPolyFunction, x: float,
+                                 a: float) -> float:
     """Residual of R_k(x,f)(a) = int Theta_0(x,y) R_{k-1}(y, Lf)(a) A(y) dy."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lhs = remainder(alpha, k, f, x, a, mode="recurrence")
+    lhs = remainder_profile(alpha, k, f, x)(a)
     lf = dunkl_power(alpha, f, 1)
-    consts = [(p, dunkl_power(alpha, lf, p)(a)) for p in range(k - 1)]
-    tprof = _translate_profile(alpha, lf, a)
-
-    def inner_rem(ys, rows):
-        val = np.asarray(tprof(ys, rows), dtype=float).copy()
-        for p, lpval in consts:
-            val -= b_coeff(alpha, p, ys) * lpval
-        return val
-
-    rhs = _theta_weighted_integral(alpha, 0, x, inner_rem, abs(a), n=n)
-    return abs(lhs - rhs)
+    rhs = _theta_weighted_integral(
+        alpha, 0, x,
+        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a), abs(a))
+    return float(abs(lhs - rhs))
 
 
 def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                        x, a: float, n: int = 40, n_cheb: int = 48):
+                        x, a: float, n_cheb: int = 48):
     """I_k(x, f)(a): k-fold Theta_0-weighted iterate of the translation, for
     a scalar x or an array of x (the result has its shape).
 
@@ -352,11 +352,11 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction,
     if k == 1:
         return _theta_weighted_integral(alpha, 0, x,
                                         _translate_profile(alpha, f, a),
-                                        abs(a), n=n)
+                                        abs(a))
     nodes = cheb_nodes(n_cheb, 0.0, np.abs(np.asarray(x, dtype=float))[..., None])
     vals = iterated_integral_I(alpha, k - 1, f,
                                np.concatenate([nodes, -nodes], axis=-1), a,
-                               n=n, n_cheb=n_cheb).reshape(-1, 2 * n_cheb)
+                               n_cheb=n_cheb).reshape(-1, 2 * n_cheb)
     interp = [(cheb_interpolator(nd, v[:n_cheb]), cheb_interpolator(nd, v[n_cheb:]))
               for nd, v in zip(nodes.reshape(-1, n_cheb), vals)]
 
@@ -366,7 +366,7 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                           for y in yr]
                          for yr, (ip, im) in zip(ys, (interp[r] for r in rows))])
 
-    return _theta_weighted_integral(alpha, 0, x, h, abs(a), n=n)
+    return _theta_weighted_integral(alpha, 0, x, h, abs(a))
 
 
 def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:
@@ -392,36 +392,31 @@ def remainder_norm_coeff_same_order(alpha: AlphaParam, k: int,
 
 # -- the symmetric remainder ---------------------------------------------------
 
-def symmetric_remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                        x: float, a: float) -> float:
-    """R_k(x,f)(a) + R_k(-x,f)(a) via the even-coefficient form
-    tau_x f + tau_{-x} f - 2 sum_{2i <= k-1} b_{2i}(x) L^{2i} f."""
-    val = translate(alpha, f, x, a) + translate(alpha, f, -x, a)
-    for i in range((k - 1) // 2 + 1):
-        val -= 2.0 * b_coeff(alpha, 2 * i, x) * dunkl_power(alpha, f, 2 * i)(a)
-    return float(val)
-
-
 def symmetric_remainder_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x: float, a: float,
-                                 n: int = 40) -> float:
-    """Residual between the even-coefficient form and the two integral-mode
+                                 f: GaussPolyFunction, x: float,
+                                 a: float) -> float:
+    """Residual between the even-coefficient form and the two integral
     remainders summed directly."""
-    direct = (remainder(alpha, k, f, x, a, mode="integral", n=n)
-              + remainder(alpha, k, f, -x, a, mode="integral", n=n))
-    return abs(direct - symmetric_remainder(alpha, k, f, x, a))
+    direct = remainder(alpha, k, f, x, a) + remainder(alpha, k, f, -x, a)
+    return float(abs(direct - symmetric_remainder_profile(alpha, k, f, x)(a)))
 
 
 def symmetric_remainder_profile(alpha: AlphaParam, k: int,
-                                f: GaussPolyFunction, x: float) -> Callable:
-    """u |-> R_k(x,f)(u) + R_k(-x,f)(u), vectorized."""
+                                f: GaussPolyFunction, x) -> Callable:
+    """u |-> R_k(x,f)(u) + R_k(-x,f)(u), vectorized, in the even-coefficient
+    form tau_x f + tau_{-x} f - 2 sum_{2i <= k-1} b_{2i}(x) L^{2i} f (k = 0
+    gives tau_x f + tau_{-x} f).  x is a scalar or an array that broadcasts
+    against u."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    x = np.asarray(x, dtype=float)
     consts = [(2.0 * b_coeff(alpha, 2 * i, x), dunkl_power(alpha, f, 2 * i))
               for i in range((k - 1) // 2 + 1)]
 
     def prof(us):
         us = np.asarray(us, dtype=float)
-        xpm = np.reshape([x, -x], (2,) + (1,) * us.ndim)
-        tau = translate_many(alpha, f, xpm, us)
+        xb, ub = np.broadcast_arrays(x, us)
+        tau = translate_many(alpha, f, np.stack([xb, -xb]), ub)
         val = tau[0] + tau[1]
         for c, lpf in consts:
             val = val - c * lpf(us)

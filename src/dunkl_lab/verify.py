@@ -213,12 +213,11 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         for k in ks:
             w_step = w_rec = w_sym = 0.0
             for x, pt in samples:
-                lhs = T.remainder(al, k, f, x, pt, mode="integral")
+                lhs = T.remainder(al, k, f, x, pt)
                 if k == 1:
-                    rhs = translate(al, f, x, pt) \
-                        - T.b_coeff(al, 0, x) * f(np.float64(pt))
+                    rhs = T.remainder_profile(al, 1, f, x)(pt)
                 else:
-                    rhs = (T.remainder(al, k - 1, f, x, pt, mode="integral")
+                    rhs = (T.remainder(al, k - 1, f, x, pt)
                            - T.b_coeff(al, k - 1, x)
                            * dunkl_power(al, f, k - 1)(np.float64(pt)))
                 w_step = max(w_step, abs(lhs - rhs))
@@ -241,8 +240,7 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
                 g = lambda aa, _x=x, _k=k: T.iterated_integral_I(
                     al, _k, f, _x, aa, n_cheb=32)
                 lhs = dunkl_fd_power(al, g, pt if pt else 0.45, k, h=2e-3)
-                rhs = T.remainder(al, k, f, x, pt if pt else 0.45,
-                                  mode="recurrence")
+                rhs = T.remainder_profile(al, k, f, x)(pt if pt else 0.45)
                 w_rem = max(w_rem, abs(lhs - rhs) / (1.0 + abs(rhs)))
                 if k == 1:
                     lhs2 = dunkl_fd_power(al, g, pt if pt else 0.45, 2, h=2e-3)
@@ -289,9 +287,7 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
                     nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1), T=14.0)
                     for x in xs:
                         rm = _numeric_lp(al, p, T.remainder_profile(
-                            al, k - 1, f, x) if k > 1 else
-                            (lambda ys, _x=x: translate_many(al, f, _x, ys)),
-                            T=18.0)
+                            al, k - 1, f, x), T=18.0)
                         worst_lo = max(worst_lo,
                                        rm - T.remainder_norm_coeff(al, k, x) * nk)
                         rs = _numeric_lp(al, p, T.remainder_profile(

@@ -298,7 +298,7 @@ def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
     def broken(*args, **kw):
         raise RuntimeError("no omega_tilde profile")
 
-    monkeypatch.setattr(B, "symmetric_remainder_profile", broken)
+    monkeypatch.setattr(B, "_omega_tilde_profile", broken)
     checks = verify.suite_besov(alphas=(-0.25,), ks=(1,), qs=(1.0,),
                                 betas=(0.3,))
     by_id = {c["id"]: c for c in checks}

@@ -57,7 +57,7 @@ def test_config_file_q_inf_and_flag_override(tmp_path):
     # flags win over the file; the merged config must still validate
     from dunkl_lab.cli import _load_config, build_parser
     args = build_parser().parse_args(
-        ["taylor", "--config", str(cfg), "--alpha", "0.5"])
+        ["sweep", "--config", str(cfg), "--alpha", "0.5"])
     merged = _load_config(args)
     assert merged.alpha == 0.5
     assert merged.k == 3
@@ -230,3 +230,62 @@ def test_verify_rejects_the_config_fields_it_ignores(tmp_path, capsys):
                                "report_path": "r.json"}))
     assert run(["verify", "--config", str(cfg)]) == EXIT_OK
     assert (out / "r.json").exists()
+
+
+#: an accepted value for every flag and for every config-file field
+_FLAG_VALUES = {"--alpha": "0.5", "--k": "2", "--p": "2", "--q": "inf",
+                "--beta": "0.5", "--function": "gaussian", "--t": "1",
+                "--x": "0.9", "--a": "0.3", "--x-min": "0.01",
+                "--x-max": "10", "--points-per-decade": "1",
+                "--format": "json", "--report-path": "r.json",
+                "--suite": "kernel", "--paper-defaults": None}
+_FIELD_VALUES = {"alpha": 0.5, "k": 2, "p": 2.0, "q": "inf", "beta": 0.5,
+                 "function": "gaussian",
+                 "function_record": {"coeffs": [1.0], "gauss_scale": 1.0},
+                 "t": 1.0, "x": 0.9, "a": 0.3, "x_min": 0.01, "x_max": 10.0,
+                 "points_per_decade": 1, "fmt": "json",
+                 "report_path": "r.json", "suites": ["kernel"],
+                 "paper_defaults": False, "command": "kernel"}
+
+
+def _field(flag):
+    return {"--format": "fmt", "--suite": "suites"}.get(
+        flag, flag[2:].replace("-", "_"))
+
+
+def _argv(flags):
+    out = []
+    for flag in flags:
+        out += [flag] if _FLAG_VALUES[flag] is None else [flag, _FLAG_VALUES[flag]]
+    return out
+
+
+@pytest.mark.parametrize("command", ["kernel", "translate", "taylor", "besov",
+                                     "sweep", "verify"])
+def test_commands_reject_the_flags_and_fields_they_ignore(tmp_path, capsys,
+                                                          command):
+    from dunkl_lab.cli import COMMAND_FIELDS, _load_config, build_parser
+    reads = COMMAND_FIELDS[command]
+    out = tmp_path / "out"
+    ignored = [f for f in _FLAG_VALUES if _field(f) not in reads]
+    assert ignored
+    assert run([command] + _argv(ignored) + ["--out-dir", str(out)]) \
+        == EXIT_CONFIG
+    err = _one_error_line(capsys)
+    assert err.startswith(f"configuration error: {command} does not take")
+    assert all(flag in err for flag in ignored)
+    assert not out.exists()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: val for key, val in _FIELD_VALUES.items()
+                               if key not in reads}))
+    assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+    err = _one_error_line(capsys)
+    assert all(f"'{key}'" in err for key in _FIELD_VALUES if key not in reads)
+    # every flag and field the command reads is taken
+    read_flags = [f for f in _FLAG_VALUES if _field(f) in reads]
+    cfg.write_text(json.dumps({key: val for key, val in _FIELD_VALUES.items()
+                               if key in reads}))
+    merged = _load_config(build_parser().parse_args(
+        [command, "--config", str(cfg)] + _argv(read_flags)))
+    assert merged.command == command
+

@@ -86,6 +86,23 @@ def test_translate_many_matches_scalar_and_shapes():
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_quadrature_translate_does_not_depend_on_its_call(alpha):
+    # a callable goes through the Gauss-Jacobi rule; each point's nodes are
+    # summed by their own dot product, so a point's value is the same bit
+    # for bit whichever points share its call (401 points span two blocks)
+    al = AlphaParam(alpha)
+    cubic = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+    g = lambda z: cubic(z)
+    ys = np.linspace(-5.0, 5.0, 401)
+    many = translate_many(al, g, 0.7, ys)
+    assert many.tolist() == [translate(al, g, 0.7, y) for y in ys.tolist()]
+    tf = lambda z: translate_many(al, cubic, 0.6, z)
+    us = np.linspace(-3.0, 3.0, 12)
+    assert convolve(al, tf, GAUSS, us).tolist() == \
+        [convolve(al, tf, GAUSS, u) for u in us.tolist()]
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
 def test_total_variation_bounded_by_sqrt2(alpha):
     al = AlphaParam(alpha)
     rng = np.random.default_rng(11)

@@ -8,14 +8,15 @@ from scipy import integrate as sint
 from dunkl_lab import taylor
 from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
-from dunkl_lab.dunklcore import translate
+from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.quad import integrate, QuadSpec
 from dunkl_lab.taylor import (b_coeff, b_poly,
                               ThetaKernel, theta, theta_mass, theta0_moment,
                               remainder, remainder_profile,
                               taylor_identity_residual,
                               remainder_recursion_residual,
-                              iterated_integral_I, symmetric_remainder,
+                              iterated_integral_I,
+                              symmetric_remainder_profile,
                               symmetric_remainder_residual,
                               remainder_norm_coeff,
                               remainder_norm_coeff_same_order)
@@ -124,7 +125,7 @@ def test_theta_resonant_alpha_has_log_terms(a, k):
         scale = abs(translate(al, F, x, pt)) + 1.0
         assert taylor_identity_residual(al, k, F, x, pt) / scale < 1e-12
         assert remainder(al, k, F, x, pt) == pytest.approx(
-            remainder(al, k, F, x, pt, mode="recurrence"), rel=1e-10, abs=1e-13)
+            remainder_profile(al, k, F, x)(pt), rel=1e-10, abs=1e-13)
 
 
 @pytest.mark.parametrize("ee", [1.0, 3.0])
@@ -161,14 +162,15 @@ def test_theta0_moment_is_next_coefficient():
 
 
 def test_remainder_modes_agree():
+    # the integral remainder against the recurrence form of the profile
     for x, a in [(0.8, 0.3), (-1.2, 0.0), (1.7, -0.9)]:
-        ri = remainder(AL, 2, F, x, a, mode="integral")
-        rr = remainder(AL, 2, F, x, a, mode="recurrence")
+        ri = remainder(AL, 2, F, x, a)
+        rr = remainder_profile(AL, 2, F, x)(a)
         assert ri == pytest.approx(rr, rel=1e-9, abs=1e-11)
     with pytest.raises(ValueError):
-        remainder(AL, 2, F, 0.5, 0.1, mode="bogus")
-    with pytest.raises(ValueError):
         remainder(AL, 0, F, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        remainder_profile(AL, -1, F, 0.5)
 
 
 def test_taylor_exact_for_low_degree_polynomials():
@@ -178,8 +180,7 @@ def test_taylor_exact_for_low_degree_polynomials():
     assert dunkl_power(AL, f, 3).coeffs == (0.0,)
     rhs = sum(b_coeff(AL, p, x) * dunkl_power(AL, f, p)(a) for p in range(3))
     assert translate(AL, f, x, a) == pytest.approx(rhs, rel=1e-12)
-    assert remainder(AL, 3, f, x, a, mode="integral") == pytest.approx(
-        0.0, abs=1e-14)
+    assert remainder(AL, 3, f, x, a) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -197,8 +198,47 @@ def test_remainder_recursion():
 def test_remainder_profile_vectorizes():
     prof = remainder_profile(AL, 2, F, 0.9)
     us = np.array([-0.8, 0.0, 0.5, 1.3])
-    ref = [remainder(AL, 2, F, 0.9, float(u), mode="recurrence") for u in us]
+    ref = [translate(AL, F, 0.9, u) - sum(b_coeff(AL, p, 0.9)
+                                          * dunkl_power(AL, F, p)(u)
+                                          for p in range(2))
+           for u in us.tolist()]
     np.testing.assert_allclose(prof(us), ref, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_array_x_profiles_equal_scalar_calls(k):
+    # x broadcasts against u: each (x, u) value is the scalar call's, bit
+    # for bit (b_p(x) does not depend on x's layout)
+    xs = np.linspace(-2.3, 2.1, 23)
+    us = np.linspace(-3.0, 3.0, 17)
+    for profile in (remainder_profile, symmetric_remainder_profile):
+        grid = profile(AL, k, F, xs[:, None])(us)
+        assert grid.shape == (xs.size, us.size)
+        for i, x in enumerate(xs.tolist()):
+            row = [profile(AL, k, F, x)(u) for u in us.tolist()]
+            assert grid[i].tolist() == row, (profile.__name__, x)
+
+
+def test_order_zero_profiles_are_translates():
+    xs = np.array([[-1.1], [0.4], [2.0]])
+    us = np.linspace(-2.0, 2.0, 9)
+    tau = translate_many(AL, F, xs, us)
+    assert remainder_profile(AL, 0, F, xs)(us).tolist() == tau.tolist()
+    assert symmetric_remainder_profile(AL, 0, F, xs)(us).tolist() == \
+        (tau + translate_many(AL, F, -xs, us)).tolist()
+
+
+@pytest.mark.parametrize("a", [6e-10, 3e-8, 1e-6, 4e-5, 1.0 + 6e-10])
+def test_near_resonant_alpha_keeps_the_taylor_identity(a):
+    # an antiderivative exponent e within 1e-4 of -1: a log series replaces
+    # the 1/(e+1) terms, which cancel to ~1e-5 at alpha = 6e-10
+    al = AlphaParam(a)
+    f = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+    assert any(j for _c, _sp, _e, j in ThetaKernel(al, 3).term_table(1.1))
+    for k in (2, 3, 4):
+        for x, pt in [(0.7, 0.45), (-1.3, 0.0), (1.9, -0.8), (0.2, 1.5)]:
+            scale = abs(translate(al, f, x, pt)) + 1.0
+            assert taylor_identity_residual(al, k, f, x, pt) / scale < 1e-12
 
 
 def test_iterated_integral_identities_fd():
@@ -208,7 +248,7 @@ def test_iterated_integral_identities_fd():
         g = lambda u, kk=k: iterated_integral_I(AL, kk, F, x, float(u))
         lhs = (dunkl_fd(AL, g, a, h=1e-3) if k == 1
                else _fd2(g, a))
-        rhs = remainder(AL, k, F, x, a, mode="recurrence")
+        rhs = remainder_profile(AL, k, F, x)(a)
         assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-6)
 
 
@@ -231,8 +271,8 @@ def test_symmetric_remainder_matches_direct_sum():
 
 
 def test_symmetric_remainder_even_in_x():
-    v1 = symmetric_remainder(AL, 2, F, 0.9, 0.35)
-    v2 = symmetric_remainder(AL, 2, F, -0.9, 0.35)
+    v1 = symmetric_remainder_profile(AL, 2, F, 0.9)(0.35)
+    v2 = symmetric_remainder_profile(AL, 2, F, -0.9)(0.35)
     assert v1 == pytest.approx(v2, rel=1e-11)
 
 

@@ -242,7 +242,7 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     assert len(calls) <= 3
     assert sum(calls) == loop_points          # the same translations
     calls.clear()
-    convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384), n_outer=120)
+    convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384))      # 120 nodes
     assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
     assert max(calls) <= dunklcore._BLOCK
     assert sum(calls) == 384 * 240
