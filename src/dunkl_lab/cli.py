@@ -84,6 +84,12 @@ class RunConfig:
     paper_defaults: bool = False
 
     def validate(self):
+        for name in ("alpha", "k", "p", "q", "beta", "t", "x", "a", "x_min",
+                     "x_max", "points_per_decade"):   # json.load takes NaN
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                    math.isfinite(v) or (name == "q" and v == math.inf)):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
         if self.alpha <= -0.5:
             raise ConfigError(f"alpha must exceed -1/2, got {self.alpha}")
         if self.k < 1:
@@ -213,16 +219,14 @@ def cmd_taylor(cfg: RunConfig) -> int:
 
 def _besov_rows(cfg: RunConfig):
     al = AlphaParam(cfg.alpha)
-    f = cfg.resolve_function()
     pr = B.BesovParams(al, cfg.k, cfg.p, cfg.q, cfg.beta,
                        x_grid=cfg.grid(), t_grid=cfg.grid(), norm_T=16.0)
-    phi = hermite_phi(al, (cfg.k - 1) // 2 + 1, cfg.k)
-    xs = [x for x in cfg.grid() if x <= 10.0]
-    smooth = [(float(x), B.omega(pr, f, float(x)),
-               B.omega_tilde(pr, f, float(x)),
-               B.k_functional_upper(pr, f, float(x))) for x in xs]
-    conv = [(float(t), B.conv_norm(pr, f, phi, float(t))) for t in xs]
-    return smooth, conv
+    s = B.BesovSamples(pr, cfg.resolve_function(),
+                       hermite_phi(al, (cfg.k - 1) // 2 + 1, cfg.k))
+    xs = [x for x in cfg.grid().tolist() if x <= 10.0]
+    om, omt, ku, cn = (s.value(kind, np.array(xs)).tolist()
+                       for kind in ("B", "B_tilde", "K", "C"))
+    return list(zip(xs, om, omt, ku)), list(zip(xs, cn))
 
 
 def cmd_besov(cfg: RunConfig) -> int:

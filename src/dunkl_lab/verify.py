@@ -335,16 +335,14 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                 sm = B.BesovSamples(pr, gauss, phi)
 
             xs = np.geomspace(1e-2, 1e-1, 8)
-            s_om = B.slope_estimate(
-                [(float(x), sm.value("B", x)) for x in xs])
+            s_om = B.slope_estimate(list(zip(xs.tolist(), sm.value("B", xs))))
             checks.append(_check(
                 f"omega-scaling[a={a},k={k}]",
                 "modulus of smoothness scales with exponent k",
                 abs(s_om - k), 0.1))
 
             ts = np.geomspace(1e-2, 1e-1, 8)
-            s_cv = B.slope_estimate(
-                [(float(t), sm.value("C", t)) for t in ts])
+            s_cv = B.slope_estimate(list(zip(ts.tolist(), sm.value("C", ts))))
             checks.append(_check(
                 f"conv-scaling[a={a},k={k}]",
                 "bump convolution decays with the first surviving moment "
@@ -354,10 +352,9 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                        "naive exponent-k window is unattainable"))
 
             xs2 = np.geomspace(1e-2, 1.0, 12)
-            rat = [B.omega(pr, WIDE_GAUSSIAN, float(x))
-                   / (float(x) ** (k - 1)
-                      * B.k_functional_upper(pr, WIDE_GAUSSIAN, float(x)))
-                   for x in xs2]
+            wide = B.BesovSamples(pr, WIDE_GAUSSIAN)
+            rat = [om / (x ** (k - 1) * ku) for x, om, ku in
+                   zip(xs2.tolist(), wide.value("B", xs2), wide.value("K", xs2))]
             s_r = B.slope_estimate(list(zip(xs2, rat)))
             checks.append(_check(
                 f"sandwich-flatness[a={a},k={k}]",

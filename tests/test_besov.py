@@ -272,12 +272,13 @@ def test_equivalence_report_matches_reference_form():
 
 
 def _counting(monkeypatch, names):
-    calls = {name: 0 for name in names}
+    """The number of points of each call of the named besov functions."""
+    calls = {name: [] for name in names}
     for name in names:
         orig = getattr(B, name)
 
         def wrapper(*args, _orig=orig, _name=name, **kw):
-            calls[_name] += 1
+            calls[_name].append(int(np.size(args[2])))
             return _orig(*args, **kw)
 
         monkeypatch.setattr(B, name, wrapper)
@@ -288,10 +289,11 @@ def test_besov_slice_computes_each_sample_once(monkeypatch):
     calls = _counting(monkeypatch, ("omega", "k_functional_upper"))
     checks = verify.suite_besov(alphas=(-0.25,), ks=(2,))
     assert all(c["status"] == "PASS" for c in checks)
-    # omega: 21 grid points (2 shared with the omega-scaling window) + the
-    # other 6 of those 8 + 12 sandwich points of the wide Gaussian;
-    # K: 21 grid points + 12 sandwich points
-    assert calls == {"omega": 39, "k_functional_upper": 33}
+    # one call per kind and point set: omega on the 21 grid points, on the
+    # 6 of the 8 omega-scaling points the grid lacks, and on the 12 sandwich
+    # points of the wide Gaussian; K on the 21 grid points and the 12
+    # sandwich points
+    assert calls == {"omega": [21, 6, 12], "k_functional_upper": [21, 12]}
 
 
 def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
@@ -326,3 +328,62 @@ def test_kinked_legendre_piece_evaluates_h_once_per_row():
     assert terms > 1
     assert shapes == [((3, terms, 2 * n), [0, 1, 2]),   # Jacobi, per term
                       ((2, 1, 2 * n), [0, 2])]           # Legendre, shared
+
+
+# -- grid-at-once sampling against the per-x calls ------------------------------
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
+    al = AlphaParam(alpha)
+    pr = BesovParams(al, k, p, 1.0, 0.5, x_grid=GRID, t_grid=GRID,
+                     norm_T=14.0)
+    xs = np.array([2e-3, 0.03, 0.4, 0.4, 3.0])      # a repeated x as well
+    scalar = {fn: [fn(pr, CUBIC, float(x)) for x in xs]
+              for fn in (omega, k_functional_upper)}
+    # the former loops: one profile and one lp_norm per probe, and per x
+    # for the ||R_k(x,f)|| of the K bound
+    ctx = pr.norm_ctx()
+    assert scalar[omega] == [
+        max(lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(y)))
+            for y in B._y_probe_grid(float(x))) for x in xs]
+    assert B._row_norms(ctx, B.remainder_profile(al, k, CUBIC, xs[:, None])
+                        ).tolist() == [
+        lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(x))) for x in xs]
+    for fn, ref in scalar.items():
+        got = fn(pr, CUBIC, xs)
+        assert got.shape == xs.shape and got.tolist() == ref, fn.__name__
+        assert fn(pr, CUBIC, xs.reshape(5, 1))[:, 0].tolist() == ref
+        assert isinstance(fn(pr, CUBIC, 0.4), float)
+    # a sample set computes each kind's missing points in one call
+    s = BesovSamples(pr, CUBIC, hermite_phi(al, (k - 1) // 2 + 1, k))
+    assert s.value("B", xs[1:3]).tolist() == scalar[omega][1:3]
+    assert s.samples("B")[1].tolist() == [omega(pr, CUBIC, float(x))
+                                          for x in GRID]
+    assert s.value("K", xs).tolist() == scalar[k_functional_upper]
+    assert s.value("B_tilde", xs).tolist() == [omega_tilde(pr, CUBIC, float(x))
+                                               for x in xs]
+    assert s.value("C", xs[:3]).tolist() == [conv_norm(pr, CUBIC, s.phi,
+                                                       float(t))
+                                             for t in xs[:3]]
+    assert s.value("B", 0.03) == scalar[omega][1]
+
+
+def test_the_grid_opens_61_probe_profiles(monkeypatch):
+    # 21 x of 4 per decade, 17 probes each: 357 probes, of which 61 are
+    # distinct floats; one remainder profile takes them all
+    rows = []
+    orig = B.remainder_profile
+
+    def profile(al, k, f, x):
+        rows.append(np.shape(x))
+        return orig(al, k, f, x)
+
+    monkeypatch.setattr(B, "remainder_profile", profile)
+    pr = make_params()
+    assert GRID.size == 21
+    omega(pr, GAUSS, GRID)
+    assert rows == [(61, 1)]
+    probes = np.concatenate([B._y_probe_grid(float(x)) for x in GRID])
+    assert probes.size == 357 and np.unique(probes).size == 61

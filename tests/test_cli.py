@@ -157,6 +157,39 @@ def test_taylor_at_x_zero_exits_2(capsys):
     assert "nonzero" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["besov", "--p", "nan"],
+    ["taylor", "--a", "nan"],
+    ["translate", "--x", "nan"],
+    ["taylor", "--x", "inf"],
+    ["taylor", "--x", "nan"],
+    ["kernel", "--t=-inf"],
+    ["sweep", "--q", "nan"],
+    ["sweep", "--x-max", "inf"],
+])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)] if argv[0] != "taylor"
+               else argv) == EXIT_CONFIG
+    assert "must be a finite number" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", ['{"alpha": NaN}', '{"x": Infinity}',
+                                 '{"k": -Infinity}', '{"a": "0.5"}'])
+def test_non_finite_config_fields_exit_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(doc)
+    assert run(["taylor", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "must be a finite number" in _one_error_line(capsys)
+
+
+def test_q_may_be_inf_only_upwards():
+    RunConfig(q=math.inf).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(q=-math.inf).validate()
+
+
 def test_function_record_without_gauss_scale_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"function_record": {"coeffs": [1.0]}}))
