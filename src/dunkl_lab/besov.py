@@ -26,7 +26,7 @@ import numpy as np
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate
 from .quad import (LpContext, lp_norm, jacobi_rule, lp_norm_from_nodes,
-                   norm_node_values)
+                   norm_node_values, row_norms)
 from .taylor import (b_coeff, remainder_profile, symmetric_remainder_profile,
                      _theta_weighted_integral)
 
@@ -101,12 +101,6 @@ def _y_probe_grid(x: float) -> np.ndarray:
     return np.concatenate([mags, -mags[1:]])
 
 
-def _row_norms(ctx: LpContext, prof: Callable) -> np.ndarray:
-    """L^p norms of the rows of a profile of x of shape (n, 1), each alone."""
-    return np.array([lp_norm_from_nodes(ctx, rows).value
-                     for rows in zip(*norm_node_values(ctx, prof))])
-
-
 def omega(params: BesovParams, f: GaussPolyFunction, x):
     """Modulus of smoothness sup_{|y| <= x} ||R_k(y, f)||_{p,alpha} over a
     17-point probe grid, for a scalar x or an array (the result has its
@@ -116,8 +110,9 @@ def omega(params: BesovParams, f: GaussPolyFunction, x):
         raise ValueError("x must be positive")
     probes = np.array([_y_probe_grid(v) for v in xs.ravel().tolist()])
     ys, inv = np.unique(probes.ravel(), return_inverse=True)
-    best = _row_norms(params.norm_ctx(), remainder_profile(
-        params.alpha, params.k, f, ys[:, None]))[inv].reshape(probes.shape)
+    ctx = params.norm_ctx()
+    best = row_norms(ctx, norm_node_values(ctx, remainder_profile(
+        params.alpha, params.k, f, ys[:, None])))[inv].reshape(probes.shape)
     return best.max(axis=-1, initial=0.0).reshape(xs.shape)[()]
 
 
@@ -147,7 +142,8 @@ def k_functional_upper(params: BesovParams, f: GaussPolyFunction, x):
     bound_i = lp_norm(ctx, dunkl_power(al, f, k - 1))
     norm_k = lp_norm(ctx, dunkl_power(al, f, k))
     xv = xs.ravel()
-    rk_norms = _row_norms(ctx, remainder_profile(al, k, f, xv[:, None]))
+    rk_norms = row_norms(ctx, norm_node_values(
+        ctx, remainder_profile(al, k, f, xv[:, None])))
     out = []
     for v, bk, rk in zip(xv.tolist(), b_coeff(al, k, xv).tolist(),
                          rk_norms.tolist()):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
@@ -90,6 +91,13 @@ class RunConfig:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
                     math.isfinite(v) or (name == "q" and v == math.inf)):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        for name, kind in (("k", int), ("function", str), ("suites", list),
+                           ("out_dir", str), ("fmt", str), ("report_path", str),
+                           ("paper_defaults", bool),
+                           ("function_record", (dict, type(None)))):
+            v = getattr(self, name)         # json.load gives any type
+            if not isinstance(v, kind):
+                raise ConfigError(f"{name} has the wrong type: {v!r}")
         if self.alpha <= -0.5:
             raise ConfigError(f"alpha must exceed -1/2, got {self.alpha}")
         if self.k < 1:
@@ -106,13 +114,13 @@ class RunConfig:
             raise ConfigError("points_per_decade must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
-        bad = [s for s in self.suites if s not in V.SUITES]
+        bad = [str(s) for s in self.suites if s not in V.SUITES]
         if bad:
             raise ConfigError(f"unknown suite(s): {', '.join(bad)}")
         if self.function_record is None and self.function not in CATALOG:
             raise ConfigError(f"unknown catalog function {self.function!r}")
-        if self.command in ("besov", "sweep") \
-                and not self.resolve_function().is_normable:
+        f = self.resolve_function()     # a wrongly typed field: TypeError
+        if self.command in ("besov", "sweep") and not f.is_normable:
             raise ConfigError("the function is not in L^p(mu_alpha): "
                               "a function_record needs gauss_scale > 0")
 
@@ -155,14 +163,17 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_table(cfg: RunConfig, name: str, header, rows) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.fmt == "json":
         path = os.path.join(cfg.out_dir, f"{name}.json")
-        doc = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, [dict(zip(header, row)) for row in rows])
     else:
         path = os.path.join(cfg.out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -249,8 +260,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = V.run_suites(cfg.suites)
-    checks = [c for name in cfg.suites for c in results[name]]
+    checks, timings = [], {}
+    for name in cfg.suites:
+        t0 = time.perf_counter()
+        checks += V.SUITES[name]()
+        timings[name] = time.perf_counter() - t0
+        print(f"suite {name}: {timings[name]:.2f} s", file=sys.stderr)
     counts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
     for c in checks:
         counts[c["status"]] += 1
@@ -271,9 +286,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, cfg.report_path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
+    _write_json(os.path.join(os.path.dirname(path), "timings.json"), timings)
     print(f"\n{counts['PASS']} passed, {counts['FAIL']} failed, "
           f"{counts['INCONCLUSIVE']} inconclusive -> {path}")
     if counts["FAIL"] or counts["INCONCLUSIVE"]:
@@ -334,7 +348,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError,
-            KeyError) as exc:
+            KeyError, TypeError) as exc:
         print(f"configuration error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     try:

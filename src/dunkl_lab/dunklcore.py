@@ -374,17 +374,17 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
     return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
 
 
-def dunkl_transform(alpha: AlphaParam, f: Callable, xi: float,
-                    T: float = None) -> complex:
-    """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y)."""
+def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float = None):
+    """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y), xi a
+    scalar or an array; f is called once, each xi is a scalar call's value."""
     if T is None:
         T = getattr(f, "support_hint", None) or 10.0
     y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
-    ep = dunkl_kernel_it(alpha, -xi, y)
-    em = dunkl_kernel_it(alpha, xi, y)
-    fy = np.asarray(f(y))
-    fmy = np.asarray(f(-y))
-    return complex(np.dot(w, fy * ep + fmy * em) / alpha.norm_const)
+    fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
+    out = [complex(np.dot(w, fy * dunkl_kernel_it(alpha, -v, y)
+                          + fmy * dunkl_kernel_it(alpha, v, y))
+                   / alpha.norm_const) for v in np.ravel(xi).tolist()]
+    return np.reshape(out, np.shape(xi)) if np.ndim(xi) else out[0]
 
 
 def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,

@@ -213,6 +213,12 @@ def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
                         ctx.truncation_T)
 
 
+def row_norms(ctx: LpContext, values) -> np.ndarray:
+    """lp_norm_from_nodes of each row of a profile's norm_node_values."""
+    return np.array([lp_norm_from_nodes(ctx, rows).value
+                     for rows in zip(*values)])
+
+
 def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
     """(int_{-T}^{T} |g|^p dmu_a)^(1/p) with a crude tail estimate."""
     return lp_norm_from_nodes(ctx, norm_node_values(ctx, g))

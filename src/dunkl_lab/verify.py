@@ -2,9 +2,9 @@
 checked numerically on a fixed configuration matrix.
 
 Each check is a dict {id, anchor, residual, tolerance, status, detail};
-`anchor` is a stable, self-describing name for the property being tested.
-All grids and samples are fixed constants, so a given configuration always
-produces the identical report.
+`anchor` names the property tested.  Grids and samples are fixed, so a
+configuration always gives the identical report.  Each L^p sample is taken
+once: node values serve every p, and all x (or xi) of a check are one call.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 from .special import AlphaParam, dunkl_kernel, dunkl_kernel_it
 from .funcalg import (GaussPolyFunction, dunkl_power, dunkl_fd,
                       dunkl_fd_power, hermite_phi)
-from .quad import LpContext, lp_norm, jacobi_rule
-from .dunklcore import (translate, translate_many, w_total_variation,
+from .quad import (LpContext, jacobi_rule, lp_norm_from_nodes,
+                   norm_node_values, row_norms)
+from .dunklcore import (translate_many, w_total_variation,
                         convolve, dunkl_transform,
                         translate_convolution_commutes,
                         product_formula_residual)
@@ -97,8 +98,9 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
 # ------------------------------------------------------------- translate ----
 
-def _numeric_lp(al: AlphaParam, p: float, g: Callable, T: float = 12.0) -> float:
-    return lp_norm(LpContext(al, p, T), g)
+def _node_values(al: AlphaParam, g: Callable, T: float):
+    # |g| on the nodes of the L^p rules truncated at T, which serve every p
+    return norm_node_values(LpContext(al, 1.0, T), g)
 
 
 def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
@@ -123,33 +125,39 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
                              "kernel product equals translated kernel",
                              worst, 1e-6))
 
+        # node values once per function, reduced for every p: ||f|| (T = 12)
+        # and tau_x f with every x as the rows of one profile (T = 16)
+        base = {name: _node_values(al, f, 12.0) for name, f in TEST_FUNCTIONS}
+        norm = lambda p, name: lp_norm_from_nodes(
+            LpContext(al, p, 12.0), base[name]).value
+        xs = np.array([[0.4], [1.1], [2.3]])
+        moved = {name: _node_values(al, functools.partial(
+            translate_many, al, f, xs), 16.0) for name, f in TEST_FUNCTIONS}
         for p in (1.0, 2.0):
             worst = 0.0
-            for name, f in TEST_FUNCTIONS:
-                base = _numeric_lp(al, p, f)
-                for x in (0.4, 1.1, 2.3):
-                    prof = lambda ys, _x=x: translate_many(al, f, _x, ys)
-                    worst = max(worst, _numeric_lp(al, p, prof, T=16.0) / base)
+            for name, _ in TEST_FUNCTIONS:
+                for v in row_norms(LpContext(al, p, 16.0), moved[name]):
+                    worst = max(worst, v / norm(p, name))
             checks.append(_ratio_check(
                 f"translation-contraction[a={a},p={p:g}]",
                 "translation norm ratio <= sqrt(2)", worst, SQRT2, 1e-6))
 
-        f = TEST_FUNCTIONS[0][1]
-        g = TEST_FUNCTIONS[2][1]
+        (fname, f), (gname, g) = TEST_FUNCTIONS[0], TEST_FUNCTIONS[2]
         conv = lambda us: convolve(al, f, g, us, T=12.0)
+        conv_nodes = _node_values(al, conv, 16.0)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
-            num = _numeric_lp(al, r, conv, T=16.0)
-            den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
+            num = lp_norm_from_nodes(LpContext(al, r, 16.0), conv_nodes).value
             checks.append(_ratio_check(
                 f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
                 "convolution Young bound with constant sqrt(2)",
-                num / den, SQRT2, 1e-6))
+                num / (norm(p, fname) * norm(q, gname)), SQRT2, 1e-6))
 
-        worst = 0.0
-        for xi in (0.5, 1.7):
-            lhs = dunkl_transform(al, conv, xi, T=16.0)
-            rhs = (dunkl_transform(al, f, xi, T=12.0)
-                   * dunkl_transform(al, g, xi, T=12.0))
+        worst = 0.0     # one transform per function takes both xi
+        xis = np.array([0.5, 1.7])
+        for lhs, ft, gt in zip(*(dunkl_transform(al, h, xis, T=t).tolist()
+                                 for h, t in ((conv, 16.0), (f, 12.0),
+                                              (g, 12.0)))):
+            rhs = ft * gt
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
         checks.append(_check(f"transform-of-convolution[a={a}]",
                              "transform turns convolution into a product",
@@ -176,8 +184,8 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
     for a in alphas:
         al = AlphaParam(a)
         # tau_x f(a) does not depend on k: once per (f, pair)
-        taus = {name: [translate(al, f, x, pt) for x, pt in TAYLOR_PAIRS]
-                for name, f in TEST_FUNCTIONS}
+        taus = {name: translate_many(al, f, *np.transpose(TAYLOR_PAIRS)
+                                     ).tolist() for name, f in TEST_FUNCTIONS}
         for k in ks:
             for name, f in TEST_FUNCTIONS:
                 rems = T.remainder(al, k, f, *np.transpose(TAYLOR_PAIRS))
@@ -277,21 +285,29 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
 def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
                 ps=DEFAULT_PS) -> List[Dict]:
     checks = []
-    xs = (0.25, 0.5, 1.0, 2.0, 3.0)
+    xs = np.array([0.25, 0.5, 1.0, 2.0, 3.0])
+    orders = sorted({j for k in ks for j in (k - 1, k)})
     for a in alphas:
         al = AlphaParam(a)
+        # node values once per order j, reduced for every p: R_j(x, f) with
+        # every x as the rows of one profile (T = 18), and L^j f (T = 14)
+        rem = {(name, j): _node_values(
+            al, T.remainder_profile(al, j, f, xs[:, None]), 18.0)
+            for name, f in TEST_FUNCTIONS for j in orders}
+        lj = {(name, j): _node_values(al, dunkl_power(al, f, j), 14.0)
+              for name, f in TEST_FUNCTIONS for j in orders}
         for k in ks:
             for p in ps:
                 worst_lo = worst_hi = -math.inf
-                for name, f in TEST_FUNCTIONS:
-                    nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1), T=14.0)
-                    for x in xs:
-                        rm = _numeric_lp(al, p, T.remainder_profile(
-                            al, k - 1, f, x), T=18.0)
+                for name, _ in TEST_FUNCTIONS:
+                    nk = lp_norm_from_nodes(LpContext(al, p, 14.0),
+                                            lj[name, k - 1]).value
+                    ctx = LpContext(al, p, 18.0)
+                    for x, rm, rs in zip(
+                            xs.tolist(), row_norms(ctx, rem[name, k - 1]),
+                            row_norms(ctx, rem[name, k])):
                         worst_lo = max(worst_lo,
                                        rm - T.remainder_norm_coeff(al, k, x) * nk)
-                        rs = _numeric_lp(al, p, T.remainder_profile(
-                            al, k, f, x), T=18.0)
                         worst_hi = max(
                             worst_hi,
                             rs - T.remainder_norm_coeff_same_order(al, k, x) * nk)
@@ -422,10 +438,3 @@ SUITES = {
     "resonant": functools.partial(suite_taylor, alphas=(0.0, 1.0),
                                   ks=(1, 2, 3, 4)),
 }
-
-
-def run_suites(names) -> Dict[str, List[Dict]]:
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    return {n: SUITES[n]() for n in names}

@@ -322,3 +322,39 @@ def test_commands_reject_the_flags_and_fields_they_ignore(tmp_path, capsys,
         [command, "--config", str(cfg)] + _argv(read_flags)))
     assert merged.command == command
 
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("verify", {"suites": 5}, "suites has the wrong type: 5"),
+    ("verify", {"suites": ["taylor", 3]}, "unknown suite(s): 3"),
+    ("verify", {"suites": [["taylor"]]}, "unhashable type"),
+    ("verify", {"report_path": 5}, "report_path has the wrong type"),
+    ("verify", {"paper_defaults": "yes"}, "paper_defaults has the wrong type"),
+    ("taylor", {"function_record": 5}, "function_record has the wrong type"),
+    ("taylor", {"function_record": {"coeffs": 5, "gauss_scale": 1.0}},
+     "'int' object is not iterable"),
+    ("taylor", {"k": 2.5}, "k has the wrong type: 2.5"),
+    ("taylor", {"function": ["gaussian"]}, "function has the wrong type"),
+    ("kernel", {"out_dir": 5}, "out_dir has the wrong type: 5"),
+    ("kernel", {"fmt": 5}, "fmt has the wrong type: 5"),
+])
+def test_config_fields_of_the_wrong_type_exit_2(tmp_path, capsys, command,
+                                                doc, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_error_line(capsys).startswith(
+        f"configuration error: {message}")
+
+
+def test_verify_writes_suite_timings(tmp_path, capsys):
+    assert run(["verify", "--suite", "kernel", "--suite", "norms",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert list(timings) == ["kernel", "norms"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    # one progress line per suite on stderr; the report holds no timing
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["suite kernel",
+                                                    "suite norms"]
+    assert "timings" not in (tmp_path / "report.json").read_text()

@@ -5,7 +5,7 @@ import pytest
 
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
 from dunkl_lab.funcalg import GaussPolyFunction
-from dunkl_lab.quad import LpContext, lp_norm
+from dunkl_lab.quad import LpContext, lp_norm, jacobi_rule
 from dunkl_lab.dunklcore import (TranslationMeasure, w_kernel,
                                  w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
@@ -172,3 +172,36 @@ def test_convolution_is_symmetric():
     for x in (0.5, 1.4):
         assert convolve(AL, GAUSS, g, x) == pytest.approx(
             convolve(AL, g, GAUSS, x), rel=1e-9, abs=1e-11)
+
+
+def _transform_two_calls(alpha, f, xi, T):
+    # the former form: f called on y and on -y, one xi per call
+    y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
+    ep = dunkl_kernel_it(alpha, -xi, y)
+    em = dunkl_kernel_it(alpha, xi, y)
+    return complex(np.dot(w, np.asarray(f(y)) * ep + np.asarray(f(-y)) * em)
+                   / alpha.norm_const)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
+    al = AlphaParam(alpha)
+    g = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+    calls = []
+
+    def conv(us):
+        calls.append(np.shape(us))
+        return convolve(al, GAUSS, g, us, T=12.0)
+
+    xis = np.array([[0.0, 0.5], [1.7, -2.3]])
+    for f, T in ((GAUSS, 12.0), (g, 12.0), (conv, 16.0)):
+        calls.clear()
+        got = dunkl_transform(al, f, xis, T=T)
+        assert got.shape == xis.shape and got.dtype == complex
+        if f is conv:
+            assert calls == [(400,)]          # f once, on y and -y
+        ref = [_transform_two_calls(al, f, xi, T) for xi in xis.ravel().tolist()]
+        assert got.ravel().tolist() == ref
+        assert [dunkl_transform(al, f, xi, T=T)
+                for xi in xis.ravel().tolist()] == ref
+    assert isinstance(dunkl_transform(al, GAUSS, 0.5), complex)

@@ -1,0 +1,139 @@
+"""The identities suites against their former loop forms: one lp_norm call
+per (k, p, f, x) in the norms suite, one per (p, f, x) and one scalar
+transform per xi in the translate suite."""
+
+import math
+
+import numpy as np
+
+from dunkl_lab import verify as V
+from dunkl_lab import taylor as T
+from dunkl_lab.special import AlphaParam
+from dunkl_lab.funcalg import dunkl_power
+from dunkl_lab.quad import LpContext, lp_norm
+from dunkl_lab.dunklcore import (translate_many, w_total_variation, convolve,
+                                 dunkl_transform,
+                                 translate_convolution_commutes,
+                                 product_formula_residual)
+
+
+def _numeric_lp(al, p, g, T=12.0):
+    return lp_norm(LpContext(al, p, T), g)
+
+
+def _suite_translate_loop(alphas):
+    checks = []
+    grid6 = (0.2, 0.5, 0.9, 1.3, 2.0, 3.1)
+    pairs9 = [(0.3, 0.3), (0.3, 1.1), (1.1, 0.3), (0.7, -0.7), (-1.5, 0.4),
+              (2.2, 2.2), (-0.9, -1.8), (0.15, 2.5), (1.0, 1.0)]
+    for a in alphas:
+        al = AlphaParam(a)
+        worst = 0.0
+        for x in grid6:
+            for y in grid6:
+                worst = max(worst, w_total_variation(al, x, y))
+        checks.append(V._ratio_check(
+            f"measure-mass-bound[a={a}]",
+            "translation measure total variation <= sqrt(2)",
+            worst, V.SQRT2, 1e-8))
+        worst = 0.0
+        for t in (0.3, 1.0, 2.5):
+            for x, y in pairs9:
+                worst = max(worst, product_formula_residual(al, x, y, t))
+        checks.append(V._check(f"product-formula[a={a}]",
+                               "kernel product equals translated kernel",
+                               worst, 1e-6))
+        for p in (1.0, 2.0):
+            worst = 0.0
+            for name, f in V.TEST_FUNCTIONS:
+                base = _numeric_lp(al, p, f)
+                for x in (0.4, 1.1, 2.3):
+                    prof = lambda ys, _x=x: translate_many(al, f, _x, ys)
+                    worst = max(worst, _numeric_lp(al, p, prof, T=16.0) / base)
+            checks.append(V._ratio_check(
+                f"translation-contraction[a={a},p={p:g}]",
+                "translation norm ratio <= sqrt(2)", worst, V.SQRT2, 1e-6))
+        f = V.TEST_FUNCTIONS[0][1]
+        g = V.TEST_FUNCTIONS[2][1]
+        conv = lambda us: convolve(al, f, g, us, T=12.0)
+        for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
+            num = _numeric_lp(al, r, conv, T=16.0)
+            den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
+            checks.append(V._ratio_check(
+                f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
+                "convolution Young bound with constant sqrt(2)",
+                num / den, V.SQRT2, 1e-6))
+        worst = 0.0
+        for xi in (0.5, 1.7):
+            lhs = dunkl_transform(al, conv, xi, T=16.0)
+            rhs = (dunkl_transform(al, f, xi, T=12.0)
+                   * dunkl_transform(al, g, xi, T=12.0))
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        checks.append(V._check(f"transform-of-convolution[a={a}]",
+                               "transform turns convolution into a product",
+                               worst, 1e-8))
+        worst = 0.0
+        for (t, x) in ((0.6, 0.9), (-1.2, 0.3)):
+            worst = max(worst, translate_convolution_commutes(
+                al, f, g, t, x, T=14.0))
+        checks.append(V._check(f"translate-convolve-commute[a={a}]",
+                               "translation commutes with convolution",
+                               worst, 1e-8))
+    return checks
+
+
+def _suite_norms_loop(alphas, ks=V.DEFAULT_KS, ps=V.DEFAULT_PS):
+    checks = []
+    xs = (0.25, 0.5, 1.0, 2.0, 3.0)
+    for a in alphas:
+        al = AlphaParam(a)
+        for k in ks:
+            for p in ps:
+                worst_lo = worst_hi = -math.inf
+                for name, f in V.TEST_FUNCTIONS:
+                    nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1), T=14.0)
+                    for x in xs:
+                        rm = _numeric_lp(al, p, T.remainder_profile(
+                            al, k - 1, f, x), T=18.0)
+                        worst_lo = max(worst_lo,
+                                       rm - T.remainder_norm_coeff(al, k, x) * nk)
+                        rs = _numeric_lp(al, p, T.remainder_profile(
+                            al, k, f, x), T=18.0)
+                        worst_hi = max(
+                            worst_hi,
+                            rs - T.remainder_norm_coeff_same_order(al, k, x) * nk)
+                checks.append(V._check(
+                    f"remainder-norm-bound[a={a},k={k},p={p:g}]",
+                    "lower-order remainder norm within the explicit constant",
+                    worst_lo, 1e-9))
+                checks.append(V._check(
+                    f"remainder-norm-bound-same-order[a={a},k={k},p={p:g}]",
+                    "full-order remainder norm within the peeled constant",
+                    worst_hi, 1e-9))
+    return checks
+
+
+def test_translate_suite_equals_its_loop_form():
+    assert V.suite_translate(alphas=(0.5,)) == _suite_translate_loop((0.5,))
+
+
+def test_norms_suite_equals_its_loop_form():
+    assert V.suite_norms(alphas=(0.5,)) == _suite_norms_loop((0.5,))
+    # an order set with gaps, and one p
+    assert V.suite_norms(alphas=(0.5,), ks=(3, 1), ps=(2.0,)) \
+        == _suite_norms_loop((0.5,), ks=(3, 1), ps=(2.0,))
+
+
+def test_norms_suite_opens_one_profile_per_order(monkeypatch):
+    shapes = []
+    orig = T.remainder_profile
+
+    def profile(al, k, f, x):
+        shapes.append((k, np.shape(x)))
+        return orig(al, k, f, x)
+
+    monkeypatch.setattr(T, "remainder_profile", profile)
+    V.suite_norms(alphas=(0.5,))
+    # orders 0..3 for k in {1, 2, 3}, per test function, each over the 5 x
+    assert sorted(shapes) == sorted((j, (5, 1)) for j in range(4)
+                                    for _ in V.TEST_FUNCTIONS)
