@@ -31,11 +31,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import integrate as sint
 
-from .special import AlphaParam, dunkl_kernel_it
+from .special import AlphaParam, dunkl_kernel_it, _bessel_tables, _scaled_j
 from .funcalg import GaussPolyFunction, dunkl_apply
-from .quad import DEFAULT_SPEC, jacobi_rule, rowdot, _jacobi_ref
+from .quad import QuadSpec, integrate, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
     "TranslationMeasure",
@@ -232,63 +231,6 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float):
     return out
 
 
-#: upper band edges of _scaled_j: the power series below 25, Hankel above
-_BESSEL_EDGES = (0.25, 1.0, 3.0, 8.0, 15.0, 25.0, 40.0, 80.0, 200.0, 1000.0,
-                 math.inf)
-
-
-@lru_cache(maxsize=64)
-def _bessel_tables(nu: float):
-    """(Hankel?, coefficients highest first) per band of _BESSEL_EDGES: the
-    last term below 2^-56 of the sum at the band's top (series) or bottom
-    (Hankel).  Where Hankel's largest term is over 16 times its sum (large
-    nu) the series serves, up to w = 80; None beyond that (nu above ~18)."""
-    def terms(ratio, x):
-        c, t, s, cs, big = 1.0, 1.0, 1.0, [1.0], 1.0
-        for j in range(1, 400):
-            c, t = c * ratio(j), t * ratio(j) * x
-            s, big = s + t, max(big, abs(t))
-            cs.append(c)
-            if abs(t) < 2.0 ** -56 * abs(s):
-                return np.array(cs[::-1]), big / abs(s)
-        return None, math.inf
-
-    bands, lo = [], 0.0
-    for hi in _BESSEL_EDGES:
-        cs, big = terms(lambda k: ((2 * k - 1) ** 2 - 4.0 * nu * nu)
-                        / (8.0 * k), 1.0 / lo) if lo >= 25.0 else (None, math.inf)
-        if big > 16.0:
-            if hi > 80.0:
-                return None
-            cs, _ = terms(lambda m: 1.0 / (m * (nu + m)), hi * hi / 4.0)
-        bands.append((big <= 16.0, cs))
-        lo = hi
-    return tuple(bands)
-
-
-def _scaled_j(nu: float, w):
-    """n_nu(w) = e^{-w} j_nu(iw) for sorted w >= 0, one slice of w per band,
-    so a value depends on its own w only: below w = 25 the power series
-    e^{-w} sum_m z^m / (m! (nu+1)_m), z = w^2/4 (DLMF 10.25.2), above it
-    Hankel's Gamma(nu+1) (2/w)^nu (2 pi w)^(-1/2) sum_k a_k(nu) (-w)^(-k)
-    (DLMF 10.40.1; the dropped branch is below e^-50).  Within 1.7e-15
-    relative of 40-digit values for nu in [0.75, 9]."""
-    ends = np.searchsorted(w, _BESSEL_EDGES).tolist()
-    out = np.full(w.shape, np.nan)      # nan stays nan
-    pre = math.gamma(nu + 1.0) * 2.0 ** nu / math.sqrt(2.0 * math.pi)
-    for (hankel, cs), i, j in zip(_bessel_tables(nu), [0] + ends, ends):
-        if j > i:
-            ws = w[i:j]
-            v = 1.0 / ws if hankel else 0.25 * ws * ws
-            acc = cs[0] * v + cs[1]
-            for c in cs[2:]:
-                acc *= v
-                acc += c
-            out[i:j] = (pre * ws ** -(nu + 0.5) * acc if hankel
-                        else acc * np.exp(-ws))
-    return out
-
-
 def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
     """tau_x(f)(y) for x, y != 0 (1-d arrays), f = P e^{-s.^2} with s > 0.
 
@@ -338,15 +280,19 @@ def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
     sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
 
     def g(t):
-        zs = math.sqrt(max(xs * xs + ys * ys + 2.0 * abs(xs * ys) * t, 1e-300))
+        zs = np.sqrt(np.maximum(xs * xs + ys * ys + 2.0 * abs(xs * ys) * t,
+                                1e-300))
         b0 = 1.0 + sx * sy * t
         q = (xs + ys + t * (sx * abs(ys) + sy * abs(xs))) / zs
-        return abs(b0 + q) + abs(b0 - q)
+        return np.abs(b0 + q) + np.abs(b0 - q)
 
-    res = sint.quad(g, -1.0, 1.0, weight="alg", wvar=(a - 0.5, a - 0.5),
-                    epsabs=DEFAULT_SPEC.abs_tol, epsrel=DEFAULT_SPEC.rel_tol,
-                    limit=DEFAULT_SPEC.max_subdivisions, full_output=True)
-    return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * res[0]
+    # the weight (1 - t^2)^(a - 1/2) is even: fold t < 0 onto t > 0 and put
+    # its singular endpoint t = 1 at s = 1 - t = 0
+    e = a - 0.5
+    val, _ = integrate(lambda s: (g(1.0 - s) + g(s - 1.0))
+                       * (s * (2.0 - s)) ** e, 0.0, 1.0,
+                       QuadSpec(endpoint_exponent=e))
+    return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * val
 
 
 def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,

@@ -287,16 +287,17 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                       x) -> Callable:
     """u |-> R_k(x, f)(u) = tau_x f(u) - sum_{p<k} b_p(x) L^p f(u), vectorized
     (the recurrence form; R_0 = tau_x f).  x is a scalar or an array that
-    broadcasts against u."""
+    broadcasts against u; a caller that has tau_x f(u) already passes it as
+    tau."""
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=float)
     consts = [(b_coeff(alpha, p, x), dunkl_power(alpha, f, p))
               for p in range(k)]
 
-    def prof(us):
+    def prof(us, tau=None):
         us = np.asarray(us, dtype=float)
-        val = translate_many(alpha, f, x, us)
+        val = translate_many(alpha, f, x, us) if tau is None else tau
         for bp, lpf in consts:
             val = val - bp * lpf(us)
         return val

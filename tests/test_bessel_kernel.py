@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from dunkl_lab import dunklcore
-from dunkl_lab.dunklcore import _BESSEL_EDGES, _bessel_tables, _scaled_j
 from dunkl_lab.funcalg import GaussPolyFunction
-from dunkl_lab.special import AlphaParam, dunkl_kernel
+from dunkl_lab.special import (AlphaParam, dunkl_kernel, _BESSEL_EDGES,
+                               _bessel_tables, _scaled_j)
 
 # (nu, w, n_nu(w)): both sides of every band edge, and w up to 8e4; made
 # once with mpmath 1.3 at 30 digits (w is the exact binary value shown):

@@ -94,6 +94,42 @@ def test_taylor_command_stdout(capsys):
     assert doc["theta_mass"] <= doc["theta_mass_bound"] + 1e-12
 
 
+@pytest.mark.parametrize("alpha,k,x,a", [(0.5, 2, 0.9, 0.3),
+                                         (0.0, 3, -1.4, 0.0),
+                                         (1.0, 4, 1.7, -1.2),
+                                         (-0.25, 1, -0.3, 1.9)])
+def test_taylor_translates_once_with_the_former_output(capsys, monkeypatch,
+                                                       alpha, k, x, a):
+    # one tau_x f(a), shared by the recurrence remainder and the residual,
+    # prints what the former two translations printed, byte for byte
+    from dunkl_lab import taylor as T
+    from dunkl_lab.special import AlphaParam
+    al, f = AlphaParam(alpha), CATALOG["cubic_gaussian"]
+    calls = []
+    for name in ("translate", "translate_many"):
+        def counted(*args, _orig=getattr(T, name)):
+            calls.append(args[1] == f)       # translations of f itself
+            return _orig(*args)
+        monkeypatch.setattr(T, name, counted)
+    argv = ["taylor", "--alpha", str(alpha), "--k", str(k), "--x", str(x),
+            "--a", str(a), "--function", "cubic_gaussian"]
+    assert run(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert sum(calls) == 1
+    monkeypatch.undo()
+    rem = T.remainder(al, k, f, x, a)
+    former = {
+        "remainder_integral": rem,
+        "remainder_recurrence": float(T.remainder_profile(al, k, f, x)(a)),
+        "identity_residual": T.taylor_identity_residual(al, k, f, x, a,
+                                                        rem=rem),
+        "theta_mass": T.theta_mass(al, k, x),
+        "theta_mass_bound": (T.b_coeff(al, k, abs(x))
+                             + abs(x) * T.b_coeff(al, k - 1, abs(x))),
+    }
+    assert printed == json.dumps(former, indent=1, sort_keys=True) + "\n"
+
+
 def test_sweep_csv_and_json_agree(tmp_path):
     common = ["sweep", "--alpha", "0.5", "--k", "2", "--p", "2",
               "--function", "gaussian", "--x-min", "0.01", "--x-max", "100",

@@ -81,7 +81,8 @@ def test_theta_at_y_zero_raises(a):
 
 def _theta_nested(alpha, k, x, y):
     """Theta_k(x, y), y != 0, by nesting adaptive quadrature through the
-    u/v recursion (reference for the term tables)."""
+    u/v recursion (reference for the term tables); integrate calls its
+    integrand on arrays, so the scalar recursion goes through np.vectorize."""
     spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
     ax = abs(x)
     we = alpha.weight_exp
@@ -91,7 +92,7 @@ def _theta_nested(alpha, k, x, y):
             return math.copysign(0.5, x) / ax ** we
         if m >= ax:
             return 0.0
-        return integrate(lambda z: v(j - 1, z), m, ax, spec)[0]
+        return integrate(np.vectorize(lambda z: v(j - 1, z)), m, ax, spec)[0]
 
     def v(j, m):
         # value of v_j(x, z) at z = m > 0
@@ -99,7 +100,8 @@ def _theta_nested(alpha, k, x, y):
             return 0.5 / m ** we
         if m >= ax:
             return 0.0
-        return integrate(lambda z: u(j - 1, z) * z ** we, m, ax, spec)[0] / m ** we
+        return integrate(np.vectorize(lambda z: u(j - 1, z) * z ** we), m, ax,
+                         spec)[0] / m ** we
 
     return u(k, abs(y)) + math.copysign(1.0, y) * v(k, abs(y))
 
