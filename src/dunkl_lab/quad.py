@@ -92,8 +92,7 @@ def _gk21(g, lo, hi):
                                  * (np.abs(fz) @ _W21))
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC,
-              points=None):
+def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
     """Adaptive integral of f on (a, b); returns (value, error_estimate).
 
     f maps an array of points to the array of its values.  Each round
@@ -101,6 +100,7 @@ def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC,
     tolerance, and evaluates f once on the 21 nodes of all new intervals.
     A declared integrable singularity (x - a)^e at the left endpoint is
     removed analytically by the substitution x = a + u^(1/(1+e)).
+    QuadratureError when that would pass max_subdivisions, or on a nan value.
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -113,18 +113,19 @@ def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC,
             return _f(a + u ** g1) * g1 * u ** (g1 - 1.0)
 
         lo, hi = 0.0, (b - a) ** (1.0 + e)
-        points = None
-    pts = [] if points is None else sorted(p for p in points if lo < p < hi)
-    lo, hi = np.array([lo] + pts, dtype=float), np.array(pts + [hi], dtype=float)
+    lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
     val, err = _gk21(g, lo, hi)
     while True:
         total, tol = val.sum(), max(spec.abs_tol, spec.rel_tol * abs(val.sum()))
         if err.sum() <= tol:
             return float(total), float(err.sum())
         split = err > tol / err.size
-        if err.size + split.sum() > spec.max_subdivisions:
+        split[np.argmax(err)] = True     # rounding can leave none over its share
+        nan = np.isnan(err.sum())
+        if nan or err.size + split.sum() > spec.max_subdivisions:
             raise QuadratureError(
-                "maximum number of subdivisions reached", partial=float(total),
+                "nan integrand value" if nan else "maximum number of "
+                "subdivisions reached", partial=float(total),
                 error=float(err.sum()))
         mid, keep, n = 0.5 * (lo + hi)[split], ~split, 2 * split.sum()
         lo = np.concatenate([lo[keep], lo[split], mid])

@@ -130,14 +130,16 @@ def _scaled_j(nu: float, w):
 @lru_cache(maxsize=64)
 def _j_tables(nu: float):
     """Per band of _BESSEL_EDGES: ("series", [coefficients of nu, nu + 1])
-    below 1; ("hankel", [the same]) where both largest terms stay within 16
-    times the sum, and above 1000; else ("miller", N), the least N > hi/2
-    at which the first term the normalising sum of _j_pair drops is below
-    2^-56 of the sum by |J_m(z)| <= (z/2)^m / Gamma(m+1) at the band's top:
+    below 1; ("hankel", [the same]) above 1000, from 25 up where both
+    largest terms stay within 16 times the sum, and at nu = -1/2 (cos z,
+    sin z / z: one term); else ("miller", N), the least N > hi/2 at which
+    the first term the normalising sum of _j_pair drops is below 2^-56 of
+    the sum by |J_m(z)| <= (z/2)^m / Gamma(m+1) at the band's top:
     (mu+N) Gamma(mu+N/2) (hi/2)^N / ((N/2)! Gamma(mu+N+1)), mu = nu + 1."""
     bands, lo, mu = [], 0.0, nu + 1.0
     for hi in _BESSEL_EDGES:
-        h = [_terms(v, 1.0 / lo, True) if lo >= 25.0 else (None, math.inf)
+        hankel = lo >= 25.0 or lo > 0.0 and nu == -0.5
+        h = [_terms(v, 1.0 / lo, True) if hankel else (None, math.inf)
              for v in (nu, mu)]
         if hi <= 1.0:
             bands.append(("series", [_terms(v, hi * hi / 4.0)[0]
@@ -230,12 +232,15 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
     Imaginary and real lam go through the Bessel kernels; general complex
     lam (and real lam past the orders of _bessel_tables) through the power
     series, summed until its terms fall below eps |sum|.  ValueError where
-    eps sum |term| exceeds 1e-10 |E|: the series cancels there.
+    eps sum |term| exceeds 1e-10 |E| (the series cancels there), and for a
+    lam*x that is not finite.
     """
     a = _as_alpha(alpha)
     if not a > -0.5:
         raise ValueError(f"alpha must be > -1/2, got {a}")
     w = complex(lam) * x
+    if not abs(w) < math.inf:
+        raise ValueError(f"lam*x must be finite, got {w}")
     if w == 0:
         return complex(1.0)
     c = w / (2.0 * (a + 1.0))
