@@ -13,7 +13,7 @@ fields, and a command takes only those it reads (COMMAND_FIELDS).
 printed with 17 significant digits so they round-trip exactly.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration,
-input or I/O error (one line on stderr, no traceback).
+input, numerical or I/O error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .special import AlphaParam, dunkl_kernel_it
 from .funcalg import GaussPolyFunction, hermite_phi
 from .dunklcore import translate_many
+from .quad import QuadratureError
 from . import taylor as T
 from . import besov as B
 from . import verify as V
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ValueError, KeyError) as exc:
         print(f"input error: {_describe(exc)}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (QuadratureError, OverflowError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -36,8 +36,12 @@ class AlphaParam:
         a = float(self.alpha)
         if not a > -0.5:
             raise ValueError(f"alpha must be > -1/2, got {a}")
+        nc = 2.0 ** (a + 1.0) * math.gamma(a + 1.0) if a < 170.0 else math.inf
+        if not nc < math.inf:
+            raise ValueError(f"alpha = {a:g} is too large: 2^(a+1) Gamma(a+1) "
+                             "overflows a float")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "norm_const", 2.0 ** (a + 1.0) * math.gamma(a + 1.0))
+        object.__setattr__(self, "norm_const", nc)
         object.__setattr__(self, "weight_exp", 2.0 * a + 1.0)
 
     def weight(self, x):
@@ -136,6 +140,9 @@ def _j_tables(nu: float):
     the first term the normalising sum of _j_pair drops is below 2^-56 of
     the sum by |J_m(z)| <= (z/2)^m / Gamma(m+1) at the band's top:
     (mu+N) Gamma(mu+N/2) (hi/2)^N / ((N/2)! Gamma(mu+N+1)), mu = nu + 1."""
+    if not -0.5 <= nu <= 149.0:  # past it Hankel's prefactor overflows
+        raise ValueError(f"Bessel order {nu:g} outside the supported range "
+                         "[-1/2, 149]")
     bands, lo, mu = [], 0.0, nu + 1.0
     for hi in _BESSEL_EDGES:
         hankel = lo >= 25.0 or lo > 0.0 and nu == -0.5

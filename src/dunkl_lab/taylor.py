@@ -175,7 +175,9 @@ def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     def g(y):
         return (abs(_eval_terms(terms, y)) + abs(_eval_terms(terms, -y))) * y ** we
 
-    val, _ = integrate(g, 0.0, ax)
+    # large alpha: |y|^e overflows where y^we underflows, inf * 0 = nan raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, _ = integrate(g, 0.0, ax)
     return val
 
 

@@ -66,13 +66,24 @@ def test_omega_tilde_below_twice_omega():
 
 
 def test_k_functional_upper_below_trivial_splittings():
-    pr = make_params(k=2)
-    n0 = lp_norm(pr.norm_ctx(), dunkl_power(AL, GAUSS, 1))
-    n1 = lp_norm(pr.norm_ctx(), dunkl_power(AL, GAUSS, 2))
-    for x in (0.05, 0.4, 2.0):
-        ku = k_functional_upper(pr, GAUSS, x)
-        assert ku <= min(n0, x * n1) + 1e-12
-        assert ku > 0
+    # the bound is exactly min(||L^(k-1) f||, x ||L^k f||), bit for bit
+    xs = np.concatenate([GRID, np.geomspace(1e-2, 1.0, 12)])
+    for alpha in (-0.25, 0.5, 1.5):
+        al = AlphaParam(alpha)
+        for fname in ("gaussian", "wide_gaussian", "cubic_gaussian"):
+            f = verify.CATALOG[fname]
+            for k in (1, 2, 3):
+                for p in (1.0, 2.0):
+                    pr = BesovParams(al, k, p, 1.0, 0.5, x_grid=GRID,
+                                     t_grid=GRID, norm_T=16.0)
+                    n0 = lp_norm(pr.norm_ctx(), dunkl_power(al, f, k - 1))
+                    n1 = lp_norm(pr.norm_ctx(), dunkl_power(al, f, k))
+                    assert k_functional_upper(pr, f, xs).tolist() == [
+                        min(n0, x * n1) for x in xs.tolist()]
+                    ku = k_functional_upper(pr, f, 0.4)
+                    assert isinstance(ku, float) and ku == min(n0, 0.4 * n1)
+    with pytest.raises(ValueError):
+        k_functional_upper(pr, f, 0.0)
 
 
 def test_conv_profile_matches_direct_convolution():
@@ -342,8 +353,8 @@ def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
     xs = np.array([2e-3, 0.03, 0.4, 0.4, 3.0])      # a repeated x as well
     scalar = {fn: [fn(pr, CUBIC, float(x)) for x in xs]
               for fn in (omega, k_functional_upper)}
-    # the former loops: one profile and one lp_norm per probe, and per x
-    # for the ||R_k(x,f)|| of the K bound
+    # the former loop: one profile and one lp_norm per probe; the row norms
+    # of one profile over all x are the per-x norms, bit for bit
     ctx = pr.norm_ctx()
     assert scalar[omega] == [
         max(lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(y)))

@@ -193,6 +193,23 @@ def test_taylor_at_x_zero_exits_2(capsys):
     assert "nonzero" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("alpha,msg", [
+    ("60", "numerical error: nan integrand value"),    # Theta_1 overflows
+    ("200", "input error: alpha = 200 is too large"),  # so does Gamma(a+1)
+])
+def test_large_alpha_taylor_exits_2(capsys, alpha, msg):
+    assert run(["taylor", "--alpha", alpha, "--k", "2", "--x", "0.5",
+                "--a", "0.3", "--function", "gaussian"]) == EXIT_CONFIG
+    assert msg in _one_error_line(capsys)
+
+
+def test_large_alpha_besov_exits_2(tmp_path, capsys):
+    # the dilation prefactor t^(-2(a+1)) of the bump overflows a float
+    assert run(["besov", "--alpha", "60", "--points-per-decade", "1",
+                "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "numerical error" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["besov", "--p", "nan"],
     ["taylor", "--a", "nan"],

@@ -102,7 +102,8 @@ BESSEL_Z = sorted({float(v) for v in np.geomspace(0.05, 1e3, 29)}
 # the former series + scipy.special.jv path was off by 5.6e-16, 8.0e-15,
 # 1.6e-15, 2.0e-15, 2.5e-15, 7.8e-16, 3.3e-15 and 6.2e-14 on this grid
 BESSEL_TOL = {-0.5: 4.5e-16, -0.25: 1e-15, 0.5: 4.5e-16, 0.75: 4.5e-16,
-              1.5: 4.5e-16, 2.5: 4.5e-16, 17.5: 4.5e-16, 100.5: 4.5e-16}
+              1.5: 4.5e-16, 2.5: 4.5e-16, 17.5: 4.5e-16, 100.5: 4.5e-16,
+              149.0: 4.5e-16}     # the largest order served
 
 
 @pytest.mark.parametrize("nu", sorted(BESSEL_TOL))
@@ -125,6 +126,13 @@ def test_bessel_j_at_order_minus_half_is_cos():
     z = np.linspace(0.0, 40.0, 20001)
     np.testing.assert_allclose(bessel_j_normalized(-0.5, z), np.cos(z),
                                rtol=0.0, atol=2.3e-16)
+
+
+@pytest.mark.parametrize("nu", [149.5, 200.5, 1000.5])
+def test_bessel_j_past_the_largest_order_raises(nu):
+    # past 149 Hankel's prefactor overflows; at 1000.5 no band serves z > 1000
+    with pytest.raises(ValueError, match=r"supported range \[-1/2, 149\]"):
+        bessel_j_normalized(nu, np.array([1.0, 2.0, 5.0, 300.0, 2000.0]))
 
 
 # -- adaptive Gauss-Kronrod ----------------------------------------------------

@@ -1,6 +1,6 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-the Gauss-Jacobi quadrature path, the batched Besov, Taylor and convolution
-loops against their former per-node loop forms (kept here as reference
+the Gauss-Jacobi quadrature path, the batched Taylor and convolution loops
+against their former per-node loop forms (kept here as reference
 implementations), and the sharing of one Bessel pair among the points
 (+-x, +-y)."""
 
@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dunkl_lab import besov as B
 from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
 from dunkl_lab.dunklcore import convolve, translate, translate_many
-from dunkl_lab.funcalg import GaussPolyFunction, dilate, dunkl_power, hermite_phi
+from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
 from dunkl_lab.quad import (LpContext, cheb_interpolator, cheb_nodes,
                             jacobi_rule, lp_norm)
 from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
-from dunkl_lab.taylor import (b_coeff, iterated_integral_I, remainder,
+from dunkl_lab.taylor import (iterated_integral_I, remainder,
                               remainder_profile, symmetric_remainder_profile,
                               _theta_terms, _theta_weighted_integral)
 
@@ -69,32 +68,7 @@ def test_closed_form_matches_quadrature(coeffs, s, alpha, xs, ys):
     assert np.max(np.abs(closed - quad)) <= 1e-10
 
 
-# -- (c) batched Besov loops against their loop forms --------------------------
-
-def _lkm1_f0_loop(params, f, x):
-    """Former per-node form of ||L^(k-1) f0|| 's integrand in
-    k_functional_upper: one Theta_0-weighted integral per u."""
-    al, k = params.alpha, params.k
-    bk = b_coeff(al, k, x)
-    consts = [(b_coeff(al, p, 1.0), dunkl_power(al, f, p)) for p in range(k)]
-
-    def lkm1_f0(us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            def rem(ys, _u=float(u)):
-                ys = np.asarray(ys, dtype=float)
-                val = translate_many(al, f, _u, ys)
-                for p, (bp1, lpf) in enumerate(consts):
-                    val = val - bp1 * ys ** p * lpf(np.full(1, _u))[()]
-                return val
-            out[i] = _theta_weighted_integral(al, 0, x,
-                                              lambda ys, rows: rem(ys),
-                                              abs(u), n=32)
-        return -out / bk
-
-    return lkm1_f0
-
+# -- (c) batched convolution and Taylor loops against their loop forms ---------
 
 def _conv_profile_loop(params, f, phi, t, n_outer=80):
     """Former per-node form of conv_profile: one closure per outer node."""
@@ -140,35 +114,10 @@ def _params(alpha, k, p=2.0):
                        norm_T=16.0)
 
 
-def _captured_lkm1_f0(monkeypatch, params, f, x):
-    """k_functional_upper's last lp_norm argument: the batched lkm1_f0."""
-    seen = []
-    orig = B.lp_norm
-
-    def record(ctx, g):
-        seen.append(g)
-        return orig(ctx, g)
-
-    monkeypatch.setattr(B, "lp_norm", record)
-    B.k_functional_upper(params, f, x)
-    monkeypatch.setattr(B, "lp_norm", orig)
-    return seen[-1]
-
-
 def _close(batched, loop, rel):
     scale = np.max(np.abs(loop))
     assert scale > 0.0
     assert np.max(np.abs(batched - loop)) <= rel * scale
-
-
-@pytest.mark.parametrize("alpha,k,f", [(-0.25, 2, CUBIC), (1.5, 3, WIDE),
-                                       (0.5, 1, CUBIC)])
-def test_batched_lkm1_f0_matches_loop(monkeypatch, alpha, k, f):
-    params = _params(alpha, k)
-    for x in (1e-2, 0.3, 2.0):
-        us = np.concatenate([np.linspace(-6.0, 6.0, 25), [x, -x, 0.5 * x]])
-        batched = _captured_lkm1_f0(monkeypatch, params, f, x)(us)
-        _close(batched, _lkm1_f0_loop(params, f, x)(us), 1e-10)
 
 
 @pytest.mark.parametrize("alpha,k,n_cheb", [(0.5, 1, 48), (-0.25, 2, 32),
@@ -418,12 +367,3 @@ def test_small_t_conv_norm_keeps_bump_decay():
     phi = hermite_phi(params.alpha, 2, 3)
     ratio = conv_norm(params, CUBIC, phi, 1e-3) / conv_norm(params, CUBIC, phi, 1e-2)
     assert ratio == pytest.approx(1e-4, rel=2e-3)
-
-
-def test_small_x_k_bound_term_is_linear(monkeypatch):
-    """The constructive K-bound term ||L^(k-1) f0|| = O(x) as x -> 0."""
-    params = _params(1.5, 3)
-    ctx = params.norm_ctx()
-    n_small = B.lp_norm(ctx, _captured_lkm1_f0(monkeypatch, params, WIDE, 1e-3))
-    n_ref = B.lp_norm(ctx, _captured_lkm1_f0(monkeypatch, params, WIDE, 5e-2))
-    assert n_small / n_ref == pytest.approx(1e-3 / 5e-2, rel=2e-3)
