@@ -4,7 +4,7 @@ smoothness diagnostics."""
 
 from .special import AlphaParam, bessel_j_normalized, dunkl_kernel
 from .funcalg import GaussPolyFunction, dunkl_apply, dunkl_power, dilate, hermite_phi
-from .quad import QuadSpec, LpContext, integrate, integrate_jacobi, lp_norm
+from .quad import QuadSpec, LpContext, integrate, lp_norm
 
 __all__ = [
     "AlphaParam",
@@ -18,7 +18,6 @@ __all__ = [
     "QuadSpec",
     "LpContext",
     "integrate",
-    "integrate_jacobi",
     "lp_norm",
 ]
 

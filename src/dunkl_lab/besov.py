@@ -39,7 +39,6 @@ __all__ = [
     "k_functional_upper",
     "conv_profile",
     "conv_norm",
-    "conv_seminorm_integrand",
     "KINDS",
     "BesovSamples",
     "seminorm_from_samples",
@@ -65,7 +64,6 @@ class BesovParams:
     x_grid: np.ndarray = field(default_factory=default_grid)
     t_grid: np.ndarray = field(default_factory=default_grid)
     norm_T: float = 12.0
-    norm_nodes: int = 160
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -81,9 +79,8 @@ class BesovParams:
             if g[-1] / g[0] < 1e3:
                 raise ValueError("grids must span at least three decades")
 
-    def norm_ctx(self, extra: float = 0.0) -> LpContext:
-        return LpContext(self.alpha, self.p, self.norm_T + extra,
-                         n_nodes=self.norm_nodes)
+    def norm_ctx(self) -> LpContext:
+        return LpContext(self.alpha, self.p, self.norm_T)
 
 
 @dataclass(frozen=True)
@@ -174,12 +171,6 @@ def conv_norm(params: BesovParams, f: GaussPolyFunction,
     return lp_norm(params.norm_ctx(), conv_profile(params, f, phi, t))
 
 
-def conv_seminorm_integrand(params: BesovParams, f: GaussPolyFunction,
-                            phi: GaussPolyFunction, t: float) -> float:
-    """||f * phi_t||_{p,alpha} / t^(beta+k-1)."""
-    return conv_norm(params, f, phi, t) / t ** (params.beta + params.k - 1)
-
-
 # -- seminorms ------------------------------------------------------------------
 
 def _q_aggregate(grid: np.ndarray, integrand: np.ndarray, q: float):
@@ -209,10 +200,10 @@ KINDS = ("B", "B_tilde", "K", "C")
 
 class BesovSamples:
     """The samples behind the four scales for one (alpha, k, grids, norm_T,
-    norm_nodes, f, phi), each computed once, on first use, at any x (t for
-    C): omega (B) and the K bound (K) at params.p; the omega_tilde profile
-    (B_tilde) and f * phi_t (C) on the nodes of the L^p rules, which give
-    their norms for every p.  None of them depends on q or beta."""
+    f, phi), each computed once, on first use, at any x (t for C): omega (B)
+    and the K bound (K) at params.p; the omega_tilde profile (B_tilde) and
+    f * phi_t (C) on the nodes of the L^p rules, which give their norms for
+    every p.  None of them depends on q or beta."""
 
     def __init__(self, params: BesovParams, f: GaussPolyFunction,
                  phi: Optional[GaussPolyFunction] = None):

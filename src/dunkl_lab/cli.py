@@ -231,19 +231,21 @@ def cmd_taylor(cfg: RunConfig) -> int:
 
 
 def _besov_rows(cfg: RunConfig):
+    """The sample set behind the besov and sweep tables, the grid points
+    x <= 10 they tabulate, and the (x, omega, omega_tilde, k_upper) rows."""
     al = AlphaParam(cfg.alpha)
     pr = B.BesovParams(al, cfg.k, cfg.p, cfg.q, cfg.beta,
                        x_grid=cfg.grid(), t_grid=cfg.grid(), norm_T=16.0)
     s = B.BesovSamples(pr, cfg.resolve_function(),
                        hermite_phi(al, (cfg.k - 1) // 2 + 1, cfg.k))
     xs = [x for x in cfg.grid().tolist() if x <= 10.0]
-    om, omt, ku, cn = (s.value(kind, np.array(xs)).tolist()
-                       for kind in ("B", "B_tilde", "K", "C"))
-    return list(zip(xs, om, omt, ku)), list(zip(xs, cn))
+    om, omt, ku = (s.value(kind, np.array(xs)).tolist()
+                   for kind in ("B", "B_tilde", "K"))
+    return s, xs, list(zip(xs, om, omt, ku))
 
 
 def cmd_besov(cfg: RunConfig) -> int:
-    smooth, _ = _besov_rows(cfg)
+    _, _, smooth = _besov_rows(cfg)
     path = _write_table(cfg, "besov",
                         ("x", "omega", "omega_tilde", "k_upper"), smooth)
     print(f"wrote {path}")
@@ -251,9 +253,8 @@ def cmd_besov(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if len(cfg.grid()) == 0:
-        raise ConfigError("empty grid")
-    smooth, conv = _besov_rows(cfg)
+    s, ts, smooth = _besov_rows(cfg)
+    conv = list(zip(ts, s.value("C", np.array(ts)).tolist()))
     p1 = _write_table(cfg, "smoothness",
                       ("x", "omega", "omega_tilde", "k_upper"), smooth)
     p2 = _write_table(cfg, "convolution", ("t", "conv_norm"), conv)

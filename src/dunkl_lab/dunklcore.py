@@ -25,7 +25,6 @@ Both broadcast x against y; x = 0 or y = 0 is the point mass f(x + y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -37,7 +36,6 @@ from .funcalg import GaussPolyFunction, dunkl_apply
 from .quad import QuadSpec, integrate, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
-    "TranslationMeasure",
     "w_kernel",
     "w_total_variation",
     "translate",
@@ -56,34 +54,6 @@ _BLOCK = 16384
 def _w_const(a: float) -> float:
     return math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
                                        * math.gamma(a + 0.5))
-
-
-@dataclass(frozen=True)
-class TranslationMeasure:
-    """The measure gamma_{x,y}: density on S u (-S), or a point mass when
-    one of the arguments vanishes."""
-
-    alpha: AlphaParam
-    x: float
-    y: float
-
-    @property
-    def kind(self) -> str:
-        if self.x == 0.0:
-            return "point_mass_y"
-        if self.y == 0.0:
-            return "point_mass_x"
-        return "density"
-
-    @property
-    def support(self):
-        ax, ay = abs(self.x), abs(self.y)
-        return (abs(ax - ay), ax + ay)
-
-    def total_variation(self) -> float:
-        if self.kind != "density":
-            return 1.0
-        return w_total_variation(self.alpha, self.x, self.y)
 
 
 def w_kernel(alpha: AlphaParam, x: float, y: float, z):

@@ -65,10 +65,6 @@ class GaussPolyFunction:
 
     # -- algebra ------------------------------------------------------------
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_normable(self) -> bool:
         """Pure polynomials (s=0) are not in any L^p(mu_a) unless zero."""
         return self.gauss_scale > 0.0 or self.coeffs == (0.0,)
@@ -88,14 +84,6 @@ class GaussPolyFunction:
             c[i] += v
         return GaussPolyFunction(tuple(c), self.gauss_scale,
                                  self.support_hint or other.support_hint)
-
-    def mul_x(self) -> "GaussPolyFunction":
-        return GaussPolyFunction((0.0,) + self.coeffs, self.gauss_scale,
-                                 self.support_hint)
-
-    def reflect(self) -> "GaussPolyFunction":
-        c = tuple(v if i % 2 == 0 else -v for i, v in enumerate(self.coeffs))
-        return GaussPolyFunction(c, self.gauss_scale, self.support_hint)
 
     def derivative(self) -> "GaussPolyFunction":
         # (P e^{-sx^2})' = (P' - 2 s x P) e^{-sx^2}
@@ -117,9 +105,6 @@ class GaussPolyFunction:
         return GaussPolyFunction(tuple(c), self.gauss_scale, self.support_hint)
 
     # -- serialization (CLI wire format) -------------------------------------
-    def to_record(self) -> dict:
-        return {"coeffs": list(self.coeffs), "gauss_scale": self.gauss_scale}
-
     @staticmethod
     def from_record(rec: dict) -> "GaussPolyFunction":
         return GaussPolyFunction(tuple(rec["coeffs"]), float(rec["gauss_scale"]))
@@ -141,12 +126,19 @@ def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:
 
 
 def dilate(alpha, phi: GaussPolyFunction, t: float) -> GaussPolyFunction:
-    """phi_t(x) = t^(-2(a+1)) phi(x/t); exact on coefficients."""
+    """phi_t(x) = t^(-2(a+1)) phi(x/t); exact on coefficients.  ValueError
+    where a coefficient overflows a float (large alpha at small t)."""
     if t <= 0.0:
         raise ValueError(f"dilation parameter must be > 0, got {t}")
     a = _as_alpha(alpha)
-    pref = t ** (-2.0 * (a + 1.0))
+    try:
+        pref = t ** (-2.0 * (a + 1.0))
+    except OverflowError:           # a float power raises where it overflows
+        pref = math.inf
     c = tuple(v * pref * t ** (-n) for n, v in enumerate(phi.coeffs))
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"dilating by t = {t:g} at alpha = {a:g} overflows "
+                         "a float")
     hint = phi.support_hint * t if phi.support_hint is not None else None
     return GaussPolyFunction(c, phi.gauss_scale / (t * t), hint)
 

@@ -11,7 +11,7 @@ Gauss-Kronrod 10/21 scheme with QUADPACK's error estimate (Piessens et al.,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -24,7 +24,6 @@ __all__ = [
     "LpContext",
     "QuadratureError",
     "integrate",
-    "integrate_jacobi",
     "jacobi_rule",
     "lp_norm",
     "lp_norm_full",
@@ -195,22 +194,17 @@ def rowdot(w, v):
     return np.matmul(w[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def integrate_jacobi(f: Callable, a: float, b: float, exp_a: float,
-                     exp_b: float, n: int) -> float:
-    """Gauss-Jacobi value of int_a^b f(z) (z-a)^exp_a (b-z)^exp_b dz."""
-    z, w = jacobi_rule(n, exp_a, exp_b, a, b)
-    return float(np.dot(w, np.asarray(f(z), dtype=float)))
-
-
 # -- weighted L^p norms -------------------------------------------------------
+
+#: nodes of the head rule of every L^p norm
+NORM_NODES = 160
+
 
 @dataclass(frozen=True)
 class LpContext:
     alpha: AlphaParam
     p: float
     truncation_T: float
-    quad: QuadSpec = field(default_factory=QuadSpec)
-    n_nodes: int = 160
 
     def __post_init__(self):
         if self.p < 1.0:
@@ -230,7 +224,7 @@ class NormEstimate:
 def _norm_rules(ctx: LpContext):
     # the head rule on (0, T), weight u^(2a+1) extracted; the tail's on (T, 2T)
     T = ctx.truncation_T
-    return (jacobi_rule(ctx.n_nodes, ctx.alpha.weight_exp, 0.0, 0.0, T),
+    return (jacobi_rule(NORM_NODES, ctx.alpha.weight_exp, 0.0, 0.0, T),
             jacobi_rule(32, 0.0, 0.0, T, 2.0 * T))
 
 

@@ -1,5 +1,5 @@
-"""Scalar special functions: normalized Bessel functions, the Dunkl kernel,
-and the Laguerre / generalized Hermite families.
+"""Scalar special functions: normalized Bessel functions and the Dunkl
+kernel.
 
 Everything here is real-valued except :func:`dunkl_kernel`, which is the one
 place complex values are produced.
@@ -15,12 +15,9 @@ import numpy as np
 
 __all__ = [
     "AlphaParam",
-    "gamma_fn",
     "pochhammer",
     "bessel_j_normalized",
     "dunkl_kernel",
-    "laguerre",
-    "hermite_generalized",
 ]
 
 
@@ -51,13 +48,6 @@ class AlphaParam:
 
 def _as_alpha(alpha) -> float:
     return alpha.alpha if isinstance(alpha, AlphaParam) else float(alpha)
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma on the positive half line."""
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def pochhammer(a: float, m: int) -> float:
@@ -281,40 +271,3 @@ def dunkl_kernel_it(alpha, t: float, x):
     j0, j1 = _j_pair(a, s)
     return j0 + 1j * (s / (2.0 * (a + 1.0)) * j1)
 
-
-def laguerre(n: int, a: float, x):
-    """Laguerre polynomial L_n^a(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if a <= -1.0:
-        raise ValueError("index must be > -1")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + a - x
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + 1 + a - x) * cur - (m + a) * prev) / (m + 1.0)
-    return cur if cur.ndim else float(cur)
-
-
-def hermite_generalized(n: int, alpha, x):
-    """Generalized Hermite polynomial H_n^{a+1/2}, orthogonal for the
-    measure exp(-x^2) dmu_a:
-
-        H_{2m}   = (-1)^m 2^{2m}   m! L_m^a(x^2)
-        H_{2m+1} = (-1)^m 2^{2m+1} m! x L_m^{a+1}(x^2)
-    """
-    a = _as_alpha(alpha)
-    if not a > -0.5:
-        raise ValueError(f"alpha must be > -1/2, got {a}")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    m, odd = divmod(n, 2)
-    c = (-1.0) ** m * 2.0 ** n * math.factorial(m)
-    if odd:
-        val = c * x * laguerre(m, a + 1.0, x * x)
-    else:
-        val = c * laguerre(m, a, x * x)
-    return val if np.ndim(val) else float(val)

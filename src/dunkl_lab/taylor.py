@@ -14,7 +14,6 @@ exactly as a power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -28,8 +27,6 @@ from .dunklcore import translate, translate_many
 __all__ = [
     "b_coeff",
     "b_poly",
-    "ThetaKernel",
-    "theta",
     "theta_mass",
     "theta0_moment",
     "remainder",
@@ -139,31 +136,6 @@ def _eval_terms(terms, y):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ThetaKernel:
-    """Order-k Taylor remainder kernel Theta_k(x, y)."""
-
-    alpha: AlphaParam
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-
-    def term_table(self, x: float):
-        """Terms (c, sgn_pow, exp, log_pow) of Theta_order(x, .)."""
-        return _theta_terms(self.alpha.alpha, self.order, float(x))
-
-
-def theta(kernel: ThetaKernel, x: float, y: float) -> float:
-    """Theta_k(x, y) for 0 < |y| <= |x|."""
-    if x == 0.0 or y == 0.0:
-        raise ValueError("x and y must be nonzero")
-    if abs(y) > abs(x) + 1e-15:
-        raise ValueError("theta requires |y| <= |x|")
-    return float(_eval_terms(kernel.term_table(x), y))
-
-
 def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy."""
     if x == 0.0:
@@ -193,7 +165,7 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
 
 def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
-                             split, n: int = 40):
+                             split):
     """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
     analytically (per term, the |y| exponent goes into a Jacobi rule; a term
     with log^j |y|, j > 0, takes its rule on (0, hi) after z = hi t^3, so the
@@ -206,6 +178,7 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     (split, |x|), which all terms share (so there ys has one term, j = 0),
     and each row's sum equals its single-row value bit for bit.
     """
+    n = 40                          # nodes of every rule
     xb, sb = np.broadcast_arrays(np.asarray(x, float), np.asarray(split, float))
     xs, ss, ax = xb.ravel(), sb.ravel(), np.abs(xb.ravel())
     kink = (0.0 < ss) & (ss < ax)

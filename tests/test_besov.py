@@ -12,7 +12,7 @@ from dunkl_lab.dunklcore import convolve
 from dunkl_lab.taylor import _theta_terms, _theta_weighted_integral
 from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples, default_grid,
                              omega, omega_tilde, k_functional_upper,
-                             conv_profile, conv_norm, conv_seminorm_integrand,
+                             conv_profile, conv_norm,
                              seminorm_from_samples, slope_estimate,
                              equivalence_report)
 
@@ -101,11 +101,14 @@ def test_conv_profile_matches_direct_convolution():
 
 
 def test_conv_seminorm_integrand_relation():
+    # the C scale integrates ||f * phi_t|| / t^(beta+k-1)
     pr = make_params(k=2, beta=0.3)
     phi = hermite_phi(AL, 1, 2)
-    t = 0.5
-    assert conv_seminorm_integrand(pr, GAUSS, phi, t) == pytest.approx(
-        conv_norm(pr, GAUSS, phi, t) / t ** (0.3 + 1.0), rel=1e-12)
+    ts = GRID[8:12]
+    norms = np.array([conv_norm(pr, GAUSS, phi, t) for t in ts])
+    est = seminorm_from_samples(pr, "C", ts, norms)
+    np.testing.assert_allclose(est.integrand, norms / ts ** (0.3 + 1.0),
+                               rtol=1e-12)
 
 
 def test_slope_estimate_power_law():
@@ -333,7 +336,7 @@ def test_kinked_legendre_piece_evaluates_h_once_per_row():
         shapes.append((ys.shape, rows.tolist()))
         return np.cos(ys)
 
-    _theta_weighted_integral(al, 2, x, h, split, n=n)
+    _theta_weighted_integral(al, 2, x, h, split)
     terms = len({(sp, e, j) for v in x.tolist()
                  for _, sp, e, j in _theta_terms(al.alpha, 2, v)})
     assert terms > 1

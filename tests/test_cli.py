@@ -203,11 +203,26 @@ def test_large_alpha_taylor_exits_2(capsys, alpha, msg):
     assert msg in _one_error_line(capsys)
 
 
-def test_large_alpha_besov_exits_2(tmp_path, capsys):
-    # the dilation prefactor t^(-2(a+1)) of the bump overflows a float
-    assert run(["besov", "--alpha", "60", "--points-per-decade", "1",
-                "--out-dir", str(tmp_path)]) == EXIT_CONFIG
-    assert "numerical error" in _one_error_line(capsys)
+def test_large_alpha_sweep_exits_2(tmp_path, capsys):
+    # the bump's dilation t^(-2(a+1)) t^(-n) overflows a float at t = 1e-3:
+    # at alpha = 50 in the product, at alpha = 60 in the power itself
+    for alpha in ("50", "60"):
+        out = tmp_path / alpha
+        assert run(["sweep", "--alpha", alpha, "--k", "2", "--function",
+                    "gaussian", "--points-per-decade", "2",
+                    "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "input error: dilating by t = 0.001" in _one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_large_alpha_besov_writes_its_table(tmp_path):
+    # besov tabulates omega, omega_tilde and the K bound, never the bump
+    # convolution, so it dilates nothing (a RuntimeWarning fails the suite)
+    assert run(["besov", "--alpha", "50", "--k", "2", "--function",
+                "gaussian", "--points-per-decade", "2",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    rows = np.loadtxt(tmp_path / "besov.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (9, 4) and np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,7 @@ import pytest
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
 from dunkl_lab.funcalg import GaussPolyFunction
 from dunkl_lab.quad import LpContext, lp_norm, jacobi_rule
-from dunkl_lab.dunklcore import (TranslationMeasure, w_kernel,
-                                 w_total_variation, translate,
+from dunkl_lab.dunklcore import (w_kernel, w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
                                  translate_convolution_commutes,
                                  product_formula_residual)
@@ -18,12 +17,14 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_measure_kinds_and_support():
-    assert TranslationMeasure(AL, 0.0, 1.0).kind == "point_mass_y"
-    assert TranslationMeasure(AL, 1.0, 0.0).kind == "point_mass_x"
-    m = TranslationMeasure(AL, 1.5, -0.5)
-    assert m.kind == "density"
-    assert m.support == (1.0, 2.0)
-    assert TranslationMeasure(AL, 0.0, 1.0).total_variation() == 1.0
+    # x = 0 or y = 0: a point mass; else a density on
+    # ||x| - |y|| <= |z| <= |x| + |y|
+    assert w_total_variation(AL, 0.0, 1.0) == 1.0
+    assert w_total_variation(AL, 1.0, 0.0) == 1.0
+    z = np.array([0.9, 1.1, 1.9, 2.1])
+    for zs in (z, -z):
+        assert (w_kernel(AL, 1.5, -0.5, zs) != 0.0).tolist() == [
+            False, True, True, False]
 
 
 def test_w_kernel_vanishes_off_support():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from dunkl_lab.special import (AlphaParam, gamma_fn, pochhammer,
-                               bessel_j_normalized, dunkl_kernel,
-                               dunkl_kernel_it, laguerre, hermite_generalized)
-from dunkl_lab.funcalg import dunkl_fd
+from dunkl_lab.special import (AlphaParam, pochhammer, bessel_j_normalized,
+                               dunkl_kernel, dunkl_kernel_it)
+from dunkl_lab.funcalg import _laguerre_coeffs, dunkl_fd, hermite_phi
 
 ALPHAS = [-0.25, 0.5, 1.5]
 
@@ -21,11 +20,13 @@ def test_alpha_param_validation():
 
 
 def test_gamma_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
+    # norm_const = 2^(a+1) Gamma(a+1), refused where it overflows a float
+    assert AlphaParam(0.0).norm_const == pytest.approx(2.0, rel=1e-12)
+    assert AlphaParam(4.0).norm_const == pytest.approx(32.0 * 24.0, rel=1e-12)
+    assert AlphaParam(-0.25).norm_const == pytest.approx(
+        2.0 ** 0.75 * math.gamma(0.75), rel=1e-12)
+    with pytest.raises(ValueError, match="too large"):
+        AlphaParam(200.0)
 
 
 def test_pochhammer_against_gamma_ratio():
@@ -97,21 +98,36 @@ def test_dunkl_kernel_real_branch_consistent_with_series():
             series, rel=1e-12)
 
 
+def _laguerre(n, a, u):
+    # L_n^a(u) by the three-term recurrence, an oracle for the explicit sum
+    prev, cur = np.ones_like(u), 1.0 + a - u
+    for m in range(1, n):
+        prev, cur = cur, ((2 * m + 1 + a - u) * cur
+                          - (m + a) * prev) / (m + 1.0)
+    return prev if n == 0 else cur
+
+
 def test_laguerre_small_cases():
-    assert laguerre(0, 0.7, 3.0) == 1.0
-    assert laguerre(1, 0.5, 2.0) == pytest.approx(-0.5)
-    assert laguerre(2, 0.0, 1.0) == pytest.approx(-0.5)
+    # the coefficients of L_n^a behind hermite_phi
+    poly = np.polynomial.polynomial.polyval
+    assert _laguerre_coeffs(0, 0.7) == [1.0]
+    assert poly(2.0, _laguerre_coeffs(1, 0.5)) == pytest.approx(-0.5)
+    assert poly(1.0, _laguerre_coeffs(2, 0.0)) == pytest.approx(-0.5)
+    us = np.linspace(0.0, 6.0, 13)
+    for n in range(5):
+        np.testing.assert_allclose(poly(us, _laguerre_coeffs(n, 1.5)),
+                                   _laguerre(n, 1.5, us), rtol=1e-12,
+                                   atol=1e-12)
 
 
 def test_hermite_generalized_parity_and_laguerre_link():
+    # hermite_phi(a, m, .) = H_2m^(a+1/2) e^{-x^2} with
+    # H_2m = (-1)^m 4^m m! L_m^a(x^2)
     a = 0.5
     xs = np.linspace(-2, 2, 17)
-    for n in range(5):
-        vals = np.array([hermite_generalized(n, a, float(x)) for x in xs])
-        flip = np.array([hermite_generalized(n, a, float(-x)) for x in xs])
-        np.testing.assert_allclose(vals, (-1.0) ** n * flip, atol=1e-10)
-    x = 1.3
-    assert hermite_generalized(2, a, x) == pytest.approx(
-        -4.0 * laguerre(1, a, x * x), rel=1e-12)
-    assert hermite_generalized(3, a, x) == pytest.approx(
-        -8.0 * x * laguerre(1, a + 1.0, x * x), rel=1e-12)
+    for m in range(1, 4):
+        phi = hermite_phi(a, m, 1)
+        np.testing.assert_allclose(phi(xs), phi(-xs), rtol=0.0, atol=0.0)
+        ref = ((-1.0) ** m * 4.0 ** m * math.factorial(m)
+               * _laguerre(m, a, xs * xs) * np.exp(-xs * xs))
+        np.testing.assert_allclose(phi(xs), ref, rtol=1e-12, atol=1e-12)

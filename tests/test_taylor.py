@@ -10,8 +10,8 @@ from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.quad import integrate, QuadSpec
-from dunkl_lab.taylor import (b_coeff, b_poly,
-                              ThetaKernel, theta, theta_mass, theta0_moment,
+from dunkl_lab.taylor import (b_coeff, b_poly, _eval_terms, _theta_terms,
+                              theta_mass, theta0_moment,
                               remainder, remainder_profile,
                               taylor_identity_residual,
                               remainder_recursion_residual,
@@ -54,29 +54,11 @@ def test_b_coeff_dunkl_ladder():
 
 def test_theta0_closed_form():
     # Theta_0(x, y) = sgn(x)/(2 A(x)) + sgn(y)/(2 A(y))
-    kern = ThetaKernel(AL, 0)
     for x, y in [(1.3, 0.5), (-0.9, 0.4), (1.0, -0.6)]:
         ref = (math.copysign(0.5, x) / AL.weight(x)
                + math.copysign(0.5, y) / AL.weight(y))
-        assert theta(kern, x, y) == pytest.approx(ref, rel=1e-13)
-
-
-def test_theta_domain_checks():
-    kern = ThetaKernel(AL, 1)
-    with pytest.raises(ValueError):
-        theta(kern, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        theta(kern, 0.5, 0.9)
-    with pytest.raises(ValueError):
-        ThetaKernel(AL, -1)
-
-
-@pytest.mark.parametrize("a", [0.5, 0.0])
-def test_theta_at_y_zero_raises(a):
-    # the sgn(y) |y|^(-2a-1) term is 0 * inf there
-    for k in (0, 1, 2):
-        with pytest.raises(ValueError, match="nonzero"):
-            theta(ThetaKernel(AlphaParam(a), k), 1.2, 0.0)
+        assert _eval_terms(_theta_terms(AL.alpha, 0, x), y) == pytest.approx(
+            ref, rel=1e-13)
 
 
 def _theta_nested(alpha, k, x, y):
@@ -111,10 +93,9 @@ def _theta_nested(alpha, k, x, y):
 def test_theta_terms_vs_nested_quadrature(a, k):
     # alpha = 0 (every k here) and alpha = 1 (k = 3) carry log terms
     al = AlphaParam(a)
-    kern = ThetaKernel(al, k)
     for x, y in [(1.4, 0.6), (1.4, -0.6), (-2.0, 1.1)]:
-        assert theta(kern, x, y) == pytest.approx(_theta_nested(al, k, x, y),
-                                                  rel=1e-12)
+        assert _eval_terms(_theta_terms(a, k, x), y) == pytest.approx(
+            _theta_nested(al, k, x, y), rel=1e-12)
 
 
 @pytest.mark.parametrize("a,k", [(0.0, 2), (0.0, 3), (1.0, 4)])
@@ -122,7 +103,7 @@ def test_theta_resonant_alpha_has_log_terms(a, k):
     # an antiderivative exponent reaches -1: Theta_{k-1} gets a log term,
     # and the Taylor identity holds as at any other alpha
     al = AlphaParam(a)
-    assert any(j for _c, _sp, _e, j in ThetaKernel(al, k - 1).term_table(1.1))
+    assert any(j for _c, _sp, _e, j in _theta_terms(a, k - 1, 1.1))
     for x, pt in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
         scale = abs(translate(al, F, x, pt)) + 1.0
         assert taylor_identity_residual(al, k, F, x, pt) / scale < 1e-12
@@ -236,7 +217,7 @@ def test_near_resonant_alpha_keeps_the_taylor_identity(a):
     # the 1/(e+1) terms, which cancel to ~1e-5 at alpha = 6e-10
     al = AlphaParam(a)
     f = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
-    assert any(j for _c, _sp, _e, j in ThetaKernel(al, 3).term_table(1.1))
+    assert any(j for _c, _sp, _e, j in _theta_terms(a, 3, 1.1))
     for k in (2, 3, 4):
         for x, pt in [(0.7, 0.45), (-1.3, 0.0), (1.9, -0.8), (0.2, 1.5)]:
             scale = abs(translate(al, f, x, pt)) + 1.0

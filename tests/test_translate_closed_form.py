@@ -14,8 +14,8 @@ from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
-from dunkl_lab.quad import (LpContext, cheb_interpolator, cheb_nodes,
-                            jacobi_rule, lp_norm)
+from dunkl_lab.quad import (NORM_NODES, LpContext, cheb_interpolator,
+                            cheb_nodes, jacobi_rule, lp_norm)
 from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
 from dunkl_lab.taylor import (iterated_integral_I, remainder,
                               remainder_profile, symmetric_remainder_profile,
@@ -89,15 +89,15 @@ def _conv_profile_loop(params, f, phi, t, n_outer=80):
     return prof
 
 
-def _iterated_integral_loop(al, k, f, x, a, n=40, n_cheb=48):
+def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
     """Former recursive form of iterated_integral_I: one scalar call of the
     level below per Chebyshev node and sign."""
     if k == 1:
         return _theta_weighted_integral(
-            al, 0, x, lambda ys, rows: translate_many(al, f, a, ys), abs(a), n=n)
+            al, 0, x, lambda ys, rows: translate_many(al, f, a, ys), abs(a))
     nodes = cheb_nodes(n_cheb, 0.0, abs(x))
     ip, im = (cheb_interpolator(nodes, np.array(
-        [_iterated_integral_loop(al, k - 1, f, s * float(y), a, n, n_cheb)
+        [_iterated_integral_loop(al, k - 1, f, s * float(y), a, n_cheb)
          for y in nodes])) for s in (1.0, -1.0))
 
     def h(ys, rows):
@@ -105,7 +105,7 @@ def _iterated_integral_loop(al, k, f, x, a, n=40, n_cheb=48):
         return np.where(ys >= 0.0, ip(ay).reshape(ys.shape),
                         im(ay).reshape(ys.shape))
 
-    return _theta_weighted_integral(al, 0, x, h, abs(a), n=n)
+    return _theta_weighted_integral(al, 0, x, h, abs(a))
 
 
 def _params(alpha, k, p=2.0):
@@ -348,10 +348,10 @@ def test_each_sign_pair_is_one_call():
 
     ctx = LpContext(al, 2.0, 8.0)
     lp_norm(ctx, g)
-    assert calls == [2 * ctx.n_nodes, 2 * 32]    # head, tail
+    assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
     terms = _theta_terms(0.5, 1, 0.9)
-    _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys), 0.4, n=40)
+    _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys), 0.4)
     # one call per piece: every term's +-z on the Jacobi rules, then the
     # one Legendre rule above the kink that all terms share
     assert calls == [len(terms) * 2 * 40, 2 * 40]
