@@ -31,7 +31,7 @@ import numpy as np
 
 from .special import AlphaParam, dunkl_kernel_it
 from .funcalg import GaussPolyFunction, hermite_phi
-from .dunklcore import translate_many
+from .dunklcore import translate, translate_many
 from .quad import QuadratureError
 from . import taylor as T
 from . import besov as B
@@ -214,7 +214,7 @@ def cmd_taylor(cfg: RunConfig) -> int:
     al = AlphaParam(cfg.alpha)
     f = cfg.resolve_function()
     rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a)
-    tau = T.translate(al, f, cfg.x, cfg.a)  # shared by profile and residual
+    tau = translate(al, f, cfg.x, cfg.a)  # shared by profile and residual
     out = {
         "remainder_integral": rem,
         "remainder_recurrence": float(T.remainder_profile(

@@ -266,32 +266,3 @@ def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
 def lp_norm(ctx: LpContext, g: Callable) -> float:
     return lp_norm_full(ctx, g).value
 
-
-# -- Chebyshev grids with barycentric interpolation ---------------------------
-
-def cheb_nodes(n: int, a: float, b: float) -> np.ndarray:
-    """Chebyshev points of the first kind mapped to [a, b]."""
-    k = np.arange(n)
-    x = np.cos((2 * k + 1) * math.pi / (2 * n))
-    return 0.5 * (a + b) + 0.5 * (b - a) * x
-
-
-def cheb_interpolator(nodes: np.ndarray, values: np.ndarray) -> Callable:
-    """Barycentric interpolant through (nodes, values)."""
-    n = len(nodes)
-    k = np.arange(n)
-    # first-kind Chebyshev barycentric weights up to common scale
-    bw = (-1.0) ** k * np.sin((2 * k + 1) * math.pi / (2 * n))
-
-    def interp(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        diff = x[:, None] - nodes[None, :]
-        exact = np.isclose(diff, 0.0, atol=0.0)
-        diff[exact] = 1.0
-        q = bw / diff
-        out = (q @ values) / q.sum(axis=1)
-        hit_row, hit_col = np.nonzero(exact)
-        out[hit_row] = values[hit_col]
-        return out if out.shape != (1,) else float(out[0])
-
-    return interp

@@ -1,8 +1,9 @@
 """Generalized Taylor formula with integral remainder.
 
 The expansion coefficients b_p, the remainder kernels Theta_k built by the
-u/v recursion, the order-k remainder R_k in both its integral and recurrence
-forms, the iterated integrals I_k, and the symmetric remainder.
+u/v recursion, the iterated integrals I_k, the order-k remainder R_k in both
+its integral form R_k(x, f) = I_k(x, L^k f) and its recurrence form, and the
+symmetric remainder.
 
 For a fixed first argument x, each Theta_k(x, .) is a finite combination of
 terms  c * sgn(y)^s * |y|^e * log^j |y|, a set the recursion's antiderivatives
@@ -22,7 +23,7 @@ import numpy as np
 from .special import AlphaParam, pochhammer
 from .funcalg import GaussPolyFunction, dunkl_power
 from .quad import integrate, jacobi_rule, rowdot
-from .dunklcore import translate, translate_many
+from .dunklcore import translate_many
 
 __all__ = [
     "b_coeff",
@@ -36,8 +37,6 @@ __all__ = [
     "iterated_integral_I",
     "symmetric_remainder_residual",
 ]
-
-MAX_NESTED_ORDER = 4
 
 
 def b_coeff(alpha, p: int, x) -> float:
@@ -137,19 +136,15 @@ def _eval_terms(terms, y):
 
 
 def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
-    """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy."""
+    """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy, with A(y) folded into
+    each term's |y| exponent (so no term overflows where A underflows)."""
     if x == 0.0:
         raise ValueError("x must be nonzero")
-    terms = _theta_terms(alpha.alpha, k - 1, float(x))
     we = alpha.weight_exp
-    ax = abs(x)
-
-    def g(y):
-        return (abs(_eval_terms(terms, y)) + abs(_eval_terms(terms, -y))) * y ** we
-
-    # large alpha: |y|^e overflows where y^we underflows, inf * 0 = nan raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, _ = integrate(g, 0.0, ax)
+    terms = [(c, sp, e + we, j)
+             for c, sp, e, j in _theta_terms(alpha.alpha, k - 1, float(x))]
+    val, _ = integrate(lambda y: abs(_eval_terms(terms, y))
+                       + abs(_eval_terms(terms, -y)), 0.0, abs(x))
     return val
 
 
@@ -239,23 +234,31 @@ def _translate_profile(alpha: AlphaParam, f: Callable, a) -> Callable:
         alpha, f, a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1), ys)
 
 
-# -- the remainder -------------------------------------------------------------
+# -- iterated integrals and the remainder ------------------------------------
 
-def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
-    """Integral remainder R_k(x, f)(a) of the generalized Taylor formula,
+def iterated_integral_I(alpha: AlphaParam, k: int, f: Callable, x, a):
+    """I_k(x, f)(a), the k-fold Theta_0-weighted iterate of the translation,
+    as one integral: Theta_{k-1} is the kernel of that iterate (its u/v
+    recursion is Fubini on the nested integrals), so
 
-        int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy;
+        I_k(x, f)(a) = int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y f(a) A(y) dy;
 
-    x and a may be arrays (one row per broadcast pair).  remainder_profile
-    gives the same remainder in its recurrence form."""
+    x and a may be arrays (one row per broadcast pair)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
-    g = dunkl_power(alpha, f, k)
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
     return _theta_weighted_integral(alpha, k - 1, x,
-                                    _translate_profile(alpha, g, a), np.abs(a))
+                                    _translate_profile(alpha, f, a), np.abs(a))
+
+
+def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
+    """Integral remainder R_k(x, f)(a) = I_k(x, L^k f)(a) of the generalized
+    Taylor formula, int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy;
+    x and a may be arrays (one row per broadcast pair).  remainder_profile
+    gives the same remainder in its recurrence form."""
+    return iterated_integral_I(alpha, k, dunkl_power(alpha, f, k), x, a)
 
 
 def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
@@ -281,18 +284,15 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
 
 
 def taylor_identity_residual(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                             x: float, a: float,
-                             rem: Optional[float] = None,
+                             x: float, a: float, rem: Optional[float] = None,
                              tau: Optional[float] = None) -> float:
-    """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)| with the
-    integral remainder; `rem` is that remainder and `tau` is tau_x f(a)
-    when the caller has them already (say, from one remainder call over
-    many (x, a))."""
-    lhs = translate(alpha, f, x, a) if tau is None else tau
-    rhs = sum(b_coeff(alpha, p, x) * dunkl_power(alpha, f, p)(a)
-              for p in range(k))
-    rhs += remainder(alpha, k, f, x, a) if rem is None else rem
-    return abs(lhs - rhs)
+    """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)|: the recurrence
+    form against the integral remainder.  `rem` is that remainder and `tau`
+    is tau_x f(a) when the caller has them already (say, from one remainder
+    call over many (x, a))."""
+    if rem is None:
+        rem = remainder(alpha, k, f, x, a)
+    return float(abs(remainder_profile(alpha, k, f, x)(a, tau=tau) - rem))
 
 
 def remainder_recursion_residual(alpha: AlphaParam, k: int,
@@ -307,42 +307,6 @@ def remainder_recursion_residual(alpha: AlphaParam, k: int,
         alpha, 0, x,
         lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a), abs(a))
     return float(abs(lhs - rhs))
-
-
-def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                        x, a: float, n_cheb: int = 48):
-    """I_k(x, f)(a): k-fold Theta_0-weighted iterate of the translation, for
-    a scalar x or an array of x (the result has its shape).
-
-    Inner levels are memoized on Chebyshev grids in y (one interpolant per
-    sign and row) before the outer quadrature; the grid values of all rows
-    are one batched call of the level below.  Numeric nesting refuses k > 4.
-    """
-    from .quad import cheb_nodes, cheb_interpolator
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_NESTED_ORDER:
-        raise ValueError(f"nesting depth limited to k <= {MAX_NESTED_ORDER}")
-    if np.any(np.asarray(x) == 0.0):
-        raise ValueError("x must be nonzero")
-    if k == 1:
-        return _theta_weighted_integral(alpha, 0, x,
-                                        _translate_profile(alpha, f, a),
-                                        abs(a))
-    nodes = cheb_nodes(n_cheb, 0.0, np.abs(np.asarray(x, dtype=float))[..., None])
-    vals = iterated_integral_I(alpha, k - 1, f,
-                               np.concatenate([nodes, -nodes], axis=-1), a,
-                               n_cheb=n_cheb).reshape(-1, 2 * n_cheb)
-    interp = [(cheb_interpolator(nd, v[:n_cheb]), cheb_interpolator(nd, v[n_cheb:]))
-              for nd, v in zip(nodes.reshape(-1, n_cheb), vals)]
-
-    def h(ys, rows):
-        # one term's nodes per call: the interpolant's product rounds by shape
-        return np.array([[np.where(y >= 0.0, ip(np.abs(y)), im(np.abs(y)))
-                          for y in yr]
-                         for yr, (ip, im) in zip(ys, (interp[r] for r in rows))])
-
-    return _theta_weighted_integral(alpha, 0, x, h, abs(a))
 
 
 def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:

@@ -245,16 +245,15 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         for k in (1, 2):
             w_nest = w_rem = 0.0
             for x, pt in samples[:2]:
-                g = lambda aa, _x=x, _k=k: T.iterated_integral_I(
-                    al, _k, f, _x, aa, n_cheb=32)
-                lhs = dunkl_fd_power(al, g, pt if pt else 0.45, k, h=2e-3)
-                rhs = T.remainder_profile(al, k, f, x)(pt if pt else 0.45)
+                u = pt or 0.45
+                g = functools.partial(T.iterated_integral_I, al, k, f, x)
+                lhs = dunkl_fd_power(al, g, u, k, h=2e-3)
+                rhs = T.remainder_profile(al, k, f, x)(u)
                 w_rem = max(w_rem, abs(lhs - rhs) / (1.0 + abs(rhs)))
                 if k == 1:
-                    lhs2 = dunkl_fd_power(al, g, pt if pt else 0.45, 2, h=2e-3)
-                    g2 = lambda aa, _x=x: T.iterated_integral_I(
-                        al, 1, lf, _x, aa, n_cheb=32)
-                    rhs2 = dunkl_fd_power(al, g2, pt if pt else 0.45, 1, h=2e-3)
+                    lhs2 = dunkl_fd_power(al, g, u, 2, h=2e-3)
+                    g2 = functools.partial(T.iterated_integral_I, al, 1, lf, x)
+                    rhs2 = dunkl_fd_power(al, g2, u, 1, h=2e-3)
                     w_nest = max(w_nest, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
             checks.append(_check(f"iterated-integral-remainder[a={a},k={k}]",
                                  "k-fold operator on iterate gives remainder "

@@ -102,15 +102,15 @@ def test_taylor_translates_once_with_the_former_output(capsys, monkeypatch,
                                                        alpha, k, x, a):
     # one tau_x f(a), shared by the recurrence remainder and the residual,
     # prints what the former two translations printed, byte for byte
-    from dunkl_lab import taylor as T
+    from dunkl_lab import cli, taylor as T
     from dunkl_lab.special import AlphaParam
     al, f = AlphaParam(alpha), CATALOG["cubic_gaussian"]
     calls = []
-    for name in ("translate", "translate_many"):
-        def counted(*args, _orig=getattr(T, name)):
+    for mod, name in ((cli, "translate"), (T, "translate_many")):
+        def counted(*args, _orig=getattr(mod, name)):
             calls.append(args[1] == f)       # translations of f itself
             return _orig(*args)
-        monkeypatch.setattr(T, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     argv = ["taylor", "--alpha", str(alpha), "--k", str(k), "--x", str(x),
             "--a", str(a), "--function", "cubic_gaussian"]
     assert run(argv) == EXIT_OK
@@ -193,9 +193,20 @@ def test_taylor_at_x_zero_exits_2(capsys):
     assert "nonzero" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("alpha", ["47", "60", "140"])
+def test_large_alpha_taylor_gives_theta_mass(capsys, alpha):
+    # each Theta term carries A(y) in its exponent, so no term overflows
+    # where the weight underflows
+    assert run(["taylor", "--alpha", alpha, "--k", "2", "--x", "0.5",
+                "--a", "0.3", "--function", "gaussian"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in doc.values())
+    assert 0.0 < doc["theta_mass"] <= doc["theta_mass_bound"]
+    assert doc["identity_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("alpha,msg", [
-    ("60", "numerical error: nan integrand value"),    # Theta_1 overflows
-    ("200", "input error: alpha = 200 is too large"),  # so does Gamma(a+1)
+    ("200", "input error: alpha = 200 is too large"),  # Gamma(a+1) overflows
 ])
 def test_large_alpha_taylor_exits_2(capsys, alpha, msg):
     assert run(["taylor", "--alpha", alpha, "--k", "2", "--x", "0.5",

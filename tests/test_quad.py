@@ -9,8 +9,7 @@ from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction
 from dunkl_lab.quad import (QuadSpec, QuadratureError, integrate,
                             jacobi_rule, LpContext,
-                            lp_norm, lp_norm_full, cheb_nodes,
-                            cheb_interpolator)
+                            lp_norm, lp_norm_full)
 
 
 def test_quadspec_validation():
@@ -124,13 +123,3 @@ def test_lp_norm_rejects_pure_polynomial():
     with pytest.raises(ValueError):
         lp_norm(ctx, GaussPolyFunction((0.0, 1.0), 0.0))
 
-
-def test_cheb_interpolator_reproduces_polynomials():
-    nodes = cheb_nodes(16, 0.0, 2.0)
-    vals = nodes ** 3 - 2.0 * nodes + 1.0
-    interp = cheb_interpolator(nodes, vals)
-    xs = np.linspace(0.0, 2.0, 37)
-    np.testing.assert_allclose(interp(xs), xs ** 3 - 2.0 * xs + 1.0,
-                               atol=1e-12)
-    # exact node hit goes through the short-circuit branch
-    assert interp(float(nodes[3])) == pytest.approx(float(vals[3]), abs=1e-14)

@@ -241,11 +241,21 @@ def _fd2(g, a, h=1e-2):
     return dunkl_fd_power(AL, g, a, 2, h=h)
 
 
-def test_iterated_integral_refuses_deep_nesting():
-    with pytest.raises(ValueError):
-        iterated_integral_I(AL, 5, F, 1.0, 0.3)
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_iterated_integral_deep_orders_close_the_taylor_identity(a):
+    # no depth limit: tau_x f - sum_{p<k} b_p(x) L^p f = I_k(x, L^k f)
+    al = AlphaParam(a)
+    for k in (5, 6):
+        lkf = dunkl_power(al, F, k)
+        for x, pt in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
+            scale = abs(translate(al, F, x, pt)) + 1.0
+            rec = remainder_profile(al, k, F, x)(pt)
+            assert abs(rec - iterated_integral_I(al, k, lkf, x, pt)) \
+                / scale < 1e-12, (k, x, pt)
     with pytest.raises(ValueError):
         iterated_integral_I(AL, 1, F, 0.0, 0.3)
+    with pytest.raises(ValueError):
+        iterated_integral_I(AL, 0, F, 1.0, 0.3)
 
 
 def test_symmetric_remainder_matches_direct_sum():

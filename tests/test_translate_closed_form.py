@@ -1,6 +1,7 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
 the Gauss-Jacobi quadrature path, the batched Taylor and convolution loops
-against their former per-node loop forms (kept here as reference
+against their former per-node loop forms, the one-kernel iterated integral
+against its nested Chebyshev form (all kept here as reference
 implementations), and the sharing of one Bessel pair among the points
 (+-x, +-y)."""
 
@@ -14,8 +15,7 @@ from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
-from dunkl_lab.quad import (NORM_NODES, LpContext, cheb_interpolator,
-                            cheb_nodes, jacobi_rule, lp_norm)
+from dunkl_lab.quad import NORM_NODES, LpContext, jacobi_rule, lp_norm
 from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
 from dunkl_lab.taylor import (iterated_integral_I, remainder,
                               remainder_profile, symmetric_remainder_profile,
@@ -89,9 +89,49 @@ def _conv_profile_loop(params, f, phi, t, n_outer=80):
     return prof
 
 
+def cheb_nodes(n, a, b):
+    """Chebyshev points of the first kind mapped to [a, b]."""
+    k = np.arange(n)
+    x = np.cos((2 * k + 1) * math.pi / (2 * n))
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
+
+
+def cheb_interpolator(nodes, values):
+    """Barycentric interpolant through (nodes, values)."""
+    n = len(nodes)
+    k = np.arange(n)
+    # first-kind Chebyshev barycentric weights up to common scale
+    bw = (-1.0) ** k * np.sin((2 * k + 1) * math.pi / (2 * n))
+
+    def interp(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        diff = x[:, None] - nodes[None, :]
+        exact = np.isclose(diff, 0.0, atol=0.0)
+        diff[exact] = 1.0
+        q = bw / diff
+        out = (q @ values) / q.sum(axis=1)
+        hit_row, hit_col = np.nonzero(exact)
+        out[hit_row] = values[hit_col]
+        return out if out.shape != (1,) else float(out[0])
+
+    return interp
+
+
+def test_cheb_interpolator_reproduces_polynomials():
+    nodes = cheb_nodes(16, 0.0, 2.0)
+    vals = nodes ** 3 - 2.0 * nodes + 1.0
+    interp = cheb_interpolator(nodes, vals)
+    xs = np.linspace(0.0, 2.0, 37)
+    np.testing.assert_allclose(interp(xs), xs ** 3 - 2.0 * xs + 1.0,
+                               atol=1e-12)
+    # exact node hit goes through the short-circuit branch
+    assert interp(float(nodes[3])) == pytest.approx(float(vals[3]), abs=1e-14)
+
+
 def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
-    """Former recursive form of iterated_integral_I: one scalar call of the
-    level below per Chebyshev node and sign."""
+    """Nested form of iterated_integral_I: the k-fold Theta_0-weighted
+    iterate, each inner level a Chebyshev interpolant in y (one per sign)
+    through one scalar call of the level below per node."""
     if k == 1:
         return _theta_weighted_integral(
             al, 0, x, lambda ys, rows: translate_many(al, f, a, ys), abs(a))
@@ -120,22 +160,24 @@ def _close(batched, loop, rel):
     assert np.max(np.abs(batched - loop)) <= rel * scale
 
 
-@pytest.mark.parametrize("alpha,k,n_cheb", [(0.5, 1, 48), (-0.25, 2, 32),
-                                            (1.5, 3, 10)])
+@pytest.mark.parametrize("alpha,k,n_cheb", [
+    (0.5, 1, 48), (-0.25, 2, 48), (0.5, 2, 48), (1.5, 2, 48), (0.0, 2, 48),
+    (1.0, 2, 48), (0.0, 3, 48)])          # alpha = 0, k = 3: Theta_2 has logs
 def test_batched_iterated_integral_matches_loop(alpha, k, n_cheb):
+    # the one Theta_{k-1}-weighted integral against the nested iterate
     al = AlphaParam(alpha)
-    for x, a in ((0.9, 0.3), (-1.4, 0.0), (0.6, -2.0)):
+    pairs = ((0.9, 0.3), (-1.4, 0.0), (0.6, -2.0))
+    for x, a in pairs if k < 3 else pairs[:1]:     # k = 3 nests 96^2 calls
         loop = _iterated_integral_loop(al, k, CUBIC, x, a, n_cheb=n_cheb)
-        batched = iterated_integral_I(al, k, CUBIC, x, a, n_cheb=n_cheb)
+        batched = iterated_integral_I(al, k, CUBIC, x, a)
         assert isinstance(batched, float)
-        assert abs(batched - loop) <= 1e-14 * abs(loop)
+        assert abs(batched - loop) <= 1e-14 * (1.0 + abs(batched))
     # rows: one value per x, each the scalar call's bit for bit
     xs = np.array([[0.9, -0.3], [1.7, -2.2]])
-    rows = iterated_integral_I(al, k, CUBIC, xs, 0.45, n_cheb=n_cheb)
+    rows = iterated_integral_I(al, k, CUBIC, xs, 0.45)
     assert rows.shape == xs.shape
     for x, v in zip(xs.ravel(), rows.ravel()):
-        assert v == iterated_integral_I(al, k, CUBIC, float(x), 0.45,
-                                        n_cheb=n_cheb)
+        assert v == iterated_integral_I(al, k, CUBIC, float(x), 0.45)
 
 
 @pytest.mark.parametrize("alpha,k", [(-0.25, 1), (0.5, 2), (1.5, 3)])
@@ -187,9 +229,11 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     _iterated_integral_loop(al, 2, CUBIC, 0.9, 0.3, n_cheb=32)
     loop_points = sum(calls)
     calls.clear()
-    iterated_integral_I(al, 2, CUBIC, 0.9, 0.3, n_cheb=32)
-    assert len(calls) <= 3
-    assert sum(calls) == loop_points          # the same translations
+    iterated_integral_I(al, 2, CUBIC, 0.9, 0.3)
+    # the head rules of every Theta_1 term, then the shared tail rule
+    assert len(calls) <= 2
+    assert sum(calls) == 80 * (len(_theta_terms(0.5, 1, 0.9)) + 1)
+    assert 20 * sum(calls) < loop_points
     calls.clear()
     convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384))      # 120 nodes
     assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
