@@ -214,13 +214,12 @@ def cmd_taylor(cfg: RunConfig) -> int:
     al = AlphaParam(cfg.alpha)
     f = cfg.resolve_function()
     rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a)
-    tau = translate(al, f, cfg.x, cfg.a)  # shared by profile and residual
+    rec = float(T.remainder_profile(al, cfg.k, f, cfg.x)(
+        cfg.a, tau=translate(al, f, cfg.x, cfg.a)))
     out = {
         "remainder_integral": rem,
-        "remainder_recurrence": float(T.remainder_profile(
-            al, cfg.k, f, cfg.x)(cfg.a, tau=tau)),
-        "identity_residual": T.taylor_identity_residual(
-            al, cfg.k, f, cfg.x, cfg.a, rem=rem, tau=tau),
+        "remainder_recurrence": rec,
+        "identity_residual": abs(rec - rem),
         "theta_mass": T.theta_mass(al, cfg.k, cfg.x),
         "theta_mass_bound": (T.b_coeff(al, cfg.k, abs(cfg.x))
                              + abs(cfg.x) * T.b_coeff(al, cfg.k - 1,

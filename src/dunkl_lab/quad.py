@@ -175,6 +175,8 @@ def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):
     for polynomial f up to degree 2n-1, as sum(w * f(z)).  For arrays a, b
     of shape (..., 1) each row scales by a scalar power (numpy's array power
     can differ in the last bit), so it is its own interval's rule bit for bit.
+    OverflowError where a weight is not finite (a large exponent on a wide
+    interval).
     """
     if exp_a <= -1.0 or exp_b <= -1.0:
         raise ValueError("Jacobi exponents must be > -1")
@@ -182,10 +184,13 @@ def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):
     r = 0.5 * (b - a)
     z = 0.5 * (a + b) + r * x
     e = exp_a + exp_b + 1.0
-    if np.ndim(r):
-        return z, w * np.reshape([v ** e for v in np.ravel(r).tolist()],
-                                 np.shape(r))
-    return z, w * r ** e
+    scale = (np.reshape([v ** e for v in np.ravel(r).tolist()], np.shape(r))
+             if np.ndim(r) else r ** e)
+    # the weights are positive: the largest product decides, in floats
+    if not math.isfinite(float(w.max()) * float(np.max(scale))):
+        raise OverflowError(f"Gauss-Jacobi weights overflow a float (weight "
+                            f"exponent {e - 1.0:g} over a width {2.0 * r:g})")
+    return z, w * scale
 
 
 def rowdot(w, v):
@@ -246,8 +251,10 @@ def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
     (z, w), (zt, wt) = _norm_rules(ctx)
     hv, tv = (v ** p for v in values)
     head = max(float(np.dot(w, hv[:z.size] + hv[z.size:])) / a.norm_const, 0.0)
-    tail = float(np.dot(wt, (tv[:zt.size] + tv[zt.size:])
-                        * zt ** a.weight_exp)) / a.norm_const
+    # zt^(2a+1) / norm_const through logs: the power overflows from a = 102
+    tail = float(np.dot(wt * np.exp(a.weight_exp * np.log(zt)
+                                    - math.log(a.norm_const)),
+                        tv[:zt.size] + tv[zt.size:]))
     return NormEstimate(head ** (1.0 / p), head, max(tail, 0.0),
                         ctx.truncation_T)
 

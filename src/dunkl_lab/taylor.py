@@ -9,14 +9,15 @@ For a fixed first argument x, each Theta_k(x, .) is a finite combination of
 terms  c * sgn(y)^s * |y|^e * log^j |y|, a set the recursion's antiderivatives
 keep closed: an exponent -1 (resonant alpha: alpha = 0 from Theta_1 on,
 alpha = 1 from Theta_3 on) integrates to a log power, every other exponent
-exactly as a power.
+exactly as a power.  A Theta-weighted integral gives each term one Gauss rule
+on (0, |x|) for its power (and log) of |y|; tau_y f(a) is analytic in y.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "theta0_moment",
     "remainder",
     "remainder_profile",
-    "taylor_identity_residual",
     "remainder_recursion_residual",
     "iterated_integral_I",
     "symmetric_remainder_residual",
@@ -154,29 +154,27 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
     if x == 0.0:
         raise ValueError("x must be nonzero")
     return _theta_weighted_integral(alpha, 0, x,
-                                    lambda ys, rows: b_coeff(alpha, p, ys), 0.0)
+                                    lambda ys, rows: b_coeff(alpha, p, ys))
 
 
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
 
-def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
-                             split):
+def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable):
     """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
-    analytically (per term, the |y| exponent goes into a Jacobi rule; a term
-    with log^j |y|, j > 0, takes its rule on (0, hi) after z = hi t^3, so the
-    log singularity sits under the weight t^(3 ee + 2)).
+    analytically: each term takes one rule on (0, |x|), a Jacobi rule for its
+    |y| exponent, or for a term with log^j |y|, j > 0, the Jacobi rule after
+    z = |x| t^3, so the log singularity sits under the weight t^(3 ee + 2).
+    Gauss rules need h smooth on (-|x|, |x|), as y |-> tau_y f(a) is for f
+    in the algebra.  A rule has 40 nodes per 4 units of |x| (at most 400), as the
+    translates vary on a scale of one.
 
-    x and split (an interior kink of h, typically |a|) broadcast to the
-    rows of the result; scalars give a float.  h(ys, rows) maps the nodes
-    ys[i, j] = [z, -z] of term j of row rows[i] to values; it is called once
-    for the rules on (0, min(split, |x|)) and once for the rule on
-    (split, |x|), which all terms share (so there ys has one term, j = 0),
-    and each row's sum equals its single-row value bit for bit.
+    x broadcasts to the rows of the result; a scalar gives a float.
+    h(ys, rows) maps the nodes ys[i, j] = [z, -z] of term j of row rows[i]
+    to values; it is called once per node count (once where |x| <= 4), and
+    each row's sum equals its single-row value bit for bit.
     """
-    n = 40                          # nodes of every rule
-    xb, sb = np.broadcast_arrays(np.asarray(x, float), np.asarray(split, float))
-    xs, ss, ax = xb.ravel(), sb.ravel(), np.abs(xb.ravel())
-    kink = (0.0 < ss) & (ss < ax)
+    xb = np.asarray(x, float)
+    xs = xb.ravel()
     # the exponents depend on (alpha, order) only; a term that cancels
     # exactly at some x has coefficient 0 there
     ux, inv = np.unique(xs, return_inverse=True)
@@ -186,43 +184,28 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     keys = list(dict.fromkeys(key for t in tables for key in t))
     coef = np.array([[t.get(key, 0.0) for key in keys] for t in tables])[inv]
     sgn = np.array([(-1.0) ** sp for sp, _, _ in keys])[:, None]
-    # per term: the exponent of Theta-term * A, and the log power
-    pows = [(e + alpha.weight_exp, j) for _, e, j in keys]
 
-    def head_rule(ee, j, hi):
-        # rule on (0, hi) for the weight z^ee log^j z
+    def rule(n, ax, ee, j):
+        # rule on (0, ax) for the weight z^ee log^j z (Theta-term * A)
         if not j:
-            return jacobi_rule(n, ee, 0.0, 0.0, hi)
+            return jacobi_rule(n, ee, 0.0, 0.0, ax)
         t, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 0.0, 1.0)
-        scale = np.reshape([3.0 * v ** (ee + 1.0) for v in hi.ravel().tolist()],
-                           hi.shape)
-        return hi * t ** 3, scale * w * (np.log(hi) + 3.0 * np.log(t)) ** j
+        scale = np.reshape([3.0 * v ** (ee + 1.0) for v in ax.ravel().tolist()],
+                           ax.shape)
+        return ax * t ** 3, scale * w * (np.log(ax) + 3.0 * np.log(t)) ** j
 
-    def piece(rows, lo, hi):
-        # rules on (0, hi) when lo is None, else Legendre on (lo, hi) with
-        # the weight as a factor; returns c * sum(w (h(z) +- h(-z)))
-        if not rows.size:
-            return np.zeros((0, len(keys)))
-        if lo is None:
-            rules = [head_rule(ee, j, hi[:, None]) for ee, j in pows]
-        else:
-            rules = [jacobi_rule(n, 0.0, 0.0, lo[:, None], hi[:, None])] * len(pows)
-        z = np.stack([z for z, _ in rules], axis=1)
-        # the Legendre rule is every term's: h once per row, broadcast
-        zh = z if lo is None else z[:, :1]
-        hv = h(np.concatenate([zh, -zh], axis=-1), rows)
-        v = hv[..., :n] + sgn * hv[..., n:]
-        if lo is not None:
-            v = np.stack([z ** ee * np.log(z) ** j if j else z ** ee
-                          for (z, _), (ee, j) in zip(rules, pows)], axis=1) * v
-        return coef[rows] * rowdot(np.stack([w for _, w in rules], axis=1), v)
-
-    head = piece(np.arange(xs.size), None, np.where(kink, ss, ax))
-    tail = piece(np.flatnonzero(kink), ss[kink], ax[kink])
+    ns = 40 * np.clip(np.ceil(np.abs(xs) / 4.0), 1, 10).astype(int)
     total = np.zeros(xs.size)
-    for j in range(len(keys)):       # per term: head, then tail, as one row
-        total += head[:, j]
-        total[kink] += tail[:, j]
+    for n in np.unique(ns).tolist():
+        rows = np.flatnonzero(ns == n)
+        ax = np.abs(xs[rows])[:, None]
+        rules = [rule(n, ax, e + alpha.weight_exp, j) for _, e, j in keys]
+        z = np.stack([z for z, _ in rules], axis=1)
+        hv = h(np.concatenate([z, -z], axis=-1), rows)
+        parts = coef[rows] * rowdot(np.stack([w for _, w in rules], axis=1),
+                                    hv[..., :n] + sgn * hv[..., n:])
+        for j in range(len(keys)):   # per term, as one row would sum them
+            total[rows] += parts[:, j]
     return total.reshape(xb.shape) if xb.ndim else float(total[0])
 
 
@@ -241,16 +224,19 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: Callable, x, a):
     as one integral: Theta_{k-1} is the kernel of that iterate (its u/v
     recursion is Fubini on the nested integrals), so
 
-        I_k(x, f)(a) = int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y f(a) A(y) dy;
+        I_k(x, f)(a) = int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y f(a) A(y) dy,
 
-    x and a may be arrays (one row per broadcast pair)."""
+    one rule per Theta term on (0, |x|), which needs y |-> tau_y f(a) smooth
+    on (-|x|, |x|): it is for f in the algebra, whose translates are analytic
+    in y (no kink at |y| = |a|).  x and a may be arrays (one row per
+    broadcast pair)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
     return _theta_weighted_integral(alpha, k - 1, x,
-                                    _translate_profile(alpha, f, a), np.abs(a))
+                                    _translate_profile(alpha, f, a))
 
 
 def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
@@ -283,18 +269,6 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
     return prof
 
 
-def taylor_identity_residual(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                             x: float, a: float, rem: Optional[float] = None,
-                             tau: Optional[float] = None) -> float:
-    """|tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) - R_k(x,f)(a)|: the recurrence
-    form against the integral remainder.  `rem` is that remainder and `tau`
-    is tau_x f(a) when the caller has them already (say, from one remainder
-    call over many (x, a))."""
-    if rem is None:
-        rem = remainder(alpha, k, f, x, a)
-    return float(abs(remainder_profile(alpha, k, f, x)(a, tau=tau) - rem))
-
-
 def remainder_recursion_residual(alpha: AlphaParam, k: int,
                                  f: GaussPolyFunction, x: float,
                                  a: float) -> float:
@@ -305,7 +279,7 @@ def remainder_recursion_residual(alpha: AlphaParam, k: int,
     lf = dunkl_power(alpha, f, 1)
     rhs = _theta_weighted_integral(
         alpha, 0, x,
-        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a), abs(a))
+        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a))
     return float(abs(lhs - rhs))
 
 

@@ -177,22 +177,23 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
 TAYLOR_XS = (0.2, -0.6, 0.9, -1.4, 2.1)
 TAYLOR_AS = (0.0, 0.45, -0.8, 1.5, -2.2)
-TAYLOR_PAIRS = [(x, pt) for x in TAYLOR_XS for pt in TAYLOR_AS]
+# plus one pair just off a = 0: a quadrature split at |a| is 1e-4 off there
+TAYLOR_PAIRS = [(x, pt) for x in TAYLOR_XS for pt in TAYLOR_AS] + [(2.1, 1e-4)]
 
 def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
     checks = []
+    xs, us = np.transpose(TAYLOR_PAIRS)
     for a in alphas:
         al = AlphaParam(a)
         # tau_x f(a) does not depend on k: once per (f, pair)
-        taus = {name: translate_many(al, f, *np.transpose(TAYLOR_PAIRS)
-                                     ).tolist() for name, f in TEST_FUNCTIONS}
+        taus = {name: translate_many(al, f, xs, us)
+                for name, f in TEST_FUNCTIONS}
         for k in ks:
             for name, f in TEST_FUNCTIONS:
-                rems = T.remainder(al, k, f, *np.transpose(TAYLOR_PAIRS))
-                worst = 0.0
-                for (x, pt), rem, tau in zip(TAYLOR_PAIRS, rems, taus[name]):
-                    worst = max(worst, T.taylor_identity_residual(
-                        al, k, f, x, pt, rem=rem, tau=tau) / (1.0 + abs(tau)))
+                tau = taus[name]
+                gap = (T.remainder_profile(al, k, f, xs)(us, tau=tau)
+                       - T.remainder(al, k, f, xs, us))
+                worst = float(np.max(np.abs(gap) / (1.0 + np.abs(tau))))
                 checks.append(_check(
                     f"taylor-identity[a={a},k={k},f={name}]",
                     "expansion plus integral remainder reproduces translation",

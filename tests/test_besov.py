@@ -326,22 +326,23 @@ def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
     assert by_id["omega-scaling[a=-0.25,k=1]"]["status"] == "PASS"
 
 
-def test_kinked_legendre_piece_evaluates_h_once_per_row():
+def test_theta_weighted_integral_evaluates_h_once_per_node_count():
+    # one rule per term on (0, |x|): h sees every row and term of one node
+    # count (40 per 4 units of |x|) in one call
     al, n = AL, 40
-    x = np.array([0.9, 1.3, 0.7])
-    split = np.array([0.4, 0.0, 0.2])        # rows 0 and 2 have a kink
+    x = np.array([0.9, 1.3, 0.7, -6.0])
     shapes = []
 
     def h(ys, rows):
         shapes.append((ys.shape, rows.tolist()))
         return np.cos(ys)
 
-    _theta_weighted_integral(al, 2, x, h, split)
+    _theta_weighted_integral(al, 2, x, h)
     terms = len({(sp, e, j) for v in x.tolist()
                  for _, sp, e, j in _theta_terms(al.alpha, 2, v)})
     assert terms > 1
-    assert shapes == [((3, terms, 2 * n), [0, 1, 2]),   # Jacobi, per term
-                      ((2, 1, 2 * n), [0, 2])]           # Legendre, shared
+    assert shapes == [((3, terms, 2 * n), [0, 1, 2]),
+                      ((1, terms, 4 * n), [3])]
 
 
 # -- grid-at-once sampling against the per-x calls ------------------------------

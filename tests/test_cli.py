@@ -118,11 +118,11 @@ def test_taylor_translates_once_with_the_former_output(capsys, monkeypatch,
     assert sum(calls) == 1
     monkeypatch.undo()
     rem = T.remainder(al, k, f, x, a)
+    rec = float(T.remainder_profile(al, k, f, x)(a))
     former = {
         "remainder_integral": rem,
-        "remainder_recurrence": float(T.remainder_profile(al, k, f, x)(a)),
-        "identity_residual": T.taylor_identity_residual(al, k, f, x, a,
-                                                        rem=rem),
+        "remainder_recurrence": rec,
+        "identity_residual": abs(rec - rem),
         "theta_mass": T.theta_mass(al, k, x),
         "theta_mass_bound": (T.b_coeff(al, k, abs(x))
                              + abs(x) * T.b_coeff(al, k - 1, abs(x))),
@@ -228,12 +228,32 @@ def test_large_alpha_sweep_exits_2(tmp_path, capsys):
 
 def test_large_alpha_besov_writes_its_table(tmp_path):
     # besov tabulates omega, omega_tilde and the K bound, never the bump
-    # convolution, so it dilates nothing (a RuntimeWarning fails the suite)
-    assert run(["besov", "--alpha", "50", "--k", "2", "--function",
-                "gaussian", "--points-per-decade", "2",
-                "--out-dir", str(tmp_path)]) == EXIT_OK
-    rows = np.loadtxt(tmp_path / "besov.csv", delimiter=",", skiprows=1)
-    assert rows.shape == (9, 4) and np.isfinite(rows).all()
+    # convolution, so it dilates nothing; at alpha = 120 the L^p tail weight
+    # zt^(2a+1), which overflows from alpha = 102 at T = 16, is divided by
+    # norm_const first (a RuntimeWarning fails the suite)
+    for alpha in ("50", "120"):
+        out = tmp_path / alpha
+        assert run(["besov", "--alpha", alpha, "--k", "2", "--function",
+                    "gaussian", "--points-per-decade", "2",
+                    "--out-dir", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "besov.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (9, 4) and np.isfinite(rows).all()
+
+
+def test_small_a_taylor_closes_the_identity(capsys):
+    # a just off 0: a rule split at |a| printed an identity residual 1.3e-4
+    assert run(["taylor", "--alpha", "-0.25", "--k", "3", "--function",
+                "x_gaussian", "--x", "2", "--a", "1e-6"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["identity_residual"] <= 1e-12
+
+
+def test_overflowing_norm_rule_exits_2(tmp_path, capsys):
+    # from alpha = 129 the head rule's weights overflow a float at T = 16
+    out = tmp_path / "out"
+    assert run(["besov", "--alpha", "140", "--out-dir", str(out)]) \
+        == EXIT_CONFIG
+    assert "Gauss-Jacobi weights overflow a float" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,10 +10,10 @@ from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.quad import integrate, QuadSpec
+from dunkl_lab.verify import TAYLOR_PAIRS, TEST_FUNCTIONS
 from dunkl_lab.taylor import (b_coeff, b_poly, _eval_terms, _theta_terms,
                               theta_mass, theta0_moment,
                               remainder, remainder_profile,
-                              taylor_identity_residual,
                               remainder_recursion_residual,
                               iterated_integral_I,
                               symmetric_remainder_profile,
@@ -106,26 +106,116 @@ def test_theta_resonant_alpha_has_log_terms(a, k):
     assert any(j for _c, _sp, _e, j in _theta_terms(a, k - 1, 1.1))
     for x, pt in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
         scale = abs(translate(al, F, x, pt)) + 1.0
-        assert taylor_identity_residual(al, k, F, x, pt) / scale < 1e-12
+        gap = remainder(al, k, F, x, pt) - remainder_profile(al, k, F, x)(pt)
+        assert abs(gap) / scale < 1e-12
         assert remainder(al, k, F, x, pt) == pytest.approx(
             remainder_profile(al, k, F, x)(pt), rel=1e-10, abs=1e-13)
 
 
 @pytest.mark.parametrize("ee", [1.0, 3.0])
 @pytest.mark.parametrize("j", [1, 2])
-@pytest.mark.parametrize("x,split", [(1.3, 0.0), (-0.6, 0.0), (2.5, 1.7)])
-def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, split):
-    # one term |y|^e log^j |y| (e = ee - 2a - 1): the rule on (0, hi) after
-    # z = hi t^3, and z^ee log^j z as a factor on the Legendre piece
+@pytest.mark.parametrize("x,a", [(1.3, 0.0), (-0.6, 0.0), (2.5, 1.7)])
+def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, a):
+    # one term |y|^e log^j |y| (e = ee - 2 alpha - 1) on y |-> tau_y f(a):
+    # the rule on (0, |x|) after z = |x| t^3, one piece across |y| = |a|
     al = AlphaParam(0.0)
     monkeypatch.setattr(taylor, "_theta_terms",
                         lambda a, k, v: ((1.0, 0, ee - al.weight_exp, j),))
     got = taylor._theta_weighted_integral(
-        al, 0, x, lambda ys, rows: np.cos(1.3 * ys) + 0.2 * ys, split)
-    ref, _ = sint.quad(lambda z: z ** ee * math.log(z) ** j * 2.0
-                       * math.cos(1.3 * z), 0.0, abs(x), epsabs=1e-14,
-                       epsrel=1e-13, points=[split] if split else None)
+        al, 0, x, lambda ys, rows: translate_many(al, F, a, ys))
+    ref, _ = sint.quad(lambda z: z ** ee * math.log(z) ** j
+                       * (translate(al, F, z, a) + translate(al, F, -z, a)),
+                       0.0, abs(x), epsabs=1e-14, epsrel=1e-13)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_remainder_at_small_a_matches_recurrence():
+    # y |-> tau_y f(a) is analytic, with no kink at |y| = |a|: one rule per
+    # Theta term on (0, |x|) keeps the integral form on the recurrence form
+    # as a -> 0 (a split at |a| was off by up to 1.3e-4 here)
+    xs = np.array([[0.3], [1.0], [2.0]])
+    us = np.array([1e-9, 1e-6, 1e-4, 1e-3, 1e-2])
+    for alpha in (-0.25, 0.0, 0.5):
+        al = AlphaParam(alpha)
+        for name, f in TEST_FUNCTIONS:
+            tau = translate_many(al, f, xs, us)
+            for k in (1, 2, 3):
+                gap = (remainder(al, k, f, xs, us)
+                       - remainder_profile(al, k, f, xs)(us, tau=tau))
+                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-12, \
+                    (alpha, name, k)
+
+
+def test_remainder_at_large_x_matches_recurrence():
+    # the translates vary on a scale of one: at |x| = 20 the rules take 200
+    # nodes (40 left the remainder off by 6 relative to 1+|tau|)
+    xs, us = 20.0, np.linspace(-22.0, 22.0, 23)
+    for alpha in (-0.25, 0.0, 0.5, 1.5):
+        al = AlphaParam(alpha)
+        for name, f in TEST_FUNCTIONS:
+            tau = translate_many(al, f, xs, us)
+            for k in (1, 2, 3):
+                gap = (remainder(al, k, f, xs, us)
+                       - remainder_profile(al, k, f, xs)(us, tau=tau))
+                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-4, \
+                    (alpha, name, k)
+
+
+def _tau_closed_form(mp, alpha, f, x, a):
+    """tau_x f(a) for f = sum_m c_m y^m e^(-s y^2), m <= 3, in mpmath, from
+    the Gaussian's tau_x e^(-s y^2)(a) = e^(-s(x^2+a^2)) E(-2 s x a) with
+    E(z) = 0F1(alpha+1; z^2/4) + z/(2(alpha+1)) 0F1(alpha+2; z^2/4), the
+    Dunkl kernel (Rosler, Comm. Math. Phys. 192, 1998): tau_x commutes with
+    the Dunkl operator T and with d/ds, y e^(-s y^2) = -T e^(-s y^2) / (2s)
+    and y^2 e^(-s y^2) = -d/ds e^(-s y^2)."""
+    al, s, x, a = (mp.mpf(v) for v in (alpha, f.gauss_scale, x, a))
+    F = lambda b, z: mp.hyp0f1(b, z * z / 4)
+    E = lambda z: F(al + 1, z) + z / (2 * (al + 1)) * F(al + 2, z)
+    dE = lambda z: ((1 + z) / (2 * (al + 1)) * F(al + 2, z)
+                    + z * z / (4 * (al + 1) * (al + 2)) * F(al + 3, z))
+    G = lambda t: mp.exp(-s * (x * x + t * t)) * E(-2 * s * x * t)
+    Gs = lambda t: (-(x * x + t * t) * G(t) + mp.exp(-s * (x * x + t * t))
+                    * (-2 * x * t) * dE(-2 * s * x * t))
+
+    def T(h):
+        if a == 0:
+            return (2 * al + 2) * mp.diff(h, a)
+        return mp.diff(h, a) + (al + mp.mpf(0.5)) * (h(a) - h(-a)) / a
+
+    tg = T(G)
+    moments = (G(a), -tg / (2 * s), -Gs(a), -tg / (2 * s * s) + T(Gs) / (2 * s))
+    return mp.fsum(c * m for c, m in zip(f.coeffs, moments))
+
+
+def test_remainder_against_closed_form():
+    # R_k(x, f)(a) = tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) at 40 digits, at
+    # verify's pairs and three with small a
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for alpha in (-0.25, 0.0, 0.5, 1.0, 1.5):
+            _check_remainder_against_closed_form(mp, alpha)
+
+
+def _check_remainder_against_closed_form(mp, alpha):
+    al = AlphaParam(alpha)
+    pairs = list(TAYLOR_PAIRS) + [(0.3, 1e-6), (2.0, 1e-6), (2.0, 0.01)]
+    xs, us = np.transpose(pairs)
+    for name, f in TEST_FUNCTIONS:
+        tau = [_tau_closed_form(mp, alpha, f, x, a) for x, a in pairs]
+        assert np.max(np.abs(np.array(tau, dtype=float)
+                             - translate_many(al, f, xs, us))) < 1e-13
+        for k in (1, 2, 3):
+            got = remainder(al, k, f, xs, us)
+            for (x, a), t, g in zip(pairs, tau, got.tolist()):
+                ref = t
+                for p in range(k):
+                    m, odd = divmod(p, 2)
+                    bp = ((mp.mpf(x) / 2) ** p
+                          / (mp.rf(mp.mpf(alpha) + 1, m + odd) * mp.factorial(m)))
+                    lpf = dunkl_power(al, f, p)
+                    ref -= bp * mp.exp(-lpf.gauss_scale * mp.mpf(a) ** 2) \
+                        * mp.polyval(lpf.coeffs[::-1], mp.mpf(a))
+                assert abs(g - ref) <= 2e-13 * (1 + abs(t)), (name, k, x, a)
 
 
 def test_theta_mass_against_coefficient_bound():
@@ -170,7 +260,8 @@ def test_taylor_exact_for_low_degree_polynomials():
 def test_taylor_identity(k):
     for x, a in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
         scale = abs(translate(AL, F, x, a)) + 1.0
-        assert taylor_identity_residual(AL, k, F, x, a) / scale < 1e-9
+        gap = remainder(AL, k, F, x, a) - remainder_profile(AL, k, F, x)(a)
+        assert abs(gap) / scale < 1e-9
 
 
 def test_remainder_recursion():
@@ -221,7 +312,9 @@ def test_near_resonant_alpha_keeps_the_taylor_identity(a):
     for k in (2, 3, 4):
         for x, pt in [(0.7, 0.45), (-1.3, 0.0), (1.9, -0.8), (0.2, 1.5)]:
             scale = abs(translate(al, f, x, pt)) + 1.0
-            assert taylor_identity_residual(al, k, f, x, pt) / scale < 1e-12
+            gap = (remainder(al, k, f, x, pt)
+                   - remainder_profile(al, k, f, x)(pt))
+            assert abs(gap) / scale < 1e-12
 
 
 def test_iterated_integral_identities_fd():

@@ -134,7 +134,7 @@ def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
     through one scalar call of the level below per node."""
     if k == 1:
         return _theta_weighted_integral(
-            al, 0, x, lambda ys, rows: translate_many(al, f, a, ys), abs(a))
+            al, 0, x, lambda ys, rows: translate_many(al, f, a, ys))
     nodes = cheb_nodes(n_cheb, 0.0, abs(x))
     ip, im = (cheb_interpolator(nodes, np.array(
         [_iterated_integral_loop(al, k - 1, f, s * float(y), a, n_cheb)
@@ -145,7 +145,7 @@ def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
         return np.where(ys >= 0.0, ip(ay).reshape(ys.shape),
                         im(ay).reshape(ys.shape))
 
-    return _theta_weighted_integral(al, 0, x, h, abs(a))
+    return _theta_weighted_integral(al, 0, x, h)
 
 
 def _params(alpha, k, p=2.0):
@@ -183,10 +183,10 @@ def test_batched_iterated_integral_matches_loop(alpha, k, n_cheb):
 @pytest.mark.parametrize("alpha,k", [(-0.25, 1), (0.5, 2), (1.5, 3)])
 def test_batched_remainder_equals_scalar_calls_bitwise(alpha, k):
     al = AlphaParam(alpha)
-    xs = np.array([[0.2], [-0.6], [2.1]])
-    pts = np.array([0.0, 0.45, -0.8, -2.2])     # no kink, kink, |a| > |x|
+    xs = np.array([[0.2], [-0.6], [2.1], [9.0]])  # 9.0: 120-node rules
+    pts = np.array([0.0, 0.45, -0.8, -2.2])     # a = 0, |a| < |x|, |a| > |x|
     rows = remainder(al, k, CUBIC, xs, pts)
-    assert rows.shape == (3, 4)
+    assert rows.shape == (4, 4)
     for (i, j), v in np.ndenumerate(rows):
         assert v == remainder(al, k, CUBIC, float(xs[i, 0]), float(pts[j]))
 
@@ -230,9 +230,8 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     loop_points = sum(calls)
     calls.clear()
     iterated_integral_I(al, 2, CUBIC, 0.9, 0.3)
-    # the head rules of every Theta_1 term, then the shared tail rule
-    assert len(calls) <= 2
-    assert sum(calls) == 80 * (len(_theta_terms(0.5, 1, 0.9)) + 1)
+    # one call: the +-z of every Theta_1 term's rule on (0, |x|)
+    assert calls == [80 * len(_theta_terms(0.5, 1, 0.9))]
     assert 20 * sum(calls) < loop_points
     calls.clear()
     convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384))      # 120 nodes
@@ -395,10 +394,9 @@ def test_each_sign_pair_is_one_call():
     assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
     terms = _theta_terms(0.5, 1, 0.9)
-    _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys), 0.4)
-    # one call per piece: every term's +-z on the Jacobi rules, then the
-    # one Legendre rule above the kink that all terms share
-    assert calls == [len(terms) * 2 * 40, 2 * 40]
+    _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys))
+    # one call: every term's +-z on its rule on (0, |x|)
+    assert calls == [len(terms) * 2 * 40]
 
 
 # -- small-x accuracy ------------------------------------------------------------
