@@ -159,19 +159,21 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
 
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
 
-def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable):
+def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
+                             s: float = 1.0):
     """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
     analytically: each term takes one rule on (0, |x|), a Jacobi rule for its
     |y| exponent, or for a term with log^j |y|, j > 0, the Jacobi rule after
     z = |x| t^3, so the log singularity sits under the weight t^(3 ee + 2).
     Gauss rules need h smooth on (-|x|, |x|), as y |-> tau_y f(a) is for f
-    in the algebra.  A rule has 40 nodes per 4 units of |x| (at most 400), as the
-    translates vary on a scale of one.
+    in the algebra; for f = p(y) e^(-s y^2) it varies on the width
+    1/sqrt(s) (taken as at most one), and a rule has 40 nodes per 4 widths
+    of |x| (at most 400).
 
     x broadcasts to the rows of the result; a scalar gives a float.
     h(ys, rows) maps the nodes ys[i, j] = [z, -z] of term j of row rows[i]
-    to values; it is called once per node count (once where |x| <= 4), and
-    each row's sum equals its single-row value bit for bit.
+    to values; it is called once per node count (once for |x| <= 4 widths),
+    and each row's sum equals its single-row value bit for bit.
     """
     xb = np.asarray(x, float)
     xs = xb.ravel()
@@ -194,7 +196,8 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable):
                            ax.shape)
         return ax * t ** 3, scale * w * (np.log(ax) + 3.0 * np.log(t)) ** j
 
-    ns = 40 * np.clip(np.ceil(np.abs(xs) / 4.0), 1, 10).astype(int)
+    reach = np.abs(xs) * math.sqrt(max(s, 1.0))    # |x| in widths
+    ns = 40 * np.clip(np.ceil(reach / 4.0), 1, 10).astype(int)
     total = np.zeros(xs.size)
     for n in np.unique(ns).tolist():
         rows = np.flatnonzero(ns == n)
@@ -209,17 +212,9 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable):
     return total.reshape(xb.shape) if xb.ndim else float(total[0])
 
 
-def _translate_profile(alpha: AlphaParam, f: Callable, a) -> Callable:
-    """(ys, rows) |-> tau_y(f)(a) for the integral above, batched via the
-    symmetry tau_y f(a) = tau_a f(y); a is a scalar or one value per row."""
-    a = np.asarray(a, dtype=float)
-    return lambda ys, rows: translate_many(
-        alpha, f, a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1), ys)
-
-
 # -- iterated integrals and the remainder ------------------------------------
 
-def iterated_integral_I(alpha: AlphaParam, k: int, f: Callable, x, a):
+def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
     """I_k(x, f)(a), the k-fold Theta_0-weighted iterate of the translation,
     as one integral: Theta_{k-1} is the kernel of that iterate (its u/v
     recursion is Fubini on the nested integrals), so
@@ -235,8 +230,12 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: Callable, x, a):
     if np.any(np.asarray(x) == 0.0):
         raise ValueError("x must be nonzero")
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
-    return _theta_weighted_integral(alpha, k - 1, x,
-                                    _translate_profile(alpha, f, a))
+
+    def h(ys, rows):   # tau_y f(a) = tau_a f(y), each row's a on its nodes
+        return translate_many(alpha, f, a if a.ndim == 0
+                              else a.ravel()[rows].reshape(-1, 1, 1), ys)
+
+    return _theta_weighted_integral(alpha, k - 1, x, h, f.gauss_scale)
 
 
 def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
@@ -279,7 +278,8 @@ def remainder_recursion_residual(alpha: AlphaParam, k: int,
     lf = dunkl_power(alpha, f, 1)
     rhs = _theta_weighted_integral(
         alpha, 0, x,
-        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a))
+        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a),
+        lf.gauss_scale)
     return float(abs(lhs - rhs))
 
 

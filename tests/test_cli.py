@@ -296,6 +296,16 @@ def test_function_record_without_gauss_scale_exits_2(tmp_path, capsys):
     assert "gauss_scale" in _one_error_line(capsys)
 
 
+def test_taylor_of_a_narrow_gaussian_record(tmp_path, capsys):
+    # the node count follows the record's Gaussian width 1/sqrt(s), not |x|
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"function_record": {"coeffs": [1.0],
+                                                   "gauss_scale": 25.0},
+                               "alpha": 0.5, "k": 3, "x": 4.0, "a": -1.3}))
+    assert run(["taylor", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["identity_residual"] <= 1e-6
+
+
 @pytest.mark.parametrize("alpha,k", [("0", "2"), ("1", "4")])
 def test_resonant_alpha_gives_the_remainder(capsys, alpha, k):
     # an antiderivative exponent of Theta_{k-1} reaches -1 (a log term)

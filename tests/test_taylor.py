@@ -147,8 +147,8 @@ def test_remainder_at_small_a_matches_recurrence():
 
 
 def test_remainder_at_large_x_matches_recurrence():
-    # the translates vary on a scale of one: at |x| = 20 the rules take 200
-    # nodes (40 left the remainder off by 6 relative to 1+|tau|)
+    # the catalog's translates vary on a scale of one: at |x| = 20 the rules
+    # take 200 nodes (40 left the remainder off by 6 relative to 1+|tau|)
     xs, us = 20.0, np.linspace(-22.0, 22.0, 23)
     for alpha in (-0.25, 0.0, 0.5, 1.5):
         al = AlphaParam(alpha)
@@ -159,6 +159,23 @@ def test_remainder_at_large_x_matches_recurrence():
                        - remainder_profile(al, k, f, xs)(us, tau=tau))
                 assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-4, \
                     (alpha, name, k)
+
+
+def test_remainder_of_a_narrow_gaussian_matches_recurrence():
+    # tau_y f(a) for f = p(y) e^(-s y^2) varies on the length 1/sqrt(s): at
+    # s = 25 and |x| = 4 the rules take 200 nodes, as at s = 1 and |x| = 20
+    # (40 nodes left the remainder off by 1.0 relative to 1+|tau|)
+    xs, us = np.array([[-4.0], [4.0]]), np.linspace(-4.4, 4.4, 23)
+    for alpha in (-0.25, 0.0, 0.5, 1.5):
+        al = AlphaParam(alpha)
+        for coeffs in ((1.0,), (0.0, 1.0), (1.0, 0.5, 0.0, 0.2)):
+            f = GaussPolyFunction(coeffs, 25.0)
+            tau = translate_many(al, f, xs, us)
+            for k in (1, 2, 3):
+                gap = (remainder(al, k, f, xs, us)
+                       - remainder_profile(al, k, f, xs)(us, tau=tau))
+                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-6, \
+                    (alpha, coeffs, k)
 
 
 def _tau_closed_form(mp, alpha, f, x, a):
