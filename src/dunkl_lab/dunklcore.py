@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _bessel_tables, _scaled_j
-from .funcalg import GaussPolyFunction, dunkl_apply
+from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs
 from .quad import QuadSpec, integrate, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
@@ -171,8 +171,7 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float):
 
         tau_x f(y) = e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)].
 
-    P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}) is triangular in j (L^j of the
-    Gaussian has degree j and leading coefficient (-2s)^j).  tau_x commutes
+    P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}) (lambda_coeffs).  tau_x commutes
     with L, tau_x(e^{-s.^2})(y) = e^{-s(x^2+y^2)} E_a(-2sxy) (Roesler 1998),
     and L(e^{-sy^2} h) = e^{-sy^2}(L - 2sy)h.  On h = A K + B sigma(K) with
     K(y) = E_a(-2sxy), [L, y] = 1 + (2a+1) sigma gives
@@ -181,14 +180,7 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float):
     (dA/dy - 2s(x+y)A + (2a+1) odd(B)/y, dB/dy + 2s(x-y)B + (2a+1) odd(A)/y).
     """
     m = len(coeffs)
-    basis, g = [], GaussPolyFunction((1.0,), s)
-    for _ in range(m):
-        basis.append(np.pad(g.coeffs, (0, m - len(g.coeffs))))
-        g = dunkl_apply(a, g)
-    rest, c = np.array(coeffs), np.zeros(m)
-    for j in range(m - 1, -1, -1):
-        c[j] = rest[j] / basis[j][j]
-        rest = rest - c[j] * basis[j]
+    c = lambda_coeffs(a, GaussPolyFunction(coeffs, s))
     A, B = np.zeros((m, m)), np.zeros((m, m))
     A[0, 0] = 1.0
     sa, sb = c[0] * A, c[0] * B
@@ -270,11 +262,16 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
     """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
     a scalar x or an array of x (the result has its shape).
 
-    g must decay; T truncates the 120-node outer rule (default from g's
-    support_hint when available).  One translate_many call takes the nodes
-    -y and y for a block of x values, at most _BLOCK points in all; when f
-    is translated in closed form, each value equals a scalar call's bit for
-    bit."""
+    Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
+    _convolve_closed.  Otherwise g must decay and T truncates the 120-node
+    outer rule (default from g's support_hint when available); one
+    translate_many call takes the nodes -y and y for a block of x values,
+    at most _BLOCK points in all."""
+    if all(isinstance(h, GaussPolyFunction) and h.gauss_scale > 0.0
+           for h in (f, g)):
+        # one order for the pair, so f * g and g * f are the same numbers
+        f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
+        return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
     if T is None:
         T = getattr(g, "support_hint", None) or 10.0
     y, w = jacobi_rule(120, alpha.weight_exp, 0.0, 0.0, T)
@@ -288,6 +285,20 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
         tau = translate_many(alpha, f, xv[i:i + step], ypm)
         out.append(rowdot(w, tau[:, :y.size] * gy + tau[:, y.size:] * gmy))
     return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
+
+
+@lru_cache(maxsize=256)
+def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
+    """f * g for f = P e^{-s.^2}, g = Q e^{-r.^2} with s, r > 0.  As
+    F(L^j e^{-s.^2})(xi) = (i xi)^j (2s)^(-(a+1)) e^{-xi^2/(4s)} and
+    F(f * g) = F(f) F(g) (Roesler 1998), f * g = (2(s+r))^(-(a+1)) sum_n e_n
+    L^n e^{-sigma.^2}, sigma = sr/(s+r), with e the discrete convolution of
+    the Lambda-coefficient lists of f and g."""
+    s, r = f.gauss_scale, g.gauss_scale
+    e = np.convolve(lambda_coeffs(a, f), lambda_coeffs(a, g))
+    sigma = s * r / (s + r)
+    c = (2.0 * (s + r)) ** -(a + 1.0) * e @ lambda_basis(a, sigma, e.size)
+    return GaussPolyFunction(tuple(c), sigma)
 
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float = None):
@@ -321,10 +332,13 @@ def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
     return max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
 
 
-def product_formula_residual(alpha: AlphaParam, x: float, y: float,
-                             t: float) -> float:
-    """|E(ixt) E(iyt) - int E(itz) dgamma_{x,y}(z)|."""
-    lhs = (complex(dunkl_kernel_it(alpha, t, x))
-           * complex(dunkl_kernel_it(alpha, t, y)))
-    rhs = translate(alpha, lambda z: dunkl_kernel_it(alpha, t, z), x, y)
-    return abs(lhs - rhs)
+def product_formula_residual(alpha: AlphaParam, x, y, t: float):
+    """|E(ixt) E(iyt) - int E(itz) dgamma_{x,y}(z)|; x and y may be arrays
+    (one residual per broadcast pair, one translation for all)."""
+    e = lambda z: dunkl_kernel_it(alpha, t, z)
+    xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    tau = translate_many(alpha, e, xb, yb)
+    # complex products and moduli in Python: numpy's round differently
+    out = [abs(u * v - r) for u, v, r in zip(
+        e(xb).ravel().tolist(), e(yb).ravel().tolist(), tau.ravel().tolist())]
+    return np.reshape(out, xb.shape) if xb.ndim else out[0]

@@ -25,6 +25,8 @@ __all__ = [
     "GaussPolyFunction",
     "dunkl_apply",
     "dunkl_power",
+    "lambda_basis",
+    "lambda_coeffs",
     "dilate",
     "hermite_phi",
     "dunkl_fd",
@@ -125,6 +127,26 @@ def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:
     return f
 
 
+def lambda_basis(alpha, s: float, m: int) -> np.ndarray:
+    """Rows j < m: the coefficients of L^j(e^{-s.^2}) / e^{-s.^2}, padded to
+    m; triangular for s > 0 (degree j, leading coefficient (-2s)^j)."""
+    rows, g = np.zeros((m, m)), GaussPolyFunction((1.0,), s)
+    for j in range(m):
+        rows[j, :len(g.coeffs)] = g.coeffs
+        g = dunkl_apply(alpha, g)
+    return rows
+
+
+def lambda_coeffs(alpha, f: GaussPolyFunction) -> np.ndarray:
+    """c with f = P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}), s > 0."""
+    basis = lambda_basis(alpha, f.gauss_scale, len(f.coeffs))
+    rest, c = np.array(f.coeffs), np.zeros(len(f.coeffs))
+    for j in range(c.size - 1, -1, -1):     # back substitution
+        c[j] = rest[j] / basis[j, j]
+        rest = rest - c[j] * basis[j]
+    return c
+
+
 def dilate(alpha, phi: GaussPolyFunction, t: float) -> GaussPolyFunction:
     """phi_t(x) = t^(-2(a+1)) phi(x/t); exact on coefficients.  ValueError
     where a coefficient overflows a float (large alpha at small t)."""
@@ -183,22 +205,24 @@ def dunkl_fd(alpha, g: Callable[[float], float], a: float, h: float = 1e-3) -> f
     return d + (2.0 * al + 1.0) / a * (g(a) - g(-a)) / 2.0
 
 
-def dunkl_fd_power(alpha, g: Callable[[float], float], a: float, k: int,
+def dunkl_fd_power(alpha, g: Callable, a: float, k: int,
                    h: float = 1e-3) -> float:
-    """k-fold finite-difference Dunkl operator with evaluation caching."""
-    cache: dict = {}
+    """k-fold finite-difference Dunkl operator.  Each level caches its values
+    by round(t, 12), the first t seen standing for its key.  A first pass
+    records the distinct points of the whole stencil, so g is called once,
+    on the array of those points, and must map an array to an array."""
+    def power(g0):
+        cache: dict = {}
 
-    def ev(fn, key, t):
-        kk = (key, round(t, 12))
-        if kk not in cache:
-            cache[kk] = fn(t)
-        return cache[kk]
+        def ev(lvl, t):
+            key = (lvl, round(t, 12))
+            if key not in cache:
+                cache[key] = g0(t) if lvl == 0 else dunkl_fd(
+                    alpha, lambda u: ev(lvl - 1, u), t, h=h)
+            return cache[key]
+        return ev(k, a)
 
-    def lam(fn, key, t):
-        return dunkl_fd(alpha, lambda u: ev(fn, key, u), t, h=h)
-
-    fns = [g]
-    for lvl in range(k):
-        prev, plvl = fns[-1], lvl
-        fns.append(lambda t, p=prev, q=plvl: lam(p, q, t))
-    return fns[k](a)
+    pts: dict = {}      # pass 1 records the points, pass 2 reads g's values
+    power(lambda t: pts.setdefault(round(t, 12), t) * 0.0)
+    vals = dict(zip(pts, np.ravel(g(np.array(list(pts.values())))).tolist()))
+    return power(lambda t: vals[round(t, 12)])

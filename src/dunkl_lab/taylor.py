@@ -151,8 +151,6 @@ def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
 def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
     """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy  (equals b_{p+1}(x));
     the Jacobi rules of the Theta-weighted integral are exact for b_p."""
-    if x == 0.0:
-        raise ValueError("x must be nonzero")
     return _theta_weighted_integral(alpha, 0, x,
                                     lambda ys, rows: b_coeff(alpha, p, ys))
 
@@ -177,6 +175,8 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     """
     xb = np.asarray(x, float)
     xs = xb.ravel()
+    if np.any(xs == 0.0):
+        raise ValueError("x must be nonzero")
     # the exponents depend on (alpha, order) only; a term that cancels
     # exactly at some x has coefficient 0 there
     ux, inv = np.unique(xs, return_inverse=True)
@@ -227,8 +227,6 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
     broadcast pair)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if np.any(np.asarray(x) == 0.0):
-        raise ValueError("x must be nonzero")
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
 
     def h(ys, rows):   # tau_y f(a) = tau_a f(y), each row's a on its nodes
@@ -269,18 +267,20 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
 
 
 def remainder_recursion_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x: float,
-                                 a: float) -> float:
-    """Residual of R_k(x,f)(a) = int Theta_0(x,y) R_{k-1}(y, Lf)(a) A(y) dy."""
+                                 f: GaussPolyFunction, x, a):
+    """Residual of R_k(x,f)(a) = int Theta_0(x,y) R_{k-1}(y, Lf)(a) A(y) dy;
+    x and a may be arrays (one residual per broadcast pair)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
     lhs = remainder_profile(alpha, k, f, x)(a)
     lf = dunkl_power(alpha, f, 1)
-    rhs = _theta_weighted_integral(
-        alpha, 0, x,
-        lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(a),
+    rhs = _theta_weighted_integral(    # each row's a on its nodes
+        alpha, 0, x, lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(
+            a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1)),
         lf.gauss_scale)
-    return float(abs(lhs - rhs))
+    out = np.abs(lhs - rhs)
+    return out if out.ndim else float(out)
 
 
 def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:
@@ -307,12 +307,14 @@ def remainder_norm_coeff_same_order(alpha: AlphaParam, k: int,
 # -- the symmetric remainder ---------------------------------------------------
 
 def symmetric_remainder_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x: float,
-                                 a: float) -> float:
+                                 f: GaussPolyFunction, x, a):
     """Residual between the even-coefficient form and the two integral
-    remainders summed directly."""
-    direct = remainder(alpha, k, f, x, a) + remainder(alpha, k, f, -x, a)
-    return float(abs(direct - symmetric_remainder_profile(alpha, k, f, x)(a)))
+    remainders summed directly; x and a may be arrays (one residual per
+    broadcast pair)."""
+    direct = (remainder(alpha, k, f, x, a)
+              + remainder(alpha, k, f, np.negative(x), a))
+    out = np.abs(direct - symmetric_remainder_profile(alpha, k, f, x)(a))
+    return out if out.ndim else float(out)
 
 
 def symmetric_remainder_profile(alpha: AlphaParam, k: int,

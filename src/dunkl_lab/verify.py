@@ -118,9 +118,10 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
                                    "translation measure total variation <= sqrt(2)",
                                    worst, SQRT2, 1e-8))
         worst = 0.0
-        for t in (0.3, 1.0, 2.5):
-            for x, y in pairs9:
-                worst = max(worst, product_formula_residual(al, x, y, t))
+        px, py = np.transpose(pairs9)
+        for t in (0.3, 1.0, 2.5):    # one translation per t takes every pair
+            worst = max(worst, *product_formula_residual(
+                al, px, py, t).tolist())
         checks.append(_check(f"product-formula[a={a}]",
                              "kernel product equals translated kernel",
                              worst, 1e-6))
@@ -219,21 +220,20 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         f = TEST_FUNCTIONS[2][1]
         lf = dunkl_power(al, f, 1)
         samples = ((0.7, 0.45), (-1.3, 0.0), (1.9, -0.8))
-        for k in ks:
-            w_step = w_rec = w_sym = 0.0
-            for x, pt in samples:
-                lhs = T.remainder(al, k, f, x, pt)
-                if k == 1:
-                    rhs = T.remainder_profile(al, 1, f, x)(pt)
-                else:
-                    rhs = (T.remainder(al, k - 1, f, x, pt)
-                           - T.b_coeff(al, k - 1, x)
-                           * dunkl_power(al, f, k - 1)(np.float64(pt)))
-                w_step = max(w_step, abs(lhs - rhs))
-                w_rec = max(w_rec, T.remainder_recursion_residual(
-                    al, k, f, x, pt))
-                w_sym = max(w_sym, T.symmetric_remainder_residual(
-                    al, k, f, x, pt))
+        sx, spt = np.transpose(samples)
+        for k in ks:    # each residual takes every sample in one call
+            lhs = T.remainder(al, k, f, sx, spt)
+            if k == 1:
+                rhs = T.remainder_profile(al, 1, f, sx)(spt)
+            else:
+                rhs = (T.remainder(al, k - 1, f, sx, spt)
+                       - T.b_coeff(al, k - 1, sx)
+                       * dunkl_power(al, f, k - 1)(spt))
+            w_step = max(0.0, *np.abs(lhs - rhs).tolist())
+            w_rec = max(0.0, *T.remainder_recursion_residual(
+                al, k, f, sx, spt).tolist())
+            w_sym = max(0.0, *T.symmetric_remainder_residual(
+                al, k, f, sx, spt).tolist())
             checks.append(_check(f"remainder-step[a={a},k={k}]",
                                  "one-term peeling of the remainder",
                                  w_step, 1e-6))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
-from dunkl_lab.funcalg import GaussPolyFunction
+from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi
 from dunkl_lab.quad import LpContext, lp_norm, jacobi_rule
 from dunkl_lab.dunklcore import (w_kernel, w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
@@ -169,10 +169,47 @@ def test_transform_gaussian_positive_at_zero():
 
 
 def test_convolution_is_symmetric():
+    # one side a callable: the 120-node quadrature path, either order
     g = GaussPolyFunction((1.0, 0.0, -0.3), 1.0)
     for x in (0.5, 1.4):
-        assert convolve(AL, GAUSS, g, x) == pytest.approx(
-            convolve(AL, g, GAUSS, x), rel=1e-9, abs=1e-11)
+        assert convolve(AL, GAUSS, lambda z: g(z), x) == pytest.approx(
+            convolve(AL, g, lambda z: GAUSS(z), x), rel=1e-9, abs=1e-11)
+
+
+def _algebra(al):
+    # the function catalog and two moment-vanishing bumps
+    from dunkl_lab.verify import CATALOG
+    return list(CATALOG.values()) + [hermite_phi(al, 1, 2),
+                                     hermite_phi(al, 2, 3)]
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_closed_form_convolution_matches_the_quadrature(alpha):
+    # g wrapped in a lambda takes the 120-node rule (on g's support_hint)
+    al = AlphaParam(alpha)
+    xs = np.linspace(-6.0, 6.0, 25)
+    fns = _algebra(al)
+    for f in fns:
+        for g in fns:
+            exact = convolve(al, f, g, xs)
+            quad = convolve(al, f, lambda z: g(z), xs, T=g.support_hint)
+            assert np.max(np.abs(exact - quad)) <= 1e-9 * np.max(np.abs(quad))
+            # exactly commutative, and a scalar x gives the array's value
+            assert convolve(al, g, f, xs).tolist() == exact.tolist()
+            assert convolve(al, f, g, float(xs[3])) == exact[3]
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_closed_form_convolution_transform_is_the_product(alpha):
+    al = AlphaParam(alpha)
+    xis = np.array([0.0, 0.5, 1.7, 3.0])
+    fns = _algebra(al)
+    for f, g in ((fns[0], fns[2]), (fns[1], fns[3]), (fns[2], fns[5])):
+        conv = lambda us: convolve(al, f, g, us)
+        lhs = dunkl_transform(al, conv, xis, T=16.0)
+        rhs = dunkl_transform(al, f, xis, T=16.0) * dunkl_transform(
+            al, g, xis, T=16.0)
+        assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-12
 
 
 def _transform_two_calls(alpha, f, xi, T):

@@ -161,3 +161,37 @@ def test_dunkl_fd_power_consistency():
     exact = dunkl_power(AL, f, 2)(0.8)
     assert dunkl_fd_power(AL, f, 0.8, 2, h=1e-3) == pytest.approx(
         exact, rel=1e-5)
+
+
+def _fd_power_per_point(alpha, g, a, k, h):
+    # the former form: nested scalar stencils, each level cached by
+    # round(t, 12), g called once per distinct point
+    cache = {}
+
+    def ev(lvl, t):
+        key = (lvl, round(t, 12))
+        if key not in cache:
+            cache[key] = g(t) if lvl == 0 else dunkl_fd(
+                alpha, lambda u: ev(lvl - 1, u), t, h=h)
+        return cache[key]
+    return ev(k, a)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_dunkl_fd_power_calls_g_once(k):
+    f = GaussPolyFunction((1.0, 0.5, 1.0), 1.0)
+    calls, points = [], []
+
+    def g(t):
+        calls.append(np.shape(t))
+        return f(t)
+
+    def g_scalar(t):
+        points.append(t)
+        return f(t)
+
+    got = dunkl_fd_power(AL, g, 0.8, k, h=2e-3)
+    assert len(calls) == 1 and len(calls[0]) == 1
+    # the same distinct points as the scalar stencils, and the same value
+    assert got == _fd_power_per_point(AL, g_scalar, 0.8, k, 2e-3)
+    assert calls[0] == (len(points),)

@@ -286,6 +286,30 @@ def test_remainder_recursion():
         assert remainder_recursion_residual(AL, k, F, 1.1, 0.45) < 1e-9
 
 
+def test_x_zero_is_a_value_error_for_every_remainder_residual():
+    # remainder_recursion_residual raised ZeroDivisionError from the Theta
+    # table; its siblings raised ValueError
+    for x in (0.0, np.array([0.7, 0.0])):
+        for fn in (remainder_recursion_residual, symmetric_remainder_residual,
+                   remainder):
+            with pytest.raises(ValueError, match="x must be nonzero"):
+                fn(AL, 2, F, x, 0.45)
+
+
+@pytest.mark.parametrize("alpha,k", [(-0.25, 1), (0.5, 2), (1.5, 3)])
+def test_array_residuals_equal_scalar_calls_bitwise(alpha, k):
+    # one row per (x, a) pair, as verify's taylor suite calls them
+    al = AlphaParam(alpha)
+    xs = np.array([0.7, -1.3, 1.9, 9.0])
+    pts = np.array([0.45, 0.0, -0.8, 2.2])
+    for fn in (remainder_recursion_residual, symmetric_remainder_residual):
+        rows = fn(al, k, F, xs, pts)
+        assert rows.shape == xs.shape
+        assert rows.tolist() == [fn(al, k, F, float(x), float(pt))
+                                 for x, pt in zip(xs, pts)]
+        assert isinstance(fn(al, k, F, 0.7, 0.45), float)
+
+
 def test_remainder_profile_vectorizes():
     prof = remainder_profile(AL, 2, F, 0.9)
     us = np.array([-0.8, 0.0, 0.5, 1.3])
@@ -338,7 +362,8 @@ def test_iterated_integral_identities_fd():
     # L^k I_k(x, f) = R_k(x, f), the operator acting in the evaluation point
     x, a = 1.2, 0.45
     for k in (1, 2):
-        g = lambda u, kk=k: iterated_integral_I(AL, kk, F, x, float(u))
+        # g takes arrays: dunkl_fd_power calls it once, on every point
+        g = lambda u, kk=k: iterated_integral_I(AL, kk, F, x, u)
         lhs = (dunkl_fd(AL, g, a, h=1e-3) if k == 1
                else _fd2(g, a))
         rhs = remainder_profile(AL, k, F, x)(a)

@@ -234,7 +234,9 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     assert calls == [80 * len(_theta_terms(0.5, 1, 0.9))]
     assert 20 * sum(calls) < loop_points
     calls.clear()
-    convolve(al, CUBIC, WIDE, np.linspace(-6.0, 6.0, 384))      # 120 nodes
+    # a callable g keeps the 120-node rule (two algebra elements convolve
+    # in closed form, with no translation)
+    convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384))
     assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
     assert max(calls) <= dunklcore._BLOCK
     assert sum(calls) == 384 * 240
