@@ -28,7 +28,7 @@ import numpy as np
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate
 from .quad import (LpContext, lp_norm, jacobi_rule, lp_norm_from_nodes,
-                   norm_node_values, row_norms)
+                   norm_node_values)
 from .taylor import remainder_profile, symmetric_remainder_profile
 
 __all__ = [
@@ -109,8 +109,9 @@ def omega(params: BesovParams, f: GaussPolyFunction, x):
     probes = np.array([_y_probe_grid(v) for v in xs.ravel().tolist()])
     ys, inv = np.unique(probes.ravel(), return_inverse=True)
     ctx = params.norm_ctx()
-    best = row_norms(ctx, norm_node_values(ctx, remainder_profile(
-        params.alpha, params.k, f, ys[:, None])))[inv].reshape(probes.shape)
+    best = lp_norm_from_nodes(ctx, norm_node_values(ctx, remainder_profile(
+        params.alpha, params.k, f, ys[:, None]))).value[inv].reshape(
+            probes.shape)
     return best.max(axis=-1, initial=0.0).reshape(xs.shape)[()]
 
 
@@ -222,7 +223,8 @@ class BesovSamples:
     def value(self, kind: str, v, p: Optional[float] = None):
         """A kind's samples at v, a scalar or an array (t for C), in L^p,
         p = params.p unless given (only B_tilde and C take another p).
-        The points not sampled yet are computed in one call."""
+        The points not sampled yet are computed in one call, and the node
+        values of all points are reduced in one call."""
         pr = self.params
         if kind not in KINDS:
             raise ValueError(f"unknown seminorm kind {kind!r}")
@@ -237,9 +239,10 @@ class BesovSamples:
             self._memo.update(zip(new, self._compute(
                 kind, np.array([u for _, u in new]))))
         out = [self._memo[key] for key in keys]
-        if kind not in ("B", "K"):
+        if out and kind not in ("B", "K"):
             ctx = replace(pr.norm_ctx(), p=pr.p if p is None else p)
-            out = [lp_norm_from_nodes(ctx, m).value for m in out]
+            out = lp_norm_from_nodes(ctx, [np.array(v) for v in zip(*out)]
+                                     ).value
         return np.reshape(out, vs.shape)[()]
 
     def samples(self, kind: str, p: Optional[float] = None):

@@ -18,8 +18,7 @@ import numpy as np
 from .special import AlphaParam, dunkl_kernel, dunkl_kernel_it
 from .funcalg import (GaussPolyFunction, dunkl_power, dunkl_fd,
                       dunkl_fd_power, hermite_phi)
-from .quad import (LpContext, jacobi_rule, lp_norm_from_nodes,
-                   norm_node_values, row_norms)
+from .quad import LpContext, jacobi_rule, lp_norm_from_nodes, norm_node_values
 from .dunklcore import (translate_many, w_total_variation,
                         convolve, dunkl_transform,
                         translate_convolution_commutes,
@@ -137,7 +136,8 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
         for p in (1.0, 2.0):
             worst = 0.0
             for name, _ in TEST_FUNCTIONS:
-                for v in row_norms(LpContext(al, p, 16.0), moved[name]):
+                for v in lp_norm_from_nodes(LpContext(al, p, 16.0),
+                                            moved[name]).value:
                     worst = max(worst, v / norm(p, name))
             checks.append(_ratio_check(
                 f"translation-contraction[a={a},p={p:g}]",
@@ -303,9 +303,9 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
                     nk = lp_norm_from_nodes(LpContext(al, p, 14.0),
                                             lj[name, k - 1]).value
                     ctx = LpContext(al, p, 18.0)
-                    for x, rm, rs in zip(
-                            xs.tolist(), row_norms(ctx, rem[name, k - 1]),
-                            row_norms(ctx, rem[name, k])):
+                    for x, rm, rs in zip(xs.tolist(), *(
+                            lp_norm_from_nodes(ctx, rem[name, j]).value
+                            for j in (k - 1, k))):
                         worst_lo = max(worst_lo,
                                        rm - T.remainder_norm_coeff(al, k, x) * nk)
                         worst_hi = max(

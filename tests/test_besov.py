@@ -7,7 +7,7 @@ from dunkl_lab import besov as B
 from dunkl_lab import verify
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi, dilate, dunkl_power
-from dunkl_lab.quad import lp_norm, norm_node_values, row_norms
+from dunkl_lab.quad import lp_norm, lp_norm_from_nodes, norm_node_values
 from dunkl_lab.dunklcore import convolve
 from dunkl_lab.taylor import _theta_terms, _theta_weighted_integral
 from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples, default_grid,
@@ -363,8 +363,8 @@ def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
     assert scalar[omega] == [
         max(lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(y)))
             for y in B._y_probe_grid(float(x))) for x in xs]
-    assert row_norms(ctx, norm_node_values(ctx, B.remainder_profile(
-        al, k, CUBIC, xs[:, None]))).tolist() == [
+    assert lp_norm_from_nodes(ctx, norm_node_values(ctx, B.remainder_profile(
+        al, k, CUBIC, xs[:, None]))).value.tolist() == [
         lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(x))) for x in xs]
     for fn, ref in scalar.items():
         got = fn(pr, CUBIC, xs)

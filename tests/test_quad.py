@@ -7,9 +7,11 @@ from scipy.special import beta as beta_fn
 
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction
+from dunkl_lab import quad
 from dunkl_lab.quad import (QuadSpec, QuadratureError, integrate,
                             jacobi_rule, LpContext,
-                            lp_norm, lp_norm_full)
+                            lp_norm, lp_norm_full, lp_norm_from_nodes,
+                            norm_node_values)
 
 
 def test_quadspec_validation():
@@ -123,3 +125,57 @@ def test_lp_norm_rejects_pure_polynomial():
     with pytest.raises(ValueError):
         lp_norm(ctx, GaussPolyFunction((0.0, 1.0), 0.0))
 
+
+
+# -- the one reduction: rows, cached rules -----------------------------------
+
+def _profile_rows(x):
+    # a Gaussian and a cubic one, each dilated by every x: one row per x
+    def g(u):
+        x2 = np.asarray(x)[..., None]
+        return (np.exp(-(u / x2) ** 2) * (1.0 + u - 0.3 * u ** 3 / x2))
+    return g
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 1.5, 120.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_row_norms_equal_single_profile_bitwise(alpha, p, shape):
+    ctx = LpContext(AlphaParam(alpha), p, truncation_T=16.0)
+    xs = np.linspace(0.3, 2.9, int(np.prod(shape))).reshape(shape)
+    rows = lp_norm_from_nodes(ctx, norm_node_values(ctx, _profile_rows(xs)))
+    for field in ("value", "head", "tail"):
+        got = getattr(rows, field)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        ref = [getattr(lp_norm_full(ctx, _profile_rows(x)), field)
+               for x in xs.ravel().tolist()]
+        assert got.ravel().tolist() == ref
+        assert all(type(v) is float for v in ref)
+    assert rows.T == 16.0
+    assert np.all(rows.value > 0.0)
+
+
+def test_rules_are_built_once_per_alpha_and_T(monkeypatch):
+    calls = []
+    orig = quad.jacobi_rule
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(quad, "jacobi_rule", counted)
+    al, f = AlphaParam(0.8125), GaussPolyFunction((1.0, 2.0), 0.6)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for _ in range(5):
+            lp_norm_full(LpContext(al, p, 13.25), f)
+        lp_norm_from_nodes(LpContext(al, p, 13.25), norm_node_values(
+            LpContext(al, 2.0, 13.25), _profile_rows(np.array([0.5, 1.0]))))
+    assert 1 <= len(calls) <= 2     # the head rule and the tail rule
+
+
+def test_cached_rules_are_read_only():
+    (z, w), (zt, wt) = quad._norm_rules(AlphaParam(0.5), 16.0)
+    for v in (z, w, zt, wt):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
