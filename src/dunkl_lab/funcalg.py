@@ -165,34 +165,20 @@ def dilate(alpha, phi: GaussPolyFunction, t: float) -> GaussPolyFunction:
     return GaussPolyFunction(c, phi.gauss_scale / (t * t), hint)
 
 
-def _laguerre_coeffs(n: int, a: float) -> list:
-    # L_n^a(u) = sum_i (-1)^i Gamma(n+a+1)/(Gamma(i+a+1) (n-i)! i!) u^i
-    out = []
-    for i in range(n + 1):
-        c = math.gamma(n + a + 1.0) / (math.gamma(i + a + 1.0)
-                                       * math.factorial(n - i) * math.factorial(i))
-        out.append((-1.0) ** i * c)
-    return out
-
-
 def hermite_phi(alpha, n0: int, k: int) -> GaussPolyFunction:
-    """Moment-vanishing bump phi(x) = H_{2 n0}^{a+1/2}(x) exp(-x^2).
+    """Moment-vanishing bump phi = L^(2 n0) e^{-.^2}, the generalized Hermite
+    function H_{2 n0}^{a+1/2}(x) e^{-x^2} (Roesler, Comm. Math. Phys. 192,
+    1998), with exact coefficients.
 
-    Orthogonality of the generalized Hermite family against even polynomials
-    of lower degree makes int_0^inf x^{2i} phi dmu_a vanish for all
-    0 <= i <= floor((k-1)/2); this requires n0 > floor((k-1)/2).
+    Its Dunkl transform is (i xi)^(2 n0) times a Gaussian, which vanishes to
+    order 2 n0 at 0, so int_0^inf x^{2i} phi dmu_a = 0 for 0 <= i < n0; the
+    moments up to i = floor((k-1)/2) vanish when n0 > floor((k-1)/2).
     """
-    a = _as_alpha(alpha)
     if k < 1 or n0 < 1:
         raise ValueError("n0 and k must be positive")
     if n0 <= (k - 1) // 2:
         raise ValueError(f"n0 must exceed floor((k-1)/2) = {(k - 1) // 2}")
-    lag = _laguerre_coeffs(n0, a)
-    pref = (-1.0) ** n0 * 2.0 ** (2 * n0) * math.factorial(n0)
-    c = [0.0] * (2 * n0 + 1)
-    for i, v in enumerate(lag):
-        c[2 * i] = pref * v
-    return GaussPolyFunction(tuple(c), 1.0)
+    return dunkl_power(alpha, GaussPolyFunction((1.0,), 1.0), 2 * n0)
 
 
 # -- finite-difference Dunkl operator on black-box callables -----------------

@@ -6,7 +6,7 @@ from scipy.special import jv
 
 from dunkl_lab.special import (AlphaParam, pochhammer, bessel_j_normalized,
                                dunkl_kernel, dunkl_kernel_it)
-from dunkl_lab.funcalg import _laguerre_coeffs, dunkl_fd, hermite_phi
+from dunkl_lab.funcalg import dunkl_fd, hermite_phi
 
 ALPHAS = [-0.25, 0.5, 1.5]
 
@@ -99,7 +99,7 @@ def test_dunkl_kernel_real_branch_consistent_with_series():
 
 
 def _laguerre(n, a, u):
-    # L_n^a(u) by the three-term recurrence, an oracle for the explicit sum
+    # L_n^a(u) by the three-term recurrence, an oracle for hermite_phi
     prev, cur = np.ones_like(u), 1.0 + a - u
     for m in range(1, n):
         prev, cur = cur, ((2 * m + 1 + a - u) * cur
@@ -107,27 +107,14 @@ def _laguerre(n, a, u):
     return prev if n == 0 else cur
 
 
-def test_laguerre_small_cases():
-    # the coefficients of L_n^a behind hermite_phi
-    poly = np.polynomial.polynomial.polyval
-    assert _laguerre_coeffs(0, 0.7) == [1.0]
-    assert poly(2.0, _laguerre_coeffs(1, 0.5)) == pytest.approx(-0.5)
-    assert poly(1.0, _laguerre_coeffs(2, 0.0)) == pytest.approx(-0.5)
-    us = np.linspace(0.0, 6.0, 13)
-    for n in range(5):
-        np.testing.assert_allclose(poly(us, _laguerre_coeffs(n, 1.5)),
-                                   _laguerre(n, 1.5, us), rtol=1e-12,
-                                   atol=1e-12)
-
-
 def test_hermite_generalized_parity_and_laguerre_link():
-    # hermite_phi(a, m, .) = H_2m^(a+1/2) e^{-x^2} with
-    # H_2m = (-1)^m 4^m m! L_m^a(x^2)
-    a = 0.5
+    # hermite_phi(a, m, .) = L^2m e^{-x^2} = H_2m^(a+1/2) e^{-x^2} with
+    # H_2m = (-1)^m 4^m m! L_m^a(x^2), the Laguerre polynomial by recurrence
     xs = np.linspace(-2, 2, 17)
-    for m in range(1, 4):
-        phi = hermite_phi(a, m, 1)
-        np.testing.assert_allclose(phi(xs), phi(-xs), rtol=0.0, atol=0.0)
-        ref = ((-1.0) ** m * 4.0 ** m * math.factorial(m)
-               * _laguerre(m, a, xs * xs) * np.exp(-xs * xs))
-        np.testing.assert_allclose(phi(xs), ref, rtol=1e-12, atol=1e-12)
+    for a in (-0.25, 0.5, 1.5):
+        for m in range(1, 4):
+            phi = hermite_phi(a, m, 1)
+            np.testing.assert_allclose(phi(xs), phi(-xs), rtol=0.0, atol=0.0)
+            ref = ((-1.0) ** m * 4.0 ** m * math.factorial(m)
+                   * _laguerre(m, a, xs * xs) * np.exp(-xs * xs))
+            np.testing.assert_allclose(phi(xs), ref, rtol=1e-12, atol=1e-12)
