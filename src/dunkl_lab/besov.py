@@ -110,8 +110,7 @@ def omega(params: BesovParams, f: GaussPolyFunction, x):
     ys, inv = np.unique(probes.ravel(), return_inverse=True)
     ctx = params.norm_ctx()
     best = lp_norm_from_nodes(ctx, norm_node_values(ctx, remainder_profile(
-        params.alpha, params.k, f, ys[:, None]))).value[inv].reshape(
-            probes.shape)
+        params.alpha, params.k, f, ys[:, None]))).value[inv.reshape(probes.shape)]
     return best.max(axis=-1, initial=0.0).reshape(xs.shape)[()]
 
 
@@ -223,8 +222,7 @@ class BesovSamples:
     def value(self, kind: str, v, p: Optional[float] = None):
         """A kind's samples at v, a scalar or an array (t for C), in L^p,
         p = params.p unless given (only B_tilde and C take another p).
-        The points not sampled yet are computed in one call, and the node
-        values of all points are reduced in one call."""
+        New points are computed in one call, and all are reduced in one."""
         pr = self.params
         if kind not in KINDS:
             raise ValueError(f"unknown seminorm kind {kind!r}")
@@ -241,8 +239,7 @@ class BesovSamples:
         out = [self._memo[key] for key in keys]
         if out and kind not in ("B", "K"):
             ctx = replace(pr.norm_ctx(), p=pr.p if p is None else p)
-            out = lp_norm_from_nodes(ctx, [np.array(v) for v in zip(*out)]
-                                     ).value
+            out = lp_norm_from_nodes(ctx, list(map(np.array, zip(*out)))).value
         return np.reshape(out, vs.shape)[()]
 
     def samples(self, kind: str, p: Optional[float] = None):

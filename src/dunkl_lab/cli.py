@@ -13,7 +13,8 @@ fields, and a command takes only those it reads (COMMAND_FIELDS).
 printed with 17 significant digits so they round-trip exactly.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration,
-input, numerical or I/O error (one line on stderr, no traceback).
+input, numerical or I/O error (one line on stderr, no traceback), such as
+a function_record without finite coeffs and gauss_scale, or a nan result.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ def _write_json(path: str, doc) -> None:
 
 
 def _write_table(cfg: RunConfig, name: str, header, rows) -> str:
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise FloatingPointError(f"the {name} table has a non-finite value")
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.fmt == "json":
         path = os.path.join(cfg.out_dir, f"{name}.json")
@@ -225,6 +228,8 @@ def cmd_taylor(cfg: RunConfig) -> int:
                              + abs(cfg.x) * T.b_coeff(al, cfg.k - 1,
                                                       abs(cfg.x))),
     }
+    if not all(map(math.isfinite, out.values())):
+        raise FloatingPointError("the taylor output has a non-finite value")
     print(json.dumps(out, indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -350,7 +355,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError,
-            KeyError, TypeError) as exc:
+            KeyError, TypeError, OverflowError) as exc:
         print(f"configuration error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -361,7 +366,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"input error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, OverflowError) as exc:
+    # RuntimeWarning: numpy's overflow or nan, where warnings are errors
+    except (QuadratureError, ArithmeticError, RuntimeWarning) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

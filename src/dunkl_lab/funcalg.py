@@ -109,7 +109,13 @@ class GaussPolyFunction:
     # -- serialization (CLI wire format) -------------------------------------
     @staticmethod
     def from_record(rec: dict) -> "GaussPolyFunction":
-        return GaussPolyFunction(tuple(rec["coeffs"]), float(rec["gauss_scale"]))
+        """ValueError unless coeffs (non-empty) and gauss_scale are finite."""
+        c, s = tuple(rec["coeffs"]), rec["gauss_scale"]
+        if not (c and all(isinstance(v, (int, float)) and not isinstance(
+                v, bool) and math.isfinite(v) for v in (*c, s))):
+            raise ValueError("a function record needs a non-empty list of "
+                             "finite coeffs and a finite gauss_scale")
+        return GaussPolyFunction(c, float(s))
 
 
 def dunkl_apply(alpha, f: GaussPolyFunction) -> GaussPolyFunction:

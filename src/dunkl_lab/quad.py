@@ -228,15 +228,13 @@ class NormEstimate:
 
 @lru_cache(maxsize=64)
 def _norm_rules(alpha: AlphaParam, T: float):
-    """The head rule on (0, T), weight u^(2a+1) extracted, and the tail's on
-    (T, 2T), with zt^(2a+1) / norm_const folded into its weights (through
-    logs: the power overflows from a = 102).  Built once per (alpha, T); the
-    arrays are read-only, as every caller of the cache shares them."""
+    # the head rule on (0, T), weight u^(2a+1) extracted; the tail's on (T, 2T)
+    # times zt^(2a+1) / norm_const, by logs (the power overflows from a = 102)
     (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, 0.0, T),
                         jacobi_rule(32, 0.0, 0.0, T, 2.0 * T))
     wt = wt * np.exp(alpha.weight_exp * np.log(zt) - math.log(alpha.norm_const))
     for v in (z, w, zt, wt):
-        v.flags.writeable = False
+        v.flags.writeable = False       # shared by every caller of the cache
     return (z, w), (zt, wt)
 
 
@@ -244,8 +242,7 @@ def norm_node_values(ctx: LpContext, g: Callable):
     """|g| on [u, -u] for the nodes u of lp_norm_full's head and tail rules,
     g called once per rule.  The rules do not depend on p, so these values
     give the norm for every p (lp_norm_from_nodes).  g must accept numpy
-    arrays; a profile whose values carry leading axes gives one row of
-    values per profile.  Reject non-normable algebra elements upstream."""
+    arrays; reject non-normable algebra elements upstream."""
     from .funcalg import GaussPolyFunction
     if isinstance(g, GaussPolyFunction) and not g.is_normable:
         raise ValueError("pure polynomials are not in L^p(mu_alpha)")
@@ -254,18 +251,16 @@ def norm_node_values(ctx: LpContext, g: Callable):
 
 
 def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
-    """lp_norm_full at ctx.p from norm_node_values at any p, same rules: the
-    one reduction, for one profile or for the rows along leading axes.  The
-    fields have the rows' shape (floats for one profile).  Each row is its
-    own dot product (rowdot) and its 1/p root a scalar power, so a row's
-    norm is its profile's bit for bit."""
+    """lp_norm_full at ctx.p from norm_node_values at any p, same rules, for
+    one profile (float fields) or each row along leading axes (fields of the
+    rows' shape): a row's dot product and 1/p root are its own, bit for bit."""
     a, p = ctx.alpha, ctx.p
-    (z, w), (zt, wt) = _norm_rules(a, ctx.truncation_T)
-    hv, tv = (np.asarray(v) ** p for v in values)
-    head = np.maximum(rowdot(w, hv[..., :z.size] + hv[..., z.size:])
+    (_, w), (_, wt) = _norm_rules(a, ctx.truncation_T)
+    hv, tv = (v ** p for v in values)
+    head = np.maximum(rowdot(w, hv[..., :w.size] + hv[..., w.size:])
                       / a.norm_const, 0.0)
-    tail = np.maximum(rowdot(wt, tv[..., :zt.size] + tv[..., zt.size:]), 0.0)
-    root = np.reshape([v ** (1.0 / p) for v in np.ravel(head).tolist()],
+    tail = np.maximum(rowdot(wt, tv[..., :wt.size] + tv[..., wt.size:]), 0.0)
+    root = np.reshape([h ** (1.0 / p) for h in np.ravel(head).tolist()],
                       np.shape(head))
     return NormEstimate(*(v if v.ndim else float(v) for v in (root, head, tail)),
                         ctx.truncation_T)

@@ -136,9 +136,8 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
         for p in (1.0, 2.0):
             worst = 0.0
             for name, _ in TEST_FUNCTIONS:
-                for v in lp_norm_from_nodes(LpContext(al, p, 16.0),
-                                            moved[name]).value:
-                    worst = max(worst, v / norm(p, name))
+                rows = lp_norm_from_nodes(LpContext(al, p, 16.0), moved[name])
+                worst = max(worst, *(rows.value / norm(p, name)).tolist())
             checks.append(_ratio_check(
                 f"translation-contraction[a={a},p={p:g}]",
                 "translation norm ratio <= sqrt(2)", worst, SQRT2, 1e-6))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,56 @@ def test_function_record_without_gauss_scale_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"function_record": {"coeffs": [1.0]}}))
     assert run(["taylor", "--config", str(cfg)]) == EXIT_CONFIG
     assert "gauss_scale" in _one_error_line(capsys)
+
+
+#: records that are malformed (rejected when read), then records whose
+#: numbers leave the float range (no non-finite value is written or printed)
+BAD_RECORDS = {
+    "empty": ('{"coeffs": [], "gauss_scale": 1}', "finite coeffs"),
+    "nan-coeff": ('{"coeffs": [1.0, NaN], "gauss_scale": 1}', "finite coeffs"),
+    "inf-scale": ('{"coeffs": [1.0], "gauss_scale": Infinity}',
+                  "finite coeffs"),
+    "bool-coeff": ('{"coeffs": [true], "gauss_scale": 1}', "finite coeffs"),
+    "huge-coeffs": ('{"coeffs": [1e308, 1e308], "gauss_scale": 1}',
+                    "numerical error"),
+    "huge-scale": ('{"coeffs": [1.0], "gauss_scale": 1e300}',
+                   "numerical error"),
+}
+
+
+def _run_record(tmp_path, command, record):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"function_record": %s}' % record)
+    return run([command, "--config", str(cfg)] + (
+        [] if command == "taylor" else ["--out-dir", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
+@pytest.mark.parametrize("record,message", BAD_RECORDS.values(),
+                         ids=BAD_RECORDS.keys())
+def test_bad_function_records_exit_2(tmp_path, capsys, command, record,
+                                     message):
+    # numpy's overflow warnings are errors here, as in the Tier-1 run
+    assert _run_record(tmp_path, command, record) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
+@pytest.mark.parametrize("name", ["huge-coeffs", "huge-scale"])
+def test_non_finite_results_are_neither_written_nor_printed(
+        tmp_path, capsys, command, name):
+    # with numpy's warnings ignored, the commands' own checks stop the nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run_record(tmp_path, command, BAD_RECORDS[name][0]) \
+            == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "non-finite value" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_taylor_of_a_narrow_gaussian_record(tmp_path, capsys):
