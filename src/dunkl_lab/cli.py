@@ -367,7 +367,8 @@ def main(argv=None) -> int:
         print(f"input error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     # RuntimeWarning: numpy's overflow or nan, where warnings are errors
-    except (QuadratureError, ArithmeticError, RuntimeWarning) as exc:
+    except (QuadratureError, OverflowError, FloatingPointError,
+            RuntimeWarning) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
