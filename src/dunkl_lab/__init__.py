@@ -4,7 +4,7 @@ smoothness diagnostics."""
 
 from .special import AlphaParam, bessel_j_normalized, dunkl_kernel
 from .funcalg import GaussPolyFunction, dunkl_apply, dunkl_power, dilate, hermite_phi
-from .quad import QuadSpec, LpContext, integrate, lp_norm
+from .quad import LpContext, integrate, lp_norm
 
 __all__ = [
     "AlphaParam",
@@ -15,7 +15,6 @@ __all__ = [
     "dunkl_power",
     "dilate",
     "hermite_phi",
-    "QuadSpec",
     "LpContext",
     "integrate",
     "lp_norm",

@@ -8,10 +8,12 @@ Four seminorm kinds are computed on truncated log grids:
   K       from min(||L^(k-1) f||_p, x ||L^k f||_p), the two trivial
           splittings of the K-functional (the constructive one matters only
           for functions of finite smoothness, none of them in the catalog)
-  C       from ||f * phi_t||_p / t^(beta+k-1), phi a moment-vanishing bump
+  C       from ||f * phi_t||_p / t^(beta+k-1), phi = L^(2 n0) e^{-.^2} the
+          moment-vanishing bump of order n0 = floor((k-1)/2) + 1
 
-The convolution with a moment-vanishing bump is evaluated through the exact
-identity  (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
+Every kind is sampled on one log grid (x, and t for C) and normed on
+(-NORM_T, NORM_T).  The convolution with the bump is evaluated through the
+exact identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
 dmu(x): the moment cancellation is analytic, but the symmetric remainder
 tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
 ~x^(2 n0) in sum, so the small-t values carry ~eps / t^(2 n0) relative error.
@@ -20,13 +22,13 @@ tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .special import AlphaParam
-from .funcalg import GaussPolyFunction, dunkl_power, dilate
+from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
 from .quad import (LpContext, lp_norm, jacobi_rule, lp_norm_from_nodes,
                    norm_node_values)
 from .taylor import remainder_profile, symmetric_remainder_profile
@@ -45,7 +47,11 @@ __all__ = [
     "slope_estimate",
     "equivalence_report",
     "default_grid",
+    "NORM_T",
 ]
+
+#: truncation radius of every Besov-layer L^p norm
+NORM_T = 16.0
 
 
 def default_grid(lo: float = 1e-3, hi: float = 1e2,
@@ -61,9 +67,7 @@ class BesovParams:
     p: float
     q: float            # math.inf for the sup scale
     beta: float
-    x_grid: np.ndarray = field(default_factory=default_grid)
-    t_grid: np.ndarray = field(default_factory=default_grid)
-    norm_T: float = 12.0
+    grid: np.ndarray    # the x grid of B, B_tilde and K, and the t grid of C
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -72,15 +76,14 @@ class BesovParams:
             raise ValueError("need p >= 1 and k >= 1")
         if self.q < 1.0:
             raise ValueError("q must be >= 1 (use math.inf for the sup scale)")
-        for g in (self.x_grid, self.t_grid):
-            g = np.asarray(g)
-            if g.ndim != 1 or np.any(np.diff(g) <= 0.0) or np.any(g <= 0.0):
-                raise ValueError("grids must be strictly increasing and positive")
-            if g[-1] / g[0] < 1e3:
-                raise ValueError("grids must span at least three decades")
+        g = np.asarray(self.grid)
+        if g.ndim != 1 or np.any(np.diff(g) <= 0.0) or np.any(g <= 0.0):
+            raise ValueError("the grid must be strictly increasing and positive")
+        if g[-1] / g[0] < 1e3:
+            raise ValueError("the grid must span at least three decades")
 
     def norm_ctx(self) -> LpContext:
-        return LpContext(self.alpha, self.p, self.norm_T)
+        return LpContext(self.alpha, self.p, NORM_T)
 
 
 @dataclass(frozen=True)
@@ -146,17 +149,17 @@ def k_functional_upper(params: BesovParams, f: GaussPolyFunction, x):
 # -- convolution with a moment-vanishing bump ----------------------------------
 
 def conv_profile(params: BesovParams, f: GaussPolyFunction,
-                 phi: GaussPolyFunction, t: float) -> Callable:
-    """u |-> (f * phi_t)(u), vectorized, via the symmetric-remainder identity
-    (exact for phi with order-k vanishing moments) on 80 outer nodes."""
+                 t: float) -> Callable:
+    """u |-> (f * phi_t)(u), vectorized, for the bump phi of order
+    n0 = floor((k-1)/2) + 1, via the symmetric-remainder identity (exact for
+    phi with order-k vanishing moments) on 80 outer nodes on (0, 10 t)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    al = params.alpha
-    phi_t = dilate(al, phi, t)
-    T = phi_t.support_hint or 10.0 * t
-    xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 0.0, T)
+    al, k = params.alpha, params.k
+    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1, k), t)
+    xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
-    sym = symmetric_remainder_profile(al, params.k, f, xs[:, None])
+    sym = symmetric_remainder_profile(al, k, f, xs[:, None])
 
     def prof(us):
         us = np.asarray(us, dtype=float)
@@ -165,10 +168,9 @@ def conv_profile(params: BesovParams, f: GaussPolyFunction,
     return prof
 
 
-def conv_norm(params: BesovParams, f: GaussPolyFunction,
-              phi: GaussPolyFunction, t: float) -> float:
+def conv_norm(params: BesovParams, f: GaussPolyFunction, t: float) -> float:
     """||f * phi_t||_{p,alpha}."""
-    return lp_norm(params.norm_ctx(), conv_profile(params, f, phi, t))
+    return lp_norm(params.norm_ctx(), conv_profile(params, f, t))
 
 
 # -- seminorms ------------------------------------------------------------------
@@ -199,15 +201,14 @@ KINDS = ("B", "B_tilde", "K", "C")
 
 
 class BesovSamples:
-    """The samples behind the four scales for one (alpha, k, grids, norm_T,
-    f, phi), each computed once, on first use, at any x (t for C): omega (B)
-    and the K bound (K) at params.p; the omega_tilde profile (B_tilde) and
-    f * phi_t (C) on the nodes of the L^p rules, which give their norms for
-    every p.  None of them depends on q or beta."""
+    """The samples behind the four scales for one (alpha, k, grid, f), each
+    computed once, on first use, at any x (t for C): omega (B) and the K
+    bound (K) at params.p; the omega_tilde profile (B_tilde) and f * phi_t
+    (C) on the nodes of the L^p rules, which give their norms for every p.
+    None of them depends on q or beta."""
 
-    def __init__(self, params: BesovParams, f: GaussPolyFunction,
-                 phi: Optional[GaussPolyFunction] = None):
-        self.params, self.f, self.phi, self._memo = params, f, phi, {}
+    def __init__(self, params: BesovParams, f: GaussPolyFunction):
+        self.params, self.f, self._memo = params, f, {}
 
     def _compute(self, kind: str, vs: np.ndarray):
         pr, f, ctx = self.params, self.f, self.params.norm_ctx()
@@ -216,7 +217,7 @@ class BesovSamples:
         if kind == "B_tilde":
             return list(zip(*norm_node_values(
                 ctx, _omega_tilde_profile(pr, f, vs[:, None]))))
-        return [norm_node_values(ctx, conv_profile(pr, f, self.phi, t))
+        return [norm_node_values(ctx, conv_profile(pr, f, t))
                 for t in vs.tolist()]
 
     def value(self, kind: str, v, p: Optional[float] = None):
@@ -226,8 +227,6 @@ class BesovSamples:
         pr = self.params
         if kind not in KINDS:
             raise ValueError(f"unknown seminorm kind {kind!r}")
-        if kind == "C" and self.phi is None:
-            raise ValueError("kind C requires a moment-vanishing phi")
         if kind in ("B", "K") and p not in (None, pr.p):
             raise ValueError(f"{kind} is sampled at p = {pr.p:g} only")
         vs = np.asarray(v, dtype=float)
@@ -243,9 +242,8 @@ class BesovSamples:
         return np.reshape(out, vs.shape)[()]
 
     def samples(self, kind: str, p: Optional[float] = None):
-        """(grid, m): a kind's samples on t_grid (C) or x_grid (the rest)."""
-        grid = np.asarray(self.params.t_grid if kind == "C"
-                          else self.params.x_grid, dtype=float)
+        """(grid, m): a kind's samples on the grid (t for C, x for the rest)."""
+        grid = np.asarray(self.params.grid, dtype=float)
         return grid, self.value(kind, grid, p)
 
 
@@ -287,8 +285,7 @@ def _compare_kernel_lower(x, t, k: int):
     return np.minimum((x / t) ** (k - 1), (x / t) ** k)
 
 
-def equivalence_report(params: BesovParams, f: GaussPolyFunction,
-                       phi: GaussPolyFunction) -> dict:
+def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
     """Numerical diagnostics for the four-way equivalence of the smoothness
     scales: the omega/K sandwich, the two one-sided convolution estimates,
     and the four truncated seminorms, all read from one BesovSamples.
@@ -304,7 +301,7 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction,
     """
     al, k, out = params.alpha, params.k, {}
     try:
-        s = BesovSamples(params, f, phi)
+        s = BesovSamples(params, f)
         grids = {kind: s.samples(kind) for kind in KINDS}
         out["samples"] = s
         xg, omt = grids["B_tilde"]

@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from .special import AlphaParam, dunkl_kernel_it
-from .funcalg import GaussPolyFunction, hermite_phi
+from .funcalg import GaussPolyFunction
 from .dunklcore import translate, translate_many
 from .quad import QuadratureError
 from . import taylor as T
@@ -238,10 +238,8 @@ def _besov_rows(cfg: RunConfig):
     """The sample set behind the besov and sweep tables, the grid points
     x <= 10 they tabulate, and the (x, omega, omega_tilde, k_upper) rows."""
     al = AlphaParam(cfg.alpha)
-    pr = B.BesovParams(al, cfg.k, cfg.p, cfg.q, cfg.beta,
-                       x_grid=cfg.grid(), t_grid=cfg.grid(), norm_T=16.0)
-    s = B.BesovSamples(pr, cfg.resolve_function(),
-                       hermite_phi(al, (cfg.k - 1) // 2 + 1, cfg.k))
+    pr = B.BesovParams(al, cfg.k, cfg.p, cfg.q, cfg.beta, cfg.grid())
+    s = B.BesovSamples(pr, cfg.resolve_function())
     xs = [x for x in cfg.grid().tolist() if x <= 10.0]
     om, omt, ku = (s.value(kind, np.array(xs)).tolist()
                    for kind in ("B", "B_tilde", "K"))

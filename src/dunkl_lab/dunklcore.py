@@ -33,7 +33,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _bessel_tables, _scaled_j
 from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs
-from .quad import QuadSpec, integrate, jacobi_rule, rowdot, _jacobi_ref
+from .quad import integrate, jacobi_rule, rowdot, _jacobi_ref
 
 __all__ = [
     "w_kernel",
@@ -252,8 +252,7 @@ def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
     # its singular endpoint t = 1 at s = 1 - t = 0
     e = a - 0.5
     val, _ = integrate(lambda s: (g(1.0 - s) + g(s - 1.0))
-                       * (s * (2.0 - s)) ** e, 0.0, 1.0,
-                       QuadSpec(endpoint_exponent=e))
+                       * (s * (2.0 - s)) ** e, 0.0, 1.0, e)
     return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * val
 
 

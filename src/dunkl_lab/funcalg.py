@@ -47,15 +47,20 @@ class GaussPolyFunction:
 
     coeffs: tuple
     gauss_scale: float = 0.0
-    support_hint: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        if not all(map(math.isfinite, (*self.coeffs, self.gauss_scale))):
+            raise FloatingPointError("non-finite value in a function's "
+                                     "coefficients or gauss_scale")
         if self.gauss_scale < 0.0:
             raise ValueError("gauss_scale must be >= 0")
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-        if self.support_hint is None and self.gauss_scale > 0.0:
-            hint = max(8.0, 10.0 / math.sqrt(self.gauss_scale))
-            object.__setattr__(self, "support_hint", hint)
+
+    @property
+    def support_hint(self) -> Optional[float]:
+        """Truncation radius for quadrature on the real line; None for s = 0."""
+        s = self.gauss_scale
+        return max(8.0, 10.0 / math.sqrt(s)) if s > 0.0 else None
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x):
@@ -73,7 +78,7 @@ class GaussPolyFunction:
 
     def scale(self, c: float) -> "GaussPolyFunction":
         return GaussPolyFunction(tuple(c * v for v in self.coeffs),
-                                 self.gauss_scale, self.support_hint)
+                                 self.gauss_scale)
 
     def add(self, other: "GaussPolyFunction") -> "GaussPolyFunction":
         if other.gauss_scale != self.gauss_scale:
@@ -84,8 +89,7 @@ class GaussPolyFunction:
             c[i] += v
         for i, v in enumerate(other.coeffs):
             c[i] += v
-        return GaussPolyFunction(tuple(c), self.gauss_scale,
-                                 self.support_hint or other.support_hint)
+        return GaussPolyFunction(tuple(c), self.gauss_scale)
 
     def derivative(self) -> "GaussPolyFunction":
         # (P e^{-sx^2})' = (P' - 2 s x P) e^{-sx^2}
@@ -96,7 +100,7 @@ class GaussPolyFunction:
         if self.gauss_scale > 0.0:
             for i in range(n):
                 c[i + 1] -= 2.0 * self.gauss_scale * self.coeffs[i]
-        return GaussPolyFunction(tuple(c), self.gauss_scale, self.support_hint)
+        return GaussPolyFunction(tuple(c), self.gauss_scale)
 
     def odd_part_over_x(self) -> "GaussPolyFunction":
         """(f(x) - f(-x)) / (2x), exact: keeps odd coefficients, shifts down."""
@@ -104,7 +108,7 @@ class GaussPolyFunction:
         c = [0.0] * max(1, n - 1)
         for i in range(1, n, 2):
             c[i - 1] = self.coeffs[i]
-        return GaussPolyFunction(tuple(c), self.gauss_scale, self.support_hint)
+        return GaussPolyFunction(tuple(c), self.gauss_scale)
 
     # -- serialization (CLI wire format) -------------------------------------
     @staticmethod
@@ -167,8 +171,7 @@ def dilate(alpha, phi: GaussPolyFunction, t: float) -> GaussPolyFunction:
     if not all(map(math.isfinite, c)):
         raise ValueError(f"dilating by t = {t:g} at alpha = {a:g} overflows "
                          "a float")
-    hint = phi.support_hint * t if phi.support_hint is not None else None
-    return GaussPolyFunction(c, phi.gauss_scale / (t * t), hint)
+    return GaussPolyFunction(c, phi.gauss_scale / (t * t))
 
 
 def hermite_phi(alpha, n0: int, k: int) -> GaussPolyFunction:

@@ -20,7 +20,6 @@ import numpy as np
 from .special import AlphaParam
 
 __all__ = [
-    "QuadSpec",
     "LpContext",
     "QuadratureError",
     "integrate",
@@ -42,21 +41,8 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    endpoint_exponent: Optional[float] = None  # singularity at the left endpoint
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.endpoint_exponent is not None and self.endpoint_exponent <= -1.0:
-            raise ValueError("endpoint exponent must be > -1 (integrable)")
-
-
-DEFAULT_SPEC = QuadSpec()
+#: integrate's absolute and relative tolerances and its interval budget
+ABS_TOL, REL_TOL, MAX_SUBDIVISIONS = 1e-11, 1e-9, 2000
 
 
 # QUADPACK's qk21: Kronrod nodes on (0, 1] (the odd ones are Gauss nodes),
@@ -91,7 +77,8 @@ def _gk21(g, lo, hi):
                                  * (np.abs(fz) @ _W21))
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
+def integrate(f: Callable, a: float, b: float,
+              endpoint_exponent: Optional[float] = None):
     """Adaptive integral of f on (a, b); returns (value, error_estimate).
 
     f maps an array of points to the array of its values.  Each round
@@ -99,13 +86,15 @@ def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
     tolerance, and evaluates f once on the 21 nodes of all new intervals.
     A declared integrable singularity (x - a)^e at the left endpoint is
     removed analytically by the substitution x = a + u^(1/(1+e)).
-    QuadratureError when that would pass max_subdivisions, or on a nan value.
+    QuadratureError when that would pass MAX_SUBDIVISIONS, or on a nan value.
     """
     if not a < b:
         raise ValueError("need a < b")
+    e = endpoint_exponent
+    if e is not None and e <= -1.0:
+        raise ValueError("endpoint exponent must be > -1 (integrable)")
     g, lo, hi = f, a, b
-    if spec.endpoint_exponent is not None and spec.endpoint_exponent < 0.0:
-        e = spec.endpoint_exponent
+    if e is not None and e < 0.0:
         g1 = 1.0 / (1.0 + e)
 
         def g(u, _f=f):
@@ -115,13 +104,13 @@ def integrate(f: Callable, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
     lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
     val, err = _gk21(g, lo, hi)
     while True:
-        total, tol = val.sum(), max(spec.abs_tol, spec.rel_tol * abs(val.sum()))
+        total, tol = val.sum(), max(ABS_TOL, REL_TOL * abs(val.sum()))
         if err.sum() <= tol:
             return float(total), float(err.sum())
         split = err > tol / err.size
         split[np.argmax(err)] = True     # rounding can leave none over its share
         nan = np.isnan(err.sum())
-        if nan or err.size + split.sum() > spec.max_subdivisions:
+        if nan or err.size + split.sum() > MAX_SUBDIVISIONS:
             raise QuadratureError(
                 "nan integrand value" if nan else "maximum number of "
                 "subdivisions reached", partial=float(total),

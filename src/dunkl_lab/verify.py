@@ -324,8 +324,8 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
 # ------------------------------------------------------------------ besov ----
 
 def _coarse_params(al, k, p, q, beta, per_decade=4):
-    g = B.default_grid(1e-3, 1e2, per_decade)
-    return B.BesovParams(al, k, p, q, beta, x_grid=g, t_grid=g, norm_T=16.0)
+    return B.BesovParams(al, k, p, q, beta,
+                         B.default_grid(1e-3, 1e2, per_decade))
 
 
 def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
@@ -338,16 +338,15 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
     for a in alphas:
         al = AlphaParam(a)
         reps[a] = B.equivalence_report(_coarse_params(al, 2, 2.0, 1.0, 0.5),
-                                       gauss, hermite_phi(al, 1, 2))
+                                       gauss)
     for a in alphas:
         al = AlphaParam(a)
         for k in ks:
             n0 = (k - 1) // 2 + 1
             pr = _coarse_params(al, k, 2.0, 1.0, 0.5)
-            phi = hermite_phi(al, n0, k)
             sm = reps[a].get("samples") if k == 2 else None
             if sm is None:
-                sm = B.BesovSamples(pr, gauss, phi)
+                sm = B.BesovSamples(pr, gauss)
 
             xs = np.geomspace(1e-2, 1e-1, 8)
             s_om = B.slope_estimate(list(zip(xs.tolist(), sm.value("B", xs))))

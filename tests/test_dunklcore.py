@@ -66,8 +66,7 @@ def test_translate_matches_density_integral():
         return ((GAUSS(z) * w_kernel(AL, x, y, z)
                  + GAUSS(-z) * w_kernel(AL, x, y, -z)) * AL.weight(z))
 
-    from dunkl_lab.quad import QuadSpec
-    val, _ = integrate(g, lo, hi, QuadSpec(endpoint_exponent=AL.alpha - 0.5))
+    val, _ = integrate(g, lo, hi, endpoint_exponent=AL.alpha - 0.5)
     assert translate(AL, GAUSS, x, y) == pytest.approx(
         val / AL.norm_const, rel=1e-8)
 

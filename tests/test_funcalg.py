@@ -23,6 +23,33 @@ def test_construction_trims_and_validates():
     assert GaussPolyFunction((1.0,), 1.0).support_hint == 10.0
 
 
+def test_support_hint_is_derived_from_the_scale():
+    # max(8, 10 / sqrt(s)), None for a pure polynomial; never carried over
+    assert GaussPolyFunction((1.0,), 0.25).support_hint == 20.0
+    assert GaussPolyFunction((1.0,), 4.0).support_hint == 8.0
+    assert GaussPolyFunction((1.0, 2.0), 0.0).support_hint is None
+    assert dilate(AL, GaussPolyFunction((1.0,), 1.0), 3.0).support_hint == 30.0
+    assert dunkl_power(AL, GaussPolyFunction((1.0,), 0.25), 2).support_hint \
+        == 20.0
+
+
+@pytest.mark.parametrize("coeffs,scale", [((math.nan,), 1.0),
+                                          ((1.0, math.inf), 1.0),
+                                          ((1.0,), math.nan),
+                                          ((1.0,), math.inf)])
+def test_non_finite_numbers_are_rejected(coeffs, scale):
+    # a nan or inf coefficient or scale is a FloatingPointError, not a nan
+    # norm or a "pure polynomial"
+    with pytest.raises(FloatingPointError, match="non-finite value"):
+        GaussPolyFunction(coeffs, scale)
+
+
+def test_overflowing_coefficients_are_rejected():
+    # (P e^{-x^2})' has the coefficient -2 * 1e308, which overflows
+    with pytest.raises(FloatingPointError, match="non-finite value"):
+        dunkl_apply(AL, GaussPolyFunction((1e308, 1e308), 1.0))
+
+
 def test_evaluation_scalar_and_array():
     f = GaussPolyFunction((1.0, 0.0, 1.0), 0.5)   # (1+x^2) e^{-x^2/2}
     assert f(0.0) == 1.0

@@ -9,7 +9,6 @@ from dunkl_lab import taylor
 from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
-from dunkl_lab.quad import integrate, QuadSpec
 from dunkl_lab.verify import TAYLOR_PAIRS, TEST_FUNCTIONS
 from dunkl_lab.taylor import (b_coeff, b_poly, _eval_terms, _theta_terms,
                               theta_mass, theta0_moment,
@@ -62,10 +61,10 @@ def test_theta0_closed_form():
 
 
 def _theta_nested(alpha, k, x, y):
-    """Theta_k(x, y), y != 0, by nesting adaptive quadrature through the
-    u/v recursion (reference for the term tables); integrate calls its
-    integrand on arrays, so the scalar recursion goes through np.vectorize."""
-    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
+    """Theta_k(x, y), y != 0, by nesting QUADPACK (scipy, a test-only
+    oracle, at tolerances tighter than the library's) through the u/v
+    recursion: the reference for the term tables."""
+    tol = {"epsabs": 1e-12, "epsrel": 1e-10}
     ax = abs(x)
     we = alpha.weight_exp
 
@@ -74,7 +73,7 @@ def _theta_nested(alpha, k, x, y):
             return math.copysign(0.5, x) / ax ** we
         if m >= ax:
             return 0.0
-        return integrate(np.vectorize(lambda z: v(j - 1, z)), m, ax, spec)[0]
+        return sint.quad(lambda z: v(j - 1, z), m, ax, **tol)[0]
 
     def v(j, m):
         # value of v_j(x, z) at z = m > 0
@@ -82,8 +81,8 @@ def _theta_nested(alpha, k, x, y):
             return 0.5 / m ** we
         if m >= ax:
             return 0.0
-        return integrate(np.vectorize(lambda z: u(j - 1, z) * z ** we), m, ax,
-                         spec)[0] / m ** we
+        return sint.quad(lambda z: u(j - 1, z) * z ** we, m, ax,
+                         **tol)[0] / m ** we
 
     return u(k, abs(y)) + math.copysign(1.0, y) * v(k, abs(y))
 

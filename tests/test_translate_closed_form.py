@@ -70,12 +70,11 @@ def test_closed_form_matches_quadrature(coeffs, s, alpha, xs, ys):
 
 # -- (c) batched convolution and Taylor loops against their loop forms ---------
 
-def _conv_profile_loop(params, f, phi, t, n_outer=80):
+def _conv_profile_loop(params, f, t, n_outer=80):
     """Former per-node form of conv_profile: one closure per outer node."""
     al, k = params.alpha, params.k
-    phi_t = dilate(al, phi, t)
-    T = phi_t.support_hint or 10.0 * t
-    xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, T)
+    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1, k), t)
+    xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
     profs = [symmetric_remainder_profile(al, k, f, float(xv)) for xv in xs]
 
@@ -149,9 +148,8 @@ def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
 
 
 def _params(alpha, k, p=2.0):
-    g = default_grid(per_decade=4)
-    return BesovParams(AlphaParam(alpha), k, p, 1.0, 0.5, x_grid=g, t_grid=g,
-                       norm_T=16.0)
+    return BesovParams(AlphaParam(alpha), k, p, 1.0, 0.5,
+                       default_grid(per_decade=4))
 
 
 def _close(batched, loop, rel):
@@ -245,11 +243,10 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
 @pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])
 def test_batched_conv_profile_matches_loop(alpha, k):
     params = _params(alpha, k)
-    phi = hermite_phi(params.alpha, (k - 1) // 2 + 1, k)
     us = np.linspace(-6.0, 6.0, 31)
     for t in (1e-2, 0.2, 2.0):
-        _close(conv_profile(params, CUBIC, phi, t)(us),
-               _conv_profile_loop(params, CUBIC, phi, t)(us), 1e-10)
+        _close(conv_profile(params, CUBIC, t)(us),
+               _conv_profile_loop(params, CUBIC, t)(us), 1e-10)
 
 
 # -- (d) shapes and path selection ---------------------------------------------
@@ -369,11 +366,10 @@ def _count_closed_form_work(monkeypatch, nu):
 
 def test_bessel_pair_shared_by_the_signs(monkeypatch):
     params = _params(1.5, 3)
-    phi = hermite_phi(params.alpha, 2, 3)
     work = _count_closed_form_work(monkeypatch, 2.5)    # a + 1
     # conv_profile stacks +-x; a symmetric us adds +-u: four points per w
     u = np.linspace(0.1, 6.0, 37)
-    conv_profile(params, CUBIC, phi, 0.2)(np.concatenate([u, -u]))
+    conv_profile(params, CUBIC, 0.2)(np.concatenate([u, -u]))
     assert work["points"] == 4 * 80 * u.size
     assert work["bessel"] <= work["points"] / 4 + 8
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
@@ -407,7 +403,6 @@ def test_small_t_conv_norm_keeps_bump_decay():
     """||f * phi_t|| ~ t^(2 n0) with 2 n0 = 4: the symmetric remainder
     tau_x f + tau_{-x} f - 2 sum b_2i L^2i f cancels to ~x^4 at small x, so
     any absolute translation error shows up directly in the ratio."""
-    params = _params(1.5, 3)
-    phi = hermite_phi(params.alpha, 2, 3)
-    ratio = conv_norm(params, CUBIC, phi, 1e-3) / conv_norm(params, CUBIC, phi, 1e-2)
+    params = _params(1.5, 3)                # the bump of k = 3 has n0 = 2
+    ratio = conv_norm(params, CUBIC, 1e-3) / conv_norm(params, CUBIC, 1e-2)
     assert ratio == pytest.approx(1e-4, rel=2e-3)
