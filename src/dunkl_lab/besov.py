@@ -156,7 +156,7 @@ def conv_profile(params: BesovParams, f: GaussPolyFunction,
     if t <= 0.0:
         raise ValueError("t must be positive")
     al, k = params.alpha, params.k
-    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1, k), t)
+    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
     xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
     sym = symmetric_remainder_profile(al, k, f, xs[:, None])
@@ -264,10 +264,9 @@ def seminorm_from_samples(params: BesovParams, kind: str, grid, m
                             diverging, grid, integrand)
 
 
-def slope_estimate(values, window=None) -> float:
-    """Least-squares slope of log m against log x over the window."""
-    pts = [(x, m) for x, m in values
-           if (window is None or window[0] <= x <= window[1]) and m > 0.0]
+def slope_estimate(values) -> float:
+    """Least-squares slope of log m against log x over the points with m > 0."""
+    pts = [(x, m) for x, m in values if m > 0.0]
     if len(pts) < 4:
         raise ValueError("slope estimate needs at least 4 positive points")
     lx = np.log([x for x, _ in pts])

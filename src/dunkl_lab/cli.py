@@ -364,9 +364,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"input error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
-    # RuntimeWarning: numpy's overflow or nan, where warnings are errors
+    # RuntimeWarning: numpy's overflow or nan, where warnings are errors;
+    # ZeroDivisionError: a float power that underflows to 0 (taylor at tiny x)
     except (QuadratureError, OverflowError, FloatingPointError,
-            RuntimeWarning) as exc:
+            ZeroDivisionError, RuntimeWarning) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

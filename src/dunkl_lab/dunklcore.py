@@ -256,23 +256,19 @@ def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
     return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * val
 
 
-def convolve(alpha: AlphaParam, f: Callable, g: Callable, x,
-             T: float = None):
+def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
     """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
     a scalar x or an array of x (the result has its shape).
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
     _convolve_closed.  Otherwise g must decay and T truncates the 120-node
-    outer rule (default from g's support_hint when available); one
-    translate_many call takes the nodes -y and y for a block of x values,
-    at most _BLOCK points in all."""
+    outer rule; one translate_many call takes the nodes -y and y for a
+    block of x values, at most _BLOCK points in all."""
     if all(isinstance(h, GaussPolyFunction) and h.gauss_scale > 0.0
            for h in (f, g)):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
-    if T is None:
-        T = getattr(g, "support_hint", None) or 10.0
     y, w = jacobi_rule(120, alpha.weight_exp, 0.0, 0.0, T)
     ypm = np.concatenate([-y, y])
     gy = np.asarray(g(y))
@@ -300,11 +296,10 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
     return GaussPolyFunction(tuple(c), sigma)
 
 
-def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float = None):
-    """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y), xi a
-    scalar or an array; f is called once, each xi is a scalar call's value."""
-    if T is None:
-        T = getattr(f, "support_hint", None) or 10.0
+def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
+    """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y),
+    xi a scalar or an array; f is called once, each xi is a scalar call's
+    value."""
     y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
     out = [complex(np.dot(w, fy * dunkl_kernel_it(alpha, -v, y)
@@ -314,14 +309,9 @@ def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float = None):
 
 
 def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
-                                   t: float, x: float,
-                                   T: float = None) -> float:
+                                   t: float, x: float, T: float) -> float:
     """Max pairwise discrepancy of tau_t(f *_a h), tau_t(f) *_a h and
-    f *_a tau_t(h) at the point x."""
-    if T is None:
-        Tf = getattr(f, "support_hint", None) or 10.0
-        Th = getattr(h, "support_hint", None) or 10.0
-        T = max(Tf, Th) + abs(t)
+    f *_a tau_t(h) at the point x, each convolution truncated at T."""
     conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T)
     v1 = translate(alpha, conv_fh, t, x)
     tf = lambda ys: translate_many(alpha, f, t, ys)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .special import AlphaParam, _as_alpha
+from .special import _as_alpha
 
 __all__ = [
     "GaussPolyFunction",
@@ -56,12 +56,6 @@ class GaussPolyFunction:
         if self.gauss_scale < 0.0:
             raise ValueError("gauss_scale must be >= 0")
 
-    @property
-    def support_hint(self) -> Optional[float]:
-        """Truncation radius for quadrature on the real line; None for s = 0."""
-        s = self.gauss_scale
-        return max(8.0, 10.0 / math.sqrt(s)) if s > 0.0 else None
-
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -76,40 +70,6 @@ class GaussPolyFunction:
         """Pure polynomials (s=0) are not in any L^p(mu_a) unless zero."""
         return self.gauss_scale > 0.0 or self.coeffs == (0.0,)
 
-    def scale(self, c: float) -> "GaussPolyFunction":
-        return GaussPolyFunction(tuple(c * v for v in self.coeffs),
-                                 self.gauss_scale)
-
-    def add(self, other: "GaussPolyFunction") -> "GaussPolyFunction":
-        if other.gauss_scale != self.gauss_scale:
-            raise ValueError("can only add functions with the same Gaussian factor")
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = [0.0] * n
-        for i, v in enumerate(self.coeffs):
-            c[i] += v
-        for i, v in enumerate(other.coeffs):
-            c[i] += v
-        return GaussPolyFunction(tuple(c), self.gauss_scale)
-
-    def derivative(self) -> "GaussPolyFunction":
-        # (P e^{-sx^2})' = (P' - 2 s x P) e^{-sx^2}
-        n = len(self.coeffs)
-        c = [0.0] * max(1, n + 1)
-        for i in range(1, n):
-            c[i - 1] += i * self.coeffs[i]
-        if self.gauss_scale > 0.0:
-            for i in range(n):
-                c[i + 1] -= 2.0 * self.gauss_scale * self.coeffs[i]
-        return GaussPolyFunction(tuple(c), self.gauss_scale)
-
-    def odd_part_over_x(self) -> "GaussPolyFunction":
-        """(f(x) - f(-x)) / (2x), exact: keeps odd coefficients, shifts down."""
-        n = len(self.coeffs)
-        c = [0.0] * max(1, n - 1)
-        for i in range(1, n, 2):
-            c[i - 1] = self.coeffs[i]
-        return GaussPolyFunction(tuple(c), self.gauss_scale)
-
     # -- serialization (CLI wire format) -------------------------------------
     @staticmethod
     def from_record(rec: dict) -> "GaussPolyFunction":
@@ -123,9 +83,18 @@ class GaussPolyFunction:
 
 
 def dunkl_apply(alpha, f: GaussPolyFunction) -> GaussPolyFunction:
-    """Exact Dunkl operator on the algebra: f' + (2a+1) * odd(f)/x."""
+    """Exact Dunkl operator on the algebra: f' + (2a+1) * odd(f)/x.  For
+    f = P e^{-s.^2} with P = sum c_j x^j, the image's coefficients are
+    (j+1) c[j+1] - 2s c[j-1] + (2a+1) c[j+1] [j+1 odd]."""
     a = _as_alpha(alpha)
-    return f.derivative().add(f.odd_part_over_x().scale(2.0 * a + 1.0))
+    c, s = np.array(f.coeffs), f.gauss_scale
+    out = np.zeros(c.size + 1)
+    # an overflow reaches GaussPolyFunction as a non-finite coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:-2] += np.arange(1, c.size) * c[1:]
+        out[1:] -= 2.0 * s * c
+        out[:-2:2] += (2.0 * a + 1.0) * c[1::2]
+    return GaussPolyFunction(out.tolist(), s)
 
 
 def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:
@@ -174,19 +143,16 @@ def dilate(alpha, phi: GaussPolyFunction, t: float) -> GaussPolyFunction:
     return GaussPolyFunction(c, phi.gauss_scale / (t * t))
 
 
-def hermite_phi(alpha, n0: int, k: int) -> GaussPolyFunction:
+def hermite_phi(alpha, n0: int) -> GaussPolyFunction:
     """Moment-vanishing bump phi = L^(2 n0) e^{-.^2}, the generalized Hermite
     function H_{2 n0}^{a+1/2}(x) e^{-x^2} (Roesler, Comm. Math. Phys. 192,
     1998), with exact coefficients.
 
     Its Dunkl transform is (i xi)^(2 n0) times a Gaussian, which vanishes to
-    order 2 n0 at 0, so int_0^inf x^{2i} phi dmu_a = 0 for 0 <= i < n0; the
-    moments up to i = floor((k-1)/2) vanish when n0 > floor((k-1)/2).
+    order 2 n0 at 0, so int_0^inf x^{2i} phi dmu_a = 0 for 0 <= i < n0.
     """
-    if k < 1 or n0 < 1:
-        raise ValueError("n0 and k must be positive")
-    if n0 <= (k - 1) // 2:
-        raise ValueError(f"n0 must exceed floor((k-1)/2) = {(k - 1) // 2}")
+    if n0 < 1:
+        raise ValueError("n0 must be positive")
     return dunkl_power(alpha, GaussPolyFunction((1.0,), 1.0), 2 * n0)
 
 

@@ -43,6 +43,7 @@ class QuadratureError(RuntimeError):
 
 #: integrate's absolute and relative tolerances and its interval budget
 ABS_TOL, REL_TOL, MAX_SUBDIVISIONS = 1e-11, 1e-9, 2000
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 # QUADPACK's qk21: Kronrod nodes on (0, 1] (the odd ones are Gauss nodes),
@@ -86,7 +87,10 @@ def integrate(f: Callable, a: float, b: float,
     tolerance, and evaluates f once on the 21 nodes of all new intervals.
     A declared integrable singularity (x - a)^e at the left endpoint is
     removed analytically by the substitution x = a + u^(1/(1+e)).
-    QuadratureError when that would pass MAX_SUBDIVISIONS, or on a nan value.
+    QuadratureError, with the finite partial sum where there is one, when
+    that would pass MAX_SUBDIVISIONS, on a nan value, or where an interval
+    is too narrow to bisect in floats (QUADPACK's test; a non-integrable
+    singularity ends there).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -109,13 +113,15 @@ def integrate(f: Callable, a: float, b: float,
             return float(total), float(err.sum())
         split = err > tol / err.size
         split[np.argmax(err)] = True     # rounding can leave none over its share
-        nan = np.isnan(err.sum())
-        if nan or err.size + split.sum() > MAX_SUBDIVISIONS:
-            raise QuadratureError(
-                "nan integrand value" if nan else "maximum number of "
-                "subdivisions reached", partial=float(total),
-                error=float(err.sum()))
         mid, keep, n = 0.5 * (lo + hi)[split], ~split, 2 * split.sum()
+        nan = np.isnan(err.sum())
+        narrow = (np.maximum(np.abs(lo), np.abs(hi))[split] <= (
+            1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)).any()
+        if nan or narrow or err.size + split.sum() > MAX_SUBDIVISIONS:
+            raise QuadratureError(
+                "nan integrand value" if nan else "interval too narrow to "
+                "bisect" if narrow else "maximum number of subdivisions "
+                "reached", partial=float(total), error=float(err.sum()))
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
         v, e = _gk21(g, lo[-n:], hi[-n:])

@@ -268,7 +268,7 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
             n0_min = (k - 1) // 2 + 1
             worst = 0.0
             for n0 in (n0_min, n0_min + 1):
-                phi = hermite_phi(al, n0, k)
+                phi = hermite_phi(al, n0)
                 z, w = jacobi_rule(160, al.weight_exp, 0.0, 0.0, 10.0)
                 for i in range(n0_min):
                     worst = max(worst, abs(float(
@@ -323,9 +323,8 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
 
 # ------------------------------------------------------------------ besov ----
 
-def _coarse_params(al, k, p, q, beta, per_decade=4):
-    return B.BesovParams(al, k, p, q, beta,
-                         B.default_grid(1e-3, 1e2, per_decade))
+def _coarse_params(al, k, p, q, beta):
+    return B.BesovParams(al, k, p, q, beta, B.default_grid(1e-3, 1e2, 4))
 
 
 def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,

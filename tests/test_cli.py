@@ -248,6 +248,14 @@ def test_small_a_taylor_closes_the_identity(capsys):
     assert json.loads(capsys.readouterr().out)["identity_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("x", ["1e-200", "1e-300"])
+def test_tiny_x_taylor_exits_2(capsys, x):
+    # at alpha = 0.5 the Theta term's |x|^(2a+1) underflows to 0 and its
+    # division raised a ZeroDivisionError with a traceback
+    assert run(["taylor", "--x", x]) == EXIT_CONFIG
+    assert "numerical error: float division by zero" in _one_error_line(capsys)
+
+
 def test_overflowing_norm_rule_exits_2(tmp_path, capsys):
     # from alpha = 129 the head rule's weights overflow a float at T = 16
     out = tmp_path / "out"

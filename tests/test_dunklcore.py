@@ -98,8 +98,8 @@ def test_quadrature_translate_does_not_depend_on_its_call(alpha):
     assert many.tolist() == [translate(al, g, 0.7, y) for y in ys.tolist()]
     tf = lambda z: translate_many(al, cubic, 0.6, z)
     us = np.linspace(-3.0, 3.0, 12)
-    assert convolve(al, tf, GAUSS, us).tolist() == \
-        [convolve(al, tf, GAUSS, u) for u in us.tolist()]
+    assert convolve(al, tf, GAUSS, us, T=10.0).tolist() == \
+        [convolve(al, tf, GAUSS, u, T=10.0) for u in us.tolist()]
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
@@ -150,19 +150,20 @@ def test_convolution_commutes_and_transform_factorizes():
     g = GaussPolyFunction((1.0, 0.5), 1.0)
     # transform of a convolution is the product of transforms
     for xi in (0.4, 1.3):
-        conv = lambda u: np.array([convolve(AL, GAUSS, g, float(v))
+        conv = lambda u: np.array([convolve(AL, GAUSS, g, float(v), T=10.0)
                                    for v in np.atleast_1d(u)])
-        conv.support_hint = 12.0
-        lhs = dunkl_transform(AL, conv, xi)
-        rhs = dunkl_transform(AL, GAUSS, xi) * dunkl_transform(AL, g, xi)
+        lhs = dunkl_transform(AL, conv, xi, T=12.0)
+        rhs = (dunkl_transform(AL, GAUSS, xi, T=10.0)
+               * dunkl_transform(AL, g, xi, T=10.0))
         assert abs(lhs - rhs) < 1e-9
-    assert translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4) < 1e-8
+    assert translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4,
+                                          T=10.7) < 1e-8
 
 
 def test_transform_gaussian_positive_at_zero():
     # F(f)(0) is the total mass; for the Gaussian that is (2)^-(a+1) * 2^(a+1) ...
     # computed directly: int e^{-y^2} dmu = 2^-(a+1)
-    val = dunkl_transform(AL, GAUSS, 0.0)
+    val = dunkl_transform(AL, GAUSS, 0.0, T=10.0)
     assert val.imag == pytest.approx(0.0, abs=1e-13)
     assert val.real == pytest.approx(2.0 ** (-(AL.alpha + 1.0)), rel=1e-10)
 
@@ -171,31 +172,37 @@ def test_convolution_is_symmetric():
     # one side a callable: the 120-node quadrature path, either order
     g = GaussPolyFunction((1.0, 0.0, -0.3), 1.0)
     for x in (0.5, 1.4):
-        assert convolve(AL, GAUSS, lambda z: g(z), x) == pytest.approx(
-            convolve(AL, g, lambda z: GAUSS(z), x), rel=1e-9, abs=1e-11)
+        assert convolve(AL, GAUSS, lambda z: g(z), x, T=10.0) == pytest.approx(
+            convolve(AL, g, lambda z: GAUSS(z), x, T=10.0), rel=1e-9,
+            abs=1e-11)
 
 
 def _algebra(al):
     # the function catalog and two moment-vanishing bumps
     from dunkl_lab.verify import CATALOG
-    return list(CATALOG.values()) + [hermite_phi(al, 1, 2),
-                                     hermite_phi(al, 2, 3)]
+    return list(CATALOG.values()) + [hermite_phi(al, 1), hermite_phi(al, 2)]
+
+
+def _support(g):
+    # truncation radius of the outer rule for g = P e^{-s.^2}, s > 0
+    return max(8.0, 10.0 / math.sqrt(g.gauss_scale))
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
 def test_closed_form_convolution_matches_the_quadrature(alpha):
-    # g wrapped in a lambda takes the 120-node rule (on g's support_hint)
+    # g wrapped in a lambda takes the 120-node rule (on g's _support)
     al = AlphaParam(alpha)
     xs = np.linspace(-6.0, 6.0, 25)
     fns = _algebra(al)
     for f in fns:
         for g in fns:
-            exact = convolve(al, f, g, xs)
-            quad = convolve(al, f, lambda z: g(z), xs, T=g.support_hint)
+            T = _support(g)
+            exact = convolve(al, f, g, xs, T)
+            quad = convolve(al, f, lambda z: g(z), xs, T)
             assert np.max(np.abs(exact - quad)) <= 1e-9 * np.max(np.abs(quad))
             # exactly commutative, and a scalar x gives the array's value
-            assert convolve(al, g, f, xs).tolist() == exact.tolist()
-            assert convolve(al, f, g, float(xs[3])) == exact[3]
+            assert convolve(al, g, f, xs, T).tolist() == exact.tolist()
+            assert convolve(al, f, g, float(xs[3]), T) == exact[3]
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
@@ -204,7 +211,7 @@ def test_closed_form_convolution_transform_is_the_product(alpha):
     xis = np.array([0.0, 0.5, 1.7, 3.0])
     fns = _algebra(al)
     for f, g in ((fns[0], fns[2]), (fns[1], fns[3]), (fns[2], fns[5])):
-        conv = lambda us: convolve(al, f, g, us)
+        conv = lambda us: convolve(al, f, g, us, T=16.0)
         lhs = dunkl_transform(al, conv, xis, T=16.0)
         rhs = dunkl_transform(al, f, xis, T=16.0) * dunkl_transform(
             al, g, xis, T=16.0)
@@ -241,4 +248,4 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
         assert got.ravel().tolist() == ref
         assert [dunkl_transform(al, f, xi, T=T)
                 for xi in xis.ravel().tolist()] == ref
-    assert isinstance(dunkl_transform(al, GAUSS, 0.5), complex)
+    assert isinstance(dunkl_transform(al, GAUSS, 0.5, T=10.0), complex)

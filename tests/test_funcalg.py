@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from dunkl_lab.quad import integrate
 
 AL = AlphaParam(0.5)
 
-coeff_lists = st.lists(st.floats(-4, 4, allow_nan=False), min_size=1,
-                       max_size=6)
+# no coefficient so small that a product with it leaves the normal range
+coeff_lists = st.lists(st.floats(-4, 4, allow_nan=False).map(
+    lambda v: 0.0 if abs(v) < 1e-100 else v), min_size=1, max_size=6)
 
 
 def test_construction_trims_and_validates():
@@ -20,17 +22,6 @@ def test_construction_trims_and_validates():
     assert f.coeffs == (1.0, 2.0)
     with pytest.raises(ValueError):
         GaussPolyFunction((1.0,), -1.0)
-    assert GaussPolyFunction((1.0,), 1.0).support_hint == 10.0
-
-
-def test_support_hint_is_derived_from_the_scale():
-    # max(8, 10 / sqrt(s)), None for a pure polynomial; never carried over
-    assert GaussPolyFunction((1.0,), 0.25).support_hint == 20.0
-    assert GaussPolyFunction((1.0,), 4.0).support_hint == 8.0
-    assert GaussPolyFunction((1.0, 2.0), 0.0).support_hint is None
-    assert dilate(AL, GaussPolyFunction((1.0,), 1.0), 3.0).support_hint == 30.0
-    assert dunkl_power(AL, GaussPolyFunction((1.0,), 0.25), 2).support_hint \
-        == 20.0
 
 
 @pytest.mark.parametrize("coeffs,scale", [((math.nan,), 1.0),
@@ -64,32 +55,25 @@ def test_normable_flag():
     assert GaussPolyFunction((0.0,), 0.0).is_normable
 
 
-def test_add_requires_matching_gaussian():
-    f = GaussPolyFunction((1.0,), 1.0)
-    g = GaussPolyFunction((1.0,), 0.5)
-    with pytest.raises(ValueError):
-        f.add(g)
-
-
-@settings(max_examples=40, deadline=None)
-@given(coeff_lists)
-def test_reflect_and_odd_part(coeffs):
-    f = GaussPolyFunction(tuple(coeffs), 1.0)
-    xs = np.linspace(0.1, 2.5, 9)
-    np.testing.assert_allclose(f.odd_part_over_x()(xs),
-                               (f(xs) - f(-xs)) / (2.0 * xs),
-                               rtol=1e-9, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(coeff_lists, st.floats(0.2, 2.0))
-def test_derivative_matches_finite_differences(coeffs, s):
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, st.one_of(st.just(0.0), st.floats(0.2, 2.0)),
+       st.sampled_from([-0.25, 0.0, 1.5]))
+def test_dunkl_apply_matches_exact_rationals(coeffs, s, alpha):
+    # out[j] = (j+1) c[j+1] - 2s c[j-1] + (2a+1) c[j+1] [j+1 odd] in exact
+    # rationals; each float coefficient is within 4 eps of the sum of its
+    # terms' magnitudes
     f = GaussPolyFunction(tuple(coeffs), s)
-    df = f.derivative()
-    h = 1e-5
-    for x in (0.3, -1.1, 2.0):
-        fd = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-        assert df(x) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+    got = dunkl_apply(alpha, f)
+    assert got.gauss_scale == s
+    c, eps = [Fraction(v) for v in f.coeffs], Fraction(np.finfo(float).eps)
+    for j in range(len(c) + 1):
+        terms = [-2 * Fraction(s) * c[j - 1]] if j >= 1 else []
+        if j + 1 < len(c):
+            terms.append((j + 1) * c[j + 1])
+            if j % 2 == 0:
+                terms.append(Fraction(2.0 * alpha + 1.0) * c[j + 1])
+        v = got.coeffs[j] if j < len(got.coeffs) else 0.0
+        assert abs(Fraction(v) - sum(terms)) <= 4 * eps * sum(map(abs, terms))
 
 
 def test_dunkl_apply_matches_fd_operator():
@@ -150,7 +134,7 @@ def test_dilate_preserves_measure_integral():
 
 @pytest.mark.parametrize("n0,k", [(1, 1), (1, 2), (2, 3), (2, 4)])
 def test_hermite_phi_vanishing_even_moments(n0, k):
-    phi = hermite_phi(AL, n0, k)
+    phi = hermite_phi(AL, n0)
     scale = abs(phi(0.3)) + 1.0
     for i in range((k - 1) // 2 + 1):
         val, _ = integrate(lambda y, i=i: y ** (2 * i) * phi(y) * AL.weight(y),
@@ -164,13 +148,11 @@ def test_hermite_phi_vanishing_even_moments(n0, k):
 
 def test_hermite_phi_rejects_low_degree():
     with pytest.raises(ValueError):
-        hermite_phi(AL, 1, 3)   # needs n0 > floor((k-1)/2) = 1
-    with pytest.raises(ValueError):
-        hermite_phi(AL, 0, 1)
+        hermite_phi(AL, 0)
 
 
 def test_dilate_raises_where_a_coefficient_overflows():
-    phi = hermite_phi(50.0, 1, 2)
+    phi = hermite_phi(50.0, 1)
     for a in (50.0, 60.0):      # the product overflows; then the power too
         with pytest.raises(ValueError, match="overflows a float"):
             dilate(a, phi, 1e-3)

@@ -207,6 +207,16 @@ def test_integrate_raises_on_a_nan_value():
         integrate(lambda x: np.where(x > 0.3, np.nan, x), 0.0, 1.0)
 
 
+def test_integrate_stops_where_an_interval_is_too_narrow_to_bisect():
+    # 1/x on (0, 1) is not integrable: bisection toward 0 ends at QUADPACK's
+    # float-resolution test with a finite partial sum, before a node at 0
+    # overflows (a RuntimeWarning fails the suite)
+    with pytest.raises(QuadratureError, match="too narrow to bisect") as info:
+        integrate(lambda x: 1.0 / x, 0.0, 1.0)
+    assert 700.0 < info.value.partial < 720.0
+    assert math.isfinite(info.value.error)
+
+
 # -- the Dunkl kernel's general complex series ---------------------------------
 
 def _kernel_mp(a, w):

@@ -108,12 +108,12 @@ def _laguerre(n, a, u):
 
 
 def test_hermite_generalized_parity_and_laguerre_link():
-    # hermite_phi(a, m, .) = L^2m e^{-x^2} = H_2m^(a+1/2) e^{-x^2} with
+    # hermite_phi(a, m) = L^2m e^{-x^2} = H_2m^(a+1/2) e^{-x^2} with
     # H_2m = (-1)^m 4^m m! L_m^a(x^2), the Laguerre polynomial by recurrence
     xs = np.linspace(-2, 2, 17)
     for a in (-0.25, 0.5, 1.5):
         for m in range(1, 4):
-            phi = hermite_phi(a, m, 1)
+            phi = hermite_phi(a, m)
             np.testing.assert_allclose(phi(xs), phi(-xs), rtol=0.0, atol=0.0)
             ref = ((-1.0) ** m * 4.0 ** m * math.factorial(m)
                    * _laguerre(m, a, xs * xs) * np.exp(-xs * xs))

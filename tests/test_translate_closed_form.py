@@ -73,7 +73,7 @@ def test_closed_form_matches_quadrature(coeffs, s, alpha, xs, ys):
 def _conv_profile_loop(params, f, t, n_outer=80):
     """Former per-node form of conv_profile: one closure per outer node."""
     al, k = params.alpha, params.k
-    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1, k), t)
+    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
     xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
     profs = [symmetric_remainder_profile(al, k, f, float(xv)) for xv in xs]
@@ -234,7 +234,7 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     calls.clear()
     # a callable g keeps the 120-node rule (two algebra elements convolve
     # in closed form, with no translation)
-    convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384))
+    convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384), 10.0)
     assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
     assert max(calls) <= dunklcore._BLOCK
     assert sum(calls) == 384 * 240
