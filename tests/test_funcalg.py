@@ -76,6 +76,30 @@ def test_dunkl_apply_matches_exact_rationals(coeffs, s, alpha):
         assert abs(Fraction(v) - sum(terms)) <= 4 * eps * sum(map(abs, terms))
 
 
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists)
+def test_reflect_and_odd_part(coeffs):
+    # Lambda_0 f - Lambda_{-1/2} f is the odd-part term odd(f)/x alone
+    f = GaussPolyFunction(tuple(coeffs), 1.0)
+    xs = np.linspace(0.1, 2.5, 9)
+    np.testing.assert_allclose(dunkl_apply(0.0, f)(xs)
+                               - dunkl_apply(-0.5, f)(xs),
+                               (f(xs) - f(-xs)) / (2.0 * xs),
+                               rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists, st.floats(0.2, 2.0))
+def test_derivative_matches_finite_differences(coeffs, s):
+    # at alpha = -1/2 the odd-part term vanishes and Lambda is d/dx
+    f = GaussPolyFunction(tuple(coeffs), s)
+    df = dunkl_apply(-0.5, f)
+    h = 1e-5
+    for x in (0.3, -1.1, 2.0):
+        fd = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+        assert df(x) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+
+
 def test_dunkl_apply_matches_fd_operator():
     rng = np.random.default_rng(42)
     for _ in range(8):
