@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         print(f"input error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     # RuntimeWarning: numpy's overflow or nan, where warnings are errors;
-    # ZeroDivisionError: a float power that underflows to 0 (taylor at tiny x)
+    # ZeroDivisionError: a Python float divided by a power that underflowed
     except (QuadratureError, OverflowError, FloatingPointError,
             ZeroDivisionError, RuntimeWarning) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -219,8 +219,10 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
     inv = np.empty(w.size, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     n1, n2 = _scaled_j(a + 1.0, wu), _scaled_j(a + 2.0, wu)
-    even = n1 + 0.25 * wu * wu / ((a + 1.0) * (a + 2.0)) * n2
-    odd = 0.5 * wu / (a + 1.0) * n1
+    # a huge s overflows w^2 against n2 = 0: the nan reaches callers' checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = n1 + 0.25 * wu * wu / ((a + 1.0) * (a + 2.0)) * n2
+        odd = 0.5 * wu / (a + 1.0) * n1
     C = _closed_form_polys(a, f.coeffs, s)
     out = np.empty(w.size)
     for i in range(0, w.size, _BLOCK):

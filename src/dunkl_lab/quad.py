@@ -64,16 +64,20 @@ _G21 = np.zeros(21)
 _G21[1:10:2], _G21[11:20:2] = _WG, _WG[::-1]
 
 
-def _gk21(g, lo, hi):
+def _gk21(g, lo, hi, partial=None):
     """Kronrod values and QUADPACK error estimates on the intervals (lo, hi),
-    with g called once on the 21 nodes of all of them."""
+    with g called once on the 21 nodes of all of them; QuadratureError with
+    the partial sum so far on a value that is not finite."""
     h = 0.5 * (hi - lo)
     fz = np.asarray(g(((lo + h)[:, None] + h[:, None] * _X21).ravel()),
                     dtype=float).reshape(h.size, 21)
+    if not np.isfinite(fz).all():
+        raise QuadratureError("nan or infinite integrand value", partial=partial)
     k = fz @ _W21
     err, asc = np.abs(k - fz @ _G21), np.abs(fz - 0.5 * k[:, None]) @ _W21
-    err = np.where(asc > 0.0, asc * np.minimum(
-        1.0, (200.0 * err / np.where(asc > 0.0, asc, 1.0)) ** 1.5), err)
+    with np.errstate(over="ignore"):    # an infinite 200 err gives factor 1
+        err = np.where(asc > 0.0, asc * np.minimum(
+            1.0, (200.0 * err / np.where(asc > 0.0, asc, 1.0)) ** 1.5), err)
     return h * k, h * np.maximum(err, 50.0 * np.finfo(float).eps
                                  * (np.abs(fz) @ _W21))
 
@@ -88,9 +92,9 @@ def integrate(f: Callable, a: float, b: float,
     A declared integrable singularity (x - a)^e at the left endpoint is
     removed analytically by the substitution x = a + u^(1/(1+e)).
     QuadratureError, with the finite partial sum where there is one, when
-    that would pass MAX_SUBDIVISIONS, on a nan value, or where an interval
-    is too narrow to bisect in floats (QUADPACK's test; a non-integrable
-    singularity ends there).
+    that would pass MAX_SUBDIVISIONS, on a nan or infinite value, or where
+    an interval is too narrow to bisect in floats (QUADPACK's test; a
+    non-integrable singularity ends at one of the last two).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -124,7 +128,7 @@ def integrate(f: Callable, a: float, b: float,
                 "reached", partial=float(total), error=float(err.sum()))
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
-        v, e = _gk21(g, lo[-n:], hi[-n:])
+        v, e = _gk21(g, lo[-n:], hi[-n:], float(total))
         val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
 
 
@@ -167,24 +171,19 @@ def _jacobi_ref(n: int, exp_a: float, exp_b: float):
 
 def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):
     """Nodes and weights integrating f(z) (z-a)^exp_a (b-z)^exp_b exactly
-    for polynomial f up to degree 2n-1, as sum(w * f(z)).  For arrays a, b
-    of shape (..., 1) each row scales by a scalar power (numpy's array power
-    can differ in the last bit), so it is its own interval's rule bit for bit.
-    OverflowError where a weight is not finite (a large exponent on a wide
-    interval).
+    for polynomial f up to degree 2n-1, as sum(w * f(z)).  OverflowError
+    where a weight is not finite (a large exponent on a wide interval).
     """
     if exp_a <= -1.0 or exp_b <= -1.0:
         raise ValueError("Jacobi exponents must be > -1")
     x, w = _jacobi_ref(n, float(exp_a), float(exp_b))
     r = 0.5 * (b - a)
     z = 0.5 * (a + b) + r * x
-    e = exp_a + exp_b + 1.0
-    scale = (np.reshape([v ** e for v in np.ravel(r).tolist()], np.shape(r))
-             if np.ndim(r) else r ** e)
+    scale = r ** (exp_a + exp_b + 1.0)
     # the weights are positive: the largest product decides, in floats
-    if not math.isfinite(float(w.max()) * float(np.max(scale))):
+    if not math.isfinite(float(w.max()) * scale):
         raise OverflowError(f"Gauss-Jacobi weights overflow a float (weight "
-                            f"exponent {e - 1.0:g} over a width {2.0 * r:g})")
+                            f"exponent {exp_a + exp_b:g} over a width {b - a:g})")
     return z, w * scale
 
 

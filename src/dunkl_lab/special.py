@@ -41,10 +41,6 @@ class AlphaParam:
         object.__setattr__(self, "norm_const", nc)
         object.__setattr__(self, "weight_exp", 2.0 * a + 1.0)
 
-    def weight(self, x):
-        """|x|^(2a+1), the Lebesgue density of mu_alpha up to norm_const."""
-        return np.abs(x) ** self.weight_exp
-
 
 def _as_alpha(alpha) -> float:
     return alpha.alpha if isinstance(alpha, AlphaParam) else float(alpha)

@@ -5,12 +5,15 @@ u/v recursion, the iterated integrals I_k, the order-k remainder R_k in both
 its integral form R_k(x, f) = I_k(x, L^k f) and its recurrence form, and the
 symmetric remainder.
 
-For a fixed first argument x, each Theta_k(x, .) is a finite combination of
-terms  c * sgn(y)^s * |y|^e * log^j |y|, a set the recursion's antiderivatives
-keep closed: an exponent -1 (resonant alpha: alpha = 0 from Theta_1 on,
-alpha = 1 from Theta_3 on) integrates to a log power, every other exponent
-exactly as a power.  A Theta-weighted integral gives each term one Gauss rule
-on (0, |x|) for its power (and log) of |y|; tau_y f(a) is analytic in y.
+Theta_k is homogeneous: Theta_k(x, y) = |x|^(k-2a-1) Theta_k(sgn x, y/|x|),
+as Theta_0 has degree -(2a+1) and each step of the recursion integrates up
+to |x|.  So each Theta_k(+-1, .) is tabulated once on the unit interval, a
+finite combination of terms  c * sgn(t)^s * |t|^e * log^j |t|, a set the
+recursion's antiderivatives keep closed: an exponent -1 (resonant alpha:
+alpha = 0 from Theta_1 on, alpha = 1 from Theta_3 on) integrates to a log
+power, every other exponent exactly as a power.  A Theta-weighted integral
+gives each term one Gauss rule on (0, 1) for its power (and log) of |t|, at
+the nodes y = |x| t; tau_y f(a) is analytic in y.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .dunklcore import translate_many
 
 __all__ = [
     "b_coeff",
-    "b_poly",
     "theta_mass",
     "theta0_moment",
     "remainder",
@@ -63,35 +65,27 @@ def b_coeff(alpha, p: int, x) -> float:
     return val if val.ndim else float(val)
 
 
-def b_poly(alpha, p: int) -> GaussPolyFunction:
-    """b_p as an element of the algebra (pure monomial, s = 0)."""
-    c = b_coeff(alpha, p, 2.0) / 2.0 ** p   # coefficient of x^p
-    return GaussPolyFunction((0.0,) * p + (c,), 0.0)
+# -- Theta kernels: power-log term tables on the unit interval ---------------
 
-
-# -- Theta kernels: power-log term tables --------------------------------------
-
-def _integrate_terms_from(terms, ax: float):
-    """Antiderivative step: terms(z) -> int_m^ax terms(z) dz as terms of m,
+def _integrate_terms_from(terms):
+    """Antiderivative step: terms(z) -> int_m^1 terms(z) dz as terms of m,
     for z > 0 (so sgn factors are 1).  z^e log^j z integrates to
-    z^(e+1) sum_i (-1)^i j!/(j-i)! log^(j-i) z / (e+1)^(i+1).  Where those
-    cancel, |eps| < 1e-4 with eps = e + 1, z^e = z^-1 sum_i (eps log z)^i / i!
-    gives sum_i eps^i log^(i+j+1) z / (i! (i+j+1)) (one term at eps = 0)."""
+    z^(e+1) sum_i (-1)^i j!/(j-i)! log^(j-i) z / (e+1)^(i+1), whose value
+    at z = 1 is its i = j term.  Where those cancel, |eps| < 1e-4 with
+    eps = e + 1, z^e = z^-1 sum_i (eps log z)^i / i! gives
+    sum_i eps^i log^(i+j+1) z / (i! (i+j+1)), 0 at z = 1 (one term at
+    eps = 0)."""
     out = []
-    lax = math.log(ax)
     for c, _sp, e, j in terms:
         eps = e + 1.0
         if abs(eps) < 1e-4:
-            for i in range(8 if eps else 1):
-                d, lp = math.factorial(i), i + j + 1
-                out.append((c * eps ** i * lax ** lp / (d * lp), 0, 0.0, 0))
-                out.append((-c * eps ** i / (d * lp), 0, 0.0, lp))
+            out += [(-c * eps ** i / (math.factorial(i) * (i + j + 1)), 0,
+                     0.0, i + j + 1) for i in range(8 if eps else 1)]
             continue
         for i in range(j + 1):
-            d = (-1) ** i * math.perm(j, i)
-            out.append((c * ax ** eps * (d * lax ** (j - i))
-                        / eps ** (i + 1), 0, 0.0, 0))
-            out.append((-c * d / eps ** (i + 1), 0, eps, j - i))
+            d = (-1) ** i * math.perm(j, i) / eps ** (i + 1)
+            out.append((-c * d, 0, eps, j - i))
+        out.append((c * d, 0, 0.0, 0))
     return out
 
 
@@ -104,18 +98,18 @@ def _merge(terms):
 
 
 @lru_cache(maxsize=4096)
-def _theta_terms(a: float, k: int, x: float):
-    """Term table of Theta_k(x, .) for fixed x: [(c, sgn_pow, exp, log_pow)]."""
-    ax = abs(x)
+def _theta_terms(a: float, k: int, sign: float):
+    """Term table of Theta_k(sign, .) on (-1, 1), sign = +-1:
+    [(c, sgn_pow, exp, log_pow)]."""
     we = 2.0 * a + 1.0
-    u = [(math.copysign(0.5, x) / ax ** we, 0, 0.0, 0)]
+    u = [(math.copysign(0.5, sign), 0, 0.0, 0)]
     v = [(0.5, 1, -we, 0)]
     for _ in range(k):
-        u_next = _integrate_terms_from(v, ax)
+        u_next = _integrate_terms_from(v)
         # v-step: multiply u by A(z) = z^(2a+1), integrate, then sgn(y)/A(y)
         shifted = [(c, sp, e + we, j) for c, sp, e, j in u]
         v_next = [(c, 1, e - we, j)
-                  for c, _sp, e, j in _integrate_terms_from(shifted, ax)]
+                  for c, _sp, e, j in _integrate_terms_from(shifted)]
         u, v = _merge(u_next), _merge(v_next)
     return tuple(_merge(u + v))
 
@@ -136,16 +130,15 @@ def _eval_terms(terms, y):
 
 
 def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
-    """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy, with A(y) folded into
-    each term's |y| exponent (so no term overflows where A underflows)."""
-    if x == 0.0:
-        raise ValueError("x must be nonzero")
+    """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy, |x|^k times that integral
+    at sgn x on (-1, 1), with A folded into each term's |t| exponent (so no
+    term overflows where A underflows)."""
     we = alpha.weight_exp
-    terms = [(c, sp, e + we, j)
-             for c, sp, e, j in _theta_terms(alpha.alpha, k - 1, float(x))]
-    val, _ = integrate(lambda y: abs(_eval_terms(terms, y))
-                       + abs(_eval_terms(terms, -y)), 0.0, abs(x))
-    return val
+    terms = [(c, sp, e + we, j) for c, sp, e, j
+             in _theta_terms(alpha.alpha, k - 1, math.copysign(1.0, x))]
+    val, _ = integrate(lambda t: abs(_eval_terms(terms, t))
+                       + abs(_eval_terms(terms, -t)), 0.0, 1.0)
+    return abs(float(x)) ** k * val
 
 
 def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
@@ -159,56 +152,54 @@ def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
 
 def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
                              s: float = 1.0):
-    """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy with the A-weight carried
-    analytically: each term takes one rule on (0, |x|), a Jacobi rule for its
-    |y| exponent, or for a term with log^j |y|, j > 0, the Jacobi rule after
-    z = |x| t^3, so the log singularity sits under the weight t^(3 ee + 2).
-    Gauss rules need h smooth on (-|x|, |x|), as y |-> tau_y f(a) is for f
-    in the algebra; for f = p(y) e^(-s y^2) it varies on the width
-    1/sqrt(s) (taken as at most one), and a rule has 40 nodes per 4 widths
-    of |x| (at most 400).
+    """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy, as |x|^(order+1) times
+    int_{-1}^{1} Theta_order(sgn x, t) h(|x| t) A(t) dt with the A-weight
+    carried analytically: each term takes one rule on (0, 1), a Jacobi rule
+    for its |t| exponent, or for a term with log^j |t|, j > 0, the Jacobi
+    rule after t = u^3, so the log singularity sits under the weight
+    u^(3 ee + 2).  Gauss rules need h smooth on (-|x|, |x|), as
+    y |-> tau_y f(a) is for f in the algebra; for f = p(y) e^(-s y^2) it
+    varies on the width 1/sqrt(s) (at most one), and a rule has 40 nodes per
+    4 widths of |x| (at most 400).  x = 0 gives 0.
 
     x broadcasts to the rows of the result; a scalar gives a float.
-    h(ys, rows) maps the nodes ys[i, j] = [z, -z] of term j of row rows[i]
+    h(ys, rows) maps the nodes ys[i, j] = [y, -y] of term j of row rows[i]
     to values; it is called once per node count (once for |x| <= 4 widths),
     and each row's sum equals its single-row value bit for bit.
     """
     xb = np.asarray(x, float)
     xs = xb.ravel()
-    if np.any(xs == 0.0):
-        raise ValueError("x must be nonzero")
+    ax = np.abs(xs)
     # the exponents depend on (alpha, order) only; a term that cancels
-    # exactly at some x has coefficient 0 there
-    ux, inv = np.unique(xs, return_inverse=True)
+    # exactly for one sign has coefficient 0 there
+    signs, inv = np.unique(np.copysign(1.0, xs), return_inverse=True)
     tables = [{(sp, e, j): c
                for c, sp, e, j in _theta_terms(alpha.alpha, order, v)}
-              for v in ux.tolist()]
+              for v in signs.tolist()]
     keys = list(dict.fromkeys(key for t in tables for key in t))
     coef = np.array([[t.get(key, 0.0) for key in keys] for t in tables])[inv]
     sgn = np.array([(-1.0) ** sp for sp, _, _ in keys])[:, None]
 
-    def rule(n, ax, ee, j):
-        # rule on (0, ax) for the weight z^ee log^j z (Theta-term * A)
+    def rule(n, ee, j):
+        # rule on (0, 1) for the weight t^ee log^j t (Theta-term * A)
         if not j:
-            return jacobi_rule(n, ee, 0.0, 0.0, ax)
-        t, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 0.0, 1.0)
-        scale = np.reshape([3.0 * v ** (ee + 1.0) for v in ax.ravel().tolist()],
-                           ax.shape)
-        return ax * t ** 3, scale * w * (np.log(ax) + 3.0 * np.log(t)) ** j
+            return jacobi_rule(n, ee, 0.0, 0.0, 1.0)
+        u, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 0.0, 1.0)
+        return u ** 3, 3.0 * w * (3.0 * np.log(u)) ** j
 
-    reach = np.abs(xs) * math.sqrt(max(s, 1.0))    # |x| in widths
+    reach = ax * math.sqrt(max(s, 1.0))    # |x| in widths
     ns = 40 * np.clip(np.ceil(reach / 4.0), 1, 10).astype(int)
     total = np.zeros(xs.size)
     for n in np.unique(ns).tolist():
         rows = np.flatnonzero(ns == n)
-        ax = np.abs(xs[rows])[:, None]
-        rules = [rule(n, ax, e + alpha.weight_exp, j) for _, e, j in keys]
-        z = np.stack([z for z, _ in rules], axis=1)
+        rules = [rule(n, e + alpha.weight_exp, j) for _, e, j in keys]
+        z = ax[rows, None, None] * np.stack([t for t, _ in rules])
         hv = h(np.concatenate([z, -z], axis=-1), rows)
-        parts = coef[rows] * rowdot(np.stack([w for _, w in rules], axis=1),
+        parts = coef[rows] * rowdot(np.stack([w for _, w in rules]),
                                     hv[..., :n] + sgn * hv[..., n:])
         for j in range(len(keys)):   # per term, as one row would sum them
             total[rows] += parts[:, j]
+    total *= [v ** (order + 1) for v in ax.tolist()]
     return total.reshape(xb.shape) if xb.ndim else float(total[0])
 
 
@@ -221,7 +212,7 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
 
         I_k(x, f)(a) = int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y f(a) A(y) dy,
 
-    one rule per Theta term on (0, |x|), which needs y |-> tau_y f(a) smooth
+    one rule per Theta term on (0, 1), which needs y |-> tau_y f(a) smooth
     on (-|x|, |x|): it is for f in the algebra, whose translates are analytic
     in y (no kink at |y| = |a|).  x and a may be arrays (one row per
     broadcast pair)."""

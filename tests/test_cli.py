@@ -188,10 +188,13 @@ def _one_error_line(capsys):
     return err
 
 
-def test_taylor_at_x_zero_exits_2(capsys):
-    assert run(["taylor", "--alpha", "0.5", "--k", "2", "--x", "0"]) \
-        == EXIT_CONFIG
-    assert "nonzero" in _one_error_line(capsys)
+def test_taylor_at_x_zero_gives_zeros(capsys):
+    # R_k(0, f) = 0 exactly, and the Theta_{k-1}(0, .) mass with it
+    assert run(["taylor", "--alpha", "0.5", "--k", "2", "--x", "0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"remainder_integral": 0.0, "remainder_recurrence": 0.0,
+                   "identity_residual": 0.0, "theta_mass": 0.0,
+                   "theta_mass_bound": 0.0}
 
 
 @pytest.mark.parametrize("alpha", ["47", "60", "140"])
@@ -248,12 +251,18 @@ def test_small_a_taylor_closes_the_identity(capsys):
     assert json.loads(capsys.readouterr().out)["identity_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("x", ["1e-200", "1e-300"])
-def test_tiny_x_taylor_exits_2(capsys, x):
-    # at alpha = 0.5 the Theta term's |x|^(2a+1) underflows to 0 and its
-    # division raised a ZeroDivisionError with a traceback
-    assert run(["taylor", "--x", x]) == EXIT_CONFIG
-    assert "numerical error: float division by zero" in _one_error_line(capsys)
+@pytest.mark.parametrize("argv", [["--x", "1e-200"], ["--x", "1e-300"],
+                                  ["--alpha", "60", "--k", "2", "--x", "1e-3",
+                                   "--a", "0.3"]],
+                         ids=["1e-200", "1e-300", "alpha60-1e-3"])
+def test_tiny_x_taylor_gives_values(capsys, argv):
+    # |x|^(2a+1) underflows to 0 here; the Theta tables on the unit
+    # interval never form it
+    assert run(["taylor"] + argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in doc.values())
+    assert doc["identity_residual"] <= 1e-12
+    assert 0.0 <= doc["theta_mass"] <= doc["theta_mass_bound"]
 
 
 def test_overflowing_norm_rule_exits_2(tmp_path, capsys):
@@ -353,6 +362,20 @@ def test_non_finite_results_are_neither_written_nor_printed(
     assert out == "" and len(err.strip().splitlines()) == 1
     assert "non-finite value" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
+def test_huge_gauss_scale_prints_one_line(tmp_path, capsys, command):
+    # with warnings shown, not raised: w^2 overflows against n2 = 0 in the
+    # Bessel-pair combination, and only the command's own line reports it
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _run_record(tmp_path, command,
+                           BAD_RECORDS["huge-scale"][0]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "numerical error" in err
+    assert [str(w.message) for w in seen] == []
 
 
 def test_taylor_of_a_narrow_gaussian_record(tmp_path, capsys):

@@ -64,7 +64,8 @@ def test_translate_matches_density_integral():
 
     def g(z):
         return ((GAUSS(z) * w_kernel(AL, x, y, z)
-                 + GAUSS(-z) * w_kernel(AL, x, y, -z)) * AL.weight(z))
+                 + GAUSS(-z) * w_kernel(AL, x, y, -z))
+                * np.abs(z) ** AL.weight_exp)
 
     val, _ = integrate(g, lo, hi, endpoint_exponent=AL.alpha - 0.5)
     assert translate(AL, GAUSS, x, y) == pytest.approx(

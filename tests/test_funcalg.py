@@ -149,7 +149,8 @@ def test_dilate_preserves_measure_integral():
 
     def mass(t):
         g = dilate(AL, phi, t)
-        val, _ = integrate(lambda y: g(y) * AL.weight(y), 0.0, 40.0)
+        val, _ = integrate(lambda y: g(y) * np.abs(y) ** AL.weight_exp,
+                           0.0, 40.0)
         return 2.0 * val / AL.norm_const
 
     assert mass(0.5) == pytest.approx(mass(1.0), rel=1e-9)
@@ -160,12 +161,13 @@ def test_dilate_preserves_measure_integral():
 def test_hermite_phi_vanishing_even_moments(n0, k):
     phi = hermite_phi(AL, n0)
     scale = abs(phi(0.3)) + 1.0
+    we = AL.weight_exp
     for i in range((k - 1) // 2 + 1):
-        val, _ = integrate(lambda y, i=i: y ** (2 * i) * phi(y) * AL.weight(y),
-                           0.0, 12.0)
+        val, _ = integrate(lambda y, i=i: y ** (2 * i) * phi(y)
+                           * np.abs(y) ** we, 0.0, 12.0)
         assert abs(val) / scale < 1e-12
     # the next even moment must NOT vanish (phi is exactly degree 2 n0)
-    val, _ = integrate(lambda y: y ** (2 * n0) * phi(y) * AL.weight(y),
+    val, _ = integrate(lambda y: y ** (2 * n0) * phi(y) * np.abs(y) ** we,
                        0.0, 12.0)
     assert abs(val) > 1e-6
 

@@ -5,6 +5,7 @@ scipy and mpmath serve here only as oracles."""
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -138,10 +139,13 @@ def test_bessel_j_past_the_largest_order_raises(nu):
 # -- adaptive Gauss-Kronrod ----------------------------------------------------
 
 def _theta_mass_quadpack(al, k, x):
-    terms = T._theta_terms(al.alpha, k - 1, float(x))
-    g = lambda y: ((abs(T._eval_terms(terms, y)) + abs(T._eval_terms(terms, -y)))
-                   * y ** al.weight_exp)
-    return sint.quad(g, 0.0, abs(x), epsabs=1e-11, epsrel=1e-9, limit=2000)[0]
+    # Theta_{k-1}(x, y) = |x|^(k-1-2a-1) Theta_{k-1}(sgn x, y/|x|), on (0, |x|)
+    ax = abs(x)
+    terms = T._theta_terms(al.alpha, k - 1, math.copysign(1.0, x))
+    g = lambda y: ((abs(T._eval_terms(terms, y / ax))
+                    + abs(T._eval_terms(terms, -y / ax)))
+                   * ax ** (k - 1 - al.weight_exp) * y ** al.weight_exp)
+    return sint.quad(g, 0.0, ax, epsabs=1e-11, epsrel=1e-9, limit=2000)[0]
 
 
 # the identities suites' (alpha, k, x), the resonant suite's, and the
@@ -215,6 +219,19 @@ def test_integrate_stops_where_an_interval_is_too_narrow_to_bisect():
         integrate(lambda x: 1.0 / x, 0.0, 1.0)
     assert 700.0 < info.value.partial < 720.0
     assert math.isfinite(info.value.error)
+
+
+def test_integrate_stops_at_an_overflowing_integrand_value():
+    # 1/x^2 overflows to inf at a node next to 0 before an interval is too
+    # narrow to bisect: a QuadratureError with the finite partial sum, and
+    # no warning from the rule's own arithmetic (only the integrand's)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError,
+                           match="nan or infinite integrand value") as info:
+            integrate(lambda x: 1.0 / x ** 2, 0.0, 1.0)
+    assert math.isfinite(info.value.partial) and info.value.partial > 1e100
+    assert [w.filename for w in seen if w.filename.endswith("quad.py")] == []
 
 
 # -- the Dunkl kernel's general complex series ---------------------------------

@@ -228,8 +228,8 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     loop_points = sum(calls)
     calls.clear()
     iterated_integral_I(al, 2, CUBIC, 0.9, 0.3)
-    # one call: the +-z of every Theta_1 term's rule on (0, |x|)
-    assert calls == [80 * len(_theta_terms(0.5, 1, 0.9))]
+    # one call: the +-z of every Theta_1 term's rule on (0, 1), at |x| t
+    assert calls == [80 * len(_theta_terms(0.5, 1, 1.0))]
     assert 20 * sum(calls) < loop_points
     calls.clear()
     # a callable g keeps the 120-node rule (two algebra elements convolve
@@ -391,9 +391,9 @@ def test_each_sign_pair_is_one_call():
     lp_norm(ctx, g)
     assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
-    terms = _theta_terms(0.5, 1, 0.9)
+    terms = _theta_terms(0.5, 1, 1.0)
     _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys))
-    # one call: every term's +-z on its rule on (0, |x|)
+    # one call: every term's +-|x| t on its rule on (0, 1)
     assert calls == [len(terms) * 2 * 40]
 
 
