@@ -8,8 +8,8 @@ density W_a(x, y, .) supported on S u (-S), S = [||x|-|y||, |x|+|y|].
   e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)], with bivariate
   polynomials A, B built once per (a, P, s) and the kernel from the power
   series and Hankel's expansion of e^{-w} j_nu(iw), so nothing overflows.
-  The Bessel pair depends only on w = 2s|xy|, so one call evaluates it once
-  per distinct value: the points (+-x, +-y) of a symmetric family share it.
+  The Bessel pair runs on the grid of distinct |x| and |y| (or per point
+  where that is larger); tau_x f + tau_{-x} f is one pass (_translate_sum).
 - any other callable (profiles, kernels, complex values, pure polynomials,
   and P e^{-s.^2} for alpha above ~16):
   under u = z^2 the integrand becomes an analytic function of u times the
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 TRANSLATE_NODES = 48
-#: points (closed form) or point-node pairs (quadrature) per evaluation block
+#: point-node pairs per quadrature block, translated points per convolve block
 _BLOCK = 16384
 
 
@@ -97,31 +97,35 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys):
     any other callable goes through the 48-node Gauss-Jacobi rule.  Points
     with x = 0 or y = 0 take the point-mass value f(x + y).
     """
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(ys, dtype=float))
-    xv, yv = xb.ravel(), yb.ravel()
-    mass = (xv == 0.0) | (yv == 0.0)
-    if not mass.any():
-        return _translate_moving(alpha, f, xv, yv).reshape(xb.shape)
-    vals = _translate_moving(alpha, f, xv[~mass], yv[~mass])
-    fm = np.asarray(f(xv[mass] + yv[mass])).ravel()
-    out = np.empty(xv.size, dtype=np.result_type(vals, fm))
-    out[~mass] = vals
-    out[mass] = fm
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+    if _has_closed_form(alpha, f):
+        return _translate_closed(alpha, f, x, ys)
+    xb, yb = np.broadcast_arrays(x, ys)
+    mass = ((xb == 0.0) | (yb == 0.0)).ravel()
+    xv, yv = xb.ravel()[~mass], yb.ravel()[~mass]
+    step = max(1, _BLOCK // TRANSLATE_NODES)
+    out = np.concatenate([_translate_quadrature(alpha, f, xv[i:i + step],
+                                                yv[i:i + step])
+                          for i in range(0, max(xv.size, 1), step)])
+    if mass.any():
+        fm = np.asarray(f(xb.ravel()[mass] + yb.ravel()[mass])).ravel()
+        vals, out = out, np.empty(mass.size, np.result_type(out, fm))
+        out[~mass], out[mass] = vals, fm
     return out.reshape(xb.shape)
 
 
-def _translate_moving(alpha: AlphaParam, f: Callable, x, y):
-    """tau_x(f)(y) for x, y != 0 (1-d arrays), in blocks of bounded size."""
-    if isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0 and all(
-            _bessel_tables(alpha.alpha + d) for d in (1.0, 2.0)):
-        return _translate_closed(alpha, f, x, y)
-    step = max(1, _BLOCK // TRANSLATE_NODES)
-    if x.size <= step:
-        return _translate_quadrature(alpha, f, x, y)
-    return np.concatenate([_translate_quadrature(alpha, f, x[i:i + step],
-                                                 y[i:i + step])
-                           for i in range(0, x.size, step)])
+def _translate_sum(alpha: AlphaParam, f: Callable, x, ys):
+    """tau_x(f)(y) + tau_{-x}(f)(y), broadcast as by translate_many: one
+    closed-form pass where that applies, else the two translates summed."""
+    if _has_closed_form(alpha, f):
+        return _translate_closed(alpha, f, np.asarray(x, dtype=float),
+                                 np.asarray(ys, dtype=float), pair=True)
+    return sum(translate_many(alpha, f, v, ys) for v in (x, np.negative(x)))
+
+
+def _has_closed_form(alpha: AlphaParam, f: Callable) -> bool:
+    return isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0 and all(
+        _bessel_tables(alpha.alpha + d) for d in (1.0, 2.0))
 
 
 def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y):
@@ -165,7 +169,7 @@ def _dunkl_step(P, Q, sx: float, s: float, c: float):
 
 
 @lru_cache(maxsize=256)
-def _closed_form_polys(a: float, coeffs: tuple, s: float):
+def _closed_form_polys(a: float, coeffs: tuple, s: float, pair: bool = False):
     """Coefficients C[i, j] = ((A + B)[i, j], (B - A)[i, j]) of x^i y^j in
     the closed form for f = P e^{-s.^2}, s > 0:
 
@@ -178,23 +182,31 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float):
     L(y^m K) = m y^(m-1) K - 2sx y^m K + [m odd] (2a+1) y^(m-1) sigma(K),
     hence one step of L - 2sy maps (A, B) to
     (dA/dy - 2s(x+y)A + (2a+1) odd(B)/y, dB/dy + 2s(x-y)B + (2a+1) odd(A)/y).
+    With pair, those of tau_x f + tau_{-x} f: x -> -x flips sgn(xy) and odd
+    powers of x, leaving 2x the even-x rows of A + B and odd-x rows of B - A.
     """
-    m = len(coeffs)
-    c = lambda_coeffs(a, GaussPolyFunction(coeffs, s))
-    A, B = np.zeros((m, m)), np.zeros((m, m))
-    A[0, 0] = 1.0
-    sa, sb = c[0] * A, c[0] * B
-    for j in range(1, m):
-        A, B = (_dunkl_step(A, B, -2.0 * s, s, 2.0 * a + 1.0),
-                _dunkl_step(B, A, 2.0 * s, s, 2.0 * a + 1.0))
-        sa, sb = sa + c[j] * A, sb + c[j] * B
-    out = np.stack([sa + sb, sb - sa], axis=-1)
+    if pair:
+        out = 2.0 * _closed_form_polys(a, coeffs, s, False)
+        out[1::2, :, 0] = out[0::2, :, 1] = 0.0
+    else:
+        m = len(coeffs)
+        c = lambda_coeffs(a, GaussPolyFunction(coeffs, s))
+        A, B = np.zeros((m, m)), np.zeros((m, m))
+        A[0, 0] = 1.0
+        sa, sb = c[0] * A, c[0] * B
+        for j in range(1, m):
+            A, B = (_dunkl_step(A, B, -2.0 * s, s, 2.0 * a + 1.0),
+                    _dunkl_step(B, A, 2.0 * s, s, 2.0 * a + 1.0))
+            sa, sb = sa + c[j] * A, sb + c[j] * B
+        out = np.stack([sa + sb, sb - sa], axis=-1)
     out.flags.writeable = False     # shared by every caller of the cache
     return out
 
 
-def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
-    """tau_x(f)(y) for x, y != 0 (1-d arrays), f = P e^{-s.^2} with s > 0.
+def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
+                      pair: bool = False):
+    """tau_x(f)(y) (+ tau_{-x}(f)(y) if pair) at the broadcast of the arrays
+    x and y, f = P e^{-s.^2} with s > 0, and the point masses at xy = 0.
 
     With w = 2s|xy|, G = e^{-s(|x|-|y|)^2} and n_nu = e^{-w} j_nu(iw),
     j_a(iw) = j_{a+1}(iw) + w^2 j_{a+2}(iw) / (4(a+1)(a+2)) gives
@@ -202,34 +214,31 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y):
         e^{-s(x^2+y^2)} E_a(+-w)
             = G [n_{a+1} + w^2 n_{a+2} / (4(a+1)(a+2)) +- w n_{a+1} / (2(a+1))],
 
-    so only positive orders and scaled values occur.  The Bessel pair
-    depends on w alone, which the points (+-x, +-y) share, so _scaled_j
-    takes the distinct w of the call, sorted; the polynomials, G and the
-    combination run in blocks of _BLOCK points.
+    so only positive orders and scaled values occur.  The Bessel pair and G
+    depend on (|x|, |y|) alone: one value per cell of the grid of distinct
+    |x| and |y| if it has no more cells than the call has points, else per
+    point; x-Horner runs per entry of x.  Overflows pass on as inf or nan.
     """
     a, s = alpha.alpha, f.gauss_scale
-    w = 2.0 * s * np.abs(x * y)
-    # distinct values of w and the index of each point's value among them
-    # (np.unique does the same at several times the per-call cost)
-    order = np.argsort(w)
-    ws = w[order]
-    first = np.ones(ws.size, dtype=bool)
-    first[1:] = ws[1:] != ws[:-1]
-    wu = ws[first]
-    inv = np.empty(w.size, dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
-    n1, n2 = _scaled_j(a + 1.0, wu), _scaled_j(a + 2.0, wu)
-    # a huge s overflows w^2 against n2 = 0: the nan reaches callers' checks
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    (ux, ix), (uy, iy) = (np.unique(np.abs(v).ravel(), return_inverse=True)
+                          for v in (x, y))
+    grid = ux.size * uy.size <= math.prod(shape)
+    ax, ay = (ux[:, None], uy) if grid else (np.abs(x), np.abs(y))
+    pick = ix.reshape(x.shape) * uy.size + iy.reshape(y.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        even = n1 + 0.25 * wu * wu / ((a + 1.0) * (a + 2.0)) * n2
-        odd = 0.5 * wu / (a + 1.0) * n1
-    C = _closed_form_polys(a, f.coeffs, s)
-    out = np.empty(w.size)
-    for i in range(0, w.size, _BLOCK):
-        xb, yb, ib = x[i:i + _BLOCK], y[i:i + _BLOCK], inv[i:i + _BLOCK]
-        S, D = polyval(yb, polyval(xb, C), tensor=False)
-        g = np.exp(-s * (np.abs(xb) - np.abs(yb)) ** 2)
-        out[i:i + _BLOCK] = g * (S * even[ib] + np.sign(xb * yb) * D * odd[ib])
+        w = (2.0 * s * (ax * ay)).ravel()
+        n1, n2 = _scaled_j(a + 1.0, w), _scaled_j(a + 2.0, w)
+        even, odd, g = (v[pick] if grid else v.reshape(shape) for v in (
+            n1 + 0.25 * w * w / ((a + 1.0) * (a + 2.0)) * n2,
+            0.5 * w / (a + 1.0) * n1, np.exp(-s * (ax - ay) ** 2).ravel()))
+        C = _closed_form_polys(a, f.coeffs, s, pair)
+        S, D = (polyval(y, polyval(x, C[..., i]), tensor=False) for i in (0, 1))
+        out = np.asarray(g * (S * even + np.sign(x * y) * D * odd))
+        mass = (x == 0.0) | (y == 0.0)
+        if mass.any():
+            xm, ym = (np.broadcast_to(v, shape)[mass] for v in (x, y))
+            out[mass] = f(xm + ym) + f(ym - xm) if pair else f(xm + ym)
     return out
 
 

@@ -95,24 +95,27 @@ def _bessel_tables(nu: float):
 
 
 def _scaled_j(nu: float, w):
-    """n_nu(w) = e^{-w} j_nu(iw) for sorted w >= 0, one slice of w per band,
-    so a value depends on its own w only: below w = 25 the power series
+    """n_nu(w) = e^{-w} j_nu(iw) for w >= 0 in any order, one band of w at a
+    time, so a value depends on its own w only: below w = 25 the power series
     e^{-w} sum_m z^m / (m! (nu+1)_m), z = w^2/4 (DLMF 10.25.2), above it
     Hankel's Gamma(nu+1) (2/w)^nu (2 pi w)^(-1/2) sum_k a_k(nu) (-w)^(-k)
     (DLMF 10.40.1; the dropped branch is below e^-50).  Within 1.7e-15
     relative of 40-digit values for nu in [0.75, 9]."""
-    ends = np.searchsorted(w, _BESSEL_EDGES).tolist()
+    band = np.searchsorted(_BESSEL_EDGES, w, side="right")
+    counts = np.bincount(band, minlength=len(_BESSEL_EDGES)).tolist()
+    ends, ordered = np.cumsum(counts).tolist(), (band[1:] >= band[:-1]).all()
     out = np.full(w.shape, np.nan)      # nan stays nan
     pre = math.gamma(nu + 1.0) * 2.0 ** nu / math.sqrt(2.0 * math.pi)
-    for (hankel, cs), i, j in zip(_bessel_tables(nu), [0] + ends, ends):
-        if j > i:
-            ws = w[i:j]
+    for b, (hankel, cs) in enumerate(_bessel_tables(nu)):
+        if counts[b]:   # bands in order (sorted w): one slice each
+            sel = slice(ends[b] - counts[b], ends[b]) if ordered else band == b
+            ws = w[sel]
             v = 1.0 / ws if hankel else 0.25 * ws * ws
             acc = cs[0] * v + cs[1]
             for c in cs[2:]:
                 acc *= v
                 acc += c
-            out[i:j] = (pre * ws ** -(nu + 0.5) * acc if hankel
+            out[sel] = (pre * ws ** -(nu + 0.5) * acc if hankel
                         else acc * np.exp(-ws))
     return out
 

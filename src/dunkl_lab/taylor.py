@@ -27,7 +27,7 @@ import numpy as np
 from .special import AlphaParam, pochhammer
 from .funcalg import GaussPolyFunction, dunkl_power
 from .quad import integrate, jacobi_rule, rowdot
-from .dunklcore import translate_many
+from .dunklcore import translate_many, _translate_sum
 
 __all__ = [
     "b_coeff",
@@ -321,10 +321,7 @@ def symmetric_remainder_profile(alpha: AlphaParam, k: int,
               for i in range((k - 1) // 2 + 1)]
 
     def prof(us):
-        us = np.asarray(us, dtype=float)
-        xb, ub = np.broadcast_arrays(x, us)
-        tau = translate_many(alpha, f, np.stack([xb, -xb]), ub)
-        val = tau[0] + tau[1]
+        val = _translate_sum(alpha, f, x, us)
         for c, lpf in consts:
             val = val - c * lpf(us)
         return val

@@ -378,6 +378,21 @@ def test_huge_gauss_scale_prints_one_line(tmp_path, capsys, command):
     assert [str(w.message) for w in seen] == []
 
 
+@pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
+def test_huge_coeffs_print_one_line(tmp_path, capsys, command):
+    # with warnings shown, not raised: the closed-form translation (and
+    # f at translate's point mass y = 0) overflows silently, and only the
+    # command's own line reports it
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _run_record(tmp_path, command,
+                           BAD_RECORDS["huge-coeffs"][0]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "numerical error" in err
+    assert [str(w.message) for w in seen] == []
+
+
 def test_taylor_of_a_narrow_gaussian_record(tmp_path, capsys):
     # the node count follows the record's Gaussian width 1/sqrt(s), not |x|
     cfg = tmp_path / "c.json"

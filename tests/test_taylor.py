@@ -377,8 +377,29 @@ def test_order_zero_profiles_are_translates():
     us = np.linspace(-2.0, 2.0, 9)
     tau = translate_many(AL, F, xs, us)
     assert remainder_profile(AL, 0, F, xs)(us).tolist() == tau.tolist()
-    assert symmetric_remainder_profile(AL, 0, F, xs)(us).tolist() == \
-        (tau + translate_many(AL, F, -xs, us)).tolist()
+    # tau_x f + tau_{-x} f in one closed-form pass, against the 40-digit
+    # translates at x and -x
+    mp = pytest.importorskip("mpmath")
+    xs = np.array([[1e-3], [0.05], [-0.7], [1.6], [3.0]])
+    us = np.array([-2.3, -0.6, 0.02, 0.4, 1.1, 2.7])
+    cubic = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+    for alpha in (-0.25, 0.5, 1.5):
+        al = AlphaParam(alpha)
+        for f in (F, cubic):
+            got = symmetric_remainder_profile(al, 0, f, xs)(us)
+            with mp.workdps(40):
+                ref = np.array([[float(_tau_closed_form(mp, alpha, f, x, u)
+                                       + _tau_closed_form(mp, alpha, f, -x, u))
+                                 for u in us] for x in xs[:, 0]])
+            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-14
+            # the point masses: 2 f(u) at x = 0, f(x) + f(-x) at u = 0
+            prof = symmetric_remainder_profile(al, 0, f, np.array([[0.0], [1.3]]))
+            assert prof(us)[0].tolist() == (2.0 * f(us)).tolist()
+            assert prof(0.0)[1, 0] == f(1.3) + f(-1.3)
+    # alpha = 20: no closed form, the two translates summed
+    al = AlphaParam(20.0)
+    assert symmetric_remainder_profile(al, 0, F, xs)(us).tolist() == \
+        (translate_many(al, F, xs, us) + translate_many(al, F, -xs, us)).tolist()
 
 
 @pytest.mark.parametrize("a", [6e-10, 3e-8, 1e-6, 4e-5, 1.0 + 6e-10])

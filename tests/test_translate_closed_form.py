@@ -335,7 +335,8 @@ def test_one_call_equals_separate_calls_bitwise(alpha):
                                  sy * mags.reshape(1, -1))
             assert np.array_equal(one[i * m:(i + 1) * m, j * m:(j + 1) * m],
                                   sep)
-    # more points than one block, with values of w repeated across blocks
+    # same-shape x and y with few distinct magnitudes: the grid of distinct
+    # (|x|, |y|) serves the whole call and each slice alike
     rng = np.random.default_rng(7)
     x = rng.choice(pm, 40000)
     y = rng.choice(np.concatenate([pm, [0.3, -2.2]]), 40000)
@@ -345,14 +346,36 @@ def test_one_call_equals_separate_calls_bitwise(alpha):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_per_point_path_is_layout_independent(monkeypatch, alpha):
+    # 500 random same-shape pairs: the grid of distinct |x| times distinct
+    # |y| has far more cells than points, so the Bessel pair is evaluated
+    # once per point, and slices give the whole call's values bit for bit
+    al = AlphaParam(alpha)
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-4.0, 4.0, (2, 500))
+    work = _count_closed_form_work(monkeypatch, alpha + 1.0)
+    for entry in (translate_many, dunklcore._translate_sum):
+        work.update(points=0, bessel=0)
+        whole = entry(al, CUBIC, x, y)
+        assert work == {"points": 500, "bessel": 500}
+        parts = [entry(al, CUBIC, x[i:i + 37], y[i:i + 37])
+                 for i in range(0, x.size, 37)]
+        assert np.array_equal(whole, np.concatenate(parts))
+        # and a one-cell grid per point gives the same bits
+        assert whole[:40].tolist() == [float(entry(al, CUBIC, a, b))
+                                       for a, b in zip(x[:40], y[:40])]
+
+
 def _count_closed_form_work(monkeypatch, nu):
-    """Points reaching the closed form, and Bessel values of order nu."""
+    """Points reaching the closed form (the broadcast of its x and y), and
+    Bessel values of order nu."""
     work = {"points": 0, "bessel": 0}
     closed, scaled_j = dunklcore._translate_closed, dunklcore._scaled_j
 
-    def count_points(alpha, f, x, y):
-        work["points"] += x.size
-        return closed(alpha, f, x, y)
+    def count_points(alpha, f, x, y, *args, **kwargs):
+        work["points"] += np.broadcast(x, y).size
+        return closed(alpha, f, x, y, *args, **kwargs)
 
     def count_bessel(order, w):
         if nu == order:
@@ -367,11 +390,13 @@ def _count_closed_form_work(monkeypatch, nu):
 def test_bessel_pair_shared_by_the_signs(monkeypatch):
     params = _params(1.5, 3)
     work = _count_closed_form_work(monkeypatch, 2.5)    # a + 1
-    # conv_profile stacks +-x; a symmetric us adds +-u: four points per w
+    # conv_profile's 80 nodes x take tau_x + tau_{-x} in one pass; a
+    # symmetric us adds +-u: one Bessel value per cell of the grid of the
+    # 80 distinct |x| and the 37 distinct |u|
     u = np.linspace(0.1, 6.0, 37)
     conv_profile(params, CUBIC, 0.2)(np.concatenate([u, -u]))
-    assert work["points"] == 4 * 80 * u.size
-    assert work["bessel"] <= work["points"] / 4 + 8
+    assert work["points"] == 2 * 80 * u.size
+    assert work["bessel"] == 80 * u.size
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
     work.update(points=0, bessel=0)
     lp_norm(params.norm_ctx(), remainder_profile(params.alpha, 3, CUBIC, 0.7))
