@@ -157,7 +157,7 @@ def conv_profile(params: BesovParams, f: GaussPolyFunction,
         raise ValueError("t must be positive")
     al, k = params.alpha, params.k
     phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
-    xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 0.0, 10.0 * t)
+    xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
     sym = symmetric_remainder_profile(al, k, f, xs[:, None])
 

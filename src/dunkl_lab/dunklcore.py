@@ -31,9 +31,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .special import AlphaParam, dunkl_kernel_it, _bessel_tables, _scaled_j
-from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs
-from .quad import integrate, jacobi_rule, rowdot, _jacobi_ref
+from .special import AlphaParam, dunkl_kernel_it, _scaled_j, _scaled_pair_serves
+from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
+from .quad import integrate, rowdot, _jacobi_ref, _norm_rules
 
 __all__ = [
     "w_kernel",
@@ -54,6 +54,23 @@ _BLOCK = 16384
 def _w_const(a: float) -> float:
     return math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
                                        * math.gamma(a + 0.5))
+
+
+def _measure_const(a: float) -> float:
+    # _w_const(a) 2^(2a) / (2 norm_const) by logs: Gamma(a+1)^2 overflows
+    return (math.exp(math.lgamma(a + 1.0) - math.lgamma(a + 0.5))
+            / (2.0 * math.sqrt(math.pi)))
+
+
+def _measure_nodes(xs, ys, t):
+    """|z|/m (floored: 0 where |x| = |y| meets t = -1), b0 = 1 + sgn(xy) t and
+    q/|z|, q = x + y + t(sgn(x)|y| + sgn(y)|x|), at the node t of z^2 = x^2
+    + y^2 + 2|x||y|t, for xs = x/m, ys = y/m, m = max(|x|, |y|)."""
+    axs, ays = np.abs(xs), np.abs(ys)
+    zs = np.sqrt(np.maximum(xs * xs + ys * ys + 2.0 * axs * ays * t, 1e-300))
+    b0 = 1.0 + np.sign(xs * ys) * t
+    q = xs + ys + t * (np.sign(xs) * ays + np.sign(ys) * axs)
+    return zs, b0, q / zs
 
 
 def w_kernel(alpha: AlphaParam, x: float, y: float, z):
@@ -124,48 +141,22 @@ def _translate_sum(alpha: AlphaParam, f: Callable, x, ys):
 
 
 def _has_closed_form(alpha: AlphaParam, f: Callable) -> bool:
-    return isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0 and all(
-        _bessel_tables(alpha.alpha + d) for d in (1.0, 2.0))
+    return (isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0
+            and _scaled_pair_serves(alpha.alpha, 1.0))
 
 
 def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y):
-    """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u.
-
-    With t the Jacobi node, u = z^2 = x^2 + y^2 + 2|x||y|t and every term is
-    written without the cancelling differences of the support endpoints:
-    b0 = 1 + sgn(xy) t, q = x + y + t(sgn(x)|y| + sgn(y)|x|), and the
-    half-width r = 2|x||y| cancels the density's (|x||y|)^(-2a) exactly.
-    z and q are scaled by m = max(|x|, |y|), so q / z is free of underflow.
-    One dot product per point (rowdot): no value depends on the call.
-    """
+    """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u
+    on _measure_nodes, whose half-width 2|x||y| cancels the density's
+    (|x||y|)^(-2a) exactly.  One dot product per point (rowdot)."""
     a = alpha.alpha
     xj, wj = _jacobi_ref(TRANSLATE_NODES, a - 0.5, a - 0.5)
     m = np.maximum(np.abs(x), np.abs(y))[:, None]
-    xs, ys = x[:, None] / m, y[:, None] / m
-    axs, ays = np.abs(xs), np.abs(ys)
-    zs = np.sqrt(xs * xs + ys * ys + 2.0 * axs * ays * xj[None, :])
-    z = m * zs
-    fz = np.asarray(f(z.ravel())).reshape(z.shape)
-    fmz = np.asarray(f(-z.ravel())).reshape(z.shape)
-    b0 = 1.0 + np.sign(xs * ys) * xj[None, :]
-    q = xs + ys + xj[None, :] * (np.sign(xs) * ays + np.sign(ys) * axs)
-    s = (fz + fmz) * b0 + (fz - fmz) * (q / zs)
-    # _w_const(a) 2^(2a) / (2 norm_const), whose Gamma(a+1)^2 overflows
-    # from a ~ 85 on
-    pref = (math.exp(math.lgamma(a + 1.0) - math.lgamma(a + 0.5))
-            / (2.0 * math.sqrt(math.pi)))
-    return pref * rowdot(s, wj)
-
-
-def _dunkl_step(P, Q, sx: float, s: float, c: float):
-    """Coefficients of dP/dy + sx x P - 2s y P + c odd_y(Q)/y, where entry
-    [i, j] multiplies x^i y^j (the last row and column of P must be zero)."""
-    out = P[:, 1:] * np.arange(1, P.shape[1])
-    out = np.pad(out, ((0, 0), (0, 1)))
-    out[1:, :] += sx * P[:-1, :]
-    out[:, 1:] -= 2.0 * s * P[:, :-1]
-    out[:, 0:-1:2] += c * Q[:, 1::2]
-    return out
+    zs, b0, qz = _measure_nodes(x[:, None] / m, y[:, None] / m, xj[None, :])
+    fz, fmz = (np.asarray(f(v.ravel())).reshape(v.shape)
+               for v in (m * zs, -m * zs))
+    s = (fz + fmz) * b0 + (fz - fmz) * qz
+    return _measure_const(a) * rowdot(s, wj)
 
 
 @lru_cache(maxsize=256)
@@ -247,24 +238,18 @@ def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
     the node t and the terms of _translate_quadrature, so exact at |xy| -> 0."""
     if x == 0.0 or y == 0.0:
         return 1.0
-    a = alpha.alpha
     m = max(abs(x), abs(y))
-    xs, ys = x / m, y / m
-    sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
 
     def g(t):
-        zs = np.sqrt(np.maximum(xs * xs + ys * ys + 2.0 * abs(xs * ys) * t,
-                                1e-300))
-        b0 = 1.0 + sx * sy * t
-        q = (xs + ys + t * (sx * abs(ys) + sy * abs(xs))) / zs
-        return np.abs(b0 + q) + np.abs(b0 - q)
+        _, b0, qz = _measure_nodes(x / m, y / m, t)
+        return np.abs(b0 + qz) + np.abs(b0 - qz)
 
     # the weight (1 - t^2)^(a - 1/2) is even: fold t < 0 onto t > 0 and put
     # its singular endpoint t = 1 at s = 1 - t = 0
-    e = a - 0.5
+    e = alpha.alpha - 0.5
     val, _ = integrate(lambda s: (g(1.0 - s) + g(s - 1.0))
                        * (s * (2.0 - s)) ** e, 0.0, 1.0, e)
-    return _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * alpha.norm_const) * val
+    return _measure_const(alpha.alpha) * val
 
 
 def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
@@ -272,15 +257,15 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
     a scalar x or an array of x (the result has its shape).
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
-    _convolve_closed.  Otherwise g must decay and T truncates the 120-node
-    outer rule; one translate_many call takes the nodes -y and y for a
-    block of x values, at most _BLOCK points in all."""
+    _convolve_closed.  Otherwise g must decay and T truncates the outer
+    rule, the L^p head rule on (0, T); one translate_many call takes the
+    nodes -y and y for a block of x values, at most _BLOCK points in all."""
     if all(isinstance(h, GaussPolyFunction) and h.gauss_scale > 0.0
            for h in (f, g)):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
-    y, w = jacobi_rule(120, alpha.weight_exp, 0.0, 0.0, T)
+    (y, w), _ = _norm_rules(alpha, T)
     ypm = np.concatenate([-y, y])
     gy = np.asarray(g(y))
     gmy = np.asarray(g(-y))
@@ -308,10 +293,10 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
 
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
-    """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y),
-    xi a scalar or an array; f is called once, each xi is a scalar call's
-    value."""
-    y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
+    """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y)
+    on the L^p head rule, xi a scalar or an array; f is called once, each
+    xi is a scalar call's value."""
+    (y, w), _ = _norm_rules(alpha, T)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
     out = [complex(np.dot(w, fy * dunkl_kernel_it(alpha, -v, y)
                           + fmy * dunkl_kernel_it(alpha, v, y))

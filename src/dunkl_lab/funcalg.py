@@ -82,19 +82,26 @@ class GaussPolyFunction:
         return GaussPolyFunction(c, float(s))
 
 
+def _dunkl_step(P, Q, sx: float, s: float, c: float):
+    """Coefficients of dP/dy + sx x P - 2s y P + c odd_y(Q)/y, where entry
+    [i, j] multiplies x^i y^j (the last row and column of P must be zero)."""
+    out = np.zeros(P.shape)
+    out[:, :-1] += P[:, 1:] * np.arange(1, P.shape[1])
+    out[1:, :] += sx * P[:-1, :]
+    out[:, 1:] -= 2.0 * s * P[:, :-1]
+    out[:, 0:-1:2] += c * Q[:, 1::2]
+    return out
+
+
 def dunkl_apply(alpha, f: GaussPolyFunction) -> GaussPolyFunction:
-    """Exact Dunkl operator on the algebra: f' + (2a+1) * odd(f)/x.  For
-    f = P e^{-s.^2} with P = sum c_j x^j, the image's coefficients are
-    (j+1) c[j+1] - 2s c[j-1] + (2a+1) c[j+1] [j+1 odd]."""
-    a = _as_alpha(alpha)
-    c, s = np.array(f.coeffs), f.gauss_scale
-    out = np.zeros(c.size + 1)
+    """Exact Dunkl operator on the algebra: f' + (2a+1) * odd(f)/x, one
+    _dunkl_step on the row of f = P e^{-s.^2}'s coefficients."""
+    row = np.array([f.coeffs + (0.0,)])
     # an overflow reaches GaussPolyFunction as a non-finite coefficient
     with np.errstate(over="ignore", invalid="ignore"):
-        out[:-2] += np.arange(1, c.size) * c[1:]
-        out[1:] -= 2.0 * s * c
-        out[:-2:2] += (2.0 * a + 1.0) * c[1::2]
-    return GaussPolyFunction(out.tolist(), s)
+        out = _dunkl_step(row, row, 0.0, f.gauss_scale,
+                          2.0 * _as_alpha(alpha) + 1.0)
+    return GaussPolyFunction(out[0].tolist(), f.gauss_scale)
 
 
 def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:

@@ -169,21 +169,20 @@ def _jacobi_ref(n: int, exp_a: float, exp_b: float):
     return x + dx, mu0 / (sq + 2.0 * dx * cross)
 
 
-def jacobi_rule(n: int, exp_a: float, exp_b: float, a: float, b: float):
-    """Nodes and weights integrating f(z) (z-a)^exp_a (b-z)^exp_b exactly
-    for polynomial f up to degree 2n-1, as sum(w * f(z)).  OverflowError
-    where a weight is not finite (a large exponent on a wide interval).
-    """
-    if exp_a <= -1.0 or exp_b <= -1.0:
+def jacobi_rule(n: int, exp: float, a: float, b: float):
+    """Nodes and weights integrating f(z) (z-a)^exp exactly on (a, b) for
+    polynomial f up to degree 2n-1, as sum(w * f(z)).  OverflowError where
+    a weight is not finite (a large exponent on a wide interval)."""
+    if exp <= -1.0:
         raise ValueError("Jacobi exponents must be > -1")
-    x, w = _jacobi_ref(n, float(exp_a), float(exp_b))
+    x, w = _jacobi_ref(n, float(exp), 0.0)
     r = 0.5 * (b - a)
     z = 0.5 * (a + b) + r * x
-    scale = r ** (exp_a + exp_b + 1.0)
+    scale = r ** (exp + 1.0)
     # the weights are positive: the largest product decides, in floats
     if not math.isfinite(float(w.max()) * scale):
         raise OverflowError(f"Gauss-Jacobi weights overflow a float (weight "
-                            f"exponent {exp_a + exp_b:g} over a width {b - a:g})")
+                            f"exponent {exp:g} over a width {b - a:g})")
     return z, w * scale
 
 
@@ -222,10 +221,11 @@ class NormEstimate:
 
 @lru_cache(maxsize=64)
 def _norm_rules(alpha: AlphaParam, T: float):
-    # the head rule on (0, T), weight u^(2a+1) extracted; the tail's on (T, 2T)
-    # times zt^(2a+1) / norm_const, by logs (the power overflows from a = 102)
-    (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, 0.0, T),
-                        jacobi_rule(32, 0.0, 0.0, T, 2.0 * T))
+    # the head rule on (0, T), weight u^(2a+1) extracted, of every dmu_a
+    # integral on (0, T); the tail's on (T, 2T) times zt^(2a+1) / norm_const,
+    # by logs (the power overflows from a = 102)
+    (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, T),
+                        jacobi_rule(32, 0.0, T, 2.0 * T))
     wt = wt * np.exp(alpha.weight_exp * np.log(zt) - math.log(alpha.norm_const))
     for v in (z, w, zt, wt):
         v.flags.writeable = False       # shared by every caller of the cache

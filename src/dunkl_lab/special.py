@@ -94,6 +94,20 @@ def _bessel_tables(nu: float):
     return tuple(bands)
 
 
+def _scaled_pair_serves(a: float, d: float) -> bool:
+    """True where _scaled_j has tables for both orders a + d and a + d + 1."""
+    return all(_bessel_tables(a + e) for e in (d, d + 1.0))
+
+
+def _horner(cs, v):
+    """The polynomial with coefficients cs (highest first, two or more) at v."""
+    acc = cs[0] * v + cs[1]
+    for c in cs[2:]:
+        acc *= v
+        acc += c
+    return acc
+
+
 def _scaled_j(nu: float, w):
     """n_nu(w) = e^{-w} j_nu(iw) for w >= 0 in any order, one band of w at a
     time, so a value depends on its own w only: below w = 25 the power series
@@ -110,11 +124,7 @@ def _scaled_j(nu: float, w):
         if counts[b]:   # bands in order (sorted w): one slice each
             sel = slice(ends[b] - counts[b], ends[b]) if ordered else band == b
             ws = w[sel]
-            v = 1.0 / ws if hankel else 0.25 * ws * ws
-            acc = cs[0] * v + cs[1]
-            for c in cs[2:]:
-                acc *= v
-                acc += c
+            acc = _horner(cs, 1.0 / ws if hankel else 0.25 * ws * ws)
             out[sel] = (pre * ws ** -(nu + 0.5) * acc if hankel
                         else acc * np.exp(-ws))
     return out
@@ -175,10 +185,7 @@ def _j_pair(nu: float, z):
             zb = zs[i:j]
             v = -0.25 * zb * zb if kind == "series" else -1j / zb
             for o, cs in enumerate(tab):
-                acc = cs[0] * v + cs[1]
-                for c in cs[2:]:
-                    acc *= v
-                    acc += c
+                acc = _horner(cs, v)
                 if kind == "hankel":
                     e = nu + o + 0.5
                     acc = (math.gamma(e + 0.5) * 2.0 ** e / math.sqrt(math.pi)
@@ -244,7 +251,7 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
         # w = i s:  iw = -s real, j even => j_a(s)
         j0, j1 = _j_pair(a, w.imag)
         return complex(j0, c.imag * j1)
-    if w.imag == 0.0 and _bessel_tables(a) and _bessel_tables(a + 1.0):
+    if w.imag == 0.0 and _scaled_pair_serves(a, 0.0):
         s = np.array([abs(w.real)])
         return complex(math.exp(s[0]) * (_scaled_j(a, s)[0]
                                          + c.real * _scaled_j(a + 1.0, s)[0]))

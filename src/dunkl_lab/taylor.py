@@ -183,8 +183,8 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     def rule(n, ee, j):
         # rule on (0, 1) for the weight t^ee log^j t (Theta-term * A)
         if not j:
-            return jacobi_rule(n, ee, 0.0, 0.0, 1.0)
-        u, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 0.0, 1.0)
+            return jacobi_rule(n, ee, 0.0, 1.0)
+        u, w = jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 1.0)
         return u ** 3, 3.0 * w * (3.0 * np.log(u)) ** j
 
     reach = ax * math.sqrt(max(s, 1.0))    # |x| in widths

@@ -18,7 +18,8 @@ import numpy as np
 from .special import AlphaParam, dunkl_kernel, dunkl_kernel_it
 from .funcalg import (GaussPolyFunction, dunkl_power, dunkl_fd,
                       dunkl_fd_power, hermite_phi)
-from .quad import LpContext, jacobi_rule, lp_norm_from_nodes, norm_node_values
+from .quad import (LpContext, lp_norm_from_nodes, norm_node_values,
+                   _norm_rules)
 from .dunklcore import (translate_many, w_total_variation,
                         convolve, dunkl_transform,
                         translate_convolution_commutes,
@@ -264,12 +265,11 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
                     "extra operator application shifts inside the iterate "
                     "(finite differences)", w_nest, 1e-4))
 
+        (z, w), _ = _norm_rules(al, 10.0)
         for k in DEFAULT_KS:
             n0_min = (k - 1) // 2 + 1
             worst = 0.0
-            for n0 in (n0_min, n0_min + 1):
-                phi = hermite_phi(al, n0)
-                z, w = jacobi_rule(160, al.weight_exp, 0.0, 0.0, 10.0)
+            for phi in (hermite_phi(al, n) for n in (n0_min, n0_min + 1)):
                 for i in range(n0_min):
                     worst = max(worst, abs(float(
                         np.dot(w, z ** (2 * i) * phi(z))) / al.norm_const))

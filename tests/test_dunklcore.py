@@ -5,7 +5,7 @@ import pytest
 
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
 from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi
-from dunkl_lab.quad import LpContext, lp_norm, jacobi_rule
+from dunkl_lab.quad import NORM_NODES, LpContext, lp_norm, jacobi_rule
 from dunkl_lab.dunklcore import (w_kernel, w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
                                  translate_convolution_commutes,
@@ -125,6 +125,14 @@ def test_total_variation_tends_to_one_linearly(alpha, x):
         assert abs(tv - 1.0 - c * abs(x)) <= 1e-3 * c * abs(x) + 1e-15
 
 
+@pytest.mark.parametrize("alpha", [120.0, 149.0])
+def test_total_variation_finite_at_large_alpha(alpha):
+    # the measure's constant Gamma(a+1) / (2 sqrt(pi) Gamma(a+1/2)), taken by
+    # logs: its form with Gamma(a+1)^2 raised OverflowError from a ~ 100
+    tv = w_total_variation(AlphaParam(alpha), 1.0, 0.7)
+    assert math.isfinite(tv) and 1.0 <= tv <= SQRT2
+
+
 def test_total_variation_exceeds_one_somewhere():
     # the measure is genuinely signed: TV > 1 at some pairs
     vals = [w_total_variation(AL, 1.0, y) for y in (0.5, 0.9, 1.0, 1.5)]
@@ -170,7 +178,7 @@ def test_transform_gaussian_positive_at_zero():
 
 
 def test_convolution_is_symmetric():
-    # one side a callable: the 120-node quadrature path, either order
+    # one side a callable: the head-rule quadrature path, either order
     g = GaussPolyFunction((1.0, 0.0, -0.3), 1.0)
     for x in (0.5, 1.4):
         assert convolve(AL, GAUSS, lambda z: g(z), x, T=10.0) == pytest.approx(
@@ -191,7 +199,7 @@ def _support(g):
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
 def test_closed_form_convolution_matches_the_quadrature(alpha):
-    # g wrapped in a lambda takes the 120-node rule (on g's _support)
+    # g wrapped in a lambda takes the L^p head rule (on g's _support)
     al = AlphaParam(alpha)
     xs = np.linspace(-6.0, 6.0, 25)
     fns = _algebra(al)
@@ -220,8 +228,9 @@ def test_closed_form_convolution_transform_is_the_product(alpha):
 
 
 def _transform_two_calls(alpha, f, xi, T):
-    # the former form: f called on y and on -y, one xi per call
-    y, w = jacobi_rule(200, alpha.weight_exp, 0.0, 0.0, T)
+    # the former form: f called on y and on -y, one xi per call, on a rule
+    # of the L^p head rule's size
+    y, w = jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, T)
     ep = dunkl_kernel_it(alpha, -xi, y)
     em = dunkl_kernel_it(alpha, xi, y)
     return complex(np.dot(w, np.asarray(f(y)) * ep + np.asarray(f(-y)) * em)
@@ -244,7 +253,7 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
         got = dunkl_transform(al, f, xis, T=T)
         assert got.shape == xis.shape and got.dtype == complex
         if f is conv:
-            assert calls == [(400,)]          # f once, on y and -y
+            assert calls == [(2 * NORM_NODES,)]   # f once, on y and -y
         ref = [_transform_two_calls(al, f, xi, T) for xi in xis.ravel().tolist()]
         assert got.ravel().tolist() == ref
         assert [dunkl_transform(al, f, xi, T=T)

@@ -33,7 +33,7 @@ def test_import_loads_no_scipy():
 # -- Gauss-Jacobi rules --------------------------------------------------------
 
 # every (n, exp_a, exp_b) that verify --paper-defaults and the benchmark
-# workloads request
+# workloads request, and the sizes 120 and 200 beyond them
 MATRIX_RULES = (
     [(32, e, 0.0) for e in (0.0, 0.5, 2.0, 4.0)]
     + [(40, e, 0.0) for e in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
@@ -88,8 +88,13 @@ def test_jacobi_rule_against_30_digit_rules(n, e, wtol):
                                      (40, 11.0, 0.0), (160, 4.0, 0.0),
                                      (200, 0.5, 0.0), (33, 0.3, 2.7)])
 def test_jacobi_rule_exact_to_degree_2n_minus_1(n, ea, eb):
-    # int_0^1 z^j z^ea (1-z)^eb dz = B(j + ea + 1, eb + 1) for j < 2n
-    z, w = jacobi_rule(n, ea, eb, 0.0, 1.0)
+    # int_0^1 z^j z^ea (1-z)^eb dz = B(j + ea + 1, eb + 1) for j < 2n; two
+    # exponents by the reference rule on [-1, 1] moved to (0, 1)
+    if eb == 0.0:
+        z, w = jacobi_rule(n, ea, 0.0, 1.0)
+    else:
+        x, w = _jacobi_ref(n, ea, eb)
+        z, w = 0.5 + 0.5 * x, w * 0.5 ** (ea + eb + 1.0)
     for j in sorted({0, 1, n // 2, n, 2 * n - 2, 2 * n - 1}):
         ref = float(mp.beta(j + ea + 1, eb + 1))
         assert np.dot(w, z ** j) == pytest.approx(ref, rel=2e-13)

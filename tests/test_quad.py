@@ -43,37 +43,47 @@ def test_integrate_endpoint_singularity():
 
 
 def test_jacobi_rule_beta_oracle():
-    # sum of weights = int_0^1 z^p (1-z)^q dz = B(p+1, q+1)
+    # sum of weights = int_0^1 z^p (1-z)^q dz = B(p+1, q+1); the reference
+    # rule on [-1, 1] carries the factor 2^(p+q+1)
     for p, q in [(0.0, 0.0), (-0.4, 0.0), (2.0, -0.3), (1.5, 2.5)]:
-        _, w = jacobi_rule(20, p, q, 0.0, 1.0)
-        assert w.sum() == pytest.approx(beta_fn(p + 1.0, q + 1.0), rel=1e-13)
+        _, w = quad._jacobi_ref(20, p, q)
+        assert w.sum() * 0.5 ** (p + q + 1.0) == pytest.approx(
+            beta_fn(p + 1.0, q + 1.0), rel=1e-13)
+        if q == 0.0:
+            _, w = jacobi_rule(20, p, 0.0, 1.0)
+            assert w.sum() == pytest.approx(beta_fn(p + 1.0, 1.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("e", [-0.5 + 1e-15, -0.5 + 1e-9, -0.95, 0.0, 1.0])
 def test_symmetric_jacobi_rule_moments(e):
     # int_{-1}^{1} x^(2m) (1-x^2)^e dx = B(m + 1/2, e + 1); equal exponents
     # near -1/2 (translation at alpha ~ 0) broke the Gegenbauer route
-    z, w = jacobi_rule(48, e, e, -1.0, 1.0)
+    z, w = quad._jacobi_ref(48, e, e)
     assert np.all(np.abs(z) < 1.0) and np.all(np.diff(z) > 0.0)
     for m in (0, 1, 5, 20, 47):
         assert np.dot(w, z ** (2 * m)) == pytest.approx(
             beta_fn(m + 0.5, e + 1.0), rel=1e-13)
-    assert jacobi_rule(1, e, e, -1.0, 1.0)[1][0] == pytest.approx(
+    assert quad._jacobi_ref(1, e, e)[1][0] == pytest.approx(
         beta_fn(0.5, e + 1.0), rel=1e-14)
 
 
 def test_jacobi_rule_affine_scaling():
-    # int_1^3 (z-1)^0.5 (3-z)^0.5 z dz against adaptive quadrature
+    # int_1^3 (z-1)^0.5 (3-z)^0.5 z dz against adaptive quadrature, by the
+    # reference rule moved to (1, 3) (half-width 1); int_1^3 (z-1)^0.5 z dz
+    # by jacobi_rule's own scaling
     ref, _ = integrate(lambda z: (z - 1.0) ** 0.5 * (3.0 - z) ** 0.5 * z,
                        1.0, 3.0)
-    z, w = jacobi_rule(12, 0.5, 0.5, 1.0, 3.0)
-    val = np.dot(w, z)
+    x, w = quad._jacobi_ref(12, 0.5, 0.5)
+    val = np.dot(w, 2.0 + x)
     assert val == pytest.approx(ref, rel=1e-10)
+    ref, _ = integrate(lambda z: (z - 1.0) ** 0.5 * z, 1.0, 3.0)
+    z, w = jacobi_rule(12, 0.5, 1.0, 3.0)
+    assert np.dot(w, z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_jacobi_rule_rejects_nonintegrable():
     with pytest.raises(ValueError):
-        jacobi_rule(8, -1.0, 0.0, 0.0, 1.0)
+        jacobi_rule(8, -1.0, 0.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,7 +91,7 @@ def test_jacobi_rule_rejects_nonintegrable():
        st.floats(-0.45, 2.0))
 def test_jacobi_rule_polynomial_exactness(coeffs, ea):
     # degree <= 7 polynomial integrated exactly by an 8-point rule
-    z, w = jacobi_rule(8, ea, 0.0, 0.0, 2.0)
+    z, w = jacobi_rule(8, ea, 0.0, 2.0)
     val = float(np.dot(w, np.polynomial.polynomial.polyval(z, coeffs)))
     ref = sum(c * 2.0 ** (i + ea + 1.0) / (i + ea + 1.0)
               for i, c in enumerate(coeffs))

@@ -74,7 +74,7 @@ def _conv_profile_loop(params, f, t, n_outer=80):
     """Former per-node form of conv_profile: one closure per outer node."""
     al, k = params.alpha, params.k
     phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
-    xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 0.0, 10.0 * t)
+    xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 10.0 * t)
     coef = ws * phi_t(xs) / al.norm_const
     profs = [symmetric_remainder_profile(al, k, f, float(xv)) for xv in xs]
 
@@ -192,7 +192,7 @@ def test_batched_remainder_equals_scalar_calls_bitwise(alpha, k):
 @pytest.mark.parametrize("alpha", [-0.25, 1.5])
 def test_batched_convolve_equals_scalar_calls_bitwise(alpha):
     al = AlphaParam(alpha)
-    us = np.linspace(-5.0, 5.0, 72).reshape(8, 9)   # two blocks of 68 rows
+    us = np.linspace(-5.0, 5.0, 72).reshape(8, 9)   # two blocks, 51 rows a block
     tf = lambda ys: translate_many(al, CUBIC, 0.6, ys)  # a callable f, g
     for f, g in ((WIDE, CUBIC), (CUBIC, tf), (tf, WIDE)):
         out = convolve(al, f, g, us, T=12.0)
@@ -232,12 +232,12 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     assert calls == [80 * len(_theta_terms(0.5, 1, 1.0))]
     assert 20 * sum(calls) < loop_points
     calls.clear()
-    # a callable g keeps the 120-node rule (two algebra elements convolve
-    # in closed form, with no translation)
+    # a callable g takes the L^p head rule, +-y at its NORM_NODES nodes (two
+    # algebra elements convolve in closed form, with no translation)
     convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384), 10.0)
-    assert len(calls) <= math.ceil(384 * 240 / dunklcore._BLOCK)
+    assert len(calls) <= math.ceil(384 * 2 * NORM_NODES / dunklcore._BLOCK)
     assert max(calls) <= dunklcore._BLOCK
-    assert sum(calls) == 384 * 240
+    assert sum(calls) == 384 * 2 * NORM_NODES
 
 
 @pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])

@@ -117,6 +117,22 @@ def test_translate_suite_equals_its_loop_form():
     assert V.suite_translate(alphas=(0.5,)) == _suite_translate_loop((0.5,))
 
 
+def test_translate_suite_builds_one_measure_rule_per_alpha():
+    # every dmu_a integral on (0, T) (norms, convolve, dunkl_transform) reads
+    # the cached L^p head rule: from cold caches, the translate suite builds
+    # the head (160, 2a+1, 0) and tail (32, 0, 0) rules and the translation
+    # rule (48, a-1/2, a-1/2), and no other
+    from dunkl_lab import quad
+    quad._jacobi_ref.cache_clear()
+    quad._norm_rules.cache_clear()
+    V.suite_translate(alphas=(0.5,))
+    assert quad._jacobi_ref.cache_info().currsize == 3
+    for key in ((160, 2.0, 0.0), (32, 0.0, 0.0), (48, 0.0, 0.0)):
+        misses = quad._jacobi_ref.cache_info().misses
+        quad._jacobi_ref(*key)
+        assert quad._jacobi_ref.cache_info().misses == misses, key
+
+
 def test_norms_suite_equals_its_loop_form():
     assert V.suite_norms(alphas=(0.5,)) == _suite_norms_loop((0.5,))
     # an order set with gaps, and one p
