@@ -20,6 +20,7 @@ a function_record without finite coeffs and gauss_scale, or a nan result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -110,8 +111,11 @@ class RunConfig:
             raise ConfigError("q must be >= 1 (or inf)")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie in (0, 1)")
-        if self.x_min <= 0.0 or self.x_max <= self.x_min:
+        grid = self.command in ("besov", "sweep")   # else [-x_max, x_max]
+        if self.x_min <= 0.0 or (grid and self.x_max <= self.x_min):
             raise ConfigError("need 0 < x_min < x_max")
+        if self.x_max <= 0.0:
+            raise ConfigError("x_max must be > 0")
         if self.points_per_decade < 1:
             raise ConfigError("points_per_decade must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -119,6 +123,9 @@ class RunConfig:
         bad = [str(s) for s in self.suites if s not in V.SUITES]
         if bad:
             raise ConfigError(f"unknown suite(s): {', '.join(bad)}")
+        twice = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if twice:
+            raise ConfigError(f"repeated suite(s): {', '.join(twice)}")
         if self.function_record is None and self.function not in CATALOG:
             raise ConfigError(f"unknown catalog function {self.function!r}")
         f = self.resolve_function()     # a wrongly typed field: TypeError
@@ -310,35 +317,38 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on first use; the commands share one parent's flags."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON configuration file")
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--k", type=int)
+    common.add_argument("--p", type=float)
+    common.add_argument("--q", help="q >= 1 or 'inf'")
+    common.add_argument("--beta", type=float)
+    common.add_argument("--function", help=f"one of {', '.join(CATALOG)}")
+    common.add_argument("--t", type=float)
+    common.add_argument("--x", type=float)
+    common.add_argument("--a", type=float)
+    common.add_argument("--x-min", dest="x_min", type=float)
+    common.add_argument("--x-max", dest="x_max", type=float)
+    common.add_argument("--points-per-decade", dest="points_per_decade",
+                        type=int)
+    common.add_argument("--out-dir", dest="out_dir")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    common.add_argument("--report-path", dest="report_path")
+    common.add_argument("--suite", dest="suites", action="append",
+                        help=f"restrict verify to a suite "
+                             f"({', '.join(V.SUITES)}); repeatable")
+    common.add_argument("--paper-defaults", action="store_true", default=None,
+                        help="run the canonical reproduction matrix")
     ap = argparse.ArgumentParser(
         prog="dunkl-lab",
         description="One-dimensional Dunkl harmonic analysis at desk scale.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--q", help="q >= 1 or 'inf'")
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--function", help=f"one of {', '.join(CATALOG)}")
-        sp.add_argument("--t", type=float)
-        sp.add_argument("--x", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--x-min", dest="x_min", type=float)
-        sp.add_argument("--x-max", dest="x_max", type=float)
-        sp.add_argument("--points-per-decade", dest="points_per_decade",
-                        type=int)
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        sp.add_argument("--report-path", dest="report_path")
-        sp.add_argument("--suite", dest="suites", action="append",
-                        help=f"restrict verify to a suite "
-                             f"({', '.join(V.SUITES)}); repeatable")
-        sp.add_argument("--paper-defaults", action="store_true", default=None,
-                        help="run the canonical reproduction matrix")
+        sub.add_parser(name, parents=[common])
     return ap
 
 

@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from dunkl_lab.cli import (main, RunConfig, ConfigError, CATALOG, _fmt,
-                           EXIT_OK, EXIT_FAIL, EXIT_CONFIG)
+                           build_parser, EXIT_OK, EXIT_FAIL, EXIT_CONFIG)
 
 
 def run(args):
@@ -564,3 +566,115 @@ def test_verify_writes_suite_timings(tmp_path, capsys):
     assert [line.split(":")[0] for line in err] == ["suite kernel",
                                                     "suite norms"]
     assert "timings" not in (tmp_path / "report.json").read_text()
+
+
+# -- one parser per process ----------------------------------------------------
+
+def _fresh_interpreter(code):
+    """Run code in a new interpreter; returns its last stdout line."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_parser_is_built_on_first_main_call_and_only_then():
+    # every ArgumentParser made, the subparsers included, is counted
+    code = (
+        "import argparse, json\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **kw):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **kw)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import dunkl_lab.cli as cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(3):\n"
+        "    cli.main(['taylor'])\n"
+        "    counts.append(len(made))\n"
+        "print(json.dumps(counts))\n")
+    at_import, first, second, third = json.loads(_fresh_interpreter(code))
+    assert at_import == 0 and first > 0 and second == third == first
+
+
+def test_build_parser_returns_one_object():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_verify_calls_give_identical_reports(tmp_path, capsys):
+    reports = []
+    for name in ("one", "two"):
+        assert run(["verify", "--suite", "kernel",
+                    "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    # the append action of --suite starts from nothing on every call
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["suites"] == ["kernel"]
+
+
+@pytest.mark.parametrize("rejected", [["taylor", "--no-such-flag", "1"],
+                                      ["taylor", "--t", "3"],
+                                      ["taylor", "--k", "two"]])
+def test_a_rejected_call_leaves_the_next_one_unchanged(capsys, rejected):
+    argv = ["taylor", "--alpha", "1.5", "--k", "3", "--x", "0.7"]
+    assert run(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    try:
+        code = run(rejected)
+    except SystemExit as exc:       # argparse's own errors exit from parse
+        code = exc.code
+    assert code == EXIT_CONFIG
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+
+def test_taylor_path_does_not_import_numpy_ma(tmp_path):
+    code = (
+        "import sys\n"
+        "import dunkl_lab.cli as cli\n"
+        "assert cli.main(['taylor', '--alpha', '1', '--k', '4']) == 0\n"
+        "assert cli.main(['verify', '--suite', 'taylor', '--out-dir', "
+        f"{str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert _fresh_interpreter(code) == "False"
+
+
+# -- x_max per command, suites once --------------------------------------------
+
+@pytest.mark.parametrize("command", ["kernel", "translate"])
+def test_symmetric_interval_takes_any_positive_x_max(tmp_path, capsys,
+                                                     command):
+    assert run([command, "--x-max", "0.0005",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / f"{command}.csv").read_text().strip().split("\n")
+    assert len(rows) == 202 and float(rows[1].split(",")[0]) == -0.0005
+    for bad in ("0", "-5"):
+        out = tmp_path / f"out{bad}"
+        assert run([command, f"--x-max={bad}",
+                    "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "x_max must be > 0" in _one_error_line(capsys)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["besov", "sweep"])
+def test_grid_x_max_must_exceed_x_min(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command, "--x-max", "0.0005",
+                "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "need 0 < x_min < x_max" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_a_repeated_suite_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["verify", "--suite", "kernel", "--suite", "norms",
+                "--suite", "kernel", "--out-dir", str(out)]) == EXIT_CONFIG
+    assert _one_error_line(capsys).startswith(
+        "configuration error: repeated suite(s): kernel")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"suites": ["taylor", "taylor"],
+                               "out_dir": str(out)}))
+    assert run(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "repeated suite(s): taylor" in _one_error_line(capsys)
+    assert not out.exists()
