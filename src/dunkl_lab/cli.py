@@ -7,14 +7,14 @@
     dunkl-lab sweep     [--config FILE] [flags]      -> smoothness/convolution CSVs
     dunkl-lab verify    [--config FILE] [--paper-defaults] [--suite NAME ...]
 
-Configuration is a single JSON document; command-line flags override its
-fields, and a command takes only those it reads (COMMAND_FIELDS).
-`--paper-defaults` pins the canonical reproduction matrix.  CSV floats are
-printed with 17 significant digits so they round-trip exactly.
+Configuration is a single JSON document; flags override its fields.  Each
+command takes --config and one flag per field it reads (COMMAND_FIELDS),
+spelled in full.  CSV floats are printed with 17 significant digits so
+they round-trip exactly.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration,
 input, numerical or I/O error (one line on stderr, no traceback), such as
-a function_record without finite coeffs and gauss_scale, or a nan result.
+an unknown flag, a function_record without finite coeffs, or a nan result.
 """
 
 from __future__ import annotations
@@ -142,28 +142,27 @@ class RunConfig:
         return B.default_grid(self.x_min, self.x_max, self.points_per_decade)
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, extras=()) -> RunConfig:
+    """The command's config: its file's fields, then its flags; extras are
+    the command-line tokens its parser did not take."""
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError("a config file holds one JSON object")
-    flags = {key: val for key, val in vars(args).items()
-             if key not in ("command", "config") and val is not None}
-    reads = COMMAND_FIELDS[args.command]
-    given = [_FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-             for key in flags if key not in reads]
-    given += [f"config field {key!r}" for key in doc if key not in reads]
+    given = [" ".join(extras)] if extras else []
+    given += [f"config field {key!r}" for key in doc
+              if key not in COMMAND_FIELDS[args.command]]
     if given:
         raise ConfigError(f"{args.command} does not take {', '.join(given)}")
+    flags = {key: val for key, val in vars(args).items()
+             if key not in ("command", "config") and val is not None}
     cfg = RunConfig(command=args.command)
     for key, val in list(doc.items()) + list(flags.items()):
-        if key == "q":
-            val = math.inf if val == "inf" else float(val)
+        if key == "q" and val == "inf":     # a config file's spelling of inf
+            val = math.inf
         setattr(cfg, key, val)
-    if cfg.paper_defaults:
-        cfg.suites = list(V.SUITES)
     cfg.validate()
     return cfg
 
@@ -231,9 +230,7 @@ def cmd_taylor(cfg: RunConfig) -> int:
         "remainder_recurrence": rec,
         "identity_residual": abs(rec - rem),
         "theta_mass": T.theta_mass(al, cfg.k, cfg.x),
-        "theta_mass_bound": (T.b_coeff(al, cfg.k, abs(cfg.x))
-                             + abs(cfg.x) * T.b_coeff(al, cfg.k - 1,
-                                                      abs(cfg.x))),
+        "theta_mass_bound": T.theta_mass_bound(al, cfg.k, cfg.x),
     }
     if not all(map(math.isfinite, out.values())):
         raise FloatingPointError("the taylor output has a non-finite value")
@@ -317,38 +314,40 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # one line and exit 2, through main
+        raise ConfigError(message)
+
+
+#: the keywords of the flags that are more than a value of their field's type
+_FLAG_KEYWORDS = {
+    "q": dict(help="q >= 1 or 'inf'"),
+    "function": dict(help=f"one of {', '.join(CATALOG)}"),
+    "fmt": dict(choices=("csv", "json")),
+    "suites": dict(action="append", help=f"restrict verify to a suite "
+                   f"({', '.join(V.SUITES)}); repeatable"),
+    "paper_defaults": dict(action="store_true", default=None,
+                           help="run the canonical reproduction matrix"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once, on first use; the commands share one parent's flags."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--k", type=int)
-    common.add_argument("--p", type=float)
-    common.add_argument("--q", help="q >= 1 or 'inf'")
-    common.add_argument("--beta", type=float)
-    common.add_argument("--function", help=f"one of {', '.join(CATALOG)}")
-    common.add_argument("--t", type=float)
-    common.add_argument("--x", type=float)
-    common.add_argument("--a", type=float)
-    common.add_argument("--x-min", dest="x_min", type=float)
-    common.add_argument("--x-max", dest="x_max", type=float)
-    common.add_argument("--points-per-decade", dest="points_per_decade",
-                        type=int)
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    common.add_argument("--report-path", dest="report_path")
-    common.add_argument("--suite", dest="suites", action="append",
-                        help=f"restrict verify to a suite "
-                             f"({', '.join(V.SUITES)}); repeatable")
-    common.add_argument("--paper-defaults", action="store_true", default=None,
-                        help="run the canonical reproduction matrix")
-    ap = argparse.ArgumentParser(
-        prog="dunkl-lab",
-        description="One-dimensional Dunkl harmonic analysis at desk scale.")
+    """Built once, on first use: --config and one flag per field a command
+    reads (function_record is a config file's only), typed as its default."""
+    ap = _Parser(prog="dunkl-lab", allow_abbrev=False, description=(
+        "One-dimensional Dunkl harmonic analysis at desk scale."))
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--config", help="JSON configuration file")
+        flags = [f for f in COMMAND_FIELDS[name] if f != "function_record"]
+        for f in flags:
+            kw = _FLAG_KEYWORDS.get(f, {})
+            if "action" not in kw:
+                kw = dict(type=type(getattr(RunConfig, f)), **kw)
+            sp.add_argument(_FLAG_NAMES.get(f, "--" + f.replace("_", "-")),
+                            dest=f, **kw)
     return ap
 
 
@@ -359,9 +358,8 @@ def _describe(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = _load_config(*build_parser().parse_known_args(argv))
     except (ConfigError, OSError, json.JSONDecodeError, ValueError,
             KeyError, TypeError, OverflowError) as exc:
         print(f"configuration error: {_describe(exc)}", file=sys.stderr)

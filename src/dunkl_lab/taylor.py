@@ -32,6 +32,7 @@ from .dunklcore import translate_many, _translate_sum
 __all__ = [
     "b_coeff",
     "theta_mass",
+    "theta_mass_bound",
     "theta0_moment",
     "remainder",
     "remainder_profile",
@@ -139,6 +140,12 @@ def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     val, _ = integrate(lambda t: abs(_eval_terms(terms, t))
                        + abs(_eval_terms(terms, -t)), 0.0, 1.0)
     return abs(float(x)) ** k * val
+
+
+def theta_mass_bound(alpha, k: int, x) -> float:
+    """b_k(|x|) + |x| b_{k-1}(|x|), a bound on theta_mass(alpha, k, x)."""
+    ax = abs(x)
+    return b_coeff(alpha, k, ax) + ax * b_coeff(alpha, k - 1, ax)
 
 
 def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
@@ -283,9 +290,7 @@ def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:
         raise ValueError("k must be >= 1")
     if k == 1:
         return math.sqrt(2.0)
-    ax = abs(x)
-    return math.sqrt(2.0) * (b_coeff(alpha, k - 1, ax)
-                             + ax * b_coeff(alpha, k - 2, ax))
+    return math.sqrt(2.0) * theta_mass_bound(alpha, k - 1, x)
 
 
 def remainder_norm_coeff_same_order(alpha: AlphaParam, k: int,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -678,3 +679,110 @@ def test_a_repeated_suite_exits_2(tmp_path, capsys):
     assert run(["verify", "--config", str(cfg)]) == EXIT_CONFIG
     assert "repeated suite(s): taylor" in _one_error_line(capsys)
     assert not out.exists()
+
+
+# -- one parser per command ----------------------------------------------------
+
+@pytest.mark.parametrize("command", ["kernel", "translate", "taylor", "besov",
+                                     "sweep", "verify"])
+def test_help_offers_exactly_the_flags_of_the_command(capsys, command):
+    from dunkl_lab.cli import COMMAND_FIELDS
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    offered = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*",
+                             capsys.readouterr().out))
+    reads = COMMAND_FIELDS[command]
+    assert offered == {"-h", "--help", "--config"} | {
+        flag for flag in list(_FLAG_VALUES) + ["--out-dir"]
+        if _field(flag) in reads}
+
+
+def test_top_level_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "taylor" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["taylor", "--k", "two"], "argument --k: invalid int value: 'two'"),
+    (["kernel", "--format", "xml"], "argument --format: invalid choice"),
+    (["taylor", "--format", "xml"], "taylor does not take --format xml"),
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["taylor", "--alph", "1.5"], "taylor does not take --alph 1.5"),
+    (["taylor", "5"], "taylor does not take 5"),
+    (["taylor", "--k"], "argument --k: expected one argument"),
+], ids=["bad-int", "bad-choice", "foreign-flag", "no-command",
+        "unknown-command", "abbreviation", "positional", "missing-value"])
+def test_command_line_errors_are_one_line(capsys, argv, message):
+    assert run(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"configuration error: {message}")
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("kernel", "--x"),
+                                          ("besov", "--points")])
+def test_flags_are_never_abbreviated(tmp_path, capsys, command, flag):
+    # with per-command flag sets, kernel --x would be --x-max otherwise
+    out = tmp_path / "out"
+    assert run([command, flag, "0.9", "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"does not take {flag} 0.9" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_flags_take_the_type_of_their_field():
+    # --q too: float("inf") reads "inf"
+    args = build_parser().parse_args(
+        ["sweep", "--q", "inf", "--k", "3", "--p", "1", "--points-per-decade",
+         "2", "--function", "x_gaussian", "--out-dir", "o"])
+    assert args.q == math.inf
+    assert [type(getattr(args, f)) for f in ("q", "k", "p", "points_per_decade",
+                                             "function", "out_dir")] \
+        == [float, int, float, int, str, str]
+
+
+# -- --paper-defaults next to --suite ------------------------------------------
+
+def test_paper_defaults_runs_every_suite():
+    from dunkl_lab import verify
+    from dunkl_lab.cli import _load_config
+    cfg = _load_config(build_parser().parse_args(["verify",
+                                                  "--paper-defaults"]))
+    assert cfg.paper_defaults is True and cfg.suites == list(verify.SUITES)
+
+
+def test_paper_defaults_keeps_the_suites_named(tmp_path, capsys):
+    assert run(["verify", "--paper-defaults", "--suite", "kernel",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    # one progress line: the kernel suite ran, and no other
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("suite kernel:")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["suites"] == ["kernel"]
+    assert report["config"]["paper_defaults"] is True
+    assert list(json.loads((tmp_path / "timings.json").read_text())) \
+        == ["kernel"]
+
+
+def test_paper_defaults_with_a_repeated_suite_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["verify", "--paper-defaults", "--suite", "kernel", "--suite",
+                "kernel", "--out-dir", str(out)]) == EXIT_CONFIG
+    assert _one_error_line(capsys).startswith(
+        "configuration error: repeated suite(s): kernel")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["true", '"2"'])
+def test_config_file_q_is_a_number_or_inf(tmp_path, capsys, q):
+    # "inf" is the one string q takes, as --q inf; true is no number
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"q": %s}' % q)
+    assert run(["sweep", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "q must be a finite number" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()

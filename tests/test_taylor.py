@@ -11,7 +11,8 @@ from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.verify import TAYLOR_PAIRS, TEST_FUNCTIONS
 from dunkl_lab.taylor import (b_coeff, _eval_terms, _theta_terms,
-                              theta_mass, theta0_moment,
+                              theta_mass, theta_mass_bound,
+                              theta0_moment,
                               remainder, remainder_profile,
                               remainder_recursion_residual,
                               iterated_integral_I,
@@ -265,6 +266,34 @@ def test_theta_mass_against_coefficient_bound():
             bound = (b_coeff(AL, k, x) + x * b_coeff(AL, k - 1, x))
             assert m <= bound + 1e-12
             assert m > 0.0
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("x", [0.3, -1.7, 2.0])
+def test_theta_mass_bound_is_the_one_formula(alpha, x):
+    # cli, verify and remainder_norm_coeff share it, bit for bit
+    al = AlphaParam(alpha)
+    for k in (1, 2, 3, 5):
+        assert theta_mass_bound(al, k, x) == (
+            b_coeff(al, k, abs(x)) + abs(x) * b_coeff(al, k - 1, abs(x)))
+        assert remainder_norm_coeff(al, k + 1, x) \
+            == math.sqrt(2.0) * theta_mass_bound(al, k, x)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_theta_mass_bound_holds_at_k_31(alpha):
+    # theta_mass / bound is 0.04-0.08 at x = 1 here
+    al = AlphaParam(alpha)
+    assert 0.0 < theta_mass(al, 31, 1.0) <= theta_mass_bound(al, 31, 1.0)
+
+
+@pytest.mark.xfail(strict=True, reason="from k ~ 37 the terms of the "
+                   "Theta_(k-1) table cancel: theta_mass exceeds its bound "
+                   "14-359 fold at k = 43")
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_theta_mass_bound_holds_at_k_43(alpha):
+    al = AlphaParam(alpha)
+    assert 0.0 < theta_mass(al, 43, 1.0) <= theta_mass_bound(al, 43, 1.0)
 
 
 def test_theta0_moment_is_next_coefficient():
