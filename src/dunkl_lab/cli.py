@@ -223,8 +223,8 @@ def cmd_taylor(cfg: RunConfig) -> int:
     al = AlphaParam(cfg.alpha)
     f = cfg.resolve_function()
     rem = T.remainder(al, cfg.k, f, cfg.x, cfg.a)
-    rec = float(T.remainder_profile(al, cfg.k, f, cfg.x)(
-        cfg.a, tau=translate(al, f, cfg.x, cfg.a)))
+    tau = translate(al, f, cfg.x, cfg.a)
+    rec = float(T.remainder_profile(al, cfg.k, f, cfg.x)(cfg.a, tau=tau))
     out = {
         "remainder_integral": rem,
         "remainder_recurrence": rec,
@@ -234,6 +234,11 @@ def cmd_taylor(cfg: RunConfig) -> int:
     }
     if not all(map(math.isfinite, out.values())):
         raise FloatingPointError("the taylor output has a non-finite value")
+    tol = V.TAYLOR_TOL * (1.0 + abs(tau))
+    if out["theta_mass"] > out["theta_mass_bound"] or abs(rec - rem) > tol:
+        raise FloatingPointError(
+            f"the remainder at k = {cfg.k} is past its accuracy (theta_mass "
+            f"over its bound or identity_residual over {tol:.3g}): {out}")
     print(json.dumps(out, indent=1, sort_keys=True))
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -105,12 +106,17 @@ def dunkl_apply(alpha, f: GaussPolyFunction) -> GaussPolyFunction:
 
 
 def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:
-    """k-fold Dunkl operator; k = 0 is the identity."""
+    """k-fold Dunkl operator; k = 0 is the identity.  Each (alpha, f) keeps
+    its powers [f, L f, ...] (repr(f) keeps signed zeros apart)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    for _ in range(k):
-        f = dunkl_apply(alpha, f)
-    return f
+    powers = _powers(_as_alpha(alpha), f, repr(f))
+    while len(powers) <= k:
+        powers.append(dunkl_apply(alpha, powers[-1]))
+    return f if k == 0 else powers[k]
+
+
+_powers = lru_cache(maxsize=256)(lambda a, f, key: [f])
 
 
 def lambda_basis(alpha, s: float, m: int) -> np.ndarray:

@@ -132,14 +132,17 @@ def _eval_terms(terms, y):
 
 def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy, |x|^k times that integral
-    at sgn x on (-1, 1), with A folded into each term's |t| exponent (so no
-    term overflows where A underflows)."""
-    we = alpha.weight_exp
-    terms = [(c, sp, e + we, j) for c, sp, e, j
-             in _theta_terms(alpha.alpha, k - 1, math.copysign(1.0, x))]
-    val, _ = integrate(lambda t: abs(_eval_terms(terms, t))
-                       + abs(_eval_terms(terms, -t)), 0.0, 1.0)
-    return abs(float(x)) ** k * val
+    at sgn x on (-1, 1), taken once per (alpha, k, sgn x) with A folded into
+    each term's |t| exponent (so no term overflows where A underflows)."""
+    return abs(float(x)) ** k * _unit_mass(alpha, k, math.copysign(1.0, x))
+
+
+@lru_cache(maxsize=1024)
+def _unit_mass(alpha: AlphaParam, k: int, sign: float) -> float:
+    terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
+             in _theta_terms(alpha.alpha, k - 1, sign)]
+    return integrate(lambda t: abs(_eval_terms(terms, t))
+                     + abs(_eval_terms(terms, -t)), 0.0, 1.0)[0]
 
 
 def theta_mass_bound(alpha, k: int, x) -> float:
@@ -304,12 +307,12 @@ def remainder_norm_coeff_same_order(alpha: AlphaParam, k: int,
 
 def symmetric_remainder_residual(alpha: AlphaParam, k: int,
                                  f: GaussPolyFunction, x, a):
-    """Residual between the even-coefficient form and the two integral
-    remainders summed directly; x and a may be arrays (one residual per
-    broadcast pair)."""
-    direct = (remainder(alpha, k, f, x, a)
-              + remainder(alpha, k, f, np.negative(x), a))
-    out = np.abs(direct - symmetric_remainder_profile(alpha, k, f, x)(a))
+    """Residual between the even-coefficient form and R_k(x) + R_k(-x), two
+    rows of one integral remainder call; x and a may be arrays (one residual
+    per broadcast pair)."""
+    xb, ab = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
+    r = remainder(alpha, k, f, np.stack([xb, -xb]), np.stack([ab, ab]))
+    out = np.abs(r[0] + r[1] - symmetric_remainder_profile(alpha, k, f, x)(a))
     return out if out.ndim else float(out)
 
 

@@ -180,6 +180,7 @@ TAYLOR_XS = (0.2, -0.6, 0.9, -1.4, 2.1)
 TAYLOR_AS = (0.0, 0.45, -0.8, 1.5, -2.2)
 # plus one pair just off a = 0: a quadrature split at |a| is 1e-4 off there
 TAYLOR_PAIRS = [(x, pt) for x in TAYLOR_XS for pt in TAYLOR_AS] + [(2.1, 1e-4)]
+TAYLOR_TOL = 1e-6    # on |integral - recurrence| / (1 + |tau_x f(a)|)
 
 def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
     checks = []
@@ -187,18 +188,16 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
     for a in alphas:
         al = AlphaParam(a)
         # tau_x f(a) does not depend on k: once per (f, pair)
-        taus = {name: translate_many(al, f, xs, us)
-                for name, f in TEST_FUNCTIONS}
+        taus = [translate_many(al, f, xs, us) for _, f in TEST_FUNCTIONS]
         for k in ks:
-            for name, f in TEST_FUNCTIONS:
-                tau = taus[name]
+            for (name, f), tau in zip(TEST_FUNCTIONS, taus):
                 gap = (T.remainder_profile(al, k, f, xs)(us, tau=tau)
                        - T.remainder(al, k, f, xs, us))
                 worst = float(np.max(np.abs(gap) / (1.0 + np.abs(tau))))
                 checks.append(_check(
                     f"taylor-identity[a={a},k={k},f={name}]",
                     "expansion plus integral remainder reproduces translation",
-                    worst, 1e-6))
+                    worst, TAYLOR_TOL))
             worst = max(0.0, *(T.theta_mass(al, k, x)
                                - T.theta_mass_bound(al, k, x)
                                for x in (0.2, 0.8, 2.0)))
@@ -218,15 +217,13 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         lf = dunkl_power(al, f, 1)
         samples = ((0.7, 0.45), (-1.3, 0.0), (1.9, -0.8))
         sx, spt = np.transpose(samples)
+        # R_k once per k (R_0 = tau_x f): order k's lhs is k + 1's peeled term
+        rem = functools.cache(lambda k: T.remainder(al, k, f, sx, spt) if k
+                              else T.remainder_profile(al, 0, f, sx)(spt))
         for k in ks:    # each residual takes every sample in one call
-            lhs = T.remainder(al, k, f, sx, spt)
-            if k == 1:
-                rhs = T.remainder_profile(al, 1, f, sx)(spt)
-            else:
-                rhs = (T.remainder(al, k - 1, f, sx, spt)
-                       - T.b_coeff(al, k - 1, sx)
-                       * dunkl_power(al, f, k - 1)(spt))
-            w_step = max(0.0, *np.abs(lhs - rhs).tolist())
+            rhs = rem(k - 1) - (T.b_coeff(al, k - 1, sx)
+                                * dunkl_power(al, f, k - 1)(spt))
+            w_step = max(0.0, *np.abs(rem(k) - rhs).tolist())
             w_rec = max(0.0, *T.remainder_recursion_residual(
                 al, k, f, sx, spt).tolist())
             w_sym = max(0.0, *T.symmetric_remainder_residual(
@@ -285,11 +282,15 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
     orders = sorted({j for k in ks for j in (k - 1, k)})
     for a in alphas:
         al = AlphaParam(a)
-        # node values once per order j, reduced for every p: R_j(x, f) with
-        # every x as the rows of one profile (T = 18), and L^j f (T = 14)
-        rem = {(name, j): _node_values(
-            al, T.remainder_profile(al, j, f, xs[:, None]), 18.0)
-            for name, f in TEST_FUNCTIONS for j in orders}
+        # node values once per order j, reduced for every p: R_j(x, f), x the
+        # rows, on one tau_x f per (f, rule) (T = 18), and L^j f (T = 14)
+        nodes = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, 18.0)]
+        rem = {}
+        for name, f in TEST_FUNCTIONS:
+            taus = [translate_many(al, f, xs[:, None], u) for u in nodes]
+            for j in orders:
+                prof = T.remainder_profile(al, j, f, xs[:, None])
+                rem[name, j] = [abs(prof(u, tau=t)) for u, t in zip(nodes, taus)]
         lj = {(name, j): _node_values(al, dunkl_power(al, f, j), 14.0)
               for name, f in TEST_FUNCTIONS for j in orders}
         for k in ks:

@@ -230,3 +230,26 @@ def test_dunkl_fd_power_calls_g_once(k):
     # the same distinct points as the scalar stencils, and the same value
     assert got == _fd_power_per_point(AL, g_scalar, 0.8, k, 2e-3)
     assert calls[0] == (len(points),)
+
+
+def _power_loop(alpha, f, k):
+    for _ in range(k):
+        f = dunkl_apply(alpha, f)
+    return f
+
+
+def test_dunkl_power_equals_its_loop_bitwise():
+    # the kept powers are the loop's, bit for bit (repr shows signed zeros);
+    # records that differ only in the sign of a zero keep their own powers
+    rng = np.random.default_rng(7)
+    records = [((0.0, 1.0, -0.0, 2.0), 0.0), ((-0.0, 1.0, 0.0, 2.0), -0.0),
+               ((-0.0,), 0.5), ((0.0,), 0.5)]
+    records += [(tuple(np.round(rng.uniform(-2, 2, rng.integers(1, 5)), 3)),
+                 float(rng.choice([0.0, -0.0, rng.uniform(0.2, 1.5)])))
+                for _ in range(20)]
+    for coeffs, s in records:
+        for alpha in (AL, 0.5, -0.25, AlphaParam(1.5), -0.0):
+            f = GaussPolyFunction(coeffs, s)
+            for k in (3, 0, 5, 1, 4):       # out of order: cached and new
+                assert repr(dunkl_power(alpha, f, k)) \
+                    == repr(_power_loop(alpha, f, k)), (coeffs, s, alpha, k)

@@ -5,7 +5,7 @@ import pytest
 
 from scipy import integrate as sint
 
-from dunkl_lab import taylor
+from dunkl_lab import quad, taylor
 from dunkl_lab.special import AlphaParam, pochhammer
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
@@ -499,3 +499,49 @@ def test_norm_coefficients():
         c + abs(b_coeff(AL, 2, 1.5)))
     with pytest.raises(ValueError):
         remainder_norm_coeff(AL, 0, 1.0)
+
+
+def _theta_mass_former(alpha, k, x):
+    # theta_mass before its unit-interval integral was kept per sign
+    terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
+             in _theta_terms(alpha.alpha, k - 1, math.copysign(1.0, x))]
+    val, _ = quad.integrate(lambda t: abs(_eval_terms(terms, t))
+                            + abs(_eval_terms(terms, -t)), 0.0, 1.0)
+    return abs(float(x)) ** k * val
+
+
+def test_theta_mass_equals_its_former_form_bitwise():
+    rng = np.random.default_rng(11)
+    xs = [0.0, -0.0, 1e-300, -2.0] + rng.uniform(-3, 3, 12).tolist()
+    for alpha in (-0.25, 0.0, 0.5, 1.0, 1.5):
+        al = AlphaParam(alpha)
+        for k in (1, 2, 3, 4):
+            for x in xs:
+                got, ref = theta_mass(al, k, x), _theta_mass_former(al, k, x)
+                assert np.array(got).tobytes() == np.array(ref).tobytes(), \
+                    (alpha, k, x)
+
+
+def test_symmetric_residual_equals_its_two_call_form_bitwise():
+    # R_k(x) and R_k(-x) as two rows of one remainder call give the sum of
+    # two separate calls, bit for bit, scalar or array, at x = 0 and a = 0
+    rng = np.random.default_rng(5)
+    cases = [(0.5, 2, 0.0, 0.45), (0.5, 1, 0.7, 0.0), (0.0, 3, -0.0, 0.0),
+             (1.5, 3, np.array([0.7, 0.0, -1.3]), 0.0)]
+    for _ in range(16):
+        n = int(rng.integers(0, 4))
+        shape = () if n == 0 else (n,)
+        cases.append((float(rng.choice([-0.25, 0.0, 0.5, 1.0, 1.5, 3.2])),
+                      int(rng.integers(1, 5)),
+                      rng.uniform(-3, 3, shape), rng.uniform(-2.5, 2.5, shape)))
+    for alpha, k, x, a in cases:
+        al = AlphaParam(alpha)
+        f = GaussPolyFunction(tuple(rng.uniform(-1, 1, 3)),
+                              float(rng.uniform(0.3, 1.5)))
+        direct = remainder(al, k, f, x, a) + remainder(al, k, f,
+                                                       np.negative(x), a)
+        ref = np.abs(direct - symmetric_remainder_profile(al, k, f, x)(a))
+        got = symmetric_remainder_residual(al, k, f, x, a)
+        assert type(got) is (float if np.ndim(ref) == 0 else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), \
+            (alpha, k, x, a)

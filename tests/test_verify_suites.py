@@ -153,3 +153,36 @@ def test_norms_suite_opens_one_profile_per_order(monkeypatch):
     # orders 0..3 for k in {1, 2, 3}, per test function, each over the 5 x
     assert sorted(shapes) == sorted((j, (5, 1)) for j in range(4)
                                     for _ in V.TEST_FUNCTIONS)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_norms_suite_translates_once_per_function_and_rule(monkeypatch):
+    # tau_x f at the five x rows, once per test function and L^p rule (head
+    # and tail), serves every order's profile: 3 x 2 closed-form passes
+    # (test_norms_suite_equals_its_loop_form checks the values)
+    from dunkl_lab import dunklcore
+    calls = _count_calls(monkeypatch, dunklcore, "_translate_closed")
+    V.suite_norms(alphas=(0.5,))
+    assert len(calls) == 6
+
+
+def test_taylor_suite_takes_each_remainder_and_theta_mass_once(monkeypatch):
+    # 9 taylor-identity remainders, then per k one R_k for the step check
+    # (R_{k-1} is the previous k's) and one for R_k(x) and R_k(-x): 15, where
+    # recomputing took 20; one Theta mass integral per k (the x share a sign)
+    T._unit_mass.cache_clear()
+    rems = _count_calls(monkeypatch, T, "remainder")
+    integrals = _count_calls(monkeypatch, T, "integrate")
+    V.suite_taylor(alphas=(0.5,))
+    assert (len(rems), len(integrals)) == (15, 3)
