@@ -100,10 +100,13 @@ def _merge(terms):
 
 @lru_cache(maxsize=4096)
 def _theta_terms(a: float, k: int, sign: float):
-    """Term table of Theta_k(sign, .) on (-1, 1), sign = +-1:
-    [(c, sgn_pow, exp, log_pow)]."""
+    """Term table [(c, sgn_pow, exp, log_pow)] of Theta_k(sign, .) on (-1, 1),
+    sign = +-1; Theta_k(-1, t) = (-1)^(k+1) Theta_k(1, -t) gives the -1 one."""
+    if sign < 0.0:
+        return tuple((c * (-1) ** (k + 1 + sp), sp, e, j)
+                     for c, sp, e, j in _theta_terms(a, k, 1.0))
     we = 2.0 * a + 1.0
-    u = [(math.copysign(0.5, sign), 0, 0.0, 0)]
+    u = [(0.5, 0, 0.0, 0)]
     v = [(0.5, 1, -we, 0)]
     for _ in range(k):
         u_next = _integrate_terms_from(v)
@@ -132,15 +135,15 @@ def _eval_terms(terms, y):
 
 def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
     """int_{-|x|}^{|x|} |Theta_{k-1}(x, y)| A(y) dy, |x|^k times that integral
-    at sgn x on (-1, 1), taken once per (alpha, k, sgn x) with A folded into
-    each term's |t| exponent (so no term overflows where A underflows)."""
-    return abs(float(x)) ** k * _unit_mass(alpha, k, math.copysign(1.0, x))
+    on (-1, 1), the same for both signs of x, taken once per (alpha, k) with
+    A in each term's |t| exponent (no term overflows where A underflows)."""
+    return abs(float(x)) ** k * _unit_mass(alpha, k)
 
 
 @lru_cache(maxsize=1024)
-def _unit_mass(alpha: AlphaParam, k: int, sign: float) -> float:
+def _unit_mass(alpha: AlphaParam, k: int) -> float:
     terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
-             in _theta_terms(alpha.alpha, k - 1, sign)]
+             in _theta_terms(alpha.alpha, k - 1, 1.0)]
     return integrate(lambda t: abs(_eval_terms(terms, t))
                      + abs(_eval_terms(terms, -t)), 0.0, 1.0)[0]
 
@@ -180,14 +183,11 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     xb = np.asarray(x, float)
     xs = xb.ravel()
     ax = np.abs(xs)
-    # the exponents depend on (alpha, order) only; a term that cancels
-    # exactly for one sign has coefficient 0 there
+    # the -1 table has the +1 table's terms (exponents) in its order
     signs, inv = np.unique(np.copysign(1.0, xs), return_inverse=True)
-    tables = [{(sp, e, j): c
-               for c, sp, e, j in _theta_terms(alpha.alpha, order, v)}
-              for v in signs.tolist()]
-    keys = list(dict.fromkeys(key for t in tables for key in t))
-    coef = np.array([[t.get(key, 0.0) for key in keys] for t in tables])[inv]
+    tables = [_theta_terms(alpha.alpha, order, v) for v in signs.tolist()]
+    keys = [(sp, e, j) for _, sp, e, j in tables[0]]
+    coef = np.array([[c for c, *_ in t] for t in tables])[inv]
     sgn = np.array([(-1.0) ** sp for sp, _, _ in keys])[:, None]
 
     def rule(n, ee, j):
