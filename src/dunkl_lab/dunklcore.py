@@ -6,10 +6,11 @@ density W_a(x, y, .) supported on S u (-S), S = [||x|-|y||, |x|+|y|].
 
 - f = P e^{-s.^2} with s > 0 (a GaussPolyFunction): the exact closed form
   e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)], with bivariate
-  polynomials A, B built once per (a, P, s) and the kernel from the power
-  series and Hankel's expansion of e^{-w} j_nu(iw), so nothing overflows.
-  The Bessel pair runs on the grid of distinct |x| and |y| (or per point
-  where that is larger); tau_x f + tau_{-x} f is one pass (_translate_sum).
+  polynomials A, B built once per (a, P, s) and e^{-w} j_nu(iw) at nu = a,
+  a + 1 (none where its polynomial is zero) from the power series and
+  Hankel's expansion, so nothing overflows.  The Bessel values run on the
+  grid of distinct |x| and |y| (or per point where that is larger);
+  tau_x f + tau_{-x} f is one pass (_translate_sum).
 - any other callable (profiles, kernels, complex values, pure polynomials,
   and P e^{-s.^2} for alpha above ~16):
   under u = z^2 the integrand becomes an analytic function of u times the
@@ -199,17 +200,14 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     """tau_x(f)(y) (+ tau_{-x}(f)(y) if pair) at the broadcast of the arrays
     x and y, f = P e^{-s.^2} with s > 0, and the point masses at xy = 0.
 
-    With w = 2s|xy|, G = e^{-s(|x|-|y|)^2} and n_nu = e^{-w} j_nu(iw),
-    j_a(iw) = j_{a+1}(iw) + w^2 j_{a+2}(iw) / (4(a+1)(a+2)) gives
-
-        e^{-s(x^2+y^2)} E_a(+-w)
-            = G [n_{a+1} + w^2 n_{a+2} / (4(a+1)(a+2)) +- w n_{a+1} / (2(a+1))],
-
-    so only positive orders and scaled values occur.  The Bessel pair and G
-    depend on (|x|, |y|) alone: one value per cell of the grid of distinct
-    |x| and |y| if it has no more cells than the call has points, else per
-    point; x-Horner runs per entry of x.  Overflows pass on as inf or nan.
-    """
+    With w = 2s|xy|, G = e^{-s(|x|-|y|)^2}, n_nu = e^{-w} j_nu(iw) and
+    E_a(+-w) = j_a(iw) +- w j_{a+1}(iw) / (2(a+1)), tau is G [S n_a +
+    sgn(xy) D w n_{a+1} / (2(a+1))] for the parts S, D of _closed_form_polys:
+    scaled values only, and no order for a zero part (D, for an even f with
+    pair).  n and G depend on (|x|, |y|) alone: one value per cell of the
+    grid of distinct |x| and |y| if it has no more cells than the call has
+    points, else per point; x-Horner runs per entry of x.  Overflows pass on
+    as inf or nan."""
     a, s = alpha.alpha, f.gauss_scale
     shape = np.broadcast_shapes(x.shape, y.shape)
     (ux, ix), (uy, iy) = (np.unique(np.abs(v).ravel(), return_inverse=True)
@@ -217,15 +215,16 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     grid = ux.size * uy.size <= math.prod(shape)
     ax, ay = (ux[:, None], uy) if grid else (np.abs(x), np.abs(y))
     pick = ix.reshape(x.shape) * uy.size + iy.reshape(y.shape)
+    C, out = _closed_form_polys(a, f.coeffs, s, pair), np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         w = (2.0 * s * (ax * ay)).ravel()
-        n1, n2 = _scaled_j(a + 1.0, w), _scaled_j(a + 2.0, w)
-        even, odd, g = (v[pick] if grid else v.reshape(shape) for v in (
-            n1 + 0.25 * w * w / ((a + 1.0) * (a + 2.0)) * n2,
-            0.5 * w / (a + 1.0) * n1, np.exp(-s * (ax - ay) ** 2).ravel()))
-        C = _closed_form_polys(a, f.coeffs, s, pair)
-        S, D = (polyval(y, polyval(x, C[..., i]), tensor=False) for i in (0, 1))
-        out = np.asarray(g * (S * even + np.sign(x * y) * D * odd))
+        g = np.exp(-s * (ax - ay) ** 2).ravel()
+        for i, c in enumerate((g, 0.5 * w / (a + 1.0) * g)):
+            if C[..., i].any():
+                v = c * _scaled_j(a + i, w)
+                v = (v[pick] if grid else v.reshape(shape)) * polyval(
+                    y, polyval(x, C[..., i]), tensor=False)
+                out += np.sign(x * y) * v if i else v
         mass = (x == 0.0) | (y == 0.0)
         if mass.any():
             xm, ym = (np.broadcast_to(v, shape)[mass] for v in (x, y))

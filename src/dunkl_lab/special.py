@@ -113,8 +113,8 @@ def _scaled_j(nu: float, w):
     time, so a value depends on its own w only: below w = 25 the power series
     e^{-w} sum_m z^m / (m! (nu+1)_m), z = w^2/4 (DLMF 10.25.2), above it
     Hankel's Gamma(nu+1) (2/w)^nu (2 pi w)^(-1/2) sum_k a_k(nu) (-w)^(-k)
-    (DLMF 10.40.1; the dropped branch is below e^-50).  Within 1.7e-15
-    relative of 40-digit values for nu in [0.75, 9]."""
+    (DLMF 10.40.1; the dropped branch is below e^-50).  Within 3.4e-15
+    relative of 40-digit values for nu in (-1/2, 9] with nu + 1/2 exact."""
     band = np.searchsorted(_BESSEL_EDGES, w, side="right")
     counts = np.bincount(band, minlength=len(_BESSEL_EDGES)).tolist()
     ends, ordered = np.cumsum(counts).tolist(), (band[1:] >= band[:-1]).all()

@@ -1,6 +1,7 @@
-"""The Bessel-pair kernel of the closed-form translation,
-n_nu(w) = e^{-w} j_nu(iw), against tabulated 30-digit values, the
-half-integer closed form, and its layout independence."""
+"""The Bessel kernel of the closed-form translation,
+n_nu(w) = e^{-w} j_nu(iw), against tabulated 30-digit values, 40-digit
+mpmath at the orders below the table's, the half-integer closed form, and
+its layout independence."""
 
 import math
 
@@ -84,6 +85,21 @@ def test_half_integer_closed_form():
     w = np.geomspace(1.0, 8e4, 400)
     ref = 3.0 * ((w - 1.0) + (w + 1.0) * np.exp(-2.0 * w)) / (2.0 * w ** 3)
     np.testing.assert_allclose(_scaled_j(1.5, w), ref, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [-0.25, 0.0, 0.25, 0.5])
+def test_low_orders_match_mpmath(nu):
+    # the closed form takes n_a for alpha in (-1/2, 16]: the orders below
+    # the table's, at 40 digits, on both sides of every band edge
+    mp = pytest.importorskip("mpmath")
+    edges = list(_BESSEL_EDGES[:-1])
+    w = np.unique(edges + [math.nextafter(e, 0.0) for e in edges]
+                  + np.geomspace(1e-6, 8e4, 61).tolist())
+    with mp.workdps(40):
+        n = lambda v: (mp.gamma(nu + 1) * (2 / v) ** nu * mp.besseli(nu, v)
+                       * mp.exp(-v))
+        ref = np.array([float(n(mp.mpf(v))) for v in w.tolist()])
+    np.testing.assert_allclose(_scaled_j(nu, w), ref, rtol=4e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("nu", [0.5 + 1e-15, 0.75, 2.5, 9.0])

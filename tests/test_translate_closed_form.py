@@ -1,22 +1,25 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-the Gauss-Jacobi quadrature path, the batched Taylor and convolution loops
-against their former per-node loop forms, the one-kernel iterated integral
-against its nested Chebyshev form (all kept here as reference
-implementations), and the sharing of one Bessel pair among the points
-(+-x, +-y)."""
+50-digit mpmath and the Gauss-Jacobi quadrature path, the batched Taylor and
+convolution loops against their former per-node loop forms, the one-kernel
+iterated integral against its nested Chebyshev form (all kept here as
+reference implementations), and the sharing of one Bessel value per order
+among the points (+-x, +-y), with no order for a part that is zero."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
 from dunkl_lab.quad import NORM_NODES, LpContext, jacobi_rule, lp_norm
-from dunkl_lab.special import AlphaParam, dunkl_kernel, dunkl_kernel_it
+from dunkl_lab.special import (AlphaParam, dunkl_kernel, dunkl_kernel_it,
+                               _scaled_j)
+from dunkl_lab.verify import CATALOG
 from dunkl_lab.taylor import (iterated_integral_I, remainder,
                               remainder_profile, symmetric_remainder_profile,
                               _theta_terms, _theta_weighted_integral)
@@ -42,6 +45,53 @@ def test_gaussian_matches_heat_kernel(alpha, s):
         for y in pts:
             ref = math.exp(-s * (x * x + y * y)) * dunkl_kernel(al, -2.0 * s * x, y).real
             assert abs(translate(al, g, x, y) - ref) <= 1e-13, (x, y)
+
+
+def _tau_mp(mp, alpha, f, x, y):
+    """tau_x f(y) for f = (c0 + c1 y + c2 y^2 + c3 y^3) e^(-s y^2) in mpmath:
+    tau_x e^(-s.^2)(y) = G(y, s) = e^(-s(x^2+y^2)) E(-2sxy) with the Dunkl
+    kernel E(z) = 0F1(a+1; z^2/4) + z/(2(a+1)) 0F1(a+2; z^2/4) (Roesler,
+    CMP 192, 1998); tau_x commutes with T and d/ds, y e^(-sy^2) =
+    -T e^(-sy^2) / (2s) and y^2 e^(-sy^2) = -d/ds e^(-sy^2)."""
+    a, s, x, y = (mp.mpf(v) for v in (alpha, f.gauss_scale, x, y))
+    F = lambda b, z: mp.hyp0f1(b, z * z / 4)
+    E = lambda z: F(a + 1, z) + z / (2 * (a + 1)) * F(a + 2, z)
+    G = lambda t, r: mp.exp(-r * (x * x + t * t)) * E(-2 * r * x * t)
+    Gs = lambda t: mp.diff(lambda r: G(t, r), s)
+    T = lambda h: mp.diff(h, y) + (a + 0.5) * (h(y) - h(-y)) / y
+    tg = lambda: T(lambda t: G(t, s))
+    moments = (lambda: G(y, s), lambda: -tg() / (2 * s), lambda: -Gs(y),
+               lambda: -tg() / (2 * s * s) + T(Gs) / (2 * s))
+    return mp.fsum(c * m() for c, m in zip(f.coeffs, moments) if c)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5, 7.0, 16.0])
+@pytest.mark.parametrize("name", ["gaussian", "cubic_gaussian"])
+def test_closed_form_matches_mpmath(alpha, name):
+    # tau_x f and tau_x f + tau_{-x} f against 50 digits, within 8 roundings
+    # of the larger of 1 and the parts G |S| n_a and G |D| w n_(a+1)/(2(a+1))
+    # (their sum cancels at large same-sign x, y: ROADMAP item 7(b))
+    mp = pytest.importorskip("mpmath")
+    al, f = AlphaParam(alpha), CATALOG[name]
+    mags = np.array([0.3, 2.0, 8.0])
+    x, y = (v.ravel() for v in np.meshgrid(np.r_[mags, -mags], np.r_[mags, -mags]))
+    with mp.workdps(50):
+        one = {(u, v): _tau_mp(mp, alpha, f, u, v)
+               for u, v in zip(x.tolist(), y.tolist())}
+        ref = np.array([float(one[u, v]) for u, v in one])
+        ref_pair = np.array([float(one[u, v] + one[-u, v]) for u, v in one])
+    s, w = f.gauss_scale, 2.0 * f.gauss_scale * np.abs(x * y)
+    g = np.exp(-s * (np.abs(x) - np.abs(y)) ** 2)
+    for pair, got, want in ((False, translate_many(al, f, x, y), ref),
+                            (True, dunklcore._translate_sum(al, f, x, y),
+                             ref_pair)):
+        C = dunklcore._closed_form_polys(alpha, f.coeffs, s, pair)
+        S, D = (np.abs(polyval(y, polyval(x, C[..., i]), tensor=False))
+                for i in (0, 1))
+        parts = g * (S * _scaled_j(alpha, w)
+                     + D * w / (2.0 * (alpha + 1.0)) * _scaled_j(alpha + 1.0, w))
+        assert np.all(np.abs(got - want) <= 8.0 * 2.0 ** -52
+                      * np.maximum(1.0, parts)), pair
 
 
 # -- (b) closed form against the quadrature path -------------------------------
@@ -319,7 +369,7 @@ def test_path_follows_input_type(monkeypatch):
     translate_many(al, CUBIC, 0.7, ys)
 
 
-# -- (e) one Bessel pair per distinct 2s|xy| -----------------------------------
+# -- (e) one Bessel value per order and distinct 2s|xy| ------------------------
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
 def test_one_call_equals_separate_calls_bitwise(alpha):
@@ -369,7 +419,7 @@ def test_per_point_path_is_layout_independent(monkeypatch, alpha):
 
 def _count_closed_form_work(monkeypatch, nu):
     """Points reaching the closed form (the broadcast of its x and y), and
-    Bessel values of order nu."""
+    Bessel values of order nu; one call per order counts several orders."""
     work = {"points": 0, "bessel": 0}
     closed, scaled_j = dunklcore._translate_closed, dunklcore._scaled_j
 
@@ -402,6 +452,23 @@ def test_bessel_pair_shared_by_the_signs(monkeypatch):
     lp_norm(params.norm_ctx(), remainder_profile(params.alpha, 3, CUBIC, 0.7))
     assert work["points"] > 0
     assert work["bessel"] <= work["points"] / 2 + 8
+
+
+@pytest.mark.parametrize("f", [CATALOG["gaussian"], WIDE],
+                         ids=["gaussian", "wide_gaussian"])
+def test_even_function_pair_takes_one_bessel_order(monkeypatch, f):
+    # tau_x f + tau_{-x} f of an even f has D = 0: order a + 1 takes no
+    # Bessel value and order a one per cell of the grid of the 80 distinct
+    # |x| and 37 distinct |u|; tau_x f alone takes both orders
+    al = AlphaParam(-0.25)
+    low = _count_closed_form_work(monkeypatch, al.alpha)
+    high = _count_closed_form_work(monkeypatch, al.alpha + 1.0)
+    x = np.linspace(0.1, 8.0, 80).reshape(-1, 1)
+    u = np.linspace(0.05, 6.0, 37)
+    dunklcore._translate_sum(al, f, x, np.concatenate([u, -u]))
+    assert (low["bessel"], high["bessel"]) == (80 * u.size, 0)
+    translate_many(al, f, x, np.concatenate([u, -u]))
+    assert (low["bessel"], high["bessel"]) == (2 * 80 * u.size, 80 * u.size)
 
 
 def test_each_sign_pair_is_one_call():
