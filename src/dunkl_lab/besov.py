@@ -11,8 +11,13 @@ Four seminorm kinds are computed on truncated log grids:
   C       from ||f * phi_t||_p / t^(beta+k-1), phi = L^(2 n0) e^{-.^2} the
           moment-vanishing bump of order n0 = floor((k-1)/2) + 1
 
-Every kind is sampled on one log grid (x, and t for C) and normed on
-(-NORM_T, NORM_T).  The convolution with the bump is evaluated through the
+A BesovSamples holds the samples of all four kinds for one (alpha, f) and
+reads them at any order k and norm p, each kind computed in one place: node
+values of the L^p rules on (-NORM_T, NORM_T), which serve every p, of
+tau_y f at omega's probes y (order k peels its b_j(y) L^j f off them), of
+the B_tilde and C profiles per bump order n0 (their only dependence on k),
+and of L^j f.  Every kind is read on one log grid (x, and t for C).  The
+convolution with the bump is evaluated through the
 exact identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
 dmu(x): the moment cancellation is analytic, but the symmetric remainder
 tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
@@ -22,15 +27,16 @@ tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
-from .quad import (LpContext, lp_norm, jacobi_rule, lp_norm_from_nodes,
-                   norm_node_values)
+from .quad import (LpContext, jacobi_rule, lp_norm_from_nodes,
+                   norm_node_values, _norm_rules)
+from .dunklcore import translate_many
 from .taylor import remainder_profile, symmetric_remainder_profile
 
 __all__ = [
@@ -82,9 +88,6 @@ class BesovParams:
         if g[-1] / g[0] < 1e3:
             raise ValueError("the grid must span at least three decades")
 
-    def norm_ctx(self) -> LpContext:
-        return LpContext(self.alpha, self.p, NORM_T)
-
 
 @dataclass(frozen=True)
 class SeminormEstimate:
@@ -102,30 +105,101 @@ def _y_probe_grid(x: float) -> np.ndarray:
     return np.concatenate([mags, -mags[1:]])
 
 
+def conv_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
+                 t: float) -> Callable:
+    """u |-> (f * phi_t)(u), vectorized, for the bump phi of order
+    n0 = floor((k-1)/2) + 1, via the symmetric-remainder identity (exact for
+    phi with order-k vanishing moments) on 80 outer nodes on (0, 10 t)."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    phi_t = dilate(alpha, hermite_phi(alpha, (k - 1) // 2 + 1), t)
+    xs, ws = jacobi_rule(80, alpha.weight_exp, 0.0, 10.0 * t)
+    coef = ws * phi_t(xs) / alpha.norm_const
+    sym = symmetric_remainder_profile(alpha, k, f, xs[:, None])
+
+    def prof(us):
+        us = np.asarray(us, dtype=float)
+        return (coef @ sym(us.ravel())).reshape(us.shape)
+
+    return prof
+
+
+KINDS = ("B", "B_tilde", "K", "C")
+
+
+class BesovSamples:
+    """The samples behind the four scales for one (alpha, f), each computed
+    once, on first use, at any x (t for C), and read at any order k and
+    norm p: tau_y f at omega's probes y (B), the omega_tilde profile
+    (B_tilde) and f * phi_t (C) per bump order n0 = floor((k-1)/2) + 1, and
+    L^j f (K), all as values on the nodes of the L^p rules, which serve
+    every p.  None of them depends on q or beta."""
+
+    def __init__(self, alpha: AlphaParam, f: GaussPolyFunction):
+        self.alpha, self.f, self._memo = alpha, f, {}
+
+    def _nodes(self, tag, vs, compute):
+        """[head rows, tail rows] of the node values at the points vs under
+        tag; compute(array of the missing points) gives one (head, tail)
+        pair per point."""
+        keys = [(tag, v) for v in vs]
+        new = list(dict.fromkeys(key for key in keys if key not in self._memo))
+        if new:
+            self._memo.update(zip(new, compute(np.array([v for _, v in new]))))
+        return list(map(np.array, zip(*(self._memo[key] for key in keys))))
+
+    def value(self, kind: str, v, k: int, p: float):
+        """A kind's samples at v, a scalar or an array (t for C), at order k
+        in L^p.  New points are computed in one call, and all are reduced in
+        one: order k peels b_j(y) L^j f, j < k, off the stored tau_y f."""
+        if kind not in KINDS or k < 1:
+            raise ValueError(f"no seminorm kind {kind!r} at order k = {k}")
+        vs = np.asarray(v, dtype=float)
+        if np.any(vs <= 0.0):
+            raise ValueError("x and t must be positive")
+        al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p, NORM_T)
+        if kind == "K":
+            def norm(j):
+                if ("L", j) not in self._memo:
+                    self._memo["L", j] = norm_node_values(
+                        ctx, dunkl_power(al, f, j))
+                return lp_norm_from_nodes(ctx, self._memo["L", j]).value
+            return np.minimum(norm(k - 1), vs * norm(k))[()]
+        if not vs.size:
+            return np.zeros(vs.shape)
+        if kind == "B":
+            us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, NORM_T)]
+            probes = np.array([_y_probe_grid(x) for x in vs.ravel().tolist()])
+            ys, inv = np.unique(probes.ravel(), return_inverse=True)
+            tau = self._nodes("tau", ys.tolist(), lambda y: list(zip(*(
+                translate_many(al, f, y[:, None], u) for u in us))))
+            prof = remainder_profile(al, k, f, ys[:, None])
+            out = lp_norm_from_nodes(ctx, [np.abs(prof(u, tau=t)) for u, t in
+                                           zip(us, tau)]).value
+            out = out[inv.reshape(probes.shape)].max(axis=-1, initial=0.0)
+        else:
+            def compute(xs):    # depends on k through n0 alone
+                if kind == "C":
+                    return [norm_node_values(ctx, conv_profile(al, k, f, t))
+                            for t in xs.tolist()]
+                return list(zip(*norm_node_values(ctx, (
+                    symmetric_remainder_profile(al, k, f, xs[:, None])))))
+            out = lp_norm_from_nodes(ctx, self._nodes(
+                (kind, (k - 1) // 2 + 1), vs.ravel().tolist(), compute)).value
+        return np.reshape(out, vs.shape)[()]
+
+
 def omega(params: BesovParams, f: GaussPolyFunction, x):
     """Modulus of smoothness sup_{|y| <= x} ||R_k(y, f)||_{p,alpha} over a
     17-point probe grid, for a scalar x or an array (the result has its
     shape): the distinct probes of all x are one remainder profile."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("x must be positive")
-    probes = np.array([_y_probe_grid(v) for v in xs.ravel().tolist()])
-    ys, inv = np.unique(probes.ravel(), return_inverse=True)
-    ctx = params.norm_ctx()
-    best = lp_norm_from_nodes(ctx, norm_node_values(ctx, remainder_profile(
-        params.alpha, params.k, f, ys[:, None]))).value[inv.reshape(probes.shape)]
-    return best.max(axis=-1, initial=0.0).reshape(xs.shape)[()]
-
-
-def _omega_tilde_profile(params: BesovParams, f: GaussPolyFunction, x):
-    if np.any(np.asarray(x) <= 0.0):
-        raise ValueError("x must be positive")
-    return symmetric_remainder_profile(params.alpha, params.k, f, x)
+    return BesovSamples(params.alpha, f).value("B", x, params.k, params.p)
 
 
 def omega_tilde(params: BesovParams, f: GaussPolyFunction, x: float) -> float:
     """||R_k(x,f) + R_k(-x,f)||_{p,alpha} via the even-coefficient form."""
-    return lp_norm(params.norm_ctx(), _omega_tilde_profile(params, f, x))
+    return BesovSamples(params.alpha, f).value("B_tilde", x, params.k,
+                                               params.p)
 
 
 def k_functional_upper(params: BesovParams, f: GaussPolyFunction, x):
@@ -137,40 +211,12 @@ def k_functional_upper(params: BesovParams, f: GaussPolyFunction, x):
     integral) never fell below it on the verify and sweep grids.  It matters
     only for functions of finite smoothness, where ||L^k f|| is infinite,
     and none of them is in the catalog."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("x must be positive")
-    ctx = params.norm_ctx()
-    bound_i, norm_k = (lp_norm(ctx, dunkl_power(params.alpha, f, j))
-                       for j in (params.k - 1, params.k))
-    return np.minimum(bound_i, xs * norm_k)[()]
-
-
-# -- convolution with a moment-vanishing bump ----------------------------------
-
-def conv_profile(params: BesovParams, f: GaussPolyFunction,
-                 t: float) -> Callable:
-    """u |-> (f * phi_t)(u), vectorized, for the bump phi of order
-    n0 = floor((k-1)/2) + 1, via the symmetric-remainder identity (exact for
-    phi with order-k vanishing moments) on 80 outer nodes on (0, 10 t)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    al, k = params.alpha, params.k
-    phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
-    xs, ws = jacobi_rule(80, al.weight_exp, 0.0, 10.0 * t)
-    coef = ws * phi_t(xs) / al.norm_const
-    sym = symmetric_remainder_profile(al, k, f, xs[:, None])
-
-    def prof(us):
-        us = np.asarray(us, dtype=float)
-        return (coef @ sym(us.ravel())).reshape(us.shape)
-
-    return prof
+    return BesovSamples(params.alpha, f).value("K", x, params.k, params.p)
 
 
 def conv_norm(params: BesovParams, f: GaussPolyFunction, t: float) -> float:
     """||f * phi_t||_{p,alpha}."""
-    return lp_norm(params.norm_ctx(), conv_profile(params, f, t))
+    return BesovSamples(params.alpha, f).value("C", t, params.k, params.p)
 
 
 # -- seminorms ------------------------------------------------------------------
@@ -195,56 +241,6 @@ def _edge_slopes(grid, integrand):
     hs = slope_estimate(list(zip(g[head], m[head]))) if head.sum() >= 4 else 1.0
     ts = slope_estimate(list(zip(g[tail], m[tail]))) if tail.sum() >= 4 else -1.0
     return hs, ts
-
-
-KINDS = ("B", "B_tilde", "K", "C")
-
-
-class BesovSamples:
-    """The samples behind the four scales for one (alpha, k, grid, f), each
-    computed once, on first use, at any x (t for C): omega (B) and the K
-    bound (K) at params.p; the omega_tilde profile (B_tilde) and f * phi_t
-    (C) on the nodes of the L^p rules, which give their norms for every p.
-    None of them depends on q or beta."""
-
-    def __init__(self, params: BesovParams, f: GaussPolyFunction):
-        self.params, self.f, self._memo = params, f, {}
-
-    def _compute(self, kind: str, vs: np.ndarray):
-        pr, f, ctx = self.params, self.f, self.params.norm_ctx()
-        if kind in ("B", "K"):
-            return (omega if kind == "B" else k_functional_upper)(pr, f, vs)
-        if kind == "B_tilde":
-            return list(zip(*norm_node_values(
-                ctx, _omega_tilde_profile(pr, f, vs[:, None]))))
-        return [norm_node_values(ctx, conv_profile(pr, f, t))
-                for t in vs.tolist()]
-
-    def value(self, kind: str, v, p: Optional[float] = None):
-        """A kind's samples at v, a scalar or an array (t for C), in L^p,
-        p = params.p unless given (only B_tilde and C take another p).
-        New points are computed in one call, and all are reduced in one."""
-        pr = self.params
-        if kind not in KINDS:
-            raise ValueError(f"unknown seminorm kind {kind!r}")
-        if kind in ("B", "K") and p not in (None, pr.p):
-            raise ValueError(f"{kind} is sampled at p = {pr.p:g} only")
-        vs = np.asarray(v, dtype=float)
-        keys = [(kind, u) for u in vs.ravel().tolist()]
-        new = list(dict.fromkeys(key for key in keys if key not in self._memo))
-        if new:
-            self._memo.update(zip(new, self._compute(
-                kind, np.array([u for _, u in new]))))
-        out = [self._memo[key] for key in keys]
-        if out and kind not in ("B", "K"):
-            ctx = replace(pr.norm_ctx(), p=pr.p if p is None else p)
-            out = lp_norm_from_nodes(ctx, list(map(np.array, zip(*out)))).value
-        return np.reshape(out, vs.shape)[()]
-
-    def samples(self, kind: str, p: Optional[float] = None):
-        """(grid, m): a kind's samples on the grid (t for C, x for the rest)."""
-        grid = np.asarray(self.params.grid, dtype=float)
-        return grid, self.value(kind, grid, p)
 
 
 def seminorm_from_samples(params: BesovParams, kind: str, grid, m
@@ -295,15 +291,15 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
     p = 1 only the direction controlled by the upper convolution estimate is
     asserted (the reverse estimate requires p > 1).  Any sub-computation
     failure yields INCONCLUSIVE, never PASS.  Once every kind's grid is
-    sampled, the BesovSamples is returned under "samples", for aggregating
-    at other q, beta and p.
+    sampled, the BesovSamples is returned under "samples", for reading at
+    other k and p and aggregating at other q and beta.
     """
-    al, k, out = params.alpha, params.k, {}
+    al, k, p, out = params.alpha, params.k, params.p, {}
     try:
-        s = BesovSamples(params, f)
-        grids = {kind: s.samples(kind) for kind in KINDS}
+        s, xg = BesovSamples(al, f), np.asarray(params.grid, dtype=float)
+        grids = {kind: (xg, s.value(kind, xg, k, p)) for kind in KINDS}
         out["samples"] = s
-        xg, omt = grids["B_tilde"]
+        omt = grids["B_tilde"][1]
         win = (1e-2 <= xg) & (xg <= 1.0)
         xs = xg[win]
         ratio = grids["B"][1][win] / (xs ** (k - 1) * grids["K"][1][win])
@@ -322,11 +318,11 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
                            * omt, lx)
         pos = rhs > 0.0
         out["conv_upper_ratio_max"] = float(np.max(
-            s.value("C", probes)[pos] / rhs[pos]))
+            s.value("C", probes, k, p)[pos] / rhs[pos]))
         upper_ok = math.isfinite(out["conv_upper_ratio_max"])
 
         lower_ok = True
-        if params.p > 1.0:
+        if p > 1.0:
             # reverse estimate: omega_tilde(x) <= c int min{(x/t)^(k-1),
             #                   (x/t)^k} ||phi_t * f|| dt/t
             tg, cn = grids["C"]
@@ -335,7 +331,7 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
                                * cn, lt)
             pos = rhs > 0.0
             out["conv_lower_ratio_max"] = float(np.max(
-                s.value("B_tilde", probes)[pos] / rhs[pos]))
+                s.value("B_tilde", probes, k, p)[pos] / rhs[pos]))
             lower_ok = math.isfinite(out["conv_lower_ratio_max"])
 
         for kind in KINDS:

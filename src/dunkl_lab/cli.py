@@ -246,13 +246,13 @@ def cmd_taylor(cfg: RunConfig) -> int:
 def _besov_rows(cfg: RunConfig):
     """The sample set behind the besov and sweep tables, the grid points
     x <= 10 they tabulate, and the (x, omega, omega_tilde, k_upper) rows."""
-    al = AlphaParam(cfg.alpha)
-    pr = B.BesovParams(al, cfg.k, cfg.p, cfg.q, cfg.beta, cfg.grid())
-    s = B.BesovSamples(pr, cfg.resolve_function())
-    xs = [x for x in cfg.grid().tolist() if x <= 10.0]
-    om, omt, ku = (s.value(kind, np.array(xs)).tolist()
+    pr = B.BesovParams(AlphaParam(cfg.alpha), cfg.k, cfg.p, cfg.q, cfg.beta,
+                       cfg.grid())
+    s = B.BesovSamples(pr.alpha, cfg.resolve_function())
+    xs = pr.grid[pr.grid <= 10.0]
+    om, omt, ku = (s.value(kind, xs, pr.k, pr.p).tolist()
                    for kind in ("B", "B_tilde", "K"))
-    return s, xs, list(zip(xs, om, omt, ku))
+    return s, xs, list(zip(xs.tolist(), om, omt, ku))
 
 
 def cmd_besov(cfg: RunConfig) -> int:
@@ -265,7 +265,7 @@ def cmd_besov(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     s, ts, smooth = _besov_rows(cfg)
-    conv = list(zip(ts, s.value("C", np.array(ts)).tolist()))
+    conv = list(zip(ts.tolist(), s.value("C", ts, cfg.k, cfg.p).tolist()))
     p1 = _write_table(cfg, "smoothness",
                       ("x", "omega", "omega_tilde", "k_upper"), smooth)
     p2 = _write_table(cfg, "convolution", ("t", "conv_norm"), conv)

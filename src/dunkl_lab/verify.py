@@ -321,8 +321,12 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
 
 # ------------------------------------------------------------------ besov ----
 
+#: the x grid of B, B_tilde and K and the t grid of C in the besov suite
+COARSE_GRID = B.default_grid(1e-3, 1e2, 4)
+
+
 def _coarse_params(al, k, p, q, beta):
-    return B.BesovParams(al, k, p, q, beta, B.default_grid(1e-3, 1e2, 4))
+    return B.BesovParams(al, k, p, q, beta, COARSE_GRID)
 
 
 def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
@@ -330,30 +334,27 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
     checks = []
     gauss = TEST_FUNCTIONS[0][1]
     # the equivalence diagnostics (k = 2) run first: the sample set each one
-    # returns serves the scaling checks at k = 2 and the q, beta, p checks
-    reps = {}
+    # returns serves the scaling checks at every k and the q, beta, p checks
+    reps = {a: B.equivalence_report(_coarse_params(AlphaParam(a), 2, 2.0,
+                                                   1.0, 0.5), gauss)
+            for a in alphas}
+    # the scaling window of omega and C, and the sandwich window
+    xs, xs2 = np.geomspace(1e-2, 1e-1, 8), np.geomspace(1e-2, 1.0, 12)
     for a in alphas:
         al = AlphaParam(a)
-        reps[a] = B.equivalence_report(_coarse_params(al, 2, 2.0, 1.0, 0.5),
-                                       gauss)
-    for a in alphas:
-        al = AlphaParam(a)
+        sm = reps[a].get("samples") or B.BesovSamples(al, gauss)
+        wide = B.BesovSamples(al, WIDE_GAUSSIAN)
         for k in ks:
             n0 = (k - 1) // 2 + 1
-            pr = _coarse_params(al, k, 2.0, 1.0, 0.5)
-            sm = reps[a].get("samples") if k == 2 else None
-            if sm is None:
-                sm = B.BesovSamples(pr, gauss)
-
-            xs = np.geomspace(1e-2, 1e-1, 8)
-            s_om = B.slope_estimate(list(zip(xs.tolist(), sm.value("B", xs))))
+            s_om = B.slope_estimate(list(zip(xs.tolist(),
+                                             sm.value("B", xs, k, 2.0))))
             checks.append(_check(
                 f"omega-scaling[a={a},k={k}]",
                 "modulus of smoothness scales with exponent k",
                 abs(s_om - k), 0.1))
 
-            ts = np.geomspace(1e-2, 1e-1, 8)
-            s_cv = B.slope_estimate(list(zip(ts.tolist(), sm.value("C", ts))))
+            s_cv = B.slope_estimate(list(zip(xs.tolist(),
+                                             sm.value("C", xs, k, 2.0))))
             checks.append(_check(
                 f"conv-scaling[a={a},k={k}]",
                 "bump convolution decays with the first surviving moment "
@@ -362,10 +363,9 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                 detail="even bumps force an even first moment; for odd k the "
                        "naive exponent-k window is unattainable"))
 
-            xs2 = np.geomspace(1e-2, 1.0, 12)
-            wide = B.BesovSamples(pr, WIDE_GAUSSIAN)
-            rat = [om / (x ** (k - 1) * ku) for x, om, ku in
-                   zip(xs2.tolist(), wide.value("B", xs2), wide.value("K", xs2))]
+            rat = [om / (x ** (k - 1) * ku) for x, om, ku in zip(
+                xs2.tolist(), *(wide.value(kind, xs2, k, 2.0)
+                                for kind in ("B", "K")))]
             s_r = B.slope_estimate(list(zip(xs2, rat)))
             checks.append(_check(
                 f"sandwich-flatness[a={a},k={k}]",
@@ -391,8 +391,9 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
         # without a sample set these checks are INCONCLUSIVE (nan residual)
         sm = rep.get("samples")
         lost = "" if sm is not None else f"no sample set: {rep['error']}"
-        grids = ({} if sm is None
-                 else {kind: sm.samples(kind) for kind in B.KINDS})
+        grids = ({} if sm is None else {
+            kind: (COARSE_GRID, sm.value(kind, COARSE_GRID, k, 2.0))
+            for kind in B.KINDS})
         for q in qs:
             q_label = "inf" if math.isinf(q) else f"{q:g}"
             for beta in betas:
@@ -409,8 +410,8 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
         pr1 = _coarse_params(al, k, 1.0, 1.0, 0.5)
         ok = math.nan
         if sm is not None:
-            bt, cv = (B.seminorm_from_samples(pr1, kind,
-                                              *sm.samples(kind, p=1.0))
+            bt, cv = (B.seminorm_from_samples(
+                pr1, kind, COARSE_GRID, sm.value(kind, COARSE_GRID, k, 1.0))
                       for kind in ("B_tilde", "C"))
             # B_tilde finite => C finite
             ok = 0.0 if (not bt.diverging) <= (not cv.diverging) else math.inf

@@ -1,17 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from dunkl_lab import besov as B
+from dunkl_lab import besov as B, dunklcore
 from dunkl_lab import verify
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import (GaussPolyFunction, hermite_phi, dilate,
                                dunkl_power, lambda_basis, lambda_coeffs)
-from dunkl_lab.quad import lp_norm, lp_norm_from_nodes, norm_node_values
+from dunkl_lab.quad import (LpContext, lp_norm, lp_norm_from_nodes,
+                            norm_node_values)
 from dunkl_lab.dunklcore import convolve
-from dunkl_lab.taylor import _theta_terms, _theta_weighted_integral
-from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples, default_grid,
+from dunkl_lab.taylor import (_theta_terms, _theta_weighted_integral,
+                              remainder_profile, symmetric_remainder_profile)
+from dunkl_lab.besov import (KINDS, NORM_T, BesovParams, BesovSamples,
+                             default_grid,
                              omega, omega_tilde, k_functional_upper,
                              conv_profile, conv_norm,
                              seminorm_from_samples, slope_estimate,
@@ -25,6 +29,10 @@ GRID = default_grid(1e-3, 1e2, 4)
 
 def make_params(k=2, p=2.0, q=1.0, beta=0.5):
     return BesovParams(AL, k, p, q, beta, GRID)
+
+
+def norm_ctx(params):
+    return LpContext(params.alpha, params.p, NORM_T)
 
 
 def test_default_grid():
@@ -74,8 +82,8 @@ def test_k_functional_upper_below_trivial_splittings():
             for k in (1, 2, 3):
                 for p in (1.0, 2.0):
                     pr = BesovParams(al, k, p, 1.0, 0.5, GRID)
-                    n0 = lp_norm(pr.norm_ctx(), dunkl_power(al, f, k - 1))
-                    n1 = lp_norm(pr.norm_ctx(), dunkl_power(al, f, k))
+                    n0 = lp_norm(norm_ctx(pr), dunkl_power(al, f, k - 1))
+                    n1 = lp_norm(norm_ctx(pr), dunkl_power(al, f, k))
                     assert k_functional_upper(pr, f, xs).tolist() == [
                         min(n0, x * n1) for x in xs.tolist()]
                     ku = k_functional_upper(pr, f, 0.4)
@@ -85,17 +93,16 @@ def test_k_functional_upper_below_trivial_splittings():
 
 
 def test_conv_profile_matches_direct_convolution():
-    pr = make_params(k=2)
     phi = hermite_phi(AL, 1)
     t = 0.8
-    prof = conv_profile(pr, GAUSS, t)
+    prof = conv_profile(AL, 2, GAUSS, t)
     phit = dilate(AL, phi, t)
     for u in (0.0, 0.5, -1.2):
         direct = convolve(AL, GAUSS, phit, u, T=8.0)
         assert float(prof(np.array([u]))[0]) == pytest.approx(
             direct, rel=1e-10, abs=1e-12)
     with pytest.raises(ValueError):
-        conv_profile(pr, GAUSS, 0.0)
+        conv_profile(AL, 2, GAUSS, 0.0)
 
 
 def _exact_conv(al, k, f, t):
@@ -115,7 +122,7 @@ def _conv_error(alpha, k, f, t):
     """conv_profile's largest error on [-6, 6] relative to max |f * phi_t|."""
     al, us = AlphaParam(alpha), np.linspace(-6.0, 6.0, 25)
     exact = _exact_conv(al, k, f, t)(us)
-    got = conv_profile(BesovParams(al, k, 2.0, 1.0, 0.5, GRID), f, t)(us)
+    got = conv_profile(al, k, f, t)(us)
     return np.max(np.abs(got - exact)) / np.max(np.abs(exact))
 
 
@@ -197,16 +204,22 @@ def test_seminorm_divergence_flag():
 
 
 def test_seminorm_samples_validation():
-    pr = make_params()
+    s = BesovSamples(AL, GAUSS)
     with pytest.raises(ValueError):
-        BesovSamples(pr, GAUSS).samples("bogus")
-    with pytest.raises(ValueError):                 # B and K only at params.p
-        BesovSamples(pr, GAUSS).value("B", 0.5, p=1.0)
+        s.value("bogus", GRID, 2, 2.0)
+    for kind in KINDS:
+        with pytest.raises(ValueError):             # order k >= 1
+            s.value(kind, 0.5, 0, 2.0)
+        with pytest.raises(ValueError):             # x and t > 0
+            s.value(kind, np.array([0.5, 0.0]), 2, 2.0)
+        with pytest.raises(ValueError):             # p >= 1
+            s.value(kind, 0.5, 2, 0.5)
 
 
 def test_seminorm_c_kind_finite():
     pr = make_params(k=2, q=1.0, beta=0.5)
-    est = seminorm_from_samples(pr, "C", *BesovSamples(pr, GAUSS).samples("C"))
+    est = seminorm_from_samples(pr, "C", GRID, BesovSamples(AL, GAUSS).value(
+        "C", GRID, 2, 2.0))
     assert est.kind == "C"
     assert math.isfinite(est.value) and est.value > 0
     assert not est.diverging
@@ -300,17 +313,16 @@ def _equivalence_report_loop(params, f, sandwich_window=(1e-2, 1.0),
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_sample_set_matches_reference_loop(p):
     pr = make_params(k=2, p=p)
-    s = BesovSamples(pr, CUBIC)
+    s = BesovSamples(AL, CUBIC)
     for kind in KINDS:
-        grid, m = s.samples(kind)
         ref_grid, ref = _seminorm_samples_loop(pr, CUBIC, kind)
-        assert np.array_equal(grid, ref_grid)
-        assert m.tolist() == ref.tolist(), kind           # bit for bit
-    # one set serves the other p from the same profile values
-    other = make_params(k=2, p=3.0 - p)
-    s2 = BesovSamples(other, CUBIC)
-    for kind in ("B_tilde", "C"):
-        assert s2.samples(kind, p=p)[1].tolist() == s.samples(kind)[1].tolist()
+        assert np.array_equal(GRID, ref_grid)
+        assert s.value(kind, GRID, 2, p).tolist() == ref.tolist(), kind
+    # the set serves the other p from the same node values, as a fresh one
+    for kind in KINDS:
+        assert (s.value(kind, GRID, 2, 3.0 - p).tolist()
+                == BesovSamples(AL, CUBIC).value(kind, GRID, 2, 3.0 - p)
+                .tolist()), kind
 
 
 def test_equivalence_report_matches_reference_form():
@@ -320,36 +332,60 @@ def test_equivalence_report_matches_reference_form():
     assert rep == _equivalence_report_loop(pr, GAUSS)
 
 
-def _counting(monkeypatch, names):
-    """The number of points of each call of the named besov functions."""
-    calls = {name: [] for name in names}
-    for name in names:
-        orig = getattr(B, name)
+def _closed_form_calls(monkeypatch):
+    """[(key, points)] of each closed-form translation call, its key the
+    call's (alpha, f, x, y, pair)."""
+    calls, orig = [], dunklcore._translate_closed
 
-        def wrapper(*args, _orig=orig, _name=name, **kw):
-            calls[_name].append(int(np.size(args[2])))
-            return _orig(*args, **kw)
+    def wrapper(alpha, f, x, y, pair=False):
+        calls.append(((alpha, f, x.shape, x.tobytes(), y.shape, y.tobytes(),
+                       pair), int(np.broadcast(x, y).size)))
+        return orig(alpha, f, x, y, pair)
 
-        monkeypatch.setattr(B, name, wrapper)
+    monkeypatch.setattr(dunklcore, "_translate_closed", wrapper)
     return calls
 
 
+def _repeated(calls):
+    seen, out = set(), []
+    for key, n in calls:
+        if key in seen:
+            out.append((key, n))
+        seen.add(key)
+    return out
+
+
 def test_besov_slice_computes_each_sample_once(monkeypatch):
-    calls = _counting(monkeypatch, ("omega", "k_functional_upper"))
+    calls = _closed_form_calls(monkeypatch)
     checks = verify.suite_besov(alphas=(-0.25,), ks=(2,))
     assert all(c["status"] == "PASS" for c in checks)
-    # one call per kind and point set: omega on the 21 grid points, on the
-    # 6 of the 8 omega-scaling points the grid lacks, and on the 12 sandwich
-    # points of the wide Gaussian; K on the 21 grid points and the 12
-    # sandwich points
-    assert calls == {"omega": [21, 6, 12], "k_functional_upper": [21, 12]}
+    # no (alpha, f, x, y, pair) is translated twice
+    assert calls and _repeated(calls) == []
+
+
+def test_besov_suite_repeats_only_the_shared_bump_sums(monkeypatch):
+    calls = _closed_form_calls(monkeypatch)
+    checks = verify.suite_besov()
+    assert all(c["status"] == "PASS" for c in checks)
+    # C at n0 = 1 (k = 1, 2) and n0 = 2 (k = 3) sums tau_x f + tau_{-x} f
+    # on the same 80 outer nodes at each of the 8 conv-scaling t, on the
+    # head and the tail nodes of the L^p rules: 48 calls of 80 x 320 or
+    # 80 x 64 points over the three alpha, and nothing else repeats
+    rep = _repeated(calls)
+    assert all(key[-1] for key, _ in rep)
+    assert len(rep) <= 48 and sum(n for _, n in rep) <= 737_280
+    assert sum(n for _, n in calls) <= 3_858_048
 
 
 def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
-    def broken(*args, **kw):
-        raise RuntimeError("no omega_tilde profile")
+    value = BesovSamples.value
 
-    monkeypatch.setattr(B, "_omega_tilde_profile", broken)
+    def broken(self, kind, *args):
+        if kind == "B_tilde":
+            raise RuntimeError("no omega_tilde profile")
+        return value(self, kind, *args)
+
+    monkeypatch.setattr(BesovSamples, "value", broken)
     checks = verify.suite_besov(alphas=(-0.25,), ks=(1,), qs=(1.0,),
                                 betas=(0.3,))
     by_id = {c["id"]: c for c in checks}
@@ -382,6 +418,21 @@ def test_theta_weighted_integral_evaluates_h_once_per_node_count():
 
 # -- grid-at-once sampling against the per-x calls ------------------------------
 
+@functools.cache
+def _reference(alpha, kind, k, p, v):
+    """CUBIC's sample of a kind at v, from its profile and lp_norm alone."""
+    al = AlphaParam(alpha)
+    ctx = LpContext(al, p, NORM_T)
+    if kind == "B":
+        return max(lp_norm(ctx, remainder_profile(al, k, CUBIC, float(y)))
+                   for y in B._y_probe_grid(v))
+    if kind == "K":
+        lo, hi = (lp_norm(ctx, dunkl_power(al, CUBIC, j)) for j in (k - 1, k))
+        return min(lo, v * hi)
+    return lp_norm(ctx, symmetric_remainder_profile(al, k, CUBIC, v)
+                   if kind == "B_tilde" else conv_profile(al, k, CUBIC, v))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
@@ -389,33 +440,35 @@ def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
     al = AlphaParam(alpha)
     pr = BesovParams(al, k, p, 1.0, 0.5, GRID)
     xs = np.array([2e-3, 0.03, 0.4, 0.4, 3.0])      # a repeated x as well
-    scalar = {fn: [fn(pr, CUBIC, float(x)) for x in xs]
-              for fn in (omega, k_functional_upper)}
-    # the former loop: one profile and one lp_norm per probe; the row norms
-    # of one profile over all x are the per-x norms, bit for bit
-    ctx = pr.norm_ctx()
-    assert scalar[omega] == [
-        max(lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(y)))
-            for y in B._y_probe_grid(float(x))) for x in xs]
+    ref = {kind: [_reference(alpha, kind, k, p, x) for x in xs.tolist()]
+           for kind in KINDS}
+    # the row norms of one profile over all x are the per-x norms, bit for bit
+    ctx = LpContext(al, p, NORM_T)
     assert lp_norm_from_nodes(ctx, norm_node_values(ctx, B.remainder_profile(
         al, k, CUBIC, xs[:, None]))).value.tolist() == [
         lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(x))) for x in xs]
-    for fn, ref in scalar.items():
+    for kind, fn in zip(KINDS, (omega, omega_tilde, k_functional_upper,
+                                conv_norm)):
         got = fn(pr, CUBIC, xs)
-        assert got.shape == xs.shape and got.tolist() == ref, fn.__name__
-        assert fn(pr, CUBIC, xs.reshape(5, 1))[:, 0].tolist() == ref
+        assert got.shape == xs.shape and got.tolist() == ref[kind], kind
+        assert fn(pr, CUBIC, xs.reshape(5, 1))[:, 0].tolist() == ref[kind]
         assert isinstance(fn(pr, CUBIC, 0.4), float)
     # a sample set computes each kind's missing points in one call
-    s = BesovSamples(pr, CUBIC)
-    assert s.value("B", xs[1:3]).tolist() == scalar[omega][1:3]
-    assert s.samples("B")[1].tolist() == [omega(pr, CUBIC, float(x))
-                                          for x in GRID]
-    assert s.value("K", xs).tolist() == scalar[k_functional_upper]
-    assert s.value("B_tilde", xs).tolist() == [omega_tilde(pr, CUBIC, float(x))
-                                               for x in xs]
-    assert s.value("C", xs[:3]).tolist() == [conv_norm(pr, CUBIC, float(t))
-                                             for t in xs[:3]]
-    assert s.value("B", 0.03) == scalar[omega][1]
+    s = BesovSamples(al, CUBIC)
+    assert s.value("B", xs[1:3], k, p).tolist() == ref["B"][1:3]
+    assert s.value("B", GRID, k, p).tolist() == [omega(pr, CUBIC, float(x))
+                                                 for x in GRID]
+    for kind in KINDS:
+        assert s.value(kind, xs, k, p).tolist() == ref[kind], kind
+    assert s.value("B", 0.03, k, p) == ref["B"][1]
+    # read at every order and norm in turn, the one set gives each fresh
+    # reference: order k peels its terms off the stored signed tau_y f
+    for kk in (1, 2, 3, 4):
+        for pp in (1.0, 1.5, 2.0):
+            for kind in KINDS:
+                assert s.value(kind, xs[1:4], kk, pp).tolist() == [
+                    _reference(alpha, kind, kk, pp, x)
+                    for x in xs[1:4].tolist()], (kind, kk, pp)
 
 
 def test_the_grid_opens_61_probe_profiles(monkeypatch):

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from dunkl_lab import dunklcore, taylor
-from dunkl_lab.besov import BesovParams, conv_norm, conv_profile, default_grid
+from dunkl_lab.besov import (NORM_T, BesovParams, conv_norm, conv_profile,
+                             default_grid)
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
 from dunkl_lab.quad import NORM_NODES, LpContext, jacobi_rule, lp_norm
@@ -295,7 +296,7 @@ def test_batched_conv_profile_matches_loop(alpha, k):
     params = _params(alpha, k)
     us = np.linspace(-6.0, 6.0, 31)
     for t in (1e-2, 0.2, 2.0):
-        _close(conv_profile(params, CUBIC, t)(us),
+        _close(conv_profile(params.alpha, params.k, CUBIC, t)(us),
                _conv_profile_loop(params, CUBIC, t)(us), 1e-10)
 
 
@@ -444,12 +445,13 @@ def test_bessel_pair_shared_by_the_signs(monkeypatch):
     # symmetric us adds +-u: one Bessel value per cell of the grid of the
     # 80 distinct |x| and the 37 distinct |u|
     u = np.linspace(0.1, 6.0, 37)
-    conv_profile(params, CUBIC, 0.2)(np.concatenate([u, -u]))
+    conv_profile(params.alpha, 3, CUBIC, 0.2)(np.concatenate([u, -u]))
     assert work["points"] == 2 * 80 * u.size
     assert work["bessel"] == 80 * u.size
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
     work.update(points=0, bessel=0)
-    lp_norm(params.norm_ctx(), remainder_profile(params.alpha, 3, CUBIC, 0.7))
+    lp_norm(LpContext(params.alpha, params.p, NORM_T),
+            remainder_profile(params.alpha, 3, CUBIC, 0.7))
     assert work["points"] > 0
     assert work["bessel"] <= work["points"] / 2 + 8
 
