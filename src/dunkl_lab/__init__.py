@@ -2,13 +2,12 @@
 convolution, transform, generalized Taylor remainders, and Besov-type
 smoothness diagnostics."""
 
-from .special import AlphaParam, bessel_j_normalized, dunkl_kernel
+from .special import AlphaParam, dunkl_kernel
 from .funcalg import GaussPolyFunction, dunkl_apply, dunkl_power, dilate, hermite_phi
 from .quad import LpContext, integrate, lp_norm
 
 __all__ = [
     "AlphaParam",
-    "bessel_j_normalized",
     "dunkl_kernel",
     "GaussPolyFunction",
     "dunkl_apply",

@@ -5,7 +5,7 @@
     dunkl-lab taylor    --alpha A --k K --function NAME --x X --a A0
     dunkl-lab besov     --alpha A --k K --p P --q Q --beta B --function NAME
     dunkl-lab sweep     [--config FILE] [flags]      -> smoothness/convolution CSVs
-    dunkl-lab verify    [--config FILE] [--paper-defaults] [--suite NAME ...]
+    dunkl-lab verify    [--config FILE] [--suite NAME ...]
 
 Configuration is a single JSON document; flags override its fields.  Each
 command takes --config and one flag per field it reads (COMMAND_FIELDS),
@@ -59,7 +59,7 @@ COMMAND_FIELDS = {
     "taylor": ("alpha", "k", "function", "function_record", "x", "a"),
     "besov": _GRID_TABLE,
     "sweep": _GRID_TABLE,
-    "verify": ("suites", "paper_defaults", "out_dir", "report_path"),
+    "verify": ("suites", "out_dir", "report_path"),
 }
 #: flag spellings that differ from "--" + the field name with dashes
 _FLAG_NAMES = {"fmt": "--format", "suites": "--suite"}
@@ -85,7 +85,6 @@ class RunConfig:
     out_dir: str = "."
     fmt: str = "csv"
     report_path: str = "report.json"
-    paper_defaults: bool = False
 
     def validate(self):
         for name in ("alpha", "k", "p", "q", "beta", "t", "x", "a", "x_min",
@@ -96,7 +95,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
         for name, kind in (("k", int), ("function", str), ("suites", list),
                            ("out_dir", str), ("fmt", str), ("report_path", str),
-                           ("paper_defaults", bool),
                            ("function_record", (dict, type(None)))):
             v = getattr(self, name)         # json.load gives any type
             if not isinstance(v, kind):
@@ -288,7 +286,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = {
         "config": {
             "suites": list(cfg.suites),
-            "paper_defaults": cfg.paper_defaults,
             "alphas": list(V.DEFAULT_ALPHAS),
             "ks": list(V.DEFAULT_KS),
             "ps": list(V.DEFAULT_PS),
@@ -331,8 +328,6 @@ _FLAG_KEYWORDS = {
     "fmt": dict(choices=("csv", "json")),
     "suites": dict(action="append", help=f"restrict verify to a suite "
                    f"({', '.join(V.SUITES)}); repeatable"),
-    "paper_defaults": dict(action="store_true", default=None,
-                           help="run the canonical reproduction matrix"),
 }
 
 

@@ -37,7 +37,6 @@ from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
 from .quad import integrate, rowdot, _jacobi_ref, _norm_rules
 
 __all__ = [
-    "w_kernel",
     "w_total_variation",
     "translate",
     "translate_many",
@@ -52,13 +51,10 @@ TRANSLATE_NODES = 48
 _BLOCK = 16384
 
 
-def _w_const(a: float) -> float:
-    return math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
-                                       * math.gamma(a + 0.5))
-
-
 def _measure_const(a: float) -> float:
-    # _w_const(a) 2^(2a) / (2 norm_const) by logs: Gamma(a+1)^2 overflows
+    # the constant Gamma(a+1)^2 / (2^(a-1) sqrt(pi) Gamma(a+1/2)) of the
+    # density W_a, times 2^(2a) / (2 norm_const), by logs: Gamma(a+1)^2
+    # overflows
     return (math.exp(math.lgamma(a + 1.0) - math.lgamma(a + 0.5))
             / (2.0 * math.sqrt(math.pi)))
 
@@ -72,33 +68,6 @@ def _measure_nodes(xs, ys, t):
     b0 = 1.0 + np.sign(xs * ys) * t
     q = xs + ys + t * (np.sign(xs) * ays + np.sign(ys) * axs)
     return zs, b0, q / zs
-
-
-def w_kernel(alpha: AlphaParam, x: float, y: float, z):
-    """Density W_a(x, y, z) of the translation measure; zero off-support.
-
-    Requires x, y != 0 (the point-mass cases have no density).
-    """
-    if x == 0.0 or y == 0.0:
-        raise ValueError("w_kernel is undefined for x = 0 or y = 0 (point mass)")
-    a = alpha.alpha
-    z = np.asarray(z, dtype=float)
-    ax, ay = abs(x), abs(y)
-    lo, hi = abs(ax - ay), ax + ay
-    az = np.abs(z)
-    inside = (az >= lo) & (az <= hi)
-    out = np.zeros(np.broadcast(z).shape or (1,))
-    zz = np.atleast_1d(z)[np.atleast_1d(inside)]
-    if zz.size:
-        bxyz = (x * x + y * y - zz * zz) / (2.0 * x * y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bzxy = np.where(zz != 0.0, (zz * zz + x * x - y * y) / (2.0 * zz * x), 0.0)
-            bzyx = np.where(zz != 0.0, (zz * zz + y * y - x * x) / (2.0 * zz * y), 0.0)
-            delta = ((hi * hi - zz * zz) * (zz * zz - lo * lo)) ** (a - 0.5) \
-                / np.abs(x * y * zz) ** (2.0 * a)
-        vals = _w_const(a) * (1.0 - bxyz + bzxy + bzyx) * delta
-        np.place(out, np.atleast_1d(inside), vals)
-    return out if np.ndim(z) else float(out[0])
 
 
 def translate(alpha: AlphaParam, f: Callable, x: float, y: float):

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "AlphaParam",
     "pochhammer",
-    "bessel_j_normalized",
     "dunkl_kernel",
 ]
 
@@ -214,16 +213,6 @@ def _j_pair(nu: float, z):
         out[0, lo:hi] = yb / (total * mu * r)
         out[1, lo:hi] = ya / total
     return out[:, np.argsort(order)].reshape((2,) + np.shape(z))
-
-
-def bessel_j_normalized(alpha, z):
-    """Normalized Bessel function j_a(z) = 2^a Gamma(a+1) J_a(z) / z^a,
-    with j_a(0) = 1.  Even in z; vectorized over z."""
-    a = _as_alpha(alpha)
-    if not a >= -0.5:
-        raise ValueError(f"order must be >= -1/2, got {a}")
-    out = _j_pair(a, z)[0]
-    return float(out) if out.ndim == 0 else out
 
 
 def dunkl_kernel(alpha, lam: complex, x: float) -> complex:

@@ -20,7 +20,7 @@ SQRT2 = math.sqrt(2.0)
 
 def _run_verify(out_dir):
     proc = subprocess.run(
-        [sys.executable, "-m", "dunkl_lab.cli", "verify", "--paper-defaults",
+        [sys.executable, "-m", "dunkl_lab.cli", "verify",
          "--out-dir", str(out_dir)],
         capture_output=True, text=True)
     return proc

@@ -546,14 +546,14 @@ _FLAG_VALUES = {"--alpha": "0.5", "--k": "2", "--p": "2", "--q": "inf",
                 "--x": "0.9", "--a": "0.3", "--x-min": "0.01",
                 "--x-max": "10", "--points-per-decade": "1",
                 "--format": "json", "--report-path": "r.json",
-                "--suite": "kernel", "--paper-defaults": None}
+                "--suite": "kernel"}
 _FIELD_VALUES = {"alpha": 0.5, "k": 2, "p": 2.0, "q": "inf", "beta": 0.5,
                  "function": "gaussian",
                  "function_record": {"coeffs": [1.0], "gauss_scale": 1.0},
                  "t": 1.0, "x": 0.9, "a": 0.3, "x_min": 0.01, "x_max": 10.0,
                  "points_per_decade": 1, "fmt": "json",
                  "report_path": "r.json", "suites": ["kernel"],
-                 "paper_defaults": False, "command": "kernel"}
+                 "command": "kernel"}
 
 
 def _field(flag):
@@ -562,10 +562,7 @@ def _field(flag):
 
 
 def _argv(flags):
-    out = []
-    for flag in flags:
-        out += [flag] if _FLAG_VALUES[flag] is None else [flag, _FLAG_VALUES[flag]]
-    return out
+    return [v for flag in flags for v in (flag, _FLAG_VALUES[flag])]
 
 
 @pytest.mark.parametrize("command", ["kernel", "translate", "taylor", "besov",
@@ -604,7 +601,7 @@ def test_commands_reject_the_flags_and_fields_they_ignore(tmp_path, capsys,
     ("verify", {"suites": ["taylor", 3]}, "unknown suite(s): 3"),
     ("verify", {"suites": [["taylor"]]}, "unhashable type"),
     ("verify", {"report_path": 5}, "report_path has the wrong type"),
-    ("verify", {"paper_defaults": "yes"}, "paper_defaults has the wrong type"),
+    ("verify", {"suites": "kernel"}, "suites has the wrong type: 'kernel'"),
     ("taylor", {"function_record": 5}, "function_record has the wrong type"),
     ("taylor", {"function_record": {"coeffs": 5, "gauss_scale": 1.0}},
      "'int' object is not iterable"),
@@ -811,35 +808,18 @@ def test_flags_take_the_type_of_their_field():
         == [float, int, float, int, str, str]
 
 
-# -- --paper-defaults next to --suite ------------------------------------------
+# -- the removed --paper-defaults flag -----------------------------------------
 
-def test_paper_defaults_runs_every_suite():
-    from dunkl_lab import verify
-    from dunkl_lab.cli import _load_config
-    cfg = _load_config(build_parser().parse_args(["verify",
-                                                  "--paper-defaults"]))
-    assert cfg.paper_defaults is True and cfg.suites == list(verify.SUITES)
-
-
-def test_paper_defaults_keeps_the_suites_named(tmp_path, capsys):
-    assert run(["verify", "--paper-defaults", "--suite", "kernel",
-                "--out-dir", str(tmp_path)]) == EXIT_OK
-    # one progress line: the kernel suite ran, and no other
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("suite kernel:")
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["config"]["suites"] == ["kernel"]
-    assert report["config"]["paper_defaults"] is True
-    assert list(json.loads((tmp_path / "timings.json").read_text())) \
-        == ["kernel"]
-
-
-def test_paper_defaults_with_a_repeated_suite_exits_2(tmp_path, capsys):
+def test_verify_rejects_paper_defaults(tmp_path, capsys):
+    # verify always runs its fixed matrix: the flag and the field are gone
     out = tmp_path / "out"
-    assert run(["verify", "--paper-defaults", "--suite", "kernel", "--suite",
-                "kernel", "--out-dir", str(out)]) == EXIT_CONFIG
-    assert _one_error_line(capsys).startswith(
-        "configuration error: repeated suite(s): kernel")
+    assert run(["verify", "--paper-defaults", "--out-dir", str(out)]) \
+        == EXIT_CONFIG
+    assert "--paper-defaults" in _one_error_line(capsys)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"paper_defaults": True}))
+    assert run(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "'paper_defaults'" in _one_error_line(capsys)
     assert not out.exists()
 
 

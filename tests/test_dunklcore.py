@@ -6,7 +6,7 @@ import pytest
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
 from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi
 from dunkl_lab.quad import NORM_NODES, LpContext, lp_norm, jacobi_rule
-from dunkl_lab.dunklcore import (w_kernel, w_total_variation, translate,
+from dunkl_lab.dunklcore import (w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
                                  translate_convolution_commutes,
                                  product_formula_residual)
@@ -14,6 +14,40 @@ from dunkl_lab.dunklcore import (w_kernel, w_total_variation, translate,
 AL = AlphaParam(0.5)
 GAUSS = GaussPolyFunction((1.0,), 1.0)
 SQRT2 = math.sqrt(2.0)
+
+
+# -- the translation density, the oracle of the tests below --------------------
+
+def _w_const(a: float) -> float:
+    return math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
+                                       * math.gamma(a + 0.5))
+
+
+def w_kernel(alpha: AlphaParam, x: float, y: float, z):
+    """Density W_a(x, y, z) of the translation measure; zero off-support.
+
+    Requires x, y != 0 (the point-mass cases have no density).
+    """
+    if x == 0.0 or y == 0.0:
+        raise ValueError("w_kernel is undefined for x = 0 or y = 0 (point mass)")
+    a = alpha.alpha
+    z = np.asarray(z, dtype=float)
+    ax, ay = abs(x), abs(y)
+    lo, hi = abs(ax - ay), ax + ay
+    az = np.abs(z)
+    inside = (az >= lo) & (az <= hi)
+    out = np.zeros(np.broadcast(z).shape or (1,))
+    zz = np.atleast_1d(z)[np.atleast_1d(inside)]
+    if zz.size:
+        bxyz = (x * x + y * y - zz * zz) / (2.0 * x * y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bzxy = np.where(zz != 0.0, (zz * zz + x * x - y * y) / (2.0 * zz * x), 0.0)
+            bzyx = np.where(zz != 0.0, (zz * zz + y * y - x * x) / (2.0 * zz * y), 0.0)
+            delta = ((hi * hi - zz * zz) * (zz * zz - lo * lo)) ** (a - 0.5) \
+                / np.abs(x * y * zz) ** (2.0 * a)
+        vals = _w_const(a) * (1.0 - bxyz + bzxy + bzyx) * delta
+        np.place(out, np.atleast_1d(inside), vals)
+    return out if np.ndim(z) else float(out[0])
 
 
 def test_measure_kinds_and_support():

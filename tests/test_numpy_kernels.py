@@ -13,10 +13,10 @@ from scipy import integrate as sint
 from scipy.special import roots_jacobi
 
 from dunkl_lab import taylor as T
-from dunkl_lab.dunklcore import _w_const, w_total_variation
+from dunkl_lab.dunklcore import w_total_variation
 from dunkl_lab.quad import (QuadratureError, _jacobi_ref, integrate,
                             jacobi_rule)
-from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, bessel_j_normalized,
+from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _j_pair,
                                dunkl_kernel)
 
 mp = pytest.importorskip("mpmath")
@@ -32,7 +32,7 @@ def test_import_loads_no_scipy():
 
 # -- Gauss-Jacobi rules --------------------------------------------------------
 
-# every (n, exp_a, exp_b) that verify --paper-defaults and the benchmark
+# every (n, exp_a, exp_b) that verify and the benchmark
 # workloads request, and the sizes 120 and 200 beyond them
 MATRIX_RULES = (
     [(32, e, 0.0) for e in (0.0, 0.5, 2.0, 4.0)]
@@ -118,19 +118,18 @@ def test_bessel_j_against_30_digit_values(nu):
     ref = [float(mp.gamma(nu + 1) * (2 / mp.mpf(z)) ** nu * mp.besselj(nu, z))
            for z in BESSEL_Z]
     z = np.array(BESSEL_Z)
-    np.testing.assert_allclose(bessel_j_normalized(nu, z), ref, rtol=0.0,
+    np.testing.assert_allclose(_j_pair(nu, z)[0], ref, rtol=0.0,
                                atol=BESSEL_TOL[nu])
-    np.testing.assert_array_equal(bessel_j_normalized(nu, -z),
-                                  bessel_j_normalized(nu, z))
-    alone = [bessel_j_normalized(nu, v) for v in BESSEL_Z]
-    assert alone == bessel_j_normalized(nu, z).tolist()
+    np.testing.assert_array_equal(_j_pair(nu, -z)[0], _j_pair(nu, z)[0])
+    alone = [float(_j_pair(nu, v)[0]) for v in BESSEL_Z]
+    assert alone == _j_pair(nu, z)[0].tolist()
 
 
 def test_bessel_j_at_order_minus_half_is_cos():
     # Hankel's sums stop after their first term here, so they serve every
     # z >= 1 with no rounding of Miller's normalising sum
     z = np.linspace(0.0, 40.0, 20001)
-    np.testing.assert_allclose(bessel_j_normalized(-0.5, z), np.cos(z),
+    np.testing.assert_allclose(_j_pair(-0.5, z)[0], np.cos(z),
                                rtol=0.0, atol=2.3e-16)
 
 
@@ -138,7 +137,7 @@ def test_bessel_j_at_order_minus_half_is_cos():
 def test_bessel_j_past_the_largest_order_raises(nu):
     # past 149 Hankel's prefactor overflows; at 1000.5 no band serves z > 1000
     with pytest.raises(ValueError, match=r"supported range \[-1/2, 149\]"):
-        bessel_j_normalized(nu, np.array([1.0, 2.0, 5.0, 300.0, 2000.0]))
+        _j_pair(nu, np.array([1.0, 2.0, 5.0, 300.0, 2000.0]))
 
 
 # -- adaptive Gauss-Kronrod ----------------------------------------------------
@@ -178,7 +177,10 @@ GRID6 = (0.2, 0.5, 0.9, 1.3, 2.0, 3.1)
 def test_total_variation_matches_quadpack_and_closed_form(a):
     al = AlphaParam(a)
     e = a - 0.5
-    const = _w_const(a) * 2.0 ** (2.0 * a) / (2.0 * al.norm_const)
+    # the translation density's constant, as in test_dunklcore's oracle
+    w_const = math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
+                                          * math.gamma(a + 0.5))
+    const = w_const * 2.0 ** (2.0 * a) / (2.0 * al.norm_const)
     for x in GRID6:
         for y in GRID6:
             tv = w_total_variation(al, x, y)

@@ -5,6 +5,7 @@ transform per xi in the translate suite."""
 import math
 
 import numpy as np
+import pytest
 
 from dunkl_lab import verify as V
 from dunkl_lab import taylor as T
@@ -186,3 +187,22 @@ def test_taylor_suite_takes_each_remainder_and_theta_mass_once(monkeypatch):
     integrals = _count_calls(monkeypatch, T, "integrate")
     V.suite_taylor(alphas=(0.5,))
     assert (len(rems), len(integrals)) == (15, 3)
+
+
+@pytest.mark.parametrize("path", ["series", "real", "imaginary"])
+def test_kernel_at_zero_sees_a_first_order_error(monkeypatch, path):
+    # the w/(2(a+1)) term of E_a(w) 1e-6 too large on one kernel path only
+    kernel = V.dunkl_kernel
+    hit = {"series": lambda w: w.real and w.imag, "real": lambda w: not w.imag,
+           "imaginary": lambda w: not w.real}[path]
+
+    def scaled(al, lam, x):
+        w = complex(lam) * x
+        e = kernel(al, lam, x)
+        return e + 1e-6 * w / (2.0 * (al.alpha + 1.0)) if hit(w) else e
+
+    at_zero = lambda: [c for c in V.suite_kernel()
+                       if c["id"].startswith("kernel-at-zero")]
+    assert [c["status"] for c in at_zero()] == ["PASS"] * 3
+    monkeypatch.setattr(V, "dunkl_kernel", scaled)
+    assert [c["status"] for c in at_zero()] == ["FAIL"] * 3
