@@ -214,6 +214,8 @@ def test_seminorm_samples_validation():
             s.value(kind, np.array([0.5, 0.0]), 2, 2.0)
         with pytest.raises(ValueError):             # p >= 1
             s.value(kind, 0.5, 2, 0.5)
+        # no points (a besov table past its x <= 10 cut) read as no samples
+        assert s.value(kind, np.zeros(0), 2, 2.0).shape == (0,)
 
 
 def test_seminorm_c_kind_finite():
