@@ -4,15 +4,15 @@ The translation tau_x f(y) integrates f against the signed measure with
 density W_a(x, y, .) supported on S u (-S), S = [||x|-|y||, |x|+|y|].
 `translate_many` picks one of two evaluations from its input:
 
-- f = P e^{-s.^2} with s > 0 (a GaussPolyFunction): the exact closed form
-  e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)], with bivariate
-  polynomials A, B built once per (a, P, s) and e^{-w} j_nu(iw) at nu = a,
-  a + 1 (none where its polynomial is zero) from the power series and
-  Hankel's expansion, so nothing overflows.  The Bessel values run on the
-  grid of distinct |x| and |y| (or per point where that is larger);
-  tau_x f + tau_{-x} f is one pass (_translate_sum).
-- any other callable (profiles, kernels, complex values, pure polynomials,
-  and P e^{-s.^2} for alpha above ~16):
+- f = P e^{-s.^2} with s > 0 (a GaussPolyFunction), at every alpha: the
+  exact closed form e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)],
+  with bivariate polynomials A, B built once per (a, P, s) and e^{-w}
+  j_nu(iw) at nu = a, a + 1 (none where its polynomial is zero) from the
+  power series, Hankel's and Debye's expansions (_scaled_j), so nothing
+  overflows.  The Bessel values run on the grid of distinct |x| and |y|
+  (or per point where that is larger); tau_x f + tau_{-x} f is one pass
+  (_translate_sum).
+- any other callable (profiles, kernels, complex values, pure polynomials):
   under u = z^2 the integrand becomes an analytic function of u times the
   exact Jacobi weight ((b^2-u)(u-a^2))^(a-1/2), so a single cached
   Gauss-Jacobi rule gives uniform spectral accuracy, including the
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .special import AlphaParam, dunkl_kernel_it, _scaled_j, _scaled_pair_serves
+from .special import AlphaParam, dunkl_kernel_it, _scaled_j
 from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
 from .quad import integrate, rowdot, _jacobi_ref, _norm_rules
 
@@ -85,7 +85,7 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys):
     with x = 0 or y = 0 take the point-mass value f(x + y).
     """
     x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
-    if _has_closed_form(alpha, f):
+    if _has_closed_form(f):
         return _translate_closed(alpha, f, x, ys)
     xb, yb = np.broadcast_arrays(x, ys)
     mass = ((xb == 0.0) | (yb == 0.0)).ravel()
@@ -104,15 +104,14 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys):
 def _translate_sum(alpha: AlphaParam, f: Callable, x, ys):
     """tau_x(f)(y) + tau_{-x}(f)(y), broadcast as by translate_many: one
     closed-form pass where that applies, else the two translates summed."""
-    if _has_closed_form(alpha, f):
+    if _has_closed_form(f):
         return _translate_closed(alpha, f, np.asarray(x, dtype=float),
                                  np.asarray(ys, dtype=float), pair=True)
     return sum(translate_many(alpha, f, v, ys) for v in (x, np.negative(x)))
 
 
-def _has_closed_form(alpha: AlphaParam, f: Callable) -> bool:
-    return (isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0
-            and _scaled_pair_serves(alpha.alpha, 1.0))
+def _has_closed_form(f: Callable) -> bool:
+    return isinstance(f, GaussPolyFunction) and f.gauss_scale > 0.0
 
 
 def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y):
@@ -228,8 +227,7 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
     _convolve_closed.  Otherwise g must decay and T truncates the outer
     rule, the L^p head rule on (0, T); one translate_many call takes the
     nodes -y and y for a block of x values, at most _BLOCK points in all."""
-    if all(isinstance(h, GaussPolyFunction) and h.gauss_scale > 0.0
-           for h in (f, g)):
+    if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))

@@ -1,9 +1,5 @@
 """Scalar special functions: normalized Bessel functions and the Dunkl
-kernel.
-
-Everything here is real-valued except :func:`dunkl_kernel`, which is the one
-place complex values are produced.
-"""
+kernel."""
 
 from __future__ import annotations
 
@@ -12,6 +8,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "AlphaParam",
@@ -75,27 +72,38 @@ def _terms(nu: float, x: float, hankel: bool = False):
     return None, math.inf
 
 
+def _debye_coeffs(nu: float):
+    """Coefficients, highest first, of e^c sum_{k<=8} U_k(p) nu^-k, U_{k+1} =
+    p^2 (1-p^2) U_k' / 2 + int_0^p (1-5t^2) U_k dt / 8 (DLMF 10.41.9), with c =
+    sum_i B_2i nu^(1-2i) / (2i(2i-1)) Stirling's remainder of lgamma(nu+1)."""
+    u, cs = np.ones(1), np.zeros(25)
+    for k in range(9):
+        cs[:u.size] += u * nu ** -k
+        u = P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
+                      P.polyint(P.polymul([0.125, 0.0, -0.625], u)))
+    c = sum(b * nu ** (1 - 2 * i) for i, b in enumerate(
+        (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360), 1))
+    return math.exp(c) * cs[::-1]
+
+
 @lru_cache(maxsize=64)
 def _bessel_tables(nu: float):
-    """(Hankel?, coefficients highest first) per band of _BESSEL_EDGES: the
-    last term below 2^-56 of the sum at the band's top (series) or bottom
-    (Hankel).  Where Hankel's largest term is over 16 times its sum (large
-    nu) the series serves, up to w = 80; None beyond that (nu above ~18)."""
+    """(kind, coefficients highest first) per band of _BESSEL_EDGES: "series"
+    to the last term below 2^-56 of the sum at the band's top, "hankel" at
+    its bottom from w = 25 up where its largest term is within 16 times the
+    sum; else the series to w = 80 and "debye" above, in every higher band
+    too (nu > ~18.08: Hankel's w^-(nu+1/2) underflows before n_nu does)."""
     bands, lo = [], 0.0
     for hi in _BESSEL_EDGES:
         cs, big = _terms(nu, 1.0 / lo, True) if lo >= 25.0 else (None, math.inf)
-        if big > 16.0:
-            if hi > 80.0:
-                return None
-            cs, _ = _terms(nu, hi * hi / 4.0)
-        bands.append((big <= 16.0, cs))
+        if hi > 80.0 and (big > 16.0 or bands[-1][0] == "debye"):
+            bands.append(("debye", _debye_coeffs(nu)))
+        elif big <= 16.0:
+            bands.append(("hankel", cs))
+        else:
+            bands.append(("series", _terms(nu, hi * hi / 4.0)[0]))
         lo = hi
     return tuple(bands)
-
-
-def _scaled_pair_serves(a: float, d: float) -> bool:
-    """True where _scaled_j has tables for both orders a + d and a + d + 1."""
-    return all(_bessel_tables(a + e) for e in (d, d + 1.0))
 
 
 def _horner(cs, v):
@@ -109,23 +117,31 @@ def _horner(cs, v):
 
 def _scaled_j(nu: float, w):
     """n_nu(w) = e^{-w} j_nu(iw) for w >= 0 in any order, one band of w at a
-    time, so a value depends on its own w only: below w = 25 the power series
-    e^{-w} sum_m z^m / (m! (nu+1)_m), z = w^2/4 (DLMF 10.25.2), above it
-    Hankel's Gamma(nu+1) (2/w)^nu (2 pi w)^(-1/2) sum_k a_k(nu) (-w)^(-k)
-    (DLMF 10.40.1; the dropped branch is below e^-50).  Within 3.4e-15
-    relative of 40-digit values for nu in (-1/2, 9] with nu + 1/2 exact."""
+    time, so a value depends on its own w only: the power series e^{-w}
+    sum_m q^m / (m! (nu+1)_m), q = w^2/4 (DLMF 10.25.2), Hankel's Gamma(nu+1)
+    (2/w)^nu (2 pi w)^(-1/2) sum_k a_k(nu) (-w)^(-k) (DLMF 10.40.1; the
+    dropped branch is below e^-50) or Debye's (2/(1+s))^nu e^{nu(s-z-1)}
+    s^(-1/2) e^c sum_k U_k(1/s) nu^-k, z = w/nu, s = (1+z^2)^(1/2) (DLMF
+    10.41.3), by _bessel_tables.  Within 3.4e-15 relative of 40-digit values
+    for nu in (-1/2, 9] with nu + 1/2 exact, 5e-14 for nu in [18, 151.02]."""
     band = np.searchsorted(_BESSEL_EDGES, w, side="right")
     counts = np.bincount(band, minlength=len(_BESSEL_EDGES)).tolist()
     ends, ordered = np.cumsum(counts).tolist(), (band[1:] >= band[:-1]).all()
     out = np.full(w.shape, np.nan)      # nan stays nan
     pre = math.gamma(nu + 1.0) * 2.0 ** nu / math.sqrt(2.0 * math.pi)
-    for b, (hankel, cs) in enumerate(_bessel_tables(nu)):
+    for b, (kind, cs) in enumerate(_bessel_tables(nu)):
         if counts[b]:   # bands in order (sorted w): one slice each
             sel = slice(ends[b] - counts[b], ends[b]) if ordered else band == b
             ws = w[sel]
-            acc = _horner(cs, 1.0 / ws if hankel else 0.25 * ws * ws)
-            out[sel] = (pre * ws ** -(nu + 0.5) * acc if hankel
-                        else acc * np.exp(-ws))
+            if kind == "series":
+                out[sel] = _horner(cs, 0.25 * ws * ws) * np.exp(-ws)
+            elif kind == "hankel":
+                out[sel] = pre * ws ** -(nu + 0.5) * _horner(cs, 1.0 / ws)
+            else:                   # Debye, s = (1 + z^2)^(1/2)
+                s = np.hypot(1.0, ws / nu)
+                out[sel] = ((2.0 / (1.0 + s)) ** nu / np.sqrt(s)
+                            * np.exp(nu * (1.0 / (s + ws / nu) - 1.0))
+                            * _horner(cs, 1.0 / s))
     return out
 
 
@@ -219,20 +235,20 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
     """Dunkl kernel E_a(lam*x), the unique solution of the eigenproblem
     of the Dunkl operator with value 1 at the origin:
 
-        E_a(w) = j_a(iw) + w/(2(a+1)) * j_{a+1}(iw),   w = lam*x.
+        E_a(w) = j_a(iw) + w/(2(a+1)) * j_{a+1}(iw),   w = lam*x,
 
-    Imaginary and real lam go through the Bessel kernels; general complex
-    lam (and real lam past the orders of _bessel_tables) through the power
-    series, summed until its terms fall below eps |sum|.  ValueError where
-    eps sum |term| exceeds 1e-10 |E| (the series cancels there), and for a
-    lam*x that is not finite.
+    from _scaled_j for real lam and _j_pair for imaginary lam.  ValueError
+    for a lam that is neither (at every x) and a lam*x that is not finite.
     """
     a = _as_alpha(alpha)
     if not a > -0.5:
         raise ValueError(f"alpha must be > -1/2, got {a}")
-    w = complex(lam) * x
+    lam = complex(lam)
+    w = lam * x
     if not abs(w) < math.inf:
         raise ValueError(f"lam*x must be finite, got {w}")
+    if lam.real and lam.imag:
+        raise ValueError(f"lam must be real or imaginary, got {lam}")
     if w == 0:
         return complex(1.0)
     c = w / (2.0 * (a + 1.0))
@@ -240,23 +256,9 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
         # w = i s:  iw = -s real, j even => j_a(s)
         j0, j1 = _j_pair(a, w.imag)
         return complex(j0, c.imag * j1)
-    if w.imag == 0.0 and _scaled_pair_serves(a, 0.0):
-        s = np.array([abs(w.real)])
-        return complex(math.exp(s[0]) * (_scaled_j(a, s)[0]
-                                         + c.real * _scaled_j(a + 1.0, s)[0]))
-    q, eps = w * w / 4.0, 2.0 ** -53
-    out, size = 0j, 0.0
-    for b, term in ((a, 1.0 + 0j), (a + 1.0, c)):
-        part, m = 0j, 0
-        while size < math.inf and not (m > abs(q)
-                                       and abs(term) <= eps * abs(part)):
-            part, size, m = part + term, size + abs(term), m + 1
-            term = term * q / (m * (b + m))
-        out += part
-    if not eps * size <= 1e-10 * abs(out):
-        raise ValueError(f"the Dunkl kernel's power series cancels at "
-                         f"lam*x = {w}: no accurate value")
-    return out
+    s = np.array([abs(w.real)])
+    return complex(math.exp(s[0]) * (_scaled_j(a, s)[0]
+                                     + c.real * _scaled_j(a + 1.0, s)[0]))
 
 
 def dunkl_kernel_it(alpha, t: float, x):

@@ -1,7 +1,7 @@
 """The Bessel kernel of the closed-form translation,
 n_nu(w) = e^{-w} j_nu(iw), against tabulated 30-digit values, 40-digit
-mpmath at the orders below the table's, the half-integer closed form, and
-its layout independence."""
+mpmath at the orders below the table's and at the large orders of Debye's
+band, the half-integer closed form, and its layout independence."""
 
 import math
 
@@ -10,8 +10,10 @@ import pytest
 
 from dunkl_lab import dunklcore
 from dunkl_lab.funcalg import GaussPolyFunction
-from dunkl_lab.special import (AlphaParam, dunkl_kernel, _BESSEL_EDGES,
-                               _bessel_tables, _scaled_j)
+from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _bessel_tables,
+                               _scaled_j)
+from dunkl_lab.taylor import symmetric_remainder_profile
+from dunkl_lab.verify import CATALOG
 
 # (nu, w, n_nu(w)): both sides of every band edge, and w up to 8e4; made
 # once with mpmath 1.3 at 30 digits (w is the exact binary value shown):
@@ -125,31 +127,65 @@ def test_term_counts_per_band():
     # bottom edge; a half-integer order's Hankel sum terminates
     for nu in (0.75, 1.75, 3.5):
         bands = _bessel_tables(nu)
-        series = [len(cs) for hankel, cs in bands if not hankel]
-        hankel = [len(cs) for hankel, cs in bands if hankel]
+        series = [len(cs) for kind, cs in bands if kind == "series"]
+        hankel = [len(cs) for kind, cs in bands if kind == "hankel"]
         assert len(series) == 6 and len(hankel) == 5
         assert series == sorted(series) and hankel == sorted(hankel)[::-1]
         assert 6 <= min(series) and max(series) <= 41
         assert 2 <= min(hankel) and max(hankel) <= 21
-    assert {len(cs) for hankel, cs in _bessel_tables(2.5) if hankel} == {4}
+    assert {len(cs) for kind, cs in _bessel_tables(2.5)
+            if kind == "hankel"} == {4}
 
 
-@pytest.mark.parametrize("alpha", [17.0, 100.0])
-def test_large_order_translates_by_quadrature(monkeypatch, alpha):
-    # from alpha = 17 (order 19) Hankel's expansion cancels even at w = 200,
-    # past the series' reach of w = 80, so the closed form declines; at
-    # alpha = 100 the quadrature's constant would overflow as Gamma(a+1)^2
-    assert _bessel_tables(18.0) is not None and _bessel_tables(19.0) is None
+def test_every_admitted_order_has_tables():
+    # Hankel cancels at w = 80 from nu ~ 18.08 on: the series up to w = 80,
+    # Debye's expansion above it, up to the largest order AlphaParam admits
+    top = AlphaParam(150.017).alpha + 1.0
+    with pytest.raises(ValueError, match="too large"):
+        AlphaParam(150.018)
+    for nu in np.r_[np.linspace(-0.49, top, 60), 18.0, 18.1]:
+        kinds = [kind for kind, _ in _bessel_tables(float(nu))]
+        assert len(kinds) == len(_BESSEL_EDGES)
+        assert kinds[:6] == ["series"] * 6 and kinds[6] in ("series", "hankel")
+        if nu <= 18.0:
+            assert kinds[8:] == ["hankel"] * 3, nu
+        else:
+            assert kinds[6:] == ["series"] * 2 + ["debye"] * 3, nu
 
-    def closed(*args):
-        raise AssertionError("closed form used")
 
-    monkeypatch.setattr(dunklcore, "_translate_closed", closed)
-    al, s = AlphaParam(alpha), 0.5
-    g = GaussPolyFunction((1.0,), s)
-    for x in (-1.3, 0.4, 2.0):
-        for y in (-0.7, 0.25, 1.9):
-            ref = math.exp(-s * (x * x + y * y)) \
-                * dunkl_kernel(al, -2.0 * s * x, y).real
-            assert dunklcore.translate(al, g, x, y) == pytest.approx(
-                ref, rel=1e-12, abs=1e-15)
+@pytest.mark.parametrize("nu", [18.25, 20.0, 40.5, 70.0, 100.0, 148.0, 151.0])
+def test_large_orders_match_mpmath(nu):
+    # Debye's band from w = 80 up (at nu = 70 Hankel's w^-(nu+1/2) would
+    # underflow from w ~ 2.3e4), the series below it, at 40 digits, on both
+    # sides of every band edge, wherever n_nu(w) >= 1e-290
+    mp = pytest.importorskip("mpmath")
+    edges = list(_BESSEL_EDGES[:-1])
+    w = np.unique(edges + [math.nextafter(e, 0.0) for e in edges]
+                  + [math.nextafter(e, math.inf) for e in edges]
+                  + np.geomspace(1e-6, 8e4, 61).tolist())
+    with mp.workdps(40):
+        n = lambda v: (mp.gamma(nu + 1) * (2 / v) ** nu * mp.besseli(nu, v)
+                       * mp.exp(-v))
+        ref = np.array([float(n(mp.mpf(v))) for v in w.tolist()])
+    keep = ref >= 1e-290
+    assert keep.sum() >= 40
+    np.testing.assert_allclose(_scaled_j(nu, w)[keep], ref[keep], rtol=5e-14,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [17.0, 40.0, 100.0, 150.0])
+def test_large_orders_never_reach_the_quadrature(monkeypatch, alpha):
+    # every algebra element translates in closed form at every alpha, alone
+    # and as the symmetric sum of the Besov C samples
+    def refuse(*args):
+        raise AssertionError("quadrature used")
+
+    monkeypatch.setattr(dunklcore, "_translate_quadrature", refuse)
+    al = AlphaParam(alpha)
+    x = np.array([[-30.0], [-1.3], [0.0], [0.4], [2.0], [100.0]])
+    ys = np.array([-0.7, 0.0, 0.25, 1.9, 50.0])
+    for f in CATALOG.values():
+        assert np.all(np.isfinite(dunklcore.translate_many(al, f, x, ys)))
+        for k in (0, 1, 3):
+            prof = symmetric_remainder_profile(al, k, f, x)(ys)
+            assert prof.shape == (6, 5) and np.all(np.isfinite(prof))

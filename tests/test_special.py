@@ -67,10 +67,19 @@ def test_bessel_normalized_matches_scipy_away_from_zero():
 def test_dunkl_kernel_initial_value_and_bound():
     for a in ALPHAS:
         al = AlphaParam(a)
-        assert complex(dunkl_kernel(al, 3.0 - 1.0j, 0.0)) == pytest.approx(1.0)
+        for lam in (3.0, -1.0j):
+            assert dunkl_kernel(al, lam, 0.0) == 1.0
         xs = np.linspace(-6, 6, 61)
         vals = dunkl_kernel_it(AlphaParam(0.7), 3.0, xs)
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_dunkl_kernel_takes_only_real_or_imaginary_lam(x):
+    # real lam reads the scaled Bessel values, imaginary lam the J-Bessel
+    # pair; a lam that is neither has no path, at x = 0 as well
+    with pytest.raises(ValueError, match="real or imaginary"):
+        dunkl_kernel(AlphaParam(0.5), 3.0 - 1.0j, x)
 
 
 def test_dunkl_kernel_eigen_equation_fd():

@@ -412,7 +412,8 @@ def test_order_zero_profiles_are_translates():
     xs = np.array([[1e-3], [0.05], [-0.7], [1.6], [3.0]])
     us = np.array([-2.3, -0.6, 0.02, 0.4, 1.1, 2.7])
     cubic = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
-    for alpha in (-0.25, 0.5, 1.5):
+    poly = GaussPolyFunction(F.coeffs, 0.0)
+    for alpha in (-0.25, 0.5, 1.5, 20.0):
         al = AlphaParam(alpha)
         for f in (F, cubic):
             got = symmetric_remainder_profile(al, 0, f, xs)(us)
@@ -425,10 +426,10 @@ def test_order_zero_profiles_are_translates():
             prof = symmetric_remainder_profile(al, 0, f, np.array([[0.0], [1.3]]))
             assert prof(us)[0].tolist() == (2.0 * f(us)).tolist()
             assert prof(0.0)[1, 0] == f(1.3) + f(-1.3)
-    # alpha = 20: no closed form, the two translates summed
-    al = AlphaParam(20.0)
-    assert symmetric_remainder_profile(al, 0, F, xs)(us).tolist() == \
-        (translate_many(al, F, xs, us) + translate_many(al, F, -xs, us)).tolist()
+        # an s = 0 polynomial has no closed form: the two translates summed
+        assert symmetric_remainder_profile(al, 0, poly, xs)(us).tolist() == (
+            translate_many(al, poly, xs, us)
+            + translate_many(al, poly, -xs, us)).tolist()
 
 
 @pytest.mark.parametrize("a", [6e-10, 3e-8, 1e-6, 4e-5, 1.0 + 6e-10])

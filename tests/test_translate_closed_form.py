@@ -6,6 +6,7 @@ reference implementations), and the sharing of one Bessel value per order
 among the points (+-x, +-y), with no order for a part that is zero."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -93,6 +94,74 @@ def test_closed_form_matches_mpmath(alpha, name):
                      + D * w / (2.0 * (alpha + 1.0)) * _scaled_j(alpha + 1.0, w))
         assert np.all(np.abs(got - want) <= 8.0 * 2.0 ** -52
                       * np.maximum(1.0, parts)), pair
+
+
+def _moments_mp(mp, alpha, s, x, y):
+    """tau_x (t^m e^(-s t^2))(y), m = 0..3, y != 0, in mpmath with every
+    derivative in closed form: G(t) = e^(-s(x^2+t^2)) E(u), u = -2sxt, and
+    with F_j(u) = 0F1(alpha+j; u^2/4), F_j' = u F_(j+1) / (2(alpha+j)),
+    the moments G, -TG/(2s), -dG/ds and -TG/(2s^2) + T(dG/ds)/(2s) of
+    _tau_mp, T h(y) = h'(y) + (alpha+1/2)(h(y) - h(-y))/y."""
+    a, s, x, y = (mp.mpf(v) for v in (alpha, s, x, y))
+
+    def at(t):
+        u = -2 * s * x * t
+        F = [mp.hyp0f1(a + j, u * u / 4) for j in (1, 2, 3, 4)]
+        c1, c2 = 2 * (a + 1), 4 * (a + 1) * (a + 2)
+        E = F[0] + u / c1 * F[1]
+        dE = (1 + u) / c1 * F[1] + u * u / c2 * F[2]
+        d2E = (F[1] / c1 + (3 + u) * u / c2 * F[2]
+               + u ** 3 / (2 * c2 * (a + 3)) * F[3])
+        e = mp.exp(-s * (x * x + t * t))
+        G = e * E
+        dG = -2 * s * t * G - 2 * s * x * e * dE
+        Gs = -(x * x + t * t) * G - 2 * x * t * e * dE
+        dGs = (-2 * t * G - (x * x + t * t) * dG - 2 * x * e * dE
+               + 4 * s * x * t * t * e * dE + 4 * s * x * x * t * e * d2E)
+        return G, dG, Gs, dGs
+
+    p, m = at(y), at(-y)
+    T = lambda i: p[i + 1] + (a + mp.mpf(0.5)) * (p[i] - m[i]) / y
+    return (p[0], -T(0) / (2 * s), -p[2], -T(0) / (2 * s * s) + T(2) / (2 * s))
+
+
+_FAR = np.array([-100.0, -30.0, -10.0, -2.0, -0.5, 0.5, 2.0, 10.0, 30.0, 100.0])
+
+
+@lru_cache(maxsize=None)
+def _far_errors(mp, alpha):
+    """Per test function, the largest error of tau_x f(y) on the grid _FAR x
+    _FAR against 40 digits, relative to its row's max |tau|, over the rows
+    where that max is at least 1e-290."""
+    al, out = AlphaParam(alpha), {}
+    with mp.workdps(40):
+        moments = {s: [[_moments_mp(mp, alpha, s, x, y) for y in _FAR]
+                       for x in _FAR]
+                   for s in {f.gauss_scale for f in CATALOG.values()}}
+        for name in ("gaussian", "x_gaussian", "cubic_gaussian"):
+            f = CATALOG[name]
+            ref = np.array([[float(mp.fsum(c * m for c, m in zip(f.coeffs, cell)))
+                             for cell in row] for row in moments[f.gauss_scale]])
+            got = translate_many(al, f, _FAR[:, None], _FAR[None, :])
+            big = np.max(np.abs(ref), axis=1)
+            keep = big >= 1e-290
+            assert keep.sum() >= 8
+            out[name] = float(np.max(np.max(np.abs(got - ref), axis=1)[keep]
+                                     / big[keep]))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [17.0, 20.0, 40.0, 100.0, 148.0, 150.0])
+def test_large_alpha_closed_form_matches_mpmath_far_out(alpha):
+    # the closed form past alpha = 16 (Debye's band of n_nu), out to |x|,
+    # |y| = 100: the Gaussian to 2e-13 of each row's max |tau|; x_gaussian
+    # and cubic_gaussian cancel at large same-sign |x|, |y| at every alpha
+    # (ROADMAP item 7(b)), so they may read no worse than at alpha = 1.5
+    mp = pytest.importorskip("mpmath")
+    got, base = _far_errors(mp, alpha), _far_errors(mp, 1.5)
+    assert got["gaussian"] <= 2e-13
+    for name in ("x_gaussian", "cubic_gaussian"):
+        assert got[name] <= base[name], (name, got[name], base[name])
 
 
 # -- (b) closed form against the quadrature path -------------------------------
