@@ -123,7 +123,7 @@ def _scaled_j(nu: float, w):
     dropped branch is below e^-50) or Debye's (2/(1+s))^nu e^{nu(s-z-1)}
     s^(-1/2) e^c sum_k U_k(1/s) nu^-k, z = w/nu, s = (1+z^2)^(1/2) (DLMF
     10.41.3), by _bessel_tables.  Within 3.4e-15 relative of 40-digit values
-    for nu in (-1/2, 9] with nu + 1/2 exact, 5e-14 for nu in [18, 151.02]."""
+    (at the exact float order) for nu in (-1/2, 9], 5e-14 in [18, 151.02]."""
     band = np.searchsorted(_BESSEL_EDGES, w, side="right")
     counts = np.bincount(band, minlength=len(_BESSEL_EDGES)).tolist()
     ends, ordered = np.cumsum(counts).tolist(), (band[1:] >= band[:-1]).all()

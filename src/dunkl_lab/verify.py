@@ -80,8 +80,7 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
         checks.append(_check(f"kernel-modulus-bound[a={a}]",
                              "oscillatory kernel modulus <= 1",
                              worst, 1e-10))
-        # E_a(w) = sum_n b_n(w) at |w| = 1e-3 through w^4 (b_5 is ~1e-17),
-        # on the series, scaled-Bessel and J-Bessel paths of the kernel
+        # real lam: scaled-Bessel path, imaginary lam: J-Bessel (b_5 ~ 1e-17)
         worst = 0.0
         for lam in (2.0, 2.0j):
             x = 1e-3 / abs(lam)
@@ -89,7 +88,8 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
                        for n in range(5))
             worst = max(worst, abs(complex(dunkl_kernel(al, lam, x)) - poly))
         checks.append(_check(f"kernel-at-zero[a={a}]",
-                             "kernel value 1 at the origin", worst, 1e-14))
+                             "kernel equals sum_{n<=4} b_n(w) at |w| = 1e-3",
+                             worst, 1e-14))
         worst = 0.0
         for lam in (0.8, 2.0):
             for x in (0.5, -1.2):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dunkl_lab import dunklcore
-from dunkl_lab.funcalg import GaussPolyFunction
 from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _bessel_tables,
                                _scaled_j)
 from dunkl_lab.taylor import symmetric_remainder_profile
@@ -153,16 +152,18 @@ def test_every_admitted_order_has_tables():
             assert kinds[6:] == ["series"] * 2 + ["debye"] * 3, nu
 
 
-@pytest.mark.parametrize("nu", [18.25, 20.0, 40.5, 70.0, 100.0, 148.0, 151.0])
+@pytest.mark.parametrize("nu", [18.25, 20.0, 40.5, 58.5, 63.5, 100.0, 148.0,
+                                151.0])
 def test_large_orders_match_mpmath(nu):
-    # Debye's band from w = 80 up (at nu = 70 Hankel's w^-(nu+1/2) would
-    # underflow from w ~ 2.3e4), the series below it, at 40 digits, on both
-    # sides of every band edge, wherever n_nu(w) >= 1e-290
+    # Debye's band from w = 80 up, the series below it, at 40 digits, on
+    # both sides of every band edge, wherever n_nu(w) >= 1e-290; at nu =
+    # 58.5 and 63.5 Hankel's terms would serve above w = 1000, but its
+    # w^-(nu+1/2) underflows at w = 3e5 (30% off and 0 there)
     mp = pytest.importorskip("mpmath")
     edges = list(_BESSEL_EDGES[:-1])
     w = np.unique(edges + [math.nextafter(e, 0.0) for e in edges]
                   + [math.nextafter(e, math.inf) for e in edges]
-                  + np.geomspace(1e-6, 8e4, 61).tolist())
+                  + np.geomspace(1e-6, 8e4, 61).tolist() + [3e5, 1e6, 3e6])
     with mp.workdps(40):
         n = lambda v: (mp.gamma(nu + 1) * (2 / v) ** nu * mp.besseli(nu, v)
                        * mp.exp(-v))

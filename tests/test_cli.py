@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab.cli import (main, RunConfig, ConfigError, CATALOG, _fmt,
-                           build_parser, EXIT_OK, EXIT_FAIL, EXIT_CONFIG)
+                           build_parser, EXIT_OK, EXIT_CONFIG)
 
 
 def run(args):

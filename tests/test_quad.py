@@ -8,8 +8,7 @@ from scipy.special import beta as beta_fn
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction
 from dunkl_lab import quad
-from dunkl_lab.quad import (QuadratureError, integrate,
-                            jacobi_rule, LpContext,
+from dunkl_lab.quad import (integrate, jacobi_rule, LpContext,
                             lp_norm, lp_norm_full, lp_norm_from_nodes,
                             norm_node_values)
 

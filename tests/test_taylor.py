@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate as sint
 
 from dunkl_lab import quad, taylor
-from dunkl_lab.special import AlphaParam, pochhammer
+from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.verify import TAYLOR_PAIRS, TEST_FUNCTIONS

@@ -1,5 +1,6 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-50-digit mpmath and the Gauss-Jacobi quadrature path, the batched Taylor and
+50-digit mpmath (40 digits for alpha from 17 to 150 and |x|, |y| up to 100)
+and the Gauss-Jacobi quadrature path, the batched Taylor and
 convolution loops against their former per-node loop forms, the one-kernel
 iterated integral against its nested Chebyshev form (all kept here as
 reference implementations), and the sharing of one Bessel value per order
@@ -49,22 +50,41 @@ def test_gaussian_matches_heat_kernel(alpha, s):
             assert abs(translate(al, g, x, y) - ref) <= 1e-13, (x, y)
 
 
+def _moments_mp(mp, alpha, s, x, y):
+    """tau_x (t^m e^(-s t^2))(y), m = 0..3, y != 0, in mpmath: tau_x
+    e^(-s.^2)(y) = G(y) = e^(-s(x^2+y^2)) E(u), u = -2sxy, with the Dunkl
+    kernel E(u) = F_1(u) + u/(2(a+1)) F_2(u), F_j(u) = 0F1(a+j; u^2/4)
+    (Roesler, CMP 192, 1998); tau_x commutes with T and d/ds, y e^(-sy^2) =
+    -T e^(-sy^2) / (2s) and y^2 e^(-sy^2) = -d/ds e^(-sy^2), with T h(y) =
+    h'(y) + (a+1/2)(h(y) - h(-y))/y.  Every derivative is in closed form by
+    F_j' = u F_(j+1) / (2(a+j)): no mp.diff, 6-7x faster for the cubic."""
+    a, s, x, y = (mp.mpf(v) for v in (alpha, s, x, y))
+
+    def at(t):
+        u = -2 * s * x * t
+        F = [mp.hyp0f1(a + j, u * u / 4) for j in (1, 2, 3, 4)]
+        c1, c2 = 2 * (a + 1), 4 * (a + 1) * (a + 2)
+        E = F[0] + u / c1 * F[1]
+        dE = (1 + u) / c1 * F[1] + u * u / c2 * F[2]
+        d2E = (F[1] / c1 + (3 + u) * u / c2 * F[2]
+               + u ** 3 / (2 * c2 * (a + 3)) * F[3])
+        e = mp.exp(-s * (x * x + t * t))
+        G = e * E
+        dG = -2 * s * t * G - 2 * s * x * e * dE
+        Gs = -(x * x + t * t) * G - 2 * x * t * e * dE
+        dGs = (-2 * t * G - (x * x + t * t) * dG - 2 * x * e * dE
+               + 4 * s * x * t * t * e * dE + 4 * s * x * x * t * e * d2E)
+        return G, dG, Gs, dGs
+
+    p, m = at(y), at(-y)
+    T = lambda i: p[i + 1] + (a + mp.mpf(0.5)) * (p[i] - m[i]) / y
+    return (p[0], -T(0) / (2 * s), -p[2], -T(0) / (2 * s * s) + T(2) / (2 * s))
+
+
 def _tau_mp(mp, alpha, f, x, y):
-    """tau_x f(y) for f = (c0 + c1 y + c2 y^2 + c3 y^3) e^(-s y^2) in mpmath:
-    tau_x e^(-s.^2)(y) = G(y, s) = e^(-s(x^2+y^2)) E(-2sxy) with the Dunkl
-    kernel E(z) = 0F1(a+1; z^2/4) + z/(2(a+1)) 0F1(a+2; z^2/4) (Roesler,
-    CMP 192, 1998); tau_x commutes with T and d/ds, y e^(-sy^2) =
-    -T e^(-sy^2) / (2s) and y^2 e^(-sy^2) = -d/ds e^(-sy^2)."""
-    a, s, x, y = (mp.mpf(v) for v in (alpha, f.gauss_scale, x, y))
-    F = lambda b, z: mp.hyp0f1(b, z * z / 4)
-    E = lambda z: F(a + 1, z) + z / (2 * (a + 1)) * F(a + 2, z)
-    G = lambda t, r: mp.exp(-r * (x * x + t * t)) * E(-2 * r * x * t)
-    Gs = lambda t: mp.diff(lambda r: G(t, r), s)
-    T = lambda h: mp.diff(h, y) + (a + 0.5) * (h(y) - h(-y)) / y
-    tg = lambda: T(lambda t: G(t, s))
-    moments = (lambda: G(y, s), lambda: -tg() / (2 * s), lambda: -Gs(y),
-               lambda: -tg() / (2 * s * s) + T(Gs) / (2 * s))
-    return mp.fsum(c * m() for c, m in zip(f.coeffs, moments) if c)
+    """tau_x f(y) for f = (c0 + c1 y + c2 y^2 + c3 y^3) e^(-s y^2) in mpmath."""
+    return mp.fsum(c * m for c, m in zip(
+        f.coeffs, _moments_mp(mp, alpha, f.gauss_scale, x, y)))
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5, 7.0, 16.0])
@@ -94,35 +114,6 @@ def test_closed_form_matches_mpmath(alpha, name):
                      + D * w / (2.0 * (alpha + 1.0)) * _scaled_j(alpha + 1.0, w))
         assert np.all(np.abs(got - want) <= 8.0 * 2.0 ** -52
                       * np.maximum(1.0, parts)), pair
-
-
-def _moments_mp(mp, alpha, s, x, y):
-    """tau_x (t^m e^(-s t^2))(y), m = 0..3, y != 0, in mpmath with every
-    derivative in closed form: G(t) = e^(-s(x^2+t^2)) E(u), u = -2sxt, and
-    with F_j(u) = 0F1(alpha+j; u^2/4), F_j' = u F_(j+1) / (2(alpha+j)),
-    the moments G, -TG/(2s), -dG/ds and -TG/(2s^2) + T(dG/ds)/(2s) of
-    _tau_mp, T h(y) = h'(y) + (alpha+1/2)(h(y) - h(-y))/y."""
-    a, s, x, y = (mp.mpf(v) for v in (alpha, s, x, y))
-
-    def at(t):
-        u = -2 * s * x * t
-        F = [mp.hyp0f1(a + j, u * u / 4) for j in (1, 2, 3, 4)]
-        c1, c2 = 2 * (a + 1), 4 * (a + 1) * (a + 2)
-        E = F[0] + u / c1 * F[1]
-        dE = (1 + u) / c1 * F[1] + u * u / c2 * F[2]
-        d2E = (F[1] / c1 + (3 + u) * u / c2 * F[2]
-               + u ** 3 / (2 * c2 * (a + 3)) * F[3])
-        e = mp.exp(-s * (x * x + t * t))
-        G = e * E
-        dG = -2 * s * t * G - 2 * s * x * e * dE
-        Gs = -(x * x + t * t) * G - 2 * x * t * e * dE
-        dGs = (-2 * t * G - (x * x + t * t) * dG - 2 * x * e * dE
-               + 4 * s * x * t * t * e * dE + 4 * s * x * x * t * e * d2E)
-        return G, dG, Gs, dGs
-
-    p, m = at(y), at(-y)
-    T = lambda i: p[i + 1] + (a + mp.mpf(0.5)) * (p[i] - m[i]) / y
-    return (p[0], -T(0) / (2 * s), -p[2], -T(0) / (2 * s * s) + T(2) / (2 * s))
 
 
 _FAR = np.array([-100.0, -30.0, -10.0, -2.0, -0.5, 0.5, 2.0, 10.0, 30.0, 100.0])
