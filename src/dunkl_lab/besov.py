@@ -16,10 +16,10 @@ reads them at any order k and norm p, each kind computed in one place: node
 values of the L^p rules on (-NORM_T, NORM_T), which serve every p, of
 tau_y f at omega's probes y (order k peels its b_j(y) L^j f off them), of
 the B_tilde and C profiles per bump order n0 (their only dependence on k),
-and of L^j f.  Every kind is read on one log grid (x, and t for C).  The
-convolution with the bump is evaluated through the
-exact identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
-dmu(x): the moment cancellation is analytic, but the symmetric remainder
+and of L^j f.  Every kind is read on one log grid (x, and t for C).  C is
+the identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
+dmu(x) over the kept nodes of an 80-node rule on (0, 10 t), blocks of t at
+once: the moment cancellation is analytic, but the symmetric remainder
 tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
 ~x^(2 n0) in sum, so the small-t values carry ~eps / t^(2 n0) relative error.
 """
@@ -34,8 +34,8 @@ import numpy as np
 
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
-from .quad import (LpContext, jacobi_rule, lp_norm_from_nodes,
-                   norm_node_values, _norm_rules)
+from .quad import (LpContext, jacobi_rule, kept_terms, lp_norm_from_nodes,
+                   norm_node_values, _norm_rules, NORM_NODES)
 from .dunklcore import translate_many
 from .taylor import remainder_profile, symmetric_remainder_profile
 
@@ -58,6 +58,9 @@ __all__ = [
 
 #: truncation radius of every Besov-layer L^p norm
 NORM_T = 16.0
+#: nodes of the bump's rule; t per C block, at most 2^16 translated points
+BUMP_NODES = 80
+C_BLOCK = max(1, 2 ** 16 // (BUMP_NODES * 2 * NORM_NODES))
 
 
 def default_grid(lo: float = 1e-3, hi: float = 1e2,
@@ -106,20 +109,28 @@ def _y_probe_grid(x: float) -> np.ndarray:
 
 
 def conv_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
-                 t: float) -> Callable:
+                 t) -> Callable:
     """u |-> (f * phi_t)(u), vectorized, for the bump phi of order
     n0 = floor((k-1)/2) + 1, via the symmetric-remainder identity (exact for
-    phi with order-k vanishing moments) on 80 outer nodes on (0, 10 t)."""
-    if t <= 0.0:
+    phi with order-k vanishing moments) over the kept nodes (term size
+    |c_i| (1 + x_i^(2 n0 - 2))) of the 80-node rule on (0, 10 t).  For a
+    1-d array t, one row per t, from one profile of all their nodes."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0.0):
         raise ValueError("t must be positive")
-    phi_t = dilate(alpha, hermite_phi(alpha, (k - 1) // 2 + 1), t)
-    xs, ws = jacobi_rule(80, alpha.weight_exp, 0.0, 10.0 * t)
-    coef = ws * phi_t(xs) / alpha.norm_const
-    sym = symmetric_remainder_profile(alpha, k, f, xs[:, None])
+    n0, xs, coefs = (k - 1) // 2 + 1, [], []
+    for v in ts.ravel().tolist():
+        x, w = jacobi_rule(BUMP_NODES, alpha.weight_exp, 0.0, 10.0 * v)
+        c = w * dilate(alpha, hermite_phi(alpha, n0), v)(x) / alpha.norm_const
+        keep = kept_terms(np.abs(c) * (1.0 + x ** (2 * n0 - 2)))
+        xs, coefs = xs + [x[keep]], coefs + [c[keep]]
+    sym = symmetric_remainder_profile(alpha, k, f, np.concatenate(xs)[:, None])
+    ends = np.cumsum([c.size for c in coefs])[:-1]
 
     def prof(us):
         us = np.asarray(us, dtype=float)
-        return (coef @ sym(us.ravel())).reshape(us.shape)
+        rows = zip(coefs, np.split(sym(us.ravel()), ends))
+        return np.reshape([c @ r for c, r in rows], ts.shape + us.shape)
 
     return prof
 
@@ -180,8 +191,9 @@ class BesovSamples:
         else:
             def compute(xs):    # depends on k through n0 alone
                 if kind == "C":
-                    return [norm_node_values(ctx, conv_profile(al, k, f, t))
-                            for t in xs.tolist()]
+                    return [v for i in range(0, xs.size, C_BLOCK) for v in zip(
+                        *norm_node_values(ctx, conv_profile(
+                            al, k, f, xs[i:i + C_BLOCK])))]
                 return list(zip(*norm_node_values(ctx, (
                     symmetric_remainder_profile(al, k, f, xs[:, None])))))
             out = lp_norm_from_nodes(ctx, self._nodes(

@@ -34,7 +34,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _scaled_j
 from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
-from .quad import integrate, rowdot, _jacobi_ref, _norm_rules
+from .quad import integrate, kept_terms, rowdot, _jacobi_ref, _norm_rules
 
 __all__ = [
     "w_total_variation",
@@ -225,16 +225,18 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
     _convolve_closed.  Otherwise g must decay and T truncates the outer
-    rule, the L^p head rule on (0, T); one translate_many call takes the
-    nodes -y and y for a block of x values, at most _BLOCK points in all."""
+    rule, the L^p head rule on (0, T) at its kept nodes (term size |w_j|
+    max|g(+-y_j)|); one translate_many call takes the nodes -y and y for a
+    block of x values, at most _BLOCK points in all."""
     if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
     (y, w), _ = _norm_rules(alpha, T)
+    gy, gmy = np.asarray(g(y)), np.asarray(g(-y))
+    keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
+    y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
     ypm = np.concatenate([-y, y])
-    gy = np.asarray(g(y))
-    gmy = np.asarray(g(-y))
     xv = np.reshape(x, (-1, 1)).astype(float)
     step = max(1, _BLOCK // ypm.size)
     out = []
@@ -260,10 +262,12 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
     """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y)
-    on the L^p head rule, xi a scalar or an array; f is called once, each
-    xi is a scalar call's value."""
+    on the L^p head rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a
+    scalar or an array; f is called once, each xi is a scalar call's value."""
     (y, w), _ = _norm_rules(alpha, T)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
+    keep = kept_terms(w * np.maximum(np.abs(fy), np.abs(fmy)))
+    y, w, fy, fmy = (v[keep] for v in (y, w, fy, fmy))
     out = [complex(np.dot(w, fy * dunkl_kernel_it(alpha, -v, y)
                           + fmy * dunkl_kernel_it(alpha, v, y))
                    / alpha.norm_const) for v in np.ravel(xi).tolist()]

@@ -186,6 +186,17 @@ def jacobi_rule(n: int, exp: float, a: float, b: float):
     return z, w * scale
 
 
+#: terms of an outer quadrature sum below this share of the largest drop
+KEEP_RATIO = 2.0 ** -70
+
+
+def kept_terms(size):
+    """Mask of the terms whose a-priori size (|weight| times a bound on the
+    integrand) is >= KEEP_RATIO of the largest, or not finite (nan stays)."""
+    finite = np.isfinite(size)
+    return ~finite | (size >= KEEP_RATIO * size.max(where=finite, initial=0.0))
+
+
 def rowdot(w, v):
     """Dot products along the last axis, each one np.dot of its two rows, so
     unlike a matrix product a row's value does not depend on the others."""

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dunkl_lab import besov as B, dunklcore
+from dunkl_lab import besov as B, dunklcore, quad
 from dunkl_lab import verify
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import (GaussPolyFunction, hermite_phi, dilate,
@@ -148,6 +148,54 @@ def test_conv_profile_matches_the_exact_convolution(alpha, k, t):
                    reason="80-node C at large t or alpha")
 def test_conv_profile_known_bad_cells(k, alpha, t, name):
     assert _conv_error(alpha, k, verify.CATALOG[name], t) <= 1e-10
+
+
+def test_conv_profile_takes_an_array_of_t():
+    # one row per t, each the bits of its scalar-t profile
+    ts, us = np.array([1e-3, 0.05, 0.2, 3.0]), np.linspace(-6.0, 6.0, 31)
+    for k in (2, 3):
+        rows = conv_profile(AL, k, CUBIC, ts)(us.reshape(1, -1))
+        assert rows.shape == (ts.size, 1, us.size)
+        for t, row in zip(ts.tolist(), rows):
+            assert np.array_equal(row[0], conv_profile(AL, k, CUBIC, t)(us))
+    assert conv_profile(AL, 2, CUBIC, 0.2)(us).shape == us.shape
+
+
+# the t of verify's besov grids (its coarse grid, scaling window and
+# equivalence probes) and of the benchmark sweep's grid
+SKIP_TS = np.unique(np.concatenate([
+    verify.COARSE_GRID, np.geomspace(1e-2, 1e-1, 8), [0.05, 0.2, 1.0],
+    default_grid(1e-3, 1e2, 3)]))
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5, 20.0, 40.0])
+def test_dropped_bump_terms_lie_below_rounding(alpha, n0):
+    # every term of the bump's 80-node sum at the L^p nodes u: those
+    # conv_profile drops sum to at most 2^-60 of the kept terms' sum of
+    # moduli (rounding reaches 2^-53 of it); k = 2 n0 - 1 and 2 n0 take the
+    # same bump and the same symmetric remainder (its sum runs to 2i < k)
+    al = AlphaParam(alpha)
+    u = np.concatenate([np.concatenate([z, -z])
+                        for z, _ in quad._norm_rules(al, NORM_T)])
+    rules = [quad.jacobi_rule(80, al.weight_exp, 0.0, 10.0 * t)
+             for t in SKIP_TS.tolist()]
+    xs = np.array([x for x, _ in rules])
+    coef = np.array([w * dilate(al, hermite_phi(al, n0), t)(x) for t, (x, w)
+                     in zip(SKIP_TS.tolist(), rules)]) / al.norm_const
+    keep = np.array([quad.kept_terms(np.abs(c) * (1.0 + x ** (2 * n0 - 2)))
+                     for c, x in zip(coef, xs)])
+    assert keep.any(axis=1).all() and not keep.all()
+    for _, f in verify.TEST_FUNCTIONS:
+        k, other = 2 * n0, 2 * n0 - 1
+        sym = symmetric_remainder_profile(al, k, f, xs.reshape(-1, 1))
+        assert np.array_equal(sym(u[:9]), symmetric_remainder_profile(
+            al, other, f, xs.reshape(-1, 1))(u[:9]))
+        terms = coef[..., None] * sym(u).reshape(xs.shape + u.shape)
+        dropped = np.where(keep[..., None], 0.0, terms).sum(axis=1)
+        kept = np.where(keep[..., None], np.abs(terms), 0.0).sum(axis=1)
+        assert np.all(np.abs(dropped).max(axis=1)
+                      <= 2.0 ** -60 * kept.max(axis=1))
 
 
 def test_conv_seminorm_integrand_relation():

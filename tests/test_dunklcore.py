@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dunkl_lab import quad
 from dunkl_lab.special import AlphaParam, dunkl_kernel_it
 from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi
 from dunkl_lab.quad import NORM_NODES, LpContext, lp_norm, jacobi_rule
@@ -293,3 +294,36 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
         assert [dunkl_transform(al, f, xi, T=T)
                 for xi in xis.ravel().tolist()] == ref
     assert isinstance(dunkl_transform(al, GAUSS, 0.5, T=10.0), complex)
+
+
+def _identity_cases(al):
+    # the transforms and callable-path convolutions of verify's translate
+    # suite: transform-of-convolution and translate-convolve-commute
+    f, g = GAUSS, GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
+    conv = lambda us: convolve(al, f, g, us, T=12.0)
+    xis = np.array([0.5, 1.7])
+    out = [dunkl_transform(al, h, xis, T=T)
+           for h, T in ((conv, 16.0), (f, 12.0), (g, 12.0))]
+    for t, x in ((0.6, 0.9), (-1.2, 0.3)):
+        tf = lambda ys: translate_many(al, f, t, ys)
+        tg = lambda ys: translate_many(al, g, t, ys)
+        out += [convolve(al, tf, g, x, T=14.0), convolve(al, f, tg, x, T=14.0)]
+    return out
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_outer_sums_skip_only_what_cannot_reach_them(alpha, monkeypatch):
+    al = AlphaParam(alpha)
+    (y, w), _ = quad._norm_rules(al, 12.0)
+    assert not quad.kept_terms(w * GAUSS(y)).all()     # some nodes drop
+    got = _identity_cases(al)
+    monkeypatch.setattr(quad, "KEEP_RATIO", 0.0)        # the full rules
+    assert all(np.array_equal(a, b) for a, b in zip(got, _identity_cases(al)))
+
+
+def test_a_nan_at_a_far_node_reaches_the_sum():
+    # a node a finite value there would drop: the nan is kept
+    far = lambda z: np.where(np.abs(z) > 9.0, np.nan, GAUSS(z))
+    assert np.isnan(convolve(AL, GAUSS, far, 0.3, T=12.0))
+    assert np.isnan(dunkl_transform(AL, far, 0.5, T=12.0))
+    assert math.isfinite(convolve(AL, GAUSS, lambda z: GAUSS(z), 0.3, T=12.0))

@@ -107,6 +107,24 @@ def test_dunkl_kernel_real_branch_consistent_with_series():
             series, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [-0.25, 0.5, 1.5, 40.0])
+def test_dunkl_kernel_past_exp_overflow(a):
+    # e^|w| overflows a float from |w| = 709.78 on, E_a(w) only later: a
+    # number where E_a is finite, the documented ValueError where it is not
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    am = mp.mpf(a)
+    for w in (700.0, -700.0, 710.0, -710.0):
+        wm = mp.mpf(w)
+        ref = (mp.hyp0f1(am + 1, wm * wm / 4) + wm / (2 * (am + 1))
+               * mp.hyp0f1(am + 2, wm * wm / 4))
+        got = dunkl_kernel(AlphaParam(a), w, 1.0)
+        assert got.imag == 0.0
+        assert abs(got.real - ref) <= 5e-13 * abs(ref), w
+    with pytest.raises(ValueError, match="exceeds a float"):
+        dunkl_kernel(AlphaParam(a), -1400.0, 1.0)
+
+
 def _laguerre(n, a, u):
     # L_n^a(u) by the three-term recurrence, an oracle for hermite_phi
     prev, cur = np.ones_like(u), 1.0 + a - u

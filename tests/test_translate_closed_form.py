@@ -19,7 +19,8 @@ from dunkl_lab.besov import (NORM_T, BesovParams, conv_norm, conv_profile,
                              default_grid)
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
-from dunkl_lab.quad import NORM_NODES, LpContext, jacobi_rule, lp_norm
+from dunkl_lab.quad import (NORM_NODES, LpContext, jacobi_rule, kept_terms,
+                            lp_norm)
 from dunkl_lab.special import (AlphaParam, dunkl_kernel, dunkl_kernel_it,
                                _scaled_j)
 from dunkl_lab.verify import CATALOG
@@ -501,13 +502,18 @@ def _count_closed_form_work(monkeypatch, nu):
 def test_bessel_pair_shared_by_the_signs(monkeypatch):
     params = _params(1.5, 3)
     work = _count_closed_form_work(monkeypatch, 2.5)    # a + 1
-    # conv_profile's 80 nodes x take tau_x + tau_{-x} in one pass; a
-    # symmetric us adds +-u: one Bessel value per cell of the grid of the
-    # 80 distinct |x| and the 37 distinct |u|
+    # conv_profile's kept nodes x of its 80-node rule (bump order n0 = 2)
+    # take tau_x + tau_{-x} in one pass; a symmetric us adds +-u: one Bessel
+    # value per cell of the grid of the distinct |x| and the 37 distinct |u|
+    xs, ws = jacobi_rule(80, params.alpha.weight_exp, 0.0, 2.0)
+    coef = (ws * dilate(params.alpha, hermite_phi(params.alpha, 2), 0.2)(xs)
+            / params.alpha.norm_const)
+    kept = int(kept_terms(np.abs(coef) * (1.0 + xs ** 2)).sum())
+    assert kept < 80
     u = np.linspace(0.1, 6.0, 37)
     conv_profile(params.alpha, 3, CUBIC, 0.2)(np.concatenate([u, -u]))
-    assert work["points"] == 2 * 80 * u.size
-    assert work["bessel"] == 80 * u.size
+    assert work["points"] == 2 * kept * u.size
+    assert work["bessel"] == kept * u.size
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
     work.update(points=0, bessel=0)
     lp_norm(LpContext(params.alpha, params.p, NORM_T),
