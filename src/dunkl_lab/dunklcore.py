@@ -49,6 +49,8 @@ __all__ = [
 TRANSLATE_NODES = 48
 #: point-node pairs per quadrature block, translated points per convolve block
 _BLOCK = 16384
+#: _translate_closed's last grid factors (read-only), oldest first; size caps
+_FACTORS, _FACTOR_ENTRIES, _FACTOR_CELLS = {}, 8, 8192
 
 
 def _measure_const(a: float) -> float:
@@ -174,8 +176,10 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     scaled values only, and no order for a zero part (D, for an even f with
     pair).  n and G depend on (|x|, |y|) alone: one value per cell of the
     grid of distinct |x| and |y| if it has no more cells than the call has
-    points, else per point; x-Horner runs per entry of x.  Overflows pass on
-    as inf or nan."""
+    points, else per point; x-Horner runs per entry of x.  One of the last 8
+    grids (of at most 8192 cells) takes no Bessel pass: its factors are kept
+    by (a, i, s, distinct |x|, distinct |y|), i = 0, 1 (a + i mixes alphas).
+    Overflows pass on as inf or nan."""
     a, s = alpha.alpha, f.gauss_scale
     shape = np.broadcast_shapes(x.shape, y.shape)
     (ux, ix), (uy, iy) = (np.unique(np.abs(v).ravel(), return_inverse=True)
@@ -189,7 +193,14 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
         g = np.exp(-s * (ax - ay) ** 2).ravel()
         for i, c in enumerate((g, 0.5 * w / (a + 1.0) * g)):
             if C[..., i].any():
-                v = c * _scaled_j(a + i, w)
+                key = (a, i, s, ux.tobytes(), uy.tobytes()) if grid else None
+                v = _FACTORS.pop(key, None)     # put back as the newest
+                v = c * _scaled_j(a + i, w) if v is None else v
+                if grid and v.size <= _FACTOR_CELLS:
+                    v.flags.writeable = False
+                    _FACTORS[key] = v
+                    if len(_FACTORS) > _FACTOR_ENTRIES:
+                        del _FACTORS[next(iter(_FACTORS))]
                 v = (v[pick] if grid else v.reshape(shape)) * polyval(
                     y, polyval(x, C[..., i]), tensor=False)
                 out += np.sign(x * y) * v if i else v

@@ -12,8 +12,8 @@ finite combination of terms  c * sgn(t)^s * |t|^e * log^j |t|, a set the
 recursion's antiderivatives keep closed: an exponent -1 (resonant alpha:
 alpha = 0 from Theta_1 on, alpha = 1 from Theta_3 on) integrates to a log
 power, every other exponent exactly as a power.  A Theta-weighted integral
-gives each term one Gauss rule on (0, 1) for its power (and log) of |t|, at
-the nodes y = |x| t; tau_y f(a) is analytic in y.
+gives each family of terms (one log power, A-weighted exponents on the
+ladders j or 2a+1+j) one Gauss rule on (0, 1), at the nodes y = |x| t.
 """
 
 from __future__ import annotations
@@ -156,29 +156,48 @@ def theta_mass_bound(alpha, k: int, x) -> float:
 
 def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
     """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy  (equals b_{p+1}(x));
-    the Jacobi rules of the Theta-weighted integral are exact for b_p."""
+    a family's n-node rule times t^m is exact for b_p while p + m < 2n."""
     return _theta_weighted_integral(alpha, 0, x,
                                     lambda ys, rows: b_coeff(alpha, p, ys))
 
 
 # -- Theta-weighted integrals over (-|x|, |x|) --------------------------------
 
+@lru_cache(maxsize=1024)
+def _theta_families(table: tuple, we: float, order: int):
+    """Rule families (j, b) of the terms of a Theta_order table, and per
+    term its family and m: per log power j, a term whose weighted exponent
+    ee (its |t| exponent + we, we = 2a+1) lies an integer m <= 2(order+1)
+    above a family's lowest exponent b takes that family's rule times t^m."""
+    bases, where, terms = [], {}, [(j, e + we) for _, _, e, j in table]
+    for j, ee in sorted(set(terms)):
+        i = next((i for i, (jb, b) in enumerate(bases) if jb == j and ee - b
+                  <= 2 * order + 2 and abs(ee - b - round(ee - b)) < 1e-11),
+                 len(bases))
+        if i == len(bases):
+            bases.append((j, ee))
+        where[j, ee] = i, ee - bases[i][1]
+    return bases, *zip(*(where[t] for t in terms))
+
+
 def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
                              s: float = 1.0):
     """int_{-|x|}^{|x|} Theta_order(x,y) h(y) A(y) dy, as |x|^(order+1) times
     int_{-1}^{1} Theta_order(sgn x, t) h(|x| t) A(t) dt with the A-weight
-    carried analytically: each term takes one rule on (0, 1), a Jacobi rule
-    for its |t| exponent, or for a term with log^j |t|, j > 0, the Jacobi
-    rule after t = u^3, so the log singularity sits under the weight
-    u^(3 ee + 2).  Gauss rules need h smooth on (-|x|, |x|), as
-    y |-> tau_y f(a) is for f in the algebra; for f = p(y) e^(-s y^2) it
-    varies on the width 1/sqrt(s) (at most one), and a rule has 40 nodes per
-    4 widths of |x| (at most 400).  x = 0 gives 0.
+    carried analytically: each family (_theta_families) takes one rule on
+    (0, 1), a Jacobi rule for its lowest |t| exponent b, or with log^j |t|,
+    j > 0, that rule after t = u^3, so the log singularity sits under the
+    weight u^(3b + 2); a term's weights are its family's times t^m, exact
+    for h of degree <= 2n - 1 - m.  Gauss rules need h smooth on (-|x|,
+    |x|), as y |-> tau_y f(a) is for f in the algebra; for f = p(y)
+    e^(-s y^2) it varies on the width 1/sqrt(s) (at most one), and a rule
+    has 40 nodes per 4 widths of |x| (at most 400).  x = 0 gives 0.
 
     x broadcasts to the rows of the result; a scalar gives a float.
-    h(ys, rows) maps the nodes ys[i, j] = [y, -y] of term j of row rows[i]
-    to values; it is called once per node count (once for |x| <= 4 widths),
-    and each row's sum equals its single-row value bit for bit.
+    h(ys, rows) maps the nodes ys[i, j] = [y, -y] of family j of row rows[i]
+    to values; it is called once per node count (once for |x| <= 4 widths).
+    Terms sum in table order: each row's sum is its single-row value bit
+    for bit.
     """
     xb = np.asarray(x, float)
     xs = xb.ravel()
@@ -186,9 +205,9 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     # the -1 table has the +1 table's terms (exponents) in its order
     signs, inv = np.unique(np.copysign(1.0, xs), return_inverse=True)
     tables = [_theta_terms(alpha.alpha, order, v) for v in signs.tolist()]
-    keys = [(sp, e, j) for _, sp, e, j in tables[0]]
     coef = np.array([[c for c, *_ in t] for t in tables])[inv]
-    sgn = np.array([(-1.0) ** sp for sp, _, _ in keys])[:, None]
+    sgn = np.array([(-1.0) ** sp for _, sp, _, _ in tables[0]])[:, None]
+    bases, fam, pw = _theta_families(tables[0], alpha.weight_exp, order)
 
     def rule(n, ee, j):
         # rule on (0, 1) for the weight t^ee log^j t (Theta-term * A)
@@ -202,12 +221,12 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     total = np.zeros(xs.size)
     for n in sorted(set(ns.tolist())):    # np.unique imports numpy.ma
         rows = np.flatnonzero(ns == n)
-        rules = [rule(n, e + alpha.weight_exp, j) for _, e, j in keys]
+        rules = [rule(n, b, j) for j, b in bases]
         z = ax[rows, None, None] * np.stack([t for t, _ in rules])
-        hv = h(np.concatenate([z, -z], axis=-1), rows)
-        parts = coef[rows] * rowdot(np.stack([w for _, w in rules]),
-                                    hv[..., :n] + sgn * hv[..., n:])
-        for j in range(len(keys)):   # per term, as one row would sum them
+        hv = h(np.concatenate([z, -z], axis=-1), rows)[:, fam]
+        w = np.stack([rules[i][1] * rules[i][0] ** m for i, m in zip(fam, pw)])
+        parts = coef[rows] * rowdot(w, hv[..., :n] + sgn * hv[..., n:])
+        for j in range(len(fam)):   # per term, as one row would sum them
             total[rows] += parts[:, j]
     total *= [v ** (order + 1) for v in ax.tolist()]
     return total.reshape(xb.shape) if xb.ndim else float(total[0])
@@ -222,10 +241,10 @@ def iterated_integral_I(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
 
         I_k(x, f)(a) = int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y f(a) A(y) dy,
 
-    one rule per Theta term on (0, 1), which needs y |-> tau_y f(a) smooth
-    on (-|x|, |x|): it is for f in the algebra, whose translates are analytic
-    in y (no kink at |y| = |a|).  x and a may be arrays (one row per
-    broadcast pair)."""
+    one rule per family of Theta terms on (0, 1), which needs y |-> tau_y f(a)
+    smooth on (-|x|, |x|): it is for f in the algebra, whose translates are
+    analytic in y (no kink at |y| = |a|).  x and a may be arrays (one row
+    per broadcast pair)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))

@@ -448,8 +448,10 @@ def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
 
 
 def test_theta_weighted_integral_evaluates_h_once_per_node_count():
-    # one rule per term on (0, 1): h sees every row and term of one node
-    # count (40 per 4 units of |x|) in one call
+    # one rule per family on (0, 1): at alpha = 1/2 every weighted exponent
+    # of Theta_2 is an integer in [0, 6], so its terms form one family; h
+    # sees every row and family of one node count (40 per 4 units of |x|)
+    # in one call
     al, n = AL, 40
     x = np.array([0.9, 1.3, 0.7, -6.0])
     shapes = []
@@ -459,11 +461,11 @@ def test_theta_weighted_integral_evaluates_h_once_per_node_count():
         return np.cos(ys)
 
     _theta_weighted_integral(al, 2, x, h)
-    terms = len({(sp, e, j) for v in (1.0, -1.0)
-                 for _, sp, e, j in _theta_terms(al.alpha, 2, v)})
-    assert terms > 1
-    assert shapes == [((3, terms, 2 * n), [0, 1, 2]),
-                      ((1, terms, 4 * n), [3])]
+    terms = {(sp, e, j) for v in (1.0, -1.0)
+             for _, sp, e, j in _theta_terms(al.alpha, 2, v)}
+    assert len(terms) > 1
+    assert all(not j and (e + al.weight_exp) in range(7) for _, e, j in terms)
+    assert shapes == [((3, 1, 2 * n), [0, 1, 2]), ((1, 1, 4 * n), [3])]
 
 
 # -- grid-at-once sampling against the per-x calls ------------------------------

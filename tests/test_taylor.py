@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from dunkl_lab import quad, taylor
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
 from dunkl_lab.dunklcore import translate, translate_many
-from dunkl_lab.verify import TAYLOR_PAIRS, TEST_FUNCTIONS
+from dunkl_lab.verify import CATALOG, TAYLOR_PAIRS, TEST_FUNCTIONS
 from dunkl_lab.taylor import (b_coeff, _eval_terms, _theta_terms,
                               theta_mass, theta_mass_bound,
                               theta0_moment,
@@ -135,6 +136,45 @@ def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, a):
                        * (translate(al, F, z, a) + translate(al, F, -z, a)),
                        0.0, ax, epsabs=1e-14, epsrel=1e-13)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def _per_term_integral(al, order, x, h, s):
+    """_theta_weighted_integral at one x with one Gauss rule on (0, 1) per
+    Theta term, for its own weighted exponent (and log power, after
+    t = u^3), the layout before terms shared a family's rule."""
+    ax = abs(x)
+    n = 40 * min(max(math.ceil(ax * math.sqrt(max(s, 1.0)) / 4.0), 1), 10)
+    total = 0.0
+    for c, sp, e, j in _theta_terms(al.alpha, order, math.copysign(1.0, x)):
+        ee = e + al.weight_exp
+        if j:
+            u, w = quad.jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 1.0)
+            t, w = u ** 3, 3.0 * w * (3.0 * np.log(u)) ** j
+        else:
+            t, w = quad.jacobi_rule(n, ee, 0.0, 1.0)
+        total += c * np.dot(w, h(ax * t) + (-1.0) ** sp * h(-ax * t))
+    return ax ** (order + 1) * total
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0, 1.5, 47.0, 140.0])
+def test_family_rules_match_per_term_rules(alpha):
+    # a family's rule times t^m is exact for h of degree <= 2n - 1 - m, and
+    # m <= 2(order + 1) keeps that near the per-term rules' 2n - 1; at
+    # alpha = 47 and 140 the ladders j and 2a+1+j stay apart (a t^281
+    # factor on the rule for t^0 is off by 1e-12)
+    al = AlphaParam(alpha)
+    logs = False
+    for order in range(7):
+        logs |= any(j for *_, j in _theta_terms(alpha, order, 1.0))
+        for f in CATALOG.values():
+            for x, a in ((0.6, 0.3), (-1.7, 0.9), (5.0, -0.4)):
+                h = functools.partial(translate_many, al, f, a)
+                got = taylor._theta_weighted_integral(
+                    al, order, x, lambda ys, rows: h(ys), f.gauss_scale)
+                ref = _per_term_integral(al, order, x, h, f.gauss_scale)
+                assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), \
+                    (order, f, x)
+    assert logs == (alpha in (0.0, 1.0))
 
 
 def test_remainder_at_small_a_matches_recurrence():

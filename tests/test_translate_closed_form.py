@@ -340,8 +340,10 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     loop_points = sum(calls)
     calls.clear()
     iterated_integral_I(al, 2, CUBIC, 0.9, 0.3)
-    # one call: the +-z of every Theta_1 term's rule on (0, 1), at |x| t
-    assert calls == [80 * len(_theta_terms(0.5, 1, 1.0))]
+    # one call: the +-z of the rule on (0, 1) at |x| t of the one family
+    # of Theta_1's terms (their weighted exponents 0..3 are integers)
+    assert len(_theta_terms(0.5, 1, 1.0)) > 1
+    assert calls == [80]
     assert 20 * sum(calls) < loop_points
     calls.clear()
     # a callable g takes the L^p head rule, +-y at its NORM_NODES nodes (two
@@ -481,7 +483,9 @@ def test_per_point_path_is_layout_independent(monkeypatch, alpha):
 
 def _count_closed_form_work(monkeypatch, nu):
     """Points reaching the closed form (the broadcast of its x and y), and
-    Bessel values of order nu; one call per order counts several orders."""
+    Bessel values of order nu, from an empty grid-factor cache; one call per
+    order counts several orders."""
+    dunklcore._FACTORS.clear()
     work = {"points": 0, "bessel": 0}
     closed, scaled_j = dunklcore._translate_closed, dunklcore._scaled_j
 
@@ -527,7 +531,8 @@ def test_bessel_pair_shared_by_the_signs(monkeypatch):
 def test_even_function_pair_takes_one_bessel_order(monkeypatch, f):
     # tau_x f + tau_{-x} f of an even f has D = 0: order a + 1 takes no
     # Bessel value and order a one per cell of the grid of the 80 distinct
-    # |x| and 37 distinct |u|; tau_x f alone takes both orders
+    # |x| and 37 distinct |u|; tau_x f alone takes both orders, order a from
+    # the grid-factor cache while that grid is in it
     al = AlphaParam(-0.25)
     low = _count_closed_form_work(monkeypatch, al.alpha)
     high = _count_closed_form_work(monkeypatch, al.alpha + 1.0)
@@ -536,7 +541,30 @@ def test_even_function_pair_takes_one_bessel_order(monkeypatch, f):
     dunklcore._translate_sum(al, f, x, np.concatenate([u, -u]))
     assert (low["bessel"], high["bessel"]) == (80 * u.size, 0)
     translate_many(al, f, x, np.concatenate([u, -u]))
-    assert (low["bessel"], high["bessel"]) == (2 * 80 * u.size, 80 * u.size)
+    assert (low["bessel"], high["bessel"]) == (80 * u.size, 80 * u.size)
+    dunklcore._FACTORS.clear()
+    translate_many(al, f, x, np.concatenate([u, -u]))
+    assert (low["bessel"], high["bessel"]) == (2 * 80 * u.size,
+                                               2 * 80 * u.size)
+
+
+def test_grid_factors_are_kept_per_alpha_and_order():
+    # an odd f takes both orders: alpha = 1/2's order a + 1 = 3/2 factor
+    # G w n_{3/2}(w) / (2(a+1)) shares its Bessel order, not its value, with
+    # alpha = 3/2's order-a factor G n_{3/2}(w) on the same grid and scale
+    f = CATALOG["x_gaussian"]
+    x = np.linspace(0.2, 3.0, 8).reshape(-1, 1)
+    y = np.linspace(-2.5, 2.5, 10)
+    lo, hi = AlphaParam(0.5), AlphaParam(1.5)
+    dunklcore._FACTORS.clear()
+    fresh_lo = translate_many(lo, f, x, y)
+    kept_hi = translate_many(hi, f, x, y)
+    assert len(dunklcore._FACTORS) == 4
+    assert all(not v.flags.writeable for v in dunklcore._FACTORS.values())
+    again_lo = translate_many(lo, f, x, y)    # from the cache
+    dunklcore._FACTORS.clear()
+    np.testing.assert_array_equal(kept_hi, translate_many(hi, f, x, y))
+    np.testing.assert_array_equal(again_lo, fresh_lo)
 
 
 def test_each_sign_pair_is_one_call():
@@ -551,10 +579,10 @@ def test_each_sign_pair_is_one_call():
     lp_norm(ctx, g)
     assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
-    terms = _theta_terms(0.5, 1, 1.0)
+    assert len(_theta_terms(0.5, 1, 1.0)) > 1
     _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys))
-    # one call: every term's +-|x| t on its rule on (0, 1)
-    assert calls == [len(terms) * 2 * 40]
+    # one call: +-|x| t on the rule on (0, 1) of the terms' one family
+    assert calls == [2 * 40]
 
 
 # -- small-x accuracy ------------------------------------------------------------

@@ -189,6 +189,37 @@ def test_taylor_suite_takes_each_remainder_and_theta_mass_once(monkeypatch):
     assert (len(rems), len(integrals)) == (15, 3)
 
 
+def test_identity_suites_bessel_and_translation_work(monkeypatch):
+    # machine-independent work of the kernel, translate, taylor and norms
+    # suites from an empty grid-factor cache: Bessel values (_scaled_j) and
+    # translated points (translate_many).  One Gauss rule per Theta family
+    # and one Bessel pass per repeated grid read 159,850 and 292,021; one
+    # rule per term and no reuse read 498,474 and 465,701
+    import sys
+    from dunkl_lab import dunklcore
+    dunklcore._FACTORS.clear()
+    work = {"bessel": 0, "points": 0}
+    scaled_j, orig = dunklcore._scaled_j, dunklcore.translate_many
+
+    def count_bessel(nu, w):
+        work["bessel"] += w.size
+        return scaled_j(nu, w)
+
+    def count_points(alpha, f, x, ys):
+        work["points"] += np.broadcast(np.asarray(x), np.asarray(ys)).size
+        return orig(alpha, f, x, ys)
+
+    monkeypatch.setattr(dunklcore, "_scaled_j", count_bessel)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dunkl_lab")
+                and getattr(module, "translate_many", None) is orig):
+            monkeypatch.setattr(module, "translate_many", count_points)
+    for suite in ("kernel", "translate", "taylor", "norms"):
+        V.SUITES[suite]()
+    assert work["bessel"] <= 170_000
+    assert work["points"] <= 300_000
+
+
 @pytest.mark.parametrize("path", ["real", "imaginary"])
 def test_kernel_at_zero_sees_a_first_order_error(monkeypatch, path):
     # the w/(2(a+1)) term of E_a(w) 1e-6 too large on one kernel path only
