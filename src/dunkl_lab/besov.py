@@ -150,9 +150,9 @@ class BesovSamples:
         self.alpha, self.f, self._memo = alpha, f, {}
 
     def _nodes(self, tag, vs, compute):
-        """[head rows, tail rows] of the node values at the points vs under
-        tag; compute(array of the missing points) gives one (head, tail)
-        pair per point."""
+        """[head rows, tail rows] of the node values at the points vs (orders
+        j for L^j f) under tag; compute(array of the missing points) gives
+        one (head, tail) pair per point."""
         keys = [(tag, v) for v in vs]
         new = list(dict.fromkeys(key for key in keys if key not in self._memo))
         if new:
@@ -170,12 +170,10 @@ class BesovSamples:
             raise ValueError("x and t must be positive")
         al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p, NORM_T)
         if kind == "K":
-            def norm(j):
-                if ("L", j) not in self._memo:
-                    self._memo["L", j] = norm_node_values(
-                        ctx, dunkl_power(al, f, j))
-                return lp_norm_from_nodes(ctx, self._memo["L", j]).value
-            return np.minimum(norm(k - 1), vs * norm(k))[()]
+            lj = self._nodes("L", [k - 1, k], lambda js: [norm_node_values(
+                ctx, dunkl_power(al, f, j)) for j in js.tolist()])
+            n = lp_norm_from_nodes(ctx, lj).value
+            return np.minimum(n[0], vs * n[1])[()]
         if not vs.size:
             return np.zeros(vs.shape)
         if kind == "B":

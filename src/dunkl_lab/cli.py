@@ -165,10 +165,6 @@ def _load_config(args, extras=()) -> RunConfig:
     return cfg
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -187,8 +183,8 @@ def _write_table(cfg: RunConfig, name: str, header, rows) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+                fh.write(",".join(f"{v:.17g}" if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
     return path
 
 

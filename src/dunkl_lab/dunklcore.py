@@ -50,7 +50,7 @@ TRANSLATE_NODES = 48
 #: point-node pairs per quadrature block, translated points per convolve block
 _BLOCK = 16384
 #: _translate_closed's last grid factors (read-only), oldest first; size caps
-_FACTORS, _FACTOR_ENTRIES, _FACTOR_CELLS = {}, 8, 8192
+_FACTORS, _FACTOR_ENTRIES, _FACTOR_CELLS = {}, 8, 4096
 
 
 def _measure_const(a: float) -> float:
@@ -119,13 +119,14 @@ def _has_closed_form(f: Callable) -> bool:
 def _translate_quadrature(alpha: AlphaParam, f: Callable, x, y):
     """tau_x(f)(y) for x, y != 0 (1-d arrays) by the Gauss-Jacobi rule in u
     on _measure_nodes, whose half-width 2|x||y| cancels the density's
-    (|x||y|)^(-2a) exactly.  One dot product per point (rowdot)."""
+    (|x||y|)^(-2a) exactly.  f takes all nodes +-z in one call; one dot
+    product per point (rowdot)."""
     a = alpha.alpha
     xj, wj = _jacobi_ref(TRANSLATE_NODES, a - 0.5, a - 0.5)
     m = np.maximum(np.abs(x), np.abs(y))[:, None]
     zs, b0, qz = _measure_nodes(x[:, None] / m, y[:, None] / m, xj[None, :])
-    fz, fmz = (np.asarray(f(v.ravel())).reshape(v.shape)
-               for v in (m * zs, -m * zs))
+    fz, fmz = np.asarray(f(np.concatenate([m * zs, -m * zs]).ravel())
+                         ).reshape((2,) + zs.shape)
     s = (fz + fmz) * b0 + (fz - fmz) * qz
     return _measure_const(a) * rowdot(s, wj)
 
@@ -177,7 +178,7 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     pair).  n and G depend on (|x|, |y|) alone: one value per cell of the
     grid of distinct |x| and |y| if it has no more cells than the call has
     points, else per point; x-Horner runs per entry of x.  One of the last 8
-    grids (of at most 8192 cells) takes no Bessel pass: its factors are kept
+    grids (of at most 4096 cells) takes no Bessel pass: its factors are kept
     by (a, i, s, distinct |x|, distinct |y|), i = 0, 1 (a + i mixes alphas).
     Overflows pass on as inf or nan."""
     a, s = alpha.alpha, f.gauss_scale
@@ -237,14 +238,14 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
     _convolve_closed.  Otherwise g must decay and T truncates the outer
     rule, the L^p head rule on (0, T) at its kept nodes (term size |w_j|
-    max|g(+-y_j)|); one translate_many call takes the nodes -y and y for a
-    block of x values, at most _BLOCK points in all."""
+    max|g(+-y_j)|, one call of g); one translate_many call takes -y and y
+    for a block of x values, at most _BLOCK points in all."""
     if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
     (y, w), _ = _norm_rules(alpha, T)
-    gy, gmy = np.asarray(g(y)), np.asarray(g(-y))
+    gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
     y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
     ypm = np.concatenate([-y, y])

@@ -237,9 +237,9 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
 
         E_a(w) = j_a(iw) + w/(2(a+1)) * j_{a+1}(iw),   w = lam*x,
 
-    from _scaled_j for real lam and _j_pair for imaginary lam.  ValueError
-    for a lam that is neither (at every x), and a lam*x or E_a(lam*x) that
-    is not a finite float.
+    from _scaled_j for real lam and dunkl_kernel_it for imaginary lam.
+    ValueError for a lam that is neither (at every x), and a lam*x or
+    E_a(lam*x) that is not a finite float.
     """
     a = _as_alpha(alpha)
     if not a > -0.5:
@@ -250,15 +250,13 @@ def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
         raise ValueError(f"lam*x must be finite, got {w}")
     if lam.real and lam.imag:
         raise ValueError(f"lam must be real or imaginary, got {lam}")
-    c = w / (2.0 * (a + 1.0))
     if w.real == 0.0:
-        # w = i s:  iw = -s real, j even => j_a(s)
-        j0, j1 = _j_pair(a, w.imag)
-        return complex(j0, c.imag * j1)
+        return complex(dunkl_kernel_it(a, lam.imag, x))
     s = abs(w.real)     # e^s in two factors past 709; E overflows from 1419
     n0, n1 = (float(_scaled_j(a + i, np.array([s]))[0]) for i in (0, 1))
     e2 = math.exp(max(s - 709.0, 0.0)) if s < 1419.0 else math.inf
-    v = math.exp(min(s, 709.0)) * (n0 + c.real * n1) * e2
+    c = w.real / (2.0 * (a + 1.0))
+    v = math.exp(min(s, 709.0)) * (n0 + c * n1) * e2
     if not math.isfinite(v):
         raise ValueError(f"E_a({w.real:g}) exceeds a float at alpha = {a:g}")
     return complex(v)

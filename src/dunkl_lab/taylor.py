@@ -7,7 +7,7 @@ symmetric remainder.
 
 Theta_k is homogeneous: Theta_k(x, y) = |x|^(k-2a-1) Theta_k(sgn x, y/|x|),
 as Theta_0 has degree -(2a+1) and each step of the recursion integrates up
-to |x|.  So each Theta_k(+-1, .) is tabulated once on the unit interval, a
+to |x|.  So Theta_k(1, .) alone is tabulated, once, on the unit interval, a
 finite combination of terms  c * sgn(t)^s * |t|^e * log^j |t|, a set the
 recursion's antiderivatives keep closed: an exponent -1 (resonant alpha:
 alpha = 0 from Theta_1 on, alpha = 1 from Theta_3 on) integrates to a log
@@ -99,12 +99,9 @@ def _merge(terms):
 
 
 @lru_cache(maxsize=4096)
-def _theta_terms(a: float, k: int, sign: float):
-    """Term table [(c, sgn_pow, exp, log_pow)] of Theta_k(sign, .) on (-1, 1),
-    sign = +-1; Theta_k(-1, t) = (-1)^(k+1) Theta_k(1, -t) gives the -1 one."""
-    if sign < 0.0:
-        return tuple((c * (-1) ** (k + 1 + sp), sp, e, j)
-                     for c, sp, e, j in _theta_terms(a, k, 1.0))
+def _theta_terms(a: float, k: int):
+    """Term table [(c, sgn_pow, exp, log_pow)] of Theta_k(1, .) on (-1, 1);
+    Theta_k(-1, t) = (-1)^(k+1) Theta_k(1, -t) (_theta_weighted_integral)."""
     we = 2.0 * a + 1.0
     u = [(0.5, 0, 0.0, 0)]
     v = [(0.5, 1, -we, 0)]
@@ -143,7 +140,7 @@ def theta_mass(alpha: AlphaParam, k: int, x: float) -> float:
 @lru_cache(maxsize=1024)
 def _unit_mass(alpha: AlphaParam, k: int) -> float:
     terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
-             in _theta_terms(alpha.alpha, k - 1, 1.0)]
+             in _theta_terms(alpha.alpha, k - 1)]
     return integrate(lambda t: abs(_eval_terms(terms, t))
                      + abs(_eval_terms(terms, -t)), 0.0, 1.0)[0]
 
@@ -193,7 +190,9 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     e^(-s y^2) it varies on the width 1/sqrt(s) (at most one), and a rule
     has 40 nodes per 4 widths of |x| (at most 400).  x = 0 gives 0.
 
-    x broadcasts to the rows of the result; a scalar gives a float.
+    x broadcasts to the rows of the result; a scalar gives a float.  Rows
+    whose x has its sign bit (-0.0 too) take Theta_order(1, .)'s terms times
+    (-1)^(order+1+sgn_pow): Theta(-1, t) = (-1)^(order+1) Theta(1, -t).
     h(ys, rows) maps the nodes ys[i, j] = [y, -y] of family j of row rows[i]
     to values; it is called once per node count (once for |x| <= 4 widths).
     Terms sum in table order: each row's sum is its single-row value bit
@@ -202,12 +201,11 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     xb = np.asarray(x, float)
     xs = xb.ravel()
     ax = np.abs(xs)
-    # the -1 table has the +1 table's terms (exponents) in its order
-    signs, inv = np.unique(np.copysign(1.0, xs), return_inverse=True)
-    tables = [_theta_terms(alpha.alpha, order, v) for v in signs.tolist()]
-    coef = np.array([[c for c, *_ in t] for t in tables])[inv]
-    sgn = np.array([(-1.0) ** sp for _, sp, _, _ in tables[0]])[:, None]
-    bases, fam, pw = _theta_families(tables[0], alpha.weight_exp, order)
+    table = _theta_terms(alpha.alpha, order)
+    c, sp = np.array([t[:2] for t in table]).T
+    flip = np.where(np.signbit(xs)[:, None], (-1.0) ** (order + 1 + sp), 1.0)
+    coef, sgn = c * flip, ((-1.0) ** sp)[:, None]
+    bases, fam, pw = _theta_families(table, alpha.weight_exp, order)
 
     def rule(n, ee, j):
         # rule on (0, 1) for the weight t^ee log^j t (Theta-term * A)
@@ -264,26 +262,35 @@ def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
     return iterated_integral_I(alpha, k, dunkl_power(alpha, f, k), x, a)
 
 
+def _peeled_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction, x,
+                    step: int) -> Callable:
+    """u |-> T f(u) - sum_{p<k, step | p} step b_p(x) L^p f(u), vectorized,
+    with T f = tau_x f (step 1) or tau_x f + tau_{-x} f (step 2), translated
+    at each call unless the caller passes T f(u) as tau."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    x = np.asarray(x, dtype=float)
+    consts = [(step * b_coeff(alpha, p, x), dunkl_power(alpha, f, p))
+              for p in range(0, k, step)]
+
+    def prof(us, tau=None):
+        us = np.asarray(us, dtype=float)
+        if tau is None:     # looked up per call: a wrapper sees each one
+            tau = (translate_many, _translate_sum)[step - 1](alpha, f, x, us)
+        for c, lpf in consts:
+            tau = tau - c * lpf(us)
+        return tau
+
+    return prof
+
+
 def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                       x) -> Callable:
     """u |-> R_k(x, f)(u) = tau_x f(u) - sum_{p<k} b_p(x) L^p f(u), vectorized
     (the recurrence form; R_0 = tau_x f).  x is a scalar or an array that
     broadcasts against u; a caller that has tau_x f(u) already passes it as
     tau."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = np.asarray(x, dtype=float)
-    consts = [(b_coeff(alpha, p, x), dunkl_power(alpha, f, p))
-              for p in range(k)]
-
-    def prof(us, tau=None):
-        us = np.asarray(us, dtype=float)
-        val = translate_many(alpha, f, x, us) if tau is None else tau
-        for bp, lpf in consts:
-            val = val - bp * lpf(us)
-        return val
-
-    return prof
+    return _peeled_profile(alpha, k, f, x, 1)
 
 
 def remainder_recursion_residual(alpha: AlphaParam, k: int,
@@ -341,16 +348,4 @@ def symmetric_remainder_profile(alpha: AlphaParam, k: int,
     form tau_x f + tau_{-x} f - 2 sum_{2i <= k-1} b_{2i}(x) L^{2i} f (k = 0
     gives tau_x f + tau_{-x} f).  x is a scalar or an array that broadcasts
     against u."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = np.asarray(x, dtype=float)
-    consts = [(2.0 * b_coeff(alpha, 2 * i, x), dunkl_power(alpha, f, 2 * i))
-              for i in range((k - 1) // 2 + 1)]
-
-    def prof(us):
-        val = _translate_sum(alpha, f, x, us)
-        for c, lpf in consts:
-            val = val - c * lpf(us)
-        return val
-
-    return prof
+    return _peeled_profile(alpha, k, f, x, 2)

@@ -59,12 +59,6 @@ def _check(check_id: str, anchor: str, residual: float, tol: float,
             "tolerance": float(tol), "status": status, "detail": detail}
 
 
-def _ratio_check(check_id: str, anchor: str, value: float, bound: float,
-                 slack: float, detail: str = "") -> Dict:
-    # "residual" is the (signed) bound excess; negative means comfortably in
-    return _check(check_id, anchor, value - bound, slack, detail)
-
-
 # ---------------------------------------------------------------- kernel ----
 
 def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
@@ -121,9 +115,9 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
         for x in grid6:
             for y in grid6:
                 worst = max(worst, w_total_variation(al, x, y))
-        checks.append(_ratio_check(f"measure-mass-bound[a={a}]",
-                                   "translation measure total variation <= sqrt(2)",
-                                   worst, SQRT2, 1e-8))
+        checks.append(_check(f"measure-mass-bound[a={a}]",
+                             "translation measure total variation <= sqrt(2)",
+                             worst - SQRT2, 1e-8))
         worst = 0.0
         px, py = np.transpose(pairs9)
         for t in (0.3, 1.0, 2.5):    # one translation per t takes every pair
@@ -146,19 +140,19 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
             for name, _ in TEST_FUNCTIONS:
                 rows = lp_norm_from_nodes(LpContext(al, p, 16.0), moved[name])
                 worst = max(worst, *(rows.value / norm(p, name)).tolist())
-            checks.append(_ratio_check(
+            checks.append(_check(
                 f"translation-contraction[a={a},p={p:g}]",
-                "translation norm ratio <= sqrt(2)", worst, SQRT2, 1e-6))
+                "translation norm ratio <= sqrt(2)", worst - SQRT2, 1e-6))
 
         (fname, f), (gname, g) = TEST_FUNCTIONS[0], TEST_FUNCTIONS[2]
         conv = lambda us: convolve(al, f, g, us, T=12.0)
         conv_nodes = _node_values(al, conv, 16.0)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
             num = lp_norm_from_nodes(LpContext(al, r, 16.0), conv_nodes).value
-            checks.append(_ratio_check(
+            checks.append(_check(
                 f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
                 "convolution Young bound with constant sqrt(2)",
-                num / (norm(p, fname) * norm(q, gname)), SQRT2, 1e-6))
+                num / (norm(p, fname) * norm(q, gname)) - SQRT2, 1e-6))
 
         worst = 0.0     # one transform per function takes both xi
         xis = np.array([0.5, 1.7])
@@ -378,10 +372,10 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                 f"sandwich-flatness[a={a},k={k}]",
                 "modulus and K-functional agree up to constants (slope)",
                 abs(s_r), 0.15))
-            checks.append(_ratio_check(
+            checks.append(_check(
                 f"sandwich-spread[a={a},k={k}]",
                 "modulus and K-functional agree up to constants (spread)",
-                max(rat) / min(rat), 50.0, 0.0))
+                max(rat) / min(rat) - 50.0, 0.0))
 
     # one-sided convolution estimates + seminorm finiteness + the p = 1 path
     for a in alphas:

@@ -12,14 +12,15 @@ from dunkl_lab.funcalg import (GaussPolyFunction, hermite_phi, dilate,
 from dunkl_lab.quad import (LpContext, lp_norm, lp_norm_from_nodes,
                             norm_node_values)
 from dunkl_lab.dunklcore import convolve
-from dunkl_lab.taylor import (_theta_terms, _theta_weighted_integral,
-                              remainder_profile, symmetric_remainder_profile)
+from dunkl_lab.taylor import (_theta_weighted_integral, remainder_profile,
+                              symmetric_remainder_profile)
 from dunkl_lab.besov import (KINDS, NORM_T, BesovParams, BesovSamples,
                              default_grid,
                              omega, omega_tilde, k_functional_upper,
                              conv_profile, conv_norm,
                              seminorm_from_samples, slope_estimate,
                              equivalence_report)
+from test_taylor import theta_table
 
 AL = AlphaParam(0.5)
 GAUSS = GaussPolyFunction((1.0,), 1.0)
@@ -462,7 +463,7 @@ def test_theta_weighted_integral_evaluates_h_once_per_node_count():
 
     _theta_weighted_integral(al, 2, x, h)
     terms = {(sp, e, j) for v in (1.0, -1.0)
-             for _, sp, e, j in _theta_terms(al.alpha, 2, v)}
+             for _, sp, e, j in theta_table(al.alpha, 2, v)}
     assert len(terms) > 1
     assert all(not j and (e + al.weight_exp) in range(7) for _, e, j in terms)
     assert shapes == [((3, 1, 2 * n), [0, 1, 2]), ((1, 1, 4 * n), [3])]

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dunkl_lab.cli import (main, RunConfig, ConfigError, CATALOG, _fmt,
-                           build_parser, EXIT_OK, EXIT_CONFIG)
+from dunkl_lab.cli import (main, RunConfig, ConfigError, CATALOG,
+                           _write_table, build_parser, EXIT_OK, EXIT_CONFIG)
 
 
 def run(args):
@@ -152,9 +152,11 @@ def test_sweep_csv_and_json_agree(tmp_path):
     assert (d1 / "convolution.csv").exists()
 
 
-def test_fmt_roundtrip():
-    for v in (1.0 / 3.0, 1e-17, math.pi, -2.5e16):
-        assert float(_fmt(v)) == v
+def test_fmt_roundtrip(tmp_path):
+    vals = [1.0 / 3.0, 1e-17, math.pi, -2.5e16]
+    path = _write_table(RunConfig(out_dir=str(tmp_path)), "t", ["v"],
+                        [(v,) for v in vals])
+    assert [float(v) for v in open(path).read().split()[1:]] == vals
 
 
 def test_verify_single_suite(tmp_path, capsys):

@@ -18,6 +18,7 @@ from dunkl_lab.quad import (QuadratureError, _jacobi_ref, integrate,
                             jacobi_rule)
 from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _j_pair,
                                dunkl_kernel)
+from test_taylor import theta_table
 
 mp = pytest.importorskip("mpmath")
 
@@ -145,7 +146,7 @@ def test_bessel_j_past_the_largest_order_raises(nu):
 def _theta_mass_quadpack(al, k, x):
     # Theta_{k-1}(x, y) = |x|^(k-1-2a-1) Theta_{k-1}(sgn x, y/|x|), on (0, |x|)
     ax = abs(x)
-    terms = T._theta_terms(al.alpha, k - 1, math.copysign(1.0, x))
+    terms = theta_table(al.alpha, k - 1, math.copysign(1.0, x))
     g = lambda y: ((abs(T._eval_terms(terms, y / ax))
                     + abs(T._eval_terms(terms, -y / ax)))
                    * ax ** (k - 1 - al.weight_exp) * y ** al.weight_exp)

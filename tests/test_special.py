@@ -82,6 +82,16 @@ def test_dunkl_kernel_takes_only_real_or_imaginary_lam(x):
         dunkl_kernel(AlphaParam(0.5), 3.0 - 1.0j, x)
 
 
+@pytest.mark.parametrize("a", [-0.25, 0.0, 0.5, 40.0])
+def test_imaginary_lam_is_the_vectorized_kernel_bitwise(a):
+    # imaginary lam has one implementation: E_a(i t x) of dunkl_kernel_it
+    for t in (0.8, -2.5):
+        for x in (0.0, 0.3, -0.3, 7.0, -7.0, 300.0, -300.0):
+            got = np.complex128(dunkl_kernel(AlphaParam(a), 1j * t, x))
+            assert got.tobytes() == np.complex128(
+                dunkl_kernel_it(a, t, x)).tobytes(), (t, x)
+
+
 def test_dunkl_kernel_eigen_equation_fd():
     # the kernel solves the first-order eigenproblem for the Dunkl operator
     al = AlphaParam(1.0)

@@ -48,12 +48,19 @@ def test_b_coeff_dunkl_ladder():
         np.testing.assert_allclose(lb(xs), b_coeff(AL, p, xs), rtol=1e-12)
 
 
+def theta_table(a, k, sign):
+    """Term table of Theta_k(sign, .), sign = +-1, from the library's one of
+    Theta_k(1, .): Theta_k(-1, t) = (-1)^(k+1) Theta_k(1, -t)."""
+    return tuple((c * (-1) ** (k + 1 + sp) if sign < 0.0 else c, sp, e, j)
+                 for c, sp, e, j in _theta_terms(a, k))
+
+
 def _theta(a, k, x, y):
     """Theta_k(x, y) = |x|^(k-2a-1) Theta_k(sgn x, y/|x|) from the table on
     the unit interval."""
     ax = abs(x)
     return ax ** (k - 2.0 * a - 1.0) * _eval_terms(
-        _theta_terms(a, k, math.copysign(1.0, x)), y / ax)
+        theta_table(a, k, math.copysign(1.0, x)), y / ax)
 
 
 # pairs (x, y) at |x| of order one, small and large
@@ -111,7 +118,7 @@ def test_theta_resonant_alpha_has_log_terms(a, k):
     # an antiderivative exponent reaches -1: Theta_{k-1} gets a log term,
     # and the Taylor identity holds as at any other alpha
     al = AlphaParam(a)
-    assert any(j for _c, _sp, _e, j in _theta_terms(a, k - 1, 1.0))
+    assert any(j for _c, _sp, _e, j in _theta_terms(a, k - 1))
     for x, pt in [(0.9, 0.35), (-1.4, 0.0), (2.0, -0.7)]:
         scale = abs(translate(al, F, x, pt)) + 1.0
         gap = remainder(al, k, F, x, pt) - remainder_profile(al, k, F, x)(pt)
@@ -126,10 +133,11 @@ def test_theta_resonant_alpha_has_log_terms(a, k):
 def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, a):
     # one term |t|^e log^j |t| (e = ee - 2 alpha - 1) of a unit-interval
     # table on y |-> tau_y f(a), y = |x| t: the rule on (0, 1) after t = u^3,
-    # one piece across |y| = |a|
+    # one piece across |y| = |a|; Theta_0(-1, t) = -Theta_0(1, -t), so the
+    # table's coefficient sgn(x) gives the term coefficient 1 at either sign
     al, ax = AlphaParam(0.0), abs(x)
-    monkeypatch.setattr(taylor, "_theta_terms",
-                        lambda a, k, sign: ((1.0, 0, ee - al.weight_exp, j),))
+    monkeypatch.setattr(taylor, "_theta_terms", lambda a, k: (
+        (math.copysign(1.0, x), 0, ee - al.weight_exp, j),))
     got = taylor._theta_weighted_integral(
         al, 0, x, lambda ys, rows: translate_many(al, F, a, ys))
     ref, _ = sint.quad(lambda z: (z / ax) ** ee * math.log(z / ax) ** j
@@ -145,7 +153,7 @@ def _per_term_integral(al, order, x, h, s):
     ax = abs(x)
     n = 40 * min(max(math.ceil(ax * math.sqrt(max(s, 1.0)) / 4.0), 1), 10)
     total = 0.0
-    for c, sp, e, j in _theta_terms(al.alpha, order, math.copysign(1.0, x)):
+    for c, sp, e, j in theta_table(al.alpha, order, math.copysign(1.0, x)):
         ee = e + al.weight_exp
         if j:
             u, w = quad.jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 1.0)
@@ -165,7 +173,7 @@ def test_family_rules_match_per_term_rules(alpha):
     al = AlphaParam(alpha)
     logs = False
     for order in range(7):
-        logs |= any(j for *_, j in _theta_terms(alpha, order, 1.0))
+        logs |= any(j for *_, j in _theta_terms(alpha, order))
         for f in CATALOG.values():
             for x, a in ((0.6, 0.3), (-1.7, 0.9), (5.0, -0.4)):
                 h = functools.partial(translate_many, al, f, a)
@@ -175,6 +183,22 @@ def test_family_rules_match_per_term_rules(alpha):
                 assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), \
                     (order, f, x)
     assert logs == (alpha in (0.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 1.0, 1.5])
+def test_theta_rows_of_either_sign_equal_one_row_calls_bitwise(alpha):
+    # every row reads the one table of Theta_order(1, .); a row whose x has
+    # its sign bit set, -0.0 included, takes it through the sign flip
+    al = AlphaParam(alpha)
+    h = lambda ys, rows: translate_many(al, F, 0.45, ys)
+    for order in range(5):
+        for x in (0.6, 2.1, 5.0):
+            xs = [x, -x, -0.0, 0.0]
+            got = taylor._theta_weighted_integral(al, order, np.array(xs), h,
+                                                  F.gauss_scale)
+            one = [taylor._theta_weighted_integral(al, order, v, h,
+                                                   F.gauss_scale) for v in xs]
+            assert got.tobytes() == np.array(one).tobytes(), (order, x)
 
 
 def test_remainder_at_small_a_matches_recurrence():
@@ -478,7 +502,7 @@ def test_near_resonant_alpha_keeps_the_taylor_identity(a):
     # the 1/(e+1) terms, which cancel to ~1e-5 at alpha = 6e-10
     al = AlphaParam(a)
     f = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
-    assert any(j for _c, _sp, _e, j in _theta_terms(a, 3, 1.0))
+    assert any(j for _c, _sp, _e, j in _theta_terms(a, 3))
     for k in (2, 3, 4):
         for x, pt in [(0.7, 0.45), (-1.3, 0.0), (1.9, -0.8), (0.2, 1.5)]:
             scale = abs(translate(al, f, x, pt)) + 1.0
@@ -545,7 +569,7 @@ def test_norm_coefficients():
 def _theta_mass_former(alpha, k, x):
     # theta_mass before its unit-interval integral was kept per sign
     terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
-             in _theta_terms(alpha.alpha, k - 1, math.copysign(1.0, x))]
+             in theta_table(alpha.alpha, k - 1, math.copysign(1.0, x))]
     val, _ = quad.integrate(lambda t: abs(_eval_terms(terms, t))
                             + abs(_eval_terms(terms, -t)), 0.0, 1.0)
     return abs(float(x)) ** k * val

@@ -342,7 +342,7 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     iterated_integral_I(al, 2, CUBIC, 0.9, 0.3)
     # one call: the +-z of the rule on (0, 1) at |x| t of the one family
     # of Theta_1's terms (their weighted exponents 0..3 are integers)
-    assert len(_theta_terms(0.5, 1, 1.0)) > 1
+    assert len(_theta_terms(0.5, 1)) > 1
     assert calls == [80]
     assert 20 * sum(calls) < loop_points
     calls.clear()
@@ -579,10 +579,28 @@ def test_each_sign_pair_is_one_call():
     lp_norm(ctx, g)
     assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
-    assert len(_theta_terms(0.5, 1, 1.0)) > 1
+    assert len(_theta_terms(0.5, 1)) > 1
     _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys))
     # one call: +-|x| t on the rule on (0, 1) of the terms' one family
     assert calls == [2 * 40]
+
+
+def test_callables_are_called_once_per_block():
+    # the quadrature translation takes f at +-z of a block in one call, and
+    # convolve's callable g takes +-y of the head rule in one call
+    al, calls = AlphaParam(0.5), []
+
+    def g(u):
+        calls.append(u.size)
+        return CUBIC(u)
+
+    nodes = dunklcore.TRANSLATE_NODES
+    step = dunklcore._BLOCK // nodes
+    translate_many(al, g, np.linspace(0.1, 3.0, step + 10), 0.7)
+    assert calls == [2 * step * nodes, 2 * 10 * nodes]      # +-z per node
+    calls.clear()
+    convolve(al, CUBIC, g, np.linspace(-2.0, 2.0, 7), 10.0)
+    assert calls == [2 * NORM_NODES]
 
 
 # -- small-x accuracy ------------------------------------------------------------

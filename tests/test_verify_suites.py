@@ -33,10 +33,10 @@ def _suite_translate_loop(alphas):
         for x in grid6:
             for y in grid6:
                 worst = max(worst, w_total_variation(al, x, y))
-        checks.append(V._ratio_check(
+        checks.append(V._check(
             f"measure-mass-bound[a={a}]",
             "translation measure total variation <= sqrt(2)",
-            worst, V.SQRT2, 1e-8))
+            worst - V.SQRT2, 1e-8))
         worst = 0.0
         for t in (0.3, 1.0, 2.5):
             for x, y in pairs9:
@@ -51,19 +51,19 @@ def _suite_translate_loop(alphas):
                 for x in (0.4, 1.1, 2.3):
                     prof = lambda ys, _x=x: translate_many(al, f, _x, ys)
                     worst = max(worst, _numeric_lp(al, p, prof, T=16.0) / base)
-            checks.append(V._ratio_check(
+            checks.append(V._check(
                 f"translation-contraction[a={a},p={p:g}]",
-                "translation norm ratio <= sqrt(2)", worst, V.SQRT2, 1e-6))
+                "translation norm ratio <= sqrt(2)", worst - V.SQRT2, 1e-6))
         f = V.TEST_FUNCTIONS[0][1]
         g = V.TEST_FUNCTIONS[2][1]
         conv = lambda us: convolve(al, f, g, us, T=12.0)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
             num = _numeric_lp(al, r, conv, T=16.0)
             den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
-            checks.append(V._ratio_check(
+            checks.append(V._check(
                 f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
                 "convolution Young bound with constant sqrt(2)",
-                num / den, V.SQRT2, 1e-6))
+                num / den - V.SQRT2, 1e-6))
         worst = 0.0
         for xi in (0.5, 1.7):
             lhs = dunkl_transform(al, conv, xi, T=16.0)
