@@ -34,7 +34,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _scaled_j
 from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
-from .quad import integrate, kept_terms, rowdot, _jacobi_ref, _norm_rules
+from .quad import kept_terms, rowdot, _integrate_rows, _jacobi_ref, _norm_rules
 
 __all__ = [
     "w_total_variation",
@@ -212,23 +212,26 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     return out
 
 
-def w_total_variation(alpha: AlphaParam, x: float, y: float) -> float:
+def w_total_variation(alpha: AlphaParam, x, y):
     """int |W_a(x,y,.)| dmu_a over the full support (both sign branches), in
-    the node t and the terms of _translate_quadrature, so exact at |xy| -> 0."""
-    if x == 0.0 or y == 0.0:
-        return 1.0
-    m = max(abs(x), abs(y))
+    the node t and the terms of _translate_quadrature, so exact at |xy| -> 0;
+    1 at xy = 0.  x, y broadcast: one adaptive pass on a shared partition."""
+    xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    out, mass = np.ones(xb.shape), (xb == 0.0) | (yb == 0.0)
+    xv, yv = xb[~mass][:, None], yb[~mass][:, None]
+    m = np.maximum(np.abs(xv), np.abs(yv))
 
     def g(t):
-        _, b0, qz = _measure_nodes(x / m, y / m, t)
+        _, b0, qz = _measure_nodes(xv / m, yv / m, t)
         return np.abs(b0 + qz) + np.abs(b0 - qz)
 
     # the weight (1 - t^2)^(a - 1/2) is even: fold t < 0 onto t > 0 and put
     # its singular endpoint t = 1 at s = 1 - t = 0
     e = alpha.alpha - 0.5
-    val, _ = integrate(lambda s: (g(1.0 - s) + g(s - 1.0))
-                       * (s * (2.0 - s)) ** e, 0.0, 1.0, e)
-    return _measure_const(alpha.alpha) * val
+    out[~mass] = _measure_const(alpha.alpha) * _integrate_rows(
+        lambda s: (g(1.0 - s) + g(s - 1.0)) * (s * (2.0 - s)) ** e,
+        0.0, 1.0, e)[0]
+    return out if out.ndim else float(out)
 
 
 def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
@@ -275,14 +278,15 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
     """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y)
     on the L^p head rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a
-    scalar or an array; f is called once, each xi is a scalar call's value."""
+    scalar or an array; f and E_a run once, each xi a scalar call's value."""
     (y, w), _ = _norm_rules(alpha, T)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(fy), np.abs(fmy)))
     y, w, fy, fmy = (v[keep] for v in (y, w, fy, fmy))
-    out = [complex(np.dot(w, fy * dunkl_kernel_it(alpha, -v, y)
-                          + fmy * dunkl_kernel_it(alpha, v, y))
-                   / alpha.norm_const) for v in np.ravel(xi).tolist()]
+    v = np.reshape(xi, (-1, 1))
+    e = dunkl_kernel_it(alpha, np.concatenate([-v, v]), y)  # one column
+    out = [complex(np.dot(w, r) / alpha.norm_const)
+           for r in fy * e[:v.size] + fmy * e[v.size:]]
     return np.reshape(out, np.shape(xi)) if np.ndim(xi) else out[0]
 
 

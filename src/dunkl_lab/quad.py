@@ -65,21 +65,21 @@ _G21[1:10:2], _G21[11:20:2] = _WG, _WG[::-1]
 
 
 def _gk21(g, lo, hi, partial=None):
-    """Kronrod values and QUADPACK error estimates on the intervals (lo, hi),
-    with g called once on the 21 nodes of all of them; QuadratureError with
-    the partial sum so far on a value that is not finite."""
+    """Kronrod values and QUADPACK error estimates, stacked, on the intervals
+    (lo, hi) per row of g's values, g called once on the 21 nodes of all;
+    QuadratureError with the partial sum so far on a non-finite value."""
     h = 0.5 * (hi - lo)
-    fz = np.asarray(g(((lo + h)[:, None] + h[:, None] * _X21).ravel()),
-                    dtype=float).reshape(h.size, 21)
+    fz = g(((lo + h)[:, None] + h[:, None] * _X21).ravel())
+    fz = np.asarray(fz, float).reshape(np.shape(fz)[:-1] + (h.size, 21))
     if not np.isfinite(fz).all():
         raise QuadratureError("nan or infinite integrand value", partial=partial)
     k = fz @ _W21
-    err, asc = np.abs(k - fz @ _G21), np.abs(fz - 0.5 * k[:, None]) @ _W21
+    err, asc = np.abs(k - fz @ _G21), np.abs(fz - 0.5 * k[..., None]) @ _W21
     with np.errstate(over="ignore"):    # an infinite 200 err gives factor 1
         err = np.where(asc > 0.0, asc * np.minimum(
             1.0, (200.0 * err / np.where(asc > 0.0, asc, 1.0)) ** 1.5), err)
-    return h * k, h * np.maximum(err, 50.0 * np.finfo(float).eps
-                                 * (np.abs(fz) @ _W21))
+    return h * np.stack([k, np.maximum(err, 50.0 * np.finfo(float).eps
+                                       * (np.abs(fz) @ _W21))])
 
 
 def integrate(f: Callable, a: float, b: float,
@@ -96,6 +96,12 @@ def integrate(f: Callable, a: float, b: float,
     an interval is too narrow to bisect in floats (QUADPACK's test; a
     non-integrable singularity ends at one of the last two).
     """
+    return tuple(map(float, _integrate_rows(f, a, b, endpoint_exponent)))
+
+
+def _integrate_rows(f, a, b, endpoint_exponent=None):
+    """integrate for f mapping points (n,) to (*rows, n), values and errors
+    per row: one partition, bisected for the rows that have not converged."""
     if not a < b:
         raise ValueError("need a < b")
     e = endpoint_exponent
@@ -110,26 +116,28 @@ def integrate(f: Callable, a: float, b: float,
 
         lo, hi = 0.0, (b - a) ** (1.0 + e)
     lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    val, err = _gk21(g, lo, hi)
+    ve = _gk21(g, lo, hi)   # values and error estimates
     while True:
-        total, tol = val.sum(), max(ABS_TOL, REL_TOL * abs(val.sum()))
-        if err.sum() <= tol:
-            return float(total), float(err.sum())
-        split = err > tol / err.size
-        split[np.argmax(err)] = True     # rounding can leave none over its share
+        total, esum = ve.sum(-1)
+        tol = np.fmax(ABS_TOL, REL_TOL * np.abs(total))
+        left = ~(esum <= tol)
+        if not left.any():
+            return total, esum
+        split = (ve[1] > tol[..., None] / hi.size)[left].any(0)
+        split[np.argmax(ve[1][left], -1)] = True    # rounding can leave none
         mid, keep, n = 0.5 * (lo + hi)[split], ~split, 2 * split.sum()
-        nan = np.isnan(err.sum())
+        nan = np.isnan(esum).any()
         narrow = (np.maximum(np.abs(lo), np.abs(hi))[split] <= (
             1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)).any()
-        if nan or narrow or err.size + split.sum() > MAX_SUBDIVISIONS:
+        if nan or narrow or hi.size + split.sum() > MAX_SUBDIVISIONS:
             raise QuadratureError(
                 "nan integrand value" if nan else "interval too narrow to "
                 "bisect" if narrow else "maximum number of subdivisions "
-                "reached", partial=float(total), error=float(err.sum()))
+                "reached", partial=total[()], error=esum[()])
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
-        v, e = _gk21(g, lo[-n:], hi[-n:], float(total))
-        val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
+        ve = np.concatenate([ve[..., keep],
+                             _gk21(g, lo[-n:], hi[-n:], total[()])], axis=-1)
 
 
 @lru_cache(maxsize=256)

@@ -231,39 +231,45 @@ def _j_pair(nu: float, z):
     return out[:, np.argsort(order)].reshape((2,) + np.shape(z))
 
 
-def dunkl_kernel(alpha, lam: complex, x: float) -> complex:
+def dunkl_kernel(alpha, lam: complex, x):
     """Dunkl kernel E_a(lam*x), the unique solution of the eigenproblem
     of the Dunkl operator with value 1 at the origin:
 
         E_a(w) = j_a(iw) + w/(2(a+1)) * j_{a+1}(iw),   w = lam*x,
 
-    from _scaled_j for real lam and dunkl_kernel_it for imaginary lam.
-    ValueError for a lam that is neither (at every x), and a lam*x or
-    E_a(lam*x) that is not a finite float.
+    from _scaled_j for real lam and dunkl_kernel_it for imaginary lam, at a
+    float x or each entry of an array.  ValueError for a lam that is neither
+    (at every x), and a lam*x or E_a(lam*x) that is not a finite float.
     """
     a = _as_alpha(alpha)
     if not a > -0.5:
         raise ValueError(f"alpha must be > -1/2, got {a}")
     lam = complex(lam)
-    w = lam * x
-    if not abs(w) < math.inf:
+    with np.errstate(all="ignore"):
+        w = lam * np.asarray(x, dtype=float)
+    if not (np.abs(w) < math.inf).all():
         raise ValueError(f"lam*x must be finite, got {w}")
     if lam.real and lam.imag:
         raise ValueError(f"lam must be real or imaginary, got {lam}")
-    if w.real == 0.0:
-        return complex(dunkl_kernel_it(a, lam.imag, x))
-    s = abs(w.real)     # e^s in two factors past 709; E overflows from 1419
-    n0, n1 = (float(_scaled_j(a + i, np.array([s]))[0]) for i in (0, 1))
-    e2 = math.exp(max(s - 709.0, 0.0)) if s < 1419.0 else math.inf
-    c = w.real / (2.0 * (a + 1.0))
-    v = math.exp(min(s, 709.0)) * (n0 + c * n1) * e2
-    if not math.isfinite(v):
-        raise ValueError(f"E_a({w.real:g}) exceeds a float at alpha = {a:g}")
-    return complex(v)
+    if not lam.real:
+        v = dunkl_kernel_it(a, lam.imag, x)
+        return v if v.ndim else complex(v)
+    w = w.real.ravel()
+    s = np.abs(w)
+    n0, cn1 = _scaled_j(a, s), w / (2.0 * (a + 1.0)) * _scaled_j(a + 1, s)
+    # e^s by math.exp (numpy's exp rounds some values apart), in two factors
+    # past 709; E overflows from 1419, and a float product to inf quietly
+    v = np.array([math.exp(min(u, 709.0)) * (p + q) * (
+        math.exp(max(u - 709.0, 0.0)) if u < 1419.0 else math.inf)
+        for u, p, q in zip(s.tolist(), n0.tolist(), cn1.tolist())], complex)
+    if not np.isfinite(v).all():
+        raise ValueError(f"E_a({w[~np.isfinite(v)][0]:g}) exceeds a float "
+                         f"at alpha = {a:g}")
+    return v.reshape(np.shape(x)) if np.ndim(x) else complex(v[0])
 
 
 def dunkl_kernel_it(alpha, t: float, x):
-    """Vectorized E_a(i t x) for real t, x; returns a complex array."""
+    """E_a(i t x) for real t and x that broadcast; returns a complex array."""
     a = _as_alpha(alpha)
     s = t * np.asarray(x, dtype=float)
     j0, j1 = _j_pair(a, s)

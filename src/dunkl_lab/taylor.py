@@ -151,9 +151,9 @@ def theta_mass_bound(alpha, k: int, x) -> float:
     return b_coeff(alpha, k, ax) + ax * b_coeff(alpha, k - 1, ax)
 
 
-def theta0_moment(alpha: AlphaParam, p: int, x: float) -> float:
-    """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy  (equals b_{p+1}(x));
-    a family's n-node rule times t^m is exact for b_p while p + m < 2n."""
+def theta0_moment(alpha: AlphaParam, p: int, x):
+    """int_{-|x|}^{|x|} Theta_0(x, y) b_p(y) A(y) dy = b_{p+1}(x), per entry
+    of an array x; a family's n-node rule times t^m is exact while p+m < 2n."""
     return _theta_weighted_integral(alpha, 0, x,
                                     lambda ys, rows: b_coeff(alpha, p, ys))
 

@@ -174,6 +174,35 @@ def test_total_variation_exceeds_one_somewhere():
     assert max(vals) > 1.0 + 1e-6
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_total_variation_on_a_grid_equals_scalar_calls(alpha):
+    # the pairs with xy != 0 are one adaptive integral on a shared partition:
+    # each within integrate's absolute tolerance of its own call; a zero row
+    # and column (the point masses) read exactly 1
+    al = AlphaParam(alpha)
+    xs = np.array([0.0, 0.2, -0.7, 1.3, -2.0, 3.1])
+    ys = np.array([-1.1, 0.0, 0.5, 0.9, -2.6, 2.0])
+    got = w_total_variation(al, xs[:, None], ys)
+    ref = [[w_total_variation(al, x, y) for y in ys.tolist()]
+           for x in xs.tolist()]
+    assert got.shape == (6, 6)
+    assert np.abs(got - ref).max() <= quad.ABS_TOL
+    assert (got[0] == 1.0).all() and (got[:, 1] == 1.0).all()
+    assert all(type(v) is float for row in ref for v in row)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_total_variation_is_one_at_mixed_signs(alpha):
+    # for xy < 0, b0 = 1 - t and q = (x + y)(1 - t) with |x + y| <= |z|, so
+    # |b0 + qz| + |b0 - qz| = 2(1 - t): the measure is positive, mass 1
+    al = AlphaParam(alpha)
+    x, y = np.array([0.3, -1.5, 0.7, -2.2]), np.array([-1.1, 0.4, -0.7, 3.1])
+    scalar = [w_total_variation(al, u, v) for u, v in zip(x.tolist(),
+                                                          y.tolist())]
+    for tv in (w_total_variation(al, x, y), np.array(scalar)):
+        assert np.abs(tv - 1.0).max() <= 1e-14
+
+
 def test_product_formula():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -273,10 +302,15 @@ def _transform_two_calls(alpha, f, xi, T):
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
-def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
+def test_array_xi_transform_equals_scalar_calls_bitwise(alpha, monkeypatch):
+    # f once, and the kernel once with every +-xi a row of one column
+    from dunkl_lab import dunklcore
     al = AlphaParam(alpha)
     g = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
-    calls = []
+    calls, kernel_calls = [], []
+    kernel = dunklcore.dunkl_kernel_it
+    monkeypatch.setattr(dunklcore, "dunkl_kernel_it",
+                        lambda *a: kernel_calls.append(a) or kernel(*a))
 
     def conv(us):
         calls.append(np.shape(us))
@@ -285,14 +319,16 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha):
     xis = np.array([[0.0, 0.5], [1.7, -2.3]])
     for f, T in ((GAUSS, 12.0), (g, 12.0), (conv, 16.0)):
         calls.clear()
+        kernel_calls.clear()
         got = dunkl_transform(al, f, xis, T=T)
         assert got.shape == xis.shape and got.dtype == complex
+        assert len(kernel_calls) == 1
         if f is conv:
             assert calls == [(2 * NORM_NODES,)]   # f once, on y and -y
         ref = [_transform_two_calls(al, f, xi, T) for xi in xis.ravel().tolist()]
         assert got.ravel().tolist() == ref
-        assert [dunkl_transform(al, f, xi, T=T)
-                for xi in xis.ravel().tolist()] == ref
+        one = [dunkl_transform(al, f, xi, T=T) for xi in xis.ravel().tolist()]
+        assert one == ref and got.tobytes() == np.array(one).tobytes()
     assert isinstance(dunkl_transform(al, GAUSS, 0.5, T=10.0), complex)
 
 

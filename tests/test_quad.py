@@ -29,6 +29,25 @@ def test_integrate_orders_arguments():
         integrate(np.exp, 1.0, 0.0)
 
 
+def test_integrate_returns_two_python_floats():
+    # the benchmark tracer reads float(out[1]) of every integrate call;
+    # integrals with leading row axes go through _integrate_rows
+    for out in (integrate(np.exp, 0.0, 1.0),
+                integrate(lambda x: x ** -0.5, 0.0, 1.0, -0.5)):
+        assert type(out) is tuple and [type(v) for v in out] == [float, float]
+
+
+def test_row_integrals_share_one_partition():
+    # int_0^1 e^(cx) dx per row c, all rows on one partition, each within
+    # integrate's tolerance; the error estimates come back per row
+    c = np.array([[1.0, -3.0], [12.0, 0.5]])
+    val, err = quad._integrate_rows(lambda x: np.exp(c[..., None] * x),
+                                    0.0, 1.0)
+    assert val.shape == err.shape == c.shape
+    assert np.allclose(val, np.expm1(c) / c, rtol=1e-12, atol=0.0)
+    assert (err <= np.maximum(quad.ABS_TOL, quad.REL_TOL * val)).all()
+
+
 def test_integrate_endpoint_singularity():
     # int_0^1 x^(-1/2) dx = 2, singular weight declared and removed exactly
     val, _ = integrate(lambda x: x ** -0.5, 0.0, 1.0, -0.5)

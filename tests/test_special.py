@@ -118,6 +118,22 @@ def test_dunkl_kernel_real_branch_consistent_with_series():
 
 
 @pytest.mark.parametrize("a", [-0.25, 0.5, 1.5, 40.0])
+def test_dunkl_kernel_on_an_array_equals_scalar_calls_bitwise(a):
+    # real lam, |lam x| up to 710 (e^|w| in two factors past 709) and 0;
+    # imaginary lam; then one entry past a float raises for the whole array
+    al = AlphaParam(a)
+    xs = np.array([[0.0, 0.3, -1.2, 5.0], [-300.0, 355.0, -355.0, 354.6]])
+    for lam in (2.0, -2.0, 0.7, 2.5j):
+        got = dunkl_kernel(al, lam, xs)
+        one = [dunkl_kernel(al, lam, x) for x in xs.ravel().tolist()]
+        assert got.shape == xs.shape and all(type(v) is complex for v in one)
+        assert got.tobytes() == np.array(one).reshape(xs.shape).tobytes()
+    for far in (700.0, 800.0):      # |w| = 1400, inside the split, and past
+        with pytest.raises(ValueError, match="exceeds a float"):
+            dunkl_kernel(al, -2.0, np.array([0.5, far]))
+
+
+@pytest.mark.parametrize("a", [-0.25, 0.5, 1.5, 40.0])
 def test_dunkl_kernel_past_exp_overflow(a):
     # e^|w| overflows a float from |w| = 709.78 on, E_a(w) only later: a
     # number where E_a is finite, the documented ValueError where it is not

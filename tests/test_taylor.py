@@ -367,6 +367,18 @@ def test_theta0_moment_is_next_coefficient():
                 b_coeff(AL, p + 1, x), rel=1e-10, abs=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_theta0_moment_on_an_array_equals_scalar_calls_bitwise(alpha):
+    # one row per x, at both node counts (|x| <= 4 and 6) and at x = -0.0
+    al = AlphaParam(alpha)
+    xs = np.array([[0.5, -0.5, 1.0, -1.0], [2.0, -0.0, 6.0, -6.0]])
+    for p in range(5):
+        got = theta0_moment(al, p, xs)
+        one = [theta0_moment(al, p, x) for x in xs.ravel().tolist()]
+        assert got.shape == xs.shape and all(type(v) is float for v in one)
+        assert got.tobytes() == np.array(one).reshape(xs.shape).tobytes()
+
+
 def test_remainder_modes_agree():
     # the integral remainder against the recurrence form of the profile
     for x, a in [(0.8, 0.3), (-1.2, 0.0), (1.7, -0.9)]:

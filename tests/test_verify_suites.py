@@ -189,6 +189,22 @@ def test_taylor_suite_takes_each_remainder_and_theta_mass_once(monkeypatch):
     assert (len(rems), len(integrals)) == (15, 3)
 
 
+def test_identity_check_loops_make_one_library_call_per_alpha(monkeypatch):
+    # the 36 total variations are one call, the 25 Theta_0 moments one
+    # call per p, and each kernel-eigenfunction stencil one real-lam kernel
+    # call (plus kernel-at-zero's); the scalar loops made 36, 25 and 33
+    tv = _count_calls(monkeypatch, V, "w_total_variation")
+    V.suite_translate(alphas=(0.5,))
+    assert len(tv) == 1
+    weighted = _count_calls(monkeypatch, T, "_theta_weighted_integral")
+    V.suite_taylor(alphas=(0.5,), ks=(1,))
+    assert len([c for c in weighted if c[3].__qualname__.startswith(
+        "theta0_moment.")]) <= 5
+    kernel = _count_calls(monkeypatch, V, "dunkl_kernel")
+    V.suite_kernel(alphas=(0.5,))
+    assert len([c for c in kernel if not complex(c[1]).imag]) <= 7
+
+
 def test_identity_suites_bessel_and_translation_work(monkeypatch):
     # machine-independent work of the kernel, translate, taylor and norms
     # suites from an empty grid-factor cache: Bessel values (_scaled_j) and
@@ -223,11 +239,13 @@ def test_identity_suites_bessel_and_translation_work(monkeypatch):
 @pytest.mark.parametrize("path", ["real", "imaginary"])
 def test_kernel_at_zero_sees_a_first_order_error(monkeypatch, path):
     # the w/(2(a+1)) term of E_a(w) 1e-6 too large on one kernel path only
+    # (x is a float or, on the eigenfunction's stencils, an array)
     kernel = V.dunkl_kernel
-    hit = {"real": lambda w: not w.imag, "imaginary": lambda w: not w.real}[path]
+    hit = {"real": lambda w: not np.any(w.imag),
+           "imaginary": lambda w: not np.any(w.real)}[path]
 
     def scaled(al, lam, x):
-        w = complex(lam) * x
+        w = complex(lam) * np.asarray(x)
         e = kernel(al, lam, x)
         return e + 1e-6 * w / (2.0 * (al.alpha + 1.0)) if hit(w) else e
 
