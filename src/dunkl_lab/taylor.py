@@ -38,7 +38,6 @@ __all__ = [
     "remainder_profile",
     "remainder_recursion_residual",
     "iterated_integral_I",
-    "symmetric_remainder_residual",
 ]
 
 
@@ -293,21 +292,34 @@ def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
     return _peeled_profile(alpha, k, f, x, 1)
 
 
-def remainder_recursion_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x, a):
+def remainder_recursion_residual(alpha: AlphaParam, k, f: GaussPolyFunction,
+                                 x, a):
     """Residual of R_k(x,f)(a) = int Theta_0(x,y) R_{k-1}(y, Lf)(a) A(y) dy;
-    x and a may be arrays (one residual per broadcast pair)."""
-    if k < 1:
+    k, x and a may be arrays (one residual per broadcast triple).  One
+    tau_x f(a) serves every left side, and the right sides are one Theta_0-
+    weighted integral on one translation of Lf, each row peeling its own
+    k - 1 terms."""
+    k, x, a = np.broadcast_arrays(np.asarray(k), np.asarray(x, float),
+                                  np.asarray(a, float))
+    shape = x.shape
+    if np.any(k < 1):
         raise ValueError("k must be >= 1")
-    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
-    lhs = remainder_profile(alpha, k, f, x)(a)
     lf = dunkl_power(alpha, f, 1)
-    rhs = _theta_weighted_integral(    # each row's a on its nodes
-        alpha, 0, x, lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(
-            a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1)),
-        lf.gauss_scale)
-    out = np.abs(lhs - rhs)
-    return out if out.ndim else float(out)
+
+    def peeled(g, ks, xs, us):  # R_ks(xs, g)(us): ks, us per row of xs
+        us = us.reshape(us.shape + (1,) * (xs.ndim - 1))
+        tau, out = translate_many(alpha, g, xs, us), np.empty(xs.shape)
+        for j in set(ks.tolist()):     # one profile per order
+            sel = ks == j
+            out[sel] = remainder_profile(alpha, j, g, xs[sel])(
+                us[sel], tau=tau[sel])
+        return out
+
+    k, x, a = (v.ravel() for v in (k, x, a))
+    out = np.abs(peeled(f, k, x, a) - _theta_weighted_integral(
+        alpha, 0, x, lambda ys, rows: peeled(lf, k[rows] - 1, ys, a[rows]),
+        lf.gauss_scale))    # each row's k and a on its nodes
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def remainder_norm_coeff(alpha: AlphaParam, k: int, x: float) -> float:
@@ -330,17 +342,6 @@ def remainder_norm_coeff_same_order(alpha: AlphaParam, k: int,
 
 
 # -- the symmetric remainder ---------------------------------------------------
-
-def symmetric_remainder_residual(alpha: AlphaParam, k: int,
-                                 f: GaussPolyFunction, x, a):
-    """Residual between the even-coefficient form and R_k(x) + R_k(-x), two
-    rows of one integral remainder call; x and a may be arrays (one residual
-    per broadcast pair)."""
-    xb, ab = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
-    r = remainder(alpha, k, f, np.stack([xb, -xb]), np.stack([ab, ab]))
-    out = np.abs(r[0] + r[1] - symmetric_remainder_profile(alpha, k, f, x)(a))
-    return out if out.ndim else float(out)
-
 
 def symmetric_remainder_profile(alpha: AlphaParam, k: int,
                                 f: GaussPolyFunction, x) -> Callable:

@@ -210,47 +210,63 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
         lf = dunkl_power(al, f, 1)
         samples = ((0.7, 0.45), (-1.3, 0.0), (1.9, -0.8))
         sx, spt = np.transpose(samples)
-        # R_k once per k (R_0 = tau_x f): order k's lhs is k + 1's peeled term
-        rem = functools.cache(lambda k: T.remainder(al, k, f, sx, spt) if k
-                              else T.remainder_profile(al, 0, f, sx)(spt))
-        for k in ks:    # each residual takes every sample in one call
-            rhs = rem(k - 1) - (T.b_coeff(al, k - 1, sx)
-                                * dunkl_power(al, f, k - 1)(spt))
-            w_step = max(0.0, *np.abs(rem(k) - rhs).tolist())
-            w_rec = max(0.0, *T.remainder_recursion_residual(
-                al, k, f, sx, spt).tolist())
-            w_sym = max(0.0, *T.symmetric_remainder_residual(
-                al, k, f, sx, spt).tolist())
+        # R_k once per k on the rows [x, -x] (R_0 = tau_x f): row 0 serves the
+        # step checks at k and k + 1, both rows the symmetric sum at k
+        pm = np.stack([sx, -sx]), np.stack([spt, spt])
+        rem = functools.cache(lambda k: T.remainder(al, k, f, *pm) if k
+                              else T.remainder_profile(al, 0, f, sx)(spt)[None])
+        pair = T.symmetric_remainder_profile(al, 0, f, sx)(spt)
+        w_rec = T.remainder_recursion_residual(al, np.array(ks)[:, None], f,
+                                               sx, spt)     # a row per k
+        for k, rec in zip(ks, w_rec.tolist()):
+            rhs = rem(k - 1)[0] - (T.b_coeff(al, k - 1, sx)
+                                   * dunkl_power(al, f, k - 1)(spt))
+            w_step = max(0.0, *np.abs(rem(k)[0] - rhs).tolist())
+            sym = T.symmetric_remainder_profile(al, k, f, sx)(spt, tau=pair)
+            w_sym = max(0.0, *np.abs(rem(k)[0] + rem(k)[1] - sym).tolist())
             checks.append(_check(f"remainder-step[a={a},k={k}]",
                                  "one-term peeling of the remainder",
                                  w_step, 1e-6))
             checks.append(_check(f"remainder-recursion[a={a},k={k}]",
                                  "remainder as kernel-weighted lower remainder",
-                                 w_rec, 1e-6))
+                                 max(0.0, *rec), 1e-6))
             checks.append(_check(f"symmetric-remainder[a={a},k={k}]",
                                  "even-part remainder identity",
                                  w_sym, 1e-6))
-        for k in (1, 2):
-            w_nest = w_rem = 0.0
-            for x, pt in samples[:2]:
-                u = pt or 0.45
-                g = functools.partial(T.iterated_integral_I, al, k, f, x)
-                lhs = dunkl_fd_power(al, g, u, k, h=2e-3)
-                rhs = T.remainder_profile(al, k, f, x)(u)
-                w_rem = max(w_rem, abs(lhs - rhs) / (1.0 + abs(rhs)))
-                if k == 1:
-                    lhs2 = dunkl_fd_power(al, g, u, 2, h=2e-3)
-                    g2 = functools.partial(T.iterated_integral_I, al, 1, lf, x)
-                    rhs2 = dunkl_fd_power(al, g2, u, 1, h=2e-3)
-                    w_nest = max(w_nest, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
+        # finite differences at two samples, one iterated_integral_I call per
+        # (order, function): a first pass of every stencil records its
+        # distinct (x, point) pairs, of both samples and both stencils
+        xu = [(x, pt or 0.45) for x, pt in samples[:2]]
+
+        def fd(k, g, ns):   # dunkl_fd_power(I_k(x, g), u, n) per (x, u), n
+            jobs, row = [(x, u, n) for x, u in xu for n in ns], {}
+            for x, u, n in jobs:    # pass 1 numbers each distinct (x, t)
+                dunkl_fd_power(al, lambda t, x=x: [row.setdefault(
+                    (x, v), len(row)) for v in t.tolist()] and 0.0 * t,
+                    u, n, h=2e-3)
+            vals = T.iterated_integral_I(al, k, g, *np.transpose(list(row)))
+            return [dunkl_fd_power(al, lambda t, x=x: vals[[
+                row[x, v] for v in t.tolist()]], u, n, h=2e-3)
+                for x, u, n in jobs]
+
+        rel = lambda lhs, rhs: max(0.0, *(abs(v - r) / (1.0 + abs(r))
+                                          for v, r in zip(lhs, rhs)))
+        x2, u2 = np.transpose(xu)
+        tau = translate_many(al, f, x2, u2)
+        rems = [T.remainder_profile(al, k, f, x2)(u2, tau=tau).tolist()
+                for k in (1, 2)]
+        first = fd(1, f, (1, 2))    # per sample: L I_1, then L^2 I_1
+        for k, lhs, rhs in ((1, first[0::2], rems[0]),
+                            (2, fd(2, f, (2,)), rems[1])):
             checks.append(_check(f"iterated-integral-remainder[a={a},k={k}]",
                                  "k-fold operator on iterate gives remainder "
-                                 "(finite differences)", w_rem, 1e-4))
+                                 "(finite differences)", rel(lhs, rhs), 1e-4))
             if k == 1:
                 checks.append(_check(
                     f"iterated-integral-shift[a={a},k={k}]",
                     "extra operator application shifts inside the iterate "
-                    "(finite differences)", w_nest, 1e-4))
+                    "(finite differences)",
+                    rel(first[1::2], fd(1, lf, (1,))), 1e-4))
 
         (z, w), _ = _norm_rules(al, 10.0)
         for k in DEFAULT_KS:

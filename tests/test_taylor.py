@@ -18,12 +18,35 @@ from dunkl_lab.taylor import (b_coeff, _eval_terms, _theta_terms,
                               remainder_recursion_residual,
                               iterated_integral_I,
                               symmetric_remainder_profile,
-                              symmetric_remainder_residual,
                               remainder_norm_coeff,
                               remainder_norm_coeff_same_order)
 
 AL = AlphaParam(0.5)
 F = GaussPolyFunction((1.0, 0.5, 0.0, 0.2), 1.0)
+
+
+def symmetric_remainder_residual(alpha, k, f, x, a):
+    # oracle: the even-coefficient form against R_k(x) + R_k(-x), two rows of
+    # one integral remainder call; x and a may be arrays (verify's taylor
+    # suite takes the same two rows, shared with its remainder-step check)
+    xb, ab = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
+    r = remainder(alpha, k, f, np.stack([xb, -xb]), np.stack([ab, ab]))
+    out = np.abs(r[0] + r[1] - symmetric_remainder_profile(alpha, k, f, x)(a))
+    return out if out.ndim else float(out)
+
+
+def _recursion_residual_per_k(alpha, k, f, x, a):
+    # remainder_recursion_residual for one scalar k, as it was before k
+    # broadcast: each side translates on its own
+    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
+    lhs = remainder_profile(alpha, k, f, x)(a)
+    lf = dunkl_power(alpha, f, 1)
+    rhs = taylor._theta_weighted_integral(
+        alpha, 0, x, lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(
+            a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1)),
+        lf.gauss_scale)
+    out = np.abs(lhs - rhs)
+    return out if out.ndim else float(out)
 
 
 def test_b_coeff_closed_forms():
@@ -451,6 +474,30 @@ def test_array_residuals_equal_scalar_calls_bitwise(alpha, k):
         assert rows.tolist() == [fn(al, k, F, float(x), float(pt))
                                  for x, pt in zip(xs, pts)]
         assert isinstance(fn(al, k, F, 0.7, 0.45), float)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_recursion_residual_broadcasts_k_bitwise(alpha):
+    # k broadcasts like x and a: a column of k against rows of (x, a) gives
+    # the per-k form's rows bit for bit, x = 0 and a = 0 included, and a
+    # scalar triple stays a float
+    al = AlphaParam(alpha)
+    xs = np.array([0.7, -1.3, 1.9, 9.0, 0.0, -0.0])
+    pts = np.array([0.45, 0.0, -0.8, 2.2, 0.3, 0.0])
+    ks = np.array([1, 2, 3, 4])
+    got = remainder_recursion_residual(al, ks[:, None], F, xs, pts)
+    ref = [_recursion_residual_per_k(al, k, F, xs, pts) for k in ks.tolist()]
+    assert got.shape == (4, 6)
+    assert got.tobytes() == np.array(ref).tobytes()
+    mixed = remainder_recursion_residual(al, np.array([3, 1, 2]), F,
+                                         0.9, np.array([0.4, 0.4, -1.2]))
+    assert mixed.tolist() == [_recursion_residual_per_k(al, k, F, 0.9, pt)
+                              for k, pt in ((3, 0.4), (1, 0.4), (2, -1.2))]
+    one = remainder_recursion_residual(al, 2, F, 1.1, 0.45)
+    assert type(one) is float and one == _recursion_residual_per_k(
+        al, 2, F, 1.1, 0.45)
+    with pytest.raises(ValueError):
+        remainder_recursion_residual(al, np.array([2, 0]), F, 1.1, 0.45)
 
 
 def test_remainder_profile_vectorizes():

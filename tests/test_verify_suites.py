@@ -1,6 +1,7 @@
 """The identities suites against their former loop forms: one lp_norm call
 per (k, p, f, x) in the norms suite, one per (p, f, x) and one scalar
-transform per xi in the translate suite."""
+transform per xi in the translate suite, and the taylor suite's sample
+residuals per k and per sample."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from dunkl_lab import verify as V
 from dunkl_lab import taylor as T
 from dunkl_lab.special import AlphaParam
-from dunkl_lab.funcalg import dunkl_power
+from dunkl_lab.funcalg import dunkl_power, dunkl_fd_power
 from dunkl_lab.quad import LpContext, lp_norm
 from dunkl_lab.dunklcore import (translate_many, w_total_variation, convolve,
                                  dunkl_transform,
@@ -114,6 +115,79 @@ def _suite_norms_loop(alphas, ks=V.DEFAULT_KS, ps=V.DEFAULT_PS):
     return checks
 
 
+def _taylor_sample_checks_loop(alphas, ks=V.DEFAULT_KS):
+    # remainder-step, -recursion, symmetric-remainder and the finite
+    # differences per k and per sample, each residual on its own samples
+    # (remainder_recursion_residual at one k is checked against its per-k
+    # form in tests/test_taylor.py)
+    checks = []
+    f = V.TEST_FUNCTIONS[2][1]
+    samples = ((0.7, 0.45), (-1.3, 0.0), (1.9, -0.8))
+    sx, spt = np.transpose(samples)
+    for a in alphas:
+        al = AlphaParam(a)
+        lf = dunkl_power(al, f, 1)
+        rem = lambda k: (T.remainder(al, k, f, sx, spt) if k
+                         else translate_many(al, f, sx, spt))
+        for k in ks:
+            rhs = rem(k - 1) - (T.b_coeff(al, k - 1, sx)
+                                * dunkl_power(al, f, k - 1)(spt))
+            r = T.remainder(al, k, f, np.stack([sx, -sx]),
+                            np.stack([spt, spt]))
+            sym = np.abs(r[0] + r[1] - T.symmetric_remainder_profile(
+                al, k, f, sx)(spt))
+            for name, anchor, res in (
+                    ("remainder-step", "one-term peeling of the remainder",
+                     np.abs(rem(k) - rhs)),
+                    ("remainder-recursion",
+                     "remainder as kernel-weighted lower remainder",
+                     T.remainder_recursion_residual(al, k, f, sx, spt)),
+                    ("symmetric-remainder", "even-part remainder identity",
+                     sym)):
+                checks.append(V._check(f"{name}[a={a},k={k}]", anchor,
+                                       max(0.0, *res.tolist()), 1e-6))
+        for k in (1, 2):
+            w_nest = w_rem = 0.0
+            for x, pt in samples[:2]:
+                u = pt or 0.45
+                g = lambda t, k=k, x=x: T.iterated_integral_I(al, k, f, x, t)
+                lhs = dunkl_fd_power(al, g, u, k, h=2e-3)
+                rhs = T.remainder_profile(al, k, f, x)(u)
+                w_rem = max(w_rem, abs(lhs - rhs) / (1.0 + abs(rhs)))
+                if k == 1:
+                    lhs2 = dunkl_fd_power(al, g, u, 2, h=2e-3)
+                    g2 = lambda t, x=x: T.iterated_integral_I(al, 1, lf, x, t)
+                    rhs2 = dunkl_fd_power(al, g2, u, 1, h=2e-3)
+                    w_nest = max(w_nest, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
+            checks.append(V._check(
+                f"iterated-integral-remainder[a={a},k={k}]",
+                "k-fold operator on iterate gives remainder "
+                "(finite differences)", w_rem, 1e-4))
+            if k == 1:
+                checks.append(V._check(
+                    f"iterated-integral-shift[a={a},k={k}]",
+                    "extra operator application shifts inside the iterate "
+                    "(finite differences)", w_nest, 1e-4))
+    return checks
+
+
+_SAMPLE_CHECKS = ("remainder-step", "remainder-recursion",
+                  "symmetric-remainder", "iterated-integral-")
+
+
+@pytest.mark.parametrize("alphas,ks", [((0.5,), V.DEFAULT_KS),
+                                       ((-0.25, 1.0), (1, 2, 3, 4)),
+                                       ((1.5,), (3, 1))])
+def test_taylor_suite_equals_its_loop_form(alphas, ks):
+    # the shared R_k(+-x) rows, the recursion over every k at once and one
+    # iterated integral per finite-difference order give the per-k and
+    # per-sample residuals bit for bit (resonant alpha = 1 and an order set
+    # with gaps included)
+    got = [c for c in V.suite_taylor(alphas=alphas, ks=ks)
+           if c["id"].startswith(_SAMPLE_CHECKS)]
+    assert got == _taylor_sample_checks_loop(alphas, ks)
+
+
 def test_translate_suite_equals_its_loop_form():
     assert V.suite_translate(alphas=(0.5,)) == _suite_translate_loop((0.5,))
 
@@ -179,14 +253,31 @@ def test_norms_suite_translates_once_per_function_and_rule(monkeypatch):
 
 
 def test_taylor_suite_takes_each_remainder_and_theta_mass_once(monkeypatch):
-    # 9 taylor-identity remainders, then per k one R_k for the step check
-    # (R_{k-1} is the previous k's) and one for R_k(x) and R_k(-x): 15, where
-    # recomputing took 20; one Theta mass integral per k (the x share a sign)
+    # 9 taylor-identity remainders, then per k one R_k on the rows [x, -x]
+    # that serves the step check (R_{k-1} is the previous k's) and the
+    # symmetric one: 12, where a separate symmetric call took 15 and
+    # recomputing 20; one Theta mass integral per k (the x share a sign)
     T._unit_mass.cache_clear()
     rems = _count_calls(monkeypatch, T, "remainder")
     integrals = _count_calls(monkeypatch, T, "integrate")
     V.suite_taylor(alphas=(0.5,))
-    assert (len(rems), len(integrals)) == (15, 3)
+    assert (len(rems), len(integrals)) == (12, 3)
+
+
+def test_taylor_suite_takes_each_sample_once(monkeypatch):
+    # per alpha: 3 tau_x f(a) and 9 remainders (taylor identity), tau_x f,
+    # 3 remainders on [x, -x], one pair sum and the recursion's tau_x f(a)
+    # and Lf at the Theta_0 nodes (step, recursion, symmetric), and 3
+    # iterated integrals and one tau_x f (finite differences): 23
+    # closed-form translations, where taking them per k and per sample
+    # took 40; 21 Theta-weighted integrals (9 + 5 moments + 3 + 1 + 3),
+    # where 31
+    from dunkl_lab import dunklcore
+    translations = _count_calls(monkeypatch, dunklcore, "_translate_closed")
+    weighted = _count_calls(monkeypatch, T, "_theta_weighted_integral")
+    V.suite_taylor(alphas=(0.5,))
+    assert len(translations) <= 23
+    assert len(weighted) <= 21
 
 
 def test_identity_check_loops_make_one_library_call_per_alpha(monkeypatch):
@@ -208,9 +299,10 @@ def test_identity_check_loops_make_one_library_call_per_alpha(monkeypatch):
 def test_identity_suites_bessel_and_translation_work(monkeypatch):
     # machine-independent work of the kernel, translate, taylor and norms
     # suites from an empty grid-factor cache: Bessel values (_scaled_j) and
-    # translated points (translate_many).  One Gauss rule per Theta family
-    # and one Bessel pass per repeated grid read 159,850 and 292,021; one
-    # rule per term and no reuse read 498,474 and 465,701
+    # translated points (translate_many).  Each taylor-suite sample taken
+    # once reads 147,322 and 283,855; one Gauss rule per Theta family and
+    # one Bessel pass per repeated grid read 159,850 and 292,021; one rule
+    # per term and no reuse read 498,474 and 465,701
     import sys
     from dunkl_lab import dunklcore
     dunklcore._FACTORS.clear()
@@ -232,8 +324,8 @@ def test_identity_suites_bessel_and_translation_work(monkeypatch):
             monkeypatch.setattr(module, "translate_many", count_points)
     for suite in ("kernel", "translate", "taylor", "norms"):
         V.SUITES[suite]()
-    assert work["bessel"] <= 170_000
-    assert work["points"] <= 300_000
+    assert work["bessel"] <= 147_322
+    assert work["points"] <= 283_855
 
 
 @pytest.mark.parametrize("path", ["real", "imaginary"])
