@@ -271,13 +271,14 @@ def seminorm_from_samples(params: BesovParams, kind: str, grid, m
 
 
 def slope_estimate(values) -> float:
-    """Least-squares slope of log m against log x over the points with m > 0."""
-    pts = [(x, m) for x, m in values if m > 0.0]
+    """Least-squares slope of log m against log x over the points with m > 0,
+    NaN if any m is NaN."""
+    pts = [(x, m) for x, m in values if m > 0.0 or math.isnan(m)]
     if len(pts) < 4:
         raise ValueError("slope estimate needs at least 4 positive points")
     lx = np.log([x for x, _ in pts])
     lm = np.log([m for _, m in pts])
-    return float(np.polyfit(lx, lm, 1)[0])
+    return math.nan if np.isnan(lm).any() else float(np.polyfit(lx, lm, 1)[0])
 
 
 # -- equivalence diagnostics ----------------------------------------------------

@@ -228,7 +228,7 @@ def cmd_taylor(cfg: RunConfig) -> int:
     }
     if not all(map(math.isfinite, out.values())):
         raise FloatingPointError("the taylor output has a non-finite value")
-    tol = V.TAYLOR_TOL * (1.0 + abs(tau))
+    tol = V.FAMILIES["taylor-identity"][1] * (1.0 + abs(tau))
     if out["theta_mass"] > out["theta_mass_bound"] or abs(rec - rem) > tol:
         raise FloatingPointError(
             f"the remainder at k = {cfg.k} is past its accuracy (theta_mass "

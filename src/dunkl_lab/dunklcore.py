@@ -293,14 +293,15 @@ def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
 def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
                                    t: float, x: float, T: float) -> float:
     """Max pairwise discrepancy of tau_t(f *_a h), tau_t(f) *_a h and
-    f *_a tau_t(h) at the point x, each convolution truncated at T."""
+    f *_a tau_t(h) at the point x, each convolution truncated at T (NaN if
+    any of the three is NaN)."""
     conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T)
     v1 = translate(alpha, conv_fh, t, x)
     tf = lambda ys: translate_many(alpha, f, t, ys)
     v2 = convolve(alpha, tf, h, x, T=T)
     th = lambda ys: translate_many(alpha, h, t, ys)
     v3 = convolve(alpha, f, th, x, T=T)
-    return max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
+    return float(np.max([abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)]))
 
 
 def product_formula_residual(alpha: AlphaParam, x, y, t: float):

@@ -221,6 +221,17 @@ def test_slope_estimate_power_law():
         slope_estimate(pts[:3])
 
 
+def test_slope_estimate_nan_sample_gives_nan():
+    # a NaN sample is not dropped like m <= 0 ones: it makes the slope NaN,
+    # wherever it sits (the zero and negative points are still dropped)
+    xs = np.geomspace(0.01, 1.0, 12)
+    pts = list(zip(xs, 3.0 * xs ** 1.7)) + [(2.0, 0.0), (3.0, -1.0)]
+    for i in (0, 5, 11):
+        bad = pts[:i] + [(xs[i], math.nan)] + pts[i + 1:]
+        assert math.isnan(slope_estimate(bad))
+    assert slope_estimate(pts) == pytest.approx(1.7, abs=1e-12)
+
+
 def test_seminorm_q_inf_is_grid_sup():
     grid = GRID
     m = grid ** 2 * np.exp(-grid)          # synthetic modulus samples

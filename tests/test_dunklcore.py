@@ -233,6 +233,24 @@ def test_convolution_commutes_and_transform_factorizes():
                                           T=10.7) < 1e-8
 
 
+def test_translate_convolution_commutes_propagates_nan(monkeypatch):
+    # the third convolution f * tau_t(h) NaN: two of the three gaps are NaN,
+    # and their max is NaN, not the finite first gap
+    from dunkl_lab import dunklcore
+    g = GaussPolyFunction((1.0, 0.5), 1.0)
+    calls, orig = [], dunklcore.convolve
+
+    def third_nan(*args, **kwargs):
+        calls.append(args)
+        out = orig(*args, **kwargs)
+        return math.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(dunklcore, "convolve", third_nan)
+    assert math.isnan(translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4,
+                                                     T=10.7))
+    assert len(calls) == 3 and calls[2][2] is not g
+
+
 def test_transform_gaussian_positive_at_zero():
     # F(f)(0) is the total mass; for the Gaussian that is (2)^-(a+1) * 2^(a+1) ...
     # computed directly: int e^{-y^2} dmu = 2^-(a+1)
