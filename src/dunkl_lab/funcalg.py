@@ -30,7 +30,6 @@ __all__ = [
     "lambda_coeffs",
     "dilate",
     "hermite_phi",
-    "dunkl_fd",
     "dunkl_fd_power",
 ]
 
@@ -171,32 +170,39 @@ def hermite_phi(alpha, n0: int) -> GaussPolyFunction:
 
 # -- finite-difference Dunkl operator on black-box callables -----------------
 
-def dunkl_fd(alpha, g: Callable[[float], float], a: float, h: float = 1e-3) -> float:
-    """Dunkl operator applied to a callable via a 5-point central derivative
-    plus the exact reflection term.  Requires a != 0."""
-    al = _as_alpha(alpha)
-    d = (-g(a + 2 * h) + 8.0 * g(a + h) - 8.0 * g(a - h) + g(a - 2 * h)) / (12.0 * h)
-    return d + (2.0 * al + 1.0) / a * (g(a) - g(-a)) / 2.0
-
-
-def dunkl_fd_power(alpha, g: Callable, a: float, k: int,
-                   h: float = 1e-3) -> float:
-    """k-fold finite-difference Dunkl operator.  Each level caches its values
-    by round(t, 12), the first t seen standing for its key.  A first pass
-    records the distinct points of the whole stencil, so g is called once,
-    on the array of those points, and must map an array to an array."""
-    def power(g0):
-        cache: dict = {}
-
-        def ev(lvl, t):
-            key = (lvl, round(t, 12))
-            if key not in cache:
-                cache[key] = g0(t) if lvl == 0 else dunkl_fd(
-                    alpha, lambda u: ev(lvl - 1, u), t, h=h)
-            return cache[key]
-        return ev(k, a)
-
-    pts: dict = {}      # pass 1 records the points, pass 2 reads g's values
-    power(lambda t: pts.setdefault(round(t, 12), t) * 0.0)
-    vals = dict(zip(pts, np.ravel(g(np.array(list(pts.values())))).tolist()))
-    return power(lambda t: vals[round(t, 12)])
+def dunkl_fd_power(alpha, g: Callable, a, k=1, h: float = 1e-3):
+    """k-fold Dunkl operator on a callable at nonzero centres a of any shape,
+    for an order k or a sequence of orders (one leading row each).  A level
+    reads t + 2h, t + h, t - h, t - 2h (the 5-point derivative), t and -t
+    (the exact term (2a+1)/t (g(t) - g(-t))/2); a point s a + m h, key
+    s + i m, takes the float of the path first reaching it.  g is called
+    once, on a's shape plus one axis: the distinct points of all orders,
+    shared where floats agree at every entry.  ValueError at a point 0."""
+    al, a, ks = _as_alpha(alpha), np.asarray(a, float), np.atleast_1d(k)
+    if ks.min() < 0:
+        raise ValueError("k must be >= 0")
+    sign, step = np.array([1, 1, 1, 1, 1, -1]), np.array([2, 1, -1, -2, 0, 0])
+    pts, kids, keys = [a[..., None]], [], [1.0 + 0j]
+    for _ in range(ks.max()):       # each depth from the one above it
+        if (pts[-1] == 0.0).any():
+            raise ValueError(f"centre a = {a[(pts[-1] == 0).any(-1)][0]:g} "
+                             f"at h = {h:g}: a stencil point is 0")
+        z = (np.multiply.outer(keys, sign) + 1j * step).ravel().tolist()
+        keys = list(dict.fromkeys(z))     # in the order first reached
+        kids.append(np.reshape([keys.index(c) for c in z], (-1, 6)))
+        i, j = np.divmod([z.index(c) for c in keys], 6)
+        pts.append(pts[-1][..., i] * sign[j] + step[j] * h)
+    cols = np.concatenate([pts[n] for n in ks], axis=-1)
+    flat, inv = np.unique(cols.reshape(-1, cols.shape[-1]), axis=1,
+                          return_inverse=True)
+    vals = np.asarray(g(flat.reshape(*a.shape, -1)))[..., inv.ravel()]
+    rows = []
+    for n, v in zip(ks, np.split(vals, np.cumsum(
+            [pts[n].shape[-1] for n in ks])[:-1], axis=-1)):
+        for d in range(n - 1, -1, -1):
+            w = np.moveaxis(v[..., kids[d]], -1, 0)
+            v = ((-w[0] + 8.0 * w[1] - 8.0 * w[2] + w[3]) / (12.0 * h)
+                 + (2.0 * al + 1.0) / pts[d] * (w[4] - w[5]) / 2.0)
+        rows.append(v[..., 0])
+    out = np.stack(rows) if np.ndim(k) else rows[0]
+    return out if out.ndim else float(out)

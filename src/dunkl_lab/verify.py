@@ -17,8 +17,8 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .special import AlphaParam, dunkl_kernel, dunkl_kernel_it
-from .funcalg import (GaussPolyFunction, dunkl_power, dunkl_fd,
-                      dunkl_fd_power, hermite_phi)
+from .funcalg import (GaussPolyFunction, dunkl_power, dunkl_fd_power,
+                      hermite_phi)
 from .quad import (LpContext, lp_norm_from_nodes, norm_node_values,
                    _norm_rules)
 from .dunklcore import (translate_many, w_total_variation,
@@ -134,15 +134,12 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
             T.b_coeff(al, n, 1.0) * (lam * x) ** n for n in range(5)))
         checks.append(_check("kernel-at-zero", [zero_gap(lam, 1e-3 / abs(lam))
                                                 for lam in (2.0, 2.0j)], a=a))
-
-        def eigen_gap(lam, x, h=1e-4):    # g on dunkl_fd's stencil in one call
-            us = [x + 2 * h, x + h, x, x - h, x - 2 * h, -x]
-            g = dict(zip(us, dunkl_kernel(al, lam, us).real.tolist())).get
-            return (abs(dunkl_fd(al, g, x, h=h) - lam * g(x))
-                    / (1.0 + abs(lam * g(x))))
+        # one kernel call per lam gives g(x) = E(lam x) and L g(x)
+        eigen = lambda lam: dunkl_fd_power(al, lambda t: dunkl_kernel(
+            al, lam, t).real, (0.5, -1.2), (0, 1), h=1e-4)
         checks.append(_check("kernel-eigenfunction", *(
-            eigen_gap(lam, x) for lam in (0.8, 2.0) for x in (0.5, -1.2)),
-            a=a))
+            np.abs(lg - lam * g) / (1.0 + np.abs(lam * g))
+            for lam in (0.8, 2.0) for g, lg in [eigen(lam)]), a=a))
     return checks
 
 
@@ -251,31 +248,17 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
             checks.append(_check("remainder-recursion", rec, a=a, k=k))
             checks.append(_check("symmetric-remainder", np.abs(
                 rem(k)[0] + rem(k)[1] - sym), a=a, k=k))
-        # finite differences at two samples, one iterated_integral_I call per
-        # (order, function): a first pass of every stencil records its
-        # distinct (x, point) pairs, of both samples and both stencils
-        xu = [(x, pt or 0.45) for x, pt in samples[:2]]
-
-        def fd(k, g, ns):   # dunkl_fd_power(I_k(x, g), u, n) per (x, u), n
-            jobs, row = [(x, u, n) for x, u in xu for n in ns], {}
-            for x, u, n in jobs:    # pass 1 numbers each distinct (x, t)
-                dunkl_fd_power(al, lambda t, x=x: [row.setdefault(
-                    (x, v), len(row)) for v in t.tolist()] and 0.0 * t,
-                    u, n, h=2e-3)
-            vals = T.iterated_integral_I(al, k, g, *np.transpose(list(row)))
-            return np.array([dunkl_fd_power(al, lambda t, x=x: vals[[
-                row[x, v] for v in t.tolist()]], u, n, h=2e-3)
-                for x, u, n in jobs])
-
-        x2, u2 = np.transpose(xu)
+        # finite differences at two samples: one I_k call per (order, f)
+        x2, u2 = np.transpose([(x, pt or 0.45) for x, pt in samples[:2]])
+        fd = lambda k, g, n: dunkl_fd_power(al, lambda t: (
+            T.iterated_integral_I(al, k, g, x2[:, None], t)), u2, n, h=2e-3)
         tau = translate_many(al, f, x2, u2)
         rems = [T.remainder_profile(al, k, f, x2)(u2, tau=tau) for k in (1, 2)]
-        first = fd(1, f, (1, 2))    # per sample: L I_1, then L^2 I_1
-        second = fd(2, f, (2,))
+        first = fd(1, f, (1, 2))    # rows L I_1 and L^2 I_1, x the columns
         for family, k, lhs, rhs in (    # |lhs - rhs| / (1 + |rhs|) per sample
-                ("iterated-integral-remainder", 1, first[0::2], rems[0]),
-                ("iterated-integral-shift", 1, first[1::2], fd(1, lf, (1,))),
-                ("iterated-integral-remainder", 2, second, rems[1])):
+                ("iterated-integral-remainder", 1, first[0], rems[0]),
+                ("iterated-integral-shift", 1, first[1], fd(1, lf, 1)),
+                ("iterated-integral-remainder", 2, fd(2, f, 2), rems[1])):
             checks.append(_check(family, np.abs(lhs - rhs) / (1.0 + np.abs(
                 rhs)), a=a, k=k))
 
@@ -382,7 +365,7 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
             detail=f"upper ratio {rep.get('conv_upper_ratio_max', 'n/a')}, "
                    f"lower ratio {rep.get('conv_lower_ratio_max', 'n/a')}"
                    + (f", error {rep['error']}" if "error" in rep else "")))
-        # without a sample set these checks are INCONCLUSIVE (nan residual)
+        # no sample set or a NaN seminorm value: INCONCLUSIVE (nan residual)
         sm = rep.get("samples")
         lost = "" if sm is not None else f"no sample set: {rep['error']}"
         grids = ({} if sm is None else {
@@ -393,19 +376,20 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                 prq = _coarse_params(al, k, 2.0, q, beta)
                 ests = [B.seminorm_from_samples(prq, kind, *g)
                         for kind, g in grids.items()]
-                div = (float(sum(e.diverging or not math.isfinite(e.value)
-                                 for e in ests)) if grids else math.nan)
+                div = (sum(e.value if math.isnan(e.value) else float(
+                    e.diverging or math.isinf(e.value)) for e in ests)
+                    if grids else math.nan)
                 checks.append(_check("seminorms-finite", div, a=a, k=k, q=q,
                                      beta=beta, detail=lost))
 
-        pr1 = _coarse_params(al, k, 1.0, 1.0, 0.5)
         ok = math.nan
         if sm is not None:
-            bt, cv = (B.seminorm_from_samples(
-                pr1, kind, COARSE_GRID, sm.value(kind, COARSE_GRID, k, 1.0))
-                      for kind in ("B_tilde", "C"))
+            bt, cv = (B.seminorm_from_samples(_coarse_params(
+                al, k, 1.0, 1.0, 0.5), kind, COARSE_GRID, sm.value(
+                    kind, COARSE_GRID, k, 1.0)) for kind in ("B_tilde", "C"))
             # B_tilde finite => C finite
-            ok = 0.0 if (not bt.diverging) <= (not cv.diverging) else math.inf
+            ok = (math.nan if math.isnan(bt.value + cv.value) else 0.0
+                  if (not bt.diverging) <= (not cv.diverging) else math.inf)
         checks.append(_check(
             "p1-inclusion-direction", ok, a=a, k=k, detail=lost
             or "reverse direction requires p > 1 and is not asserted"))

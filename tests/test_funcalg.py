@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dunkl_lab.special import AlphaParam
+from dunkl_lab.special import AlphaParam, _as_alpha
 from dunkl_lab.funcalg import (GaussPolyFunction, dunkl_apply, dunkl_power,
-                               dilate, hermite_phi, dunkl_fd, dunkl_fd_power)
+                               dilate, hermite_phi, dunkl_fd_power)
 from dunkl_lab.quad import integrate
 
 AL = AlphaParam(0.5)
@@ -107,7 +107,7 @@ def test_dunkl_apply_matches_fd_operator():
         f = GaussPolyFunction(coeffs, 1.0)
         lf = dunkl_apply(AL, f)
         a = float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0]))
-        assert lf(a) == pytest.approx(dunkl_fd(AL, f, a, h=1e-4),
+        assert lf(a) == pytest.approx(dunkl_fd_power(AL, f, a, h=1e-4),
                                       rel=1e-8, abs=1e-8)
 
 
@@ -198,6 +198,15 @@ def test_dunkl_fd_power_consistency():
         exact, rel=1e-5)
 
 
+def _dunkl_fd(alpha, g, a, h):
+    # the former scalar operator: a 5-point central derivative plus the
+    # exact reflection term, g called once per point
+    al = _as_alpha(alpha)
+    d = (-g(a + 2 * h) + 8.0 * g(a + h) - 8.0 * g(a - h) + g(a - 2 * h)) / (
+        12.0 * h)
+    return d + (2.0 * al + 1.0) / a * (g(a) - g(-a)) / 2.0
+
+
 def _fd_power_per_point(alpha, g, a, k, h):
     # the former form: nested scalar stencils, each level cached by
     # round(t, 12), g called once per distinct point
@@ -206,30 +215,86 @@ def _fd_power_per_point(alpha, g, a, k, h):
     def ev(lvl, t):
         key = (lvl, round(t, 12))
         if key not in cache:
-            cache[key] = g(t) if lvl == 0 else dunkl_fd(
-                alpha, lambda u: ev(lvl - 1, u), t, h=h)
+            cache[key] = g(t) if lvl == 0 else _dunkl_fd(
+                alpha, lambda u: ev(lvl - 1, u), t, h)
         return cache[key]
     return ev(k, a)
 
 
+_FD_F = GaussPolyFunction((1.0, 0.5, 1.0), 1.0)
+
+
+def _stencil_points(k, a, h):
+    # the distinct points the former scalar stencils read
+    points = []
+    _fd_power_per_point(AL, lambda t: points.append(t) or 0.0, a, k, h)
+    return points
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_dunkl_fd_power_calls_g_once(k):
-    f = GaussPolyFunction((1.0, 0.5, 1.0), 1.0)
-    calls, points = [], []
+    for a in (0.8, -1.3, 0.013):
+        for h in (1e-4, 2e-3):
+            calls = []
+
+            def g(t):
+                calls.append(np.shape(t))
+                return _FD_F(t)
+
+            got = dunkl_fd_power(AL, g, a, k, h=h)
+            # the scalar stencils' value bit for bit, from one call of g
+            # with a column per distinct point
+            want = _fd_power_per_point(AL, _FD_F, a, k, h)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert calls == [(len(_stencil_points(k, a, h)),)]
+
+
+@pytest.mark.parametrize("ks", [(0, 1), (1, 2), (2, 1, 3), (3,)])
+def test_dunkl_fd_power_on_arrays_and_orders_equals_scalar_calls(ks):
+    a = np.array([[0.8, -1.3], [0.013, 2.1]])
+    calls = []
 
     def g(t):
-        calls.append(np.shape(t))
-        return f(t)
+        calls.append(np.array(t))
+        return _FD_F(t)
 
-    def g_scalar(t):
-        points.append(t)
-        return f(t)
+    got = dunkl_fd_power(AL, g, a, ks, h=2e-3)
+    assert got.shape == (len(ks), 2, 2)
+    for row, k in zip(got, ks):
+        for x, v in zip(a.ravel().tolist(), row.ravel()):
+            assert v.tobytes() == np.float64(dunkl_fd_power(
+                AL, _FD_F, x, k, h=2e-3)).tobytes()
+    # one call on a's shape plus one axis; no two columns agree at every
+    # entry, and each centre's columns are its orders' stencil points
+    (t,) = calls
+    assert t.shape[:2] == (2, 2)
+    assert len({c.tobytes() for c in np.moveaxis(t, -1, 0)}) == t.shape[2]
+    for x, cols in zip(a.ravel().tolist(), t.reshape(4, -1)):
+        assert set(cols.tolist()) == {
+            p for k in ks for p in _stencil_points(k, x, 2e-3)}
+    # a single order on an array: its rows, no leading axis
+    assert np.array_equal(dunkl_fd_power(AL, _FD_F, a, ks[0], h=2e-3),
+                          got[0])
 
-    got = dunkl_fd_power(AL, g, 0.8, k, h=2e-3)
-    assert len(calls) == 1 and len(calls[0]) == 1
-    # the same distinct points as the scalar stencils, and the same value
-    assert got == _fd_power_per_point(AL, g_scalar, 0.8, k, 2e-3)
-    assert calls[0] == (len(points),)
+
+@pytest.mark.parametrize("a,k", [(0.0, 1), (2e-3, 2), (-4e-3, 3),
+                                 (np.array([0.5, 2e-3]), (0, 2))])
+def test_dunkl_fd_power_raises_at_a_stencil_point_zero(a, k):
+    # the operator divides by each point above the last level: a point at 0
+    # is a ValueError naming the centre, never an inf
+    calls = []
+    with pytest.raises(ValueError, match="centre a = (0|0.002|-0.004) "):
+        dunkl_fd_power(AL, lambda t: calls.append(t) or _FD_F(t), a, k,
+                       h=2e-3)
+    assert calls == []
+
+
+def test_dunkl_fd_power_order_zero_is_g():
+    # no level divides at k = 0: g at the centre, 0 included
+    assert dunkl_fd_power(AL, _FD_F, 0.0, 0) == _FD_F(0.0)
+    with pytest.raises(ValueError):
+        dunkl_fd_power(AL, _FD_F, 0.8, -1)
 
 
 def _power_loop(alpha, f, k):

@@ -8,7 +8,7 @@ from scipy import integrate as sint
 
 from dunkl_lab import quad, taylor
 from dunkl_lab.special import AlphaParam
-from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd
+from dunkl_lab.funcalg import GaussPolyFunction, dunkl_power, dunkl_fd_power
 from dunkl_lab.dunklcore import translate, translate_many
 from dunkl_lab.verify import CATALOG, TAYLOR_PAIRS, TEST_FUNCTIONS
 from dunkl_lab.taylor import (b_coeff, _eval_terms, _theta_terms,
@@ -576,7 +576,7 @@ def test_iterated_integral_identities_fd():
     for k in (1, 2):
         # g takes arrays: dunkl_fd_power calls it once, on every point
         g = lambda u, kk=k: iterated_integral_I(AL, kk, F, x, u)
-        lhs = (dunkl_fd(AL, g, a, h=1e-3) if k == 1
+        lhs = (dunkl_fd_power(AL, g, a, 1, h=1e-3) if k == 1
                else _fd2(g, a))
         rhs = remainder_profile(AL, k, F, x)(a)
         assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-6)
@@ -584,7 +584,6 @@ def test_iterated_integral_identities_fd():
 
 def _fd2(g, a, h=1e-2):
     # two nested first-order Dunkl differences, cached
-    from dunkl_lab.funcalg import dunkl_fd_power
     return dunkl_fd_power(AL, g, a, 2, h=h)
 
 
