@@ -11,12 +11,11 @@ Four seminorm kinds are computed on truncated log grids:
   C       from ||f * phi_t||_p / t^(beta+k-1), phi = L^(2 n0) e^{-.^2} the
           moment-vanishing bump of order n0 = floor((k-1)/2) + 1
 
-A BesovSamples holds the samples of all four kinds for one (alpha, f) and
-reads them at any order k and norm p, each kind computed in one place: node
-values of the L^p rules on (-NORM_T, NORM_T), which serve every p, of
-tau_y f at omega's probes y (order k peels its b_j(y) L^j f off them), of
-the B_tilde and C profiles per bump order n0 (their only dependence on k),
-and of L^j f.  Every kind is read on one log grid (x, and t for C).  C is
+A BesovSamples holds the samples of one (alpha, f), each computed in one
+place and read at any order and norm p: node values of the L^p rules on
+(-NORM_T, NORM_T), which serve every p, of R_k(y, f) (B is their max over
+omega's probes y), of the B_tilde and C profiles per bump order n0 (their
+only dependence on k), and of L^j f (K).  C is
 the identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
 dmu(x) over the kept nodes of an 80-node rule on (0, 10 t), blocks of t at
 once: the moment cancellation is analytic, but the symmetric remainder
@@ -140,11 +139,9 @@ KINDS = ("B", "B_tilde", "K", "C")
 
 class BesovSamples:
     """The samples behind the four scales for one (alpha, f), each computed
-    once, on first use, at any x (t for C), and read at any order k and
-    norm p: tau_y f at omega's probes y (B), the omega_tilde profile
-    (B_tilde) and f * phi_t (C) per bump order n0 = floor((k-1)/2) + 1, and
-    L^j f (K), all as values on the nodes of the L^p rules, which serve
-    every p.  None of them depends on q or beta."""
+    once, on first use, as values on the nodes of the L^p rules, and read
+    at any order and norm p (module docstring).  None depends on q or
+    beta."""
 
     def __init__(self, alpha: AlphaParam, f: GaussPolyFunction):
         self.alpha, self.f, self._memo = alpha, f, {}
@@ -159,33 +156,51 @@ class BesovSamples:
             self._memo.update(zip(new, compute(np.array([v for _, v in new]))))
         return list(map(np.array, zip(*(self._memo[key] for key in keys))))
 
+    def remainder_norm(self, x, k: int, p: float):
+        """||R_k(x, f)||_p at x, a scalar or an array (k = 0: tau_x f).  Each
+        order opens one remainder profile of its new x, peeled off the
+        stored signed tau_x f, and keeps |R_k| per (k, x)."""
+        al, f, xs = self.alpha, self.f, np.asarray(x, dtype=float)
+        us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, NORM_T)]
+
+        def compute(ys):
+            tau = self._nodes("tau", ys.tolist(), lambda y: list(zip(*(
+                translate_many(al, f, y[:, None], u) for u in us))))
+            prof = remainder_profile(al, k, f, ys[:, None])
+            return list(zip(*(np.abs(prof(u, tau=t)) for u, t in zip(us, tau))))
+
+        rows = self._nodes(("R", k), xs.ravel().tolist(), compute)
+        return np.reshape(lp_norm_from_nodes(LpContext(al, p, NORM_T), rows)
+                          .value, xs.shape)[()]
+
+    def power_norm(self, j, p: float):
+        """||L^j f||_p for an order j >= 0 or an array of them."""
+        al, f, js = self.alpha, self.f, np.asarray(j)
+        ctx = LpContext(al, p, NORM_T)
+        rows = self._nodes("L", js.ravel().tolist(), lambda new: [
+            norm_node_values(ctx, dunkl_power(al, f, i)) for i in new.tolist()])
+        return np.reshape(lp_norm_from_nodes(ctx, rows).value, js.shape)[()]
+
     def value(self, kind: str, v, k: int, p: float):
         """A kind's samples at v, a scalar or an array (t for C), at order k
         in L^p.  New points are computed in one call, and all are reduced in
-        one: order k peels b_j(y) L^j f, j < k, off the stored tau_y f."""
+        one."""
         if kind not in KINDS or k < 1:
             raise ValueError(f"no seminorm kind {kind!r} at order k = {k}")
         vs = np.asarray(v, dtype=float)
         if np.any(vs <= 0.0):
             raise ValueError("x and t must be positive")
-        al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p, NORM_T)
         if kind == "K":
-            lj = self._nodes("L", [k - 1, k], lambda js: [norm_node_values(
-                ctx, dunkl_power(al, f, j)) for j in js.tolist()])
-            n = lp_norm_from_nodes(ctx, lj).value
-            return np.minimum(n[0], vs * n[1])[()]
+            lo, hi = self.power_norm([k - 1, k], p)
+            return np.minimum(lo, vs * hi)[()]
+        al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p, NORM_T)
         if not vs.size:
             return np.zeros(vs.shape)
         if kind == "B":
-            us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, NORM_T)]
             probes = np.array([_y_probe_grid(x) for x in vs.ravel().tolist()])
             ys, inv = np.unique(probes.ravel(), return_inverse=True)
-            tau = self._nodes("tau", ys.tolist(), lambda y: list(zip(*(
-                translate_many(al, f, y[:, None], u) for u in us))))
-            prof = remainder_profile(al, k, f, ys[:, None])
-            out = lp_norm_from_nodes(ctx, [np.abs(prof(u, tau=t)) for u, t in
-                                           zip(us, tau)]).value
-            out = out[inv.reshape(probes.shape)].max(axis=-1, initial=0.0)
+            out = self.remainder_norm(ys, k, p)[inv.reshape(probes.shape)]
+            out = out.max(axis=-1, initial=0.0)
         else:
             def compute(xs):    # depends on k through n0 alone
                 if kind == "C":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -145,11 +145,6 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
 
 # ------------------------------------------------------------- translate ----
 
-def _node_values(al: AlphaParam, g: Callable, T: float):
-    # |g| on the nodes of the L^p rules truncated at T, which serve every p
-    return norm_node_values(LpContext(al, 1.0, T), g)
-
-
 def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
     checks = []
     grid6 = np.array([0.2, 0.5, 0.9, 1.3, 2.0, 3.1])
@@ -163,28 +158,22 @@ def suite_translate(alphas=DEFAULT_ALPHAS) -> List[Dict]:
         checks.append(_check("product-formula", *(product_formula_residual(
             al, px, py, t) for t in (0.3, 1.0, 2.5)), a=a))
 
-        # node values once per function, reduced for every p: ||f|| (T = 12)
-        # and tau_x f with every x as the rows of one profile (T = 16)
-        base = {name: _node_values(al, f, 12.0) for name, f in TEST_FUNCTIONS}
-        norm = lambda p, name: lp_norm_from_nodes(
-            LpContext(al, p, 12.0), base[name]).value
-        xs = np.array([[0.4], [1.1], [2.3]])
-        moved = {name: _node_values(al, functools.partial(
-            translate_many, al, f, xs), 16.0) for name, f in TEST_FUNCTIONS}
+        # ||f|| and ||tau_x f|| = ||R_0(x, f)|| from one sample set per f, at
+        # every p; only the Young numerator takes its node values here
+        sets = [B.BesovSamples(al, f) for _, f in TEST_FUNCTIONS]
+        xs = np.array([0.4, 1.1, 2.3])
         for p in (1.0, 2.0):
             checks.append(_check("translation-contraction", *(
-                lp_norm_from_nodes(LpContext(al, p, 16.0), moved[name]).value
-                / norm(p, name) - SQRT2 for name, _ in TEST_FUNCTIONS),
-                a=a, p=p))
+                s.remainder_norm(xs, 0, p) / s.power_norm(0, p) - SQRT2
+                for s in sets), a=a, p=p))
 
-        (fname, f), (gname, g) = TEST_FUNCTIONS[0], TEST_FUNCTIONS[2]
+        (_, f), (_, g) = TEST_FUNCTIONS[0], TEST_FUNCTIONS[2]
         conv = lambda us: convolve(al, f, g, us, T=12.0)
-        conv_nodes = _node_values(al, conv, 16.0)
+        conv_nodes = norm_node_values(LpContext(al, 1.0, B.NORM_T), conv)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
-            num = lp_norm_from_nodes(LpContext(al, r, 16.0), conv_nodes).value
-            checks.append(_check(
-                "young-inequality",
-                num / (norm(p, fname) * norm(q, gname)) - SQRT2,
+            num = lp_norm_from_nodes(LpContext(al, r, B.NORM_T), conv_nodes)
+            checks.append(_check("young-inequality", num.value / (
+                sets[0].power_norm(0, p) * sets[2].power_norm(0, q)) - SQRT2,
                 a=a, p=p, q=q, r=r))
 
         xis = np.array([0.5, 1.7])    # one transform per function takes both
@@ -278,37 +267,23 @@ def suite_norms(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS,
                 ps=DEFAULT_PS) -> List[Dict]:
     checks = []
     xs = np.array([0.25, 0.5, 1.0, 2.0, 3.0])
-    orders = sorted({j for k in ks for j in (k - 1, k)})
     for a in alphas:
         al = AlphaParam(a)
-        # node values once per order j, reduced for every p: R_j(x, f), x the
-        # rows, on one tau_x f per (f, rule) (T = 18), and L^j f (T = 14)
-        nodes = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, 18.0)]
-        rem = {}
-        for name, f in TEST_FUNCTIONS:
-            taus = [translate_many(al, f, xs[:, None], u) for u in nodes]
-            for j in orders:
-                prof = T.remainder_profile(al, j, f, xs[:, None])
-                rem[name, j] = [abs(prof(u, tau=t)) for u, t in zip(nodes, taus)]
-        lj = {(name, j): _node_values(al, dunkl_power(al, f, j), 14.0)
-              for name, f in TEST_FUNCTIONS for j in orders}
+        # ||R_j(x, f)|| and ||L^j f|| at every p from one set per function
+        sets = [B.BesovSamples(al, f) for _, f in TEST_FUNCTIONS]
         for k in ks:
             # ||R_{k-1}|| and ||R_k|| against their constants times
             # ||L^{k-1} f||, per function and x
             coeffs = [np.array([c(al, k, x) for x in xs.tolist()]) for c in (
                 T.remainder_norm_coeff, T.remainder_norm_coeff_same_order)]
             for p in ps:
-                ctx = LpContext(al, p, 18.0)
-                nk = [lp_norm_from_nodes(LpContext(al, p, 14.0),
-                                         lj[name, k - 1]).value
-                      for name, _ in TEST_FUNCTIONS]
+                nk = [s.power_norm(k - 1, p) for s in sets]
                 for family, j, c in zip(("remainder-norm-bound",
                                          "remainder-norm-bound-same-order"),
                                         (k - 1, k), coeffs):
                     checks.append(_check(family, *(
-                        lp_norm_from_nodes(ctx, rem[name, j]).value - c * n
-                        for (name, _), n in zip(TEST_FUNCTIONS, nk)),
-                        a=a, k=k, p=p))
+                        s.remainder_norm(xs, j, p) - c * n
+                        for s, n in zip(sets, nk)), a=a, k=k, p=p))
     return checks
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from dunkl_lab import verify as V
 from dunkl_lab import taylor as T
+from dunkl_lab.besov import NORM_T
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import dunkl_power, dunkl_fd_power
 from dunkl_lab.quad import LpContext, lp_norm
@@ -31,8 +32,9 @@ def _check(check_id, anchor, residual, tol, detail=""):
             "tolerance": float(tol), "status": status, "detail": detail}
 
 
-def _numeric_lp(al, p, g, T=12.0):
-    return lp_norm(LpContext(al, p, T), g)
+def _numeric_lp(al, p, g):
+    # every norm of the translate and norms suites truncates at NORM_T
+    return lp_norm(LpContext(al, p, NORM_T), g)
 
 
 def _suite_translate_loop(alphas):
@@ -63,7 +65,7 @@ def _suite_translate_loop(alphas):
                 base = _numeric_lp(al, p, f)
                 for x in (0.4, 1.1, 2.3):
                     prof = lambda ys, _x=x: translate_many(al, f, _x, ys)
-                    worst = max(worst, _numeric_lp(al, p, prof, T=16.0) / base)
+                    worst = max(worst, _numeric_lp(al, p, prof) / base)
             checks.append(_check(
                 f"translation-contraction[a={a},p={p:g}]",
                 "translation norm ratio <= sqrt(2)", worst - V.SQRT2, 1e-6))
@@ -71,7 +73,7 @@ def _suite_translate_loop(alphas):
         g = V.TEST_FUNCTIONS[2][1]
         conv = lambda us: convolve(al, f, g, us, T=12.0)
         for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
-            num = _numeric_lp(al, r, conv, T=16.0)
+            num = _numeric_lp(al, r, conv)
             den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
             checks.append(_check(
                 f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
@@ -105,14 +107,14 @@ def _suite_norms_loop(alphas, ks=V.DEFAULT_KS, ps=V.DEFAULT_PS):
             for p in ps:
                 worst_lo = worst_hi = -math.inf
                 for name, f in V.TEST_FUNCTIONS:
-                    nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1), T=14.0)
+                    nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1))
                     for x in xs:
                         rm = _numeric_lp(al, p, T.remainder_profile(
-                            al, k - 1, f, x), T=18.0)
+                            al, k - 1, f, x))
                         worst_lo = max(worst_lo,
                                        rm - T.remainder_norm_coeff(al, k, x) * nk)
                         rs = _numeric_lp(al, p, T.remainder_profile(
-                            al, k, f, x), T=18.0)
+                            al, k, f, x))
                         worst_hi = max(
                             worst_hi,
                             rs - T.remainder_norm_coeff_same_order(al, k, x) * nk)
@@ -228,18 +230,50 @@ def test_norms_suite_equals_its_loop_form():
 
 
 def test_norms_suite_opens_one_profile_per_order(monkeypatch):
+    # the sample sets open the profiles, through besov's binding
     shapes = []
-    orig = T.remainder_profile
+    orig = V.B.remainder_profile
 
     def profile(al, k, f, x):
         shapes.append((k, np.shape(x)))
         return orig(al, k, f, x)
 
-    monkeypatch.setattr(T, "remainder_profile", profile)
+    monkeypatch.setattr(V.B, "remainder_profile", profile)
     V.suite_norms(alphas=(0.5,))
     # orders 0..3 for k in {1, 2, 3}, per test function, each over the 5 x
     assert sorted(shapes) == sorted((j, (5, 1)) for j in range(4)
                                     for _ in V.TEST_FUNCTIONS)
+
+
+@pytest.mark.parametrize("suite", ["translate", "norms"])
+def test_suite_norms_are_fresh_lp_norms_at_norm_t(monkeypatch, suite):
+    # every ||R_j(x, f)||_p (j = 0: tau_x f) and ||L^j f||_p the suite reads
+    # from its sample sets is lp_norm of the profile at NORM_T, bit for bit;
+    # the suite builds no L^p rule of its own
+    reads = []
+    for name in ("remainder_norm", "power_norm"):
+        orig = getattr(V.B.BesovSamples, name)
+
+        def read(s, *args, _orig=orig, _name=name):
+            out = _orig(s, *args)
+            reads.append((_name, s.alpha, s.f, args, np.ravel(out)))
+            return out
+
+        monkeypatch.setattr(V.B.BesovSamples, name, read)
+    rules = _count_calls(monkeypatch, V, "_norm_rules")
+    V.SUITES[suite]()
+    assert not rules
+    assert {(name, args[-2]) for name, _, _, args, _ in reads} >= {
+        ("remainder_norm", 0), ("power_norm", 0)}
+    for name, al, f, args, got in reads:
+        ctx = LpContext(al, args[-1], NORM_T)
+        if name == "remainder_norm":
+            xs, j, _ = args
+            want = [lp_norm(ctx, T.remainder_profile(al, j, f, x))
+                    for x in np.ravel(xs).tolist()]
+        else:
+            want = [lp_norm(ctx, dunkl_power(al, f, args[0]))]
+        assert got.tolist() == want, (name, al, args)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -404,8 +438,10 @@ _NAN_CASES = {
         mp, V, "dunkl_kernel", lambda al, lam, x: np.ndim(x) == 2)),
     "product-formula[a=0.5]": (
         "translate", lambda mp: _spoil(mp, V, "product_formula_residual")),
+    # the last node value of tau_x f at x = 2.3 (one of 9 (f, x) samples):
+    # the sample sets translate through besov's binding
     "translation-contraction[a=0.5,p=1]": (
-        "translate", lambda mp: _spoil(mp, V, "translate_many")),
+        "translate", lambda mp: _spoil(mp, V.B, "translate_many")),
     "transform-of-convolution[a=0.5]": (
         "translate", lambda mp: _spoil(mp, V, "dunkl_transform")),
     "translate-convolve-commute[a=0.5]": ("translate", lambda mp: _spoil(
@@ -428,9 +464,9 @@ _NAN_CASES = {
     "bump-moments-vanish[a=0.5,k=1]": ("taylor", _spoil_bump),
     # the last node value of tau_x f at x = 3: one of the 15 (f, x) samples
     "remainder-norm-bound[a=0.5,k=1,p=1]": (
-        "norms", lambda mp: _spoil(mp, V, "translate_many")),
+        "norms", lambda mp: _spoil(mp, V.B, "translate_many")),
     "remainder-norm-bound-same-order[a=0.5,k=1,p=1]": (
-        "norms", lambda mp: _spoil(mp, V, "translate_many")),
+        "norms", lambda mp: _spoil(mp, V.B, "translate_many")),
     "sandwich-spread[a=0.5,k=2]": ("besov", lambda mp: _spoil(
         mp, V.B.BesovSamples, "value", _besov_window("K", 12))),
     "omega-scaling[a=0.5,k=2]": ("besov", lambda mp: _spoil(
