@@ -6,14 +6,21 @@ even moment-vanishing bump: the measured slope equals the first surviving
 moment order 2*n0 (which is k+1 for odd k, not k); see the check detail in
 the report.  This is a deliberate, documented deviation from the naive
 exponent-k window.
+
+The fixture's report is also compared, record by record, with the committed
+reference report tests/reference/report.json (README, Tests).
 """
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from dunkl_lab import verify as V
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,7 +40,6 @@ def report(tmp_path_factory):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads((out / "report.json").read_text())
     doc["_raw"] = (out / "report.json").read_bytes()
-    doc["_out_dir"] = out
     return doc
 
 
@@ -169,3 +175,107 @@ def test_full_matrix_is_green(report):
     print(f"SUMMARY: {s['PASS']} passed, {s['FAIL']} failed, "
           f"{s['INCONCLUSIVE']} inconclusive")
     assert s["FAIL"] == 0 and s["INCONCLUSIVE"] == 0
+
+
+# -- the committed reference report -------------------------------------------
+
+REFERENCE = Path(__file__).parent / "reference" / "report.json"
+#: how far a record's residual, and each number in its detail, may move from
+#: the reference: >= 10x the largest move measured (numpy 2.4.6) with numpy's
+#: AVX-512 dispatch off, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+#: X86_V4"; the families not named moved by <= 4.3e-15, most by 0 or an ulp.
+BOUNDS = dict.fromkeys(V.FAMILIES, 1e-13) | {
+    "kernel-eigenfunction": 1e-12,          # 9.6e-14
+    "iterated-integral-remainder": 1e-9,    # 4.8e-11
+    "iterated-integral-shift": 1e-9,        # 2.4e-11
+    "omega-scaling": 1e-11,                 # 1.3e-13
+    "conv-scaling": 1e-9,                   # 8.5e-11
+    "sandwich-flatness": 1e-11,             # 3.1e-13
+    "sandwich-spread": 1e-11,               # 6.4e-13
+}
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _numbers(check):
+    return [check["residual"], *map(float, _NUMBER.findall(check["detail"]))]
+
+
+def _report_diff(got, ref):
+    """One line, naming the ID, per way the check records `got` differ from
+    `ref` beyond the gate: a missing, extra or reordered ID, a status, anchor
+    or tolerance not equal, or a residual or detail number past BOUNDS."""
+    ids, ref_ids = [c["id"] for c in got], [c["id"] for c in ref]
+    out = [f"{i}: missing" for i in ref_ids if i not in ids]
+    out += [f"{i}: not in the reference" for i in ids if i not in ref_ids]
+    if not out and ids != ref_ids:
+        out.append(next(f"{i}: out of order" for i, j in zip(ids, ref_ids)
+                        if i != j))
+    by_id = {c["id"]: c for c in ref}
+    for c in (c for c in got if c["id"] in by_id):
+        r, bound = by_id[c["id"]], BOUNDS[c["id"].split("[")[0]]
+        out += [f"{c['id']}: {key} {c[key]!r}, reference {r[key]!r}"
+                for key in ("status", "anchor", "tolerance")
+                if c[key] != r[key]]
+        if _NUMBER.sub("#", c["detail"]) != _NUMBER.sub("#", r["detail"]) \
+                or not all(v == w or abs(v - w) <= bound
+                           for v, w in zip(_numbers(c), _numbers(r))):
+            out.append(f"{c['id']}: residual {c['residual']!r}, detail "
+                       f"{c['detail']!r}; reference {r['residual']!r}, "
+                       f"{r['detail']!r} (bound {bound:g})")
+    return out
+
+
+def _reference_checks():
+    return json.loads(REFERENCE.read_text())["checks"]
+
+
+def test_report_matches_the_reference(report):
+    # a record that moves on purpose is declared by regenerating the
+    # reference file: its git diff lists the moved records
+    problems = _report_diff(report["checks"], _reference_checks())
+    assert not problems, "\n".join(problems)
+
+
+_EQUIV = "equivalence-diagnostics[a=0.5,k=2,p=2]"
+
+
+@pytest.mark.parametrize("change", ["residual", "detail", "status", "anchor",
+                                    "tolerance", "missing", "extra", "order",
+                                    "inside"])
+def test_reference_gate_names_each_altered_record(change):
+    # each change to one record of the reference fails, naming its ID; every
+    # residual moved by half its family's bound passes
+    ref, got = _reference_checks(), _reference_checks()
+    i, check_id = [c["id"] for c in ref].index(_EQUIV), _EQUIV
+    c = got[i]
+    if change == "residual":
+        c["residual"] += 10 * BOUNDS["equivalence-diagnostics"]
+    elif change == "detail":
+        c["detail"] = c["detail"].replace("lower ratio 0.8", "lower ratio "
+                                          "0.80000000000001")
+    elif change in ("status", "anchor", "tolerance"):
+        c[change] = {"status": "FAIL", "anchor": "", "tolerance": 1.0}[change]
+    elif change == "missing":
+        del got[i]
+    elif change == "extra":
+        check_id = _EQUIV.replace("k=2", "k=3")
+        got.insert(i + 1, dict(c, id=check_id))
+    elif change == "order":
+        got.insert(0, got.pop(i))
+    else:
+        for c in got:
+            c["residual"] += 0.5 * BOUNDS[c["id"].split("[")[0]]
+        assert _report_diff(got, ref) == []
+        return
+    problems = _report_diff(got, ref)
+    assert len(problems) == 1 and problems[0].startswith(check_id + ": ")
+
+
+def test_parts_of_the_matrix_equal_the_full_run_bit_for_bit(report):
+    # the norms and taylor suites on an order set with gaps, one p and one
+    # alpha give the full run's records with the same IDs
+    full = {c["id"]: c for c in report["checks"]}
+    got = (V.suite_norms(alphas=(0.5,), ks=(3, 1), ps=(2.0,))
+           + V.suite_taylor(alphas=(1.5,), ks=(3, 1)))
+    assert len(got) == 25
+    assert [c["id"] for c in got if c != full[c["id"]]] == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dunkl_lab.special import AlphaParam, _as_alpha
+from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import (GaussPolyFunction, dunkl_apply, dunkl_power,
                                dilate, hermite_phi, dunkl_fd_power)
 from dunkl_lab.quad import integrate
@@ -198,37 +198,20 @@ def test_dunkl_fd_power_consistency():
         exact, rel=1e-5)
 
 
-def _dunkl_fd(alpha, g, a, h):
-    # the former scalar operator: a 5-point central derivative plus the
-    # exact reflection term, g called once per point
-    al = _as_alpha(alpha)
-    d = (-g(a + 2 * h) + 8.0 * g(a + h) - 8.0 * g(a - h) + g(a - 2 * h)) / (
-        12.0 * h)
-    return d + (2.0 * al + 1.0) / a * (g(a) - g(-a)) / 2.0
-
-
-def _fd_power_per_point(alpha, g, a, k, h):
-    # the former form: nested scalar stencils, each level cached by
-    # round(t, 12), g called once per distinct point
-    cache = {}
-
-    def ev(lvl, t):
-        key = (lvl, round(t, 12))
-        if key not in cache:
-            cache[key] = g(t) if lvl == 0 else _dunkl_fd(
-                alpha, lambda u: ev(lvl - 1, u), t, h)
-        return cache[key]
-    return ev(k, a)
-
-
 _FD_F = GaussPolyFunction((1.0, 0.5, 1.0), 1.0)
+# degree 4: the 5-point derivative is exact on it, and each level lowers the
+# degree, so every level of the stencil is exact up to rounding
+_FD_P = GaussPolyFunction((1.0, -0.5, 0.75, 0.25, -0.3), 0.0)
 
 
 def _stencil_points(k, a, h):
-    # the distinct points the former scalar stencils read
-    points = []
-    _fd_power_per_point(AL, lambda t: points.append(t) or 0.0, a, k, h)
-    return points
+    # the points s a + m h that k levels read: a level at p reads p + 2h,
+    # p + h, p - h, p - 2h, p and -p
+    keys = {(1, 0)}
+    for _ in range(k):
+        keys = {(s, m + d) for s, m in keys for d in (2, 1, 0, -1, -2)} | {
+            (-s, -m) for s, m in keys}
+    return sorted(s * a + m * h for s, m in keys)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -238,16 +221,20 @@ def test_dunkl_fd_power_calls_g_once(k):
             calls = []
 
             def g(t):
-                calls.append(np.shape(t))
-                return _FD_F(t)
+                calls.append(np.sort(t))
+                return _FD_P(t)
 
             got = dunkl_fd_power(AL, g, a, k, h=h)
-            # the scalar stencils' value bit for bit, from one call of g
-            # with a column per distinct point
-            want = _fd_power_per_point(AL, _FD_F, a, k, h)
+            # L^k of the polynomial up to the stencil's rounding, at most
+            # 1.05 eps / h^k here, from one call of g with a column per
+            # distinct point
+            want = dunkl_power(AL, _FD_P, k)(a)
             assert isinstance(got, float)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert calls == [(len(_stencil_points(k, a, h)),)]
+            assert abs(got - want) <= 20 * np.finfo(float).eps * max(
+                1.0, abs(want)) / h ** k
+            (t,) = calls
+            assert np.allclose(t, _stencil_points(k, a, h), rtol=0,
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("ks", [(0, 1), (1, 2), (2, 1, 3), (3,)])
@@ -271,8 +258,8 @@ def test_dunkl_fd_power_on_arrays_and_orders_equals_scalar_calls(ks):
     assert t.shape[:2] == (2, 2)
     assert len({c.tobytes() for c in np.moveaxis(t, -1, 0)}) == t.shape[2]
     for x, cols in zip(a.ravel().tolist(), t.reshape(4, -1)):
-        assert set(cols.tolist()) == {
-            p for k in ks for p in _stencil_points(k, x, 2e-3)}
+        gap = np.abs(cols[:, None] - _stencil_points(max(ks), x, 2e-3))
+        assert gap.min(0).max() <= 1e-14 and gap.min(1).max() <= 1e-14
     # a single order on an array: its rows, no leading axis
     assert np.array_equal(dunkl_fd_power(AL, _FD_F, a, ks[0], h=2e-3),
                           got[0])
@@ -297,12 +284,6 @@ def test_dunkl_fd_power_order_zero_is_g():
         dunkl_fd_power(AL, _FD_F, 0.8, -1)
 
 
-def _power_loop(alpha, f, k):
-    for _ in range(k):
-        f = dunkl_apply(alpha, f)
-    return f
-
-
 def test_dunkl_power_equals_its_loop_bitwise():
     # the kept powers are the loop's, bit for bit (repr shows signed zeros);
     # records that differ only in the sign of a zero keep their own powers
@@ -315,6 +296,10 @@ def test_dunkl_power_equals_its_loop_bitwise():
     for coeffs, s in records:
         for alpha in (AL, 0.5, -0.25, AlphaParam(1.5), -0.0):
             f = GaussPolyFunction(coeffs, s)
-            for k in (3, 0, 5, 1, 4):       # out of order: cached and new
-                assert repr(dunkl_power(alpha, f, k)) \
-                    == repr(_power_loop(alpha, f, k)), (coeffs, s, alpha, k)
+            # out of order, cached and new: L^k f = L L^(k-1) f at every k
+            # from f, so each power is the loop of dunkl_apply's
+            assert dunkl_power(alpha, f, 0) is f
+            for k in (3, 5, 1, 4, 2):
+                lower = dunkl_power(alpha, f, k - 1)
+                assert repr(dunkl_power(alpha, f, k)) == repr(dunkl_apply(
+                    alpha, lower)), (coeffs, s, alpha, k)

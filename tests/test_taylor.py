@@ -35,20 +35,6 @@ def symmetric_remainder_residual(alpha, k, f, x, a):
     return out if out.ndim else float(out)
 
 
-def _recursion_residual_per_k(alpha, k, f, x, a):
-    # remainder_recursion_residual for one scalar k, as it was before k
-    # broadcast: each side translates on its own
-    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
-    lhs = remainder_profile(alpha, k, f, x)(a)
-    lf = dunkl_power(alpha, f, 1)
-    rhs = taylor._theta_weighted_integral(
-        alpha, 0, x, lambda ys, rows: remainder_profile(alpha, k - 1, lf, ys)(
-            a if a.ndim == 0 else a.ravel()[rows].reshape(-1, 1, 1)),
-        lf.gauss_scale)
-    out = np.abs(lhs - rhs)
-    return out if out.ndim else float(out)
-
-
 def test_b_coeff_closed_forms():
     a = AL.alpha
     assert b_coeff(AL, 0, 1.7) == 1.0
@@ -172,7 +158,9 @@ def test_log_term_rule_against_quadpack(monkeypatch, ee, j, x, a):
 def _per_term_integral(al, order, x, h, s):
     """_theta_weighted_integral at one x with one Gauss rule on (0, 1) per
     Theta term, for its own weighted exponent (and log power, after
-    t = u^3), the layout before terms shared a family's rule."""
+    t = u^3), the layout before terms shared a family's rule.  Kept: other
+    rules than the library's, so agreement to 1e-13 is evidence, not a copy
+    of its float path."""
     ax = abs(x)
     n = 40 * min(max(math.ceil(ax * math.sqrt(max(s, 1.0)) / 4.0), 1), 10)
     total = 0.0
@@ -479,23 +467,21 @@ def test_array_residuals_equal_scalar_calls_bitwise(alpha, k):
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
 def test_recursion_residual_broadcasts_k_bitwise(alpha):
     # k broadcasts like x and a: a column of k against rows of (x, a) gives
-    # the per-k form's rows bit for bit, x = 0 and a = 0 included, and a
+    # the scalar-k calls' rows bit for bit, x = 0 and a = 0 included, and a
     # scalar triple stays a float
     al = AlphaParam(alpha)
     xs = np.array([0.7, -1.3, 1.9, 9.0, 0.0, -0.0])
     pts = np.array([0.45, 0.0, -0.8, 2.2, 0.3, 0.0])
     ks = np.array([1, 2, 3, 4])
     got = remainder_recursion_residual(al, ks[:, None], F, xs, pts)
-    ref = [_recursion_residual_per_k(al, k, F, xs, pts) for k in ks.tolist()]
+    ref = [remainder_recursion_residual(al, k, F, xs, pts) for k in range(1, 5)]
     assert got.shape == (4, 6)
     assert got.tobytes() == np.array(ref).tobytes()
     mixed = remainder_recursion_residual(al, np.array([3, 1, 2]), F,
                                          0.9, np.array([0.4, 0.4, -1.2]))
-    assert mixed.tolist() == [_recursion_residual_per_k(al, k, F, 0.9, pt)
+    assert mixed.tolist() == [remainder_recursion_residual(al, k, F, 0.9, pt)
                               for k, pt in ((3, 0.4), (1, 0.4), (2, -1.2))]
-    one = remainder_recursion_residual(al, 2, F, 1.1, 0.45)
-    assert type(one) is float and one == _recursion_residual_per_k(
-        al, 2, F, 1.1, 0.45)
+    assert type(remainder_recursion_residual(al, 2, F, 1.1, 0.45)) is float
     with pytest.raises(ValueError):
         remainder_recursion_residual(al, np.array([2, 0]), F, 1.1, 0.45)
 
@@ -624,25 +610,32 @@ def test_norm_coefficients():
         remainder_norm_coeff(AL, 0, 1.0)
 
 
-def _theta_mass_former(alpha, k, x):
-    # theta_mass before its unit-interval integral was kept per sign
-    terms = [(c, sp, e + alpha.weight_exp, j) for c, sp, e, j
-             in theta_table(alpha.alpha, k - 1, math.copysign(1.0, x))]
-    val, _ = quad.integrate(lambda t: abs(_eval_terms(terms, t))
-                            + abs(_eval_terms(terms, -t)), 0.0, 1.0)
-    return abs(float(x)) ** k * val
-
-
-def test_theta_mass_equals_its_former_form_bitwise():
+def test_theta_mass_is_even_homogeneous_and_exact_on_its_terms():
+    # theta_mass(x) = |x|^k theta_mass(1) for either sign, bit for bit; the
+    # unit mass within 1e-11 of the exact one (8.7e-13 off at alpha = -0.25):
+    # Theta_{k-1}(1, .) keeps one sign on (0, 1) and on (-1, 0), and
+    # int_0^1 t^ee log(t)^j dt = (-1)^j j! / (ee + 1)^(j + 1)
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     xs = [0.0, -0.0, 1e-300, -2.0] + rng.uniform(-3, 3, 12).tolist()
+    ts = np.linspace(1e-6, 0.99, 100)
     for alpha in (-0.25, 0.0, 0.5, 1.0, 1.5):
         al = AlphaParam(alpha)
         for k in (1, 2, 3, 4):
+            unit = theta_mass(al, k, 1.0)
+            assert theta_mass(al, k, -1.0) == unit
             for x in xs:
-                got, ref = theta_mass(al, k, x), _theta_mass_former(al, k, x)
-                assert np.array(got).tobytes() == np.array(ref).tobytes(), \
-                    (alpha, k, x)
+                assert theta_mass(al, k, x) == abs(x) ** k * unit, x
+            exact = 0.0
+            for s in (1, -1):
+                sign = np.sign(_theta(alpha, k - 1, 1.0, s * ts))
+                assert abs(sign.sum()) == ts.size, (alpha, k, s)
+                with mp.workdps(30):
+                    exact += abs(mp.fsum(
+                        c * s ** sp * (-1) ** j * math.factorial(j)
+                        / (mp.mpf(e) + 2.0 * alpha + 2.0) ** (j + 1)
+                        for c, sp, e, j in _theta_terms(alpha, k - 1)))
+            assert abs(unit - exact) <= 1e-11 * exact, (alpha, k)
 
 
 def test_symmetric_residual_equals_its_two_call_form_bitwise():

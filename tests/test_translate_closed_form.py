@@ -183,7 +183,10 @@ def test_closed_form_matches_quadrature(coeffs, s, alpha, xs, ys):
 # -- (c) batched convolution and Taylor loops against their loop forms ---------
 
 def _conv_profile_loop(params, f, t, n_outer=80):
-    """Former per-node form of conv_profile: one closure per outer node."""
+    """Former per-node form of conv_profile: one closure per outer node.
+    Kept: the 80-node rule is only ~eps/t^(2 n0) accurate (6.8e-9 off the
+    exact convolution at alpha = 1.5, k = 3, t = 1e-2), so no exact oracle
+    holds the 1e-10 bound of test_batched_conv_profile_matches_loop."""
     al, k = params.alpha, params.k
     phi_t = dilate(al, hermite_phi(al, (k - 1) // 2 + 1), t)
     xs, ws = jacobi_rule(n_outer, al.weight_exp, 0.0, 10.0 * t)
@@ -242,7 +245,8 @@ def test_cheb_interpolator_reproduces_polynomials():
 def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
     """Nested form of iterated_integral_I: the k-fold Theta_0-weighted
     iterate, each inner level a Chebyshev interpolant in y (one per sign)
-    through one scalar call of the level below per node."""
+    through one scalar call of the level below per node.  Kept: another
+    algorithm than the library's one Theta_{k-1}-weighted integral."""
     if k == 1:
         return _theta_weighted_integral(
             al, 0, x, lambda ys, rows: translate_many(al, f, a, ys))
@@ -262,12 +266,6 @@ def _iterated_integral_loop(al, k, f, x, a, n_cheb=48):
 def _params(alpha, k, p=2.0):
     return BesovParams(AlphaParam(alpha), k, p, 1.0, 0.5,
                        default_grid(per_decade=4))
-
-
-def _close(batched, loop, rel):
-    scale = np.max(np.abs(loop))
-    assert scale > 0.0
-    assert np.max(np.abs(batched - loop)) <= rel * scale
 
 
 @pytest.mark.parametrize("alpha,k,n_cheb", [
@@ -359,8 +357,10 @@ def test_batched_conv_profile_matches_loop(alpha, k):
     params = _params(alpha, k)
     us = np.linspace(-6.0, 6.0, 31)
     for t in (1e-2, 0.2, 2.0):
-        _close(conv_profile(params.alpha, params.k, CUBIC, t)(us),
-               _conv_profile_loop(params, CUBIC, t)(us), 1e-10)
+        loop = _conv_profile_loop(params, CUBIC, t)(us)
+        got = conv_profile(params.alpha, params.k, CUBIC, t)(us)
+        scale = np.max(np.abs(loop))
+        assert scale > 0.0 and np.max(np.abs(got - loop)) <= 1e-10 * scale
 
 
 # -- (d) shapes and path selection ---------------------------------------------

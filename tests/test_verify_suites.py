@@ -1,8 +1,7 @@
-"""The identities suites against their former loop forms: one lp_norm call
-per (k, p, f, x) in the norms suite, one per (p, f, x) and one scalar
-transform per xi in the translate suite, and the taylor suite's sample
-residuals per k and per sample; and a NaN sample of any family's check
-reading INCONCLUSIVE."""
+"""The identities suites' work: the library calls, translations and Bessel
+values each takes, and its L^p norms against fresh lp_norm calls; and a NaN
+sample of any family's check reading INCONCLUSIVE.  Their records are pinned
+by the reference report (tests/test_acceptance.py)."""
 
 import functools
 import math
@@ -13,197 +12,8 @@ import pytest
 from dunkl_lab import verify as V
 from dunkl_lab import taylor as T
 from dunkl_lab.besov import NORM_T
-from dunkl_lab.special import AlphaParam
-from dunkl_lab.funcalg import dunkl_power, dunkl_fd_power
+from dunkl_lab.funcalg import dunkl_power
 from dunkl_lab.quad import LpContext, lp_norm
-from dunkl_lab.dunklcore import (translate_many, w_total_variation, convolve,
-                                 dunkl_transform,
-                                 translate_convolution_commutes,
-                                 product_formula_residual)
-
-
-def _check(check_id, anchor, residual, tol, detail=""):
-    # one record from a residual the loop reduced itself, with its ID,
-    # anchor and tolerance written out
-    status = "PASS" if residual <= tol else "FAIL"
-    if not math.isfinite(residual):
-        status = "INCONCLUSIVE"
-    return {"id": check_id, "anchor": anchor, "residual": float(residual),
-            "tolerance": float(tol), "status": status, "detail": detail}
-
-
-def _numeric_lp(al, p, g):
-    # every norm of the translate and norms suites truncates at NORM_T
-    return lp_norm(LpContext(al, p, NORM_T), g)
-
-
-def _suite_translate_loop(alphas):
-    checks = []
-    grid6 = (0.2, 0.5, 0.9, 1.3, 2.0, 3.1)
-    pairs9 = [(0.3, 0.3), (0.3, 1.1), (1.1, 0.3), (0.7, -0.7), (-1.5, 0.4),
-              (2.2, 2.2), (-0.9, -1.8), (0.15, 2.5), (1.0, 1.0)]
-    for a in alphas:
-        al = AlphaParam(a)
-        worst = 0.0
-        for x in grid6:
-            for y in grid6:
-                worst = max(worst, w_total_variation(al, x, y))
-        checks.append(_check(
-            f"measure-mass-bound[a={a}]",
-            "translation measure total variation <= sqrt(2)",
-            worst - V.SQRT2, 1e-8))
-        worst = 0.0
-        for t in (0.3, 1.0, 2.5):
-            for x, y in pairs9:
-                worst = max(worst, product_formula_residual(al, x, y, t))
-        checks.append(_check(f"product-formula[a={a}]",
-                               "kernel product equals translated kernel",
-                               worst, 1e-6))
-        for p in (1.0, 2.0):
-            worst = 0.0
-            for name, f in V.TEST_FUNCTIONS:
-                base = _numeric_lp(al, p, f)
-                for x in (0.4, 1.1, 2.3):
-                    prof = lambda ys, _x=x: translate_many(al, f, _x, ys)
-                    worst = max(worst, _numeric_lp(al, p, prof) / base)
-            checks.append(_check(
-                f"translation-contraction[a={a},p={p:g}]",
-                "translation norm ratio <= sqrt(2)", worst - V.SQRT2, 1e-6))
-        f = V.TEST_FUNCTIONS[0][1]
-        g = V.TEST_FUNCTIONS[2][1]
-        conv = lambda us: convolve(al, f, g, us, T=12.0)
-        for (p, q, r) in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
-            num = _numeric_lp(al, r, conv)
-            den = _numeric_lp(al, p, f) * _numeric_lp(al, q, g)
-            checks.append(_check(
-                f"young-inequality[a={a},p={p:g},q={q:g},r={r:g}]",
-                "convolution Young bound with constant sqrt(2)",
-                num / den - V.SQRT2, 1e-6))
-        worst = 0.0
-        for xi in (0.5, 1.7):
-            lhs = dunkl_transform(al, conv, xi, T=16.0)
-            rhs = (dunkl_transform(al, f, xi, T=12.0)
-                   * dunkl_transform(al, g, xi, T=12.0))
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-        checks.append(_check(f"transform-of-convolution[a={a}]",
-                               "transform turns convolution into a product",
-                               worst, 1e-8))
-        worst = 0.0
-        for (t, x) in ((0.6, 0.9), (-1.2, 0.3)):
-            worst = max(worst, translate_convolution_commutes(
-                al, f, g, t, x, T=14.0))
-        checks.append(_check(f"translate-convolve-commute[a={a}]",
-                               "translation commutes with convolution",
-                               worst, 1e-8))
-    return checks
-
-
-def _suite_norms_loop(alphas, ks=V.DEFAULT_KS, ps=V.DEFAULT_PS):
-    checks = []
-    xs = (0.25, 0.5, 1.0, 2.0, 3.0)
-    for a in alphas:
-        al = AlphaParam(a)
-        for k in ks:
-            for p in ps:
-                worst_lo = worst_hi = -math.inf
-                for name, f in V.TEST_FUNCTIONS:
-                    nk = _numeric_lp(al, p, dunkl_power(al, f, k - 1))
-                    for x in xs:
-                        rm = _numeric_lp(al, p, T.remainder_profile(
-                            al, k - 1, f, x))
-                        worst_lo = max(worst_lo,
-                                       rm - T.remainder_norm_coeff(al, k, x) * nk)
-                        rs = _numeric_lp(al, p, T.remainder_profile(
-                            al, k, f, x))
-                        worst_hi = max(
-                            worst_hi,
-                            rs - T.remainder_norm_coeff_same_order(al, k, x) * nk)
-                checks.append(_check(
-                    f"remainder-norm-bound[a={a},k={k},p={p:g}]",
-                    "lower-order remainder norm within the explicit constant",
-                    worst_lo, 1e-9))
-                checks.append(_check(
-                    f"remainder-norm-bound-same-order[a={a},k={k},p={p:g}]",
-                    "full-order remainder norm within the peeled constant",
-                    worst_hi, 1e-9))
-    return checks
-
-
-def _taylor_sample_checks_loop(alphas, ks=V.DEFAULT_KS):
-    # remainder-step, -recursion, symmetric-remainder and the finite
-    # differences per k and per sample, each residual on its own samples
-    # (remainder_recursion_residual at one k is checked against its per-k
-    # form in tests/test_taylor.py)
-    checks = []
-    f = V.TEST_FUNCTIONS[2][1]
-    samples = ((0.7, 0.45), (-1.3, 0.0), (1.9, -0.8))
-    sx, spt = np.transpose(samples)
-    for a in alphas:
-        al = AlphaParam(a)
-        lf = dunkl_power(al, f, 1)
-        rem = lambda k: (T.remainder(al, k, f, sx, spt) if k
-                         else translate_many(al, f, sx, spt))
-        for k in ks:
-            rhs = rem(k - 1) - (T.b_coeff(al, k - 1, sx)
-                                * dunkl_power(al, f, k - 1)(spt))
-            r = T.remainder(al, k, f, np.stack([sx, -sx]),
-                            np.stack([spt, spt]))
-            sym = np.abs(r[0] + r[1] - T.symmetric_remainder_profile(
-                al, k, f, sx)(spt))
-            for name, anchor, res in (
-                    ("remainder-step", "one-term peeling of the remainder",
-                     np.abs(rem(k) - rhs)),
-                    ("remainder-recursion",
-                     "remainder as kernel-weighted lower remainder",
-                     T.remainder_recursion_residual(al, k, f, sx, spt)),
-                    ("symmetric-remainder", "even-part remainder identity",
-                     sym)):
-                checks.append(_check(f"{name}[a={a},k={k}]", anchor,
-                                       max(0.0, *res.tolist()), 1e-6))
-        for k in (1, 2):
-            w_nest = w_rem = 0.0
-            for x, pt in samples[:2]:
-                u = pt or 0.45
-                g = lambda t, k=k, x=x: T.iterated_integral_I(al, k, f, x, t)
-                lhs = dunkl_fd_power(al, g, u, k, h=2e-3)
-                rhs = T.remainder_profile(al, k, f, x)(u)
-                w_rem = max(w_rem, abs(lhs - rhs) / (1.0 + abs(rhs)))
-                if k == 1:
-                    lhs2 = dunkl_fd_power(al, g, u, 2, h=2e-3)
-                    g2 = lambda t, x=x: T.iterated_integral_I(al, 1, lf, x, t)
-                    rhs2 = dunkl_fd_power(al, g2, u, 1, h=2e-3)
-                    w_nest = max(w_nest, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
-            checks.append(_check(
-                f"iterated-integral-remainder[a={a},k={k}]",
-                "k-fold operator on iterate gives remainder "
-                "(finite differences)", w_rem, 1e-4))
-            if k == 1:
-                checks.append(_check(
-                    f"iterated-integral-shift[a={a},k={k}]",
-                    "extra operator application shifts inside the iterate "
-                    "(finite differences)", w_nest, 1e-4))
-    return checks
-
-
-_SAMPLE_CHECKS = ("remainder-step", "remainder-recursion",
-                  "symmetric-remainder", "iterated-integral-")
-
-
-@pytest.mark.parametrize("alphas,ks", [((0.5,), V.DEFAULT_KS),
-                                       ((-0.25, 1.0), (1, 2, 3, 4)),
-                                       ((1.5,), (3, 1))])
-def test_taylor_suite_equals_its_loop_form(alphas, ks):
-    # the shared R_k(+-x) rows, the recursion over every k at once and one
-    # iterated integral per finite-difference order give the per-k and
-    # per-sample residuals bit for bit (resonant alpha = 1 and an order set
-    # with gaps included)
-    got = [c for c in V.suite_taylor(alphas=alphas, ks=ks)
-           if c["id"].startswith(_SAMPLE_CHECKS)]
-    assert got == _taylor_sample_checks_loop(alphas, ks)
-
-
-def test_translate_suite_equals_its_loop_form():
-    assert V.suite_translate(alphas=(0.5,)) == _suite_translate_loop((0.5,))
 
 
 def test_translate_suite_builds_one_measure_rule_per_alpha():
@@ -220,13 +30,6 @@ def test_translate_suite_builds_one_measure_rule_per_alpha():
         misses = quad._jacobi_ref.cache_info().misses
         quad._jacobi_ref(*key)
         assert quad._jacobi_ref.cache_info().misses == misses, key
-
-
-def test_norms_suite_equals_its_loop_form():
-    assert V.suite_norms(alphas=(0.5,)) == _suite_norms_loop((0.5,))
-    # an order set with gaps, and one p
-    assert V.suite_norms(alphas=(0.5,), ks=(3, 1), ps=(2.0,)) \
-        == _suite_norms_loop((0.5,), ks=(3, 1), ps=(2.0,))
 
 
 def test_norms_suite_opens_one_profile_per_order(monkeypatch):
@@ -291,7 +94,6 @@ def _count_calls(monkeypatch, module, name):
 def test_norms_suite_translates_once_per_function_and_rule(monkeypatch):
     # tau_x f at the five x rows, once per test function and L^p rule (head
     # and tail), serves every order's profile: 3 x 2 closed-form passes
-    # (test_norms_suite_equals_its_loop_form checks the values)
     from dunkl_lab import dunklcore
     calls = _count_calls(monkeypatch, dunklcore, "_translate_closed")
     V.suite_norms(alphas=(0.5,))
