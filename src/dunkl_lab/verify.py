@@ -127,7 +127,7 @@ def suite_kernel(alphas=DEFAULT_ALPHAS) -> List[Dict]:
     xs = np.linspace(-4.0, 4.0, 41)
     for a in alphas:
         al = AlphaParam(a)
-        checks.append(_check("kernel-modulus-bound", 0.0,
+        checks.append(_check("kernel-modulus-bound",
                              np.abs(dunkl_kernel_it(al, ts, xs)) - 1.0, a=a))
         # real lam: scaled-Bessel path, imaginary lam: J-Bessel (b_5 ~ 1e-17)
         zero_gap = lambda lam, x: abs(complex(dunkl_kernel(al, lam, x)) - sum(
@@ -208,7 +208,7 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
                        - T.remainder(al, k, f, xs, us))
                 checks.append(_check("taylor-identity", np.abs(gap) / (
                     1.0 + np.abs(tau)), a=a, k=k, f=name))
-            checks.append(_check("theta-mass-bound", 0.0, [
+            checks.append(_check("theta-mass-bound", [
                 T.theta_mass(al, k, x) - T.theta_mass_bound(al, k, x)
                 for x in (0.2, 0.8, 2.0)], a=a, k=k))
         x5 = np.array([0.5, -0.5, 1.0, -1.0, 2.0])    # one call per p

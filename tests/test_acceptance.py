@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from dunkl_lab import taylor as T
 from dunkl_lab import verify as V
+from dunkl_lab.special import AlphaParam
 
 SQRT2 = math.sqrt(2.0)
 
@@ -86,9 +88,16 @@ def test_criterion_04_contraction_and_young(report):
 
 
 def test_criterion_05_theta_mass(report):
+    checks = _checks(report, "theta-mass-bound[")
     _gate(5, "remainder kernel mass within the coefficient bound, "
-             "x in {0.2, 0.8, 2}",
-          _checks(report, "theta-mass-bound["), tol=1e-8)
+             "x in {0.2, 0.8, 2}", checks, tol=1e-8)
+    # each residual is the largest gap, max(theta_mass - bound) < 0
+    for c in checks:
+        a, k = re.fullmatch(r".*\[a=(.*),k=(\d)\]", c["id"]).groups()
+        al, k = AlphaParam(float(a)), int(k)
+        assert c["residual"] == max(
+            T.theta_mass(al, k, x) - T.theta_mass_bound(al, k, x)
+            for x in (0.2, 0.8, 2.0)) < 0.0, c["id"]
 
 
 def test_criterion_06_moment_identity(report):
