@@ -52,11 +52,8 @@ __all__ = [
     "slope_estimate",
     "equivalence_report",
     "default_grid",
-    "NORM_T",
 ]
 
-#: truncation radius of every Besov-layer L^p norm
-NORM_T = 16.0
 #: nodes of the bump's rule; t per C block, at most 2^16 translated points
 BUMP_NODES = 80
 C_BLOCK = max(1, 2 ** 16 // (BUMP_NODES * 2 * NORM_NODES))
@@ -80,9 +77,9 @@ class BesovParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.p < 1.0 or self.k < 1:
-            raise ValueError("need p >= 1 and k >= 1")
-        if self.q < 1.0:
+        if not 1.0 <= self.p < math.inf or self.k < 1:
+            raise ValueError("need 1 <= p < inf and k >= 1")
+        if not self.q >= 1.0:
             raise ValueError("q must be >= 1 (use math.inf for the sup scale)")
         g = np.asarray(self.grid)
         if g.ndim != 1 or np.any(np.diff(g) <= 0.0) or np.any(g <= 0.0):
@@ -161,7 +158,7 @@ class BesovSamples:
         order opens one remainder profile of its new x, peeled off the
         stored signed tau_x f, and keeps |R_k| per (k, x)."""
         al, f, xs = self.alpha, self.f, np.asarray(x, dtype=float)
-        us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al, NORM_T)]
+        us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al)]
 
         def compute(ys):
             tau = self._nodes("tau", ys.tolist(), lambda y: list(zip(*(
@@ -170,15 +167,15 @@ class BesovSamples:
             return list(zip(*(np.abs(prof(u, tau=t)) for u, t in zip(us, tau))))
 
         rows = self._nodes(("R", k), xs.ravel().tolist(), compute)
-        return np.reshape(lp_norm_from_nodes(LpContext(al, p, NORM_T), rows)
+        return np.reshape(lp_norm_from_nodes(LpContext(al, p), rows)
                           .value, xs.shape)[()]
 
     def power_norm(self, j, p: float):
         """||L^j f||_p for an order j >= 0 or an array of them."""
         al, f, js = self.alpha, self.f, np.asarray(j)
-        ctx = LpContext(al, p, NORM_T)
+        ctx = LpContext(al, p)
         rows = self._nodes("L", js.ravel().tolist(), lambda new: [
-            norm_node_values(ctx, dunkl_power(al, f, i)) for i in new.tolist()])
+            norm_node_values(al, dunkl_power(al, f, i)) for i in new.tolist()])
         return np.reshape(lp_norm_from_nodes(ctx, rows).value, js.shape)[()]
 
     def value(self, kind: str, v, k: int, p: float):
@@ -193,7 +190,7 @@ class BesovSamples:
         if kind == "K":
             lo, hi = self.power_norm([k - 1, k], p)
             return np.minimum(lo, vs * hi)[()]
-        al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p, NORM_T)
+        al, f, ctx = self.alpha, self.f, LpContext(self.alpha, p)
         if not vs.size:
             return np.zeros(vs.shape)
         if kind == "B":
@@ -205,9 +202,9 @@ class BesovSamples:
             def compute(xs):    # depends on k through n0 alone
                 if kind == "C":
                     return [v for i in range(0, xs.size, C_BLOCK) for v in zip(
-                        *norm_node_values(ctx, conv_profile(
+                        *norm_node_values(al, conv_profile(
                             al, k, f, xs[i:i + C_BLOCK])))]
-                return list(zip(*norm_node_values(ctx, (
+                return list(zip(*norm_node_values(al, (
                     symmetric_remainder_profile(al, k, f, xs[:, None])))))
             out = lp_norm_from_nodes(ctx, self._nodes(
                 (kind, (k - 1) // 2 + 1), vs.ravel().tolist(), compute)).value

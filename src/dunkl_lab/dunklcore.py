@@ -234,20 +234,20 @@ def w_total_variation(alpha: AlphaParam, x, y):
     return out if out.ndim else float(out)
 
 
-def convolve(alpha: AlphaParam, f: Callable, g: Callable, x, T: float):
+def convolve(alpha: AlphaParam, f: Callable, g: Callable, x):
     """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
     a scalar x or an array of x (the result has its shape).
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
-    _convolve_closed.  Otherwise g must decay and T truncates the outer
-    rule, the L^p head rule on (0, T) at its kept nodes (term size |w_j|
+    _convolve_closed.  Otherwise g must decay: the outer rule is the L^p
+    head rule on (0, NORM_T) at its kept nodes (term size |w_j|
     max|g(+-y_j)|, one call of g); one translate_many call takes -y and y
     for a block of x values, at most _BLOCK points in all."""
     if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
-    (y, w), _ = _norm_rules(alpha, T)
+    (y, w), _ = _norm_rules(alpha)
     gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
     y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
@@ -275,11 +275,11 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
     return GaussPolyFunction(tuple(c), sigma)
 
 
-def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
-    """Dunkl transform F_a(f)(xi) = int_{-T}^{T} f(y) E_a(-i xi y) dmu_a(y)
-    on the L^p head rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a
-    scalar or an array; f and E_a run once, each xi a scalar call's value."""
-    (y, w), _ = _norm_rules(alpha, T)
+def dunkl_transform(alpha: AlphaParam, f: Callable, xi):
+    """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y) on the L^p
+    head rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a scalar or an
+    array; f and E_a run once, each xi a scalar call's value."""
+    (y, w), _ = _norm_rules(alpha)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(fy), np.abs(fmy)))
     y, w, fy, fmy = (v[keep] for v in (y, w, fy, fmy))
@@ -291,16 +291,15 @@ def dunkl_transform(alpha: AlphaParam, f: Callable, xi, T: float):
 
 
 def translate_convolution_commutes(alpha: AlphaParam, f: Callable, h: Callable,
-                                   t: float, x: float, T: float) -> float:
+                                   t: float, x: float) -> float:
     """Max pairwise discrepancy of tau_t(f *_a h), tau_t(f) *_a h and
-    f *_a tau_t(h) at the point x, each convolution truncated at T (NaN if
-    any of the three is NaN)."""
-    conv_fh = lambda ys: convolve(alpha, f, h, ys, T=T)
+    f *_a tau_t(h) at the point x (NaN if any of the three is NaN)."""
+    conv_fh = lambda ys: convolve(alpha, f, h, ys)
     v1 = translate(alpha, conv_fh, t, x)
     tf = lambda ys: translate_many(alpha, f, t, ys)
-    v2 = convolve(alpha, tf, h, x, T=T)
+    v2 = convolve(alpha, tf, h, x)
     th = lambda ys: translate_many(alpha, h, t, ys)
-    v3 = convolve(alpha, f, th, x, T=T)
+    v3 = convolve(alpha, f, th, x)
     return float(np.max([abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)]))
 
 

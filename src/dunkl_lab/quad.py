@@ -21,6 +21,7 @@ from .special import AlphaParam
 
 __all__ = [
     "LpContext",
+    "NORM_T",
     "QuadratureError",
     "integrate",
     "jacobi_rule",
@@ -213,45 +214,41 @@ def rowdot(w, v):
 
 # -- weighted L^p norms -------------------------------------------------------
 
-#: nodes of the head rule of every L^p norm
-NORM_NODES = 160
+#: nodes of the head rule, and truncation radius, of every L^p norm
+NORM_NODES, NORM_T = 160, 16.0
 
 
 @dataclass(frozen=True)
 class LpContext:
     alpha: AlphaParam
     p: float
-    truncation_T: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
-        if self.truncation_T <= 0.0:
-            raise ValueError("truncation radius must be positive")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must satisfy 1 <= p < inf")
 
 
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    head: float      # integral over [-T, T]
-    tail: float      # estimated mass on T < |x| < 2T
-    T: float
+    head: float      # integral over [-NORM_T, NORM_T]
+    tail: float      # estimated mass on NORM_T < |x| < 2 NORM_T
 
 
 @lru_cache(maxsize=64)
-def _norm_rules(alpha: AlphaParam, T: float):
-    # the head rule on (0, T), weight u^(2a+1) extracted, of every dmu_a
-    # integral on (0, T); the tail's on (T, 2T) times zt^(2a+1) / norm_const,
-    # by logs (the power overflows from a = 102)
-    (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, T),
-                        jacobi_rule(32, 0.0, T, 2.0 * T))
+def _norm_rules(alpha: AlphaParam):
+    # the head rule on (0, NORM_T), weight u^(2a+1) extracted, of every dmu_a
+    # integral; the tail's on (NORM_T, 2 NORM_T) times zt^(2a+1) /
+    # norm_const, by logs (the power overflows from a = 102)
+    (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, NORM_T),
+                        jacobi_rule(32, 0.0, NORM_T, 2.0 * NORM_T))
     wt = wt * np.exp(alpha.weight_exp * np.log(zt) - math.log(alpha.norm_const))
     for v in (z, w, zt, wt):
         v.flags.writeable = False       # shared by every caller of the cache
     return (z, w), (zt, wt)
 
 
-def norm_node_values(ctx: LpContext, g: Callable):
+def norm_node_values(alpha: AlphaParam, g: Callable):
     """|g| on [u, -u] for the nodes u of lp_norm_full's head and tail rules,
     g called once per rule.  The rules do not depend on p, so these values
     give the norm for every p (lp_norm_from_nodes).  g must accept numpy
@@ -260,28 +257,28 @@ def norm_node_values(ctx: LpContext, g: Callable):
     if isinstance(g, GaussPolyFunction) and not g.is_normable:
         raise ValueError("pure polynomials are not in L^p(mu_alpha)")
     return [np.abs(np.asarray(g(np.concatenate([z, -z]))))
-            for z, _ in _norm_rules(ctx.alpha, ctx.truncation_T)]
+            for z, _ in _norm_rules(alpha)]
 
 
 def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
-    """lp_norm_full at ctx.p from norm_node_values at any p, same rules, for
-    one profile (float fields) or each row along leading axes (fields of the
+    """lp_norm_full at ctx.p from norm_node_values, same rules, for one
+    profile (float fields) or each row along leading axes (fields of the
     rows' shape): a row's dot product and 1/p root are its own, bit for bit."""
     a, p = ctx.alpha, ctx.p
-    (_, w), (_, wt) = _norm_rules(a, ctx.truncation_T)
+    (_, w), (_, wt) = _norm_rules(a)
     hv, tv = (v ** p for v in values)
     head = np.maximum(rowdot(w, hv[..., :w.size] + hv[..., w.size:])
                       / a.norm_const, 0.0)
     tail = np.maximum(rowdot(wt, tv[..., :wt.size] + tv[..., wt.size:]), 0.0)
     root = np.reshape([h ** (1.0 / p) for h in np.ravel(head).tolist()],
                       np.shape(head))
-    return NormEstimate(*(v if v.ndim else float(v) for v in (root, head, tail)),
-                        ctx.truncation_T)
+    return NormEstimate(*(v if v.ndim else float(v) for v in (root, head, tail)))
 
 
 def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
-    """(int_{-T}^{T} |g|^p dmu_a)^(1/p) with a crude tail estimate."""
-    return lp_norm_from_nodes(ctx, norm_node_values(ctx, g))
+    """(int_{-T}^{T} |g|^p dmu_a)^(1/p), T = NORM_T, with a crude tail
+    estimate."""
+    return lp_norm_from_nodes(ctx, norm_node_values(ctx.alpha, g))
 
 
 def lp_norm(ctx: LpContext, g: Callable) -> float:

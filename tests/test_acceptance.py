@@ -37,12 +37,21 @@ def _run_verify(out_dir):
 
 @pytest.fixture(scope="session")
 def report(tmp_path_factory):
+    # exit 1 (a check failed) still writes the report, and every test below
+    # reads it: the reference gate then names each flipped record
     out = tmp_path_factory.mktemp("verify_run")
     proc = _run_verify(out)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    assert (out / "report.json").exists(), proc.stdout + proc.stderr
     doc = json.loads((out / "report.json").read_text())
     doc["_raw"] = (out / "report.json").read_bytes()
+    doc["_proc"] = proc
     return doc
+
+
+def test_verify_exits_0(report):
+    proc = report["_proc"]
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _checks(report, prefix):

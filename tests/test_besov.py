@@ -14,7 +14,7 @@ from dunkl_lab.quad import (LpContext, lp_norm, lp_norm_from_nodes,
 from dunkl_lab.dunklcore import convolve
 from dunkl_lab.taylor import (_theta_weighted_integral, remainder_profile,
                               symmetric_remainder_profile)
-from dunkl_lab.besov import (KINDS, NORM_T, BesovParams, BesovSamples,
+from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples,
                              default_grid,
                              omega, omega_tilde, k_functional_upper,
                              conv_profile, conv_norm,
@@ -33,7 +33,7 @@ def make_params(k=2, p=2.0, q=1.0, beta=0.5):
 
 
 def norm_ctx(params):
-    return LpContext(params.alpha, params.p, NORM_T)
+    return LpContext(params.alpha, params.p)
 
 
 def test_default_grid():
@@ -53,6 +53,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BesovParams(AL, 2, 2.0, 1.0, 0.5,
                     np.geomspace(0.1, 1.0, 8))          # < 3 decades
+    # the L^p rule takes 1 <= p < inf; a NaN q made every seminorm nan
+    for p, q in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            make_params(p=p, q=q)
     # inf is the sup scale and must be accepted
     make_params(q=math.inf)
 
@@ -99,7 +103,7 @@ def test_conv_profile_matches_direct_convolution():
     prof = conv_profile(AL, 2, GAUSS, t)
     phit = dilate(AL, phi, t)
     for u in (0.0, 0.5, -1.2):
-        direct = convolve(AL, GAUSS, phit, u, T=8.0)
+        direct = convolve(AL, GAUSS, phit, u)
         assert float(prof(np.array([u]))[0]) == pytest.approx(
             direct, rel=1e-10, abs=1e-12)
     with pytest.raises(ValueError):
@@ -178,7 +182,7 @@ def test_dropped_bump_terms_lie_below_rounding(alpha, n0):
     # same bump and the same symmetric remainder (its sum runs to 2i < k)
     al = AlphaParam(alpha)
     u = np.concatenate([np.concatenate([z, -z])
-                        for z, _ in quad._norm_rules(al, NORM_T)])
+                        for z, _ in quad._norm_rules(al)])
     rules = [quad.jacobi_rule(80, al.weight_exp, 0.0, 10.0 * t)
              for t in SKIP_TS.tolist()]
     xs = np.array([x for x, _ in rules])
@@ -437,7 +441,7 @@ def test_theta_weighted_integral_evaluates_h_once_per_node_count():
 def _reference(alpha, kind, k, p, v):
     """CUBIC's sample of a kind at v, from its profile and lp_norm alone."""
     al = AlphaParam(alpha)
-    ctx = LpContext(al, p, NORM_T)
+    ctx = LpContext(al, p)
     if kind == "B":
         return max(lp_norm(ctx, remainder_profile(al, k, CUBIC, float(y)))
                    for y in B._y_probe_grid(v))
@@ -458,8 +462,8 @@ def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
     ref = {kind: [_reference(alpha, kind, k, p, x) for x in xs.tolist()]
            for kind in KINDS}
     # the row norms of one profile over all x are the per-x norms, bit for bit
-    ctx = LpContext(al, p, NORM_T)
-    assert lp_norm_from_nodes(ctx, norm_node_values(ctx, B.remainder_profile(
+    ctx = LpContext(al, p)
+    assert lp_norm_from_nodes(ctx, norm_node_values(al, B.remainder_profile(
         al, k, CUBIC, xs[:, None]))).value.tolist() == [
         lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(x))) for x in xs]
     for kind, fn in _SCALAR.items():

@@ -134,8 +134,8 @@ def test_quadrature_translate_does_not_depend_on_its_call(alpha):
     assert many.tolist() == [translate(al, g, 0.7, y) for y in ys.tolist()]
     tf = lambda z: translate_many(al, cubic, 0.6, z)
     us = np.linspace(-3.0, 3.0, 12)
-    assert convolve(al, tf, GAUSS, us, T=10.0).tolist() == \
-        [convolve(al, tf, GAUSS, u, T=10.0) for u in us.tolist()]
+    assert convolve(al, tf, GAUSS, us).tolist() == \
+        [convolve(al, tf, GAUSS, u) for u in us.tolist()]
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
@@ -212,7 +212,7 @@ def test_product_formula():
 
 
 def test_translation_lp_contraction():
-    ctx = LpContext(AL, 2.0, truncation_T=14.0)
+    ctx = LpContext(AL, 2.0)
     base = lp_norm(ctx, GAUSS)
     for x in (0.4, 1.1, 2.6):
         tf = lambda ys: translate_many(AL, GAUSS, x, np.asarray(ys))
@@ -223,14 +223,12 @@ def test_convolution_commutes_and_transform_factorizes():
     g = GaussPolyFunction((1.0, 0.5), 1.0)
     # transform of a convolution is the product of transforms
     for xi in (0.4, 1.3):
-        conv = lambda u: np.array([convolve(AL, GAUSS, g, float(v), T=10.0)
+        conv = lambda u: np.array([convolve(AL, GAUSS, g, float(v))
                                    for v in np.atleast_1d(u)])
-        lhs = dunkl_transform(AL, conv, xi, T=12.0)
-        rhs = (dunkl_transform(AL, GAUSS, xi, T=10.0)
-               * dunkl_transform(AL, g, xi, T=10.0))
+        lhs = dunkl_transform(AL, conv, xi)
+        rhs = dunkl_transform(AL, GAUSS, xi) * dunkl_transform(AL, g, xi)
         assert abs(lhs - rhs) < 1e-9
-    assert translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4,
-                                          T=10.7) < 1e-8
+    assert translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4) < 1e-8
 
 
 def test_translate_convolution_commutes_propagates_nan(monkeypatch):
@@ -246,15 +244,14 @@ def test_translate_convolution_commutes_propagates_nan(monkeypatch):
         return math.nan if len(calls) == 3 else out
 
     monkeypatch.setattr(dunklcore, "convolve", third_nan)
-    assert math.isnan(translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4,
-                                                     T=10.7))
+    assert math.isnan(translate_convolution_commutes(AL, GAUSS, g, 0.7, 0.4))
     assert len(calls) == 3 and calls[2][2] is not g
 
 
 def test_transform_gaussian_positive_at_zero():
     # F(f)(0) is the total mass; for the Gaussian that is (2)^-(a+1) * 2^(a+1) ...
     # computed directly: int e^{-y^2} dmu = 2^-(a+1)
-    val = dunkl_transform(AL, GAUSS, 0.0, T=10.0)
+    val = dunkl_transform(AL, GAUSS, 0.0)
     assert val.imag == pytest.approx(0.0, abs=1e-13)
     assert val.real == pytest.approx(2.0 ** (-(AL.alpha + 1.0)), rel=1e-10)
 
@@ -263,9 +260,8 @@ def test_convolution_is_symmetric():
     # one side a callable: the head-rule quadrature path, either order
     g = GaussPolyFunction((1.0, 0.0, -0.3), 1.0)
     for x in (0.5, 1.4):
-        assert convolve(AL, GAUSS, lambda z: g(z), x, T=10.0) == pytest.approx(
-            convolve(AL, g, lambda z: GAUSS(z), x, T=10.0), rel=1e-9,
-            abs=1e-11)
+        assert convolve(AL, GAUSS, lambda z: g(z), x) == pytest.approx(
+            convolve(AL, g, lambda z: GAUSS(z), x), rel=1e-9, abs=1e-11)
 
 
 def _algebra(al):
@@ -274,26 +270,20 @@ def _algebra(al):
     return list(CATALOG.values()) + [hermite_phi(al, 1), hermite_phi(al, 2)]
 
 
-def _support(g):
-    # truncation radius of the outer rule for g = P e^{-s.^2}, s > 0
-    return max(8.0, 10.0 / math.sqrt(g.gauss_scale))
-
-
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
 def test_closed_form_convolution_matches_the_quadrature(alpha):
-    # g wrapped in a lambda takes the L^p head rule (on g's _support)
+    # g wrapped in a lambda takes the L^p head rule
     al = AlphaParam(alpha)
     xs = np.linspace(-6.0, 6.0, 25)
     fns = _algebra(al)
     for f in fns:
         for g in fns:
-            T = _support(g)
-            exact = convolve(al, f, g, xs, T)
-            quad = convolve(al, f, lambda z: g(z), xs, T)
+            exact = convolve(al, f, g, xs)
+            quad = convolve(al, f, lambda z: g(z), xs)
             assert np.max(np.abs(exact - quad)) <= 1e-9 * np.max(np.abs(quad))
             # exactly commutative, and a scalar x gives the array's value
-            assert convolve(al, g, f, xs, T).tolist() == exact.tolist()
-            assert convolve(al, f, g, float(xs[3]), T) == exact[3]
+            assert convolve(al, g, f, xs).tolist() == exact.tolist()
+            assert convolve(al, f, g, float(xs[3])) == exact[3]
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
@@ -302,10 +292,9 @@ def test_closed_form_convolution_transform_is_the_product(alpha):
     xis = np.array([0.0, 0.5, 1.7, 3.0])
     fns = _algebra(al)
     for f, g in ((fns[0], fns[2]), (fns[1], fns[3]), (fns[2], fns[5])):
-        conv = lambda us: convolve(al, f, g, us, T=16.0)
-        lhs = dunkl_transform(al, conv, xis, T=16.0)
-        rhs = dunkl_transform(al, f, xis, T=16.0) * dunkl_transform(
-            al, g, xis, T=16.0)
+        conv = lambda us: convolve(al, f, g, us)
+        lhs = dunkl_transform(al, conv, xis)
+        rhs = dunkl_transform(al, f, xis) * dunkl_transform(al, g, xis)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) <= 1e-12
 
 
@@ -330,13 +319,13 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha, monkeypatch):
 
     def conv(us):
         calls.append(np.shape(us))
-        return convolve(al, GAUSS, g, us, T=12.0)
+        return convolve(al, GAUSS, g, us)
 
     xis = np.array([[0.0, 0.5], [1.7, -2.3]])
-    for f, T in ((GAUSS, 12.0), (g, 12.0), (conv, 16.0)):
+    for f in (GAUSS, g, conv):
         calls.clear()
         kernel_calls.clear()
-        got = dunkl_transform(al, f, xis, T=T)
+        got = dunkl_transform(al, f, xis)
         assert got.shape == xis.shape and got.dtype == complex
         assert len(kernel_calls) == 1
         if f is conv:
@@ -346,30 +335,29 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha, monkeypatch):
         ref = (_transform_exact(al, GAUSS, xis) * _transform_exact(al, g, xis)
                if f is conv else _transform_exact(al, f, xis))
         assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-14
-        one = [dunkl_transform(al, f, xi, T=T) for xi in xis.ravel().tolist()]
+        one = [dunkl_transform(al, f, xi) for xi in xis.ravel().tolist()]
         assert got.tobytes() == np.array(one).tobytes()
-    assert isinstance(dunkl_transform(al, GAUSS, 0.5, T=10.0), complex)
+    assert isinstance(dunkl_transform(al, GAUSS, 0.5), complex)
 
 
 def _identity_cases(al):
     # the transforms and callable-path convolutions of verify's translate
     # suite: transform-of-convolution and translate-convolve-commute
     f, g = GAUSS, GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
-    conv = lambda us: convolve(al, f, g, us, T=12.0)
+    conv = lambda us: convolve(al, f, g, us)
     xis = np.array([0.5, 1.7])
-    out = [dunkl_transform(al, h, xis, T=T)
-           for h, T in ((conv, 16.0), (f, 12.0), (g, 12.0))]
+    out = [dunkl_transform(al, h, xis) for h in (conv, f, g)]
     for t, x in ((0.6, 0.9), (-1.2, 0.3)):
         tf = lambda ys: translate_many(al, f, t, ys)
         tg = lambda ys: translate_many(al, g, t, ys)
-        out += [convolve(al, tf, g, x, T=14.0), convolve(al, f, tg, x, T=14.0)]
+        out += [convolve(al, tf, g, x), convolve(al, f, tg, x)]
     return out
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
 def test_outer_sums_skip_only_what_cannot_reach_them(alpha, monkeypatch):
     al = AlphaParam(alpha)
-    (y, w), _ = quad._norm_rules(al, 12.0)
+    (y, w), _ = quad._norm_rules(al)
     assert not quad.kept_terms(w * GAUSS(y)).all()     # some nodes drop
     got = _identity_cases(al)
     monkeypatch.setattr(quad, "KEEP_RATIO", 0.0)        # the full rules
@@ -379,6 +367,6 @@ def test_outer_sums_skip_only_what_cannot_reach_them(alpha, monkeypatch):
 def test_a_nan_at_a_far_node_reaches_the_sum():
     # a node a finite value there would drop: the nan is kept
     far = lambda z: np.where(np.abs(z) > 9.0, np.nan, GAUSS(z))
-    assert np.isnan(convolve(AL, GAUSS, far, 0.3, T=12.0))
-    assert np.isnan(dunkl_transform(AL, far, 0.5, T=12.0))
-    assert math.isfinite(convolve(AL, GAUSS, lambda z: GAUSS(z), 0.3, T=12.0))
+    assert np.isnan(convolve(AL, GAUSS, far, 0.3))
+    assert np.isnan(dunkl_transform(AL, far, 0.5))
+    assert math.isfinite(convolve(AL, GAUSS, lambda z: GAUSS(z), 0.3))

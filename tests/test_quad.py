@@ -117,11 +117,11 @@ def test_jacobi_rule_polynomial_exactness(coeffs, ea):
 
 
 def test_lp_context_validation():
-    al = AlphaParam(0.5)
-    with pytest.raises(ValueError):
-        LpContext(al, 0.5, 10.0)
-    with pytest.raises(ValueError):
-        LpContext(al, 2.0, 0.0)
+    # the rule sums |g|^p: at p = inf that gives 1 for 2 e^{-x^2}, whose sup
+    # norm is 2, and a NaN p gives nan
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="1 <= p < inf"):
+            LpContext(AlphaParam(0.5), p)
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
@@ -130,7 +130,7 @@ def test_lp_norm_gaussian_closed_form(alpha, p):
     # || exp(-s x^2) ||_p^p = (2 p s)^-(alpha+1) for the normalized measure
     al = AlphaParam(alpha)
     s = 0.7
-    ctx = LpContext(al, p, truncation_T=14.0)
+    ctx = LpContext(al, p)
     f = GaussPolyFunction((1.0,), s)
     ref = (2.0 * p * s) ** (-(alpha + 1.0) / p)
     assert lp_norm(ctx, f) == pytest.approx(ref, rel=1e-10)
@@ -138,15 +138,14 @@ def test_lp_norm_gaussian_closed_form(alpha, p):
 
 def test_lp_norm_full_tail_is_small():
     al = AlphaParam(0.5)
-    ctx = LpContext(al, 2.0, truncation_T=12.0)
+    ctx = LpContext(al, 2.0)
     est = lp_norm_full(ctx, GaussPolyFunction((1.0,), 1.0))
     assert est.tail < 1e-20 * est.head
-    assert est.T == 12.0
 
 
 def test_lp_norm_rejects_pure_polynomial():
     al = AlphaParam(0.5)
-    ctx = LpContext(al, 2.0, truncation_T=10.0)
+    ctx = LpContext(al, 2.0)
     with pytest.raises(ValueError):
         lp_norm(ctx, GaussPolyFunction((0.0, 1.0), 0.0))
 
@@ -166,9 +165,10 @@ def _profile_rows(x):
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("shape", [(4,), (2, 3)])
 def test_row_norms_equal_single_profile_bitwise(alpha, p, shape):
-    ctx = LpContext(AlphaParam(alpha), p, truncation_T=16.0)
+    ctx = LpContext(AlphaParam(alpha), p)
     xs = np.linspace(0.3, 2.9, int(np.prod(shape))).reshape(shape)
-    rows = lp_norm_from_nodes(ctx, norm_node_values(ctx, _profile_rows(xs)))
+    rows = lp_norm_from_nodes(ctx, norm_node_values(ctx.alpha,
+                                                    _profile_rows(xs)))
     for field in ("value", "head", "tail"):
         got = getattr(rows, field)
         assert isinstance(got, np.ndarray) and got.shape == shape
@@ -176,11 +176,10 @@ def test_row_norms_equal_single_profile_bitwise(alpha, p, shape):
                for x in xs.ravel().tolist()]
         assert got.ravel().tolist() == ref
         assert all(type(v) is float for v in ref)
-    assert rows.T == 16.0
     assert np.all(rows.value > 0.0)
 
 
-def test_rules_are_built_once_per_alpha_and_T(monkeypatch):
+def test_rules_are_built_once_per_alpha(monkeypatch):
     calls = []
     orig = quad.jacobi_rule
 
@@ -192,14 +191,14 @@ def test_rules_are_built_once_per_alpha_and_T(monkeypatch):
     al, f = AlphaParam(0.8125), GaussPolyFunction((1.0, 2.0), 0.6)
     for p in (1.0, 1.5, 2.0, 3.0):
         for _ in range(5):
-            lp_norm_full(LpContext(al, p, 13.25), f)
-        lp_norm_from_nodes(LpContext(al, p, 13.25), norm_node_values(
-            LpContext(al, 2.0, 13.25), _profile_rows(np.array([0.5, 1.0]))))
+            lp_norm_full(LpContext(al, p), f)
+        lp_norm_from_nodes(LpContext(al, p), norm_node_values(
+            al, _profile_rows(np.array([0.5, 1.0]))))
     assert 1 <= len(calls) <= 2     # the head rule and the tail rule
 
 
 def test_cached_rules_are_read_only():
-    (z, w), (zt, wt) = quad._norm_rules(AlphaParam(0.5), 16.0)
+    (z, w), (zt, wt) = quad._norm_rules(AlphaParam(0.5))
     for v in (z, w, zt, wt):
         assert not v.flags.writeable
         with pytest.raises(ValueError):

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from dunkl_lab import dunklcore, taylor
-from dunkl_lab.besov import (NORM_T, BesovParams, conv_norm, conv_profile,
+from dunkl_lab.besov import (BesovParams, conv_norm, conv_profile,
                              default_grid)
 from dunkl_lab.dunklcore import convolve, translate, translate_many
 from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
 from dunkl_lab.quad import (NORM_NODES, LpContext, jacobi_rule, kept_terms,
-                            lp_norm)
+                            lp_norm, _norm_rules)
 from dunkl_lab.special import (AlphaParam, dunkl_kernel, dunkl_kernel_it,
                                _scaled_j)
 from dunkl_lab.verify import CATALOG
@@ -305,9 +305,9 @@ def test_batched_convolve_equals_scalar_calls_bitwise(alpha):
     us = np.linspace(-5.0, 5.0, 72).reshape(8, 9)   # two blocks, 51 rows a block
     tf = lambda ys: translate_many(al, CUBIC, 0.6, ys)  # a callable f, g
     for f, g in ((WIDE, CUBIC), (CUBIC, tf), (tf, WIDE)):
-        out = convolve(al, f, g, us, T=12.0)
+        out = convolve(al, f, g, us)
         assert out.shape == us.shape
-        scalar = [convolve(al, f, g, float(u), T=12.0) for u in us.ravel()]
+        scalar = [convolve(al, f, g, float(u)) for u in us.ravel()]
         if f is tf:
             # the node rule's matrix-vector product rounds by block layout
             np.testing.assert_allclose(out.ravel(), scalar, rtol=1e-14)
@@ -344,12 +344,15 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     assert calls == [80]
     assert 20 * sum(calls) < loop_points
     calls.clear()
-    # a callable g takes the L^p head rule, +-y at its NORM_NODES nodes (two
+    # a callable g takes the L^p head rule, +-y at its kept nodes (two
     # algebra elements convolve in closed form, with no translation)
-    convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384), 10.0)
-    assert len(calls) <= math.ceil(384 * 2 * NORM_NODES / dunklcore._BLOCK)
+    (y, w), _ = _norm_rules(al)
+    kept = int(kept_terms(w * WIDE(y)).sum())       # WIDE is even
+    assert kept < NORM_NODES
+    convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384))
+    assert len(calls) <= math.ceil(384 * 2 * kept / dunklcore._BLOCK)
     assert max(calls) <= dunklcore._BLOCK
-    assert sum(calls) == 384 * 2 * NORM_NODES
+    assert sum(calls) == 384 * 2 * kept
 
 
 @pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])
@@ -520,7 +523,7 @@ def test_bessel_pair_shared_by_the_signs(monkeypatch):
     assert work["bessel"] == kept * u.size
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
     work.update(points=0, bessel=0)
-    lp_norm(LpContext(params.alpha, params.p, NORM_T),
+    lp_norm(LpContext(params.alpha, params.p),
             remainder_profile(params.alpha, 3, CUBIC, 0.7))
     assert work["points"] > 0
     assert work["bessel"] <= work["points"] / 2 + 8
@@ -575,7 +578,7 @@ def test_each_sign_pair_is_one_call():
         calls.append(u.size)
         return CUBIC(u)
 
-    ctx = LpContext(al, 2.0, 8.0)
+    ctx = LpContext(al, 2.0)
     lp_norm(ctx, g)
     assert calls == [2 * NORM_NODES, 2 * 32]    # head, tail
     calls.clear()
@@ -599,7 +602,7 @@ def test_callables_are_called_once_per_block():
     translate_many(al, g, np.linspace(0.1, 3.0, step + 10), 0.7)
     assert calls == [2 * step * nodes, 2 * 10 * nodes]      # +-z per node
     calls.clear()
-    convolve(al, CUBIC, g, np.linspace(-2.0, 2.0, 7), 10.0)
+    convolve(al, CUBIC, g, np.linspace(-2.0, 2.0, 7))
     assert calls == [2 * NORM_NODES]
 
 

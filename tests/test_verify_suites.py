@@ -11,7 +11,6 @@ import pytest
 
 from dunkl_lab import verify as V
 from dunkl_lab import taylor as T
-from dunkl_lab.besov import NORM_T
 from dunkl_lab.funcalg import dunkl_power
 from dunkl_lab.quad import LpContext, lp_norm
 
@@ -30,6 +29,16 @@ def test_translate_suite_builds_one_measure_rule_per_alpha():
         misses = quad._jacobi_ref.cache_info().misses
         quad._jacobi_ref(*key)
         assert quad._jacobi_ref.cache_info().misses == misses, key
+
+
+def test_translate_and_taylor_suites_share_one_norm_rule():
+    # the norms, convolutions, transforms and bump moments of both suites
+    # read the one L^p rule of their alpha: one _norm_rules entry in all
+    from dunkl_lab import quad
+    quad._norm_rules.cache_clear()
+    V.suite_translate(alphas=(0.6875,))
+    V.suite_taylor(alphas=(0.6875,), ks=(1,))
+    assert quad._norm_rules.cache_info().currsize == 1
 
 
 def test_norms_suite_opens_one_profile_per_order(monkeypatch):
@@ -69,7 +78,7 @@ def test_suite_norms_are_fresh_lp_norms_at_norm_t(monkeypatch, suite):
     assert {(name, args[-2]) for name, _, _, args, _ in reads} >= {
         ("remainder_norm", 0), ("power_norm", 0)}
     for name, al, f, args, got in reads:
-        ctx = LpContext(al, args[-1], NORM_T)
+        ctx = LpContext(al, args[-1])
         if name == "remainder_norm":
             xs, j, _ = args
             want = [lp_norm(ctx, T.remainder_profile(al, j, f, x))
