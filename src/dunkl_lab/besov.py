@@ -77,8 +77,9 @@ class BesovParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not 1.0 <= self.p < math.inf or self.k < 1:
-            raise ValueError("need 1 <= p < inf and k >= 1")
+        LpContext(self.alpha, self.p)           # 1 <= p < inf
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if not self.q >= 1.0:
             raise ValueError("q must be >= 1 (use math.inf for the sup scale)")
         g = np.asarray(self.grid)
@@ -141,6 +142,9 @@ class BesovSamples:
     beta."""
 
     def __init__(self, alpha: AlphaParam, f: GaussPolyFunction):
+        if not f.is_normable:
+            raise ValueError("f is not in L^p(mu_alpha): a polynomial needs "
+                             "a Gaussian factor, gauss_scale > 0")
         self.alpha, self.f, self._memo = alpha, f, {}
 
     def _nodes(self, tag, vs, compute):

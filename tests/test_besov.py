@@ -61,6 +61,19 @@ def test_params_validation():
     make_params(q=math.inf)
 
 
+def test_a_function_outside_lp_is_rejected():
+    # 1 + x^2 has no Gaussian factor: a finite omega (8.25 without the
+    # check) would be a plausible wrong number
+    poly, pr = GaussPolyFunction((1.0, 0.0, 1.0), 0.0), make_params()
+    with pytest.raises(ValueError, match="gauss_scale"):
+        BesovSamples(AL, poly)
+    for fn in (omega, omega_tilde, conv_norm):
+        with pytest.raises(ValueError, match="gauss_scale"):
+            fn(pr, poly, 0.5)
+    # the zero polynomial is in every L^p
+    assert omega(pr, GaussPolyFunction((0.0,), 0.0), 0.5) == 0.0
+
+
 def test_omega_positive_and_monotone():
     pr = make_params()
     xs = [0.05, 0.2, 0.8, 2.0]

@@ -17,20 +17,40 @@ def run(args):
 
 
 def test_config_validation_direct():
-    cfg = RunConfig(alpha=-0.6)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    for bad in (dict(k=0), dict(p=0.5), dict(q=0.2), dict(beta=1.2),
-                dict(x_min=-1.0), dict(fmt="xml"), dict(function="nope"),
+    # the rules no library type owns; the alpha, k, p, q, beta and L^p
+    # rules are AlphaParam's, BesovParams', LpContext's and BesovSamples'
+    for bad in (dict(x_min=-1.0), dict(fmt="xml"), dict(function="nope"),
                 dict(suites=["nope"]), dict(points_per_decade=0)):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
     RunConfig().validate()
+    RunConfig(alpha=-0.6, k=0, p=0.5, q=0.2, beta=1.2).validate()
 
 
-def test_bad_alpha_exits_2(capsys):
-    assert run(["kernel", "--alpha", "-0.6"]) == EXIT_CONFIG
-    assert "alpha" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,message", [
+    (["kernel", "--alpha", "-0.6"], "alpha must be > -1/2"),
+    (["translate", "--alpha", "-0.5"], "alpha must be > -1/2"),
+    (["taylor", "--k", "0"], "k must be >= 1"),
+    (["taylor", "--k", "-3"], "k must be >= 0"),
+    (["besov", "--p", "0.5"], "p must satisfy 1 <= p < inf"),
+    (["besov", "--q", "0.5"], "q must be >= 1"),
+    (["besov", "--k", "0"], "k must be >= 1"),
+    (["sweep", "--beta", "1.5"], "beta must lie in (0, 1)"),
+    (["sweep", "--beta", "0"], "beta must lie in (0, 1)"),
+    (["sweep", "--alpha", "-0.7"], "alpha must be > -1/2"),
+], ids=["kernel-alpha", "translate-alpha", "taylor-k-0", "taylor-k-neg",
+        "besov-p", "besov-q", "besov-k-0", "sweep-beta-1.5", "sweep-beta-0",
+        "sweep-alpha"])
+def test_range_rules_of_the_library_types_exit_2(tmp_path, capsys, argv,
+                                                 message):
+    # each command builds its AlphaParam (and BesovParams) before any work
+    # or file write: the type's own message is the one stderr line
+    out = tmp_path / "out"
+    if argv[0] != "taylor":
+        argv = argv + ["--out-dir", str(out)]
+    assert run(argv) == EXIT_CONFIG
+    assert _one_error_line(capsys).startswith(f"input error: {message}")
+    assert not out.exists()
 
 
 def test_unknown_function_exits_2():

@@ -174,6 +174,46 @@ def test_total_variation_exceeds_one_somewhere():
     assert max(vals) > 1.0 + 1e-6
 
 
+def _total_variation_mp(mp, alpha, x, y):
+    """w_total_variation's integral in mpmath (x, y > 0): in s = 1 - |t| =
+    u^(1/(a+1/2)), which takes the weight s^(a-1/2) ds to du / (a+1/2),
+    split every two decades of s from eps^2 / 100, eps = ||x| - |y|| / m:
+    q/z has branch points at a distance ~eps^2 from s = 0."""
+    a, e1 = mp.mpf(alpha), mp.mpf(alpha) + mp.mpf(1) / 2
+    m = max(x, y)
+    xs, ys = mp.mpf(x) / m, mp.mpf(y) / m
+
+    def g(t):           # |b0 + q/z| + |b0 - q/z| at xy > 0
+        z = mp.sqrt(xs ** 2 + ys ** 2 + 2 * xs * ys * t)
+        return abs(1 + t + (xs + ys) * (1 + t) / z) + abs(
+            1 + t - (xs + ys) * (1 + t) / z)
+
+    def h(u):
+        s = u ** (1 / e1)
+        return (g(1 - s) + g(s - 1)) * (2 - s) ** (e1 - 1)
+
+    eps2 = (xs - ys) ** 2
+    pts = [eps2 * mp.mpf(10) ** j for j in range(-2, 40, 2)]
+    pts = [0] + [v ** e1 for v in pts if v < 1] + [1]
+    c = mp.exp(mp.loggamma(a + 1) - mp.loggamma(e1)) / (2 * mp.sqrt(mp.pi))
+    return c / e1 * mp.quad(h, pts)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_total_variation_near_the_diagonal_matches_mpmath(alpha):
+    # near |x| = |y| the integrand has branch points ~eps^2 from t = -1, where
+    # a fixed Gauss-Jacobi rule in sqrt(1 - |t|) is 1.9e-6 relative off
+    # (alpha = -0.25 at (1, 0.999), 24 nodes); the adaptive loop's worst
+    # here is 8.5e-10, at alpha = 0 and (2, 1.9999)
+    mp = pytest.importorskip("mpmath")
+    al = AlphaParam(alpha)
+    with mp.workdps(25):
+        for x, y in ((1.0, 0.999), (1.0, 1.001), (2.0, 1.9999),
+                     (0.5, 0.5001)):
+            ref = float(_total_variation_mp(mp, alpha, x, y))
+            assert abs(w_total_variation(al, x, y) - ref) <= 2e-9 * ref
+
+
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
 def test_total_variation_on_a_grid_equals_scalar_calls(alpha):
     # the pairs with xy != 0 are one adaptive integral on a shared partition:
