@@ -18,9 +18,9 @@ omega's probes y), of the B_tilde and C profiles per bump order n0 (their
 only dependence on k), and of L^j f (K).  C is
 the identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
 dmu(x) over the kept nodes of an 80-node rule on (0, 10 t), blocks of t at
-once: the moment cancellation is analytic, but the symmetric remainder
-tau_x f + tau_{-x} f - 2 sum b_2i(x) L^2i f is O(1) term by term and
-~x^(2 n0) in sum, so the small-t values carry ~eps / t^(2 n0) relative error.
+once: the moment cancellation is analytic, and the nodes near 0 sum the b_p
+series of the symmetric remainder (taylor.series_rows), ~x^(2 n0) without
+cancelling O(1) terms.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
 from .quad import (LpContext, jacobi_rule, kept_terms, lp_norm_from_nodes,
                    norm_node_values, _norm_rules, NORM_NODES)
 from .dunklcore import translate_many
-from .taylor import remainder_profile, symmetric_remainder_profile
+from .taylor import (remainder_profile, series_rows,
+                     symmetric_remainder_profile)
 
 __all__ = [
     "BesovParams",
@@ -160,15 +161,21 @@ class BesovSamples:
     def remainder_norm(self, x, k: int, p: float):
         """||R_k(x, f)||_p at x, a scalar or an array (k = 0: tau_x f).  Each
         order opens one remainder profile of its new x, peeled off the
-        stored signed tau_x f, and keeps |R_k| per (k, x)."""
+        stored signed tau_x f (translated only for the rows that do not sum
+        the b_p series, taylor.series_rows), and keeps |R_k| per (k, x)."""
         al, f, xs = self.alpha, self.f, np.asarray(x, dtype=float)
         us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al)]
 
-        def compute(ys):
-            tau = self._nodes("tau", ys.tolist(), lambda y: list(zip(*(
-                translate_many(al, f, y[:, None], u) for u in us))))
-            prof = remainder_profile(al, k, f, ys[:, None])
-            return list(zip(*(np.abs(prof(u, tau=t)) for u, t in zip(us, tau))))
+        def compute(ys):    # one profile call on both rules' nodes
+            far = ~series_rows(k, f, ys)
+            tau = np.zeros((ys.size, sum(u.size for u in us)))  # unread if ~far
+            if far.any():
+                tau[far] = np.concatenate(self._nodes("tau", ys[far].tolist(), (
+                    lambda y: list(zip(*(translate_many(al, f, y[:, None], u)
+                                         for u in us))))), axis=1)
+            r = np.abs(remainder_profile(al, k, f, ys[:, None])(
+                np.concatenate(us), tau=tau))
+            return list(zip(*np.split(r, [us[0].size], axis=1)))
 
         rows = self._nodes(("R", k), xs.ravel().tolist(), compute)
         return np.reshape(lp_norm_from_nodes(LpContext(al, p), rows)

@@ -189,6 +189,9 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     ax, ay = (ux[:, None], uy) if grid else (np.abs(x), np.abs(y))
     pick = ix.reshape(x.shape) * uy.size + iy.reshape(y.shape)
     C, out = _closed_form_polys(a, f.coeffs, s, pair), np.zeros(shape)
+    # the point-mass cells (x = 0 or y = 0) take f(x + y) below: no Bessel
+    # value there, and a 0 factor
+    live = ((ax != 0.0) & (ay != 0.0)).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         w = (2.0 * s * (ax * ay)).ravel()
         g = np.exp(-s * (ax - ay) ** 2).ravel()
@@ -196,7 +199,11 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
             if C[..., i].any():
                 key = (a, i, s, ux.tobytes(), uy.tobytes()) if grid else None
                 v = _FACTORS.pop(key, None)     # put back as the newest
-                v = c * _scaled_j(a + i, w) if v is None else v
+                if v is None and live.all():
+                    v = c * _scaled_j(a + i, w)
+                elif v is None:
+                    v = np.zeros(w.size)
+                    v[live] = c[live] * _scaled_j(a + i, w[live])
                 if grid and v.size <= _FACTOR_CELLS:
                     v.flags.writeable = False
                     _FACTORS[key] = v

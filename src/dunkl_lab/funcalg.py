@@ -128,13 +128,16 @@ def lambda_basis(alpha, s: float, m: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=256)
 def lambda_coeffs(alpha, f: GaussPolyFunction) -> np.ndarray:
-    """c with f = P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}), s > 0."""
+    """c with f = P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}), s > 0; kept per
+    (alpha, f), read-only."""
     basis = lambda_basis(alpha, f.gauss_scale, len(f.coeffs))
     rest, c = np.array(f.coeffs), np.zeros(len(f.coeffs))
     for j in range(c.size - 1, -1, -1):     # back substitution
         c[j] = rest[j] / basis[j, j]
         rest = rest - c[j] * basis[j]
+    c.flags.writeable = False
     return c
 
 

@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .special import AlphaParam, pochhammer
-from .funcalg import GaussPolyFunction, dunkl_power
+from .funcalg import GaussPolyFunction, dunkl_power, lambda_coeffs
 from .quad import integrate, jacobi_rule, rowdot
-from .dunklcore import translate_many, _translate_sum
+from .dunklcore import translate_many, _translate_sum, _FACTOR_CELLS
 
 __all__ = [
     "b_coeff",
@@ -258,27 +258,126 @@ def remainder(alpha: AlphaParam, k: int, f: GaussPolyFunction, x, a):
     Taylor formula, int_{-|x|}^{|x|} Theta_{k-1}(x,y) tau_y(L^k f)(a) A(y) dy;
     x and a may be arrays (one row per broadcast pair).  remainder_profile
     gives the same remainder in its recurrence form."""
+    if k < 1:       # before L^k f, whose own rule is k >= 0
+        raise ValueError("k must be >= 1")
     return iterated_integral_I(alpha, k, dunkl_power(alpha, f, k), x, a)
+
+
+#: rows with k >= 1 and |x| sqrt(max(s, 1)) <= X_S (|x| in widths) sum the
+#: b_p series over SERIES_ORDERS orders; at x sqrt(s) = X_S the orders past
+#: 24 sum to <= 1.2e-20 of a row's largest |R_k| (catalog, alpha <= 150)
+X_S, SERIES_ORDERS = 0.3, 24
+
+
+def series_rows(k: int, f: GaussPolyFunction, x):
+    """Mask of the rows x whose order-k profiles sum the b_p series."""
+    return (k >= 1) & (f.gauss_scale > 0.0) & (
+        np.abs(x) * math.sqrt(max(f.gauss_scale, 1.0)) <= X_S)
+
+
+def _series(alpha: AlphaParam, k: int, f: GaussPolyFunction, step: int, x, us):
+    """sum_{p >= k, step | p} step b_p(x) L^p f(u) over SERIES_ORDERS orders,
+    in widths y = x sqrt(s), v = u sqrt(s) (f = sum_j c_j L^j e^{-s.^2}, so
+    b_p(x) L^p f(u) = b_p(y) sum_j c_j s^(j/2) h_{p+j}(v), h_m = L^m
+    e^{-.^2}): one dot product per (x, u) of the weights d_m = sum_j c_j
+    s^(j/2) step b_{m-j}(y) and h_m(v), so a row's value is its scalar
+    call's.  b_p from its ratios b_{2i+1}/b_{2i} = (y/2)/(a+1+i),
+    b_{2i+2}/b_{2i+1} = (y/2)/(i+1).  The first order takes L^k f from its
+    polynomial: the c_j h_{k+j} cancel to ~1e-14 of a row at alpha = 20."""
+    a, rs = alpha.alpha, math.sqrt(f.gauss_scale)
+    k = -(-k // step) * step            # the sum's first order
+    dens, at, by, q = _series_terms(a, f, k, step)
+    b = np.cumprod((x[..., None] * rs / 2.0) / dens, axis=-1)
+    d = (np.take(b, at, axis=-1) * by).sum(axis=-1)   # C order, as rowdot needs
+    v = us * rs
+    table = _hermite if v.size <= _FACTOR_CELLS else _hermite.__wrapped__
+    n = k + len(at)
+    h = table(a, v.tobytes(), -(-n // 16) * 16).reshape(v.shape + (-1,))
+    lead = 0.0
+    for qi in q:                        # L^k f / e^{-s.^2}
+        lead = lead * us + qi
+    return rowdot(d, np.concatenate([(lead * rs ** -k * h[..., 0])[..., None],
+                                     h[..., k + 1:n]], axis=-1))
+
+
+@lru_cache(maxsize=256)
+def _series_terms(a: float, f: GaussPolyFunction, k: int, step: int):
+    """_series's denominators of b_p / b_{p-1}, p = 1 .. k + SERIES_ORDERS
+    - 1, its weight d_m as the sum of b[at[m]] by[m] (b[i] = b_{i+1}; d_0 is
+    step b_k, the first order's), and L^k f / e^{-s.^2}, high to low."""
+    p, c = np.arange(1, k + SERIES_ORDERS), lambda_coeffs(a, f)
+    i, j = np.arange(step, SERIES_ORDERS, step)[:, None], np.arange(c.size)
+    at = np.full((SERIES_ORDERS + c.size - 1, c.size), k - 1)
+    by = np.zeros(at.shape)
+    at[i + j, j], by[i + j, j] = k - 1 + i, step * c * math.sqrt(
+        f.gauss_scale) ** j             # p = k + i
+    by[0, 0] = step
+    return (np.where(p % 2, a + 1.0 + (p - 1) // 2, p // 2), at, by,
+            dunkl_power(a, f, k).coeffs[::-1])
+
+
+@lru_cache(maxsize=8)
+def _hermite(a: float, vb: bytes, n: int):
+    """h_m(v), m < n on the last axis, v the floats of vb, by the generalized
+    Hermite recurrence h_{m+1} = -2(v h_m + (m + (2a+1)[m odd]) h_{m-1});
+    kept, as the L^p rules' nodes serve every row and order of one alpha."""
+    v = np.frombuffer(vb)
+    w, h = -2.0 * v, [np.exp(-v * v)]
+    h.append(w * h[0])
+    for m in range(1, n - 1):
+        h.append(w * h[m] - 2.0 * (m + (2.0 * a + 1.0) * (m % 2)) * h[m - 1])
+    out = np.stack(h, axis=-1)
+    out.flags.writeable = False
+    return out
 
 
 def _peeled_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction, x,
                     step: int) -> Callable:
     """u |-> T f(u) - sum_{p<k, step | p} step b_p(x) L^p f(u), vectorized,
     with T f = tau_x f (step 1) or tau_x f + tau_{-x} f (step 2), translated
-    at each call unless the caller passes T f(u) as tau."""
+    at each call unless the caller passes T f(u) as tau.  The rows of
+    series_rows take _series instead, with no translation (tau is not read
+    there): T f and the peeled terms are O(1) and their difference ~x^k."""
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=float)
-    consts = [(step * b_coeff(alpha, p, x), dunkl_power(alpha, f, p))
-              for p in range(0, k, step)]
+    lps = [dunkl_power(alpha, f, p) for p in range(0, k, step)]
+    ser = series_rows(k, f, x)
+
+    def peel(xs, us, tau):
+        if tau is None:     # looked up per call: a wrapper sees each one
+            tau = (translate_many, _translate_sum)[step - 1](alpha, f, xs, us)
+        for p, lpf in zip(range(0, k, step), lps):
+            tau = tau - step * b_coeff(alpha, p, xs) * lpf(us)
+        return tau
 
     def prof(us, tau=None):
         us = np.asarray(us, dtype=float)
-        if tau is None:     # looked up per call: a wrapper sees each one
-            tau = (translate_many, _translate_sum)[step - 1](alpha, f, x, us)
-        for c, lpf in consts:
-            tau = tau - c * lpf(us)
-        return tau
+        if not ser.any():
+            return peel(x, us, tau)
+        if ser.all():
+            return _series(alpha, k, f, step, x, us)
+        # rows: x's leading axes before its trailing 1s where they span the
+        # broadcast shape (else every entry); us keeps its layout where it
+        # is constant over them
+        shape = np.broadcast_shapes(x.shape, us.shape)
+        fit = lambda v, s: v.reshape(s) if v.size == math.prod(s) else (
+            np.broadcast_to(v.reshape((1,) * (len(s) - v.ndim) + v.shape), s))
+        xp, sel = fit(x, (1,) * (len(shape) - x.ndim) + x.shape), ser.ravel()
+        j = len(shape)
+        while j and xp.shape[j - 1] == 1:
+            j -= 1
+        if xp.shape[:j] != shape[:j]:
+            xp, j, sel = fit(x, shape), len(shape), fit(ser, shape).ravel()
+        head = shape[:j] if us.size > math.prod(shape[j:]) else (1,) * j
+        u2 = fit(us, head + shape[j:]).reshape(math.prod(head), -1)
+        x2, out = xp.reshape(-1, 1), np.empty((sel.size, u2.shape[1]))
+        t2 = None if tau is None else fit(tau, shape).reshape(out.shape)
+        for rows, part in ((sel, lambda xs, u, t: _series(
+                alpha, k, f, step, xs, u)), (~sel, peel)):
+            out[rows] = part(x2[rows], u2[rows] if u2.shape[0] > 1 else u2,
+                             None if t2 is None else t2[rows])
+        return out.reshape(shape)
 
     return prof
 
@@ -297,8 +396,8 @@ def remainder_recursion_residual(alpha: AlphaParam, k, f: GaussPolyFunction,
     """Residual of R_k(x,f)(a) = int Theta_0(x,y) R_{k-1}(y, Lf)(a) A(y) dy;
     k, x and a may be arrays (one residual per broadcast triple).  One
     tau_x f(a) serves every left side, and the right sides are one Theta_0-
-    weighted integral on one translation of Lf, each row peeling its own
-    k - 1 terms."""
+    weighted integral on one translation of Lf (of the nodes that do not
+    sum the b_p series), each row peeling its own k - 1 terms."""
     k, x, a = np.broadcast_arrays(np.asarray(k), np.asarray(x, float),
                                   np.asarray(a, float))
     shape = x.shape
@@ -307,8 +406,11 @@ def remainder_recursion_residual(alpha: AlphaParam, k, f: GaussPolyFunction,
     lf = dunkl_power(alpha, f, 1)
 
     def peeled(g, ks, xs, us):  # R_ks(xs, g)(us): ks, us per row of xs
-        us = us.reshape(us.shape + (1,) * (xs.ndim - 1))
-        tau, out = translate_many(alpha, g, xs, us), np.empty(xs.shape)
+        us, kb = (np.broadcast_to(v.reshape(v.shape + (1,) * (xs.ndim - 1)),
+                                  xs.shape) for v in (us, ks))
+        tau, out = np.zeros(xs.shape), np.empty(xs.shape)
+        far = ~series_rows(kb, g, xs)
+        tau[far] = translate_many(alpha, g, xs[far], us[far])
         for j in set(ks.tolist()):     # one profile per order
             sel = ks == j
             out[sel] = remainder_profile(alpha, j, g, xs[sel])(

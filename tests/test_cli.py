@@ -31,7 +31,7 @@ def test_config_validation_direct():
     (["kernel", "--alpha", "-0.6"], "alpha must be > -1/2"),
     (["translate", "--alpha", "-0.5"], "alpha must be > -1/2"),
     (["taylor", "--k", "0"], "k must be >= 1"),
-    (["taylor", "--k", "-3"], "k must be >= 0"),
+    (["taylor", "--k", "-3"], "k must be >= 1"),
     (["besov", "--p", "0.5"], "p must satisfy 1 <= p < inf"),
     (["besov", "--q", "0.5"], "q must be >= 1"),
     (["besov", "--k", "0"], "k must be >= 1"),

@@ -541,6 +541,73 @@ def test_order_zero_profiles_are_translates():
             + translate_many(al, poly, -xs, us)).tolist()
 
 
+def _mp_power(mp, alpha, f, p, u):
+    """L^p f(u) in mpmath, from the exact coefficients of L^p on P e^{-s.^2}:
+    y^i -> i y^(i-1) - 2s y^(i+1) + [i odd] (2a+1) y^(i-1)."""
+    a, s = mp.mpf(alpha), mp.mpf(f.gauss_scale)
+    c = [mp.mpf(v) for v in f.coeffs]
+    for _ in range(p):
+        out = [mp.mpf(0)] * (len(c) + 1)
+        for i, v in enumerate(c):
+            out[i + 1] -= 2 * s * v
+            if i:
+                out[i - 1] += (i + (2 * a + 1) * (i % 2)) * v
+        c = out
+    return mp.polyval(c[::-1], mp.mpf(u)) * mp.exp(-s * mp.mpf(u) ** 2)
+
+
+def test_small_x_profiles_match_50_digit_translates():
+    # the rows |x| sqrt(max(s, 1)) <= X_S sum the b_p series: no O(1) terms
+    # cancel to ~x^k, so each row is within 1e-14 of its largest value
+    # against tau_x f - sum_{p<k} b_p L^p f at 50 digits (the subtraction
+    # form lost 1e-6 of it at x = 1e-3, k = 3, alpha = 1.5)
+    mp = pytest.importorskip("mpmath")
+    us = [-2.3, -0.6, 0.0, 0.4, 1.1, 2.7]
+    for alpha in (-0.25, 0.5, 1.5, 20.0):
+        al = AlphaParam(alpha)
+        for f in CATALOG.values():
+            for x in (1e-3, 1e-2, taylor.X_S):
+                assert taylor.series_rows(1, f, x)
+                with mp.workdps(50):
+                    tau = [[_tau_closed_form(mp, alpha, f, v, u) for u in us]
+                           for v in (x, -x)]
+                    powers = [[_mp_power(mp, alpha, f, p, u) for u in us]
+                              for p in range(4)]
+                    b = [(mp.mpf(x) / 2) ** p / (mp.rf(alpha + 1, (p + 1) // 2)
+                                                 * mp.factorial(p // 2))
+                         for p in range(4)]
+                for k in (1, 2, 3, 4):
+                    for step, profile in ((1, remainder_profile),
+                                          (2, symmetric_remainder_profile)):
+                        with mp.workdps(50):
+                            ref = np.array([float(
+                                sum(t[i] for t in tau[:step]) - sum(
+                                    step * b[p] * powers[p][i]
+                                    for p in range(0, k, step)))
+                                for i in range(len(us))])
+                        got = profile(al, k, f, x)(np.array(us))
+                        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                        assert err <= 1e-14, (alpha, f, x, k, step, err)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixed_rows_equal_their_scalar_calls(k):
+    # x and u of one shape (one row per entry), rows on both sides of X_S
+    # and a passed tau, read by the translated rows alone
+    xs = np.array([-0.5, 1e-3, taylor.X_S, 0.31, -0.02, 1.7])
+    us = np.array([0.4, -1.2, 0.0, 2.2, 0.7, -0.3])
+    for f in CATALOG.values():
+        assert 0 < taylor.series_rows(k, f, xs).sum() < xs.size
+        tau = translate_many(AL, f, xs, us)
+        got = remainder_profile(AL, k, f, xs)(us, tau=tau)
+        assert got.tolist() == [remainder_profile(AL, k, f, x)(u, tau=t)
+                                for x, u, t in zip(*(v.tolist() for v in (
+                                    xs, us, tau)))]
+        sym = symmetric_remainder_profile(AL, k, f, xs)(us)
+        assert sym.tolist() == [symmetric_remainder_profile(AL, k, f, x)(u)
+                                for x, u in zip(xs.tolist(), us.tolist())]
+
+
 @pytest.mark.parametrize("a", [6e-10, 3e-8, 1e-6, 4e-5, 1.0 + 6e-10])
 def test_near_resonant_alpha_keeps_the_taylor_identity(a):
     # an antiderivative exponent e within 1e-4 of -1: a log series replaces

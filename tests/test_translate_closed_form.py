@@ -510,17 +510,19 @@ def test_bessel_pair_shared_by_the_signs(monkeypatch):
     params = _params(1.5, 3)
     work = _count_closed_form_work(monkeypatch, 2.5)    # a + 1
     # conv_profile's kept nodes x of its 80-node rule (bump order n0 = 2)
-    # take tau_x + tau_{-x} in one pass; a symmetric us adds +-u: one Bessel
-    # value per cell of the grid of the distinct |x| and the 37 distinct |u|
+    # above taylor.X_S take tau_x + tau_{-x} in one pass (those below sum
+    # the b_p series); a symmetric us adds +-u: one Bessel value per cell of
+    # the grid of the translated distinct |x| and the 37 distinct |u|
     xs, ws = jacobi_rule(80, params.alpha.weight_exp, 0.0, 2.0)
     coef = (ws * dilate(params.alpha, hermite_phi(params.alpha, 2), 0.2)(xs)
             / params.alpha.norm_const)
-    kept = int(kept_terms(np.abs(coef) * (1.0 + xs ** 2)).sum())
-    assert kept < 80
+    kept = kept_terms(np.abs(coef) * (1.0 + xs ** 2))
+    far = int((kept & (xs > taylor.X_S)).sum())     # CUBIC's s = 1/2 < 1
+    assert far < kept.sum() < 80
     u = np.linspace(0.1, 6.0, 37)
     conv_profile(params.alpha, 3, CUBIC, 0.2)(np.concatenate([u, -u]))
-    assert work["points"] == 2 * kept * u.size
-    assert work["bessel"] == kept * u.size
+    assert work["points"] == 2 * far * u.size
+    assert work["bessel"] == far * u.size
     # lp_norm stacks +-u, remainder_profile has one x: two points per w
     work.update(points=0, bessel=0)
     lp_norm(LpContext(params.alpha, params.p),
@@ -549,6 +551,23 @@ def test_even_function_pair_takes_one_bessel_order(monkeypatch, f):
     translate_many(al, f, x, np.concatenate([u, -u]))
     assert (low["bessel"], high["bessel"]) == (2 * 80 * u.size,
                                                2 * 80 * u.size)
+
+
+def test_point_mass_cells_take_no_bessel_value(monkeypatch):
+    # the grid of 4 distinct |x| (one of them 0) and 6 distinct |y| (one of
+    # them 0) takes a Bessel value per order on its 3 x 5 cells off the
+    # point masses, and gives the values of one point at a time
+    al = AlphaParam(0.5)
+    low = _count_closed_form_work(monkeypatch, al.alpha)
+    high = _count_closed_form_work(monkeypatch, al.alpha + 1.0)
+    x = np.array([0.0, 0.3, -1.1, 2.4]).reshape(-1, 1)
+    y = np.array([-2.0, -0.5, 0.0, 0.7, 1.6, 3.2])
+    got = translate_many(al, CUBIC, x, y)
+    assert (low["points"], low["bessel"], high["bessel"]) == (24, 15, 15)
+    assert got.tolist() == [[translate(al, CUBIC, float(xv), float(yv))
+                             for yv in y] for xv in x[:, 0]]
+    assert got[0].tolist() == CUBIC(y).tolist()
+    assert got[:, 2].tolist() == CUBIC(x[:, 0]).tolist()
 
 
 def test_grid_factors_are_kept_per_alpha_and_order():
