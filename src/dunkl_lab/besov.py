@@ -34,7 +34,7 @@ import numpy as np
 from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
 from .quad import (LpContext, jacobi_rule, kept_terms, lp_norm_from_nodes,
-                   norm_node_values, _norm_rules, NORM_NODES)
+                   norm_node_values, NORM_NODES)
 from .dunklcore import translate_many
 from .taylor import (remainder_profile, series_rows,
                      symmetric_remainder_profile)
@@ -45,6 +45,7 @@ __all__ = [
     "omega",
     "omega_tilde",
     "k_functional_upper",
+    "bump_order",
     "conv_profile",
     "conv_norm",
     "KINDS",
@@ -84,8 +85,9 @@ class BesovParams:
         if not self.q >= 1.0:
             raise ValueError("q must be >= 1 (use math.inf for the sup scale)")
         g = np.asarray(self.grid)
-        if g.ndim != 1 or np.any(np.diff(g) <= 0.0) or np.any(g <= 0.0):
-            raise ValueError("the grid must be strictly increasing and positive")
+        if g.ndim != 1 or not (np.all(np.isfinite(g) & (g > 0.0))
+                               and np.all(np.diff(g) > 0.0)):
+            raise ValueError("the grid must be finite, positive, increasing")
         if g[-1] / g[0] < 1e3:
             raise ValueError("the grid must span at least three decades")
 
@@ -106,17 +108,22 @@ def _y_probe_grid(x: float) -> np.ndarray:
     return np.concatenate([mags, -mags[1:]])
 
 
+def bump_order(k: int) -> int:
+    """n0 = floor((k-1)/2) + 1, the bump order of the order-k C samples."""
+    return (k - 1) // 2 + 1
+
+
 def conv_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                  t) -> Callable:
     """u |-> (f * phi_t)(u), vectorized, for the bump phi of order
-    n0 = floor((k-1)/2) + 1, via the symmetric-remainder identity (exact for
+    n0 = bump_order(k), via the symmetric-remainder identity (exact for
     phi with order-k vanishing moments) over the kept nodes (term size
     |c_i| (1 + x_i^(2 n0 - 2))) of the 80-node rule on (0, 10 t).  For a
     1-d array t, one row per t, from one profile of all their nodes."""
     ts = np.asarray(t, dtype=float)
-    if np.any(ts <= 0.0):
-        raise ValueError("t must be positive")
-    n0, xs, coefs = (k - 1) // 2 + 1, [], []
+    if not np.all(np.isfinite(ts) & (ts > 0.0)):
+        raise ValueError("t must be finite and positive")
+    n0, xs, coefs = bump_order(k), [], []
     for v in ts.ravel().tolist():
         x, w = jacobi_rule(BUMP_NODES, alpha.weight_exp, 0.0, 10.0 * v)
         c = w * dilate(alpha, hermite_phi(alpha, n0), v)(x) / alpha.norm_const
@@ -149,14 +156,13 @@ class BesovSamples:
         self.alpha, self.f, self._memo = alpha, f, {}
 
     def _nodes(self, tag, vs, compute):
-        """[head rows, tail rows] of the node values at the points vs (orders
-        j for L^j f) under tag; compute(array of the missing points) gives
-        one (head, tail) pair per point."""
+        """The rows of node values at the points vs (orders j for L^j f)
+        under tag; compute(array of the missing points) gives one each."""
         keys = [(tag, v) for v in vs]
         new = list(dict.fromkeys(key for key in keys if key not in self._memo))
         if new:
             self._memo.update(zip(new, compute(np.array([v for _, v in new]))))
-        return list(map(np.array, zip(*(self._memo[key] for key in keys))))
+        return np.array([self._memo[key] for key in keys])
 
     def remainder_norm(self, x, k: int, p: float):
         """||R_k(x, f)||_p at x, a scalar or an array (k = 0: tau_x f).  Each
@@ -164,20 +170,16 @@ class BesovSamples:
         stored signed tau_x f (translated only for the rows that do not sum
         the b_p series, taylor.series_rows), and keeps |R_k| per (k, x)."""
         al, f, xs = self.alpha, self.f, np.asarray(x, dtype=float)
-        us = [np.concatenate([z, -z]) for z, _ in _norm_rules(al)]
 
-        def compute(ys):    # one profile call on both rules' nodes
-            far = ~series_rows(k, f, ys)
-            tau = np.zeros((ys.size, sum(u.size for u in us)))  # unread if ~far
-            if far.any():
-                tau[far] = np.concatenate(self._nodes("tau", ys[far].tolist(), (
-                    lambda y: list(zip(*(translate_many(al, f, y[:, None], u)
-                                         for u in us))))), axis=1)
-            r = np.abs(remainder_profile(al, k, f, ys[:, None])(
-                np.concatenate(us), tau=tau))
-            return list(zip(*np.split(r, [us[0].size], axis=1)))
+        def signed(ys, u):  # one profile call on the L^p nodes u
+            far, tau = ~series_rows(k, f, ys), np.zeros((ys.size, u.size))
+            if far.any():   # tau is unread on the series rows
+                tau[far] = self._nodes("tau", ys[far].tolist(), (
+                    lambda y: translate_many(al, f, y[:, None], u)))
+            return remainder_profile(al, k, f, ys[:, None])(u, tau=tau)
 
-        rows = self._nodes(("R", k), xs.ravel().tolist(), compute)
+        rows = self._nodes(("R", k), xs.ravel().tolist(), lambda ys: (
+            norm_node_values(al, lambda u: signed(ys, u))))
         return np.reshape(lp_norm_from_nodes(LpContext(al, p), rows)
                           .value, xs.shape)[()]
 
@@ -196,8 +198,8 @@ class BesovSamples:
         if kind not in KINDS or k < 1:
             raise ValueError(f"no seminorm kind {kind!r} at order k = {k}")
         vs = np.asarray(v, dtype=float)
-        if np.any(vs <= 0.0):
-            raise ValueError("x and t must be positive")
+        if not np.all(np.isfinite(vs) & (vs > 0.0)):
+            raise ValueError("x and t must be finite and positive")
         if kind == "K":
             lo, hi = self.power_norm([k - 1, k], p)
             return np.minimum(lo, vs * hi)[()]
@@ -212,13 +214,13 @@ class BesovSamples:
         else:
             def compute(xs):    # depends on k through n0 alone
                 if kind == "C":
-                    return [v for i in range(0, xs.size, C_BLOCK) for v in zip(
-                        *norm_node_values(al, conv_profile(
-                            al, k, f, xs[i:i + C_BLOCK])))]
-                return list(zip(*norm_node_values(al, (
-                    symmetric_remainder_profile(al, k, f, xs[:, None])))))
+                    return [row for i in range(0, xs.size, C_BLOCK) for row in
+                            norm_node_values(al, conv_profile(
+                                al, k, f, xs[i:i + C_BLOCK]))]
+                return norm_node_values(al, symmetric_remainder_profile(
+                    al, k, f, xs[:, None]))
             out = lp_norm_from_nodes(ctx, self._nodes(
-                (kind, (k - 1) // 2 + 1), vs.ravel().tolist(), compute)).value
+                (kind, bump_order(k)), vs.ravel().tolist(), compute)).value
         return np.reshape(out, vs.shape)[()]
 
 

@@ -207,8 +207,10 @@ def kept_terms(size):
 
 
 def rowdot(w, v):
-    """Dot products along the last axis, each one np.dot of its two rows, so
-    unlike a matrix product a row's value does not depend on the others."""
+    """Dot products along the last axis, each one np.dot of its two rows in
+    C order (a row's rounding follows its stride), so unlike a matrix
+    product a row's value does not depend on the others."""
+    w, v = np.ascontiguousarray(w), np.ascontiguousarray(v)
     return np.matmul(w[..., None, :], v[..., :, None])[..., 0, 0]
 
 
@@ -249,15 +251,15 @@ def _norm_rules(alpha: AlphaParam):
 
 
 def norm_node_values(alpha: AlphaParam, g: Callable):
-    """|g| on [u, -u] for the nodes u of lp_norm_full's head and tail rules,
-    g called once per rule.  The rules do not depend on p, so these values
-    give the norm for every p (lp_norm_from_nodes).  g must accept numpy
-    arrays; reject non-normable algebra elements upstream."""
+    """|g| at lp_norm_full's head rule nodes [u, -u] then its tail rule's,
+    one array (2 (NORM_NODES + 32) on its last axis) from one call of g,
+    which must accept numpy arrays (reject non-normable algebra elements
+    upstream).  lp_norm_from_nodes splits it by rule and reduces any p."""
     from .funcalg import GaussPolyFunction
     if isinstance(g, GaussPolyFunction) and not g.is_normable:
         raise ValueError("pure polynomials are not in L^p(mu_alpha)")
-    return [np.abs(np.asarray(g(np.concatenate([z, -z]))))
-            for z, _ in _norm_rules(alpha)]
+    (z, _), (zt, _) = _norm_rules(alpha)
+    return np.abs(np.asarray(g(np.concatenate([z, -z, zt, -zt]))))
 
 
 def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
@@ -266,10 +268,10 @@ def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
     rows' shape): a row's dot product and 1/p root are its own, bit for bit."""
     a, p = ctx.alpha, ctx.p
     (_, w), (_, wt) = _norm_rules(a)
-    hv, tv = (v ** p for v in values)
-    head = np.maximum(rowdot(w, hv[..., :w.size] + hv[..., w.size:])
+    vp, n, m = np.asarray(values) ** p, 2 * w.size, 2 * w.size + wt.size
+    head = np.maximum(rowdot(w, vp[..., :w.size] + vp[..., w.size:n])
                       / a.norm_const, 0.0)
-    tail = np.maximum(rowdot(wt, tv[..., :wt.size] + tv[..., wt.size:]), 0.0)
+    tail = np.maximum(rowdot(wt, vp[..., n:m] + vp[..., m:]), 0.0)
     root = np.reshape([h ** (1.0 / p) for h in np.ravel(head).tolist()],
                       np.shape(head))
     return NormEstimate(*(v if v.ndim else float(v) for v in (root, head, tail)))

@@ -288,7 +288,7 @@ def _series(alpha: AlphaParam, k: int, f: GaussPolyFunction, step: int, x, us):
     k = -(-k // step) * step            # the sum's first order
     dens, at, by, q = _series_terms(a, f, k, step)
     b = np.cumprod((x[..., None] * rs / 2.0) / dens, axis=-1)
-    d = (np.take(b, at, axis=-1) * by).sum(axis=-1)   # C order, as rowdot needs
+    d = (b[..., at] * by).sum(axis=-1)
     v = us * rs
     table = _hermite if v.size <= _FACTOR_CELLS else _hermite.__wrapped__
     n = k + len(at)
@@ -337,7 +337,9 @@ def _peeled_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction, x,
     with T f = tau_x f (step 1) or tau_x f + tau_{-x} f (step 2), translated
     at each call unless the caller passes T f(u) as tau.  The rows of
     series_rows take _series instead, with no translation (tau is not read
-    there): T f and the peeled terms are O(1) and their difference ~x^k."""
+    there): T f and the peeled terms are O(1) and their difference ~x^k.
+    A row per entry of x takes one u (u of x's shape) or every u (x's
+    trailing axes 1s; result and tau x's leading axes + u's shape)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=float)
@@ -353,31 +355,23 @@ def _peeled_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction, x,
 
     def prof(us, tau=None):
         us = np.asarray(us, dtype=float)
+        lead, each = x.shape[:max(x.ndim - us.ndim, 0)], us.shape == x.shape
+        if not (each or x.size == math.prod(lead)):
+            raise ValueError(f"x of shape {x.shape} and u of shape {us.shape}"
+                             ": neither one u per row nor every u on each")
         if not ser.any():
             return peel(x, us, tau)
         if ser.all():
             return _series(alpha, k, f, step, x, us)
-        # rows: x's leading axes before its trailing 1s where they span the
-        # broadcast shape (else every entry); us keeps its layout where it
-        # is constant over them
-        shape = np.broadcast_shapes(x.shape, us.shape)
-        fit = lambda v, s: v.reshape(s) if v.size == math.prod(s) else (
-            np.broadcast_to(v.reshape((1,) * (len(s) - v.ndim) + v.shape), s))
-        xp, sel = fit(x, (1,) * (len(shape) - x.ndim) + x.shape), ser.ravel()
-        j = len(shape)
-        while j and xp.shape[j - 1] == 1:
-            j -= 1
-        if xp.shape[:j] != shape[:j]:
-            xp, j, sel = fit(x, shape), len(shape), fit(ser, shape).ravel()
-        head = shape[:j] if us.size > math.prod(shape[j:]) else (1,) * j
-        u2 = fit(us, head + shape[j:]).reshape(math.prod(head), -1)
-        x2, out = xp.reshape(-1, 1), np.empty((sel.size, u2.shape[1]))
-        t2 = None if tau is None else fit(tau, shape).reshape(out.shape)
+        x2, sel = x.reshape(-1, 1), ser.ravel()
+        u2 = us.reshape((-1, 1) if each else (1, -1))
+        out = np.empty((sel.size, u2.shape[1]))
+        t2 = None if tau is None else np.reshape(tau, out.shape)
         for rows, part in ((sel, lambda xs, u, t: _series(
                 alpha, k, f, step, xs, u)), (~sel, peel)):
-            out[rows] = part(x2[rows], u2[rows] if u2.shape[0] > 1 else u2,
+            out[rows] = part(x2[rows], u2[rows] if each else u2,
                              None if t2 is None else t2[rows])
-        return out.reshape(shape)
+        return out.reshape(lead + us.shape)
 
     return prof
 
@@ -385,9 +379,9 @@ def _peeled_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction, x,
 def remainder_profile(alpha: AlphaParam, k: int, f: GaussPolyFunction,
                       x) -> Callable:
     """u |-> R_k(x, f)(u) = tau_x f(u) - sum_{p<k} b_p(x) L^p f(u), vectorized
-    (the recurrence form; R_0 = tau_x f).  x is a scalar or an array that
-    broadcasts against u; a caller that has tau_x f(u) already passes it as
-    tau."""
+    (the recurrence form; R_0 = tau_x f).  u takes x's shape (one u per
+    entry of x) or is every u on every entry (x's trailing axes 1s, or a
+    scalar x); a caller that has tau_x f(u) already passes it as tau."""
     return _peeled_profile(alpha, k, f, x, 1)
 
 
@@ -449,6 +443,6 @@ def symmetric_remainder_profile(alpha: AlphaParam, k: int,
                                 f: GaussPolyFunction, x) -> Callable:
     """u |-> R_k(x,f)(u) + R_k(-x,f)(u), vectorized, in the even-coefficient
     form tau_x f + tau_{-x} f - 2 sum_{2i <= k-1} b_{2i}(x) L^{2i} f (k = 0
-    gives tau_x f + tau_{-x} f).  x is a scalar or an array that broadcasts
-    against u."""
+    gives tau_x f + tau_{-x} f).  u is laid out against x as for
+    remainder_profile."""
     return _peeled_profile(alpha, k, f, x, 2)

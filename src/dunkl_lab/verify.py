@@ -87,7 +87,7 @@ FAMILIES = {
                                         "peeled constant", 1e-9),
     "omega-scaling": ("modulus of smoothness scales with exponent k", 0.1),
     "conv-scaling": (lambda a, k: "bump convolution decays with the first "
-                     f"surviving moment order 2*n0 = {2 * ((k - 1) // 2 + 1)}",
+                     f"surviving moment order 2*n0 = {2 * B.bump_order(k)}",
                      0.15),
     "sandwich-flatness": ("modulus and K-functional agree up to constants "
                           "(slope)", 0.15),
@@ -253,7 +253,7 @@ def suite_taylor(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS) -> List[Dict]:
 
         (z, w), _ = _norm_rules(al)
         for k in DEFAULT_KS:
-            n0_min = (k - 1) // 2 + 1
+            n0_min = B.bump_order(k)
             phis = [hermite_phi(al, n) for n in (n0_min, n0_min + 1)]
             checks.append(_check("bump-moments-vanish", [abs(float(np.dot(
                 w, z ** (2 * i) * phi(z))) / al.norm_const) for phi in phis
@@ -317,7 +317,7 @@ def suite_besov(alphas=DEFAULT_ALPHAS, ks=DEFAULT_KS, qs=DEFAULT_QS,
                 kind, xs, k, 2.0)))) for kind in ("B", "C"))
             checks.append(_check("omega-scaling", abs(s_om - k), a=a, k=k))
             checks.append(_check(
-                "conv-scaling", abs(s_cv - 2 * ((k - 1) // 2 + 1)), a=a, k=k,
+                "conv-scaling", abs(s_cv - 2 * B.bump_order(k)), a=a, k=k,
                 detail="even bumps force an even first moment; for odd k the "
                        "naive exponent-k window is unattainable"))
 

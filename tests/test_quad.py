@@ -179,6 +179,43 @@ def test_row_norms_equal_single_profile_bitwise(alpha, p, shape):
     assert np.all(rows.value > 0.0)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 1.5])
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_node_values_are_one_call_that_lp_norm_from_nodes_splits(alpha, p):
+    # norm_node_values calls g once, on the head rule's nodes [u, -u] then
+    # the tail rule's; lp_norm_from_nodes gives each rule's own sum from
+    # them, bit for bit
+    al, calls = AlphaParam(alpha), []
+    g = _profile_rows(np.array([0.4, 1.1, 2.6]))
+
+    def counted(u):
+        calls.append(u.size)
+        return g(u)
+
+    values = norm_node_values(al, counted)
+    (z, w), (zt, wt) = quad._norm_rules(al)
+    assert calls == [2 * (z.size + zt.size)] and values.shape == (3, calls[0])
+    est = lp_norm_from_nodes(LpContext(al, p), values)
+    hv, tv = (np.abs(g(np.concatenate([v, -v]))) ** p for v in (z, zt))
+    head = np.maximum(quad.rowdot(w, hv[:, :z.size] + hv[:, z.size:])
+                      / al.norm_const, 0.0)
+    tail = np.maximum(quad.rowdot(wt, tv[:, :zt.size] + tv[:, zt.size:]), 0.0)
+    assert est.head.tolist() == head.tolist()
+    assert est.tail.tolist() == tail.tolist()
+    assert est.value.tolist() == [h ** (1.0 / p) for h in head.tolist()]
+
+
+def test_rowdot_of_strided_rows_equals_their_contiguous_copy():
+    # a weight array whose last axis is not unit-stride: each row's dot
+    # product is the C-order copy's, bit for bit
+    rng = np.random.default_rng(7)
+    for w in (rng.standard_normal((40, 2 * 97))[:, ::2],
+              rng.standard_normal((40, 97, 2))[..., 0]):
+        v = rng.standard_normal((40, 97))
+        assert w.strides[-1] != w.itemsize
+        assert quad.rowdot(w, v).tolist() == quad.rowdot(w.copy(), v).tolist()
+
+
 def test_rules_are_built_once_per_alpha(monkeypatch):
     calls = []
     orig = quad.jacobi_rule

@@ -608,6 +608,26 @@ def test_mixed_rows_equal_their_scalar_calls(k):
                                 for x, u in zip(xs.tolist(), us.tolist())]
 
 
+@pytest.mark.parametrize("xs", [[[1e-3, 0.1, 0.2]], [[1.0, 2.0, 3.0]],
+                                [[1e-3, 0.1, 2.0]]])
+@pytest.mark.parametrize("profile", [remainder_profile,
+                                     symmetric_remainder_profile])
+def test_profiles_reject_a_third_layout(profile, xs):
+    # one u per row (u of x's shape) and every u on every row (x's trailing
+    # axes 1s) are the layouts; x of shape (1, 3) against u of shape (4, 1)
+    # broadcasts, but rows by u, not by x: a ValueError naming both shapes,
+    # with every row summing the series, none or some
+    f, us = CATALOG["cubic_gaussian"], np.linspace(-1.0, 1.0, 4)
+    prof = profile(AL, 2, f, np.array(xs))
+    assert prof(us[:3].reshape(1, 3)).shape == prof(0.5).shape == (1, 3)
+    with pytest.raises(ValueError, match=r"\(1, 3\).*\(4, 1\)"):
+        prof(us[:, None])
+    col = profile(AL, 2, f, np.array(xs).reshape(3, 1))(us)
+    assert col.shape == (3, 4)
+    assert col.tolist() == [[profile(AL, 2, f, x)(u) for u in us.tolist()]
+                            for x in np.ravel(xs).tolist()]
+
+
 @pytest.mark.parametrize("a", [6e-10, 3e-8, 1e-6, 4e-5, 1.0 + 6e-10])
 def test_near_resonant_alpha_keeps_the_taylor_identity(a):
     # an antiderivative exponent e within 1e-4 of -1: a log series replaces
