@@ -12,13 +12,14 @@ Four seminorm kinds are computed on truncated log grids:
           moment-vanishing bump of order n0 = floor((k-1)/2) + 1
 
 A BesovSamples holds the samples of one (alpha, f), each computed in one
-place and read at any order and norm p: node values of the L^p rules on
-(-NORM_T, NORM_T), which serve every p, of R_k(y, f) (B is their max over
-omega's probes y), of the B_tilde and C profiles per bump order n0 (their
-only dependence on k), and of L^j f (K).  C is
-the identity (phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)]
-dmu(x) over the kept nodes of an 80-node rule on (0, 10 t), blocks of t at
-once: the moment cancellation is analytic, and the nodes near 0 sum the b_p
+place and read at any order and norm p: values on the 2 NORM_NODES nodes
++-u of the one L^p rule, which truncates at NORM_T and serves every p, of
+R_k(y, f) (B is their max over omega's probes y), of the B_tilde and C
+profiles per bump order n0 (their only dependence on k), and of L^j f (K).
+C is the identity
+(phi_t * f)(u) = int_0^inf phi_t(x) [R_k(x,f)(u) + R_k(-x,f)(u)] dmu(x)
+over the kept nodes of an 80-node rule on (0, 10 t), blocks of t at once:
+the moment cancellation is analytic, and the nodes near 0 sum the b_p
 series of the symmetric remainder (taylor.series_rows), ~x^(2 n0) without
 cancelling O(1) terms.
 """
@@ -56,7 +57,9 @@ __all__ = [
     "default_grid",
 ]
 
-#: nodes of the bump's rule; t per C block, at most 2^16 translated points
+#: nodes of the bump's rule; t per C block: each t translates its BUMP_NODES
+#: nodes to every node of an L^p sample, so a block is at most 2^16 points
+#: (2 x 80 x 320 = 51,200)
 BUMP_NODES = 80
 C_BLOCK = max(1, 2 ** 16 // (BUMP_NODES * 2 * NORM_NODES))
 
@@ -145,7 +148,7 @@ KINDS = ("B", "B_tilde", "K", "C")
 
 class BesovSamples:
     """The samples behind the four scales for one (alpha, f), each computed
-    once, on first use, as values on the nodes of the L^p rules, and read
+    once, on first use, as values on the nodes of the L^p rule, and read
     at any order and norm p (module docstring).  None depends on q or
     beta."""
 
@@ -180,8 +183,8 @@ class BesovSamples:
 
         rows = self._nodes(("R", k), xs.ravel().tolist(), lambda ys: (
             norm_node_values(al, lambda u: signed(ys, u))))
-        return np.reshape(lp_norm_from_nodes(LpContext(al, p), rows)
-                          .value, xs.shape)[()]
+        return np.reshape(lp_norm_from_nodes(LpContext(al, p), rows),
+                          xs.shape)[()]
 
     def power_norm(self, j, p: float):
         """||L^j f||_p for an order j >= 0 or an array of them."""
@@ -189,7 +192,7 @@ class BesovSamples:
         ctx = LpContext(al, p)
         rows = self._nodes("L", js.ravel().tolist(), lambda new: [
             norm_node_values(al, dunkl_power(al, f, i)) for i in new.tolist()])
-        return np.reshape(lp_norm_from_nodes(ctx, rows).value, js.shape)[()]
+        return np.reshape(lp_norm_from_nodes(ctx, rows), js.shape)[()]
 
     def value(self, kind: str, v, k: int, p: float):
         """A kind's samples at v, a scalar or an array (t for C), at order k
@@ -220,7 +223,7 @@ class BesovSamples:
                 return norm_node_values(al, symmetric_remainder_profile(
                     al, k, f, xs[:, None]))
             out = lp_norm_from_nodes(ctx, self._nodes(
-                (kind, bump_order(k)), vs.ravel().tolist(), compute)).value
+                (kind, bump_order(k)), vs.ravel().tolist(), compute))
         return np.reshape(out, vs.shape)[()]
 
 

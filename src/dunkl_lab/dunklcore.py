@@ -247,14 +247,14 @@ def convolve(alpha: AlphaParam, f: Callable, g: Callable, x):
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
     _convolve_closed.  Otherwise g must decay: the outer rule is the L^p
-    head rule on (0, NORM_T) at its kept nodes (term size |w_j|
+    rule on (0, NORM_T) at its kept nodes (term size |w_j|
     max|g(+-y_j)|, one call of g); one translate_many call takes -y and y
     for a block of x values, at most _BLOCK points in all."""
     if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
-    (y, w), _ = _norm_rules(alpha)
+    y, w = _norm_rules(alpha)
     gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
     y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
@@ -284,9 +284,9 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi):
     """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y) on the L^p
-    head rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a scalar or an
+    rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a scalar or an
     array; f and E_a run once, each xi a scalar call's value."""
-    (y, w), _ = _norm_rules(alpha)
+    y, w = _norm_rules(alpha)
     fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
     keep = kept_terms(w * np.maximum(np.abs(fy), np.abs(fmy)))
     y, w, fy, fmy = (v[keep] for v in (y, w, fy, fmy))

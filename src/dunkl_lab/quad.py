@@ -29,7 +29,6 @@ __all__ = [
     "lp_norm_full",
     "lp_norm_from_nodes",
     "norm_node_values",
-    "NormEstimate",
 ]
 
 
@@ -216,7 +215,7 @@ def rowdot(w, v):
 
 # -- weighted L^p norms -------------------------------------------------------
 
-#: nodes of the head rule, and truncation radius, of every L^p norm
+#: nodes of the rule on (0, NORM_T), and truncation radius, of every L^p norm
 NORM_NODES, NORM_T = 160, 16.0
 
 
@@ -230,59 +229,48 @@ class LpContext:
             raise ValueError("p must satisfy 1 <= p < inf")
 
 
-@dataclass(frozen=True)
-class NormEstimate:
-    value: float
-    head: float      # integral over [-NORM_T, NORM_T]
-    tail: float      # estimated mass on NORM_T < |x| < 2 NORM_T
-
-
 @lru_cache(maxsize=64)
 def _norm_rules(alpha: AlphaParam):
-    # the head rule on (0, NORM_T), weight u^(2a+1) extracted, of every dmu_a
-    # integral; the tail's on (NORM_T, 2 NORM_T) times zt^(2a+1) /
-    # norm_const, by logs (the power overflows from a = 102)
-    (z, w), (zt, wt) = (jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, NORM_T),
-                        jacobi_rule(32, 0.0, NORM_T, 2.0 * NORM_T))
-    wt = wt * np.exp(alpha.weight_exp * np.log(zt) - math.log(alpha.norm_const))
-    for v in (z, w, zt, wt):
+    # the one rule of every dmu_a integral and L^p norm: (0, NORM_T), weight
+    # u^(2a+1) extracted; |x| > NORM_T is truncated, not sampled
+    z, w = jacobi_rule(NORM_NODES, alpha.weight_exp, 0.0, NORM_T)
+    for v in (z, w):
         v.flags.writeable = False       # shared by every caller of the cache
-    return (z, w), (zt, wt)
+    return z, w
 
 
 def norm_node_values(alpha: AlphaParam, g: Callable):
-    """|g| at lp_norm_full's head rule nodes [u, -u] then its tail rule's,
-    one array (2 (NORM_NODES + 32) on its last axis) from one call of g,
-    which must accept numpy arrays (reject non-normable algebra elements
-    upstream).  lp_norm_from_nodes splits it by rule and reduces any p."""
+    """|g| at the L^p rule's nodes [u, -u], one array (2 NORM_NODES on its
+    last axis) from one call of g, which must accept numpy arrays (reject
+    non-normable algebra elements upstream).  lp_norm_from_nodes reduces it
+    at any p."""
     from .funcalg import GaussPolyFunction
     if isinstance(g, GaussPolyFunction) and not g.is_normable:
         raise ValueError("pure polynomials are not in L^p(mu_alpha)")
-    (z, _), (zt, _) = _norm_rules(alpha)
-    return np.abs(np.asarray(g(np.concatenate([z, -z, zt, -zt]))))
+    z, _ = _norm_rules(alpha)
+    return np.abs(np.asarray(g(np.concatenate([z, -z]))))
 
 
-def lp_norm_from_nodes(ctx: LpContext, values) -> NormEstimate:
-    """lp_norm_full at ctx.p from norm_node_values, same rules, for one
-    profile (float fields) or each row along leading axes (fields of the
-    rows' shape): a row's dot product and 1/p root are its own, bit for bit."""
+def lp_norm_from_nodes(ctx: LpContext, values):
+    """(int_{-T}^{T} |g|^p dmu_a)^(1/p), T = NORM_T, from norm_node_values at
+    ctx.p: a float for one profile, or an array in the rows' shape for each
+    row along leading axes (a row's dot product and 1/p root are its own,
+    bit for bit)."""
     a, p = ctx.alpha, ctx.p
-    (_, w), (_, wt) = _norm_rules(a)
-    vp, n, m = np.asarray(values) ** p, 2 * w.size, 2 * w.size + wt.size
-    head = np.maximum(rowdot(w, vp[..., :w.size] + vp[..., w.size:n])
+    _, w = _norm_rules(a)
+    vp = np.asarray(values) ** p
+    mass = np.maximum(rowdot(w, vp[..., :w.size] + vp[..., w.size:])
                       / a.norm_const, 0.0)
-    tail = np.maximum(rowdot(wt, vp[..., n:m] + vp[..., m:]), 0.0)
-    root = np.reshape([h ** (1.0 / p) for h in np.ravel(head).tolist()],
-                      np.shape(head))
-    return NormEstimate(*(v if v.ndim else float(v) for v in (root, head, tail)))
+    root = [m ** (1.0 / p) for m in np.ravel(mass).tolist()]
+    return np.reshape(root, mass.shape) if mass.ndim else root[0]
 
 
-def lp_norm_full(ctx: LpContext, g: Callable) -> NormEstimate:
-    """(int_{-T}^{T} |g|^p dmu_a)^(1/p), T = NORM_T, with a crude tail
-    estimate."""
+# lp_norm and lp_norm_full: one reduction under the two names
+# perfbench/tracer.py wraps, so neither calls the other
+def lp_norm_full(ctx: LpContext, g: Callable) -> float:
+    """(int_{-T}^{T} |g|^p dmu_a)^(1/p), T = NORM_T."""
     return lp_norm_from_nodes(ctx, norm_node_values(ctx.alpha, g))
 
 
 def lp_norm(ctx: LpContext, g: Callable) -> float:
-    return lp_norm_full(ctx, g).value
-
+    return lp_norm_from_nodes(ctx, norm_node_values(ctx.alpha, g))

@@ -194,8 +194,8 @@ def test_dropped_bump_terms_lie_below_rounding(alpha, n0):
     # moduli (rounding reaches 2^-53 of it); k = 2 n0 - 1 and 2 n0 take the
     # same bump and the same symmetric remainder (its sum runs to 2i < k)
     al = AlphaParam(alpha)
-    u = np.concatenate([np.concatenate([z, -z])
-                        for z, _ in quad._norm_rules(al)])
+    z, _ = quad._norm_rules(al)
+    u = np.concatenate([z, -z])
     rules = [quad.jacobi_rule(80, al.weight_exp, 0.0, 10.0 * t)
              for t in SKIP_TS.tolist()]
     xs = np.array([x for x, _ in rules])
@@ -417,6 +417,7 @@ def test_besov_slice_computes_each_sample_once(monkeypatch):
     assert all(c["status"] == "PASS" for c in checks)
     # no (alpha, f, x, y, pair) is translated twice
     assert calls and _repeated(calls) == []
+    assert sum(n for _, n in calls) == 226_240
 
 
 def test_besov_suite_repeats_only_the_shared_bump_sums(monkeypatch):
@@ -425,12 +426,12 @@ def test_besov_suite_repeats_only_the_shared_bump_sums(monkeypatch):
     assert all(c["status"] == "PASS" for c in checks)
     # C at n0 = 1 (k = 1, 2) and n0 = 2 (k = 3) sums tau_x f + tau_{-x} f
     # on the same 80 outer nodes at each of the 8 conv-scaling t, on the
-    # head and tail nodes of the L^p rules at once: 24 calls of 80 x 384
-    # points over the three alpha, and nothing else repeats
+    # 2 NORM_NODES nodes of the L^p rule: 24 calls of 80 x 320 points over
+    # the three alpha, and nothing else repeats
     rep = _repeated(calls)
     assert all(key[-1] for key, _ in rep)
-    assert len(rep) <= 24 and sum(n for _, n in rep) <= 737_280
-    assert sum(n for _, n in calls) <= 3_858_048
+    assert len(rep) <= 24 and sum(n for _, n in rep) <= 614_400
+    assert sum(n for _, n in calls) == 760_000
 
 
 def test_failed_sample_set_leaves_its_checks_inconclusive(monkeypatch):
@@ -503,7 +504,7 @@ def test_array_x_equals_scalar_calls_bitwise(alpha, k, p):
     # the row norms of one profile over all x are the per-x norms, bit for bit
     ctx = LpContext(al, p)
     assert lp_norm_from_nodes(ctx, norm_node_values(al, B.remainder_profile(
-        al, k, CUBIC, xs[:, None]))).value.tolist() == [
+        al, k, CUBIC, xs[:, None]))).tolist() == [
         lp_norm(ctx, B.remainder_profile(al, k, CUBIC, float(x))) for x in xs]
     for kind, fn in _SCALAR.items():
         got = fn(pr, CUBIC, xs)

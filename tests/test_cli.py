@@ -284,9 +284,8 @@ def test_large_alpha_sweep_exits_2(tmp_path, capsys):
 
 def test_large_alpha_besov_writes_its_table(tmp_path):
     # besov tabulates omega, omega_tilde and the K bound, never the bump
-    # convolution, so it dilates nothing; at alpha = 120 the L^p tail weight
-    # zt^(2a+1), which overflows from alpha = 102 at T = 16, is divided by
-    # norm_const first (a RuntimeWarning fails the suite)
+    # convolution, so it dilates nothing; at alpha = 120 the L^p rule's
+    # weights stay finite (a RuntimeWarning fails the suite)
     for alpha in ("50", "120"):
         out = tmp_path / alpha
         assert run(["besov", "--alpha", alpha, "--k", "2", "--function",

@@ -136,11 +136,25 @@ def test_lp_norm_gaussian_closed_form(alpha, p):
     assert lp_norm(ctx, f) == pytest.approx(ref, rel=1e-10)
 
 
-def test_lp_norm_full_tail_is_small():
-    al = AlphaParam(0.5)
-    ctx = LpContext(al, 2.0)
-    est = lp_norm_full(ctx, GaussPolyFunction((1.0,), 1.0))
-    assert est.tail < 1e-20 * est.head
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_truncation_at_norm_t_drops_at_most_1e_20(alpha, p):
+    # for f = P e^{-s x^2} of degree d and |x| >= NORM_T >= 1, |f|^p <=
+    # c^p |x|^(dp) e^{-ps x^2} with c = sum |P's coefficients|, so the mass
+    # of |f|^p dmu_a beyond NORM_T is at most
+    #   c^p (ps)^(-m/2) Gamma(m/2, ps NORM_T^2) / (2^(a+1) Gamma(a+1)),
+    # m = dp + 2a + 2: at most 1e-20 of ||f||_p^p for every catalog function
+    mp = pytest.importorskip("mpmath")
+    from dunkl_lab.verify import CATALOG
+    al, t = AlphaParam(alpha), quad.NORM_T
+    assert t >= 1.0
+    for name, f in CATALOG.items():
+        c, d, s = sum(map(abs, f.coeffs)), len(f.coeffs) - 1, f.gauss_scale
+        m = d * p + 2.0 * alpha + 2.0
+        bound = (mp.mpf(c) ** p * mp.mpf(p * s) ** (-m / 2.0)
+                 * mp.gammainc(m / 2.0, p * s * t * t)
+                 / (2.0 ** (alpha + 1.0) * mp.gamma(alpha + 1.0)))
+        assert bound <= 1e-20 * lp_norm(LpContext(al, p), f) ** p, name
 
 
 def test_lp_norm_rejects_pure_polynomial():
@@ -169,22 +183,34 @@ def test_row_norms_equal_single_profile_bitwise(alpha, p, shape):
     xs = np.linspace(0.3, 2.9, int(np.prod(shape))).reshape(shape)
     rows = lp_norm_from_nodes(ctx, norm_node_values(ctx.alpha,
                                                     _profile_rows(xs)))
-    for field in ("value", "head", "tail"):
-        got = getattr(rows, field)
-        assert isinstance(got, np.ndarray) and got.shape == shape
-        ref = [getattr(lp_norm_full(ctx, _profile_rows(x)), field)
-               for x in xs.ravel().tolist()]
-        assert got.ravel().tolist() == ref
-        assert all(type(v) is float for v in ref)
-    assert np.all(rows.value > 0.0)
+    assert isinstance(rows, np.ndarray) and rows.shape == shape
+    ref = [lp_norm_full(ctx, _profile_rows(x)) for x in xs.ravel().tolist()]
+    assert rows.ravel().tolist() == ref
+    assert all(type(v) is float for v in ref)
+    assert np.all(rows > 0.0)
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_a_nan_at_an_end_node_makes_its_row_nan(at):
+    # the first and the last of a row's 2 NORM_NODES values are rule nodes:
+    # a NaN there is that row's norm, and the other rows keep their bits
+    ctx = LpContext(AlphaParam(0.5), 2.0)
+    values = norm_node_values(ctx.alpha, _profile_rows(np.array([0.4, 1.1,
+                                                                 2.6])))
+    assert values.shape == (3, 2 * quad.NORM_NODES)
+    spoiled = values.copy()
+    spoiled[1, at] = math.nan
+    clean, got = (lp_norm_from_nodes(ctx, v) for v in (values, spoiled))
+    assert math.isnan(got[1]) and not np.isnan(clean).any()
+    assert got[[0, 2]].tolist() == clean[[0, 2]].tolist()
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 1.5])
 @pytest.mark.parametrize("p", [1.0, 2.5])
 def test_node_values_are_one_call_that_lp_norm_from_nodes_splits(alpha, p):
-    # norm_node_values calls g once, on the head rule's nodes [u, -u] then
-    # the tail rule's; lp_norm_from_nodes gives each rule's own sum from
-    # them, bit for bit
+    # norm_node_values calls g once, on the rule's nodes [u, -u];
+    # lp_norm_from_nodes gives the rule's sum from them and its 1/p root,
+    # bit for bit
     al, calls = AlphaParam(alpha), []
     g = _profile_rows(np.array([0.4, 1.1, 2.6]))
 
@@ -193,16 +219,13 @@ def test_node_values_are_one_call_that_lp_norm_from_nodes_splits(alpha, p):
         return g(u)
 
     values = norm_node_values(al, counted)
-    (z, w), (zt, wt) = quad._norm_rules(al)
-    assert calls == [2 * (z.size + zt.size)] and values.shape == (3, calls[0])
-    est = lp_norm_from_nodes(LpContext(al, p), values)
-    hv, tv = (np.abs(g(np.concatenate([v, -v]))) ** p for v in (z, zt))
+    z, w = quad._norm_rules(al)
+    assert calls == [2 * z.size] and values.shape == (3, calls[0])
+    hv = np.abs(g(np.concatenate([z, -z]))) ** p
     head = np.maximum(quad.rowdot(w, hv[:, :z.size] + hv[:, z.size:])
                       / al.norm_const, 0.0)
-    tail = np.maximum(quad.rowdot(wt, tv[:, :zt.size] + tv[:, zt.size:]), 0.0)
-    assert est.head.tolist() == head.tolist()
-    assert est.tail.tolist() == tail.tolist()
-    assert est.value.tolist() == [h ** (1.0 / p) for h in head.tolist()]
+    assert lp_norm_from_nodes(LpContext(al, p), values).tolist() == [
+        h ** (1.0 / p) for h in head.tolist()]
 
 
 def test_rowdot_of_strided_rows_equals_their_contiguous_copy():
@@ -225,18 +248,18 @@ def test_rules_are_built_once_per_alpha(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(quad, "jacobi_rule", counted)
+    quad._norm_rules.cache_clear()
     al, f = AlphaParam(0.8125), GaussPolyFunction((1.0, 2.0), 0.6)
     for p in (1.0, 1.5, 2.0, 3.0):
         for _ in range(5):
             lp_norm_full(LpContext(al, p), f)
         lp_norm_from_nodes(LpContext(al, p), norm_node_values(
             al, _profile_rows(np.array([0.5, 1.0]))))
-    assert 1 <= len(calls) <= 2     # the head rule and the tail rule
+    assert len(calls) == 1          # the one L^p rule
 
 
 def test_cached_rules_are_read_only():
-    (z, w), (zt, wt) = quad._norm_rules(AlphaParam(0.5))
-    for v in (z, w, zt, wt):
+    for v in quad._norm_rules(AlphaParam(0.5)):
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 0.0

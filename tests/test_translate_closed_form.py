@@ -346,7 +346,7 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     calls.clear()
     # a callable g takes the L^p head rule, +-y at its kept nodes (two
     # algebra elements convolve in closed form, with no translation)
-    (y, w), _ = _norm_rules(al)
+    y, w = _norm_rules(al)
     kept = int(kept_terms(w * WIDE(y)).sum())       # WIDE is even
     assert kept < NORM_NODES
     convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384))
@@ -599,7 +599,7 @@ def test_each_sign_pair_is_one_call():
 
     ctx = LpContext(al, 2.0)
     lp_norm(ctx, g)
-    assert calls == [2 * NORM_NODES + 2 * 32]   # head then tail, one call
+    assert calls == [2 * NORM_NODES]    # the rule's nodes [u, -u], one call
     calls.clear()
     assert len(_theta_terms(0.5, 1)) > 1
     _theta_weighted_integral(al, 1, 0.9, lambda ys, rows: g(ys))

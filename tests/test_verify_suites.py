@@ -17,15 +17,15 @@ from dunkl_lab.quad import LpContext, lp_norm
 
 def test_translate_suite_builds_one_measure_rule_per_alpha():
     # every dmu_a integral on (0, T) (norms, convolve, dunkl_transform) reads
-    # the cached L^p head rule: from cold caches, the translate suite builds
-    # the head (160, 2a+1, 0) and tail (32, 0, 0) rules and the translation
-    # rule (48, a-1/2, a-1/2), and no other
+    # the cached L^p rule: from cold caches, the translate suite builds that
+    # rule (160, 2a+1, 0) and the translation rule (48, a-1/2, a-1/2), and
+    # no other
     from dunkl_lab import quad
     quad._jacobi_ref.cache_clear()
     quad._norm_rules.cache_clear()
     V.suite_translate(alphas=(0.5,))
-    assert quad._jacobi_ref.cache_info().currsize == 3
-    for key in ((160, 2.0, 0.0), (32, 0.0, 0.0), (48, 0.0, 0.0)):
+    assert quad._jacobi_ref.cache_info().currsize == 2
+    for key in ((160, 2.0, 0.0), (48, 0.0, 0.0)):
         misses = quad._jacobi_ref.cache_info().misses
         quad._jacobi_ref(*key)
         assert quad._jacobi_ref.cache_info().misses == misses, key
@@ -238,9 +238,6 @@ def _besov_window(kind, size):
 
 
 _CUBIC = V.TEST_FUNCTIONS[2][1]
-# the last row's last head-rule node in norm_node_values' layout: the tail
-# rule's 2 x 32 nodes follow it, and the norm's value does not read them
-_HEAD = -2 * 32 - 1
 # (suite, check ID at a = 0.5, the one library call that returns a NaN):
 # the 18 families whose samples the parent's Python max reduced, the
 # three slope checks and the two seminorm checks
@@ -253,10 +250,10 @@ _NAN_CASES = {
         mp, V, "dunkl_kernel", lambda al, lam, x: np.ndim(x) == 2)),
     "product-formula[a=0.5]": (
         "translate", lambda mp: _spoil(mp, V, "product_formula_residual")),
-    # the last head-rule node value of tau_x f at x = 2.3 (one of 9 (f, x)
+    # the last L^p node value of tau_x f at x = 2.3 (one of 9 (f, x)
     # samples): the sample sets translate through besov's binding
     "translation-contraction[a=0.5,p=1]": (
-        "translate", lambda mp: _spoil(mp, V.B, "translate_many", at=_HEAD)),
+        "translate", lambda mp: _spoil(mp, V.B, "translate_many")),
     "transform-of-convolution[a=0.5]": (
         "translate", lambda mp: _spoil(mp, V, "dunkl_transform")),
     "translate-convolve-commute[a=0.5]": ("translate", lambda mp: _spoil(
@@ -277,12 +274,12 @@ _NAN_CASES = {
     "iterated-integral-shift[a=0.5,k=1]": ("taylor", lambda mp: _spoil(
         mp, T, "iterated_integral_I", lambda al, k, g, *_: g is not _CUBIC)),
     "bump-moments-vanish[a=0.5,k=1]": ("taylor", _spoil_bump),
-    # the last head-rule node value of tau_x f at x = 3: one of the 15
-    # (f, x) samples
+    # the last L^p node value of tau_x f at x = 3: one of the 15 (f, x)
+    # samples
     "remainder-norm-bound[a=0.5,k=1,p=1]": (
-        "norms", lambda mp: _spoil(mp, V.B, "translate_many", at=_HEAD)),
+        "norms", lambda mp: _spoil(mp, V.B, "translate_many")),
     "remainder-norm-bound-same-order[a=0.5,k=1,p=1]": (
-        "norms", lambda mp: _spoil(mp, V.B, "translate_many", at=_HEAD)),
+        "norms", lambda mp: _spoil(mp, V.B, "translate_many")),
     "sandwich-spread[a=0.5,k=2]": ("besov", lambda mp: _spoil(
         mp, V.B.BesovSamples, "value", _besov_window("K", 12))),
     "omega-scaling[a=0.5,k=2]": ("besov", lambda mp: _spoil(
