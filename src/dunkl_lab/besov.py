@@ -1,5 +1,6 @@
 """Moduli of smoothness, K-functional bounds, convolution seminorms, and the
-numerical equivalence diagnostics between the four smoothness scales.
+one-sided convolution constants between the four smoothness scales.  This
+module measures; `verify` judges every measurement against its bound.
 
 Four seminorm kinds are computed on truncated log grids:
 
@@ -99,9 +100,14 @@ class BesovParams:
 class SeminormEstimate:
     kind: str                  # one of B, B_tilde, K, C
     value: float
-    diverging: bool
+    margin: float              # max(0.05 - head slope, tail slope + 0.05)
     grid: np.ndarray
-    integrand: np.ndarray      # per-point samples (m(x)/x^(beta+k-1))^q-style
+    integrand: np.ndarray      # per-point m(x)/x^(beta+k-1) (K: m(x)/x^beta)
+
+    @property
+    def diverging(self) -> bool:
+        """An edge of the integrand fails to decay by slope 0.05."""
+        return self.margin > 0.0
 
 
 def _y_probe_grid(x: float) -> np.ndarray:
@@ -293,9 +299,9 @@ def seminorm_from_samples(params: BesovParams, kind: str, grid, m
     else:
         integrand = m / grid ** e
     hs, ts = _edge_slopes(grid, integrand)
-    diverging = (hs < 0.05) or (ts > -0.05)
     return SeminormEstimate(kind, _q_aggregate(grid, integrand, params.q),
-                            diverging, grid, integrand)
+                            float(np.fmax(0.05 - hs, ts + 0.05)), grid,
+                            integrand)
 
 
 def slope_estimate(values) -> float:
@@ -309,44 +315,25 @@ def slope_estimate(values) -> float:
     return math.nan if np.isnan(lm).any() else float(np.polyfit(lx, lm, 1)[0])
 
 
-# -- equivalence diagnostics ----------------------------------------------------
+# -- one-sided convolution constants -------------------------------------------
 
 def _compare_kernel_upper(x, t, al: AlphaParam, r: float):
-    return np.minimum((x / t) ** (2.0 * (al.alpha + 1.0)), (t / x) ** r)
-
-
-def _compare_kernel_lower(x, t, k: int):
-    return np.minimum((x / t) ** (k - 1), (x / t) ** k)
+    """min{(x/t)^(2(alpha+1)), (t/x)^r}, its base at most 1: no overflow."""
+    return np.minimum(x / t, t / x) ** np.where(x <= t, 2 * al.alpha + 2, r)
 
 
 def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
-    """Numerical diagnostics for the four-way equivalence of the smoothness
-    scales: the omega/K sandwich, the two one-sided convolution estimates,
-    and the four truncated seminorms, all read from one BesovSamples.
-
-    PASS iff the sandwich ratio stays flat (|slope| <= 0.15) and bounded
-    (max/min < 50) on 1e-2 <= x <= 1, and both one-sided estimates, probed
-    at t and x in {0.05, 0.2, 1}, hold with finite recorded constants.  For
-    p = 1 only the direction controlled by the upper convolution estimate is
-    asserted (the reverse estimate requires p > 1).  Any sub-computation
-    failure yields INCONCLUSIVE, never PASS.  Once every kind's grid is
-    sampled, the BesovSamples is returned under "samples", for reading at
-    other k and p and aggregating at other q and beta.
-    """
+    """The constants of the one-sided convolution estimates at t and x in
+    {0.05, 0.2, 1}: "conv_upper_ratio_max", and for p > 1 (the reverse
+    estimate needs it) "conv_lower_ratio_max"; neither has an a-priori
+    bound.  A failed sub-computation gives "error" instead.  Every kind is
+    sampled on the grid into one BesovSamples, returned under "samples" for
+    reading at other k and p and aggregating at other q and beta."""
     al, k, p, out = params.alpha, params.k, params.p, {}
     try:
         s, xg = BesovSamples(al, f), np.asarray(params.grid, dtype=float)
-        grids = {kind: (xg, s.value(kind, xg, k, p)) for kind in KINDS}
+        grids = {kind: s.value(kind, xg, k, p) for kind in KINDS}
         out["samples"] = s
-        omt = grids["B_tilde"][1]
-        win = (1e-2 <= xg) & (xg <= 1.0)
-        xs = xg[win]
-        ratio = grids["B"][1][win] / (xs ** (k - 1) * grids["K"][1][win])
-        out["sandwich_ratio_min"] = float(ratio.min())
-        out["sandwich_ratio_max"] = float(ratio.max())
-        out["sandwich_slope"] = slope_estimate(list(zip(xs, ratio)))
-        sandwich_ok = (ratio.max() / ratio.min() < 50.0
-                       and abs(out["sandwich_slope"]) <= 0.15)
 
         # upper estimate: ||phi_t * f|| <= c int min{(x/t)^(2(a+1)), (t/x)^r}
         #                 omega_tilde(x) dx/x       (holds for all p >= 1)
@@ -354,32 +341,20 @@ def equivalence_report(params: BesovParams, f: GaussPolyFunction) -> dict:
         lx = np.log(xg)
         probes = np.array([0.05, 0.2, 1.0])
         rhs = np.trapezoid(_compare_kernel_upper(xg, probes[:, None], al, r)
-                           * omt, lx)
+                           * grids["B_tilde"], lx)
         pos = rhs > 0.0
         out["conv_upper_ratio_max"] = float(np.max(
             s.value("C", probes, k, p)[pos] / rhs[pos]))
-        upper_ok = math.isfinite(out["conv_upper_ratio_max"])
 
-        lower_ok = True
         if p > 1.0:
             # reverse estimate: omega_tilde(x) <= c int min{(x/t)^(k-1),
             #                   (x/t)^k} ||phi_t * f|| dt/t
-            tg, cn = grids["C"]
-            lt = np.log(tg)
-            rhs = np.trapezoid(_compare_kernel_lower(probes[:, None], tg, k)
-                               * cn, lt)
+            u = probes[:, None] / xg
+            rhs = np.trapezoid(np.minimum(u ** (k - 1), u ** k) * grids["C"],
+                               lx)
             pos = rhs > 0.0
             out["conv_lower_ratio_max"] = float(np.max(
                 s.value("B_tilde", probes, k, p)[pos] / rhs[pos]))
-            lower_ok = math.isfinite(out["conv_lower_ratio_max"])
-
-        for kind in KINDS:
-            est = seminorm_from_samples(params, kind, *grids[kind])
-            out[f"seminorm_{kind}"] = est.value
-            out[f"seminorm_{kind}_diverging"] = est.diverging
-        out["status"] = ("PASS" if (sandwich_ok and upper_ok and lower_ok)
-                         else "FAIL")
-    except Exception as exc:   # noqa: BLE001 - any failure is inconclusive
-        out["status"] = "INCONCLUSIVE"
+    except Exception as exc:   # noqa: BLE001 - verify reads it as INCONCLUSIVE
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out

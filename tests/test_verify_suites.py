@@ -296,6 +296,10 @@ _NAN_CASES = {
     "p1-inclusion-direction[a=0.5,k=2]": ("besov", lambda mp: _spoil(
         mp, V.B.BesovSamples, "value", _besov_window(
             "C", V.COARSE_GRID.size))),
+    # the C sample at the last of the three probes t: the upper constant is
+    # NaN
+    "equivalence-diagnostics[a=0.5,k=2,p=2]": ("besov", lambda mp: _spoil(
+        mp, V.B.BesovSamples, "value", _besov_window("C", 3))),
 }
 
 
@@ -312,3 +316,33 @@ def test_nan_sample_is_inconclusive(monkeypatch, check_id):
     got = {c["id"]: c for c in run()}[check_id]
     assert got["status"] == "INCONCLUSIVE"
     assert math.isnan(got["residual"])
+
+
+def test_seminorm_divergence_fails(monkeypatch):
+    # C samples scaled by t^-3 make the C integrand's head grow: the margin
+    # of seminorms-finite and of the p = 1 inclusion (B_tilde finite, C not)
+    # turns positive, a FAIL whose residual is that margin (0.45 for the
+    # inclusion, 2.35-2.75 for the seminorms)
+    value = V.B.BesovSamples.value
+
+    def steep(self, kind, v, *args):
+        out = value(self, kind, v, *args)
+        return out * np.asarray(v, dtype=float) ** -3 if kind == "C" else out
+
+    monkeypatch.setattr(V.B.BesovSamples, "value", steep)
+    checks = [c for c in V.suite_besov(alphas=(0.5,), ks=(2,)) if c[
+        "id"].startswith(("seminorms-finite", "p1-inclusion-direction"))]
+    assert len(checks) == 5
+    for c in checks:
+        assert c["status"] == "FAIL", c["id"]
+        assert 0.0 < c["residual"] < 3.0, c["id"]
+
+
+def test_equivalence_diagnostics_at_alpha_5():
+    # the wide Gaussian's sandwich passes at alpha = 5, and the one-sided
+    # constants are finite: every Besov record passes
+    checks = V.suite_besov(alphas=(5.0,))
+    assert [c["id"] for c in checks if c["status"] != "PASS"] == []
+    flat = [c["residual"] for c in checks
+            if c["id"].startswith("sandwich-flatness")]
+    assert len(flat) == 3 and max(flat) < 0.1
