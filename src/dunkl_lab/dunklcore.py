@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _scaled_j
-from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _dunkl_step
+from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _at_width
 from .quad import kept_terms, rowdot, _integrate_rows, _jacobi_ref, _norm_rules
 
 __all__ = [
@@ -138,13 +138,9 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float, pair: bool = False):
 
         tau_x f(y) = e^{-s(x^2+y^2)} [A(x,y) E_a(-2sxy) + B(x,y) E_a(2sxy)].
 
-    P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}) (lambda_coeffs).  tau_x commutes
-    with L, tau_x(e^{-s.^2})(y) = e^{-s(x^2+y^2)} E_a(-2sxy) (Roesler 1998),
-    and L(e^{-sy^2} h) = e^{-sy^2}(L - 2sy)h.  On h = A K + B sigma(K) with
-    K(y) = E_a(-2sxy), [L, y] = 1 + (2a+1) sigma gives
-    L(y^m K) = m y^(m-1) K - 2sx y^m K + [m odd] (2a+1) y^(m-1) sigma(K),
-    hence one step of L - 2sy maps (A, B) to
-    (dA/dy - 2s(x+y)A + (2a+1) odd(B)/y, dB/dy + 2s(x-y)B + (2a+1) odd(A)/y).
+    P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}) (lambda_coeffs), and tau_x
+    commutes with L: (A, B) sums c_j (A_j, B_j), in order of j, from the
+    alpha's unit-width ladder scaled to s (funcalg._at_width).
     With pair, those of tau_x f + tau_{-x} f: x -> -x flips sgn(xy) and odd
     powers of x, leaving 2x the even-x rows of A + B and odd-x rows of B - A.
     """
@@ -152,15 +148,9 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float, pair: bool = False):
         out = 2.0 * _closed_form_polys(a, coeffs, s, False)
         out[1::2, :, 0] = out[0::2, :, 1] = 0.0
     else:
-        m = len(coeffs)
         c = lambda_coeffs(a, GaussPolyFunction(coeffs, s))
-        A, B = np.zeros((m, m)), np.zeros((m, m))
-        A[0, 0] = 1.0
-        sa, sb = c[0] * A, c[0] * B
-        for j in range(1, m):
-            A, B = (_dunkl_step(A, B, -2.0 * s, s, 2.0 * a + 1.0),
-                    _dunkl_step(B, A, 2.0 * s, s, 2.0 * a + 1.0))
-            sa, sb = sa + c[j] * A, sb + c[j] * B
+        sa, sb, _ = np.add.reduce(c[:, None, None, None]
+                                  * _at_width(a, s, c.size), axis=0)
         out = np.stack([sa + sb, sb - sa], axis=-1)
     out.flags.writeable = False     # shared by every caller of the cache
     return out

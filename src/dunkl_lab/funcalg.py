@@ -8,7 +8,9 @@ reflection and multiplication by x, hence under the Dunkl operator
     L_a f(x) = f'(x) + (2a+1)/x * (f(x) - f(-x))/2,
 
 and the image has exact coefficients (the apparent 1/x singularity cancels:
-the odd part of a polynomial is divisible by x).
+the odd part of a polynomial is divisible by x).  L is homogeneous of degree
+-1, so the basis L^j e^{-s.^2} (lambda_basis) and the translation ladder of
+the closed form are one width-1 table per alpha, scaled to each s.
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ class GaussPolyFunction:
         return GaussPolyFunction(c, float(s))
 
 
-def _dunkl_step(P, Q, sx: float, s: float, c: float):
+def _dunkl_step(P, Q, sx, s: float, c: float):
     """Coefficients of dP/dy + sx x P - 2s y P + c odd_y(Q)/y, where entry
-    [i, j] multiplies x^i y^j (the last row and column of P must be zero)."""
+    [..., i, j] multiplies x^i y^j (the last row and column of P must be
+    zero); leading axes stack polynomials, sx broadcasting against them."""
     out = np.zeros(P.shape)
-    out[:, :-1] += P[:, 1:] * np.arange(1, P.shape[1])
-    out[1:, :] += sx * P[:-1, :]
-    out[:, 1:] -= 2.0 * s * P[:, :-1]
-    out[:, 0:-1:2] += c * Q[:, 1::2]
+    out[..., :-1] += P[..., 1:] * np.arange(1, P.shape[-1])
+    out[..., 1:, :] += sx * P[..., :-1, :]
+    out[..., 1:] -= 2.0 * s * P[..., :-1]
+    out[..., 0:-1:2] += c * Q[..., 1::2]
     return out
 
 
@@ -118,25 +121,60 @@ def dunkl_power(alpha, f: GaussPolyFunction, k: int) -> GaussPolyFunction:
 _powers = lru_cache(maxsize=256)(lambda a, f, key: [f])
 
 
+@lru_cache(maxsize=256)
+def _unit_tables(a: float, n: int) -> np.ndarray:
+    """[j] = (A_j, B_j, R_j), j < n, at width 1 ([i, k] of x^i y^k): R_j[0]
+    is L^j(e^{-.^2}) / e^{-.^2}, and tau_x L^j e^{-.^2}(y) = e^{-(x^2+y^2)}
+    [A_j E_a(-2xy) + B_j E_a(2xy)]: L - 2y maps (A, B) to (dA/dy - 2(x+y)A
+    + (2a+1) odd(B)/y, dB/dy + 2(x-y)B + (2a+1) odd(A)/y) (Roesler 1998)."""
+    t, c = np.zeros((n, 3, n, n)), 2.0 * a + 1.0
+    sx = np.array([-2.0, 2.0, 0.0])[:, None, None]
+    t[0, 0, 0, 0] = t[0, 2, 0, 0] = 1.0
+    for j in range(1, n):       # one step of the stack, Q = (B, A, R)
+        t[j] = _dunkl_step(t[j - 1], t[j - 1, [1, 0, 2]], sx, 1.0, c)
+    return t
+
+
+@lru_cache(maxsize=256)
+def _at_width(a: float, s: float, m: int) -> np.ndarray:
+    """_unit_tables(a, n)[:m] at width s (n the power of two >= max(m, 8)):
+    L and tau_x are homogeneous, so an entry of total degree d (j plus its
+    powers of x and y; 0 if d is odd) scales as s^(d/2).  FloatingPointError
+    where one is not finite.  Kept per (a, s, m), read-only."""
+    i, n = np.arange(m), max(8, 1 << (m - 1).bit_length())
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _unit_tables(a, n)[:m, :, :m, :m] * s ** (
+            (i[:, None, None, None] + i[:, None] + i) // 2)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("non-finite value in a function's "
+                                 "coefficients or gauss_scale")
+    out.flags.writeable = False
+    return out
+
+
 def lambda_basis(alpha, s: float, m: int) -> np.ndarray:
     """Rows j < m: the coefficients of L^j(e^{-s.^2}) / e^{-s.^2}, padded to
     m; triangular for s > 0 (degree j, leading coefficient (-2s)^j)."""
-    rows, g = np.zeros((m, m)), GaussPolyFunction((1.0,), s)
-    for j in range(m):
-        rows[j, :len(g.coeffs)] = g.coeffs
-        g = dunkl_apply(alpha, g)
-    return rows
+    return _at_width(_as_alpha(alpha), s, m)[:, 2, 0].copy()
 
 
 @lru_cache(maxsize=256)
 def lambda_coeffs(alpha, f: GaussPolyFunction) -> np.ndarray:
     """c with f = P e^{-s.^2} = sum_j c_j L^j(e^{-s.^2}), s > 0; kept per
-    (alpha, f), read-only."""
+    (alpha, f), read-only.  A closed form built on c loses about kappa =
+    sum_j |c_j| sum_i |basis[j, i]| / max|P| roundings (a small s cancels):
+    FloatingPointError where kappa > 1e6 or is not finite."""
     basis = lambda_basis(alpha, f.gauss_scale, len(f.coeffs))
     rest, c = np.array(f.coeffs), np.zeros(len(f.coeffs))
-    for j in range(c.size - 1, -1, -1):     # back substitution
-        c[j] = rest[j] / basis[j, j]
-        rest = rest - c[j] * basis[j]
+    with np.errstate(all="ignore"):     # kappa judges what this gives
+        for j in range(c.size - 1, -1, -1):     # back substitution
+            c[j] = rest[j] / basis[j, j]
+            rest = rest - c[j] * basis[j]
+        kappa = np.abs(c) / (max(map(abs, f.coeffs)) or 1.0) @ abs(
+            basis).sum(1)
+    if not kappa <= 1e6:
+        raise FloatingPointError(f"the Lambda-coordinates cancel: kappa = "
+                                 f"{kappa:.3g}, not <= 1e6")
     c.flags.writeable = False
     return c
 

@@ -10,6 +10,9 @@ import pytest
 
 from dunkl_lab.cli import (main, RunConfig, ConfigError, CATALOG,
                            _write_table, build_parser, EXIT_OK, EXIT_CONFIG)
+from dunkl_lab.dunklcore import translate_many
+from dunkl_lab.funcalg import GaussPolyFunction
+from dunkl_lab.special import AlphaParam
 
 
 def run(args):
@@ -377,6 +380,12 @@ BAD_RECORDS = {
                     "numerical error"),
     "huge-scale": ('{"coeffs": [1.0], "gauss_scale": 1e300}',
                    "numerical error"),
+    # Lambda-coordinates that cancel (kappa = 9e19: translate wrote 8188.6
+    # for -2.353 at y = -3) and a basis diagonal that underflows
+    "tiny-scale": ('{"coeffs": [1.0, 0.5, -0.3], "gauss_scale": 1e-20}',
+                   "numerical error"),
+    "underflow-scale": ('{"coeffs": [1.0, 0.5, -0.3], "gauss_scale": 1e-170}',
+                        "numerical error"),
 }
 
 
@@ -480,6 +489,40 @@ def test_huge_coeffs_print_one_line(tmp_path, capsys, command):
     assert out == "" and len(err.strip().splitlines()) == 1
     assert "numerical error" in err
     assert [str(w.message) for w in seen] == []
+
+
+@pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
+@pytest.mark.parametrize("name", ["tiny-scale", "underflow-scale"])
+@pytest.mark.parametrize("action", ["error", "ignore", "always"])
+def test_cancelling_coordinates_print_one_line(tmp_path, capsys, command,
+                                               name, action):
+    # with numpy's warnings raised, ignored or shown: lambda_coeffs refuses
+    # the coordinates before any number is formed, and nothing else warns
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action, RuntimeWarning)
+        status = _run_record(tmp_path, command, BAD_RECORDS[name][0])
+    assert status == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "kappa = " in err and "Traceback" not in err
+    assert [str(w.message) for w in seen] == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_translate_at_a_small_width_matches_the_quadrature_route(tmp_path):
+    # at s = 1e-4 the coordinates cancel by kappa ~ 9e3, under the bound:
+    # the closed form matches the 48-node route within 1e-12 of max|tau|
+    rec = {"coeffs": [1.0, 0.5, -0.3], "gauss_scale": 1e-4}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"function_record": rec}))
+    assert run(["translate", "--config", str(cfg), "--x", "1.1",
+                "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    rows = (tmp_path / "out" / "translate.csv").read_text().splitlines()
+    ys, got = np.loadtxt(rows[1:], delimiter=",", unpack=True)
+    f = GaussPolyFunction.from_record(rec)
+    ref = translate_many(AlphaParam(RunConfig().alpha), lambda y: f(y), 1.1,
+                         ys)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_taylor_of_a_narrow_gaussian_record(tmp_path, capsys):

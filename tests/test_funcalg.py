@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunkl_lab.special import AlphaParam
+from dunkl_lab import dunklcore, funcalg
 from dunkl_lab.funcalg import (GaussPolyFunction, dunkl_apply, dunkl_power,
-                               dilate, hermite_phi, dunkl_fd_power)
+                               dilate, hermite_phi, dunkl_fd_power,
+                               lambda_basis, lambda_coeffs, _at_width,
+                               _dunkl_step, _unit_tables)
 from dunkl_lab.quad import integrate
 
 AL = AlphaParam(0.5)
@@ -303,3 +307,120 @@ def test_dunkl_power_equals_its_loop_bitwise():
                 lower = dunkl_power(alpha, f, k - 1)
                 assert repr(dunkl_power(alpha, f, k)) == repr(dunkl_apply(
                     alpha, lower)), (coeffs, s, alpha, k)
+
+
+# -- the unit-width tables behind lambda_basis and the closed-form ladder -----
+
+def _recursion_basis(alpha, s, m):
+    # lambda_basis as a loop of dunkl_apply at width s (the oracle)
+    rows, g = np.zeros((m, m)), GaussPolyFunction((1.0,), s)
+    for j in range(m):
+        rows[j, :len(g.coeffs)] = g.coeffs
+        g = dunkl_apply(alpha, g)
+    return rows
+
+
+def _recursion_ladder(a, s, m):
+    # (A_j, B_j) of tau_x L^j e^{-s.^2} as a loop of _dunkl_step at width s
+    A, B = np.zeros((m, m)), np.zeros((m, m))
+    A[0, 0], out = 1.0, [(A, B)]
+    for _ in range(1, m):
+        A, B = (_dunkl_step(A, B, -2.0 * s, s, 2.0 * a + 1.0),
+                _dunkl_step(B, A, 2.0 * s, s, 2.0 * a + 1.0))
+        out.append((A, B))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 0.25, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0, 1.5, 20.0])
+def test_scaled_tables_equal_the_recursion_at_powers_of_two(alpha, s):
+    # at a power-of-two width every term of a step scales by one power of
+    # two, so the scaled unit tables are the recursion's floats, signed
+    # zeros included
+    for m in range(1, 13):
+        assert lambda_basis(alpha, s, m).tobytes() == _recursion_basis(
+            alpha, s, m).tobytes(), m
+        assert _at_width(alpha, s, m)[:, :2].tobytes() == _recursion_ladder(
+            alpha, s, m).tobytes(), m
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 20.0])
+def test_odd_degree_entries_of_the_unit_table_are_zero(alpha):
+    # an entry of odd total degree (j plus its powers of x and y) is 0, so
+    # the scaling s^(d/2) is only ever taken at integer powers
+    t = _unit_tables(alpha, 16)
+    i = np.arange(16)
+    odd = (i[:, None, None, None] + i[:, None] + i) % 2 == 1
+    assert not np.broadcast_to(odd, t.shape)[t != 0].any()
+
+
+def _exact_unit_tables(c, n):
+    # the unit-width rows and ladder in exact rationals for 2a+1 = c
+    zero = lambda *shape: np.full(shape, Fraction(0), dtype=object)
+
+    def step(P, Q, sx):
+        out = zero(*P.shape)
+        out[:, :-1] += P[:, 1:] * np.arange(1, P.shape[1]).astype(object)
+        out[1:, :] += sx * P[:-1, :]
+        out[:, 1:] -= 2 * P[:, :-1]
+        out[:, 0:-1:2] += c * Q[:, 1::2]
+        return out
+
+    rows, ladder = zero(n, n), zero(n, 2, n, n)
+    rows[0, 0] = ladder[0, 0, 0, 0] = Fraction(1)
+    for j in range(1, n):
+        rows[j] = step(rows[j - 1:j], rows[j - 1:j], 0)[0]
+        A, B = ladder[j - 1]
+        ladder[j, 0], ladder[j, 1] = step(A, B, -2), step(B, A, 2)
+    return rows, ladder
+
+
+def test_scaled_tables_match_50_digits_at_random_widths():
+    # the reference is exact for the operator whose 2a+1 is the float the
+    # code holds (its rounding is the input's), scaled by s^(d/2) at 50
+    # digits.  Basis entries (generalized Hermite coefficients, no
+    # cancellation) are within 4e-16 relative; the ladder's entries of one
+    # A_j, B_j cancel, so each is within 4 roundings of the largest of them
+    mpmath = pytest.importorskip("mpmath")
+    rng, m, eps = np.random.default_rng(44), 10, np.finfo(float).eps
+    with mpmath.workdps(50):
+        for _ in range(12):
+            a, s = float(rng.uniform(-0.49, 20.0)), float(rng.uniform(0.05, 5.0))
+            rows, ladder = _exact_unit_tables(Fraction(2.0 * a + 1.0), m)
+            up = [mpmath.mpf(s) ** k for k in range(2 * m)]
+            exact = lambda q, d: mpmath.mpf(q.numerator) / q.denominator * up[d // 2]
+            for (j, i), v in np.ndenumerate(lambda_basis(a, s, m)):
+                ref = exact(rows[j, i], j + i)
+                assert abs(v - ref) <= 4e-16 * abs(ref), (a, s, j, i)
+            top = [max(map(abs, ladder[j].ravel())) for j in range(m)]
+            for (j, t, i, k), v in np.ndenumerate(_at_width(a, s, m)[:, :2]):
+                assert abs(v - exact(ladder[j, t, i, k], j + i + k)) <= (
+                    4 * eps * exact(top[j], j + i + k)), (a, s, j, t, i, k)
+
+
+def test_fresh_widths_take_no_dunkl_step(monkeypatch):
+    # one unit table per alpha: closed forms at 20 new widths after the
+    # first scale it, with no step of the recursion
+    a, coeffs = 0.8125, (1.0, 0.5, -0.3, 0.2)
+    dunklcore._closed_form_polys(a, coeffs, 0.7)
+    calls, step = [], funcalg._dunkl_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    for module in (funcalg, dunklcore):
+        monkeypatch.setattr(module, "_dunkl_step", counted, raising=False)
+    for s in np.linspace(0.31, 1.49, 20).tolist():
+        dunklcore._closed_form_polys(a, coeffs, s)
+    assert len(calls) == 0
+
+
+def test_cancelling_coordinates_are_a_typed_error():
+    # kappa = sum_j |c_j| sum_i |basis[j, i]| / max|P|: 9e19 at s = 1e-20,
+    # and not finite where the basis diagonal underflows (s = 1e-170)
+    coeffs = (1.0, 0.5, -0.3)
+    for s, kappa in ((1e-20, "9e+19"), (1e-170, "nan")):
+        with pytest.raises(FloatingPointError, match=re.escape(f"kappa = {kappa},")):
+            lambda_coeffs(0.5, GaussPolyFunction(coeffs, s))
+    lambda_coeffs(0.5, GaussPolyFunction(coeffs, 1e-4))
