@@ -30,10 +30,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .special import AlphaParam, dunkl_kernel_it, _scaled_j
-from .funcalg import GaussPolyFunction, lambda_basis, lambda_coeffs, _at_width
+from .funcalg import (GaussPolyFunction, lambda_basis, lambda_coeffs,
+                      _at_width, _polyval)
 from .quad import kept_terms, rowdot, _integrate_rows, _jacobi_ref, _norm_rules
 
 __all__ = [
@@ -156,6 +156,18 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float, pair: bool = False):
     return out
 
 
+def _distinct(v):
+    """np.unique(v, return_inverse=True) for a 1-d v, by one sort (NaNs are
+    not merged); fewer than two entries are their own distinct set."""
+    if v.size < 2:
+        return v, np.zeros(v.size, np.intp)
+    perm, inv = v.argsort(), np.empty(v.size, np.intp)
+    u = v[perm]
+    new = np.concatenate(([True], u[1:] != u[:-1]))
+    inv[perm] = np.cumsum(new) - 1
+    return u[new], inv
+
+
 def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
                       pair: bool = False):
     """tau_x(f)(y) (+ tau_{-x}(f)(y) if pair) at the broadcast of the arrays
@@ -166,15 +178,14 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
     sgn(xy) D w n_{a+1} / (2(a+1))] for the parts S, D of _closed_form_polys:
     scaled values only, and no order for a zero part (D, for an even f with
     pair).  n and G depend on (|x|, |y|) alone: one value per cell of the
-    grid of distinct |x| and |y| if it has no more cells than the call has
-    points, else per point; x-Horner runs per entry of x.  One of the last 8
-    grids (of at most 4096 cells) takes no Bessel pass: its factors are kept
-    by (a, i, s, distinct |x|, distinct |y|), i = 0, 1 (a + i mixes alphas).
-    Overflows pass on as inf or nan."""
+    grid of _distinct |x| and |y| if it has no more cells than the call has
+    points, else per point; _polyval in x per entry of x, then in y, in
+    place.  One of the last 8 grids (of at most 4096 cells) takes no Bessel
+    pass: its factors are kept by (a, i, s, distinct |x|, distinct |y|), i =
+    0, 1 (a + i mixes alphas).  Overflows pass on as inf or nan."""
     a, s = alpha.alpha, f.gauss_scale
     shape = np.broadcast_shapes(x.shape, y.shape)
-    (ux, ix), (uy, iy) = (np.unique(np.abs(v).ravel(), return_inverse=True)
-                          for v in (x, y))
+    (ux, ix), (uy, iy) = (_distinct(np.abs(v).ravel()) for v in (x, y))
     grid = ux.size * uy.size <= math.prod(shape)
     ax, ay = (ux[:, None], uy) if grid else (np.abs(x), np.abs(y))
     pick = ix.reshape(x.shape) * uy.size + iy.reshape(y.shape)
@@ -199,9 +210,11 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
                     _FACTORS[key] = v
                     if len(_FACTORS) > _FACTOR_ENTRIES:
                         del _FACTORS[next(iter(_FACTORS))]
-                v = (v[pick] if grid else v.reshape(shape)) * polyval(
-                    y, polyval(x, C[..., i]), tensor=False)
-                out += np.sign(x * y) * v if i else v
+                p = _polyval(_polyval(C[(..., i) + (None,) * x.ndim], x), y)
+                p *= v[pick] if grid else v.reshape(shape)
+                if i:
+                    p *= np.sign(x * y)
+                out += p
         mass = (x == 0.0) | (y == 0.0)
         if mass.any():
             xm, ym = (np.broadcast_to(v, shape)[mass] for v in (x, y))

@@ -43,6 +43,16 @@ def _trim(coeffs):
     return tuple(float(v) for v in c)
 
 
+def _polyval(c, x):
+    """sum_k c[k] x^k, c low to high along axis 0 (the rest broadcasts): the
+    ops of numpy's polyval(x, c, tensor=False), c[-1] + 0x, c[-k] + acc x."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc *= x
+        acc += ck
+    return acc
+
+
 @dataclass(frozen=True)
 class GaussPolyFunction:
     """P(x) * exp(-s x^2) with P given by low-to-high coefficients."""
@@ -61,7 +71,7 @@ class GaussPolyFunction:
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        p = np.polynomial.polynomial.polyval(x, np.array(self.coeffs))
+        p = _polyval(np.array(self.coeffs), x)
         if self.gauss_scale > 0.0:
             p = p * np.exp(-self.gauss_scale * x * x)
         return p if p.ndim else float(p)

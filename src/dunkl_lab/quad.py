@@ -147,9 +147,9 @@ def _jacobi_ref(n: int, exp_a: float, exp_b: float):
     moved by one Newton step dx on the recurrence, and the Christoffel
     numbers mu0 / sum_{k<n} p_k(x)^2 of the orthonormal p_k, taken to first
     order at x + dx (nearer 30-digit values at the extreme nodes than the
-    derivative formula).  The first off-diagonal entry is written without
-    the 0/0 of exponent sum s = -1.
-    """
+    derivative formula); the recurrence steps p, p' and their sums as rows
+    of one array.  The first off-diagonal entry is written without the 0/0
+    of exponent sum s = -1."""
     al, be = exp_b, exp_a
     s = al + be
     a, b = [(be - al) / (s + 2.0)], []
@@ -161,20 +161,21 @@ def _jacobi_ref(n: int, exp_a: float, exp_b: float):
             else 1.0 / ((2.0 + s) ** 2 * (3.0 + s)))))
     x = np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1))
     b = [0.0] + b + [1.0]                                # p_n unnormalised
-    p0, p, dp0, dp, sq, cross = 0.0, np.ones(n), 0.0, np.zeros(n), 1.0, 0.0
+    t, (r0, r, acc) = x - np.array(a)[:, None], np.zeros((3, 2, n))
+    r[0] = 1.0      # t[j] = x - a[j]; [p, dp] at j - 1, j; [sq, cross]
     for j in range(n):
-        t, bp, bj = x - a[j], b[j], b[j + 1]
-        p0, p = p, (t * p - bp * p0) / bj
-        dp0, dp = dp, (t * dp + p0 - bp * dp0) / bj
-        if j < n - 1:
-            sq += p * p
-            cross += p * dp
-    dx = -p / dp
+        acc += r[0] * r
+        step = t[j] * r
+        step[1] += r[0]
+        step -= b[j] * r0
+        step /= b[j + 1]
+        r0, r = r, step
+    dx = -r[0] / r[1]
     mu0 = (2.0 ** (s + 1.0) * math.gamma(al + 1.0) * math.gamma(be + 1.0)
            / math.gamma(s + 2.0) if s < 160.0 else
            math.exp((s + 1.0) * math.log(2.0) + math.lgamma(al + 1.0)
                     + math.lgamma(be + 1.0) - math.lgamma(s + 2.0)))
-    return x + dx, mu0 / (sq + 2.0 * dx * cross)
+    return x + dx, mu0 / (acc[0] + 2.0 * dx * acc[1])
 
 
 def jacobi_rule(n: int, exp: float, a: float, b: float):

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 __all__ = [
     "AlphaParam",
@@ -74,13 +73,15 @@ def _terms(nu: float, x: float, hankel: bool = False):
 
 def _debye_coeffs(nu: float):
     """Coefficients, highest first, of e^c sum_{k<=8} U_k(p) nu^-k, U_{k+1} =
-    p^2 (1-p^2) U_k' / 2 + int_0^p (1-5t^2) U_k dt / 8 (DLMF 10.41.9), with c =
-    sum_i B_2i nu^(1-2i) / (2i(2i-1)) Stirling's remainder of lgamma(nu+1)."""
+    p^2 (1-p^2) U_k' / 2 + int_0^p (1-5t^2) U_k dt / 8 (DLMF 10.41.9, by
+    np.convolve), c = sum_i B_2i nu^(1-2i) / (2i(2i-1)) (Stirling's series)."""
     u, cs = np.ones(1), np.zeros(25)
     for k in range(9):
         cs[:u.size] += u * nu ** -k
-        u = P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
-                      P.polyint(P.polymul([0.125, 0.0, -0.625], u)))
+        du = u[1:] * np.arange(1, u.size)
+        u = np.concatenate(([0.0], np.convolve([0.125, 0.0, -0.625], u)
+                            / np.arange(1, u.size + 3)))
+        u += np.convolve([0.0, 0.0, 0.5, 0.0, -0.5], du) if k else 0.0
     c = sum(b * nu ** (1 - 2 * i) for i, b in enumerate(
         (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360), 1))
     return math.exp(c) * cs[::-1]
