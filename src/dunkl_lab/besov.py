@@ -37,7 +37,7 @@ from .special import AlphaParam
 from .funcalg import GaussPolyFunction, dunkl_power, dilate, hermite_phi
 from .quad import (LpContext, jacobi_rule, kept_terms, lp_norm_from_nodes,
                    norm_node_values, NORM_NODES)
-from .dunklcore import translate_many
+from .dunklcore import _distinct, translate_many
 from .taylor import (remainder_profile, series_rows,
                      symmetric_remainder_profile)
 
@@ -217,7 +217,7 @@ class BesovSamples:
             return np.zeros(vs.shape)
         if kind == "B":
             probes = np.array([_y_probe_grid(x) for x in vs.ravel().tolist()])
-            ys, inv = np.unique(probes.ravel(), return_inverse=True)
+            ys, inv = _distinct(probes.ravel())
             out = self.remainder_norm(ys, k, p)[inv.reshape(probes.shape)]
             out = out.max(axis=-1, initial=0.0)
         else:

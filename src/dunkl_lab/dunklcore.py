@@ -157,8 +157,8 @@ def _closed_form_polys(a: float, coeffs: tuple, s: float, pair: bool = False):
 
 
 def _distinct(v):
-    """np.unique(v, return_inverse=True) for a 1-d v, by one sort (NaNs are
-    not merged); fewer than two entries are their own distinct set."""
+    """np.unique's values and inverse for a 1-d v, by one sort (NaNs are not
+    merged); fewer than two entries are their own distinct set."""
     if v.size < 2:
         return v, np.zeros(v.size, np.intp)
     perm, inv = v.argsort(), np.empty(v.size, np.intp)

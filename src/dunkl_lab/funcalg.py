@@ -225,35 +225,30 @@ def dunkl_fd_power(alpha, g: Callable, a, k=1, h: float = 1e-3):
     """k-fold Dunkl operator on a callable at nonzero centres a of any shape,
     for an order k or a sequence of orders (one leading row each).  A level
     reads t + 2h, t + h, t - h, t - 2h (the 5-point derivative), t and -t
-    (the exact term (2a+1)/t (g(t) - g(-t))/2); a point s a + m h, key
-    s + i m, takes the float of the path first reaching it.  g is called
-    once, on a's shape plus one axis: the distinct points of all orders,
-    shared where floats agree at every entry.  ValueError at a point 0."""
+    (the exact term (2a+1)/t (g(t) - g(-t))/2).  g is called once, on a's
+    shape plus one axis: the lattice s a + m h of order n = max(k), m h =
+    np.arange(-2n, 2n + 1) * h, |m| <= 2n at s = 1 and 2n - 2 at s = -1;
+    each level is two points shorter at each end, and an order is its level
+    at m = 0.  ValueError at a point 0 that a level divides by."""
     al, a, ks = _as_alpha(alpha), np.asarray(a, float), np.atleast_1d(k)
     if ks.min() < 0:
         raise ValueError("k must be >= 0")
-    sign, step = np.array([1, 1, 1, 1, 1, -1]), np.array([2, 1, -1, -2, 0, 0])
-    pts, kids, keys = [a[..., None]], [], [1.0 + 0j]
-    for _ in range(ks.max()):       # each depth from the one above it
-        if (pts[-1] == 0.0).any():
-            raise ValueError(f"centre a = {a[(pts[-1] == 0).any(-1)][0]:g} "
-                             f"at h = {h:g}: a stencil point is 0")
-        z = (np.multiply.outer(keys, sign) + 1j * step).ravel().tolist()
-        keys = list(dict.fromkeys(z))     # in the order first reached
-        kids.append(np.reshape([keys.index(c) for c in z], (-1, 6)))
-        i, j = np.divmod([z.index(c) for c in keys], 6)
-        pts.append(pts[-1][..., i] * sign[j] + step[j] * h)
-    cols = np.concatenate([pts[n] for n in ks], axis=-1)
-    flat, inv = np.unique(cols.reshape(-1, cols.shape[-1]), axis=1,
-                          return_inverse=True)
-    vals = np.asarray(g(flat.reshape(*a.shape, -1)))[..., inv.ravel()]
-    rows = []
-    for n, v in zip(ks, np.split(vals, np.cumsum(
-            [pts[n].shape[-1] for n in ks])[:-1], axis=-1)):
-        for d in range(n - 1, -1, -1):
-            w = np.moveaxis(v[..., kids[d]], -1, 0)
-            v = ((-w[0] + 8.0 * w[1] - 8.0 * w[2] + w[3]) / (12.0 * h)
-                 + (2.0 * al + 1.0) / pts[d] * (w[4] - w[5]) / 2.0)
-        rows.append(v[..., 0])
-    out = np.stack(rows) if np.ndim(k) else rows[0]
+    top = int(ks.max())
+    mh = np.arange(-2 * top, 2 * top + 1) * h
+    pts = a[..., None] + mh, -a[..., None] + mh[2:-2]
+    mid = lambda v, r: v[..., r:v.shape[-1] - r]    # r points off each end
+    zero = (np.concatenate([mid(p, 2) for p in pts], -1) == 0.0).any(-1)
+    if zero.any():
+        raise ValueError(f"centre a = {a[zero][0]:g} at h = {h:g}: a "
+                         f"stencil point is 0")
+    vals = np.asarray(g(np.concatenate(pts, -1)))
+    v, powers = np.split(vals, [mh.size], -1), [vals[..., 2 * top]]
+    for n in range(1, top + 1):     # L^n g on mid(pts, 2n) from L^(n-1) g
+        w = v[1][..., ::-1], mid(v[0], 4)[..., ::-1]    # at (-s, -m)
+        v = [(-x[..., 4:] + 8.0 * x[..., 3:-1] - 8.0 * x[..., 1:-3]
+              + x[..., :-4]) / (12.0 * h) + (2.0 * al + 1.0)
+             / mid(p, 2 * n) * (x[..., 2:-2] - y) / 2.0
+             for x, y, p in zip(v, w, pts)]
+        powers.append(v[0][..., 2 * (top - n)])
+    out = np.stack([powers[n] for n in ks]) if np.ndim(k) else powers[k]
     return out if out.ndim else float(out)

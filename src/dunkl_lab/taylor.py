@@ -216,7 +216,7 @@ def _theta_weighted_integral(alpha: AlphaParam, order: int, x, h: Callable,
     reach = ax * math.sqrt(max(s, 1.0))    # |x| in widths
     ns = 40 * np.clip(np.ceil(reach / 4.0), 1, 10).astype(int)
     total = np.zeros(xs.size)
-    for n in sorted(set(ns.tolist())):    # np.unique imports numpy.ma
+    for n in sorted(set(ns.tolist())):
         rows = np.flatnonzero(ns == n)
         rules = [rule(n, b, j) for j, b in bases]
         z = ax[rows, None, None] * np.stack([t for t, _ in rules])

@@ -1,7 +1,8 @@
 """The closed-form translation, the Gauss-Jacobi recurrence, Debye's
-tables and GaussPolyFunction's evaluation against their former forms (built
-on np.unique and numpy.polynomial, kept here as oracles): every value must
-be the same float, bit for bit.  Only a NaN's sign bit may differ, which
+tables, GaussPolyFunction's evaluation and the finite-difference Dunkl
+operator against their former forms (built on np.unique, numpy.polynomial
+and path keys, kept here as oracles): every value must be the same float,
+bit for bit.  Only a NaN's sign bit may differ, which
 follows the operand order inside numpy's loops and reaches no output."""
 
 import math
@@ -13,10 +14,13 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from dunkl_lab import dunklcore
+from dunkl_lab import taylor as T
 from dunkl_lab.dunklcore import _closed_form_polys, _translate_closed
-from dunkl_lab.funcalg import GaussPolyFunction
+from dunkl_lab.funcalg import GaussPolyFunction, dunkl_fd_power, dunkl_power
 from dunkl_lab.quad import _jacobi_ref
-from dunkl_lab.special import AlphaParam, _debye_coeffs, _scaled_j
+from dunkl_lab.special import (AlphaParam, _as_alpha, _debye_coeffs,
+                               _scaled_j, dunkl_kernel)
+from dunkl_lab.verify import DEFAULT_ALPHAS, TEST_FUNCTIONS
 from test_numpy_kernels import MATRIX_RULES
 
 
@@ -122,6 +126,40 @@ def _gauss_poly_oracle(f, x):
     return p if p.ndim else float(p)
 
 
+def _dunkl_fd_power_oracle(alpha, g, a, k=1, h=1e-3):
+    """dunkl_fd_power as it was: a breadth-first walk of path keys s + i m,
+    each point the float of the first path reaching it, and the columns of
+    every order merged by np.unique."""
+    al, a, ks = _as_alpha(alpha), np.asarray(a, float), np.atleast_1d(k)
+    if ks.min() < 0:
+        raise ValueError("k must be >= 0")
+    sign, step = np.array([1, 1, 1, 1, 1, -1]), np.array([2, 1, -1, -2, 0, 0])
+    pts, kids, keys = [a[..., None]], [], [1.0 + 0j]
+    for _ in range(ks.max()):       # each depth from the one above it
+        if (pts[-1] == 0.0).any():
+            raise ValueError(f"centre a = {a[(pts[-1] == 0).any(-1)][0]:g} "
+                             f"at h = {h:g}: a stencil point is 0")
+        z = (np.multiply.outer(keys, sign) + 1j * step).ravel().tolist()
+        keys = list(dict.fromkeys(z))     # in the order first reached
+        kids.append(np.reshape([keys.index(c) for c in z], (-1, 6)))
+        i, j = np.divmod([z.index(c) for c in keys], 6)
+        pts.append(pts[-1][..., i] * sign[j] + step[j] * h)
+    cols = np.concatenate([pts[n] for n in ks], axis=-1)
+    flat, inv = np.unique(cols.reshape(-1, cols.shape[-1]), axis=1,
+                          return_inverse=True)
+    vals = np.asarray(g(flat.reshape(*a.shape, -1)))[..., inv.ravel()]
+    rows = []
+    for n, v in zip(ks, np.split(vals, np.cumsum(
+            [pts[n].shape[-1] for n in ks])[:-1], axis=-1)):
+        for d in range(n - 1, -1, -1):
+            w = np.moveaxis(v[..., kids[d]], -1, 0)
+            v = ((-w[0] + 8.0 * w[1] - 8.0 * w[2] + w[3]) / (12.0 * h)
+                 + (2.0 * al + 1.0) / pts[d] * (w[4] - w[5]) / 2.0)
+        rows.append(v[..., 0])
+    out = np.stack(rows) if np.ndim(k) else rows[0]
+    return out if out.ndim else float(out)
+
+
 # -- the closed-form translation ----------------------------------------------
 
 SPECIAL = np.array([0.0, -0.0, 0.7, -0.7, 1.3, math.nan, math.inf,
@@ -167,6 +205,46 @@ def test_distinct_is_np_unique_with_inverse(v):
     ru, rinv = np.unique(v, return_inverse=True)
     _same_bits(u, ru)
     assert inv.dtype == rinv.dtype and np.array_equal(inv, rinv)
+
+
+# -- the finite-difference Dunkl operator --------------------------------------
+
+def _kernel_g(al, lam):
+    return lambda t: dunkl_kernel(al, lam, t).real
+
+
+@pytest.mark.parametrize("k", [0, 1, (0, 1)], ids=str)
+@pytest.mark.parametrize("h", [1e-4, 2e-3])
+def test_dunkl_fd_power_low_orders_match_the_path_keys(k, h):
+    # up to order 1 every stencil point is a + m h with |m| <= 2 or -a: the
+    # same floats on the lattice as on the paths, at any centre
+    rng = np.random.default_rng(11)
+    f = GaussPolyFunction((1.0, 0.5, 1.0), 1.0)
+    for shape in [(), (1,), (3,), (2, 4), (2, 1, 3)]:
+        a = rng.uniform(-3.0, 3.0, shape)
+        for alpha in (-0.25, 0.5, 1.5):
+            for g in (f, _kernel_g(AlphaParam(alpha), 2.0)):
+                _same_bits(dunkl_fd_power(alpha, g, a, k, h),
+                           _dunkl_fd_power_oracle(alpha, g, a, k, h))
+
+
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
+def test_dunkl_fd_power_matches_the_path_keys_where_verify_reads(alpha):
+    # verify's calls: the real-lambda kernel at orders (0, 1), centres 0.5
+    # and -1.2, h = 1e-4; the rows x of I_j(x, f)(t) at orders up to 2,
+    # centre 0.45, h = 2e-3, where a + m h for |m| <= 4 is the paths' float
+    al = AlphaParam(alpha)
+    for lam in (0.8, 2.0):
+        g = _kernel_g(al, lam)
+        _same_bits(dunkl_fd_power(al, g, (0.5, -1.2), (0, 1), h=1e-4),
+                   _dunkl_fd_power_oracle(al, g, (0.5, -1.2), (0, 1), h=1e-4))
+    f = TEST_FUNCTIONS[2][1]
+    x2, u2 = np.array([0.7, -1.3]), np.array([0.45, 0.45])
+    for j, fj in ((1, f), (1, dunkl_power(al, f, 1)), (2, f)):
+        g = lambda t: T.iterated_integral_I(al, j, fj, x2[:, None], t)
+        for k in (1, 2, (1, 2)):
+            _same_bits(dunkl_fd_power(al, g, u2, k, h=2e-3),
+                       _dunkl_fd_power_oracle(al, g, u2, k, h=2e-3))
 
 
 # -- Gauss-Jacobi rules, Debye's tables, GaussPolyFunction ---------------------

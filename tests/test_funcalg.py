@@ -230,15 +230,16 @@ def test_dunkl_fd_power_calls_g_once(k):
 
             got = dunkl_fd_power(AL, g, a, k, h=h)
             # L^k of the polynomial up to the stencil's rounding, at most
-            # 1.05 eps / h^k here, from one call of g with a column per
-            # distinct point
+            # 1.05 eps / h^k here, from one call of g
             want = dunkl_power(AL, _FD_P, k)(a)
             assert isinstance(got, float)
             assert abs(got - want) <= 20 * np.finfo(float).eps * max(
                 1.0, abs(want)) / h ** k
+            # the lattice s a + m h, each point the float of that sum:
+            # (4k + 1) + (4k - 3) of them for k >= 1
             (t,) = calls
-            assert np.allclose(t, _stencil_points(k, a, h), rtol=0,
-                               atol=1e-14)
+            assert t.size == (8 * k - 2 if k else 1)
+            assert np.array_equal(t, _stencil_points(k, a, h))
 
 
 @pytest.mark.parametrize("ks", [(0, 1), (1, 2), (2, 1, 3), (3,)])
