@@ -104,11 +104,6 @@ class SeminormEstimate:
     grid: np.ndarray
     integrand: np.ndarray      # per-point m(x)/x^(beta+k-1) (K: m(x)/x^beta)
 
-    @property
-    def diverging(self) -> bool:
-        """An edge of the integrand fails to decay by slope 0.05."""
-        return self.margin > 0.0
-
 
 def _y_probe_grid(x: float) -> np.ndarray:
     """17 probe points in [-x, x] \\ {0}: log-spaced magnitudes over two

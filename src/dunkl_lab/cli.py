@@ -47,18 +47,19 @@ class ConfigError(ValueError):
     pass
 
 
-_GRID_TABLE = ("alpha", "k", "p", "q", "beta", "function", "function_record",
-               "x_min", "x_max", "points_per_decade", "out_dir", "fmt")
+_GRID_TABLE = ("alpha", "k", "p", "function", "function_record", "x_min",
+               "x_max", "points_per_decade", "out_dir", "fmt")
 #: the RunConfig fields each command reads; a flag or config-file field
 #: that its command would ignore is a configuration error (verify runs the
-#: fixed matrix of verify.DEFAULT_* on verify's own test functions)
+#: fixed matrix of verify.DEFAULT_* on verify's own test functions; sweep
+#: checks q and beta, which no table reads, as perfbench's sweep passes them)
 COMMAND_FIELDS = {
     "kernel": ("alpha", "t", "x_max", "out_dir", "fmt"),
     "translate": ("alpha", "function", "function_record", "x", "x_max",
                   "out_dir", "fmt"),
     "taylor": ("alpha", "k", "function", "function_record", "x", "a"),
     "besov": _GRID_TABLE,
-    "sweep": _GRID_TABLE,
+    "sweep": _GRID_TABLE + ("q", "beta"),
     "verify": ("suites", "out_dir", "report_path"),
 }
 #: flag spellings that differ from "--" + the field name with dashes

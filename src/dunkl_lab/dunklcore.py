@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 TRANSLATE_NODES = 48
-#: point-node pairs per quadrature block, translated points per convolve block
-_BLOCK = 16384
 #: _translate_closed's last grid factors (read-only), oldest first; size caps
 _FACTORS, _FACTOR_ENTRIES, _FACTOR_CELLS = {}, 8, 4096
 
@@ -91,11 +89,7 @@ def translate_many(alpha: AlphaParam, f: Callable, x, ys):
         return _translate_closed(alpha, f, x, ys)
     xb, yb = np.broadcast_arrays(x, ys)
     mass = ((xb == 0.0) | (yb == 0.0)).ravel()
-    xv, yv = xb.ravel()[~mass], yb.ravel()[~mass]
-    step = max(1, _BLOCK // TRANSLATE_NODES)
-    out = np.concatenate([_translate_quadrature(alpha, f, xv[i:i + step],
-                                                yv[i:i + step])
-                          for i in range(0, max(xv.size, 1), step)])
+    out = _translate_quadrature(alpha, f, xb.ravel()[~mass], yb.ravel()[~mass])
     if mass.any():
         fm = np.asarray(f(xb.ravel()[mass] + yb.ravel()[mass])).ravel()
         vals, out = out, np.empty(mass.size, np.result_type(out, fm))
@@ -244,31 +238,32 @@ def w_total_variation(alpha: AlphaParam, x, y):
     return out if out.ndim else float(out)
 
 
+def _kept_nodes(alpha: AlphaParam, g: Callable):
+    """The L^p rule's kept nodes y and weights w (term size |w_j|
+    max|g(+-y_j)|) with g(y) and g(-y), from one call of g."""
+    y, w = _norm_rules(alpha)
+    gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
+    keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
+    return tuple(v[keep] for v in (y, w, gy, gmy))
+
+
 def convolve(alpha: AlphaParam, f: Callable, g: Callable, x):
     """Dunkl convolution (f *_a g)(x) = int tau_x(f)(-y) g(y) dmu_a(y), for
     a scalar x or an array of x (the result has its shape).
 
     Two algebra elements P e^{-s.^2} with s > 0 take the closed form of
     _convolve_closed.  Otherwise g must decay: the outer rule is the L^p
-    rule on (0, NORM_T) at its kept nodes (term size |w_j|
-    max|g(+-y_j)|, one call of g); one translate_many call takes -y and y
-    for a block of x values, at most _BLOCK points in all."""
+    rule on (0, NORM_T) at its _kept_nodes, and one translate_many call
+    takes -y and y for every x."""
     if _has_closed_form(f) and _has_closed_form(g):
         # one order for the pair, so f * g and g * f are the same numbers
         f, g = sorted((f, g), key=lambda h: (h.gauss_scale, h.coeffs))
         return _convolve_closed(alpha.alpha, f, g)(np.asarray(x, float))
-    y, w = _norm_rules(alpha)
-    gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
-    keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
-    y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
-    ypm = np.concatenate([-y, y])
-    xv = np.reshape(x, (-1, 1)).astype(float)
-    step = max(1, _BLOCK // ypm.size)
-    out = []
-    for i in range(0, xv.shape[0], step):
-        tau = translate_many(alpha, f, xv[i:i + step], ypm)
-        out.append(rowdot(w, tau[:, :y.size] * gy + tau[:, y.size:] * gmy))
-    return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
+    y, w, gy, gmy = _kept_nodes(alpha, g)
+    tau = translate_many(alpha, f, np.reshape(x, (-1, 1)),
+                         np.concatenate([-y, y]))
+    out = rowdot(w, tau[:, :y.size] * gy + tau[:, y.size:] * gmy)
+    return (out / alpha.norm_const).reshape(np.shape(x))[()]
 
 
 @lru_cache(maxsize=256)
@@ -287,12 +282,9 @@ def _convolve_closed(a: float, f: GaussPolyFunction, g: GaussPolyFunction):
 
 def dunkl_transform(alpha: AlphaParam, f: Callable, xi):
     """Dunkl transform F_a(f)(xi) = int f(y) E_a(-i xi y) dmu_a(y) on the L^p
-    rule's kept nodes (size |w_j| max|f(+-y_j)|), xi a scalar or an
-    array; f and E_a run once, each xi a scalar call's value."""
-    y, w = _norm_rules(alpha)
-    fy, fmy = np.split(np.asarray(f(np.concatenate([y, -y]))), 2)
-    keep = kept_terms(w * np.maximum(np.abs(fy), np.abs(fmy)))
-    y, w, fy, fmy = (v[keep] for v in (y, w, fy, fmy))
+    rule's _kept_nodes, xi a scalar or an array; f and E_a run once, each
+    xi a scalar call's value."""
+    y, w, fy, fmy = _kept_nodes(alpha, f)
     v = np.reshape(xi, (-1, 1))
     e = dunkl_kernel_it(alpha, np.concatenate([-v, v]), y)  # one column
     out = [complex(np.dot(w, r) / alpha.norm_const)

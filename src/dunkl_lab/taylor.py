@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .special import AlphaParam, pochhammer
-from .funcalg import GaussPolyFunction, dunkl_power, lambda_coeffs
+from .funcalg import GaussPolyFunction, dunkl_power, lambda_coeffs, _polyval
 from .quad import integrate, jacobi_rule, rowdot
 from .dunklcore import translate_many, _translate_sum, _FACTOR_CELLS
 
@@ -293,9 +293,7 @@ def _series(alpha: AlphaParam, k: int, f: GaussPolyFunction, step: int, x, us):
     table = _hermite if v.size <= _FACTOR_CELLS else _hermite.__wrapped__
     n = k + len(at)
     h = table(a, v.tobytes(), -(-n // 16) * 16).reshape(v.shape + (-1,))
-    lead = 0.0
-    for qi in q:                        # L^k f / e^{-s.^2}
-        lead = lead * us + qi
+    lead = _polyval(q, us)              # L^k f / e^{-s.^2}
     return rowdot(d, np.concatenate([(lead * rs ** -k * h[..., 0])[..., None],
                                      h[..., k + 1:n]], axis=-1))
 
@@ -304,7 +302,7 @@ def _series(alpha: AlphaParam, k: int, f: GaussPolyFunction, step: int, x, us):
 def _series_terms(a: float, f: GaussPolyFunction, k: int, step: int):
     """_series's denominators of b_p / b_{p-1}, p = 1 .. k + SERIES_ORDERS
     - 1, its weight d_m as the sum of b[at[m]] by[m] (b[i] = b_{i+1}; d_0 is
-    step b_k, the first order's), and L^k f / e^{-s.^2}, high to low."""
+    step b_k, the first order's), and L^k f / e^{-s.^2}, low to high."""
     p, c = np.arange(1, k + SERIES_ORDERS), lambda_coeffs(a, f)
     i, j = np.arange(step, SERIES_ORDERS, step)[:, None], np.arange(c.size)
     at = np.full((SERIES_ORDERS + c.size - 1, c.size), k - 1)
@@ -313,7 +311,7 @@ def _series_terms(a: float, f: GaussPolyFunction, k: int, step: int):
         f.gauss_scale) ** j             # p = k + i
     by[0, 0] = step
     return (np.where(p % 2, a + 1.0 + (p - 1) // 2, p // 2), at, by,
-            dunkl_power(a, f, k).coeffs[::-1])
+            dunkl_power(a, f, k).coeffs)
 
 
 @lru_cache(maxsize=8)

@@ -1,8 +1,9 @@
-"""The closed-form translation, the Gauss-Jacobi recurrence, Debye's
-tables, GaussPolyFunction's evaluation and the finite-difference Dunkl
-operator against their former forms (built on np.unique, numpy.polynomial
-and path keys, kept here as oracles): every value must be the same float,
-bit for bit.  Only a NaN's sign bit may differ, which
+"""The closed-form translation, the quadrature translation and convolution
+of callables, the Gauss-Jacobi recurrence, Debye's tables,
+GaussPolyFunction's evaluation and the finite-difference Dunkl operator
+against their former forms (built on np.unique, numpy.polynomial, path keys
+and fixed-size blocks of points, kept here as oracles): every value must be
+the same float, bit for bit.  Only a NaN's sign bit may differ, which
 follows the operand order inside numpy's loops and reaches no output."""
 
 import math
@@ -15,11 +16,12 @@ from numpy.polynomial import polynomial as P
 
 from dunkl_lab import dunklcore
 from dunkl_lab import taylor as T
-from dunkl_lab.dunklcore import _closed_form_polys, _translate_closed
+from dunkl_lab.dunklcore import (_closed_form_polys, _translate_closed,
+                                 convolve, translate_many)
 from dunkl_lab.funcalg import GaussPolyFunction, dunkl_fd_power, dunkl_power
-from dunkl_lab.quad import _jacobi_ref
+from dunkl_lab.quad import _jacobi_ref, _norm_rules, kept_terms, rowdot
 from dunkl_lab.special import (AlphaParam, _as_alpha, _debye_coeffs,
-                               _scaled_j, dunkl_kernel)
+                               _scaled_j, dunkl_kernel, dunkl_kernel_it)
 from dunkl_lab.verify import DEFAULT_ALPHAS, TEST_FUNCTIONS
 from test_numpy_kernels import MATRIX_RULES
 
@@ -74,6 +76,48 @@ def _translate_closed_oracle(alpha, f, x, y, pair=False):
             xm, ym = (np.broadcast_to(v, shape)[mass] for v in (x, y))
             out[mass] = f(xm + ym) + f(ym - xm) if pair else f(xm + ym)
     return out
+
+
+#: the former cap on point-node pairs per quadrature call and on translated
+#: points per convolve call
+_OLD_BLOCK = 16384
+
+
+def _translate_many_oracle(alpha, f, x, ys):
+    """translate_many as it was: a callable's points in blocks of
+    _OLD_BLOCK // 48 = 341, one _translate_quadrature call each."""
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+    if dunklcore._has_closed_form(f):
+        return _translate_closed(alpha, f, x, ys)
+    xb, yb = np.broadcast_arrays(x, ys)
+    mass = ((xb == 0.0) | (yb == 0.0)).ravel()
+    xv, yv = xb.ravel()[~mass], yb.ravel()[~mass]
+    step = max(1, _OLD_BLOCK // dunklcore.TRANSLATE_NODES)
+    out = np.concatenate([dunklcore._translate_quadrature(
+        alpha, f, xv[i:i + step], yv[i:i + step])
+        for i in range(0, max(xv.size, 1), step)])
+    if mass.any():
+        fm = np.asarray(f(xb.ravel()[mass] + yb.ravel()[mass])).ravel()
+        vals, out = out, np.empty(mass.size, np.result_type(out, fm))
+        out[~mass], out[mass] = vals, fm
+    return out.reshape(xb.shape)
+
+
+def _convolve_oracle(alpha, f, g, x):
+    """convolve of a callable g as it was: the x in blocks of at most
+    _OLD_BLOCK translated points, one _translate_many_oracle call each."""
+    y, w = _norm_rules(alpha)
+    gy, gmy = np.split(np.asarray(g(np.concatenate([y, -y]))), 2)
+    keep = kept_terms(w * np.maximum(np.abs(gy), np.abs(gmy)))
+    y, w, gy, gmy = (v[keep] for v in (y, w, gy, gmy))
+    ypm = np.concatenate([-y, y])
+    xv = np.reshape(x, (-1, 1)).astype(float)
+    step = max(1, _OLD_BLOCK // ypm.size)
+    out = []
+    for i in range(0, xv.shape[0], step):
+        tau = _translate_many_oracle(alpha, f, xv[i:i + step], ypm)
+        out.append(rowdot(w, tau[:, :y.size] * gy + tau[:, y.size:] * gmy))
+    return (np.concatenate(out) / alpha.norm_const).reshape(np.shape(x))[()]
 
 
 def _jacobi_ref_oracle(n, exp_a, exp_b):
@@ -205,6 +249,52 @@ def test_distinct_is_np_unique_with_inverse(v):
     ru, rinv = np.unique(v, return_inverse=True)
     _same_bits(u, ru)
     assert inv.dtype == rinv.dtype and np.array_equal(inv, rinv)
+
+
+# -- the quadrature translation and convolution of callables -------------------
+
+def _callables(al):
+    """A real, a complex and a sign-changing callable, none in closed form."""
+    return [lambda z: FUNCTIONS[1](z), lambda z: dunkl_kernel_it(al, 1.3, z),
+            GaussPolyFunction((0.5, -1.0, 0.25))]
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_translate_many_of_a_callable_matches_its_blocks(alpha):
+    # 351 and 1,000 points span two and three former blocks of 341; point
+    # masses (x = 0 or y = 0) among them, all of them, and none at all
+    al, rng = AlphaParam(alpha), np.random.default_rng(13)
+    x351 = rng.uniform(-3.0, 3.0, 351)
+    x351[[0, 200, 340, 341]] = 0.0
+    y1000 = rng.uniform(-3.0, 3.0, (40, 25))
+    y1000[3, :] = 0.0
+    for f in _callables(al):
+        for x, y in ((x351, 0.7), (x351, rng.uniform(-3.0, 3.0, 351)),
+                     (rng.uniform(-3.0, 3.0, (40, 1)), y1000),
+                     (0.9, y1000), (np.zeros(5), 1.1), (np.zeros(0), 0.4)):
+            _same_bits(translate_many(al, f, x, y),
+                       _translate_many_oracle(al, f, x, y))
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_convolve_of_a_callable_matches_its_blocks(alpha):
+    # 384 x (x = 0, a point mass, among them) against a callable g span
+    # three former blocks of translated points, and 200 x with both f and g
+    # callable span two
+    al = AlphaParam(alpha)
+    g = lambda z: GaussPolyFunction((1.0, 0.5), 4.0)(z)
+    per_x = 2 * dunklcore._kept_nodes(al, g)[0].size
+    assert 2 * _OLD_BLOCK < 384 * per_x and _OLD_BLOCK < 200 * per_x
+    xs = np.linspace(-6.0, 6.0, 385)[:384]
+    assert 0.0 in xs
+    for f in (FUNCTIONS[1], FUNCTIONS[3]):
+        _same_bits(convolve(al, f, g, xs), _convolve_oracle(al, f, g, xs))
+        _same_bits(convolve(al, f, g, 0.3), _convolve_oracle(al, f, g, 0.3))
+    xs = np.linspace(-3.0, 3.0, 200)
+    f = _callables(al)[0]
+    _same_bits(convolve(al, f, g, xs), _convolve_oracle(al, f, g, xs))
+    # no x: the blocks' concatenate raised on its empty list of blocks
+    assert convolve(al, f, g, np.zeros(0)).shape == (0,)
 
 
 # -- the finite-difference Dunkl operator --------------------------------------

@@ -36,13 +36,13 @@ def test_config_validation_direct():
     (["taylor", "--k", "0"], "k must be >= 1"),
     (["taylor", "--k", "-3"], "k must be >= 1"),
     (["besov", "--p", "0.5"], "p must satisfy 1 <= p < inf"),
-    (["besov", "--q", "0.5"], "q must be >= 1"),
+    (["sweep", "--q", "0.5"], "q must be >= 1"),
     (["besov", "--k", "0"], "k must be >= 1"),
     (["sweep", "--beta", "1.5"], "beta must lie in (0, 1)"),
     (["sweep", "--beta", "0"], "beta must lie in (0, 1)"),
     (["sweep", "--alpha", "-0.7"], "alpha must be > -1/2"),
 ], ids=["kernel-alpha", "translate-alpha", "taylor-k-0", "taylor-k-neg",
-        "besov-p", "besov-q", "besov-k-0", "sweep-beta-1.5", "sweep-beta-0",
+        "besov-p", "sweep-q", "besov-k-0", "sweep-beta-1.5", "sweep-beta-0",
         "sweep-alpha"])
 def test_range_rules_of_the_library_types_exit_2(tmp_path, capsys, argv,
                                                  message):

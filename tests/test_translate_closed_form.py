@@ -350,9 +350,7 @@ def test_batched_levels_make_few_translate_calls(monkeypatch):
     kept = int(kept_terms(w * WIDE(y)).sum())       # WIDE is even
     assert kept < NORM_NODES
     convolve(al, CUBIC, lambda z: WIDE(z), np.linspace(-6.0, 6.0, 384))
-    assert len(calls) <= math.ceil(384 * 2 * kept / dunklcore._BLOCK)
-    assert max(calls) <= dunklcore._BLOCK
-    assert sum(calls) == 384 * 2 * kept
+    assert calls == [384 * 2 * kept]        # every x in one call
 
 
 @pytest.mark.parametrize("alpha,k", [(-0.25, 2), (1.5, 3)])
@@ -607,19 +605,24 @@ def test_each_sign_pair_is_one_call():
     assert calls == [2 * 40]
 
 
-def test_callables_are_called_once_per_block():
-    # the quadrature translation takes f at +-z of a block in one call, and
-    # convolve's callable g takes +-y of the head rule in one call
-    al, calls = AlphaParam(0.5), []
+def test_callables_are_called_once(monkeypatch):
+    # the quadrature translation takes f at +-z of every point in one call,
+    # and convolve's callable g takes +-y of the head rule in one call
+    al, calls, quad = AlphaParam(0.5), [], []
 
     def g(u):
         calls.append(u.size)
         return CUBIC(u)
 
-    nodes = dunklcore.TRANSLATE_NODES
-    step = dunklcore._BLOCK // nodes
-    translate_many(al, g, np.linspace(0.1, 3.0, step + 10), 0.7)
-    assert calls == [2 * step * nodes, 2 * 10 * nodes]      # +-z per node
+    def count(alpha, f, x, y):
+        quad.append(x.size)
+        return orig(alpha, f, x, y)
+
+    orig, nodes = dunklcore._translate_quadrature, dunklcore.TRANSLATE_NODES
+    monkeypatch.setattr(dunklcore, "_translate_quadrature", count)
+    translate_many(al, g, np.linspace(0.1, 3.0, 351), 0.7)
+    assert quad == [351]
+    assert calls == [2 * 351 * nodes]       # +-z per node
     calls.clear()
     convolve(al, CUBIC, g, np.linspace(-2.0, 2.0, 7))
     assert calls == [2 * NORM_NODES]
