@@ -194,9 +194,7 @@ def _translate_closed(alpha: AlphaParam, f: GaussPolyFunction, x, y,
             if C[..., i].any():
                 key = (a, i, s, ux.tobytes(), uy.tobytes()) if grid else None
                 v = _FACTORS.pop(key, None)     # put back as the newest
-                if v is None and live.all():
-                    v = c * _scaled_j(a + i, w)
-                elif v is None:
+                if v is None:
                     v = np.zeros(w.size)
                     v[live] = c[live] * _scaled_j(a + i, w[live])
                 if grid and v.size <= _FACTOR_CELLS:
