@@ -9,7 +9,7 @@ from dunkl_lab import besov as B, dunklcore, quad
 from dunkl_lab import verify
 from dunkl_lab.special import AlphaParam
 from dunkl_lab.funcalg import (GaussPolyFunction, hermite_phi, dilate,
-                               dunkl_power, lambda_basis, lambda_coeffs)
+                               dunkl_power)
 from dunkl_lab.quad import (LpContext, lp_norm, lp_norm_from_nodes,
                             norm_node_values)
 from dunkl_lab.dunklcore import convolve
@@ -21,7 +21,8 @@ from dunkl_lab.besov import (KINDS, BesovParams, BesovSamples,
                              conv_profile, conv_norm,
                              seminorm_from_samples, slope_estimate,
                              equivalence_report)
-from test_taylor import theta_table
+
+import oracles
 
 AL = AlphaParam(0.5)
 GAUSS = GaussPolyFunction((1.0,), 1.0)
@@ -124,23 +125,26 @@ def test_conv_profile_matches_direct_convolution():
         conv_profile(AL, 2, GAUSS, 0.0)
 
 
-def _exact_conv(al, k, f, t):
-    """f * phi_t in closed form: with c = lambda_coeffs(f) and
-    sigma = s / (1 + s t^2), f * phi_t = t^(2 n0) (2(1 + s t^2))^-(a+1)
-    L^(2 n0) sum_j c_j L^j e^{-sigma .^2}, phi = L^(2 n0) e^{-.^2}."""
-    n0, s, a = (k - 1) // 2 + 1, f.gauss_scale, al.alpha
-    sigma = s / (1.0 + s * t * t)
-    c = lambda_coeffs(a, f)
-    g = GaussPolyFunction(tuple(c @ lambda_basis(a, sigma, c.size)), sigma)
-    pref = t ** (2 * n0) * (2.0 * (1.0 + s * t * t)) ** -(a + 1.0)
-    h = dunkl_power(a, g, 2 * n0)
-    return GaussPolyFunction(tuple(pref * v for v in h.coeffs), h.gauss_scale)
+def _exact_conv(mp, a, k, f, t, us):
+    """f * phi_t at us in mpmath: with f's Lambda-coordinates c and sigma =
+    s / (1 + s t^2), f * phi_t = t^(2 n0) (2(1 + s t^2))^-(a+1) sum_j c_j
+    L^(j + 2 n0) e^{-sigma .^2}, phi = L^(2 n0) e^{-.^2}."""
+    n0, s, t = (k - 1) // 2 + 1, mp.mpf(f.gauss_scale), mp.mpf(t)
+    sigma = s / (1 + s * t * t)
+    c = [0] * (2 * n0) + oracles.lambda_coords(mp, a, f)
+    pref = t ** (2 * n0) * (2 * (1 + s * t * t)) ** -(mp.mpf(a) + 1)
+    P = oracles.lambda_poly(mp, a, sigma, c)[::-1]
+    return np.array([pref * mp.polyval(P, u) * mp.exp(-sigma * u * u)
+                     for u in map(mp.mpf, us)], dtype=float)
 
 
 def _conv_error(alpha, k, f, t):
-    """conv_profile's largest error on [-6, 6] relative to max |f * phi_t|."""
+    """conv_profile's largest error on [-6, 6] relative to max |f * phi_t|,
+    against 40 digits."""
+    mp = pytest.importorskip("mpmath")
     al, us = AlphaParam(alpha), np.linspace(-6.0, 6.0, 25)
-    exact = _exact_conv(al, k, f, t)(us)
+    with mp.workdps(40):
+        exact = _exact_conv(mp, alpha, k, f, t, us)
     got = conv_profile(al, k, f, t)(us)
     return np.max(np.abs(got - exact)) / np.max(np.abs(exact))
 
@@ -488,7 +492,7 @@ def test_theta_weighted_integral_evaluates_h_once_per_node_count():
 
     _theta_weighted_integral(al, 2, x, h)
     terms = {(sp, e, j) for v in (1.0, -1.0)
-             for _, sp, e, j in theta_table(al.alpha, 2, v)}
+             for _, sp, e, j in oracles.theta_table(al.alpha, 2, v)}
     assert len(terms) > 1
     assert all(not j and (e + al.weight_exp) in range(7) for _, e, j in terms)
     assert shapes == [((3, 1, 2 * n), [0, 1, 2]), ((1, 1, 4 * n), [3])]

@@ -14,6 +14,8 @@ from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _bessel_tables,
 from dunkl_lab.taylor import symmetric_remainder_profile
 from dunkl_lab.verify import CATALOG
 
+import oracles
+
 # (nu, w, n_nu(w)): both sides of every band edge, and w up to 8e4; made
 # once with mpmath 1.3 at 30 digits (w is the exact binary value shown):
 #   from mpmath import mp, mpf, gamma, besseli, exp
@@ -97,9 +99,8 @@ def test_low_orders_match_mpmath(nu):
     w = np.unique(edges + [math.nextafter(e, 0.0) for e in edges]
                   + np.geomspace(1e-6, 8e4, 61).tolist())
     with mp.workdps(40):
-        n = lambda v: (mp.gamma(nu + 1) * (2 / v) ** nu * mp.besseli(nu, v)
-                       * mp.exp(-v))
-        ref = np.array([float(n(mp.mpf(v))) for v in w.tolist()])
+        ref = np.array([float(oracles.scaled_j(mp, nu, v))
+                        for v in w.tolist()])
     np.testing.assert_allclose(_scaled_j(nu, w), ref, rtol=4e-15, atol=0.0)
 
 
@@ -165,9 +166,8 @@ def test_large_orders_match_mpmath(nu):
                   + [math.nextafter(e, math.inf) for e in edges]
                   + np.geomspace(1e-6, 8e4, 61).tolist() + [3e5, 1e6, 3e6])
     with mp.workdps(40):
-        n = lambda v: (mp.gamma(nu + 1) * (2 / v) ** nu * mp.besseli(nu, v)
-                       * mp.exp(-v))
-        ref = np.array([float(n(mp.mpf(v))) for v in w.tolist()])
+        ref = np.array([float(oracles.scaled_j(mp, nu, v))
+                        for v in w.tolist()])
     keep = ref >= 1e-290
     assert keep.sum() >= 40
     np.testing.assert_allclose(_scaled_j(nu, w)[keep], ref[keep], rtol=5e-14,

@@ -23,7 +23,8 @@ from dunkl_lab.quad import _jacobi_ref, _norm_rules, kept_terms, rowdot
 from dunkl_lab.special import (AlphaParam, _as_alpha, _debye_coeffs,
                                _scaled_j, dunkl_kernel, dunkl_kernel_it)
 from dunkl_lab.verify import DEFAULT_ALPHAS, TEST_FUNCTIONS
-from test_numpy_kernels import MATRIX_RULES
+
+from oracles import MATRIX_RULES
 
 
 def _same_bits(new, old):

@@ -14,6 +14,8 @@ from dunkl_lab.dunklcore import translate_many
 from dunkl_lab.funcalg import GaussPolyFunction
 from dunkl_lab.special import AlphaParam
 
+import oracles
+
 
 def run(args):
     return main(list(args))
@@ -396,10 +398,22 @@ def _run_record(tmp_path, command, record):
         [] if command == "taylor" else ["--out-dir", str(tmp_path / "out")]))
 
 
+def _assert_refused(tmp_path, capsys, status, message):
+    """Exit 2, nothing on stdout, one stderr line with message and no out
+    dir."""
+    assert status == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_huge_scale_translate_is_exact(tmp_path, capsys, status):
     # the one bad record with finite output: at s = 1e300 the closed form
     # G [n_a - w n_(a+1) / (2(a+1))] stays finite, and translate writes
-    # tau_x f within 1e-15 max|f| of e^(-s(x^2+y^2)) E_a(-2sxy) at 50 digits
+    # tau_x f within 1e-15 max|f| of e^(-s(x^2+y^2)) E_a(-2sxy) at 50 digits,
+    # that is G [n_a(w) - sgn(xy) w n_(a+1)(w) / (2(a+1))], w = 2s|xy| and
+    # G = e^(-s(|x| - |y|)^2)
     mpmath = pytest.importorskip("mpmath")
     assert status == 0
     out, err = capsys.readouterr()
@@ -409,19 +423,17 @@ def _assert_huge_scale_translate_is_exact(tmp_path, capsys, status):
     cfg = RunConfig()
     with mpmath.workdps(50):
         a, x, s = (mpmath.mpf(v) for v in (cfg.alpha, cfg.x, 1e300))
-        jn = lambda nu, w: (mpmath.gamma(nu + 1) * (w / 2) ** -nu
-                            * mpmath.besseli(nu, w))
+        n = lambda nu, w: oracles.scaled_j(mpmath, nu, w)
         ref = []
         for y in map(mpmath.mpf, ys.tolist()):
             w = 2 * s * abs(x * y)
-            # as 0 < e^(-w) j_nu(iw) <= 1, |tau| <= G (1 + w / (2(a+1))),
-            # G = e^(-s(|x| - |y|)^2): below 1e-300 it is 0 to the tolerance
-            bound = mpmath.exp(-s * (abs(x) - abs(y)) ** 2) * (1 + w)
-            ref.append(0.0 if w and bound < 1e-300 else float(
+            g = mpmath.exp(-s * (abs(x) - abs(y)) ** 2)
+            # as 0 < n_nu(w) <= 1, |tau| <= G (1 + w / (2(a+1))): below
+            # 1e-300 it is 0 to the tolerance
+            ref.append(0.0 if w and g * (1 + w) < 1e-300 else float(
                 mpmath.exp(-s * (x + y) ** 2) if w == 0 else
-                mpmath.exp(-s * (x * x + y * y)) * (
-                    jn(a, w) - mpmath.sign(x * y) * w / (2 * (a + 1))
-                    * jn(a + 1, w))))
+                g * (n(a, w) - mpmath.sign(x * y) * w / (2 * (a + 1))
+                     * n(a + 1, w))))
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)   # max|f| = 1
 
@@ -435,11 +447,7 @@ def test_bad_function_records_exit_2(tmp_path, capsys, command, record,
     status = _run_record(tmp_path, command, record)
     if (record, command) == (BAD_RECORDS["huge-scale"][0], "translate"):
         return _assert_huge_scale_translate_is_exact(tmp_path, capsys, status)
-    assert status == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1
-    assert message in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    _assert_refused(tmp_path, capsys, status, message)
 
 
 @pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
@@ -452,11 +460,7 @@ def test_non_finite_results_are_neither_written_nor_printed(
         status = _run_record(tmp_path, command, BAD_RECORDS[name][0])
     if (name, command) == ("huge-scale", "translate"):
         return _assert_huge_scale_translate_is_exact(tmp_path, capsys, status)
-    assert status == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1
-    assert "non-finite value" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    _assert_refused(tmp_path, capsys, status, "non-finite value")
 
 
 @pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
@@ -470,10 +474,7 @@ def test_huge_gauss_scale_prints_one_line(tmp_path, capsys, command):
     assert [str(w.message) for w in seen] == []
     if command == "translate":
         return _assert_huge_scale_translate_is_exact(tmp_path, capsys, status)
-    assert status == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1
-    assert "numerical error" in err
+    _assert_refused(tmp_path, capsys, status, "numerical error")
 
 
 @pytest.mark.parametrize("command", ["taylor", "translate", "besov", "sweep"])
@@ -483,11 +484,8 @@ def test_huge_coeffs_print_one_line(tmp_path, capsys, command):
     # command's own line reports it
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert _run_record(tmp_path, command,
-                           BAD_RECORDS["huge-coeffs"][0]) == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1
-    assert "numerical error" in err
+        status = _run_record(tmp_path, command, BAD_RECORDS["huge-coeffs"][0])
+    _assert_refused(tmp_path, capsys, status, "numerical error")
     assert [str(w.message) for w in seen] == []
 
 
@@ -501,12 +499,8 @@ def test_cancelling_coordinates_print_one_line(tmp_path, capsys, command,
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action, RuntimeWarning)
         status = _run_record(tmp_path, command, BAD_RECORDS[name][0])
-    assert status == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1
-    assert "kappa = " in err and "Traceback" not in err
+    _assert_refused(tmp_path, capsys, status, "kappa = ")
     assert [str(w.message) for w in seen] == []
-    assert not (tmp_path / "out").exists()
 
 
 def test_translate_at_a_small_width_matches_the_quadrature_route(tmp_path):

@@ -5,12 +5,14 @@ import pytest
 
 from dunkl_lab import quad
 from dunkl_lab.special import AlphaParam
-from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi, lambda_coeffs
+from dunkl_lab.funcalg import GaussPolyFunction, hermite_phi
 from dunkl_lab.quad import NORM_NODES, LpContext, lp_norm
 from dunkl_lab.dunklcore import (w_total_variation, translate,
                                  translate_many, convolve, dunkl_transform,
                                  translate_convolution_commutes,
                                  product_formula_residual)
+
+import oracles
 
 AL = AlphaParam(0.5)
 GAUSS = GaussPolyFunction((1.0,), 1.0)
@@ -18,11 +20,6 @@ SQRT2 = math.sqrt(2.0)
 
 
 # -- the translation density, the oracle of the tests below --------------------
-
-def _w_const(a: float) -> float:
-    return math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
-                                       * math.gamma(a + 0.5))
-
 
 def w_kernel(alpha: AlphaParam, x: float, y: float, z):
     """Density W_a(x, y, z) of the translation measure; zero off-support.
@@ -46,7 +43,7 @@ def w_kernel(alpha: AlphaParam, x: float, y: float, z):
             bzyx = np.where(zz != 0.0, (zz * zz + y * y - x * x) / (2.0 * zz * y), 0.0)
             delta = ((hi * hi - zz * zz) * (zz * zz - lo * lo)) ** (a - 0.5) \
                 / np.abs(x * y * zz) ** (2.0 * a)
-        vals = _w_const(a) * (1.0 - bxyz + bzxy + bzyx) * delta
+        vals = oracles.w_const(a) * (1.0 - bxyz + bzxy + bzyx) * delta
         np.place(out, np.atleast_1d(inside), vals)
     return out if np.ndim(z) else float(out[0])
 
@@ -339,11 +336,16 @@ def test_closed_form_convolution_transform_is_the_product(alpha):
 
 
 def _transform_exact(al, f, xi):
-    """F_a(f)(xi) in closed form: f = sum_j c_j L^j e^{-s.^2} has the
+    """F_a(f)(xi) at 40 digits: f = sum_j c_j L^j e^{-s.^2} has the
     transform (2s)^-(a+1) e^{-xi^2/(4s)} sum_j c_j (i xi)^j."""
-    s, c = f.gauss_scale, lambda_coeffs(al.alpha, f)
-    return (np.polyval(c[::-1], 1j * xi) * (2.0 * s) ** -(al.alpha + 1.0)
-            * np.exp(-xi ** 2 / (4.0 * s)))
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s, c = mp.mpf(f.gauss_scale), oracles.lambda_coords(mp, al.alpha, f)
+        one = lambda v: complex(
+            mp.polyval(c[::-1], mp.mpc(0, v)) * (2 * s) ** -(al.alpha + 1)
+            * mp.exp(-mp.mpf(v) ** 2 / (4 * s)))
+        return np.array([one(v) for v in np.ravel(xi).tolist()]).reshape(
+            np.shape(xi))
 
 
 @pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
@@ -370,7 +372,7 @@ def test_array_xi_transform_equals_scalar_calls_bitwise(alpha, monkeypatch):
         assert len(kernel_calls) == 1
         if f is conv:
             assert calls == [(2 * NORM_NODES,)]   # f once, on y and -y
-        # within 1e-14 of the closed form (6.2e-16 off at most here); the
+        # within 1e-14 of the closed form (5.4e-16 off at most here); the
         # convolution's is the product of its factors' closed forms
         ref = (_transform_exact(al, GAUSS, xis) * _transform_exact(al, g, xis)
                if f is conv else _transform_exact(al, f, xis))

@@ -18,7 +18,8 @@ from dunkl_lab.quad import (QuadratureError, _jacobi_ref, integrate,
                             jacobi_rule)
 from dunkl_lab.special import (AlphaParam, _BESSEL_EDGES, _j_pair,
                                dunkl_kernel)
-from test_taylor import theta_table
+
+from oracles import MATRIX_RULES, theta_table, w_const
 
 mp = pytest.importorskip("mpmath")
 
@@ -33,17 +34,6 @@ def test_import_loads_no_scipy():
 
 # -- Gauss-Jacobi rules --------------------------------------------------------
 
-# every (n, exp_a, exp_b) that verify and the benchmark
-# workloads request, and the sizes 120 and 200 beyond them
-MATRIX_RULES = (
-    [(32, e, 0.0) for e in (0.0, 0.5, 2.0, 4.0)]
-    + [(40, e, 0.0) for e in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
-                              5.0, 6.0, 7.0, 8.0, 11.0)]
-    + [(48, e, e) for e in (-0.75, 0.0, 1.0)]
-    + [(n, e, 0.0) for n in (80, 120, 200) for e in (0.5, 2.0, 4.0)]
-    + [(160, e, 0.0) for e in (0.5, 1.0, 2.0, 3.0, 4.0)])
-
-
 @pytest.mark.parametrize("n,ea,eb", MATRIX_RULES)
 def test_jacobi_rule_matches_roots_jacobi(n, ea, eb):
     x, w = _jacobi_ref(n, ea, eb)
@@ -56,18 +46,18 @@ def test_jacobi_rule_matches_roots_jacobi(n, ea, eb):
 def _mp_jacobi_rule(n, e, x0):
     """30-digit Gauss rule for (1 - x^2)^e: Newton on P_n^(e,e) from x0,
     weights Gamma(n+e+1)^2 2^(2e+1) / (Gamma(n+2e+1) n! (1-x^2) P_n'^2)."""
-    mp.mp.dps = 30
-    e = mp.mpf(e)
-    dp = lambda x: (n + 2 * e + 1) / 2 * mp.jacobi(n - 1, e + 1, e + 1, x)
-    xs, ws = [], []
-    for v in x0:
-        x = mp.mpf(v)
-        for _ in range(3):
-            x -= mp.jacobi(n, e, e, x) / dp(x)
-        xs.append(float(x))
-        ws.append(float(mp.gamma(n + e + 1) ** 2 * 2 ** (2 * e + 1)
-                        / (mp.gamma(n + 2 * e + 1) * mp.factorial(n)
-                           * (1 - x * x) * dp(x) ** 2)))
+    with mp.workdps(30):
+        e = mp.mpf(e)
+        dp = lambda x: (n + 2 * e + 1) / 2 * mp.jacobi(n - 1, e + 1, e + 1, x)
+        xs, ws = [], []
+        for v in x0:
+            x = mp.mpf(v)
+            for _ in range(3):
+                x -= mp.jacobi(n, e, e, x) / dp(x)
+            xs.append(float(x))
+            ws.append(float(mp.gamma(n + e + 1) ** 2 * 2 ** (2 * e + 1)
+                            / (mp.gamma(n + 2 * e + 1) * mp.factorial(n)
+                               * (1 - x * x) * dp(x) ** 2)))
     return np.array(xs), np.array(ws)
 
 
@@ -97,7 +87,8 @@ def test_jacobi_rule_exact_to_degree_2n_minus_1(n, ea, eb):
         x, w = _jacobi_ref(n, ea, eb)
         z, w = 0.5 + 0.5 * x, w * 0.5 ** (ea + eb + 1.0)
     for j in sorted({0, 1, n // 2, n, 2 * n - 2, 2 * n - 1}):
-        ref = float(mp.beta(j + ea + 1, eb + 1))
+        with mp.workdps(30):
+            ref = float(mp.beta(j + ea + 1, eb + 1))
         assert np.dot(w, z ** j) == pytest.approx(ref, rel=2e-13)
 
 
@@ -115,9 +106,9 @@ BESSEL_TOL = {-0.5: 4.5e-16, -0.25: 1e-15, 0.5: 4.5e-16, 0.75: 4.5e-16,
 
 @pytest.mark.parametrize("nu", sorted(BESSEL_TOL))
 def test_bessel_j_against_30_digit_values(nu):
-    mp.mp.dps = 30
-    ref = [float(mp.gamma(nu + 1) * (2 / mp.mpf(z)) ** nu * mp.besselj(nu, z))
-           for z in BESSEL_Z]
+    with mp.workdps(30):
+        ref = [float(mp.gamma(nu + 1) * (2 / mp.mpf(z)) ** nu
+                     * mp.besselj(nu, z)) for z in BESSEL_Z]
     z = np.array(BESSEL_Z)
     np.testing.assert_allclose(_j_pair(nu, z)[0], ref, rtol=0.0,
                                atol=BESSEL_TOL[nu])
@@ -178,10 +169,7 @@ GRID6 = (0.2, 0.5, 0.9, 1.3, 2.0, 3.1)
 def test_total_variation_matches_quadpack_and_closed_form(a):
     al = AlphaParam(a)
     e = a - 0.5
-    # the translation density's constant, as in test_dunklcore's oracle
-    w_const = math.gamma(a + 1.0) ** 2 / (2.0 ** (a - 1.0) * math.sqrt(math.pi)
-                                          * math.gamma(a + 0.5))
-    const = w_const * 2.0 ** (2.0 * a) / (2.0 * al.norm_const)
+    const = w_const(a) * 2.0 ** (2.0 * a) / (2.0 * al.norm_const)
     for x in GRID6:
         for y in GRID6:
             tv = w_total_variation(al, x, y)
@@ -199,9 +187,9 @@ def test_total_variation_matches_quadpack_and_closed_form(a):
                 # x = y: |W| integrates to 2 sqrt2 int_0^2 s^(e+1/2) (2-s)^e
                 # ds; QUADPACK's alg weight misses it by 3.6e-10 at a = -0.25
                 # and by 3.1e-11 at a = 1.5
-                mp.mp.dps = 30
-                ref = (2 * mp.sqrt(2) * 2 ** (2 * e + 1.5)
-                       * mp.beta(e + 1.5, e + 1))
+                with mp.workdps(30):
+                    ref = (2 * mp.sqrt(2) * 2 ** (2 * e + 1.5)
+                           * mp.beta(e + 1.5, e + 1))
                 assert tv == pytest.approx(const * float(ref), rel=2e-12)
 
 

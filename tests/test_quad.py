@@ -151,9 +151,10 @@ def test_truncation_at_norm_t_drops_at_most_1e_20(alpha, p):
     for name, f in CATALOG.items():
         c, d, s = sum(map(abs, f.coeffs)), len(f.coeffs) - 1, f.gauss_scale
         m = d * p + 2.0 * alpha + 2.0
-        bound = (mp.mpf(c) ** p * mp.mpf(p * s) ** (-m / 2.0)
-                 * mp.gammainc(m / 2.0, p * s * t * t)
-                 / (2.0 ** (alpha + 1.0) * mp.gamma(alpha + 1.0)))
+        with mp.workdps(30):
+            bound = (mp.mpf(c) ** p * mp.mpf(p * s) ** (-m / 2.0)
+                     * mp.gammainc(m / 2.0, p * s * t * t)
+                     / (2.0 ** (alpha + 1.0) * mp.gamma(alpha + 1.0)))
         assert bound <= 1e-20 * lp_norm(LpContext(al, p), f) ** p, name
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from dunkl_lab.taylor import (b_coeff, _eval_terms, _theta_terms,
                               symmetric_remainder_profile,
                               remainder_norm_coeff,
                               remainder_norm_coeff_same_order)
+
+import oracles
 
 AL = AlphaParam(0.5)
 F = GaussPolyFunction((1.0, 0.5, 0.0, 0.2), 1.0)
@@ -57,20 +60,15 @@ def test_b_coeff_dunkl_ladder():
         np.testing.assert_allclose(lb(xs), b_coeff(AL, p, xs), rtol=1e-12)
 
 
-def theta_table(a, k, sign):
-    """Term table of Theta_k(sign, .), sign = +-1, from the library's one of
-    Theta_k(1, .): Theta_k(-1, t) = (-1)^(k+1) Theta_k(1, -t)."""
-    return tuple((c * (-1) ** (k + 1 + sp) if sign < 0.0 else c, sp, e, j)
-                 for c, sp, e, j in _theta_terms(a, k))
-
-
 def _theta(a, k, x, y):
     """Theta_k(x, y) = |x|^(k-2a-1) Theta_k(sgn x, y/|x|) from the table on
     the unit interval."""
     ax = abs(x)
     return ax ** (k - 2.0 * a - 1.0) * _eval_terms(
-        theta_table(a, k, math.copysign(1.0, x)), y / ax)
+        oracles.theta_table(a, k, math.copysign(1.0, x)), y / ax)
 
+
+LARGE_X = (20.0, np.linspace(-22.0, 22.0, 23))     # x and a at |x| = 20
 
 # pairs (x, y) at |x| of order one, small and large
 THETA_POINTS = [(1.4, 0.6), (1.4, -0.6), (-2.0, 1.1), (1e-3, 4e-4),
@@ -164,7 +162,8 @@ def _per_term_integral(al, order, x, h, s):
     ax = abs(x)
     n = 40 * min(max(math.ceil(ax * math.sqrt(max(s, 1.0)) / 4.0), 1), 10)
     total = 0.0
-    for c, sp, e, j in theta_table(al.alpha, order, math.copysign(1.0, x)):
+    sign = math.copysign(1.0, x)
+    for c, sp, e, j in oracles.theta_table(al.alpha, order, sign):
         ee = e + al.weight_exp
         if j:
             u, w = quad.jacobi_rule(n, 3.0 * ee + 2.0, 0.0, 1.0)
@@ -212,126 +211,76 @@ def test_theta_rows_of_either_sign_equal_one_row_calls_bitwise(alpha):
             assert got.tobytes() == np.array(one).tobytes(), (order, x)
 
 
+def _recurrence_gaps(alphas, xs, us, fs=tuple(dict(TEST_FUNCTIONS).values())):
+    """(alpha, f, k, gap) for k = 1, 2, 3: the largest gap of the integral
+    remainder to the recurrence form, relative to 1 + |tau|."""
+    for alpha, f in itertools.product(alphas, fs):
+        al = AlphaParam(alpha)
+        tau = translate_many(al, f, xs, us)
+        for k in (1, 2, 3):
+            gap = (remainder(al, k, f, xs, us)
+                   - remainder_profile(al, k, f, xs)(us, tau=tau))
+            yield alpha, f, k, np.max(np.abs(gap) / (1.0 + np.abs(tau)))
+
+
 def test_remainder_at_small_a_matches_recurrence():
     # y |-> tau_y f(a) is analytic, with no kink at |y| = |a|: one rule per
     # Theta term on (0, |x|) keeps the integral form on the recurrence form
     # as a -> 0 (a split at |a| was off by up to 1.3e-4 here)
     xs = np.array([[0.3], [1.0], [2.0]])
     us = np.array([1e-9, 1e-6, 1e-4, 1e-3, 1e-2])
-    for alpha in (-0.25, 0.0, 0.5):
-        al = AlphaParam(alpha)
-        for name, f in TEST_FUNCTIONS:
-            tau = translate_many(al, f, xs, us)
-            for k in (1, 2, 3):
-                gap = (remainder(al, k, f, xs, us)
-                       - remainder_profile(al, k, f, xs)(us, tau=tau))
-                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-12, \
-                    (alpha, name, k)
+    for *case, gap in _recurrence_gaps((-0.25, 0.0, 0.5), xs, us):
+        assert gap <= 1e-12, case
 
 
 def test_remainder_at_large_x_matches_recurrence():
     # the catalog's translates vary on a scale of one: at |x| = 20 the rules
     # take 200 nodes (40 left the remainder off by 6 relative to 1+|tau|)
-    xs, us = 20.0, np.linspace(-22.0, 22.0, 23)
-    for alpha in (-0.25, 0.0, 0.5, 1.5):
-        al = AlphaParam(alpha)
-        for name, f in TEST_FUNCTIONS:
-            tau = translate_many(al, f, xs, us)
-            for k in (1, 2, 3):
-                gap = (remainder(al, k, f, xs, us)
-                       - remainder_profile(al, k, f, xs)(us, tau=tau))
-                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-4, \
-                    (alpha, name, k)
+    for *case, gap in _recurrence_gaps((-0.25, 0.0, 0.5, 1.5), *LARGE_X):
+        assert gap <= 1e-4, case
 
 
 @pytest.mark.xfail(strict=True, reason="the integral remainder drifts at "
                    "large |x|, by up to 7e-6 relative to 1+|tau| at |x| = 20")
 def test_remainder_at_large_x_matches_recurrence_to_1e_9():
     # the same cases as above at the accuracy reached for |x| <= 2
-    xs, us = 20.0, np.linspace(-22.0, 22.0, 23)
-    for alpha in (-0.25, 0.0, 0.5, 1.5):
-        al = AlphaParam(alpha)
-        for name, f in TEST_FUNCTIONS:
-            tau = translate_many(al, f, xs, us)
-            for k in (1, 2, 3):
-                gap = (remainder(al, k, f, xs, us)
-                       - remainder_profile(al, k, f, xs)(us, tau=tau))
-                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-9, \
-                    (alpha, name, k)
+    for *case, gap in _recurrence_gaps((-0.25, 0.0, 0.5, 1.5), *LARGE_X):
+        assert gap <= 1e-9, case
 
 
 def test_remainder_of_a_narrow_gaussian_matches_recurrence():
     # tau_y f(a) for f = p(y) e^(-s y^2) varies on the length 1/sqrt(s): at
     # s = 25 and |x| = 4 the rules take 200 nodes, as at s = 1 and |x| = 20
     # (40 nodes left the remainder off by 1.0 relative to 1+|tau|)
+    fs = [GaussPolyFunction(c, 25.0) for c in ((1.0,), (0.0, 1.0),
+                                               (1.0, 0.5, 0.0, 0.2))]
     xs, us = np.array([[-4.0], [4.0]]), np.linspace(-4.4, 4.4, 23)
-    for alpha in (-0.25, 0.0, 0.5, 1.5):
-        al = AlphaParam(alpha)
-        for coeffs in ((1.0,), (0.0, 1.0), (1.0, 0.5, 0.0, 0.2)):
-            f = GaussPolyFunction(coeffs, 25.0)
-            tau = translate_many(al, f, xs, us)
-            for k in (1, 2, 3):
-                gap = (remainder(al, k, f, xs, us)
-                       - remainder_profile(al, k, f, xs)(us, tau=tau))
-                assert np.max(np.abs(gap) / (1.0 + np.abs(tau))) <= 1e-6, \
-                    (alpha, coeffs, k)
-
-
-def _tau_closed_form(mp, alpha, f, x, a):
-    """tau_x f(a) for f = sum_m c_m y^m e^(-s y^2), m <= 3, in mpmath, from
-    the Gaussian's tau_x e^(-s y^2)(a) = e^(-s(x^2+a^2)) E(-2 s x a) with
-    E(z) = 0F1(alpha+1; z^2/4) + z/(2(alpha+1)) 0F1(alpha+2; z^2/4), the
-    Dunkl kernel (Rosler, Comm. Math. Phys. 192, 1998): tau_x commutes with
-    the Dunkl operator T and with d/ds, y e^(-s y^2) = -T e^(-s y^2) / (2s)
-    and y^2 e^(-s y^2) = -d/ds e^(-s y^2)."""
-    al, s, x, a = (mp.mpf(v) for v in (alpha, f.gauss_scale, x, a))
-    F = lambda b, z: mp.hyp0f1(b, z * z / 4)
-    E = lambda z: F(al + 1, z) + z / (2 * (al + 1)) * F(al + 2, z)
-    dE = lambda z: ((1 + z) / (2 * (al + 1)) * F(al + 2, z)
-                    + z * z / (4 * (al + 1) * (al + 2)) * F(al + 3, z))
-    G = lambda t: mp.exp(-s * (x * x + t * t)) * E(-2 * s * x * t)
-    Gs = lambda t: (-(x * x + t * t) * G(t) + mp.exp(-s * (x * x + t * t))
-                    * (-2 * x * t) * dE(-2 * s * x * t))
-
-    def T(h):
-        if a == 0:
-            return (2 * al + 2) * mp.diff(h, a)
-        return mp.diff(h, a) + (al + mp.mpf(0.5)) * (h(a) - h(-a)) / a
-
-    tg = T(G)
-    moments = (G(a), -tg / (2 * s), -Gs(a), -tg / (2 * s * s) + T(Gs) / (2 * s))
-    return mp.fsum(c * m for c, m in zip(f.coeffs, moments))
+    for *case, gap in _recurrence_gaps((-0.25, 0.0, 0.5, 1.5), xs, us, fs):
+        assert gap <= 1e-6, case
 
 
 def test_remainder_against_closed_form():
     # R_k(x, f)(a) = tau_x f(a) - sum_{p<k} b_p(x) L^p f(a) at 40 digits, at
     # verify's pairs and three with small a
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        for alpha in (-0.25, 0.0, 0.5, 1.0, 1.5):
-            _check_remainder_against_closed_form(mp, alpha)
-
-
-def _check_remainder_against_closed_form(mp, alpha):
-    al = AlphaParam(alpha)
     pairs = list(TAYLOR_PAIRS) + [(0.3, 1e-6), (2.0, 1e-6), (2.0, 0.01)]
     xs, us = np.transpose(pairs)
-    for name, f in TEST_FUNCTIONS:
-        tau = [_tau_closed_form(mp, alpha, f, x, a) for x, a in pairs]
-        assert np.max(np.abs(np.array(tau, dtype=float)
-                             - translate_many(al, f, xs, us))) < 1e-13
-        for k in (1, 2, 3):
-            got = remainder(al, k, f, xs, us)
-            for (x, a), t, g in zip(pairs, tau, got.tolist()):
-                ref = t
-                for p in range(k):
-                    m, odd = divmod(p, 2)
-                    bp = ((mp.mpf(x) / 2) ** p
-                          / (mp.rf(mp.mpf(alpha) + 1, m + odd) * mp.factorial(m)))
-                    lpf = dunkl_power(al, f, p)
-                    ref -= bp * mp.exp(-lpf.gauss_scale * mp.mpf(a) ** 2) \
-                        * mp.polyval(lpf.coeffs[::-1], mp.mpf(a))
-                assert abs(g - ref) <= 2e-13 * (1 + abs(t)), (name, k, x, a)
+    for alpha, (name, f) in itertools.product(
+            (-0.25, 0.0, 0.5, 1.0, 1.5), TEST_FUNCTIONS):
+        al = AlphaParam(alpha)
+        with mp.workdps(40):
+            tau = [oracles.tau(mp, alpha, f, x, [a])[0] for x, a in pairs]
+            assert np.max(np.abs(np.array(tau, dtype=float)
+                                 - translate_many(al, f, xs, us))) < 1e-13
+            for k in (1, 2, 3):
+                got = remainder(al, k, f, xs, us)
+                for (x, a), t, g in zip(pairs, tau, got.tolist()):
+                    ref = t - mp.fsum(
+                        oracles.b_coeff(mp, alpha, p, x)
+                        * oracles.dunkl_power(mp, alpha, f, p, a)
+                        for p in range(k))
+                    assert abs(g - ref) <= 2e-13 * (1 + abs(t)), (
+                        name, k, x, a)
 
 
 def test_theta_mass_against_coefficient_bound():
@@ -527,9 +476,9 @@ def test_order_zero_profiles_are_translates():
         for f in (F, cubic):
             got = symmetric_remainder_profile(al, 0, f, xs)(us)
             with mp.workdps(40):
-                ref = np.array([[float(_tau_closed_form(mp, alpha, f, x, u)
-                                       + _tau_closed_form(mp, alpha, f, -x, u))
-                                 for u in us] for x in xs[:, 0]])
+                ref = np.array([[float(p + m) for p, m in zip(
+                    oracles.tau(mp, alpha, f, x, us),
+                    oracles.tau(mp, alpha, f, -x, us))] for x in xs[:, 0]])
             assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-14
             # the point masses: 2 f(u) at x = 0, f(x) + f(-x) at u = 0
             prof = symmetric_remainder_profile(al, 0, f, np.array([[0.0], [1.3]]))
@@ -539,21 +488,6 @@ def test_order_zero_profiles_are_translates():
         assert symmetric_remainder_profile(al, 0, poly, xs)(us).tolist() == (
             translate_many(al, poly, xs, us)
             + translate_many(al, poly, -xs, us)).tolist()
-
-
-def _mp_power(mp, alpha, f, p, u):
-    """L^p f(u) in mpmath, from the exact coefficients of L^p on P e^{-s.^2}:
-    y^i -> i y^(i-1) - 2s y^(i+1) + [i odd] (2a+1) y^(i-1)."""
-    a, s = mp.mpf(alpha), mp.mpf(f.gauss_scale)
-    c = [mp.mpf(v) for v in f.coeffs]
-    for _ in range(p):
-        out = [mp.mpf(0)] * (len(c) + 1)
-        for i, v in enumerate(c):
-            out[i + 1] -= 2 * s * v
-            if i:
-                out[i - 1] += (i + (2 * a + 1) * (i % 2)) * v
-        c = out
-    return mp.polyval(c[::-1], mp.mpf(u)) * mp.exp(-s * mp.mpf(u) ** 2)
 
 
 def test_small_x_profiles_match_50_digit_translates():
@@ -569,13 +503,10 @@ def test_small_x_profiles_match_50_digit_translates():
             for x in (1e-3, 1e-2, taylor.X_S):
                 assert taylor.series_rows(1, f, x)
                 with mp.workdps(50):
-                    tau = [[_tau_closed_form(mp, alpha, f, v, u) for u in us]
-                           for v in (x, -x)]
-                    powers = [[_mp_power(mp, alpha, f, p, u) for u in us]
-                              for p in range(4)]
-                    b = [(mp.mpf(x) / 2) ** p / (mp.rf(alpha + 1, (p + 1) // 2)
-                                                 * mp.factorial(p // 2))
-                         for p in range(4)]
+                    tau = [oracles.tau(mp, alpha, f, v, us) for v in (x, -x)]
+                    powers = [[oracles.dunkl_power(mp, alpha, f, p, u)
+                               for u in us] for p in range(4)]
+                    b = [oracles.b_coeff(mp, alpha, p, x) for p in range(4)]
                 for k in (1, 2, 3, 4):
                     for step, profile in ((1, remainder_profile),
                                           (2, symmetric_remainder_profile)):

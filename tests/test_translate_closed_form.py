@@ -1,10 +1,11 @@
 """The closed-form translation of the polynomial x Gaussian algebra against
-50-digit mpmath (40 digits for alpha from 17 to 150 and |x|, |y| up to 100)
-and the Gauss-Jacobi quadrature path, the batched Taylor and
-convolution loops against their former per-node loop forms, the one-kernel
-iterated integral against its nested Chebyshev form (all kept here as
-reference implementations), and the sharing of one Bessel value per order
-among the points (+-x, +-y), with no order for a part that is zero."""
+50-digit mpmath (40 digits for alpha from 17 to 150 and |x|, |y| up to 100,
+and for elements of degree 6 to 8) and the Gauss-Jacobi quadrature path,
+the batched Taylor and convolution loops against their former per-node
+loop forms, the one-kernel iterated integral against its nested Chebyshev
+form (all kept here as reference implementations), and the sharing of one
+Bessel value per order among the points (+-x, +-y), with no order for a
+part that is zero."""
 
 import math
 from functools import lru_cache
@@ -18,7 +19,8 @@ from dunkl_lab import dunklcore, taylor
 from dunkl_lab.besov import (BesovParams, conv_norm, conv_profile,
                              default_grid)
 from dunkl_lab.dunklcore import convolve, translate, translate_many
-from dunkl_lab.funcalg import GaussPolyFunction, dilate, hermite_phi
+from dunkl_lab.funcalg import (GaussPolyFunction, dilate, dunkl_power,
+                               hermite_phi)
 from dunkl_lab.quad import (NORM_NODES, LpContext, jacobi_rule, kept_terms,
                             lp_norm, _norm_rules)
 from dunkl_lab.special import (AlphaParam, dunkl_kernel, dunkl_kernel_it,
@@ -27,6 +29,8 @@ from dunkl_lab.verify import CATALOG
 from dunkl_lab.taylor import (iterated_integral_I, remainder,
                               remainder_profile, symmetric_remainder_profile,
                               _theta_terms, _theta_weighted_integral)
+
+import oracles
 
 CUBIC = GaussPolyFunction((1.0, 1.0, 0.0, 1.0), 0.5)
 WIDE = GaussPolyFunction((1.0,), 0.25)
@@ -51,43 +55,6 @@ def test_gaussian_matches_heat_kernel(alpha, s):
             assert abs(translate(al, g, x, y) - ref) <= 1e-13, (x, y)
 
 
-def _moments_mp(mp, alpha, s, x, y):
-    """tau_x (t^m e^(-s t^2))(y), m = 0..3, y != 0, in mpmath: tau_x
-    e^(-s.^2)(y) = G(y) = e^(-s(x^2+y^2)) E(u), u = -2sxy, with the Dunkl
-    kernel E(u) = F_1(u) + u/(2(a+1)) F_2(u), F_j(u) = 0F1(a+j; u^2/4)
-    (Roesler, CMP 192, 1998); tau_x commutes with T and d/ds, y e^(-sy^2) =
-    -T e^(-sy^2) / (2s) and y^2 e^(-sy^2) = -d/ds e^(-sy^2), with T h(y) =
-    h'(y) + (a+1/2)(h(y) - h(-y))/y.  Every derivative is in closed form by
-    F_j' = u F_(j+1) / (2(a+j)): no mp.diff, 6-7x faster for the cubic."""
-    a, s, x, y = (mp.mpf(v) for v in (alpha, s, x, y))
-
-    def at(t):
-        u = -2 * s * x * t
-        F = [mp.hyp0f1(a + j, u * u / 4) for j in (1, 2, 3, 4)]
-        c1, c2 = 2 * (a + 1), 4 * (a + 1) * (a + 2)
-        E = F[0] + u / c1 * F[1]
-        dE = (1 + u) / c1 * F[1] + u * u / c2 * F[2]
-        d2E = (F[1] / c1 + (3 + u) * u / c2 * F[2]
-               + u ** 3 / (2 * c2 * (a + 3)) * F[3])
-        e = mp.exp(-s * (x * x + t * t))
-        G = e * E
-        dG = -2 * s * t * G - 2 * s * x * e * dE
-        Gs = -(x * x + t * t) * G - 2 * x * t * e * dE
-        dGs = (-2 * t * G - (x * x + t * t) * dG - 2 * x * e * dE
-               + 4 * s * x * t * t * e * dE + 4 * s * x * x * t * e * d2E)
-        return G, dG, Gs, dGs
-
-    p, m = at(y), at(-y)
-    T = lambda i: p[i + 1] + (a + mp.mpf(0.5)) * (p[i] - m[i]) / y
-    return (p[0], -T(0) / (2 * s), -p[2], -T(0) / (2 * s * s) + T(2) / (2 * s))
-
-
-def _tau_mp(mp, alpha, f, x, y):
-    """tau_x f(y) for f = (c0 + c1 y + c2 y^2 + c3 y^3) e^(-s y^2) in mpmath."""
-    return mp.fsum(c * m for c, m in zip(
-        f.coeffs, _moments_mp(mp, alpha, f.gauss_scale, x, y)))
-
-
 @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5, 7.0, 16.0])
 @pytest.mark.parametrize("name", ["gaussian", "cubic_gaussian"])
 def test_closed_form_matches_mpmath(alpha, name):
@@ -96,13 +63,14 @@ def test_closed_form_matches_mpmath(alpha, name):
     # (their sum cancels at large same-sign x, y: ROADMAP item 7(b))
     mp = pytest.importorskip("mpmath")
     al, f = AlphaParam(alpha), CATALOG[name]
-    mags = np.array([0.3, 2.0, 8.0])
-    x, y = (v.ravel() for v in np.meshgrid(np.r_[mags, -mags], np.r_[mags, -mags]))
+    pm = np.array([0.3, 2.0, 8.0, -0.3, -2.0, -8.0])
+    x, y = (v.ravel() for v in np.meshgrid(pm, pm))
     with mp.workdps(50):
-        one = {(u, v): _tau_mp(mp, alpha, f, u, v)
-               for u, v in zip(x.tolist(), y.tolist())}
-        ref = np.array([float(one[u, v]) for u, v in one])
-        ref_pair = np.array([float(one[u, v] + one[-u, v]) for u, v in one])
+        one = {u: oracles.tau(mp, alpha, f, u, pm) for u in pm.tolist()}
+        # a row per x, transposed to meshgrid's row per y
+        ref, ref_pair = (np.array(v, dtype=float).T.ravel() for v in (
+            [one[u] for u in one],
+            [[p + m for p, m in zip(one[u], one[-u])] for u in one]))
     s, w = f.gauss_scale, 2.0 * f.gauss_scale * np.abs(x * y)
     g = np.exp(-s * (np.abs(x) - np.abs(y)) ** 2)
     for pair, got, want in ((False, translate_many(al, f, x, y), ref),
@@ -120,27 +88,25 @@ def test_closed_form_matches_mpmath(alpha, name):
 _FAR = np.array([-100.0, -30.0, -10.0, -2.0, -0.5, 0.5, 2.0, 10.0, 30.0, 100.0])
 
 
+def _row_error(mp, alpha, f, grid):
+    """The largest error of tau_x f(y) on grid x grid against 40 digits,
+    relative to its row's max |tau|, over the rows where that max is at
+    least 1e-290."""
+    with mp.workdps(40):
+        ref = np.array([oracles.tau(mp, alpha, f, x, grid) for x in grid],
+                       dtype=float)
+    got = translate_many(AlphaParam(alpha), f, grid[:, None], grid[None, :])
+    big = np.max(np.abs(ref), axis=1)
+    keep = big >= 1e-290
+    assert keep.sum() >= 8
+    return float(np.max(np.max(np.abs(got - ref), axis=1)[keep] / big[keep]))
+
+
 @lru_cache(maxsize=None)
 def _far_errors(mp, alpha):
-    """Per test function, the largest error of tau_x f(y) on the grid _FAR x
-    _FAR against 40 digits, relative to its row's max |tau|, over the rows
-    where that max is at least 1e-290."""
-    al, out = AlphaParam(alpha), {}
-    with mp.workdps(40):
-        moments = {s: [[_moments_mp(mp, alpha, s, x, y) for y in _FAR]
-                       for x in _FAR]
-                   for s in {f.gauss_scale for f in CATALOG.values()}}
-        for name in ("gaussian", "x_gaussian", "cubic_gaussian"):
-            f = CATALOG[name]
-            ref = np.array([[float(mp.fsum(c * m for c, m in zip(f.coeffs, cell)))
-                             for cell in row] for row in moments[f.gauss_scale]])
-            got = translate_many(al, f, _FAR[:, None], _FAR[None, :])
-            big = np.max(np.abs(ref), axis=1)
-            keep = big >= 1e-290
-            assert keep.sum() >= 8
-            out[name] = float(np.max(np.max(np.abs(got - ref), axis=1)[keep]
-                                     / big[keep]))
-    return out
+    """_row_error on the grid _FAR per test function."""
+    return {name: _row_error(mp, alpha, CATALOG[name], _FAR)
+            for name in ("gaussian", "x_gaussian", "cubic_gaussian")}
 
 
 @pytest.mark.parametrize("alpha", [17.0, 20.0, 40.0, 100.0, 148.0, 150.0])
@@ -154,6 +120,40 @@ def test_large_alpha_closed_form_matches_mpmath_far_out(alpha):
     assert got["gaussian"] <= 2e-13
     for name in ("x_gaussian", "cubic_gaussian"):
         assert got[name] <= base[name], (name, got[name], base[name])
+
+
+DEG8 = GaussPolyFunction((0.5, -1.0, 0.3, 0.0, 0.2, 0.1, 0.0, -0.05, 0.02),
+                         0.5)
+
+
+def _high_degree_error(mp, alpha, r):
+    """_row_error on {+-0.5, +-2, +-r/3, +-r} over L^3 and L^4 of
+    cubic_gaussian (degrees 6 and 7) and DEG8."""
+    al, cubic = AlphaParam(alpha), CATALOG["cubic_gaussian"]
+    grid = np.array([0.5, 2.0, r / 3.0, r, -0.5, -2.0, -r / 3.0, -r])
+    return max(_row_error(mp, alpha, h, grid) for h in (
+        dunkl_power(al, cubic, 3), dunkl_power(al, cubic, 4), DEG8))
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_high_degree_closed_form_matches_mpmath(alpha):
+    # degrees 6 to 8 out to |x|, |y| = 5: at most 9.5e-11 of a row's max
+    # |tau| measured; at alpha = 20 DEG8's Lambda-coordinates cancel (kappa
+    # = 1.41e6), the typed error
+    mp = pytest.importorskip("mpmath")
+    assert _high_degree_error(mp, alpha, 5.0) <= 1e-9
+    with pytest.raises(FloatingPointError, match="kappa = 1.41e"):
+        translate_many(AlphaParam(20.0), DEG8, 1.0, 1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7(b): the two-order closed form "
+                   "cancels at large same-sign |x|, |y|, 0.42-1.6 of a "
+                   "row's max |tau| off at |x|, |y| = 100")
+def test_high_degree_closed_form_matches_mpmath_at_100():
+    mp = pytest.importorskip("mpmath")
+    assert max(_high_degree_error(mp, alpha, 100.0)
+               for alpha in (-0.25, 0.5, 1.5)) <= 1e-9
 
 
 # -- (b) closed form against the quadrature path -------------------------------
