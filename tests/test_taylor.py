@@ -68,8 +68,6 @@ def _theta(a, k, x, y):
         oracles.theta_table(a, k, math.copysign(1.0, x)), y / ax)
 
 
-LARGE_X = (20.0, np.linspace(-22.0, 22.0, 23))     # x and a at |x| = 20
-
 # pairs (x, y) at |x| of order one, small and large
 THETA_POINTS = [(1.4, 0.6), (1.4, -0.6), (-2.0, 1.1), (1e-3, 4e-4),
                 (-1e-3, -7e-4), (50.0, -21.0), (-50.0, 33.0)]
@@ -209,6 +207,9 @@ def test_theta_rows_of_either_sign_equal_one_row_calls_bitwise(alpha):
             one = [taylor._theta_weighted_integral(al, order, v, h,
                                                    F.gauss_scale) for v in xs]
             assert got.tobytes() == np.array(one).tobytes(), (order, x)
+
+
+LARGE_X = (20.0, np.linspace(-22.0, 22.0, 23))     # x and a at |x| = 20
 
 
 def _recurrence_gaps(alphas, xs, us, fs=tuple(dict(TEST_FUNCTIONS).values())):
